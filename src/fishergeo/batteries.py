@@ -1,31 +1,29 @@
 """Randomized verification batteries with deterministic aggregation.
 
-Every battery draws its cases from a single seeded generator, evaluates a
-single-case check from :mod:`fishergeo.verify` per trial, and merges results
+Every battery is a draw function run through one trial driver. The driver
+draws each case from a single seeded generator, evaluates it with a
+single-case check from :mod:`fishergeo.verify`, and tracks the worst residual
 in trial order. Violations are first minimized by greedy shrinking (reduce
 the sample space, then the vector support) and then recorded as witnesses,
 each tagged with (seed, trial) so the exact case can be regenerated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+import inspect
+from dataclasses import dataclass, replace
+from functools import partial
+from itertools import product
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .connections import ConnectionTag, VectorFieldOnModel, coordinate_field, weak_invariance_check
-from .errors import InvalidParameter
+from .errors import FisherGeoError, InvalidParameter
 from .families import CandidateFamily, parse_family
 from .geometry import TangentVector, delta
-from .markov import (
-    Channel,
-    apply,
-    canonical_embedding,
-    random_channel,
-    random_surjection,
-)
+from .markov import Channel, apply, canonical_embedding, random_channel, random_surjection
 from .models import categorical_model, crb_check, jacobian_at, lift
-from .simplex import Distribution, RandomVariable, SampleSpace, new_distribution, sample_interior
+from .simplex import RandomVariable, SampleSpace, new_distribution, sample_interior
 from .verify import (
     PASS_TOL,
     STRONG_INVARIANCE_TOL,
@@ -38,8 +36,7 @@ from .verify import (
     check_prop6_identity,
     check_strong_invariance,
     classify,
-    _floats,
-    _rows,
+    weak_invariance_residual,
 )
 
 #: CRB battery verdicts tolerate eigenvalues of V - G^{-1} down to this.
@@ -95,94 +92,144 @@ def shrink_case(
 
     Each reducer yields candidate reductions; the first candidate that still
     fails replaces the case and the reducer list restarts. Stops at a fixed
-    point. ``still_fails`` must be deterministic.
+    point. ``still_fails`` must be deterministic; a candidate it rejects
+    with a ``FisherGeoError`` is skipped, any other exception propagates.
     """
+
+    def fails(candidate: dict) -> bool:
+        try:
+            return still_fails(candidate)
+        except FisherGeoError:
+            return False
+
     current = case
-    progress = True
-    while progress:
-        progress = False
+    while True:
         for reducer in reducers:
-            for candidate in reducer(current):
-                try:
-                    failing = still_fails(candidate)
-                except Exception:
-                    continue
-                if failing:
-                    current = candidate
-                    progress = True
-                    break
-            if progress:
+            smaller = next((c for c in reducer(current) if fails(c)), None)
+            if smaller is not None:
+                current = smaller
                 break
-    return current
+        else:
+            return current
 
 
-def _merge_channel_inputs(case: dict) -> Iterator[dict]:
-    """Merge two input coordinates of a channel case (shrinks n, step one)."""
-    kernel = np.asarray(case["kernel"])
-    p = np.asarray(case["p"])
-    if p.shape[0] <= 2:
+def _merge_inputs(case: dict) -> Iterator[dict]:
+    """Merge two adjacent input points of a channel case (shrinks n)."""
+    channel, w = case["channel"], case["p"].weights
+    kernel = channel.kernel
+    if w.shape[0] <= 2:
         return
-    for i in range(p.shape[0] - 1):
+    space = SampleSpace(w.shape[0] - 1)
+    for i in range(w.shape[0] - 1):
         j = i + 1
-        mass = p[i] + p[j]
-        new_p = np.delete(p, j)
-        new_p[i] = mass
-        merged_col = (kernel[:, i] * p[i] + kernel[:, j] * p[j]) / mass
+        new_w = np.delete(w, j)
+        new_w[i] = w[i] + w[j]
         new_kernel = np.delete(kernel, j, axis=1)
-        new_kernel[:, i] = merged_col
-        new_case = dict(case)
-        new_case["kernel"] = new_kernel
-        new_case["p"] = new_p
+        new_kernel[:, i] = (kernel[:, i] * w[i] + kernel[:, j] * w[j]) / new_w[i]
+        p = new_distribution(space, new_w)
+        merged = dict(case, channel=Channel(space, channel.out_space, new_kernel), p=p)
         if "x" in case:
-            x = np.asarray(case["x"])
+            x = case["x"].m_rep
             new_x = np.delete(x, j)
             new_x[i] = x[i] + x[j]
-            new_case["x"] = new_x
-        yield new_case
+            merged["x"] = TangentVector(p, new_x)
+        yield merged
 
 
-def _merge_channel_outputs(case: dict) -> Iterator[dict]:
-    """Merge two output coordinates of a channel case."""
-    kernel = np.asarray(case["kernel"])
+def _merge_outputs(case: dict) -> Iterator[dict]:
+    """Merge two adjacent output points of a channel case."""
+    channel = case["channel"]
+    kernel = channel.kernel
     if kernel.shape[0] <= 2:
         return
+    space = SampleSpace(kernel.shape[0] - 1)
     for i in range(kernel.shape[0] - 1):
         j = i + 1
         new_kernel = np.delete(kernel, j, axis=0)
         new_kernel[i] = kernel[i] + kernel[j]
-        new_case = dict(case)
-        new_case["kernel"] = new_kernel
+        merged = dict(case, channel=Channel(channel.in_space, space, new_kernel))
         if "a" in case:
-            a = np.asarray(case["a"])
+            a = case["a"].values
             new_a = np.delete(a, j)
             new_a[i] = 0.5 * (a[i] + a[j])
-            new_case["a"] = new_a
-        yield new_case
+            merged["a"] = RandomVariable(space, new_a)
+        yield merged
 
 
-def _zero_vector_support(key: str) -> Callable[[dict], Iterator[dict]]:
-    """Zero one entry of a vector (re-centering sum-zero vectors)."""
+def _zero_entry(key: str) -> Callable[[dict], Iterator[dict]]:
+    """Zero one entry of the case's vector (re-centering tangent vectors)."""
 
     def reducer(case: dict) -> Iterator[dict]:
-        values = np.asarray(case.get(key))
-        if values is None:
-            return
-        for i in range(values.shape[0]):
-            if values[i] == 0.0:
-                continue
+        vector = case[key]
+        tangent = isinstance(vector, TangentVector)
+        values = vector.m_rep if tangent else vector.values
+        for i in np.flatnonzero(values):
             reduced = values.copy()
             reduced[i] = 0.0
-            if case.get("sum_zero", False):
-                reduced = reduced - reduced.mean()
-            new_case = dict(case)
-            new_case[key] = reduced
-            yield new_case
+            if tangent:
+                reduced = TangentVector(vector.base, reduced - reduced.mean())
+            else:
+                reduced = RandomVariable(vector.space, reduced)
+            yield dict(case, **{key: reduced})
 
     return reducer
 
 
 # ---------------------------------------------------------------------------
-# Batteries
+# The trial driver
+# ---------------------------------------------------------------------------
+
+
+def _require_run(battery: str, trials: int, n_max: int, min_n: int) -> None:
+    if trials < 1:
+        raise InvalidParameter(f"battery {battery!r} needs trials >= 1, got {trials!r}")
+    if n_max < min_n:
+        raise InvalidParameter(f"battery {battery!r} needs n_max >= {min_n}, got {n_max!r}")
+
+
+def _drive(
+    battery: str, trials: int, n_max: int, seed: int,
+    draw: Callable[[np.random.Generator, int], dict],
+    check: Callable[..., Any],
+    residual: Callable[[Any], float],
+    *,
+    min_n: int = 2, pass_tol: float = PASS_TOL, violation_tol: float = VIOLATION_TOL,
+    shrinkers: tuple = (),
+    extras: Callable[[float], dict] = lambda worst: {},
+) -> BatteryReport:
+    """Run ``trials`` seeded cases through ``check`` and aggregate them.
+
+    ``draw(rng, n_max)`` returns a case: the check's inputs keyed by
+    parameter name, already built. ``residual`` reads the signed residual
+    from the check's report. Above ``violation_tol`` the case is shrunk and
+    recorded as a witness of the kind named ``battery``, unless the report
+    carries its own witness.
+    """
+    _require_run(battery, trials, n_max, min_n)
+    rng = np.random.default_rng(seed)
+    worst = -np.inf
+    witnesses: list[Witness] = []
+    for trial in range(trials):
+        case = draw(rng, n_max)
+        report = check(**case)
+        value = residual(report)
+        worst = max(worst, value)
+        if value > violation_tol:
+            witness = getattr(report, "witness", None)
+            if witness is None:
+                case = shrink_case(
+                    case, lambda c: residual(check(**c)) > violation_tol, shrinkers
+                )
+                witness = Witness.from_case(battery, case, f"seed={seed} trial={trial}")
+            witnesses.append(witness)
+    status = "violation" if witnesses else classify(max(worst, 0.0), pass_tol)
+    return BatteryReport(
+        battery, trials, n_max, seed, float(worst), status, tuple(witnesses), extras(worst)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Draws
 # ---------------------------------------------------------------------------
 
 
@@ -191,131 +238,20 @@ def _random_sum_zero(rng: np.random.Generator, n: int) -> np.ndarray:
     return m - m.mean()
 
 
-def battery_monotonicity_metric(
-    trials: int = 1000, n_max: int = 6, seed: int = 0
-) -> BatteryReport:
-    """Metric norms never grow under random channels."""
-    rng = np.random.default_rng(seed)
-    worst = -np.inf
-    witnesses: list[Witness] = []
-    for trial in range(trials):
-        n_in = int(rng.integers(2, n_max + 1))
-        n_out = int(rng.integers(2, n_max + 1))
-        channel = random_channel(n_in, n_out, seed=int(rng.integers(2**32)))
-        p = sample_interior(SampleSpace(n_in), seed=int(rng.integers(2**32)))
-        x = TangentVector(p, _random_sum_zero(rng, n_in))
-        report = check_monotonicity_metric(channel, p, x)
-        worst = max(worst, report.slack)
-        if report.status == "violation":
-            witnesses.append(
-                _shrunk_monotonicity_witness(
-                    "monotonicity_metric", channel, p, x.m_rep, seed, trial
-                )
-            )
-    return BatteryReport(
-        "monotonicity_metric",
-        trials,
-        n_max,
-        seed,
-        float(worst),
-        "violation" if witnesses else classify(max(worst, 0.0)),
-        tuple(witnesses),
-        {},
-    )
+def _random_variable(rng: np.random.Generator, space: SampleSpace) -> RandomVariable:
+    return RandomVariable(space, rng.normal(size=space.size))
 
 
-def battery_monotonicity_cometric(
-    trials: int = 1000, n_max: int = 6, seed: int = 0
-) -> BatteryReport:
-    """Variance of conditional expectations never exceeds the variance."""
-    rng = np.random.default_rng(seed)
-    worst = -np.inf
-    witnesses: list[Witness] = []
-    for trial in range(trials):
-        n_in = int(rng.integers(2, n_max + 1))
-        n_out = int(rng.integers(2, n_max + 1))
-        channel = random_channel(n_in, n_out, seed=int(rng.integers(2**32)))
-        p = sample_interior(SampleSpace(n_in), seed=int(rng.integers(2**32)))
-        a = RandomVariable(SampleSpace(n_out), rng.normal(size=n_out))
-        report = check_monotonicity_cometric(channel, p, a)
-        worst = max(worst, report.slack)
-        if report.status == "violation":
-            witnesses.append(
-                _shrunk_monotonicity_witness(
-                    "monotonicity_cometric", channel, p, a.values, seed, trial
-                )
-            )
-    return BatteryReport(
-        "monotonicity_cometric",
-        trials,
-        n_max,
-        seed,
-        float(worst),
-        "violation" if witnesses else classify(max(worst, 0.0)),
-        tuple(witnesses),
-        {},
-    )
-
-
-def _shrunk_monotonicity_witness(
-    kind: str,
-    channel: Channel,
-    p: Distribution,
-    vector: np.ndarray,
-    seed: int,
-    trial: int,
-) -> Witness:
-    key = "x" if kind == "monotonicity_metric" else "a"
-    case = {"kernel": np.array(channel.kernel), "p": np.array(p.weights), key: np.array(vector)}
+def _draw_channel_case(rng: np.random.Generator, n_max: int, key: str) -> dict:
+    """A random channel, an input point, and a tangent vector ``x`` at it or
+    a variable ``a`` on the output space."""
+    n_in = int(rng.integers(2, n_max + 1))
+    n_out = int(rng.integers(2, n_max + 1))
+    channel = random_channel(n_in, n_out, seed=int(rng.integers(2**32)))
+    p = sample_interior(channel.in_space, seed=int(rng.integers(2**32)))
     if key == "x":
-        case["sum_zero"] = True
-
-    def still_fails(candidate: dict) -> bool:
-        chan = Channel(
-            SampleSpace(candidate["kernel"].shape[1]),
-            SampleSpace(candidate["kernel"].shape[0]),
-            candidate["kernel"],
-        )
-        point = new_distribution(chan.in_space, candidate["p"])
-        if key == "x":
-            rep = check_monotonicity_metric(
-                chan, point, TangentVector(point, candidate["x"])
-            )
-        else:
-            rep = check_monotonicity_cometric(
-                chan, point, RandomVariable(chan.out_space, candidate["a"])
-            )
-        return rep.slack > VIOLATION_TOL
-
-    case = shrink_case(
-        case,
-        still_fails,
-        [_merge_channel_inputs, _merge_channel_outputs, _zero_vector_support(key)],
-    )
-    chan = Channel(
-        SampleSpace(case["kernel"].shape[1]),
-        SampleSpace(case["kernel"].shape[0]),
-        case["kernel"],
-    )
-    point = new_distribution(chan.in_space, case["p"])
-    if key == "x":
-        rep = check_monotonicity_metric(chan, point, TangentVector(point, case["x"]))
-    else:
-        rep = check_monotonicity_cometric(
-            chan, point, RandomVariable(chan.out_space, case["a"])
-        )
-    return Witness(
-        kind=kind,
-        m=chan.in_space.size,
-        n=chan.out_space.size,
-        lhs=rep.lhs,
-        rhs=rep.rhs,
-        gap=rep.slack,
-        kernel=_rows(case["kernel"]),
-        point=_floats(case["p"]),
-        a=_floats(case[key]),
-        detail=f"seed={seed} trial={trial}",
-    )
+        return {"channel": channel, "p": p, "x": TangentVector(p, _random_sum_zero(rng, n_in))}
+    return {"channel": channel, "p": p, "a": _random_variable(rng, channel.out_space)}
 
 
 def _random_pair(rng: np.random.Generator, n_max: int):
@@ -326,50 +262,91 @@ def _random_pair(rng: np.random.Generator, n_max: int):
     return canonical_embedding(surjection, q), q
 
 
+def _draw_invariance(rng: np.random.Generator, n_max: int) -> dict:
+    pair, q = _random_pair(rng, n_max)
+    small = pair.surjection.codomain
+    return {
+        "pair": pair, "q": q,
+        "a": _random_variable(rng, small), "b": _random_variable(rng, small),
+        "x_m_rep": _random_sum_zero(rng, small.size),
+        "y_m_rep": _random_sum_zero(rng, small.size),
+    }
+
+
+def _draw_strong_invariance(rng: np.random.Generator, n_max: int) -> dict:
+    pair, q = _random_pair(rng, n_max)
+    a = _random_variable(rng, pair.surjection.codomain)
+    return {"pair": pair, "q": q, "a": a, "b": _random_variable(rng, q.space)}
+
+
+def _draw_prop6(rng: np.random.Generator, n_max: int, family: CandidateFamily) -> dict:
+    pair, _ = _random_pair(rng, n_max)
+    p = sample_interior(pair.surjection.codomain, seed=int(rng.integers(2**32)))
+    alpha = delta(p, _random_variable(rng, p.space))
+    q_img = apply(pair.embedding_channel, p)
+    beta = delta(q_img, _random_variable(rng, q_img.space))
+    return {"pair": pair, "p": p, "alpha": alpha, "beta": beta, "family": family}
+
+
+def _draw_crb(rng: np.random.Generator, n_max: int) -> dict:
+    """Locally unbiased estimators as in ``battery_crb``; ``p`` is the model
+    point, kept for the witness."""
+    n = int(rng.integers(2, n_max + 1))
+    model = categorical_model(n)
+    xi = sample_interior(model.space, seed=int(rng.integers(2**32))).weights[: n - 1]
+    p = model.point(xi)
+    jac = jacobian_at(model, xi)
+    estimators = []
+    for unit in np.eye(n - 1):
+        rep = lift(model, xi, unit).rep.values
+        noise = rng.normal(size=n)
+        noise -= jac.T @ np.linalg.lstsq(jac.T, noise, rcond=None)[0]
+        estimators.append(RandomVariable(model.space, rep + float(rng.uniform(0, 2)) * noise))
+    return {"model": model, "xi": xi, "p": p, "estimators": estimators}
+
+
+def _family(family) -> CandidateFamily:
+    if isinstance(family, str):
+        return parse_family(family)
+    if not isinstance(family, CandidateFamily):
+        raise InvalidParameter(
+            f"family must be a grammar expression or a CandidateFamily, got {family!r}"
+        )
+    return family
+
+
+# ---------------------------------------------------------------------------
+# Batteries
+# ---------------------------------------------------------------------------
+
+
+def battery_monotonicity_metric(
+    trials: int = 1000, n_max: int = 6, seed: int = 0
+) -> BatteryReport:
+    """Metric norms never grow under random channels."""
+    return _drive(
+        "monotonicity_metric", trials, n_max, seed,
+        partial(_draw_channel_case, key="x"), check_monotonicity_metric, attrgetter("slack"),
+        shrinkers=(_merge_inputs, _merge_outputs, _zero_entry("x")),
+    )
+
+
+def battery_monotonicity_cometric(
+    trials: int = 1000, n_max: int = 6, seed: int = 0
+) -> BatteryReport:
+    """Variance of conditional expectations never exceeds the variance."""
+    return _drive(
+        "monotonicity_cometric", trials, n_max, seed,
+        partial(_draw_channel_case, key="a"), check_monotonicity_cometric, attrgetter("slack"),
+        shrinkers=(_merge_inputs, _merge_outputs, _zero_entry("a")),
+    )
+
+
 def battery_invariance(trials: int = 500, n_max: int = 8, seed: int = 0) -> BatteryReport:
     """Metric/co-metric/covariance invariance through canonical pairs."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    witnesses: list[Witness] = []
-    for trial in range(trials):
-        pair, q = _random_pair(rng, n_max)
-        n_small = pair.surjection.codomain.size
-        a = RandomVariable(SampleSpace(n_small), rng.normal(size=n_small))
-        b = RandomVariable(SampleSpace(n_small), rng.normal(size=n_small))
-        report = check_invariance(
-            pair,
-            q,
-            _random_sum_zero(rng, n_small),
-            _random_sum_zero(rng, n_small),
-            a,
-            b,
-        )
-        worst = max(worst, report.max_residual)
-        if report.status == "violation":
-            witnesses.append(
-                Witness(
-                    kind="invariance",
-                    m=n_small,
-                    n=q.space.size,
-                    lhs=report.max_residual,
-                    rhs=0.0,
-                    gap=report.max_residual,
-                    surjection=pair.surjection.map0,
-                    point=_floats(q.weights),
-                    a=_floats(a.values),
-                    b=_floats(b.values),
-                    detail=f"seed={seed} trial={trial}",
-                )
-            )
-    return BatteryReport(
-        "invariance",
-        trials,
-        n_max,
-        seed,
-        worst,
-        "violation" if witnesses else classify(worst),
-        tuple(witnesses),
-        {},
+    return _drive(
+        "invariance", trials, n_max, seed,
+        _draw_invariance, check_invariance, attrgetter("max_residual"), min_n=3,
     )
 
 
@@ -377,42 +354,10 @@ def battery_strong_invariance(
     trials: int = 500, n_max: int = 8, seed: int = 0
 ) -> BatteryReport:
     """Adjoint/projector identities and the mixed covariance identity."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    witnesses: list[Witness] = []
-    for trial in range(trials):
-        pair, q = _random_pair(rng, n_max)
-        n_small = pair.surjection.codomain.size
-        n_big = q.space.size
-        a = RandomVariable(SampleSpace(n_small), rng.normal(size=n_small))
-        b = RandomVariable(SampleSpace(n_big), rng.normal(size=n_big))
-        report = check_strong_invariance(pair, q, a, b)
-        worst = max(worst, report.max_residual)
-        if report.status == "violation":
-            witnesses.append(
-                Witness(
-                    kind="strong_invariance",
-                    m=n_small,
-                    n=n_big,
-                    lhs=report.max_residual,
-                    rhs=0.0,
-                    gap=report.max_residual,
-                    surjection=pair.surjection.map0,
-                    point=_floats(q.weights),
-                    a=_floats(a.values),
-                    b=_floats(b.values),
-                    detail=f"seed={seed} trial={trial}",
-                )
-            )
-    return BatteryReport(
-        "strong_invariance",
-        trials,
-        n_max,
-        seed,
-        worst,
-        "violation" if witnesses else classify(worst, pass_tol=STRONG_INVARIANCE_TOL),
-        tuple(witnesses),
-        {},
+    return _drive(
+        "strong_invariance", trials, n_max, seed,
+        _draw_strong_invariance, check_strong_invariance, attrgetter("max_residual"),
+        min_n=3, pass_tol=STRONG_INVARIANCE_TOL,
     )
 
 
@@ -423,31 +368,11 @@ def battery_prop6(
     family: CandidateFamily | str = "COV",
 ) -> BatteryReport:
     """Two-sided pairing identity with a candidate family in place of g."""
-    if isinstance(family, str):
-        family = parse_family(family)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    witnesses: list[Witness] = []
-    for trial in range(trials):
-        pair, _ = _random_pair(rng, n_max)
-        n_small = pair.surjection.codomain.size
-        p = sample_interior(SampleSpace(n_small), seed=int(rng.integers(2**32)))
-        alpha = delta(p, RandomVariable(p.space, rng.normal(size=n_small)))
-        q_img = apply(pair.embedding_channel, p)
-        beta = delta(q_img, RandomVariable(q_img.space, rng.normal(size=q_img.space.size)))
-        report = check_prop6_identity(pair, p, alpha, beta, family)
-        worst = max(worst, report.residual)
-        if report.witness is not None:
-            witnesses.append(report.witness)
-    return BatteryReport(
-        "prop6",
-        trials,
-        n_max,
-        seed,
-        worst,
-        "violation" if witnesses else classify(worst),
-        tuple(witnesses),
-        {"family": family.name},
+    family = _family(family)
+    return _drive(
+        "prop6", trials, n_max, seed,
+        partial(_draw_prop6, family=family), check_prop6_identity, attrgetter("residual"),
+        min_n=3, extras=lambda worst: {"family": family.name},
     )
 
 
@@ -458,52 +383,13 @@ def battery_crb(trials: int = 1000, n_max: int = 4, seed: int = 0) -> BatteryRep
     plus random perturbations from the kernel of the restriction map, which
     preserves local unbiasedness exactly.
     """
-    rng = np.random.default_rng(seed)
-    worst_eig = np.inf
-    witnesses: list[Witness] = []
-    for trial in range(trials):
-        n = int(rng.integers(2, n_max + 1))
-        model = categorical_model(n)
-        xi = sample_interior(SampleSpace(n), seed=int(rng.integers(2**32))).weights[
-            : n - 1
-        ]
-        p = model.point(xi)
-        jac = jacobian_at(model, xi)
-        estimators = []
-        for i in range(n - 1):
-            unit = np.zeros(n - 1)
-            unit[i] = 1.0
-            rep = lift(model, xi, unit).rep.values
-            noise = rng.normal(size=n)
-            noise -= jac.T @ np.linalg.lstsq(jac.T, noise, rcond=None)[0]
-            estimators.append(
-                RandomVariable(model.space, rep + float(rng.uniform(0, 2)) * noise)
-            )
-        report = crb_check(model, xi, estimators)
-        scaled = report.min_eigenvalue / (1.0 + np.max(np.abs(report.inverse_information)))
-        worst_eig = min(worst_eig, scaled)
-        if scaled < CRB_EIG_TOL:
-            witnesses.append(
-                Witness(
-                    kind="crb",
-                    m=n,
-                    n=n,
-                    lhs=report.min_eigenvalue,
-                    rhs=0.0,
-                    gap=-report.min_eigenvalue,
-                    point=_floats(p.weights),
-                    detail=f"seed={seed} trial={trial}",
-                )
-            )
-    return BatteryReport(
-        "crb",
-        trials,
-        n_max,
-        seed,
-        float(-worst_eig),
-        "violation" if witnesses else "pass",
-        tuple(witnesses),
-        {"min_scaled_eigenvalue": float(worst_eig)},
+    return _drive(
+        "crb", trials, n_max, seed, _draw_crb,
+        lambda model, xi, p, estimators: crb_check(model, xi, estimators),
+        # the minimum eigenvalue of V - G^{-1}, negated and scaled by G^{-1}
+        lambda r: -(r.min_eigenvalue / (1.0 + np.max(np.abs(r.inverse_information)))),
+        pass_tol=-CRB_EIG_TOL, violation_tol=-CRB_EIG_TOL,
+        extras=lambda worst: {"min_scaled_eigenvalue": float(-worst)},
     )
 
 
@@ -521,87 +407,53 @@ def battery_weak_invariance(
     the battery then passes only if the residual is large, confirming the
     check can detect non-invariance.
     """
-    rng = np.random.default_rng(seed)
-    sizes = [(m, n) for m in range(2, n_max) for n in range(m + 1, n_max + 1)]
-    worst = 0.0
-    control_min = np.inf
-    witnesses: list[Witness] = []
-    grids_used = []
-    for alpha in alphas:
-        for m, n in sizes:
-            surjection = random_surjection(n, m, seed=int(rng.integers(2**32)))
-            q = sample_interior(SampleSpace(n), seed=int(rng.integers(2**32)))
-            pair = canonical_embedding(surjection, q)
-            model = categorical_model(m)
-            x = coordinate_field(model, 0)
-            y = VectorFieldOnModel(
-                model,
-                lambda xi, d=m - 1: np.full(d, 0.4) + 0.3 * np.asarray(xi) ** 2,
-            )
-            # keep grid points well inside the simplex: the finite-difference
-            # step (default 1e-4) must not push any weight negative
-            grid = [
-                sample_interior(
-                    SampleSpace(m), seed=int(rng.integers(2**32)), floor=0.02
-                ).weights[: m - 1]
-                for _ in range(grid_count)
-            ]
-            grids_used.append([[float(v) for v in g] for g in grid])
-            tag_big = (
-                ConnectionTag(-alpha) if mismatched and alpha != 0.0 else None
-            )
-            if mismatched and alpha == 0.0:
-                tag_big = ConnectionTag(1.0)
-            report = weak_invariance_check(
-                pair, ConnectionTag(alpha), x, y, grid, step=step, tag_big=tag_big
-            )
-            residual = max(report.residual_max, report.metric_residual_max)
-            if mismatched:
-                control_min = min(control_min, residual)
-            else:
-                worst = max(worst, residual)
-                if residual > VIOLATION_TOL:
-                    witnesses.append(
-                        Witness(
-                            kind="weak_invariance",
-                            m=m,
-                            n=n,
-                            lhs=residual,
-                            rhs=0.0,
-                            gap=residual,
-                            surjection=surjection.map0,
-                            point=_floats(q.weights),
-                            detail=f"alpha={alpha} seed={seed}",
-                        )
-                    )
-    if mismatched:
-        detected = control_min > 1e-3
-        return BatteryReport(
-            "weak_invariance_control",
-            len(sizes) * len(alphas),
-            n_max,
-            seed,
-            float(control_min),
-            "pass" if detected else "violation",
-            (),
-            {"step": step, "alphas": list(alphas), "mismatch_detected": detected},
+    if not alphas or grid_count < 1:
+        raise InvalidParameter(
+            f"weak_invariance needs alphas and grid_count >= 1, got {alphas!r}, {grid_count!r}"
         )
-    # Finite differences dominate here: pass at the connection tolerance.
-    status = "violation" if witnesses else ("pass" if worst <= 1e-6 else "inconclusive")
-    return BatteryReport(
-        "weak_invariance",
-        len(sizes) * len(alphas),
-        n_max,
-        seed,
-        worst,
-        status,
-        tuple(witnesses),
-        {
-            "residual_max": worst,
-            "step": step,
-            "alphas": list(alphas),
-            "grids": grids_used,
-        },
+    sizes = [(m, n) for m in range(2, n_max) for n in range(m + 1, n_max + 1)]
+    cases = iter(product(alphas, sizes))
+    grids: list[list[list[float]]] = []
+
+    def draw(rng: np.random.Generator, _n_max: int) -> dict:
+        alpha, (m, n) = next(cases)
+        surjection = random_surjection(n, m, seed=int(rng.integers(2**32)))
+        q = sample_interior(SampleSpace(n), seed=int(rng.integers(2**32)))
+        # keep grid points well inside the simplex: the finite-difference
+        # step (default 1e-4) must not push any weight negative
+        grid = [
+            sample_interior(SampleSpace(m), seed=int(rng.integers(2**32)), floor=0.02)
+            .weights[: m - 1]
+            for _ in range(grid_count)
+        ]
+        grids.append([[float(v) for v in g] for g in grid])
+        return {
+            "surjection": surjection, "q": q, "alpha": alpha,
+            "grid": grid, "step": step, "mismatched": mismatched,
+        }
+
+    trials = len(sizes) * len(alphas)
+    if not mismatched:
+        # Finite differences dominate here: pass at the violation tolerance.
+        return _drive(
+            "weak_invariance", trials, n_max, seed, draw, weak_invariance_residual, float,
+            min_n=3, pass_tol=VIOLATION_TOL,
+            extras=lambda worst: {
+                "residual_max": worst, "step": step, "alphas": list(alphas), "grids": grids,
+            },
+        )
+    # The control tracks its smallest residual as the largest negated one
+    # and records no witnesses.
+    control = _drive(
+        "weak_invariance_control", trials, n_max, seed, draw, weak_invariance_residual,
+        lambda r: -r, min_n=3, violation_tol=np.inf,
+    )
+    detected = -control.max_residual > 1e-3
+    return replace(
+        control,
+        max_residual=-control.max_residual,
+        status="pass" if detected else "violation",
+        extras={"step": step, "alphas": list(alphas), "mismatch_detected": detected},
     )
 
 
@@ -613,6 +465,8 @@ def battery_characterize(
     seed: int = 0,
 ) -> BatteryReport:
     """Wrap the characterization probe as a battery."""
+    family = _family(family)
+    _require_run("characterize", trials, n_max, 2)
     result = characterize(family, n_max, denominator_bound, trials, seed)
     witnesses = () if result.witness is None else (result.witness,)
     return BatteryReport(
@@ -644,7 +498,9 @@ def run_battery(config: dict) -> BatteryReport:
 
     Recognized keys per battery: ``battery`` (required), ``trials``,
     ``n_max``, ``seed``, ``family``, ``denominator_bound``, ``step``,
-    ``alphas``, ``grid_count``, ``mismatched``.
+    ``alphas``, ``grid_count``, ``mismatched``. The keys are bound to the
+    runner's parameters before it starts, so an unknown or missing key
+    raises InvalidParameter naming it; errors inside the run propagate.
     """
     if "battery" not in config:
         raise InvalidParameter("config needs a 'battery' key")
@@ -655,9 +511,8 @@ def run_battery(config: dict) -> BatteryReport:
             f"unknown battery {name!r}; known: {sorted(_BATTERIES)}"
         )
     kwargs = {k: v for k, v in config.items() if k != "battery"}
-    if name == "characterize" and "family" not in kwargs:
-        raise InvalidParameter("characterize battery needs a 'family' expression")
     try:
-        return runner(**kwargs)
+        inspect.signature(runner).bind(**kwargs)
     except TypeError as exc:
         raise InvalidParameter(f"bad config for battery {name!r}: {exc}") from exc
+    return runner(**kwargs)

@@ -26,10 +26,13 @@ replaying it reproduces the gap bitwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .connections import DEFAULT_STEP, ConnectionTag, VectorFieldOnModel, coordinate_field
+from .connections import weak_invariance_check
 from .errors import InvalidParameter, NotRational, SizeMismatch
 from .families import CandidateFamily, parse_family
 from .geometry import (
@@ -46,10 +49,12 @@ from .markov import (
     EmbeddingPair,
     Surjection,
     apply,
+    canonical_embedding,
     conditional_expectation,
     pullback,
     pushforward,
 )
+from .models import categorical_model, crb_check
 from .simplex import (
     Distribution,
     RandomVariable,
@@ -92,14 +97,26 @@ def _rows(matrix) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(v) for v in row) for row in np.asarray(matrix))
 
 
+def _lists(value):
+    return [_lists(v) for v in value] if isinstance(value, tuple) else value
+
+
 # ---------------------------------------------------------------------------
 # Witnesses
 # ---------------------------------------------------------------------------
 
 
+#: Witness inputs that only some kinds carry; they enter the JSON form only when set.
+_KIND_INPUTS = ("x", "y", "estimators", "grid", "step", "alpha")
+
+
 @dataclass(frozen=True)
 class Witness:
-    """A replayable counterexample: inputs, both sides, and the gap."""
+    """A replayable counterexample: inputs, both sides, and the gap.
+
+    The fields after ``detail`` hold inputs of single kinds: x/y m-reps
+    (invariance), estimators (crb), grid, step and alpha (weak_invariance).
+    """
 
     kind: str
     m: int
@@ -115,6 +132,12 @@ class Witness:
     family: str | None = None
     constants: tuple[float, float] | None = None
     detail: str = ""
+    x: tuple[float, ...] | None = None
+    y: tuple[float, ...] | None = None
+    estimators: tuple[tuple[float, ...], ...] | None = None
+    grid: tuple[tuple[float, ...], ...] | None = None
+    step: float | None = None
+    alpha: float | None = None
 
     def __post_init__(self) -> None:
         if not self.gap > VIOLATION_TOL:
@@ -122,93 +145,35 @@ class Witness:
                 f"witness gap {self.gap!r} does not exceed {VIOLATION_TOL}"
             )
 
+    @classmethod
+    def from_case(cls, kind: str, case: dict, detail: str = "") -> Witness:
+        """Run the kind's check on ``case`` (its inputs by name) and store them."""
+        return _KINDS[kind].witness(case, detail)
+
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "m": self.m,
-            "n": self.n,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "surjection": None
-            if self.surjection is None
-            else [v + 1 for v in self.surjection],
-            "kernel": None if self.kernel is None else [list(r) for r in self.kernel],
-            "point": None if self.point is None else list(self.point),
-            "a": None if self.a is None else list(self.a),
-            "b": None if self.b is None else list(self.b),
-            "family": self.family,
-            "constants": None if self.constants is None else list(self.constants),
-            "detail": self.detail,
+        payload = {
+            f.name: _lists(getattr(self, f.name))
+            for f in fields(self)
+            if f.name not in _KIND_INPUTS or getattr(self, f.name) is not None
         }
-
-
-def _channel_from_rows(rows: tuple[tuple[float, ...], ...]) -> Channel:
-    kernel = np.array(rows, dtype=float)
-    return Channel(SampleSpace(kernel.shape[1]), SampleSpace(kernel.shape[0]), kernel)
+        if self.surjection is not None:
+            payload["surjection"] = [v + 1 for v in self.surjection]
+        return payload
 
 
 def replay_witness(witness: Witness) -> float:
     """Recompute the witness gap from its stored inputs.
 
-    The same evaluation code paths run in the same order, so the result is
-    bitwise equal to the stored gap. Family-based witnesses are rebuilt by
-    parsing the stored grammar expression; witnesses from plugin evaluators
-    cannot be reconstructed from their name and raise.
+    The kind's entry rebuilds the case and runs the same check or probe on
+    it in the same order, so the result is bitwise equal to the stored gap.
+    Family-based witnesses are rebuilt by parsing the stored grammar
+    expression; witnesses from plugin evaluators cannot be reconstructed
+    from their name and raise.
     """
-    kind = witness.kind
-    if kind == "uniform_shape":
-        return probe_uniform(parse_family(witness.family), witness.n).witness.gap
-    if kind == "cross_dimension":
-        # the witness stores the two dimensions (n, m*n); the probe takes
-        # the block factor and the base dimension
-        factor = witness.n // witness.m
-        return probe_consistency(
-            parse_family(witness.family), factor, witness.m
-        ).witness.gap
-    if kind == "rational_point":
-        p = new_distribution(SampleSpace(witness.m), np.array(witness.point))
-        bound = int(witness.detail.removeprefix("D="))
-        return probe_rational(
-            parse_family(witness.family), p, bound, constants=witness.constants
-        ).witness.gap
-    if kind == "bilinearity":
-        seed = int(witness.detail.removeprefix("seed="))
-        return check_bilinearity(parse_family(witness.family), witness.n, seed)
-    if kind == "continuity":
-        spot = new_distribution(SampleSpace(witness.n), np.array(witness.point))
-        bound = int(witness.detail.removeprefix("D="))
-        family = parse_family(witness.family)
-        spot_fit = np.array(_fit_constants(family, spot))
-        approx = _best_rational_approximation(spot.weights, bound)
-        fit = np.array(_fit_constants(family, approx))
-        return float(np.max(np.abs(fit - spot_fit)))
-    if kind == "prop6_identity":
-        surjection = Surjection(
-            SampleSpace(len(witness.surjection)),
-            SampleSpace(witness.m),
-            witness.surjection,
-        )
-        pair = EmbeddingPair(surjection, np.array(witness.kernel).T)
-        p = new_distribution(SampleSpace(witness.m), np.array(witness.point))
-        alpha = CotangentVector(p, RandomVariable(p.space, np.array(witness.a)))
-        q_img = apply(pair.embedding_channel, p)
-        beta = CotangentVector(q_img, RandomVariable(q_img.space, np.array(witness.b)))
-        report = check_prop6_identity(
-            pair, p, alpha, beta, parse_family(witness.family)
-        )
-        return report.residual
-    if kind == "monotonicity_metric":
-        channel = _channel_from_rows(witness.kernel)
-        p = new_distribution(channel.in_space, np.array(witness.point))
-        x = TangentVector(p, np.array(witness.a))
-        return check_monotonicity_metric(channel, p, x).slack
-    if kind == "monotonicity_cometric":
-        channel = _channel_from_rows(witness.kernel)
-        p = new_distribution(channel.in_space, np.array(witness.point))
-        a = RandomVariable(channel.out_space, np.array(witness.a))
-        return check_monotonicity_cometric(channel, p, a).slack
-    raise InvalidParameter(f"no replay rule for witness kind {kind!r}")
+    kind = _KINDS.get(witness.kind)
+    if kind is None:
+        raise InvalidParameter(f"no replay rule for witness kind {witness.kind!r}")
+    return kind.witness(kind.case(witness)).gap
 
 
 # ---------------------------------------------------------------------------
@@ -318,21 +283,10 @@ def check_invariance(
 
 
 @dataclass(frozen=True)
-class StrongInvarianceReport:
-    residuals: dict[str, float]
-    max_residual: float
-    status: str
-
+class StrongInvarianceReport(InvarianceReport):
     @property
     def passed(self) -> bool:
         return self.max_residual <= STRONG_INVARIANCE_TOL
-
-    def to_json(self) -> dict:
-        return {
-            "residuals": dict(self.residuals),
-            "max_residual": self.max_residual,
-            "status": self.status,
-        }
 
 
 def check_strong_invariance(
@@ -465,6 +419,29 @@ def check_prop6_identity(
             family=family.name,
         )
     return Prop6Report(lhs, rhs, residual, status, witness)
+
+
+def weak_invariance_residual(
+    surjection: Surjection, q: Distribution, alpha: float, grid,
+    step: float = DEFAULT_STEP, mismatched: bool = False,
+) -> float:
+    """Weak invariance of the alpha-connection through the canonical pair of (F, q).
+
+    Runs ``weak_invariance_check`` with the fields X = d/dxi^1 and
+    Y^i = 0.4 + 0.3 (xi^i)^2 on the categorical model of the small space at
+    each point of ``grid`` and returns the larger of its vector and metric
+    residuals. With ``mismatched`` the big simplex carries the dual
+    connection (the e-connection when alpha = 0) as a control.
+    """
+    m = surjection.codomain.size
+    model = categorical_model(m)
+    y = VectorFieldOnModel(model, lambda xi: np.full(m - 1, 0.4) + 0.3 * np.asarray(xi) ** 2)
+    tag_big = ConnectionTag(-alpha if alpha != 0.0 else 1.0) if mismatched else None
+    report = weak_invariance_check(
+        canonical_embedding(surjection, q), ConnectionTag(alpha),
+        coordinate_field(model, 0), y, grid, step=step, tag_big=tag_big,
+    )
+    return max(report.residual_max, report.metric_residual_max)
 
 
 # ---------------------------------------------------------------------------
@@ -763,6 +740,20 @@ def _best_rational_approximation(
     return new_distribution(SampleSpace(n), best)
 
 
+def _continuity_errors(
+    family: CandidateFamily, spot: Distribution, bounds: list[int]
+) -> list[float]:
+    """Step (d): distance from the constants fitted at ``spot`` to those
+    fitted at its best rational approximation, per denominator bound."""
+    spot_fit = np.array(_fit_constants(family, spot))
+    errors = []
+    for bound in bounds:
+        approx = _best_rational_approximation(spot.weights, bound)
+        fit = np.array(_fit_constants(family, approx))
+        errors.append(float(np.max(np.abs(fit - spot_fit))))
+    return errors
+
+
 def _format_constant(value: float) -> str:
     if value == int(value):
         return str(int(value))
@@ -862,22 +853,9 @@ def characterize(
     rng = np.random.default_rng(seed)
 
     for n in range(2, n_max + 1):
-        child_seed = int(rng.integers(2**32))
-        defect = check_bilinearity(family, n, seed=child_seed)
-        if defect > VIOLATION_TOL:
-            return _witness_result(
-                family.name,
-                Witness(
-                    kind="bilinearity",
-                    m=n,
-                    n=n,
-                    lhs=defect,
-                    rhs=0.0,
-                    gap=defect,
-                    family=family.name,
-                    detail=f"seed={child_seed}",
-                ),
-            )
+        case = {"family": family, "n": n, "seed": int(rng.integers(2**32))}
+        if check_bilinearity(**case) > VIOLATION_TOL:
+            return _witness_result(family.name, _bilinearity_witness(case))
 
     constants_by_n: dict[int, tuple[float, float]] = {}
     for n in range(2, n_max + 1):
@@ -924,30 +902,11 @@ def characterize(
     irrational = np.sqrt(np.arange(2, 2 + n_spot, dtype=float))
     irrational /= irrational.sum()
     spot = new_distribution(SampleSpace(n_spot), irrational)
-    spot_fit = np.array(_fit_constants(family, spot))
-    continuity_errors = []
-    for bound in (8, 16, 32, 64):
-        if bound > denominator_bound:
-            break
-        approx = _best_rational_approximation(spot.weights, bound)
-        fit = np.array(_fit_constants(family, approx))
-        continuity_errors.append(float(np.max(np.abs(fit - spot_fit))))
+    bounds = [b for b in (8, 16, 32, 64) if b <= denominator_bound]
+    continuity_errors = _continuity_errors(family, spot, bounds)
     if continuity_errors and continuity_errors[-1] > VIOLATION_TOL:
-        last_bound = [b for b in (8, 16, 32, 64) if b <= denominator_bound][-1]
-        return _witness_result(
-            family.name,
-            Witness(
-                kind="continuity",
-                m=n_spot,
-                n=n_spot,
-                lhs=continuity_errors[-1],
-                rhs=0.0,
-                gap=continuity_errors[-1],
-                point=_floats(spot.weights),
-                family=family.name,
-                detail=f"D={last_bound}",
-            ),
-        )
+        case = {"family": family, "spot": spot, "bound": bounds[-1]}
+        return _witness_result(family.name, _continuity_witness(case))
 
     if ii1_holds and abs(c1 + c2) <= PASS_TOL:
         verdict = f"c*Cov with c={_format_constant(c1)}"
@@ -970,3 +929,183 @@ def characterize(
             "dimensions and rational points; continuity spot-checked only"
         ),
     )
+
+
+# ---------------------------------------------------------------------------
+# Witness kinds: each builds its witness from a case by running the check or
+# probe that finds it, and rebuilds the case from a stored witness
+# ---------------------------------------------------------------------------
+
+
+def _monotonicity_witness(case: dict, detail: str = "") -> Witness:
+    """The channel, the point, and x (metric) or a (co-metric)."""
+    metric = "x" in case
+    report = (check_monotonicity_metric if metric else check_monotonicity_cometric)(**case)
+    channel = case["channel"]
+    return Witness(
+        kind="monotonicity_metric" if metric else "monotonicity_cometric",
+        m=channel.in_space.size, n=channel.out_space.size,
+        lhs=report.lhs, rhs=report.rhs, gap=report.slack,
+        kernel=_rows(channel.kernel), point=_floats(case["p"].weights),
+        a=_floats(case["x"].m_rep if metric else case["a"].values), detail=detail,
+    )
+
+
+def _monotonicity_case(witness: Witness) -> dict:
+    # Battery channels are drawn column by column and shrinking keeps that
+    # column-major layout; products with the kernel differ in the last bit
+    # between layouts, so the kernel is rebuilt in the same layout.
+    kernel = np.array(witness.kernel, dtype=float, order="F")
+    channel = Channel(SampleSpace(kernel.shape[1]), SampleSpace(kernel.shape[0]), kernel)
+    p = new_distribution(channel.in_space, np.array(witness.point))
+    values = np.array(witness.a)
+    if witness.kind == "monotonicity_metric":
+        return {"channel": channel, "p": p, "x": TangentVector(p, values)}
+    return {"channel": channel, "p": p, "a": RandomVariable(channel.out_space, values)}
+
+
+def _pair_witness(case: dict, detail: str = "") -> Witness:
+    """The canonical pair of (F, q), a and b, and for invariance x and y."""
+    invariance = "x_m_rep" in case
+    report = (check_invariance if invariance else check_strong_invariance)(**case)
+    surjection, q = case["pair"].surjection, case["q"]
+    return Witness(
+        kind="invariance" if invariance else "strong_invariance",
+        m=surjection.codomain.size, n=q.space.size,
+        lhs=report.max_residual, rhs=0.0, gap=report.max_residual,
+        surjection=surjection.map0, point=_floats(q.weights),
+        a=_floats(case["a"].values), b=_floats(case["b"].values), detail=detail,
+        x=_floats(case["x_m_rep"]) if invariance else None,
+        y=_floats(case["y_m_rep"]) if invariance else None,
+    )
+
+
+def _surjection_point(witness: Witness) -> tuple[Surjection, Distribution]:
+    surjection = Surjection(SampleSpace(witness.n), SampleSpace(witness.m), witness.surjection)
+    return surjection, new_distribution(surjection.domain, np.array(witness.point))
+
+
+def _pair_case(witness: Witness) -> dict:
+    surjection, q = _surjection_point(witness)
+    a = RandomVariable(surjection.codomain, np.array(witness.a))
+    case = {"pair": canonical_embedding(surjection, q), "q": q, "a": a}
+    if witness.kind == "strong_invariance":
+        return {**case, "b": RandomVariable(q.space, np.array(witness.b))}
+    b = RandomVariable(surjection.codomain, np.array(witness.b))
+    return {**case, "b": b, "x_m_rep": np.array(witness.x), "y_m_rep": np.array(witness.y)}
+
+
+def _prop6_case(witness: Witness) -> dict:
+    surjection = Surjection(
+        SampleSpace(len(witness.surjection)), SampleSpace(witness.m), witness.surjection
+    )
+    pair = EmbeddingPair(surjection, np.array(witness.kernel).T)
+    p = new_distribution(SampleSpace(witness.m), np.array(witness.point))
+    alpha = CotangentVector(p, RandomVariable(p.space, np.array(witness.a)))
+    q_img = apply(pair.embedding_channel, p)
+    beta = CotangentVector(q_img, RandomVariable(q_img.space, np.array(witness.b)))
+    family = parse_family(witness.family)
+    return {"pair": pair, "p": p, "alpha": alpha, "beta": beta, "family": family}
+
+
+def _crb_witness(case: dict, detail: str = "") -> Witness:
+    """The model point and the estimators' values."""
+    report = crb_check(case["model"], case["xi"], case["estimators"])
+    n = case["model"].space.size
+    return Witness(
+        kind="crb", m=n, n=n,
+        lhs=report.min_eigenvalue, rhs=0.0, gap=-report.min_eigenvalue,
+        point=_floats(case["p"].weights), detail=detail,
+        estimators=_rows([e.values for e in case["estimators"]]),
+    )
+
+
+def _crb_case(witness: Witness) -> dict:
+    model = categorical_model(witness.m)
+    xi = np.array(witness.point[: witness.m - 1])  # the categorical coordinates
+    estimators = [RandomVariable(model.space, np.array(e)) for e in witness.estimators]
+    return {"model": model, "xi": xi, "p": model.point(xi), "estimators": estimators}
+
+
+def _weak_invariance_witness(case: dict, detail: str = "") -> Witness:
+    """The surjection, the big-space point, the grid, the step and alpha."""
+    residual = weak_invariance_residual(**case)
+    surjection, q = case["surjection"], case["q"]
+    return Witness(
+        kind="weak_invariance", m=surjection.codomain.size, n=q.space.size,
+        lhs=residual, rhs=0.0, gap=residual,
+        surjection=surjection.map0, point=_floats(q.weights), detail=detail,
+        grid=_rows(case["grid"]), step=float(case["step"]), alpha=float(case["alpha"]),
+    )
+
+
+def _weak_invariance_case(witness: Witness) -> dict:
+    surjection, q = _surjection_point(witness)
+    return {
+        "surjection": surjection, "q": q,
+        "alpha": witness.alpha, "grid": witness.grid, "step": witness.step,
+    }
+
+
+def _bilinearity_witness(case: dict) -> Witness:
+    defect = check_bilinearity(**case)
+    return Witness(
+        kind="bilinearity", m=case["n"], n=case["n"], lhs=defect, rhs=0.0, gap=defect,
+        family=case["family"].name, detail=f"seed={case['seed']}",
+    )
+
+
+def _continuity_witness(case: dict) -> Witness:
+    error = _continuity_errors(case["family"], case["spot"], [case["bound"]])[0]
+    n = case["spot"].space.size
+    return Witness(
+        kind="continuity", m=n, n=n, lhs=error, rhs=0.0, gap=error,
+        point=_floats(case["spot"].weights), family=case["family"].name,
+        detail=f"D={case['bound']}",
+    )
+
+
+def _family_case(witness: Witness, **case) -> dict:
+    return {"family": parse_family(witness.family), **case}
+
+
+def _rational_point_case(witness: Witness) -> dict:
+    p = new_distribution(SampleSpace(witness.m), np.array(witness.point))
+    bound = int(witness.detail.removeprefix("D="))
+    return _family_case(witness, p=p, denominator_bound=bound, constants=witness.constants)
+
+
+def _continuity_case(witness: Witness) -> dict:
+    spot = new_distribution(SampleSpace(witness.n), np.array(witness.point))
+    return _family_case(witness, spot=spot, bound=int(witness.detail.removeprefix("D=")))
+
+
+class _Kind(NamedTuple):
+    witness: Callable[..., Witness]  # case -> the witness its check or probe finds
+    case: Callable[[Witness], dict]  # witness -> the case it stores
+
+
+_KINDS: dict[str, _Kind] = {
+    "monotonicity_metric": _Kind(_monotonicity_witness, _monotonicity_case),
+    "monotonicity_cometric": _Kind(_monotonicity_witness, _monotonicity_case),
+    "invariance": _Kind(_pair_witness, _pair_case),
+    "strong_invariance": _Kind(_pair_witness, _pair_case),
+    "prop6_identity": _Kind(lambda case: check_prop6_identity(**case).witness, _prop6_case),
+    "crb": _Kind(_crb_witness, _crb_case),
+    "weak_invariance": _Kind(_weak_invariance_witness, _weak_invariance_case),
+    "uniform_shape": _Kind(
+        lambda case: probe_uniform(**case).witness, lambda w: _family_case(w, n=w.n)
+    ),
+    # the witness stores the two dimensions (n, m*n); the probe takes the
+    # block factor and the base dimension
+    "cross_dimension": _Kind(
+        lambda case: probe_consistency(**case).witness,
+        lambda w: _family_case(w, m=w.n // w.m, n=w.m),
+    ),
+    "rational_point": _Kind(lambda case: probe_rational(**case).witness, _rational_point_case),
+    "bilinearity": _Kind(
+        _bilinearity_witness,
+        lambda w: _family_case(w, n=w.n, seed=int(w.detail.removeprefix("seed="))),
+    ),
+    "continuity": _Kind(_continuity_witness, _continuity_case),
+}
