@@ -46,7 +46,7 @@ class TangentVector:
                 f"m_rep length {m.shape[0]} != space size {self.base.space.size}"
             )
         total = float(np.sum(m))
-        if abs(total) > SUM_ZERO_TOL:
+        if not abs(total) <= SUM_ZERO_TOL:
             raise NotSumZero(f"m-representation sums to {total!r}, not 0")
         m.flags.writeable = False
         object.__setattr__(self, "m_rep", m)
@@ -66,7 +66,7 @@ class CotangentVector:
                 f"base on size {self.base.space.size}"
             )
         mean = expect(self.base, self.rep)
-        if abs(mean) > CENTERING_TOL:
+        if not abs(mean) <= CENTERING_TOL:
             raise NotCentered(f"representative has mean {mean!r} at the base point")
 
 
@@ -111,7 +111,7 @@ def from_e_rep(p: Distribution, ell: RandomVariable) -> TangentVector:
     if ell.space != p.space:
         raise SizeMismatch("random variable and distribution on different spaces")
     mean = expect(p, ell)
-    if abs(mean) > CENTERING_TOL:
+    if not abs(mean) <= CENTERING_TOL:
         raise NotCentered(f"<L>_p = {mean!r}, expected 0")
     return TangentVector(p, p.weights * ell.values)
 
@@ -166,19 +166,54 @@ def cotangent_gram(covectors: list[CotangentVector]) -> np.ndarray:
     return g
 
 
+def require_rows_sum_zero(rows: np.ndarray) -> None:
+    """Raise ``NotSumZero`` unless every row, as an m-representation, sums to 0.
+
+    The row-wise form of the ``TangentVector`` check, with the same tolerance;
+    a non-finite row fails.
+    """
+    totals = np.sum(rows, axis=-1)
+    bad = ~(np.abs(totals) <= SUM_ZERO_TOL)
+    if np.any(bad):
+        total = float(totals[np.argmax(bad)])
+        raise NotSumZero(f"m-representation sums to {total!r}, not 0")
+
+
+def fisher_metric_rows(p: Distribution, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """[g_p(X_i, Y_j)] for m-representations given as rows, C-ordered.
+
+    Each entry is ``fisher_metric`` of the two rows, bitwise.
+    """
+    return np.sum(xs[:, None, :] * ys[None, :, :] / p.weights, axis=-1)
+
+
+def orthonormal_basis_rows(p: Distribution) -> np.ndarray:
+    """m-representations of ``orthonormal_tangent_basis(p)`` as rows.
+
+    Right-looking Gram-Schmidt over e_i - e_n, i = 1..n-1: row k is
+    normalized, then its projection is removed from every later row at once.
+    Each row receives the same subtractions in the same order as in
+    left-looking Gram-Schmidt, so every entry is the same float.
+    """
+    n = p.space.size
+    w = p.weights
+    rows = np.zeros((n - 1, n))
+    rows[np.arange(n - 1), np.arange(n - 1)] = 1.0
+    rows[:, n - 1] = -1.0
+    for k in range(n - 1):
+        v = rows[k]
+        u = v / math.sqrt(max(float(np.sum(v * v / w)), 0.0))
+        rows[k] = u
+        rest = rows[k + 1 :]
+        rest -= np.sum(rest * u / w, axis=-1)[:, None] * u
+        require_rows_sum_zero(rows[k:])
+    return rows
+
+
 def orthonormal_tangent_basis(p: Distribution) -> list[TangentVector]:
     """Deterministic g-orthonormal basis of the tangent space at p.
 
-    Gram-Schmidt over the m-representations e_i - e_n, i = 1..n-1.
+    Gram-Schmidt over the m-representations e_i - e_n, i = 1..n-1; see
+    ``orthonormal_basis_rows``.
     """
-    n = p.space.size
-    basis: list[TangentVector] = []
-    for i in range(n - 1):
-        m = np.zeros(n)
-        m[i] = 1.0
-        m[n - 1] = -1.0
-        v = TangentVector(p, m)
-        for u in basis:
-            v = TangentVector(p, v.m_rep - fisher_metric(v, u) * u.m_rep)
-        basis.append(TangentVector(p, v.m_rep / norm_tangent(v)))
-    return basis
+    return [TangentVector(p, row) for row in orthonormal_basis_rows(p)]

@@ -165,13 +165,13 @@ class EmbeddingPair:
             raise SizeMismatch(f"fiber matrix shape {r.shape} != {(m, n)}")
         if np.max(np.abs(r.sum(axis=1) - 1.0)) > KERNEL_COLUMN_TOL:
             raise NotNormalized("every r_x must sum to 1")
-        fiber_of = np.asarray(self.surjection.map0)
-        for x in range(m):
-            on_fiber = fiber_of == x
-            if np.any(r[x, ~on_fiber] != 0.0) or np.any(r[x, on_fiber] <= 0.0):
-                raise InvalidChannel(
-                    f"support of r_{x + 1} must be exactly the fiber of {x + 1}"
-                )
+        on_fiber = np.asarray(self.surjection.map0) == np.arange(m)[:, None]
+        bad = np.where(on_fiber, r <= 0.0, r != 0.0).any(axis=1)
+        if np.any(bad):
+            x = int(np.argmax(bad))
+            raise InvalidChannel(
+                f"support of r_{x + 1} must be exactly the fiber of {x + 1}"
+            )
         r.flags.writeable = False
         object.__setattr__(self, "fiber_distributions", r)
 
@@ -202,9 +202,7 @@ def canonical_embedding(surjection: Surjection, q: Distribution) -> EmbeddingPai
     marginal = surjection.marginalize(q)
     fiber_of = np.asarray(surjection.map0)
     r = np.zeros((surjection.codomain.size, surjection.domain.size))
-    for y in range(surjection.domain.size):
-        x = fiber_of[y]
-        r[x, y] = q.weights[y] / marginal.weights[x]
+    r[fiber_of, np.arange(surjection.domain.size)] = q.weights / marginal.weights[fiber_of]
     return EmbeddingPair(surjection, r)
 
 

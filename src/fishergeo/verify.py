@@ -41,8 +41,10 @@ from .geometry import (
     delta,
     fisher_cometric,
     fisher_metric,
+    fisher_metric_rows,
     norm_tangent,
-    orthonormal_tangent_basis,
+    orthonormal_basis_rows,
+    require_rows_sum_zero,
 )
 from .markov import (
     Channel,
@@ -311,22 +313,21 @@ def check_strong_invariance(
             "pair is not the canonical embedding through q: the embedding "
             "of the marginal does not recover q"
         )
-    small_basis = orthonormal_tangent_basis(p)
-    big_basis = orthonormal_tangent_basis(q)
-    dim_small, dim_big = len(small_basis), len(big_basis)
+    small_basis = orthonormal_basis_rows(p)
+    big_basis = orthonormal_basis_rows(q)
+    dim_small = len(small_basis)
 
-    # Matrices in the orthonormal bases; the canonical pair embeds exactly
-    # at q, so images are attached there directly.
-    a_mat = np.empty((dim_big, dim_small))
-    for i, u in enumerate(small_basis):
-        image = TangentVector(q, phi.kernel @ u.m_rep)
-        for j, v in enumerate(big_basis):
-            a_mat[j, i] = fisher_metric(image, v)
-    b_mat = np.empty((dim_small, dim_big))
-    for j, v in enumerate(big_basis):
-        image = TangentVector(p, psi.kernel @ v.m_rep)
-        for i, u in enumerate(small_basis):
-            b_mat[i, j] = fisher_metric(image, u)
+    # Images of the basis rows, one ``kernel @ row`` product each (a single
+    # matrix-matrix product may sum in another order); the canonical pair
+    # embeds exactly at q, so images are attached there.
+    images_up = np.array([phi.kernel @ u for u in small_basis])
+    images_down = np.array([psi.kernel @ v for v in big_basis])
+    require_rows_sum_zero(images_up)
+    require_rows_sum_zero(images_down)
+    # Matrices in the orthonormal bases, kept C-ordered: a matrix product on
+    # an F-ordered operand rounds differently in the last bit.
+    a_mat = np.ascontiguousarray(fisher_metric_rows(q, big_basis, images_up))
+    b_mat = np.ascontiguousarray(fisher_metric_rows(p, small_basis, images_down))
 
     projector = a_mat @ b_mat
     eye_small = np.eye(dim_small)

@@ -18,6 +18,7 @@ from fishergeo.geometry import (
     norm_tangent,
     orthonormal_tangent_basis,
     pair,
+    require_rows_sum_zero,
     sharp,
     tangent_gram,
     zero_tangent,
@@ -57,6 +58,34 @@ class TestTypes:
     def test_cotangent_must_be_centered(self):
         with pytest.raises(NotCentered):
             CotangentVector(dist(0.5, 0.5), rv(1, 0))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[np.nan, 0.0, 0.0], [np.inf, -np.inf, 0.0], [-np.inf, np.inf, 0.0], [np.inf, 0.0, 0.0]],
+    )
+    def test_non_finite_tangent_rejected(self, values):
+        with pytest.raises(NotSumZero):
+            TangentVector(dist(0.25, 0.25, 0.5), np.array(values))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[np.nan, 0.0, 0.0], [np.inf, -np.inf, 0.0], [-np.inf, 0.0, 0.0]],
+    )
+    def test_non_finite_cotangent_rejected(self, values):
+        p = dist(0.25, 0.25, 0.5)
+        with pytest.raises(NotCentered):
+            CotangentVector(p, rv(*values))
+        with pytest.raises(NotCentered):
+            from_e_rep(p, rv(*values))
+        with pytest.raises(NotCentered):
+            delta(p, rv(*values))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e-3])
+    def test_row_check_names_first_bad_row(self, bad):
+        rows = np.array([[1.0, -1.0, 0.0], [0.5, bad, -0.5], [bad, 0.0, 0.0]])
+        with pytest.raises(NotSumZero, match=repr(float(bad))):
+            require_rows_sum_zero(rows)
+        require_rows_sum_zero(rows[:1])
 
     def test_delta_space_mismatch(self):
         from fishergeo.errors import SizeMismatch

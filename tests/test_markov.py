@@ -256,9 +256,22 @@ class TestEmbeddingPairs:
         back = pullback(pair_.embedding_channel, p, lifted)
         assert np.allclose(back.rep.values, alpha.rep.values, atol=1e-13)
 
-    def test_support_validation(self):
-        with pytest.raises(InvalidChannel):
-            EmbeddingPair(F112, np.array([[0.5, 0.25, 0.25], [0.0, 0.0, 1.0]]))
+    @pytest.mark.parametrize(
+        "rows, first_bad",
+        [
+            pytest.param([[0.5, 0.25, 0.25], [0.0, 0.0, 1.0]], 1, id="off_fiber_r1"),
+            pytest.param([[0.5, 0.5, 0.0], [0.25, 0.0, 0.75]], 2, id="off_fiber_r2"),
+            pytest.param([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], 1, id="zero_on_fiber_r1"),
+            pytest.param([[0.5, 0.25, 0.25], [0.25, 0.0, 0.75]], 1, id="both_bad_r1"),
+            pytest.param([[0.5, 0.5, np.nan], [0.0, 0.0, 1.0]], 1, id="nan_off_fiber_r1"),
+            pytest.param([[0.5, 0.5, 0.0], [np.nan, 0.0, 1.0]], 2, id="nan_off_fiber_r2"),
+        ],
+    )
+    def test_support_validation(self, rows, first_bad):
+        with pytest.raises(
+            InvalidChannel, match=rf"r_{first_bad} must be exactly the fiber of {first_bad}$"
+        ):
+            EmbeddingPair(F112, np.array(rows))
 
     def test_f_identity_gives_identity_channel(self):
         f = Surjection.from_one_based([1, 2, 3])
