@@ -3,7 +3,7 @@
 All formats are flat JSON objects with fixed key order; loading validates
 the type invariants (strict positivity, normalization, sum-zero, centering,
 column stochasticity, surjectivity) and raises the package's semantic
-errors. Surjections are 1-based on the wire and 0-based in memory.
+errors.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import InvalidParameter, SizeMismatch
 from .geometry import CotangentVector, TangentVector
-from .markov import Channel, Surjection
+from .markov import Channel
 from .models import (
     ParametricModel,
     affine_model,
@@ -34,17 +34,9 @@ def _floats(values) -> list[float]:
     return [float(v) for v in np.asarray(values, dtype=float).reshape(-1)]
 
 
-def distribution_to_json(p: Distribution) -> dict:
-    return {"n": p.space.size, "p": _floats(p.weights)}
-
-
 def distribution_from_json(obj: dict) -> Distribution:
     n = int(_require(obj, "n"))
     return new_distribution(SampleSpace(n), np.asarray(_require(obj, "p"), dtype=float))
-
-
-def random_variable_to_json(a: RandomVariable) -> dict:
-    return {"n": a.space.size, "values": _floats(a.values)}
 
 
 def random_variable_from_json(obj: dict) -> RandomVariable:
@@ -76,36 +68,11 @@ def cotangent_from_json(obj: dict) -> CotangentVector:
     return CotangentVector(base, RandomVariable(base.space, rep))
 
 
-def channel_to_json(channel: Channel) -> dict:
-    return {
-        "n_in": channel.in_space.size,
-        "n_out": channel.out_space.size,
-        "kernel": [_floats(row) for row in channel.kernel],
-    }
-
-
 def channel_from_json(obj: dict) -> Channel:
     n_in = int(_require(obj, "n_in"))
     n_out = int(_require(obj, "n_out"))
     kernel = np.asarray(_require(obj, "kernel"), dtype=float)
     return Channel(SampleSpace(n_in), SampleSpace(n_out), kernel)
-
-
-def surjection_to_json(surjection: Surjection) -> dict:
-    return {
-        "n": surjection.domain.size,
-        "m": surjection.codomain.size,
-        "map": [v + 1 for v in surjection.map0],
-    }
-
-
-def surjection_from_json(obj: dict) -> Surjection:
-    n = int(_require(obj, "n"))
-    m = int(_require(obj, "m"))
-    one_based = [int(v) for v in _require(obj, "map")]
-    if len(one_based) != n:
-        raise SizeMismatch(f"map length {len(one_based)} != n {n}")
-    return Surjection(SampleSpace(n), SampleSpace(m), tuple(v - 1 for v in one_based))
 
 
 def model_from_json(obj: dict) -> ParametricModel:

@@ -51,10 +51,11 @@ class Channel:
                 f"kernel shape {k.shape} != "
                 f"{(self.out_space.size, self.in_space.size)}"
             )
-        if np.any(k < 0.0):
+        # Written so that NaN fails both tests.
+        if not np.all(k >= 0.0):
             raise InvalidChannel("kernel entries must be nonnegative")
         col_sums = k.sum(axis=0)
-        if np.max(np.abs(col_sums - 1.0)) > KERNEL_COLUMN_TOL:
+        if not np.max(np.abs(col_sums - 1.0)) <= KERNEL_COLUMN_TOL:
             raise NotNormalized(f"column sums {col_sums.tolist()} deviate from 1")
         if np.any(k.max(axis=1) <= 0.0):
             raise NotSurjective("some output has no positive kernel entry")
@@ -163,15 +164,16 @@ class EmbeddingPair:
         r = np.array(self.fiber_distributions, dtype=float)
         if r.shape != (m, n):
             raise SizeMismatch(f"fiber matrix shape {r.shape} != {(m, n)}")
-        if np.max(np.abs(r.sum(axis=1) - 1.0)) > KERNEL_COLUMN_TOL:
-            raise NotNormalized("every r_x must sum to 1")
+        # Supports first, then sums; both written so that NaN fails them.
         on_fiber = np.asarray(self.surjection.map0) == np.arange(m)[:, None]
-        bad = np.where(on_fiber, r <= 0.0, r != 0.0).any(axis=1)
+        bad = np.where(on_fiber, ~(r > 0.0), r != 0.0).any(axis=1)
         if np.any(bad):
             x = int(np.argmax(bad))
             raise InvalidChannel(
                 f"support of r_{x + 1} must be exactly the fiber of {x + 1}"
             )
+        if not np.max(np.abs(r.sum(axis=1) - 1.0)) <= KERNEL_COLUMN_TOL:
+            raise NotNormalized("every r_x must sum to 1")
         r.flags.writeable = False
         object.__setattr__(self, "fiber_distributions", r)
 

@@ -47,6 +47,8 @@ JACOBIAN_SUM_TOL = 1e-8
 SYMMETRY_TOL = 1e-10
 #: Tolerance for local/global unbiasedness of estimators.
 UNBIASED_TOL = 1e-8
+#: Grid points per axis of the global-mode unbiasedness check.
+_GLOBAL_GRID_POINTS = 5
 
 
 @dataclass(frozen=True)
@@ -235,13 +237,12 @@ def crb_check(
     estimators: Sequence[RandomVariable],
     mode: str = "local",
     box: Sequence[tuple[float, float]] | None = None,
-    grid_points: int = 5,
 ) -> CrbReport:
     """Verify unbiasedness, then compare V against G^{-1}.
 
     ``local`` checks the differential condition restrict(delta(A^i)) = e_i
     at xi only. ``global`` additionally checks <A^i>_{p_xi'} = xi'^i on a
-    grid of ``grid_points`` per axis over ``box`` (required in that mode:
+    grid of ``_GLOBAL_GRID_POINTS`` per axis over ``box`` (required in that mode:
     unbiasedness over all of M is only desk-checkable on a declared box).
 
     Raises NotLocallyUnbiased when the precondition fails; the PSD verdict
@@ -259,7 +260,7 @@ def crb_check(
     if mode == "global":
         if box is None:
             raise InvalidParameter("global mode needs an explicit parameter box")
-        axes = [np.linspace(lo, hi, grid_points) for lo, hi in box]
+        axes = [np.linspace(lo, hi, _GLOBAL_GRID_POINTS) for lo, hi in box]
         mesh = np.meshgrid(*axes, indexing="ij")
         grid = np.stack([m.reshape(-1) for m in mesh], axis=-1)
         for point in grid:

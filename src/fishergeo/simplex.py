@@ -48,13 +48,14 @@ class Distribution:
     def __post_init__(self) -> None:
         w = _readonly(self.weights, self.space.size)
         object.__setattr__(self, "weights", w)
-        if np.any(w <= POSITIVITY_FLOOR):
+        # Written so that NaN fails both tests.
+        if not np.all(w > POSITIVITY_FLOOR):
             bad = int(np.argmin(w))
             raise NonPositiveWeight(
                 f"weight {w[bad]!r} at index {bad + 1} is at or below {POSITIVITY_FLOOR}"
             )
         total = float(np.sum(w))
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise NotNormalized(f"weights sum to {total!r}, not 1")
 
     # Value equality, not tolerance: two distributions are the same base

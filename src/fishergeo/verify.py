@@ -62,7 +62,6 @@ from .simplex import (
     RandomVariable,
     SampleSpace,
     cov,
-    indicator,
     new_distribution,
     uniform,
     variance,
@@ -77,6 +76,10 @@ VIOLATION_TOL = 1e-6
 STRONG_INVARIANCE_TOL = 1e-8
 #: Absolute tolerance when matching weights to a rational k/m grid.
 RATIONAL_TOL = 1e-9
+#: Random triples per bilinearity spot check.
+_BILINEARITY_TRIALS = 4
+#: Weight floor of the random points of the bilinearity and kill-constants checks.
+_DIRICHLET_FLOOR = 1e-3
 
 
 def classify(residual: float, pass_tol: float = PASS_TOL) -> str:
@@ -450,6 +453,20 @@ def weak_invariance_residual(
 # ---------------------------------------------------------------------------
 
 
+def _pair_matrix(family: CandidateFamily, p: Distribution, rows: np.ndarray) -> np.ndarray:
+    """[family(p, A_i, A_j)] for the random variables A_i given as rows."""
+    variables = [RandomVariable(p.space, row) for row in rows]
+    return np.array([[family(p, a, b) for b in variables] for a in variables], dtype=float)
+
+
+def _first_worst(gaps: np.ndarray) -> tuple[float, int, int]:
+    """The largest gap and its first position in row-major order, as a
+    strict ``gap > worst`` scan from 0.0 finds them: NaN gaps are skipped."""
+    scan = np.where(np.isnan(gaps), 0.0, gaps)
+    i, j = np.unravel_index(int(np.argmax(scan)), scan.shape)
+    return float(scan[i, j]), int(i), int(j)
+
+
 @dataclass(frozen=True)
 class UniformProbeResult:
     n: int
@@ -467,13 +484,9 @@ def probe_uniform(family: CandidateFamily, n: int) -> UniformProbeResult:
     """Step (a): indicator matrix at the uniform point must be a*I + b*ones."""
     if n < 2:
         raise InvalidParameter("probe needs n >= 2")
-    space = SampleSpace(n)
-    u = uniform(space)
-    units = [indicator(space, i) for i in range(n)]
-    matrix = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            matrix[i, j] = family(u, units[i], units[j])
+    u = uniform(SampleSpace(n))
+    units = np.eye(n)
+    matrix = _pair_matrix(family, u, units)
     off_mask = ~np.eye(n, dtype=bool)
     b = float(np.mean(matrix[off_mask]))
     a = float(np.mean(np.diag(matrix))) - b
@@ -491,21 +504,12 @@ def probe_uniform(family: CandidateFamily, n: int) -> UniformProbeResult:
             rhs=float(model[i, j]),
             gap=worst,
             point=_floats(u.weights),
-            a=_floats(units[i].values),
-            b=_floats(units[j].values),
+            a=_floats(units[i]),
+            b=_floats(units[j]),
             family=family.name,
             detail=f"indicator pair ({i + 1}, {j + 1}) breaks permutation symmetry",
         )
     return UniformProbeResult(n, a, b, worst, witness)
-
-
-def block_surjection(m: int, n: int) -> Surjection:
-    """The surjection from an mn-point onto an n-point space by blocks of m."""
-    return Surjection(
-        SampleSpace(m * n),
-        SampleSpace(n),
-        tuple(i // m for i in range(m * n)),
-    )
 
 
 @dataclass(frozen=True)
@@ -538,38 +542,26 @@ def probe_consistency(family: CandidateFamily, m: int, n: int) -> ConsistencyPro
     if big.witness is not None:
         return ConsistencyProbeResult(m, n, 0.0, 0.0, big.max_residual, big.witness)
     surjection = block_surjection(m, n)
-    u_small = uniform(SampleSpace(n))
-    u_big = uniform(SampleSpace(m * n))
-    worst = 0.0
+    units = np.eye(n)
+    lhs = _pair_matrix(family, uniform(SampleSpace(n)), units)
+    rhs = _pair_matrix(family, uniform(surjection.domain), units[:, surjection.map0])
+    worst, i, j = _first_worst(np.abs(lhs - rhs))
     witness = None
-    for i in range(n):
-        for j in range(n):
-            e_i = indicator(u_small.space, i)
-            e_j = indicator(u_small.space, j)
-            lhs = family(u_small, e_i, e_j)
-            rhs = family(
-                u_big,
-                surjection.compose_variable(e_i),
-                surjection.compose_variable(e_j),
-            )
-            gap = abs(lhs - rhs)
-            if gap > worst:
-                worst = gap
-                if gap > VIOLATION_TOL:
-                    witness = Witness(
-                        kind="cross_dimension",
-                        m=n,
-                        n=m * n,
-                        lhs=lhs,
-                        rhs=rhs,
-                        gap=gap,
-                        surjection=surjection.map0,
-                        a=_floats(e_i.values),
-                        b=_floats(e_j.values),
-                        family=family.name,
-                        detail=f"lift of indicator pair ({i + 1}, {j + 1}) "
-                        "changes the uniform evaluation",
-                    )
+    if worst > VIOLATION_TOL:
+        witness = Witness(
+            kind="cross_dimension",
+            m=n,
+            n=m * n,
+            lhs=float(lhs[i, j]),
+            rhs=float(rhs[i, j]),
+            gap=worst,
+            surjection=surjection.map0,
+            a=_floats(units[i]),
+            b=_floats(units[j]),
+            family=family.name,
+            detail=f"lift of indicator pair ({i + 1}, {j + 1}) "
+            "changes the uniform evaluation",
+        )
     c1_small, c2_small = n * small.a, n * n * small.b
     c1_big, c2_big = m * n * big.a, (m * n) ** 2 * big.b
     worst = max(worst, abs(c1_small - c1_big), abs(c2_small - c2_big))
@@ -600,19 +592,17 @@ def partition_surjection(counts: np.ndarray) -> Surjection:
     )
 
 
-def _fit_constants(family: CandidateFamily, p: Distribution) -> tuple[float, float]:
-    """Least-squares (c1, c2) fit of the family on indicator pairs at p."""
-    n = p.space.size
-    units = [indicator(p.space, i) for i in range(n)]
-    features = []
-    targets = []
-    for i in range(n):
-        for j in range(n):
-            l2 = p.weights[i] if i == j else 0.0
-            mm = p.weights[i] * p.weights[j]
-            features.append((l2, mm))
-            targets.append(family(p, units[i], units[j]))
-    solution, *_ = np.linalg.lstsq(np.array(features), np.array(targets), rcond=None)
+def block_surjection(m: int, n: int) -> Surjection:
+    """The surjection from an mn-point onto an n-point space by blocks of m."""
+    return partition_surjection(np.full(n, m))
+
+
+def _fit_constants(p: Distribution, matrix: np.ndarray) -> tuple[float, float]:
+    """Least-squares (c1, c2) fit of the indicator-pair matrix at p to
+    c1 diag(p) + c2 p p^T."""
+    w = p.weights
+    features = np.column_stack([np.diag(w).ravel(), np.outer(w, w).ravel()])
+    solution, *_ = np.linalg.lstsq(features, matrix.ravel(), rcond=None)
     return float(solution[0]), float(solution[1])
 
 
@@ -658,41 +648,33 @@ def probe_rational(
         constants = (n * base.a, n * n * base.b)
     c1, c2 = constants
     surjection = partition_surjection(counts)
-    u_big = uniform(surjection.domain)
-    units = [indicator(p.space, i) for i in range(n)]
-    worst = 0.0
+    units = np.eye(n)
+    w = p.weights
+    value = _pair_matrix(family, p, units)
+    lifted = _pair_matrix(family, uniform(surjection.domain), units[:, surjection.map0])
+    target = c1 * np.diag(w) + c2 * np.outer(w, w)
+    to_lift, to_target = np.abs(value - lifted), np.abs(value - target)
+    # Python's max(to_lift, to_target): the first unless the second is larger
+    # (np.maximum would differ on NaN)
+    worst, i, j = _first_worst(np.where(to_target > to_lift, to_target, to_lift))
     witness = None
-    for i in range(n):
-        for j in range(n):
-            value = family(p, units[i], units[j])
-            lifted = family(
-                u_big,
-                surjection.compose_variable(units[i]),
-                surjection.compose_variable(units[j]),
-            )
-            target = c1 * (p.weights[i] if i == j else 0.0) + c2 * (
-                p.weights[i] * p.weights[j]
-            )
-            gap = max(abs(value - lifted), abs(value - target))
-            if gap > worst:
-                worst = gap
-                if gap > VIOLATION_TOL:
-                    witness = Witness(
-                        kind="rational_point",
-                        m=n,
-                        n=surjection.domain.size,
-                        lhs=value,
-                        rhs=lifted if abs(value - lifted) >= abs(value - target) else target,
-                        gap=gap,
-                        surjection=surjection.map0,
-                        point=_floats(p.weights),
-                        a=_floats(units[i].values),
-                        b=_floats(units[j].values),
-                        family=family.name,
-                        constants=(float(c1), float(c2)),
-                        detail=f"D={denominator_bound}",
-                    )
-    fitted = _fit_constants(family, p)
+    if worst > VIOLATION_TOL:
+        witness = Witness(
+            kind="rational_point",
+            m=n,
+            n=surjection.domain.size,
+            lhs=float(value[i, j]),
+            rhs=float(lifted[i, j] if to_lift[i, j] >= to_target[i, j] else target[i, j]),
+            gap=worst,
+            surjection=surjection.map0,
+            point=_floats(w),
+            a=_floats(units[i]),
+            b=_floats(units[j]),
+            family=family.name,
+            constants=(float(c1), float(c2)),
+            detail=f"D={denominator_bound}",
+        )
+    fitted = _fit_constants(p, value)
     return RationalProbeResult(
         n,
         denominator,
@@ -746,13 +728,14 @@ def _continuity_errors(
 ) -> list[float]:
     """Step (d): distance from the constants fitted at ``spot`` to those
     fitted at its best rational approximation, per denominator bound."""
-    spot_fit = np.array(_fit_constants(family, spot))
-    errors = []
-    for bound in bounds:
-        approx = _best_rational_approximation(spot.weights, bound)
-        fit = np.array(_fit_constants(family, approx))
-        errors.append(float(np.max(np.abs(fit - spot_fit))))
-    return errors
+    def fit(p: Distribution) -> np.ndarray:
+        return np.array(_fit_constants(p, _pair_matrix(family, p, np.eye(p.space.size))))
+
+    spot_fit = fit(spot)
+    return [
+        float(np.max(np.abs(fit(_best_rational_approximation(spot.weights, bound)) - spot_fit)))
+        for bound in bounds
+    ]
 
 
 def _format_constant(value: float) -> str:
@@ -807,15 +790,13 @@ def _witness_result(family_name: str, witness: Witness) -> CharacterizeResult:
     )
 
 
-def check_bilinearity(
-    family: CandidateFamily, n: int, seed: int, trials: int = 4
-) -> float:
-    """Largest bilinearity defect over random triples; grammar families
-    satisfy it by construction, plugin evaluators may not."""
+def check_bilinearity(family: CandidateFamily, n: int, seed: int) -> float:
+    """Largest bilinearity defect over ``_BILINEARITY_TRIALS`` random triples;
+    grammar families satisfy it by construction, plugin evaluators may not."""
     rng = np.random.default_rng(seed)
     space = SampleSpace(n)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(_BILINEARITY_TRIALS):
         p = new_distribution(space, _flatten_dirichlet(rng, n))
         a1 = RandomVariable(space, rng.normal(size=n))
         a2 = RandomVariable(space, rng.normal(size=n))
@@ -828,9 +809,10 @@ def check_bilinearity(
     return worst
 
 
-def _flatten_dirichlet(rng: np.random.Generator, n: int, floor: float = 1e-3) -> np.ndarray:
+def _flatten_dirichlet(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A flat Dirichlet draw with every weight at least ``_DIRICHLET_FLOOR``."""
     draw = rng.dirichlet(np.ones(n))
-    return floor + (1.0 - n * floor) * draw
+    return _DIRICHLET_FLOOR + (1.0 - n * _DIRICHLET_FLOOR) * draw
 
 
 def characterize(

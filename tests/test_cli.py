@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from fishergeo import errors
+
 BERNOULLI = {"kind": "bernoulli"}
 CATEGORICAL3 = {"kind": "categorical", "n": 3}
 LINE_MODEL = {
@@ -55,6 +57,35 @@ class TestFisher:
     def test_missing_file_exits_2(self, cli):
         proc = cli.run("fisher", "--model", str(cli.dir / "nope.json"), "--xi", "0.5")
         assert proc.returncode == 2
+
+
+class TestNonFiniteInput:
+    """NaN input exits 2 with a typed error instead of a NaN report."""
+
+    @staticmethod
+    def assert_typed(proc):
+        assert proc.returncode == 2
+        kind = json.loads(proc.stdout)["error"]["type"]
+        assert issubclass(getattr(errors, kind), errors.FisherGeoError), kind
+
+    def test_nan_parameter(self, cli):
+        self.assert_typed(
+            cli.run("fisher", "--model", cli.file("m.json", CATEGORICAL3), "--xi", "nan,0.2")
+        )
+
+    def test_nan_expfam_stats(self, cli):
+        model = {"kind": "expfam", "stats": [[float("nan"), 1.0, 0.0]]}
+        self.assert_typed(cli.run("fisher", "--model", cli.file("m.json", model), "--xi", "0.3"))
+
+    def test_nan_base_point(self, cli):
+        proc = cli.run(
+            "push",
+            "--channel", cli.file("w.json", COEMBED_112),
+            "--p", cli.file("p.json", {"n": 3, "p": [float("nan"), 0.5, 0.5]}),
+            "--vector", cli.file("x.json", {"p": [0.25, 0.25, 0.5], "m_rep": [1.0, 0.0, -1.0]}),
+        )
+        self.assert_typed(proc)
+        assert json.loads(proc.stdout)["error"]["type"] == "NonPositiveWeight"
 
 
 class TestCrb:

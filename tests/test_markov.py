@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fishergeo.errors import (
     BadSize,
     BasePointMismatch,
+    FisherGeoError,
     InvalidChannel,
     NotNormalized,
     NotSurjective,
@@ -49,7 +53,39 @@ F112 = Surjection.from_one_based([1, 1, 2])
 Q3 = dist(0.25, 0.25, 0.5)
 
 
+#: Entries that make valid kernels likely, mixed with every kind of float.
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, np.nan, np.inf, -np.inf]), st.floats()
+)
+
+
+def _edited(rows, edits) -> np.ndarray:
+    values = np.array(rows, dtype=float)
+    for index, value in edits:
+        values.flat[index] = value
+    return values
+
+
 class TestChannelValidation:
+    @pytest.mark.parametrize(
+        "bad, error", [(np.nan, InvalidChannel), (np.inf, NotNormalized), (-np.inf, InvalidChannel)]
+    )
+    def test_non_finite_entry_rejected(self, bad, error):
+        kernel = np.array([[1.0, 0.5], [0.0, 0.5]])
+        kernel[1, 1] = bad
+        with pytest.raises(error):
+            Channel(SampleSpace(2), SampleSpace(2), kernel)
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(2, 4), st.integers(2, 4)), elements=ENTRIES))
+    def test_totality(self, kernel):
+        """Any float kernel builds a finite channel or raises a FisherGeoError."""
+        try:
+            channel = Channel(SampleSpace(kernel.shape[1]), SampleSpace(kernel.shape[0]), kernel)
+        except FisherGeoError:
+            return
+        assert np.all(np.isfinite(channel.kernel))
+
     def test_negative_entry(self):
         with pytest.raises(InvalidChannel):
             Channel(SampleSpace(2), SampleSpace(2), np.array([[1.1, 0.0], [-0.1, 1.0]]))
@@ -265,6 +301,10 @@ class TestEmbeddingPairs:
             pytest.param([[0.5, 0.25, 0.25], [0.25, 0.0, 0.75]], 1, id="both_bad_r1"),
             pytest.param([[0.5, 0.5, np.nan], [0.0, 0.0, 1.0]], 1, id="nan_off_fiber_r1"),
             pytest.param([[0.5, 0.5, 0.0], [np.nan, 0.0, 1.0]], 2, id="nan_off_fiber_r2"),
+            pytest.param([[np.nan, 0.5, 0.0], [0.0, 0.0, 1.0]], 1, id="nan_on_fiber_r1"),
+            pytest.param([[0.5, 0.5, 0.0], [0.0, 0.0, np.nan]], 2, id="nan_on_fiber_r2"),
+            # supports are checked before sums
+            pytest.param([[0.5, 0.5, 0.5], [0.0, 0.0, 1.0]], 1, id="off_fiber_and_sum_r1"),
         ],
     )
     def test_support_validation(self, rows, first_bad):
@@ -272,6 +312,25 @@ class TestEmbeddingPairs:
             InvalidChannel, match=rf"r_{first_bad} must be exactly the fiber of {first_bad}$"
         ):
             EmbeddingPair(F112, np.array(rows))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            arrays(np.float64, (2, 3), elements=ENTRIES),
+            # a valid matrix with up to three entries replaced
+            st.lists(st.tuples(st.integers(0, 5), ENTRIES), max_size=3).map(
+                lambda edits: _edited([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]], edits)
+            ),
+        )
+    )
+    def test_totality(self, rows):
+        """Any float fiber matrix builds a finite pair or raises a FisherGeoError."""
+        try:
+            pair_ = EmbeddingPair(F112, rows)
+        except FisherGeoError:
+            return
+        assert np.all(np.isfinite(pair_.fiber_distributions))
+        assert np.all(np.isfinite(pair_.embedding_channel.kernel))
 
     def test_f_identity_gives_identity_channel(self):
         f = Surjection.from_one_based([1, 2, 3])

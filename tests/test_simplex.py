@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from fishergeo.errors import BadFloor, NonPositiveWeight, NotNormalized, SizeMismatch
+from fishergeo.errors import (
+    BadFloor,
+    FisherGeoError,
+    NonPositiveWeight,
+    NotNormalized,
+    SizeMismatch,
+)
 from fishergeo.simplex import (
     Distribution,
     RandomVariable,
@@ -48,6 +55,37 @@ class TestConstruction:
     def test_wrong_length(self):
         with pytest.raises(SizeMismatch):
             new_distribution(SampleSpace(3), [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "weights, error",
+        [
+            ([np.nan, 0.5, 0.5], NonPositiveWeight),
+            ([0.5, 0.5, np.nan], NonPositiveWeight),
+            ([np.inf, 0.5, 0.5], NotNormalized),
+            ([-np.inf, 0.5, 0.5], NonPositiveWeight),
+        ],
+    )
+    def test_non_finite_rejected(self, weights, error):
+        with pytest.raises(error):
+            new_distribution(SampleSpace(3), weights)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.integers(2, 5),
+            elements=st.one_of(
+                st.sampled_from([0.5, 0.25, 1.0, 0.0, np.nan, np.inf, -np.inf]), st.floats()
+            ),
+        )
+    )
+    def test_totality(self, weights):
+        """Any float array builds a finite distribution or raises a FisherGeoError."""
+        try:
+            p = Distribution(SampleSpace(weights.shape[0]), weights)
+        except FisherGeoError:
+            return
+        assert np.all(np.isfinite(p.weights))
 
     def test_weights_immutable(self):
         p = dist(0.5, 0.5)
