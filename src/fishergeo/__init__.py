@@ -43,6 +43,7 @@ from .models import (
     exponential_family_model,
     fisher_info,
     lift,
+    lifts,
     restrict,
     score,
     tangent_basis,

@@ -22,7 +22,7 @@ from .errors import FisherGeoError, InvalidParameter
 from .families import CandidateFamily, parse_family
 from .geometry import TangentVector, delta
 from .markov import Channel, apply, canonical_embedding, random_channel, random_surjection
-from .models import categorical_model, crb_check, jacobian_at, lift
+from .models import categorical_model, crb_check, jacobian_at, lifts
 from .simplex import RandomVariable, SampleSpace, new_distribution, sample_interior
 from .verify import (
     PASS_TOL,
@@ -297,8 +297,8 @@ def _draw_crb(rng: np.random.Generator, n_max: int) -> dict:
     p = model.point(xi)
     jac = jacobian_at(model, xi)
     estimators = []
-    for unit in np.eye(n - 1):
-        rep = lift(model, xi, unit).rep.values
+    for alpha in lifts(model, xi, np.eye(n - 1)):
+        rep = alpha.rep.values
         noise = rng.normal(size=n)
         noise -= jac.T @ np.linalg.lstsq(jac.T, noise, rcond=None)[0]
         estimators.append(RandomVariable(model.space, rep + float(rng.uniform(0, 2)) * noise))

@@ -6,12 +6,17 @@ central finite differences). Coordinate tangent vectors have m-representation
 information matrix is the score Gram matrix; its inverse is the co-metric
 Gram matrix in the ``d xi`` basis.
 
+Every check evaluates a model once per point: ``p_xi``, the validated
+Jacobian and, where it needs it, the information matrix are computed once
+and every restriction, lift and covariance at that point reads them.
+
 ``lift`` realizes the minimum-norm ambient extension of a model covector:
 among all ambient cotangent vectors restricting to the given coefficients it
 is the unique one of smallest co-norm, and that co-norm squared equals
 ``c^T G^{-1} c``. ``crb_check`` compares the covariance matrix of a locally
 unbiased estimator tuple against ``G^{-1}`` and reports the smallest
-eigenvalue of the difference.
+eigenvalue of the difference. ``lifts`` extends several covectors at one
+point from one Jacobian and one information matrix.
 
 The built-in zoo covers Bernoulli, the full categorical family, exponential
 families with user-supplied sufficient statistics, and affine (mixture)
@@ -106,6 +111,8 @@ def jacobian_at(model: ParametricModel, xi) -> np.ndarray:
             up[i] += h
             down[i] -= h
             jac[i] = (model.point(up).weights - model.point(down).weights) / (2 * h)
+    if not np.all(np.isfinite(jac)):
+        raise InvalidParameter(f"Jacobian entries must be finite, got {jac.tolist()}")
     sums = jac.sum(axis=1)
     scale = max(1.0, float(np.max(np.abs(jac))))
     if np.max(np.abs(sums)) > JACOBIAN_SUM_TOL * scale:
@@ -146,6 +153,8 @@ class FisherMatrix:
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise SizeMismatch(f"square matrix required, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise InvalidParameter("information matrix entries must be finite")
         if np.max(np.abs(m - m.T)) > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(m)))):
             raise RankDeficient("information matrix is not symmetric")
         if np.min(np.linalg.eigvalsh(m)) <= 0.0:
@@ -155,22 +164,28 @@ class FisherMatrix:
         object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
 
 
-def fisher_info(model: ParametricModel, xi) -> FisherMatrix:
-    """Fisher information matrix G_ij = <L_i | L_j>_{p_xi}."""
-    p = model.point(xi)
-    jac = jacobian_at(model, xi)
+def _information(p: Distribution, jac: np.ndarray, xi) -> FisherMatrix:
+    """Score Gram matrix at ``p`` from the Jacobian rows evaluated there."""
     scores = jac / p.weights
     g = scores @ (scores * p.weights).T
     return FisherMatrix(0.5 * (g + g.T), np.asarray(xi, dtype=float))
 
 
-def cometric_matrix(model: ParametricModel, xi) -> np.ndarray:
-    """Inverse information matrix [g(d xi^i, d xi^j)]."""
-    g = fisher_info(model, xi).matrix
+def fisher_info(model: ParametricModel, xi) -> FisherMatrix:
+    """Fisher information matrix G_ij = <L_i | L_j>_{p_xi}."""
+    return _information(model.point(xi), jacobian_at(model, xi), xi)
+
+
+def _inverse(g: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(str(exc)) from exc
+
+
+def cometric_matrix(model: ParametricModel, xi) -> np.ndarray:
+    """Inverse information matrix [g(d xi^i, d xi^j)]."""
+    return _inverse(fisher_info(model, xi).matrix)
 
 
 def restrict(model: ParametricModel, xi, alpha_ambient: CotangentVector) -> np.ndarray:
@@ -178,27 +193,39 @@ def restrict(model: ParametricModel, xi, alpha_ambient: CotangentVector) -> np.n
     p = model.point(xi)
     if alpha_ambient.base != p:
         raise BasePointMismatch("ambient covector is not based at p_xi")
-    return np.array([pair(alpha_ambient, v) for v in tangent_basis(model, xi)])
+    return np.array(
+        [pair(alpha_ambient, TangentVector(p, row)) for row in jacobian_at(model, xi)]
+    )
+
+
+def lifts(model: ParametricModel, xi, rows) -> list[CotangentVector]:
+    """Minimum-norm ambient extensions of several model covectors at one point.
+
+    For each coefficient row c computes X = sum_i (G^{-1} c)_i d_i in T(M)
+    and returns flat(X). Restricting a result reproduces its row and its
+    squared co-norm is ``c^T G^{-1} c``, the smallest among all ambient
+    extensions. The point, the Jacobian and G are evaluated once for all rows.
+    """
+    rows = [np.asarray(c, dtype=float).reshape(-1) for c in rows]
+    for coeffs in rows:
+        if coeffs.shape[0] != model.dim:
+            raise SizeMismatch(f"expected {model.dim} coefficients, got {coeffs.shape[0]}")
+    p = model.point(xi)
+    jac = jacobian_at(model, xi)
+    g = _information(p, jac, xi).matrix
+    lifted = []
+    for coeffs in rows:
+        try:
+            weights = np.linalg.solve(g, coeffs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrix(str(exc)) from exc
+        lifted.append(flat(TangentVector(p, weights @ jac)))
+    return lifted
 
 
 def lift(model: ParametricModel, xi, coeffs) -> CotangentVector:
-    """Minimum-norm ambient extension of a model covector.
-
-    Computes X = sum_i (G^{-1} c)_i d_i in T(M) and returns flat(X).
-    Restricting the result reproduces ``coeffs`` and its squared co-norm is
-    ``c^T G^{-1} c``, the smallest among all ambient extensions.
-    """
-    coeffs = np.asarray(coeffs, dtype=float).reshape(-1)
-    if coeffs.shape[0] != model.dim:
-        raise SizeMismatch(f"expected {model.dim} coefficients, got {coeffs.shape[0]}")
-    p = model.point(xi)
-    g = fisher_info(model, xi).matrix
-    try:
-        weights = np.linalg.solve(g, coeffs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from exc
-    m_rep = weights @ jacobian_at(model, xi)
-    return flat(TangentVector(p, m_rep))
+    """Minimum-norm ambient extension of one model covector; see ``lifts``."""
+    return lifts(model, xi, [coeffs])[0]
 
 
 @dataclass(frozen=True)
@@ -217,18 +244,6 @@ class CrbReport:
     @property
     def passed(self) -> bool:
         return self.verdict == "psd"
-
-
-def _unbiasedness_errors(
-    model: ParametricModel, xi, estimators: Sequence[RandomVariable]
-) -> np.ndarray:
-    p = model.point(xi)
-    errors = np.empty((len(estimators), model.dim))
-    for i, a in enumerate(estimators):
-        target = np.zeros(model.dim)
-        target[i] = 1.0
-        errors[i] = restrict(model, xi, delta(p, a)) - target
-    return errors
 
 
 def crb_check(
@@ -251,7 +266,12 @@ def crb_check(
     xi = np.asarray(xi, dtype=float).reshape(-1)
     if len(estimators) != model.dim:
         raise SizeMismatch(f"need {model.dim} estimators, got {len(estimators)}")
-    errors = _unbiasedness_errors(model, xi, estimators)
+    k = model.dim
+    p = model.point(xi)
+    covectors = [delta(p, a) for a in estimators]
+    jac = jacobian_at(model, xi)
+    basis = [TangentVector(p, row) for row in jac]
+    errors = np.array([[pair(c, v) for v in basis] for c in covectors]) - np.eye(k)
     worst = float(np.max(np.abs(errors)))
     if worst > UNBIASED_TOL:
         raise NotLocallyUnbiased(
@@ -275,15 +295,13 @@ def crb_check(
     elif mode != "local":
         raise InvalidParameter(f"mode must be 'local' or 'global', got {mode!r}")
 
-    p = model.point(xi)
-    k = model.dim
+    # The centered estimators are the representatives of delta(p, A^i).
+    centered = [c.rep.values for c in covectors]
     v = np.empty((k, k))
     for i in range(k):
         for j in range(i, k):
-            ci = estimators[i].values - np.dot(p.weights, estimators[i].values)
-            cj = estimators[j].values - np.dot(p.weights, estimators[j].values)
-            v[i, j] = v[j, i] = float(np.dot(p.weights, ci * cj))
-    g_inv = cometric_matrix(model, xi)
+            v[i, j] = v[j, i] = float(np.dot(p.weights, centered[i] * centered[j]))
+    g_inv = _inverse(_information(p, jac, xi).matrix)
     diff = v - g_inv
     diff = 0.5 * (diff + diff.T)
     min_eig = float(np.min(np.linalg.eigvalsh(diff)))
@@ -350,6 +368,8 @@ def exponential_family_model(
     stats = np.array(stats, dtype=float)
     if stats.ndim != 2:
         raise SizeMismatch("sufficient statistics must form a (dim, n) matrix")
+    if not np.all(np.isfinite(stats)):
+        raise InvalidParameter("sufficient statistics (stats) must be finite")
     dim, n = stats.shape
     space = SampleSpace(n)
     if base is None:
@@ -387,9 +407,14 @@ def affine_model(anchor: np.ndarray, directions: np.ndarray) -> ParametricModel:
     directions = np.array(directions, dtype=float)
     if directions.ndim != 2 or directions.shape[1] != anchor.shape[0]:
         raise SizeMismatch("directions must form a (dim, n) matrix matching anchor")
-    if abs(float(np.sum(anchor)) - 1.0) > 1e-12:
+    # Written so that NaN and +-inf fail every test.
+    if not np.all(np.isfinite(anchor)):
+        raise InvalidParameter("anchor (p0) must be finite")
+    if not np.all(np.isfinite(directions)):
+        raise InvalidParameter("directions must be finite")
+    if not abs(float(np.sum(anchor)) - 1.0) <= 1e-12:
         raise NotNormalized("anchor must sum to 1")
-    if np.max(np.abs(directions.sum(axis=1))) > 1e-12:
+    if not np.all(np.abs(directions.sum(axis=1)) <= 1e-12):
         raise InvalidParameter("each direction must sum to 0")
     space = SampleSpace(anchor.shape[0])
     dim = directions.shape[0]

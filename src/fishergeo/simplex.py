@@ -50,10 +50,14 @@ class Distribution:
         object.__setattr__(self, "weights", w)
         # Written so that NaN fails both tests.
         if not np.all(w > POSITIVITY_FLOOR):
-            bad = int(np.argmin(w))
-            raise NonPositiveWeight(
-                f"weight {w[bad]!r} at index {bad + 1} is at or below {POSITIVITY_FLOOR}"
-            )
+            finite = np.isfinite(w)
+            if np.all(finite):
+                bad = int(np.argmin(w))
+                problem = f"is at or below {POSITIVITY_FLOOR}"
+            else:
+                bad = int(np.argmin(finite))
+                problem = "is non-finite"
+            raise NonPositiveWeight(f"weight {float(w[bad])!r} at index {bad + 1} {problem}")
         total = float(np.sum(w))
         if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise NotNormalized(f"weights sum to {total!r}, not 1")

@@ -77,6 +77,22 @@ class TestNonFiniteInput:
         model = {"kind": "expfam", "stats": [[float("nan"), 1.0, 0.0]]}
         self.assert_typed(cli.run("fisher", "--model", cli.file("m.json", model), "--xi", "0.3"))
 
+    @pytest.mark.parametrize(
+        "model, field",
+        [
+            ({"kind": "affine", "p0": [0.5, 0.5], "directions": [[float("nan")] * 2]}, "directions"),
+            ({"kind": "affine", "p0": [0.5, 0.5], "directions": [[float("inf"), float("-inf")]]}, "directions"),
+            ({"kind": "affine", "p0": [float("nan"), 0.5, 0.5], "directions": [[1.0, -1.0, 0.0]]}, "p0"),
+            ({"kind": "expfam", "stats": [[float("inf"), 1.0, 0.0]]}, "stats"),
+        ],
+    )
+    def test_non_finite_model_field_named(self, cli, model, field):
+        proc = cli.run("fisher", "--model", cli.file("m.json", model), "--xi", "0.1")
+        self.assert_typed(proc)
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "InvalidParameter"
+        assert field in error["message"]
+
     def test_nan_base_point(self, cli):
         proc = cli.run(
             "push",

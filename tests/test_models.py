@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fishergeo.errors import (
+    FisherGeoError,
     InvalidParameter,
     NotLocallyUnbiased,
     RankDeficient,
@@ -17,14 +21,17 @@ from fishergeo.models import (
     cometric_matrix,
     crb_check,
     exponential_family_model,
+    FisherMatrix,
     fisher_info,
     jacobian_at,
     lift,
+    lifts,
+    ParametricModel,
     restrict,
     score,
     tangent_basis,
 )
-from fishergeo.simplex import RandomVariable, SampleSpace
+from fishergeo.simplex import Distribution, RandomVariable, SampleSpace
 
 
 def line_model():
@@ -291,3 +298,115 @@ class TestCrb:
     def test_wrong_estimator_count(self):
         with pytest.raises(SizeMismatch):
             crb_check(categorical_model(3), [0.3, 0.3], [rv(1, 0, 0)])
+
+
+class TestLifts:
+    def test_lift_is_lifts_of_one_row(self):
+        model = exponential_family_model(np.array([[1.0, 0.0, -1.0, 2.0], [0.0, 1.0, 1.0, -1.0]]))
+        xi = [0.2, -0.4]
+        rows = [[1.0, 0.0], [0.3, -2.0], [0.0, 0.0]]
+        for row, alpha in zip(rows, lifts(model, xi, rows)):
+            assert alpha.rep.values.tobytes() == lift(model, xi, row).rep.values.tobytes()
+            assert np.allclose(restrict(model, xi, alpha), row, atol=1e-10)
+
+    def test_wrong_row_length(self):
+        with pytest.raises(SizeMismatch):
+            lifts(line_model(), [0.25], [[1.0], [1.0, 2.0]])
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+# Any float, including NaN, +-inf, subnormals and the extremes.
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+
+def fixed_jacobian_model(rows) -> ParametricModel:
+    space = SampleSpace(3)
+    p = Distribution(space, np.array([0.25, 0.25, 0.5]))
+    return ParametricModel(space, 1, lambda xi: p, lambda xi: np.array(rows), "fixed")
+
+
+class TestNonFinite:
+    """Non-finite model parameters and Jacobians raise typed errors."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[float("nan"), -1.0, 1.0]], [[float("inf"), -1.0, 1.0]],
+         [[float("-inf"), 1.0, 0.0]], [[float("inf"), float("-inf"), 0.0]]],
+    )
+    def test_non_finite_jacobian_rejected(self, rows):
+        model = fixed_jacobian_model(rows)
+        for check in (jacobian_at, fisher_info, cometric_matrix, tangent_basis):
+            with pytest.raises(InvalidParameter, match="finite"):
+                check(model, [0.1])
+        with pytest.raises(InvalidParameter, match="finite"):
+            crb_check(model, [0.1], [rv(4.0, 0.0, 0.0)])
+        with pytest.raises(InvalidParameter, match="finite"):
+            lift(model, [0.1], [1.0])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_affine_anchor(self, bad):
+        with pytest.raises(InvalidParameter, match="anchor"):
+            affine_model([bad, 0.5, 0.5], [[1.0, -1.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_affine_directions(self, bad):
+        with pytest.raises(InvalidParameter, match="directions"):
+            affine_model([0.5, 0.5], [[bad, 0.0]])
+
+    def test_affine_directions_nan_row(self):
+        with pytest.raises(InvalidParameter, match="directions"):
+            affine_model([0.5, 0.5], [[float("nan"), float("nan")]])
+        with pytest.raises(InvalidParameter, match="directions"):
+            affine_model([0.5, 0.5], [[float("inf"), float("-inf")]])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_expfam_stats(self, bad):
+        with pytest.raises(InvalidParameter, match="stats"):
+            exponential_family_model([[bad, 1.0, 0.0]])
+
+    def test_information_matrix(self):
+        with pytest.raises(InvalidParameter):
+            FisherMatrix(np.array([[float("inf")]]), np.zeros(1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        anchor=arrays(np.float64, st.integers(0, 5), elements=ANY_FLOAT),
+        directions=arrays(
+            np.float64, st.tuples(st.integers(0, 3), st.integers(0, 5)), elements=ANY_FLOAT
+        ),
+        valid=st.booleans(),
+    )
+    def test_affine_totality(self, anchor, directions, valid):
+        if valid and anchor.size >= 2 and directions.shape[1] == anchor.size:
+            # Close to the build path: a uniform anchor, centered directions
+            # (NaN wherever a non-finite entry was drawn).
+            anchor = np.full(anchor.size, 1.0 / anchor.size)
+            directions = directions - directions.mean(axis=1, keepdims=True)
+        assert_total(lambda: affine_model(anchor, directions))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stats=arrays(
+            np.float64,
+            st.one_of(st.tuples(st.integers(0, 3), st.integers(0, 5)), st.tuples(st.integers(0, 5))),
+            elements=ANY_FLOAT,
+        )
+    )
+    def test_expfam_totality(self, stats):
+        assert_total(lambda: exponential_family_model(stats))
+
+
+def assert_total(build):
+    """A float array builds a model or raises a FisherGeoError; a built model
+    holds finite parameters, and evaluating it at xi = 0 again either works
+    or raises a FisherGeoError."""
+    try:
+        model = build()
+    except FisherGeoError:
+        return
+    xi = np.zeros(model.dim)
+    try:
+        g = fisher_info(model, xi).matrix
+    except FisherGeoError:
+        return
+    assert np.all(np.isfinite(g))

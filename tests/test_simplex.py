@@ -69,6 +69,20 @@ class TestConstruction:
         with pytest.raises(error):
             new_distribution(SampleSpace(3), weights)
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([0.5, float("nan"), 0.5], "weight nan at index 2 is non-finite"),
+            ([float("-inf"), 0.5, 0.5], "weight -inf at index 1 is non-finite"),
+            ([0.6, float("inf"), -0.1], "weight inf at index 2 is non-finite"),
+            ([0.6, 0.5, -0.1], "weight -0.1 at index 3 is at or below 1e-12"),
+        ],
+    )
+    def test_bad_weight_message(self, weights, message):
+        with pytest.raises(NonPositiveWeight) as info:
+            new_distribution(SampleSpace(3), weights)
+        assert str(info.value) == message
+
     @settings(max_examples=300, deadline=None)
     @given(
         arrays(
