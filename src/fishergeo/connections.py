@@ -6,7 +6,9 @@ class of the score (re-centering it at the target point). Covariant
 derivatives are computed by differentiating a field's transported
 representation along a coordinate curve, so the transports contribute no
 error and all discretization error sits in one central difference, second
-order in the step.
+order in the step, which must be finite and positive. Each point is
+evaluated once: ``p_xi``, one validated Jacobian and every field value there
+come from one evaluation.
 
 The alpha-family interpolates the two flat connections affinely,
 
@@ -17,7 +19,8 @@ connection at alpha = -1. ``duality_check`` evaluates the defining duality
 
     Z g(X, Y) = g(nabla^e_Z X, Y) + g(X, nabla^m_Z Y)
 
-with an independent finite difference on the left, and
+with an independent finite difference on the left, both sides read from the
+same three evaluations at xi and xi +- step Z, and
 ``weak_invariance_check`` compares a connection on a small simplex with the
 conjugated connection pushed through a Markov embedding/co-embedding pair,
 both as ambient vectors and in metric-contracted form.
@@ -118,6 +121,38 @@ def constant_m_field(model: ParametricModel, m_rep: np.ndarray) -> VectorFieldOn
     return VectorFieldOnModel(model, coeffs)
 
 
+def _require_inputs(model: ParametricModel, step: float, fields) -> None:
+    """Reject a step that is not finite and positive, and a field whose
+    values would be read on another model."""
+    if not 0.0 < step < np.inf:
+        raise InvalidParameter(f"step must be finite and > 0, got {step!r}")
+    for field in fields:
+        if field.model is not model:
+            raise InvalidParameter("vector field lives on a different model")
+
+
+def _values_at(model: ParametricModel, xi, fields) -> list[TangentVector]:
+    """Each field's value at p_xi, from one point and one Jacobian."""
+    p = model.point(xi)
+    coefficients = [field.coefficients_at(xi) for field in fields]
+    jac = jacobian_at(model, xi)
+    return [TangentVector(p, c @ jac) for c in coefficients]
+
+
+def _transported_difference(
+    tag: ConnectionTag, p: Distribution, up: TangentVector, down: TangentVector, h: float
+) -> np.ndarray:
+    """Central difference of a field's values at xi +- h Z, e- and m-transported
+    back to p and mixed with the tag's weights: the m-rep of nabla^alpha_Z."""
+    weight_e, weight_m = 0.5 * (1.0 + tag.alpha), 0.5 * (1.0 - tag.alpha)
+    parts = np.zeros(p.space.size)
+    for transport, weight in ((e_transport, weight_e), (m_transport, weight_m)):
+        if weight != 0.0:
+            diff = transport(up, p).m_rep - transport(down, p).m_rep
+            parts = parts + weight * (diff / (2.0 * h))
+    return parts
+
+
 def covariant_derivative(
     tag: ConnectionTag,
     model: ParametricModel,
@@ -131,36 +166,18 @@ def covariant_derivative(
 
     The result need not lie in the model's tangent space. With ``richardson``
     the usual (4 D(h/2) - D(h)) / 3 extrapolation removes the leading
-    second-order term.
+    second-order term. ``step`` must be finite and positive.
     """
+    _require_inputs(model, step, [y])
     xi = np.asarray(xi, dtype=float).reshape(-1)
     direction = x.coefficients_at(xi)
     p = model.point(xi)
-    weight_e = 0.5 * (1.0 + tag.alpha)
-    weight_m = 0.5 * (1.0 - tag.alpha)
-
-    def pulled(t: float) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """The field at the shifted point, e- and m-transported back to p_xi."""
-        shifted = xi + t * direction
-        value = TangentVector(model.point(shifted), y.ambient_m_rep(shifted))
-        return (
-            e_transport(value, p).m_rep if weight_e != 0.0 else None,
-            m_transport(value, p).m_rep if weight_m != 0.0 else None,
-        )
-
-    def at_step(h: float) -> np.ndarray:
-        # One central difference per transport, from the same two evaluations.
-        (e_up, m_up), (e_down, m_down) = pulled(h), pulled(-h)
-        parts = np.zeros(model.space.size)
-        if weight_e != 0.0:
-            parts = parts + weight_e * ((e_up - e_down) / (2.0 * h))
-        if weight_m != 0.0:
-            parts = parts + weight_m * ((m_up - m_down) / (2.0 * h))
-        return parts
-
-    m_rep = at_step(step)
-    if richardson:
-        m_rep = (4.0 * at_step(step / 2.0) - m_rep) / 3.0
+    estimates = []
+    for h in (step, step / 2.0) if richardson else (step,):
+        (up,) = _values_at(model, xi + h * direction, [y])
+        (down,) = _values_at(model, xi - h * direction, [y])
+        estimates.append(_transported_difference(tag, p, up, down, h))
+    m_rep = (4.0 * estimates[1] - estimates[0]) / 3.0 if richardson else estimates[0]
     return TangentVector(p, m_rep)
 
 
@@ -175,21 +192,21 @@ def duality_check(
     """Residual |Z g(X, Y) - g(nabla^e_Z X, Y) - g(X, nabla^m_Z Y)|.
 
     The left side is an independent central difference of the metric along
-    Z; the residual vanishes at rate O(step^2) on smooth models.
+    Z; the residual vanishes at rate O(step^2) on smooth models. Both sides
+    read the same three evaluations, at xi +- step Z and at xi.
     """
+    _require_inputs(model, step, [x, y])
     xi = np.asarray(xi, dtype=float).reshape(-1)
     direction = z.coefficients_at(xi)
-
-    def metric_along(t: float) -> float:
-        shifted = xi + t * direction
-        return fisher_metric(x.ambient(shifted), y.ambient(shifted))
-
-    lhs = (metric_along(step) - metric_along(-step)) / (2.0 * step)
-    x_at = x.ambient(xi)
-    y_at = y.ambient(xi)
-    rhs = fisher_metric(
-        covariant_derivative(E_CONNECTION, model, xi, z, x, step), y_at
-    ) + fisher_metric(x_at, covariant_derivative(M_CONNECTION, model, xi, z, y, step))
+    x_up, y_up = _values_at(model, xi + step * direction, [x, y])
+    x_down, y_down = _values_at(model, xi - step * direction, [x, y])
+    x_at, y_at = _values_at(model, xi, [x, y])
+    p = x_at.base
+    lhs = (fisher_metric(x_up, y_up) - fisher_metric(x_down, y_down)) / (2.0 * step)
+    nabla_e_x = _transported_difference(E_CONNECTION, p, x_up, x_down, step)
+    rhs = fisher_metric(TangentVector(p, nabla_e_x), y_at)
+    nabla_m_y = _transported_difference(M_CONNECTION, p, y_up, y_down, step)
+    rhs = rhs + fisher_metric(x_at, TangentVector(p, nabla_m_y))
     return abs(lhs - rhs)
 
 

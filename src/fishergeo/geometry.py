@@ -147,13 +147,16 @@ def norm_cotangent(alpha: CotangentVector) -> float:
 
 
 def tangent_gram(vectors: list[TangentVector]) -> np.ndarray:
-    """Gram matrix [g(X_i, X_j)] of tangent vectors at a common base."""
-    k = len(vectors)
-    g = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            g[i, j] = g[j, i] = fisher_metric(vectors[i], vectors[j])
-    return g
+    """Gram matrix [g(X_i, X_j)] of tangent vectors at a common base.
+
+    Each entry is ``fisher_metric`` of the two vectors, bitwise.
+    """
+    if not vectors:
+        return np.empty((0, 0))
+    for x in vectors[1:]:
+        require_same_base(vectors[0], x)
+    rows = np.array([x.m_rep for x in vectors])
+    return fisher_metric_rows(vectors[0].base, rows, rows)
 
 
 def cotangent_gram(covectors: list[CotangentVector]) -> np.ndarray:

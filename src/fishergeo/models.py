@@ -151,8 +151,8 @@ class FisherMatrix:
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise SizeMismatch(f"square matrix required, got shape {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise SizeMismatch(f"non-empty square matrix required, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise InvalidParameter("information matrix entries must be finite")
         if np.max(np.abs(m - m.T)) > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(m)))):

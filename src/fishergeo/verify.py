@@ -197,14 +197,6 @@ class MonotonicityReport:
     def passed(self) -> bool:
         return self.slack <= PASS_TOL
 
-    def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "status": self.status,
-        }
-
 
 def check_monotonicity_metric(
     channel: Channel, p: Distribution, x: TangentVector
@@ -235,13 +227,6 @@ class InvarianceReport:
     @property
     def passed(self) -> bool:
         return self.max_residual <= PASS_TOL
-
-    def to_json(self) -> dict:
-        return {
-            "residuals": dict(self.residuals),
-            "max_residual": self.max_residual,
-            "status": self.status,
-        }
 
 
 def check_invariance(
@@ -365,15 +350,6 @@ class Prop6Report:
     @property
     def passed(self) -> bool:
         return self.residual <= PASS_TOL
-
-    def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-            "status": self.status,
-            "witness": None if self.witness is None else self.witness.to_json(),
-        }
 
 
 def check_prop6_identity(

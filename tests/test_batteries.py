@@ -38,6 +38,12 @@ def test_empty_or_undersized_runs_are_rejected(config):
         run_battery(config)
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-4, float("nan")])
+def test_bad_weak_invariance_step_is_rejected(step):
+    with pytest.raises(InvalidParameter, match="step"):
+        batteries.battery_weak_invariance(n_max=3, step=step)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     name=st.sampled_from(sorted(batteries._BATTERIES)),

@@ -216,6 +216,15 @@ class TestDuality:
         assert code == 0 and out["pass"]
         assert out["residual"] <= 1e-6
 
+    @pytest.mark.parametrize("step", ["0", "-1e-4", "nan"])
+    def test_bad_step_exits_2(self, cli, step):
+        proc = cli.run(
+            "duality", "--model", cli.file("m.json", BERNOULLI), "--xi", "0.3",
+            f"--step={step}",
+        )
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["type"] == "InvalidParameter"
+
 
 class TestVerify:
     def test_characterize_battery_cov(self, cli):

@@ -17,6 +17,7 @@ from fishergeo.connections import (
     pushforward_model,
     weak_invariance_check,
 )
+from fishergeo.errors import InvalidParameter
 from fishergeo.geometry import TangentVector, flat
 from fishergeo.markov import Surjection, canonical_embedding
 from fishergeo.models import bernoulli_model, categorical_model
@@ -171,6 +172,29 @@ class TestDuality:
         r2 = duality_check(model, [0.3], gx, gy, f, step=5e-5)
         assert r2 > 1e-10
         assert 3.2 <= r1 / r2 <= 4.8
+
+
+class TestInputs:
+    """A step that is not finite and positive, or a field on another model,
+    is rejected before any evaluation."""
+
+    @pytest.mark.parametrize("step", [0.0, -1e-4, float("nan"), float("inf")])
+    def test_bad_step_rejected(self, step):
+        model = bernoulli_model()
+        f = coordinate_field(model, 0)
+        with pytest.raises(InvalidParameter, match="step"):
+            duality_check(model, [0.3], f, f, f, step=step)
+        with pytest.raises(InvalidParameter, match="step"):
+            covariant_derivative(E_CONNECTION, model, [0.3], f, f, step=step)
+
+    def test_field_on_another_model_rejected(self):
+        model = categorical_model(3)
+        other = coordinate_field(categorical_model(3), 0)
+        f = coordinate_field(model, 1)
+        with pytest.raises(InvalidParameter, match="different model"):
+            duality_check(model, [0.2, 0.3], other, f, f)
+        with pytest.raises(InvalidParameter, match="different model"):
+            covariant_derivative(M_CONNECTION, model, [0.2, 0.3], f, other)
 
 
 class TestWeakInvariance:

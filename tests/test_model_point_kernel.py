@@ -5,10 +5,12 @@ one ``restrict`` per estimator (each evaluating the point and the Jacobian
 again), centering inside the V loop and ``cometric_matrix`` for G^{-1};
 ``lift`` evaluating G per coefficient vector; the covariant derivative with
 one ``_flat_derivative`` per transport (each evaluating every shifted point
-again); and the weak-invariance z-loop over ``coordinate_field`` values.
-The library now evaluates each point once and reads those values, with the
-same float operations in the same order, so every output must be the same
-float, compared through ``float.hex``, or the same error type.
+again); the weak-invariance z-loop over ``coordinate_field`` values; and
+``duality_check`` with per-field ``ambient`` calls and two full covariant
+derivatives. The library now evaluates each point once and reads those
+values, with the same float operations in the same order, so every output
+must be the same float, compared through ``float.hex``, or the same error
+type.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from fishergeo.connections import (
     VectorFieldOnModel,
     coordinate_field,
     covariant_derivative,
+    duality_check,
     e_transport,
     m_transport,
     pushforward_model,
@@ -51,6 +54,7 @@ from fishergeo.models import (
     FisherMatrix,
     ParametricModel,
     affine_model,
+    bernoulli_model,
     categorical_model,
     crb_check,
     exponential_family_model,
@@ -200,6 +204,24 @@ def reference_covariant_derivative(tag, model, xi, x, y, step=1e-4, richardson=F
     return TangentVector(p, m_rep)
 
 
+def reference_duality_check(model, xi, x, y, z, step=1e-4):
+    xi = np.asarray(xi, dtype=float).reshape(-1)
+    direction = z.coefficients_at(xi)
+
+    def metric_along(t: float) -> float:
+        shifted = xi + t * direction
+        return fisher_metric(x.ambient(shifted), y.ambient(shifted))
+
+    lhs = (metric_along(step) - metric_along(-step)) / (2.0 * step)
+    x_at = x.ambient(xi)
+    y_at = y.ambient(xi)
+    e_tag, m_tag = ConnectionTag(1.0), ConnectionTag(-1.0)
+    rhs = fisher_metric(
+        reference_covariant_derivative(e_tag, model, xi, z, x, step), y_at
+    ) + fisher_metric(x_at, reference_covariant_derivative(m_tag, model, xi, z, y, step))
+    return abs(lhs - rhs)
+
+
 def reference_weak_invariance(pair_, tag, x, y, grid, step=1e-4, tag_big=None):
     model = x.model
     inner_tag = tag if tag_big is None else tag_big
@@ -259,6 +281,8 @@ def interior_point(n: int, seed: int, exponent: float, count: int) -> np.ndarray
 def draw_model(kind: str, n: int, seed: int, exponent: float, count: int):
     """A model on n points and a parameter inside it."""
     rng = np.random.default_rng(seed + 7)
+    if kind == "bernoulli":
+        return bernoulli_model(), interior_point(2, seed, exponent, count)[:1]
     if kind == "categorical":
         w = interior_point(n, seed, exponent, count)
         return categorical_model(n), w[: n - 1]
@@ -426,3 +450,82 @@ def test_weak_invariance_bitwise(n_big, data, seed, alpha, alpha_big, kind):
         assert report is expected
     else:
         assert hexes([report.residual_max, report.metric_residual_max]) == hexes(expected)
+
+
+def counted(model: ParametricModel) -> tuple[ParametricModel, dict]:
+    """``model`` with its point map and analytic Jacobian counting their calls.
+
+    Each ``model.point`` calls the point map once and each ``jacobian_at``
+    calls the Jacobian once.
+    """
+    calls = {"point": 0, "jacobian": 0}
+
+    def point_map(xi):
+        calls["point"] += 1
+        return model.point_map(xi)
+
+    def jacobian(xi):
+        calls["jacobian"] += 1
+        return model.jacobian(xi)
+
+    return ParametricModel(model.space, model.dim, point_map, jacobian, model.name), calls
+
+
+def test_duality_check_evaluates_each_point_once():
+    """xi + step Z, xi - step Z and xi: one point and one Jacobian each (the
+    per-field code made 12 and 10)."""
+    model, calls = counted(categorical_model(4))
+    x = coordinate_field(model, 0)
+    y = VectorFieldOnModel(model, lambda xi: 0.4 + 0.3 * xi**2)
+    z = coordinate_field(model, 2)
+    duality_check(model, [0.2, 0.3, 0.1], x, y, z)
+    assert calls == {"point": 3, "jacobian": 3}
+
+
+@pytest.mark.parametrize("richardson, points, jacobians", [(False, 3, 2), (True, 5, 4)])
+def test_covariant_derivative_evaluation_count(richardson, points, jacobians):
+    model, calls = counted(categorical_model(4))
+    x = coordinate_field(model, 1)
+    y = VectorFieldOnModel(model, lambda xi: 0.4 + 0.3 * xi**2)
+    covariant_derivative(ConnectionTag(0.5), model, [0.2, 0.3, 0.1], x, y, richardson=richardson)
+    assert calls == {"point": points, "jacobian": jacobians}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    drawn=st.one_of(
+        st.builds(
+            draw_model,
+            kind=st.sampled_from(["bernoulli", "affine", "expfam"]),
+            n=st.integers(2, 6),
+            seed=st.integers(0, 2**32 - 1),
+            exponent=st.floats(1.0, 6.0),
+            count=st.integers(0, 2),
+        ),
+        st.builds(
+            draw_model,
+            kind=st.just("categorical"),
+            n=st.integers(3, 5),
+            seed=st.integers(0, 2**32 - 1),
+            exponent=st.floats(1.0, 6.0),
+            count=st.integers(0, 2),
+        ),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    picks=st.tuples(*[st.integers(0, 2**16)] * 3),
+    step=st.floats(3e-5, 1e-3),
+)
+def test_duality_check_bitwise(drawn, seed, picks, step):
+    """Coordinate fields, the quadratic field 0.4 + 0.3 xi^2 and two random
+    smooth fields, in any of the three slots."""
+    model, xi = drawn
+    pool = [coordinate_field(model, i) for i in range(model.dim)]
+    pool.append(VectorFieldOnModel(model, lambda t: 0.4 + 0.3 * t**2))
+    pool.extend(fields(model, seed))
+    x, y, z = (pool[k % len(pool)] for k in picks)
+    expected = outcome(reference_duality_check, model, xi, x, y, z, step)
+    residual = outcome(duality_check, model, xi, x, y, z, step)
+    if isinstance(expected, type):
+        assert residual is expected
+    else:
+        assert hexes([residual]) == hexes([expected])

@@ -368,6 +368,11 @@ class TestNonFinite:
         with pytest.raises(InvalidParameter):
             FisherMatrix(np.array([[float("inf")]]), np.zeros(1))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (3,)])
+    def test_information_matrix_shape(self, shape):
+        with pytest.raises(SizeMismatch, match="square"):
+            FisherMatrix(np.ones(shape), np.zeros(0))
+
     @settings(max_examples=300, deadline=None)
     @given(
         anchor=arrays(np.float64, st.integers(0, 5), elements=ANY_FLOAT),

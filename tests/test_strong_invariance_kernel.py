@@ -2,22 +2,26 @@
 
 The reference below is the per-entry implementation: Gram-Schmidt over
 ``TangentVector`` objects and the double ``fisher_metric`` loop for the
-matrices of the two differentials. The array kernel does the same float
-operations in the same order, so every basis entry and every residual must
-be the same float, compared through ``float.hex``.
+matrices of the two differentials and for ``tangent_gram``. The array kernel
+does the same float operations in the same order, so every basis entry,
+every residual and every Gram entry must be the same float, compared through
+``float.hex``.
 """
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fishergeo.errors import BasePointMismatch
 from fishergeo.geometry import (
     TangentVector,
     fisher_metric,
     norm_tangent,
     orthonormal_basis_rows,
     orthonormal_tangent_basis,
+    tangent_gram,
 )
 from fishergeo.markov import (
     apply,
@@ -77,6 +81,15 @@ def reference_residuals(pair, q, a, b) -> dict[str, float]:
     return residuals
 
 
+def reference_gram(vectors: list[TangentVector]) -> np.ndarray:
+    k = len(vectors)
+    g = np.empty((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            g[i, j] = g[j, i] = fisher_metric(vectors[i], vectors[j])
+    return g
+
+
 def boundary_point(n: int, seed: int, exponent: float, count: int) -> Distribution:
     """A Dirichlet draw with ``count`` weights pushed down to about 10**-exponent."""
     rng = np.random.default_rng(seed)
@@ -129,3 +142,35 @@ def test_strong_invariance_residuals_bitwise(n_big, data, seed, exponent, count)
     residuals = check_strong_invariance(pair, q, a, b).residuals
     assert list(residuals) == list(expected)
     assert hexes(list(residuals.values())) == hexes(list(expected.values()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=points,
+    seed=st.integers(0, 2**32 - 1),
+    basis_count=st.integers(0, 4),
+    random_count=st.integers(0, 4),
+    mismatch=st.booleans(),
+)
+def test_tangent_gram_bitwise(p, seed, basis_count, random_count, mismatch):
+    """Basis vectors, random vectors of mixed scale and, with ``mismatch``,
+    one vector at another base point, which both sides reject."""
+    rng = np.random.default_rng(seed)
+    n = p.space.size
+    vectors = reference_basis(p)[:basis_count]
+    for _ in range(random_count):
+        m = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 3, size=n)
+        m[-1] = -m[:-1].sum()
+        vectors.append(TangentVector(p, m))
+    if mismatch:
+        other = boundary_point(n, seed + 1, 2.0, 1)
+        vectors.insert(int(rng.integers(len(vectors) + 1)), TangentVector(other, np.zeros(n)))
+        if len(vectors) > 1:
+            with pytest.raises(BasePointMismatch):
+                reference_gram(vectors)
+            with pytest.raises(BasePointMismatch):
+                tangent_gram(vectors)
+            return
+    gram = tangent_gram(vectors)
+    assert gram.shape == (len(vectors), len(vectors))
+    assert hexes(gram) == hexes(reference_gram(vectors))
