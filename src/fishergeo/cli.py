@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -34,6 +35,9 @@ from .models import cometric_matrix, crb_check, fisher_info
 from .verify import PASS_TOL, VIOLATION_TOL, characterize
 
 DEFAULT_TOL = 1e-6
+#: A value that argparse would take for an option: a minus sign, then a digit
+#: or a dot. No option of this CLI starts that way.
+_DASHED_VALUE = re.compile(r"^-[\d.]")
 
 
 def _load_json(path: str):
@@ -249,9 +253,24 @@ def _emit(payload: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _join_dashed_values(argv: list[str]) -> list[str]:
+    """``--opt value`` as ``--opt=value`` where value starts with '-' and a
+    digit or a dot: argparse reads a separate ``-0.5,0.3`` or ``-1e-4`` as
+    an option, not as the value of the option before it."""
+    joined: list[str] = []
+    for arg in argv:
+        previous = joined[-1] if joined else ""
+        is_option = previous.startswith("--") and previous != "--" and "=" not in previous
+        if is_option and _DASHED_VALUE.match(arg):
+            joined[-1] = f"{previous}={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_dashed_values(sys.argv[1:] if argv is None else argv))
     try:
         code, payload = args.handler(args)
     except (FisherGeoError, OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

@@ -12,6 +12,15 @@ Expressions look like ``"COV"``, ``"PK(2)"`` or ``"1*L2 + -1*MM"``: terms
 joined by ``+``, each an atom with an optional ``coefficient*`` prefix.
 Bilinearity in (A, B) holds by construction; the probe still spot-checks it
 to guard future plugin evaluators.
+
+On indicator variables with disjoint supports, the only variables the
+characterization probe pairs, a family's pair matrix has the closed form
+
+    sum_k c_k diag(R p^k) + c_MM (R p)(R p)^T       (R: the indicator rows)
+
+the matrix form of the invariant decomposition c1 diag(p) + c2 p p^T.
+``CandidateFamily.indicator_matrix`` computes it with the float operations
+of ``__call__`` on each pair, so every entry is bitwise equal to the call.
 """
 from __future__ import annotations
 
@@ -20,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FisherGeoError
+from .errors import FisherGeoError, InvalidParameter, SizeMismatch
 from .simplex import Distribution, RandomVariable
 
 _TERM_RE = re.compile(
@@ -51,6 +60,37 @@ class CandidateFamily:
                     np.dot(p.weights, b.values)
                 )
         return total
+
+    def indicator_matrix(self, p: Distribution, rows) -> np.ndarray:
+        """[self(p, A_i, A_j)] for indicator rows A_i: 0/1 values, disjoint supports.
+
+        Entry for entry the float operations of ``__call__``: each term's
+        ``coeff * T`` is added to a zeros matrix in term order. A PK(k) term
+        sums ``p**k * A_i`` on the diagonal; off it the pair product is all
+        zeros, so every entry is ``sum(p**k * 0.0)`` (NaN where ``p**k``
+        overflows, as in the call). The MM term is ``(coeff * <A_i>) * <A_j>``
+        with each mean a dot product of ``p`` and one row, as in the call.
+        """
+        rows = np.ascontiguousarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != p.space.size:
+            raise SizeMismatch(f"expected rows of length {p.space.size}, got shape {rows.shape}")
+        if not np.all((rows == 0.0) | (rows == 1.0)):
+            raise InvalidParameter("indicator rows must hold only 0 and 1")
+        if not np.all(np.sum(rows, axis=0) <= 1.0):
+            raise InvalidParameter("indicator rows must have disjoint supports")
+        w = p.weights
+        size = rows.shape[0]
+        matrix = np.zeros((size, size))
+        for coeff, kind, k in self.terms:
+            if kind == "PK":
+                power = w**k
+                term = np.full((size, size), np.sum(power * 0.0))
+                np.fill_diagonal(term, np.sum(power * rows, axis=1))
+                matrix += coeff * term
+            else:
+                means = np.array([float(np.dot(w, row)) for row in rows])
+                matrix += np.multiply.outer(coeff * means, means)
+        return matrix
 
 
 def parse_family(expression: str) -> CandidateFamily:

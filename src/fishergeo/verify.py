@@ -76,6 +76,8 @@ VIOLATION_TOL = 1e-6
 STRONG_INVARIANCE_TOL = 1e-8
 #: Absolute tolerance when matching weights to a rational k/m grid.
 RATIONAL_TOL = 1e-9
+#: Denominators ``rationalize`` scans per array block.
+_RATIONALIZE_BLOCK = 64
 #: Random triples per bilinearity spot check.
 _BILINEARITY_TRIALS = 4
 #: Weight floor of the random points of the bilinearity and kill-constants checks.
@@ -430,7 +432,13 @@ def weak_invariance_residual(
 
 
 def _pair_matrix(family: CandidateFamily, p: Distribution, rows: np.ndarray) -> np.ndarray:
-    """[family(p, A_i, A_j)] for the random variables A_i given as rows."""
+    """[family(p, A_i, A_j)] for the indicator variables A_i given as rows.
+
+    A grammar family gives the matrix in closed form; a plugin callable, or
+    a subclass that may override ``__call__``, is called once per pair.
+    """
+    if type(family) is CandidateFamily:
+        return family.indicator_matrix(p, rows)
     variables = [RandomVariable(p.space, row) for row in rows]
     return np.array([[family(p, a, b) for b in variables] for a in variables], dtype=float)
 
@@ -545,14 +553,24 @@ def probe_consistency(family: CandidateFamily, m: int, n: int) -> ConsistencyPro
 
 
 def rationalize(p: Distribution, denominator_bound: int) -> tuple[int, np.ndarray]:
-    """Smallest common denominator representation p(i) = k_i / m, m <= bound."""
+    """Smallest common denominator representation p(i) = k_i / m, m <= bound.
+
+    Scans the denominators n, n + 1, ... in blocks of ``_RATIONALIZE_BLOCK``
+    and stops at the first block with a hit.
+    """
     w = p.weights
     n = w.shape[0]
-    for m in range(n, denominator_bound + 1):
-        counts = np.rint(w * m).astype(int)
-        if np.all(counts >= 1) and int(counts.sum()) == m:
-            if float(np.max(np.abs(w - counts / m))) <= RATIONAL_TOL:
-                return m, counts
+    for start in range(n, denominator_bound + 1, _RATIONALIZE_BLOCK):
+        ms = np.arange(start, min(start + _RATIONALIZE_BLOCK, denominator_bound + 1))[:, None]
+        counts = np.rint(w * ms).astype(int)
+        hits = (
+            np.all(counts >= 1, axis=1)
+            & (counts.sum(axis=1) == ms[:, 0])
+            & (np.max(np.abs(w - counts / ms), axis=1) <= RATIONAL_TOL)
+        )
+        if hits.any():
+            first = int(np.argmax(hits))
+            return int(ms[first, 0]), counts[first]
     raise NotRational(
         f"no rational representation with denominator <= {denominator_bound}"
     )

@@ -15,6 +15,7 @@ LINE_MODEL = {
     "p0": [0.0, 0.0, 1.0],
     "directions": [[1.0, 1.0, -2.0]],
 }
+EXPFAM2 = {"kind": "expfam", "stats": [[1.0, 0.0, -1.0], [0.0, 1.0, 0.5]]}
 # deterministic channel of the fiber map (1, 1, 2)
 COEMBED_112 = {
     "n_in": 3,
@@ -57,6 +58,14 @@ class TestFisher:
     def test_missing_file_exits_2(self, cli):
         proc = cli.run("fisher", "--model", str(cli.dir / "nope.json"), "--xi", "0.5")
         assert proc.returncode == 2
+
+    def test_dashed_parameter_vector_as_separate_argument(self, cli):
+        """``--xi -0.5,0.3`` is read as the value of --xi, not as an option."""
+        model = cli.file("m.json", EXPFAM2)
+        joined = cli.run("fisher", "--model", model, "--xi=-0.5,0.3")
+        separate = cli.run("fisher", "--model", model, "--xi", "-0.5,0.3")
+        assert joined.returncode == 0
+        assert separate.returncode == 0 and separate.stdout == joined.stdout
 
 
 class TestNonFiniteInput:
@@ -215,6 +224,13 @@ class TestDuality:
         )
         assert code == 0 and out["pass"]
         assert out["residual"] <= 1e-6
+
+    def test_dashed_step_as_separate_argument_exits_2(self, cli):
+        proc = cli.run(
+            "duality", "--model", cli.file("m.json", BERNOULLI), "--xi", "0.3", "--step", "-1e-4"
+        )
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["type"] == "InvalidParameter"
 
     @pytest.mark.parametrize("step", ["0", "-1e-4", "nan"])
     def test_bad_step_exits_2(self, cli, step):

@@ -6,7 +6,10 @@ indicators with ``compose_variable`` and tracks its worst gap with a strict
 ``gap > worst`` scan. The kernel reads the same values into matrices and
 does the same float operations on them, so every matrix entry, constant,
 residual, witness and gap must be the same float, compared through
-``float.hex`` (witnesses also through their JSON text).
+``float.hex`` (witnesses also through their JSON text). Grammar families
+build the matrix in closed form (``CandidateFamily.indicator_matrix``);
+the per-pair loop stays here as its reference, and the denominator loop
+as the reference of the array ``rationalize``.
 """
 from __future__ import annotations
 
@@ -19,10 +22,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fishergeo.families import parse_family
+from fishergeo.errors import InvalidParameter, NotRational, SizeMismatch
+from fishergeo.families import CandidateFamily, parse_family
 from fishergeo.markov import Surjection
-from fishergeo.simplex import Distribution, SampleSpace, indicator, new_distribution, uniform
+from fishergeo.simplex import (
+    Distribution,
+    RandomVariable,
+    SampleSpace,
+    indicator,
+    new_distribution,
+    uniform,
+)
 from fishergeo.verify import (
+    RATIONAL_TOL,
     VIOLATION_TOL,
     ConsistencyProbeResult,
     RationalProbeResult,
@@ -46,6 +58,22 @@ from fishergeo.verify import (
 pytestmark = pytest.mark.filterwarnings(
     "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
 )
+
+
+def reference_pair_matrix(family, p: Distribution, rows: np.ndarray) -> np.ndarray:
+    variables = [RandomVariable(p.space, row) for row in rows]
+    return np.array([[family(p, a, b) for b in variables] for a in variables], dtype=float)
+
+
+def reference_rationalize(p: Distribution, denominator_bound: int) -> tuple[int, np.ndarray]:
+    w = p.weights
+    n = w.shape[0]
+    for m in range(n, denominator_bound + 1):
+        counts = np.rint(w * m).astype(int)
+        if np.all(counts >= 1) and int(counts.sum()) == m:
+            if float(np.max(np.abs(w - counts / m))) <= RATIONAL_TOL:
+                return m, counts
+    raise NotRational(f"no rational representation with denominator <= {denominator_bound}")
 
 
 def reference_uniform_matrix(family, n: int) -> np.ndarray:
@@ -327,3 +355,106 @@ def test_references_find_witnesses(expression):
     assert reference_probe_consistency(family, 2, 3).witness is not None
     p = rational_point(4, 12, seed=1)
     assert reference_probe_rational(family, p, 12).witness is not None
+
+
+@st.composite
+def indicator_cases(draw):
+    """A point and indicator rows on its space: the identity rows of an
+    n-point space, or the lifts of those rows through a partition
+    surjection of at most 240 points, at a uniform or a random point."""
+    n = draw(st.integers(2, 6), label="n")
+    if draw(st.booleans(), label="lift"):
+        counts = draw(st.lists(st.integers(1, 240 // n), min_size=n, max_size=n), label="counts")
+        surjection = partition_surjection(np.array(counts))
+        space, rows = surjection.domain, np.eye(n)[:, surjection.map0]
+    else:
+        space, rows = SampleSpace(n), np.eye(n)
+    if draw(st.booleans(), label="uniform"):
+        return uniform(space), rows
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    flat = np.random.default_rng(seed).dirichlet(np.ones(space.size))
+    return new_distribution(space, 0.5 / space.size + 0.5 * flat), rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=GRAMMAR, case=indicator_cases())
+@example(family=parse_family("PK(-400)"), case=(uniform(SampleSpace(6)), np.eye(6)))
+@example(family=parse_family("PK(400)"), case=(uniform(SampleSpace(6)), np.eye(6)))
+@example(family=parse_family("1*L2 + -0.75*MM + 2*PK(-400)"), case=(uniform(SampleSpace(4)), np.eye(4)))
+def test_indicator_matrix_bitwise(family, case):
+    p, rows = case
+    expected = outcome(reference_pair_matrix, family, p, rows)
+    assert outcome(family.indicator_matrix, p, rows) == expected
+    assert outcome(_pair_matrix, family, p, rows) == expected
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]], InvalidParameter),  # not 0/1
+        ([[1.0, 0.0, math.nan], [0.0, 1.0, 0.0]], InvalidParameter),  # not 0/1
+        ([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], InvalidParameter),  # overlapping supports
+        ([[1.0, 0.0], [0.0, 1.0]], SizeMismatch),  # rows of the wrong length
+        ([1.0, 0.0, 0.0], SizeMismatch),  # not a matrix
+    ],
+)
+def test_indicator_matrix_rejects_other_rows(rows, error):
+    with pytest.raises(error):
+        parse_family("COV").indicator_matrix(uniform(SampleSpace(3)), np.array(rows))
+
+
+class Doubled(CandidateFamily):
+    """A grammar subclass whose call differs from the closed form."""
+
+    def __call__(self, p, a, b) -> float:
+        return 2.0 * super().__call__(p, a, b) + 1.0
+
+
+def test_subclass_keeps_its_own_call():
+    family = Doubled("doubled PK(2)", parse_family("PK(2)").terms)
+    p = rational_point(4, 12, seed=3)
+    matrix = _pair_matrix(family, p, np.eye(4))
+    assert bits(matrix) == bits(reference_pair_matrix(family, p, np.eye(4)))
+    assert bits(matrix) != bits(parse_family("PK(2)").indicator_matrix(p, np.eye(4)))
+
+
+def rationalize_outcome(fn, p, bound):
+    """The result with its types (int denominator, int-array counts) or the error type."""
+    try:
+        m, counts = fn(p, bound)
+    except Exception as exc:  # noqa: BLE001 - both sides must fail alike
+        return type(exc).__name__
+    return type(m).__name__, m, counts.dtype.str, counts.shape, counts.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["rational", "irrational", "below n"]),
+)
+def test_rationalize_bitwise(n, data, seed, kind):
+    if kind == "irrational":
+        weights = 1e-3 + (1.0 - n * 1e-3) * np.random.default_rng(seed).dirichlet(np.ones(n))
+        p = new_distribution(SampleSpace(n), weights)
+        bound = data.draw(st.integers(n, 300), label="bound")
+    elif kind == "rational":
+        p = rational_point(n, data.draw(st.integers(n, 200), label="denominator"), seed)
+        bound = data.draw(st.integers(n, 300), label="bound")
+    else:
+        p = rational_point(n, data.draw(st.integers(n, 40), label="denominator"), seed)
+        bound = data.draw(st.integers(-3, n - 1), label="bound")
+    assert rationalize_outcome(rationalize, p, bound) == rationalize_outcome(
+        reference_rationalize, p, bound
+    )
+
+
+def test_rationalize_scans_past_the_first_block():
+    """A hit beyond the first block, and a bound that ends inside a block."""
+    p = new_distribution(SampleSpace(3), np.array([1, 2, 300]) / 303)
+    for bound in (302, 303, 304, 1000):
+        assert rationalize_outcome(rationalize, p, bound) == rationalize_outcome(
+            reference_rationalize, p, bound
+        )
+    assert rationalize(p, 1000)[0] == 303
