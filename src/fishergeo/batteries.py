@@ -22,7 +22,7 @@ from .errors import FisherGeoError, InvalidParameter
 from .families import CandidateFamily, parse_family
 from .geometry import TangentVector, delta
 from .markov import Channel, apply, canonical_embedding, random_channel, random_surjection
-from .models import categorical_model, crb_check, jacobian_at, lifts
+from .models import categorical_model, crb_check, unbiased_estimators
 from .simplex import RandomVariable, SampleSpace, new_distribution, sample_interior
 from .verify import (
     PASS_TOL,
@@ -289,20 +289,11 @@ def _draw_prop6(rng: np.random.Generator, n_max: int, family: CandidateFamily) -
 
 
 def _draw_crb(rng: np.random.Generator, n_max: int) -> dict:
-    """Locally unbiased estimators as in ``battery_crb``; ``p`` is the model
-    point, kept for the witness."""
+    """Locally unbiased estimators on a random categorical model point."""
     n = int(rng.integers(2, n_max + 1))
     model = categorical_model(n)
     xi = sample_interior(model.space, seed=int(rng.integers(2**32))).weights[: n - 1]
-    p = model.point(xi)
-    jac = jacobian_at(model, xi)
-    estimators = []
-    for alpha in lifts(model, xi, np.eye(n - 1)):
-        rep = alpha.rep.values
-        noise = rng.normal(size=n)
-        noise -= jac.T @ np.linalg.lstsq(jac.T, noise, rcond=None)[0]
-        estimators.append(RandomVariable(model.space, rep + float(rng.uniform(0, 2)) * noise))
-    return {"model": model, "xi": xi, "p": p, "estimators": estimators}
+    return {"model": model, "xi": xi, "estimators": unbiased_estimators(model, xi, rng)}
 
 
 def _family(family) -> CandidateFamily:
@@ -379,13 +370,12 @@ def battery_prop6(
 def battery_crb(trials: int = 1000, n_max: int = 4, seed: int = 0) -> BatteryReport:
     """Randomized locally unbiased estimators never beat the bound.
 
-    Estimators are built as minimum-norm lifts of the coordinate covectors
-    plus random perturbations from the kernel of the restriction map, which
-    preserves local unbiasedness exactly.
+    Estimators come from ``unbiased_estimators``. The models are full
+    categorical families, where the kernel of restriction holds only the
+    constants, so every trial samples the equality case V = G^{-1}.
     """
     return _drive(
-        "crb", trials, n_max, seed, _draw_crb,
-        lambda model, xi, p, estimators: crb_check(model, xi, estimators),
+        "crb", trials, n_max, seed, _draw_crb, crb_check,
         # the minimum eigenvalue of V - G^{-1}, negated and scaled by G^{-1}
         lambda r: -(r.min_eigenvalue / (1.0 + np.max(np.abs(r.inverse_information)))),
         pass_tol=-CRB_EIG_TOL, violation_tol=-CRB_EIG_TOL,

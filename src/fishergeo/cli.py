@@ -19,7 +19,7 @@ import numpy as np
 
 from .batteries import run_battery
 from .connections import coordinate_field, duality_check, e_transport, m_transport
-from .errors import FisherGeoError
+from .errors import FisherGeoError, InvalidParameter
 from .jsonio import (
     channel_from_json,
     cotangent_from_json,
@@ -31,7 +31,7 @@ from .jsonio import (
     tangent_to_json,
 )
 from .markov import pullback, pushforward
-from .models import cometric_matrix, crb_check, fisher_info
+from .models import crb_check, fisher_info
 from .verify import PASS_TOL, VIOLATION_TOL, characterize
 
 DEFAULT_TOL = 1e-6
@@ -60,7 +60,10 @@ def _parse_box(text: str) -> list[tuple[float, float]]:
     box = []
     for axis in text.split(","):
         lo, _, hi = axis.partition(":")
-        box.append((float(lo), float(hi)))
+        try:
+            box.append((float(lo), float(hi)))
+        except ValueError as exc:
+            raise InvalidParameter(f"box axis {axis!r} is not lo:hi") from exc
     return box
 
 
@@ -74,7 +77,7 @@ def cmd_fisher(args) -> tuple[int, dict]:
     info = fisher_info(model, xi)
     return 0, {
         "G": _matrix(info.matrix),
-        "G_inv": _matrix(cometric_matrix(model, xi)),
+        "G_inv": _matrix(info.inverse()),
         "tolerances": _tolerances(args),
     }
 

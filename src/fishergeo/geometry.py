@@ -191,7 +191,7 @@ def fisher_metric_rows(p: Distribution, xs: np.ndarray, ys: np.ndarray) -> np.nd
 
 
 def orthonormal_basis_rows(p: Distribution) -> np.ndarray:
-    """m-representations of ``orthonormal_tangent_basis(p)`` as rows.
+    """Deterministic g-orthonormal tangent basis at p, as m-representation rows.
 
     Right-looking Gram-Schmidt over e_i - e_n, i = 1..n-1: row k is
     normalized, then its projection is removed from every later row at once.
@@ -211,12 +211,3 @@ def orthonormal_basis_rows(p: Distribution) -> np.ndarray:
         rest -= np.sum(rest * u / w, axis=-1)[:, None] * u
         require_rows_sum_zero(rows[k:])
     return rows
-
-
-def orthonormal_tangent_basis(p: Distribution) -> list[TangentVector]:
-    """Deterministic g-orthonormal basis of the tangent space at p.
-
-    Gram-Schmidt over the m-representations e_i - e_n, i = 1..n-1; see
-    ``orthonormal_basis_rows``.
-    """
-    return [TangentVector(p, row) for row in orthonormal_basis_rows(p)]

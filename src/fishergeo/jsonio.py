@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParameter, SizeMismatch
+from .errors import InvalidParameter
 from .geometry import CotangentVector, TangentVector
 from .markov import Channel
 from .models import (
@@ -41,10 +41,7 @@ def distribution_from_json(obj: dict) -> Distribution:
 
 def random_variable_from_json(obj: dict) -> RandomVariable:
     n = int(_require(obj, "n"))
-    values = np.asarray(_require(obj, "values"), dtype=float)
-    if values.shape[0] != n:
-        raise SizeMismatch(f"values length {values.shape[0]} != n {n}")
-    return RandomVariable(SampleSpace(n), values)
+    return RandomVariable(SampleSpace(n), np.asarray(_require(obj, "values"), dtype=float))
 
 
 def tangent_to_json(x: TangentVector) -> dict:

@@ -15,8 +15,8 @@ among all ambient cotangent vectors restricting to the given coefficients it
 is the unique one of smallest co-norm, and that co-norm squared equals
 ``c^T G^{-1} c``. ``crb_check`` compares the covariance matrix of a locally
 unbiased estimator tuple against ``G^{-1}`` and reports the smallest
-eigenvalue of the difference. ``lifts`` extends several covectors at one
-point from one Jacobian and one information matrix.
+eigenvalue of the difference. ``lifts`` and ``unbiased_estimators`` read one
+Jacobian and one information matrix for all the covectors at a point.
 
 The built-in zoo covers Bernoulli, the full categorical family, exponential
 families with user-supplied sufficient statistics, and affine (mixture)
@@ -24,7 +24,7 @@ families; exactly the families needed for equality cases of the bound.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -163,6 +163,13 @@ class FisherMatrix:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
 
+    def inverse(self) -> np.ndarray:
+        """G^{-1}, the co-metric Gram matrix in the ``d xi`` basis."""
+        try:
+            return np.linalg.inv(self.matrix)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrix(str(exc)) from exc
+
 
 def _information(p: Distribution, jac: np.ndarray, xi) -> FisherMatrix:
     """Score Gram matrix at ``p`` from the Jacobian rows evaluated there."""
@@ -176,16 +183,9 @@ def fisher_info(model: ParametricModel, xi) -> FisherMatrix:
     return _information(model.point(xi), jacobian_at(model, xi), xi)
 
 
-def _inverse(g: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from exc
-
-
 def cometric_matrix(model: ParametricModel, xi) -> np.ndarray:
     """Inverse information matrix [g(d xi^i, d xi^j)]."""
-    return _inverse(fisher_info(model, xi).matrix)
+    return fisher_info(model, xi).inverse()
 
 
 def restrict(model: ParametricModel, xi, alpha_ambient: CotangentVector) -> np.ndarray:
@@ -210,6 +210,11 @@ def lifts(model: ParametricModel, xi, rows) -> list[CotangentVector]:
     for coeffs in rows:
         if coeffs.shape[0] != model.dim:
             raise SizeMismatch(f"expected {model.dim} coefficients, got {coeffs.shape[0]}")
+    return _lifts(model, xi, rows)[1]
+
+
+def _lifts(model: ParametricModel, xi, rows) -> tuple[np.ndarray, list[CotangentVector]]:
+    """The Jacobian at ``xi`` and the lifts of ``rows``, from one evaluation."""
     p = model.point(xi)
     jac = jacobian_at(model, xi)
     g = _information(p, jac, xi).matrix
@@ -220,12 +225,25 @@ def lifts(model: ParametricModel, xi, rows) -> list[CotangentVector]:
         except np.linalg.LinAlgError as exc:
             raise SingularMatrix(str(exc)) from exc
         lifted.append(flat(TangentVector(p, weights @ jac)))
-    return lifted
+    return jac, lifted
 
 
 def lift(model: ParametricModel, xi, coeffs) -> CotangentVector:
     """Minimum-norm ambient extension of one model covector; see ``lifts``."""
     return lifts(model, xi, [coeffs])[0]
+
+
+def unbiased_estimators(model: ParametricModel, xi, rng) -> list[RandomVariable]:
+    """Random locally unbiased estimators at ``xi``: each lift of d xi^i plus
+    ``normal`` noise in the kernel of restriction, scaled by ``uniform(0, 2)``."""
+    jac, lifted = _lifts(model, xi, np.eye(model.dim))
+    estimators = []
+    for alpha in lifted:
+        noise = rng.normal(size=model.space.size)
+        noise -= jac.T @ np.linalg.lstsq(jac.T, noise, rcond=None)[0]
+        scale = float(rng.uniform(0, 2))
+        estimators.append(RandomVariable(model.space, alpha.rep.values + scale * noise))
+    return estimators
 
 
 @dataclass(frozen=True)
@@ -301,7 +319,7 @@ def crb_check(
     for i in range(k):
         for j in range(i, k):
             v[i, j] = v[j, i] = float(np.dot(p.weights, centered[i] * centered[j]))
-    g_inv = _inverse(_information(p, jac, xi).matrix)
+    g_inv = _information(p, jac, xi).inverse()
     diff = v - g_inv
     diff = 0.5 * (diff + diff.T)
     min_eig = float(np.min(np.linalg.eigvalsh(diff)))
@@ -325,20 +343,6 @@ def crb_check(
 # ---------------------------------------------------------------------------
 
 
-def bernoulli_model() -> ParametricModel:
-    """p_theta = (theta, 1 - theta) on a two-point space."""
-    space = SampleSpace(2)
-
-    def point_map(xi: np.ndarray) -> Distribution:
-        theta = float(xi[0])
-        return Distribution(space, np.array([theta, 1.0 - theta]))
-
-    def jac(xi: np.ndarray) -> np.ndarray:
-        return np.array([[1.0, -1.0]])
-
-    return ParametricModel(space, 1, point_map, jac, name="bernoulli")
-
-
 def categorical_model(n: int) -> ParametricModel:
     """Full simplex in the coordinates xi^i = p(i), i = 1..n-1."""
     space = SampleSpace(n)
@@ -354,6 +358,11 @@ def categorical_model(n: int) -> ParametricModel:
         return j
 
     return ParametricModel(space, n - 1, point_map, jac, name="categorical")
+
+
+def bernoulli_model() -> ParametricModel:
+    """p_theta = (theta, 1 - theta) on a two-point space."""
+    return replace(categorical_model(2), name="bernoulli")
 
 
 def exponential_family_model(

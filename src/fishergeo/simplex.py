@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadFloor, BadSize, NonPositiveWeight, NotNormalized, SizeMismatch
+from .errors import BadFloor, BadSize, InvalidParameter, NonPositiveWeight, NotNormalized, SizeMismatch
 
 #: Weights at or below this floor are rejected as non-positive.
 POSITIVITY_FLOOR = 1e-12
@@ -84,6 +84,8 @@ class RandomVariable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _readonly(self.values, self.space.size))
+        if not np.isfinite(self.values).all():
+            raise InvalidParameter(f"random variable values must be finite: {self.values.tolist()}")
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -451,21 +451,30 @@ def _first_worst(gaps: np.ndarray) -> tuple[float, int, int]:
     return float(scan[i, j]), int(i), int(j)
 
 
-@dataclass(frozen=True)
-class UniformProbeResult:
-    n: int
-    a: float
-    b: float
-    max_residual: float
-    witness: Witness | None
+class _ProbeVerdict:
+    """The verdict of every probe step: no witness and a passing residual."""
 
     @property
     def passed(self) -> bool:
         return self.witness is None and self.max_residual <= PASS_TOL
 
 
+@dataclass(frozen=True)
+class UniformProbeResult(_ProbeVerdict):
+    n: int
+    a: float
+    b: float
+    max_residual: float
+    witness: Witness | None
+
+
 def probe_uniform(family: CandidateFamily, n: int) -> UniformProbeResult:
     """Step (a): indicator matrix at the uniform point must be a*I + b*ones."""
+    return _probe_uniform(family, n)[0]
+
+
+def _probe_uniform(family: CandidateFamily, n: int) -> tuple[UniformProbeResult, np.ndarray]:
+    """``probe_uniform`` and the indicator matrix it evaluated."""
     if n < 2:
         raise InvalidParameter("probe needs n >= 2")
     u = uniform(SampleSpace(n))
@@ -493,21 +502,23 @@ def probe_uniform(family: CandidateFamily, n: int) -> UniformProbeResult:
             family=family.name,
             detail=f"indicator pair ({i + 1}, {j + 1}) breaks permutation symmetry",
         )
-    return UniformProbeResult(n, a, b, worst, witness)
+    return UniformProbeResult(n, a, b, worst, witness), matrix
+
+
+def _lifted_pair_matrix(family: CandidateFamily, surjection: Surjection) -> np.ndarray:
+    """The codomain's indicator pair matrix, lifted to the domain's uniform point."""
+    units = np.eye(surjection.codomain.size)
+    return _pair_matrix(family, uniform(surjection.domain), units[:, surjection.map0])
 
 
 @dataclass(frozen=True)
-class ConsistencyProbeResult:
+class ConsistencyProbeResult(_ProbeVerdict):
     m: int
     n: int
     c1: float
     c2: float
     max_residual: float
     witness: Witness | None
-
-    @property
-    def passed(self) -> bool:
-        return self.witness is None and self.max_residual <= PASS_TOL
 
 
 def probe_consistency(family: CandidateFamily, m: int, n: int) -> ConsistencyProbeResult:
@@ -519,16 +530,15 @@ def probe_consistency(family: CandidateFamily, m: int, n: int) -> ConsistencyPro
     """
     if m < 2 or n < 2:
         raise InvalidParameter("probe needs m, n >= 2")
-    small = probe_uniform(family, n)
+    small, lhs = _probe_uniform(family, n)
     if small.witness is not None:
         return ConsistencyProbeResult(m, n, 0.0, 0.0, small.max_residual, small.witness)
     big = probe_uniform(family, m * n)
     if big.witness is not None:
         return ConsistencyProbeResult(m, n, 0.0, 0.0, big.max_residual, big.witness)
     surjection = block_surjection(m, n)
+    rhs = _lifted_pair_matrix(family, surjection)
     units = np.eye(n)
-    lhs = _pair_matrix(family, uniform(SampleSpace(n)), units)
-    rhs = _pair_matrix(family, uniform(surjection.domain), units[:, surjection.map0])
     worst, i, j = _first_worst(np.abs(lhs - rhs))
     witness = None
     if worst > VIOLATION_TOL:
@@ -601,7 +611,7 @@ def _fit_constants(p: Distribution, matrix: np.ndarray) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class RationalProbeResult:
+class RationalProbeResult(_ProbeVerdict):
     n: int
     denominator: int
     counts: tuple[int, ...]
@@ -611,10 +621,6 @@ class RationalProbeResult:
     fitted_c2: float
     max_residual: float
     witness: Witness | None
-
-    @property
-    def passed(self) -> bool:
-        return self.witness is None and self.max_residual <= PASS_TOL
 
 
 def probe_rational(
@@ -645,7 +651,7 @@ def probe_rational(
     units = np.eye(n)
     w = p.weights
     value = _pair_matrix(family, p, units)
-    lifted = _pair_matrix(family, uniform(surjection.domain), units[:, surjection.map0])
+    lifted = _lifted_pair_matrix(family, surjection)
     target = c1 * np.diag(w) + c2 * np.outer(w, w)
     to_lift, to_target = np.abs(value - lifted), np.abs(value - target)
     # Python's max(to_lift, to_target): the first unless the second is larger
@@ -992,7 +998,7 @@ def _crb_witness(case: dict, detail: str = "") -> Witness:
     return Witness(
         kind="crb", m=n, n=n,
         lhs=report.min_eigenvalue, rhs=0.0, gap=-report.min_eigenvalue,
-        point=_floats(case["p"].weights), detail=detail,
+        point=_floats(case["model"].point(case["xi"]).weights), detail=detail,
         estimators=_rows([e.values for e in case["estimators"]]),
     )
 
@@ -1001,7 +1007,7 @@ def _crb_case(witness: Witness) -> dict:
     model = categorical_model(witness.m)
     xi = np.array(witness.point[: witness.m - 1])  # the categorical coordinates
     estimators = [RandomVariable(model.space, np.array(e)) for e in witness.estimators]
-    return {"model": model, "xi": xi, "p": model.point(xi), "estimators": estimators}
+    return {"model": model, "xi": xi, "estimators": estimators}
 
 
 def _weak_invariance_witness(case: dict, detail: str = "") -> Witness:

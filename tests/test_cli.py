@@ -146,6 +146,35 @@ class TestCrb:
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["error"]["type"] == "NotLocallyUnbiased"
 
+    def test_scalar_estimator_values_exit_2(self, cli):
+        """A scalar where a list of values belongs is a typed size error."""
+        proc = cli.run(
+            "crb",
+            "--model", cli.file("m.json", BERNOULLI),
+            "--xi", "0.25",
+            "--estimators", cli.file("est.json", [{"n": 2, "values": 3.0}]),
+        )
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["type"] == "SizeMismatch"
+
+    @pytest.mark.parametrize(
+        "box, axis", [("0.1", "'0.1'"), ("0.1:x", "'0.1:x'"), ("0.1:0.4,0.2", "'0.2'")]
+    )
+    def test_malformed_box_exits_2(self, cli, box, axis):
+        """A box axis that is not lo:hi is a typed input error naming the axis."""
+        proc = cli.run(
+            "crb",
+            "--model", cli.file("m.json", BERNOULLI),
+            "--xi", "0.25",
+            "--estimators", cli.file("est.json", [{"n": 2, "values": [1.0, 0.0]}]),
+            "--mode", "global",
+            "--box", box,
+        )
+        assert proc.returncode == 2
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "InvalidParameter"
+        assert f"box axis {axis} is not lo:hi" in error["message"]
+
 
 class TestPushPull:
     def test_push_block_sums(self, cli):

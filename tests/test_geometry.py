@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fishergeo.errors import BasePointMismatch, NotCentered, NotSumZero
+from fishergeo.errors import BasePointMismatch, InvalidParameter, NotCentered, NotSumZero
 from fishergeo.geometry import (
     CotangentVector,
     TangentVector,
@@ -16,7 +16,7 @@ from fishergeo.geometry import (
     from_e_rep,
     norm_cotangent,
     norm_tangent,
-    orthonormal_tangent_basis,
+    orthonormal_basis_rows,
     pair,
     require_rows_sum_zero,
     sharp,
@@ -72,12 +72,13 @@ class TestTypes:
         [[np.nan, 0.0, 0.0], [np.inf, -np.inf, 0.0], [-np.inf, 0.0, 0.0]],
     )
     def test_non_finite_cotangent_rejected(self, values):
+        """The representative is refused when it is built as a random variable."""
         p = dist(0.25, 0.25, 0.5)
-        with pytest.raises(NotCentered):
+        with pytest.raises(InvalidParameter):
             CotangentVector(p, rv(*values))
-        with pytest.raises(NotCentered):
+        with pytest.raises(InvalidParameter):
             from_e_rep(p, rv(*values))
-        with pytest.raises(NotCentered):
+        with pytest.raises(InvalidParameter):
             delta(p, rv(*values))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e-3])
@@ -304,6 +305,6 @@ class TestCoordinateDuality:
 class TestOrthonormalBasis:
     def test_orthonormality(self):
         p = sample_interior(SampleSpace(5), seed=77)
-        basis = orthonormal_tangent_basis(p)
+        basis = [TangentVector(p, row) for row in orthonormal_basis_rows(p)]
         gram = tangent_gram(basis)
         assert np.allclose(gram, np.eye(4), atol=1e-10)

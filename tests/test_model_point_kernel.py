@@ -7,10 +7,12 @@ again), centering inside the V loop and ``cometric_matrix`` for G^{-1};
 one ``_flat_derivative`` per transport (each evaluating every shifted point
 again); the weak-invariance z-loop over ``coordinate_field`` values; and
 ``duality_check`` with per-field ``ambient`` calls and two full covariant
-derivatives. The library now evaluates each point once and reads those
-values, with the same float operations in the same order, so every output
-must be the same float, compared through ``float.hex``, or the same error
-type.
+derivatives; the CRB draw with its own ``jacobian_at`` for the noise
+projection next to ``lifts``; and the two-point ``bernoulli_model`` with its
+own point map and Jacobian. The library now evaluates each point once and
+reads those values, with the same float operations in the same order, so
+every output must be the same float, compared through ``float.hex``, or the
+same error type.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fishergeo import batteries
 from fishergeo.batteries import _draw_crb
 from fishergeo.connections import (
     ConnectionTag,
@@ -61,6 +64,7 @@ from fishergeo.models import (
     jacobian_at,
     lifts,
     tangent_basis,
+    unbiased_estimators,
 )
 from fishergeo.simplex import Distribution, RandomVariable, SampleSpace, sample_interior
 
@@ -159,6 +163,43 @@ def reference_draw_crb(rng: np.random.Generator, n_max: int) -> dict:
         noise -= jac.T @ np.linalg.lstsq(jac.T, noise, rcond=None)[0]
         estimators.append(RandomVariable(model.space, rep + float(rng.uniform(0, 2)) * noise))
     return {"model": model, "xi": xi, "p": p, "estimators": estimators}
+
+
+def reference_unbiased_estimators(model: ParametricModel, xi, rng: np.random.Generator):
+    """The estimators of the CRB draw, with its own Jacobian for the noise
+    projection and ``lifts`` evaluating the point and the Jacobian again."""
+    jac = jacobian_at(model, xi)
+    estimators = []
+    for alpha in lifts(model, xi, np.eye(model.dim)):
+        rep = alpha.rep.values
+        noise = rng.normal(size=model.space.size)
+        noise -= jac.T @ np.linalg.lstsq(jac.T, noise, rcond=None)[0]
+        estimators.append(RandomVariable(model.space, rep + float(rng.uniform(0, 2)) * noise))
+    return estimators
+
+
+def reference_draw_crb_lifts(
+    rng: np.random.Generator, n_max: int, categorical=categorical_model
+) -> dict:
+    n = int(rng.integers(2, n_max + 1))
+    model = categorical(n)
+    xi = sample_interior(model.space, seed=int(rng.integers(2**32))).weights[: n - 1]
+    p = model.point(xi)
+    estimators = reference_unbiased_estimators(model, xi, rng)
+    return {"model": model, "xi": xi, "p": p, "estimators": estimators}
+
+
+def reference_bernoulli_model() -> ParametricModel:
+    space = SampleSpace(2)
+
+    def point_map(xi: np.ndarray) -> Distribution:
+        theta = float(xi[0])
+        return Distribution(space, np.array([theta, 1.0 - theta]))
+
+    def jac(xi: np.ndarray) -> np.ndarray:
+        return np.array([[1.0, -1.0]])
+
+    return ParametricModel(space, 1, point_map, jac, name="bernoulli")
 
 
 def reference_flat_derivative(
@@ -340,14 +381,37 @@ def assert_crb_equal(model, xi, estimators):
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n_max=st.integers(2, 7))
+@given(seed=st.integers(0, 2**32 - 1), n_max=st.integers(2, 8))
 def test_crb_draw_and_check_bitwise(seed, n_max):
-    case = _draw_crb(np.random.default_rng(seed), n_max)
-    expected = reference_draw_crb(np.random.default_rng(seed), n_max)
-    assert hexes([a.values for a in case["estimators"]]) == hexes(
-        [a.values for a in expected["estimators"]]
-    )
+    """The draw, through ``unbiased_estimators``, against both older draws.
+    Every generator must end in the same state, so later trials draw the
+    same cases."""
+    rng = np.random.default_rng(seed)
+    case = _draw_crb(rng, n_max)
+    assert sorted(case) == ["estimators", "model", "xi"]
+    for reference in (reference_draw_crb, reference_draw_crb_lifts):
+        reference_rng = np.random.default_rng(seed)
+        expected = reference(reference_rng, n_max)
+        assert hexes(case["xi"]) == hexes(expected["xi"])
+        assert hexes([a.values for a in case["estimators"]]) == hexes(
+            [a.values for a in expected["estimators"]]
+        )
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
     assert_crb_equal(case["model"], case["xi"], case["estimators"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=models, seed=st.integers(0, 2**32 - 1))
+def test_unbiased_estimators_on_any_model_bitwise(drawn, seed):
+    model, xi = drawn
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = outcome(reference_unbiased_estimators, model, xi, reference_rng)
+    value = outcome(unbiased_estimators, model, xi, rng)
+    if isinstance(expected, type):
+        assert value is expected
+        return
+    assert hexes([a.values for a in value]) == hexes([a.values for a in expected])
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 @settings(max_examples=200, deadline=None)
@@ -469,6 +533,51 @@ def counted(model: ParametricModel) -> tuple[ParametricModel, dict]:
         return model.jacobian(xi)
 
     return ParametricModel(model.space, model.dim, point_map, jacobian, model.name), calls
+
+
+def test_crb_trial_evaluates_its_point_once_per_step(monkeypatch):
+    """One CRB trial, the draw plus ``crb_check``: one point and one Jacobian
+    for the estimators and one each for the check. With the draw that
+    evaluated its own Jacobian next to ``lifts`` the trial made 3 and 3."""
+    tallies = []
+
+    def counted_categorical(n):
+        model, calls = counted(categorical_model(n))
+        tallies.append(calls)
+        return model
+
+    monkeypatch.setattr(batteries, "categorical_model", counted_categorical)
+    case = _draw_crb(np.random.default_rng(11), 6)
+    crb_check(**case)
+    expected = reference_draw_crb_lifts(np.random.default_rng(11), 6, counted_categorical)
+    crb_check(expected["model"], expected["xi"], expected["estimators"])
+    assert tallies == [{"point": 2, "jacobian": 2}, {"point": 3, "jacobian": 3}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    theta=st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.sampled_from([0.0, 1.0, -0.5, 1.5, 1e-13, 1.0 - 1e-13, np.nan, np.inf, -np.inf]),
+        st.floats(),
+    )
+)
+def test_bernoulli_model_bitwise(theta):
+    """The two-point categorical model against the separate Bernoulli code:
+    the same points and Jacobians inside (0, 1), the same errors outside."""
+    model, expected = bernoulli_model(), reference_bernoulli_model()
+    assert (model.name, model.dim, model.space) == (expected.name, expected.dim, expected.space)
+    for evaluate in (
+        lambda m: m.point([theta]).weights,
+        lambda m: jacobian_at(m, [theta]),
+        lambda m: m.point_map(np.array([theta])).weights,
+    ):
+        value, reference = outcome(evaluate, model), outcome(evaluate, expected)
+        if isinstance(reference, type):
+            assert value is reference
+        else:
+            assert not isinstance(value, type), value
+            assert hexes(value) == hexes(reference)
 
 
 def test_duality_check_evaluates_each_point_once():

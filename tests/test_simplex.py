@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from fishergeo.errors import (
     BadFloor,
     FisherGeoError,
+    InvalidParameter,
     NonPositiveWeight,
     NotNormalized,
     SizeMismatch,
@@ -100,6 +101,29 @@ class TestConstruction:
         except FisherGeoError:
             return
         assert np.all(np.isfinite(p.weights))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.integers(2, 5),
+            elements=st.one_of(st.sampled_from([0.0, 1.0, np.nan, np.inf, -np.inf]), st.floats()),
+        )
+    )
+    def test_random_variable_totality(self, values):
+        """Any float array builds a finite random variable with the same
+        values, or raises InvalidParameter exactly when an entry is not finite."""
+        try:
+            a = RandomVariable(SampleSpace(values.shape[0]), values)
+        except InvalidParameter:
+            assert not np.all(np.isfinite(values))
+            return
+        assert np.array_equal(a.values, values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_random_variable_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidParameter, match="must be finite"):
+            rv(1.0, bad, 0.0)
 
     def test_weights_immutable(self):
         p = dist(0.5, 0.5)
