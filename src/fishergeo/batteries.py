@@ -492,6 +492,8 @@ def run_battery(config: dict) -> BatteryReport:
     runner's parameters before it starts, so an unknown or missing key
     raises InvalidParameter naming it; errors inside the run propagate.
     """
+    if not isinstance(config, dict):
+        raise InvalidParameter(f"a battery config is a JSON object, not {type(config).__name__}")
     if "battery" not in config:
         raise InvalidParameter("config needs a 'battery' key")
     name = config["battery"]

@@ -143,14 +143,7 @@ def cmd_duality(args) -> tuple[int, dict]:
 def cmd_verify(args) -> tuple[int, dict]:
     config = _load_json(args.config)
     if isinstance(config, dict):
-        if "seed" not in config:
-            config["seed"] = args.seed
-        if args.alpha is not None:
-            config["alphas"] = [args.alpha]
-        if args.step is not None:
-            config["step"] = args.step
-        if args.grid is not None:
-            config["grid_count"] = args.grid
+        config.setdefault("seed", args.seed)
     report = run_battery(config)
     return (0 if report.passed else 1), report.to_json()
 
@@ -220,19 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     duality.set_defaults(handler=cmd_duality)
 
     verify = sub.add_parser("verify", help="run a verification battery from a config file")
-    verify.add_argument("--config", required=True)
-    verify.add_argument(
-        "--alpha", type=float, default=None,
-        help="connection parameter override (weak_invariance battery)",
-    )
-    verify.add_argument(
-        "--step", type=float, default=None,
-        help="finite-difference step override (weak_invariance battery)",
-    )
-    verify.add_argument(
-        "--grid", type=int, default=None,
-        help="grid points per check (weak_invariance battery)",
-    )
+    verify.add_argument("--config", required=True, help="JSON with the battery and its parameters")
     verify.set_defaults(handler=cmd_verify)
 
     charz = sub.add_parser("characterize", help="decompose a candidate bilinear family")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import BadSize, InvalidParameter
 from .geometry import CotangentVector, TangentVector
 from .markov import Channel
 from .models import (
@@ -34,6 +34,14 @@ def _floats(values) -> list[float]:
     return [float(v) for v in np.asarray(values, dtype=float).reshape(-1)]
 
 
+def _point(values) -> Distribution:
+    """A distribution sized by its own list of weights."""
+    weights = np.asarray(values, dtype=float)
+    if weights.ndim != 1:
+        raise BadSize(f"a point is a flat list of weights, got shape {weights.shape}")
+    return new_distribution(SampleSpace(weights.shape[0]), weights)
+
+
 def distribution_from_json(obj: dict) -> Distribution:
     n = int(_require(obj, "n"))
     return new_distribution(SampleSpace(n), np.asarray(_require(obj, "p"), dtype=float))
@@ -49,8 +57,7 @@ def tangent_to_json(x: TangentVector) -> dict:
 
 
 def tangent_from_json(obj: dict) -> TangentVector:
-    weights = np.asarray(_require(obj, "p"), dtype=float)
-    base = new_distribution(SampleSpace(weights.shape[0]), weights)
+    base = _point(_require(obj, "p"))
     return TangentVector(base, np.asarray(_require(obj, "m_rep"), dtype=float))
 
 
@@ -59,8 +66,7 @@ def cotangent_to_json(alpha: CotangentVector) -> dict:
 
 
 def cotangent_from_json(obj: dict) -> CotangentVector:
-    weights = np.asarray(_require(obj, "p"), dtype=float)
-    base = new_distribution(SampleSpace(weights.shape[0]), weights)
+    base = _point(_require(obj, "p"))
     rep = np.asarray(_require(obj, "rep"), dtype=float)
     return CotangentVector(base, RandomVariable(base.space, rep))
 
@@ -86,10 +92,7 @@ def model_from_json(obj: dict) -> ParametricModel:
         return categorical_model(int(_require(obj, "n")))
     if kind == "expfam":
         stats = np.asarray(_require(obj, "stats"), dtype=float)
-        base = None
-        if obj.get("base") is not None:
-            weights = np.asarray(obj["base"], dtype=float)
-            base = new_distribution(SampleSpace(weights.shape[0]), weights)
+        base = None if obj.get("base") is None else _point(obj["base"])
         return exponential_family_model(stats, base)
     if kind == "affine":
         anchor = np.asarray(_require(obj, "p0"), dtype=float)

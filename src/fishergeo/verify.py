@@ -27,6 +27,7 @@ replaying it reproduces the gap bitwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -443,6 +444,21 @@ def _pair_matrix(family: CandidateFamily, p: Distribution, rows: np.ndarray) -> 
     return np.array([[family(p, a, b) for b in variables] for a in variables], dtype=float)
 
 
+def _indicator_witness(
+    kind: str, family: CandidateFamily, sizes: tuple[int, int], pair: tuple[int, int],
+    sides: tuple[np.ndarray, np.ndarray], gap: float, detail: str, **inputs,
+) -> Witness:
+    """A probe witness on the indicator pair (i, j) of an m-point space, its
+    sides read at (i, j); ``inputs`` are the point, surjection or constants."""
+    (m, n), (i, j), (lhs, rhs) = sizes, pair, sides
+    units = np.eye(m)
+    return Witness(
+        kind=kind, m=m, n=n, lhs=float(lhs[i, j]), rhs=float(rhs[i, j]), gap=gap,
+        a=_floats(units[i]), b=_floats(units[j]), family=family.name, detail=detail,
+        **inputs,
+    )
+
+
 def _first_worst(gaps: np.ndarray) -> tuple[float, int, int]:
     """The largest gap and its first position in row-major order, as a
     strict ``gap > worst`` scan from 0.0 finds them: NaN gaps are skipped."""
@@ -478,8 +494,7 @@ def _probe_uniform(family: CandidateFamily, n: int) -> tuple[UniformProbeResult,
     if n < 2:
         raise InvalidParameter("probe needs n >= 2")
     u = uniform(SampleSpace(n))
-    units = np.eye(n)
-    matrix = _pair_matrix(family, u, units)
+    matrix = _pair_matrix(family, u, np.eye(n))
     off_mask = ~np.eye(n, dtype=bool)
     b = float(np.mean(matrix[off_mask]))
     a = float(np.mean(np.diag(matrix))) - b
@@ -489,18 +504,10 @@ def _probe_uniform(family: CandidateFamily, n: int) -> tuple[UniformProbeResult,
     witness = None
     if worst > VIOLATION_TOL:
         i, j = np.unravel_index(int(np.argmax(residuals)), residuals.shape)
-        witness = Witness(
-            kind="uniform_shape",
-            m=n,
-            n=n,
-            lhs=float(matrix[i, j]),
-            rhs=float(model[i, j]),
-            gap=worst,
+        witness = _indicator_witness(
+            "uniform_shape", family, (n, n), (i, j), (matrix, model), worst,
+            f"indicator pair ({i + 1}, {j + 1}) breaks permutation symmetry",
             point=_floats(u.weights),
-            a=_floats(units[i]),
-            b=_floats(units[j]),
-            family=family.name,
-            detail=f"indicator pair ({i + 1}, {j + 1}) breaks permutation symmetry",
         )
     return UniformProbeResult(n, a, b, worst, witness), matrix
 
@@ -528,33 +535,30 @@ def probe_consistency(family: CandidateFamily, m: int, n: int) -> ConsistencyPro
     block surjection onto the uniform mn-point, and the derived constants
     c1 = n * a_n, c2 = n^2 * b_n across the two dimensions.
     """
+    return _probe_consistency(family, m, n, partial(_probe_uniform, family))
+
+
+def _probe_consistency(
+    family: CandidateFamily, m: int, n: int, uniform_at: Callable[[int], tuple]
+) -> ConsistencyProbeResult:
+    """``probe_consistency`` with ``_probe_uniform(family, k)`` read from ``uniform_at(k)``."""
     if m < 2 or n < 2:
         raise InvalidParameter("probe needs m, n >= 2")
-    small, lhs = _probe_uniform(family, n)
+    small, lhs = uniform_at(n)
     if small.witness is not None:
         return ConsistencyProbeResult(m, n, 0.0, 0.0, small.max_residual, small.witness)
-    big = probe_uniform(family, m * n)
+    big, _ = uniform_at(m * n)
     if big.witness is not None:
         return ConsistencyProbeResult(m, n, 0.0, 0.0, big.max_residual, big.witness)
     surjection = block_surjection(m, n)
     rhs = _lifted_pair_matrix(family, surjection)
-    units = np.eye(n)
     worst, i, j = _first_worst(np.abs(lhs - rhs))
     witness = None
     if worst > VIOLATION_TOL:
-        witness = Witness(
-            kind="cross_dimension",
-            m=n,
-            n=m * n,
-            lhs=float(lhs[i, j]),
-            rhs=float(rhs[i, j]),
-            gap=worst,
+        witness = _indicator_witness(
+            "cross_dimension", family, (n, m * n), (i, j), (lhs, rhs), worst,
+            f"lift of indicator pair ({i + 1}, {j + 1}) changes the uniform evaluation",
             surjection=surjection.map0,
-            a=_floats(units[i]),
-            b=_floats(units[j]),
-            family=family.name,
-            detail=f"lift of indicator pair ({i + 1}, {j + 1}) "
-            "changes the uniform evaluation",
         )
     c1_small, c2_small = n * small.a, n * n * small.b
     c1_big, c2_big = m * n * big.a, (m * n) ** 2 * big.b
@@ -648,9 +652,8 @@ def probe_rational(
         constants = (n * base.a, n * n * base.b)
     c1, c2 = constants
     surjection = partition_surjection(counts)
-    units = np.eye(n)
     w = p.weights
-    value = _pair_matrix(family, p, units)
+    value = _pair_matrix(family, p, np.eye(n))
     lifted = _lifted_pair_matrix(family, surjection)
     target = c1 * np.diag(w) + c2 * np.outer(w, w)
     to_lift, to_target = np.abs(value - lifted), np.abs(value - target)
@@ -659,20 +662,11 @@ def probe_rational(
     worst, i, j = _first_worst(np.where(to_target > to_lift, to_target, to_lift))
     witness = None
     if worst > VIOLATION_TOL:
-        witness = Witness(
-            kind="rational_point",
-            m=n,
-            n=surjection.domain.size,
-            lhs=float(value[i, j]),
-            rhs=float(lifted[i, j] if to_lift[i, j] >= to_target[i, j] else target[i, j]),
-            gap=worst,
-            surjection=surjection.map0,
-            point=_floats(w),
-            a=_floats(units[i]),
-            b=_floats(units[j]),
-            family=family.name,
-            constants=(float(c1), float(c2)),
-            detail=f"D={denominator_bound}",
+        rhs = lifted if to_lift[i, j] >= to_target[i, j] else target
+        witness = _indicator_witness(
+            "rational_point", family, (n, surjection.domain.size), (i, j), (value, rhs),
+            worst, f"D={denominator_bound}",
+            surjection=surjection.map0, point=_floats(w), constants=(float(c1), float(c2)),
         )
     fitted = _fit_constants(p, value)
     return RationalProbeResult(
@@ -840,9 +834,11 @@ def characterize(
         if check_bilinearity(**case) > VIOLATION_TOL:
             return _witness_result(family.name, _bilinearity_witness(case))
 
+    # steps (a) and (b) evaluate each uniform indicator matrix once per run
+    uniform_at = cache(partial(_probe_uniform, family))
     constants_by_n: dict[int, tuple[float, float]] = {}
     for n in range(2, n_max + 1):
-        result = probe_uniform(family, n)
+        result, _ = uniform_at(n)
         if result.witness is not None:
             return _witness_result(family.name, result.witness)
         constants_by_n[n] = (n * result.a, n * n * result.b)
@@ -852,7 +848,7 @@ def characterize(
     for m, n in [(2, n) for n in range(2, n_max + 1)] + [
         (n, 2) for n in range(3, n_max + 1)
     ]:
-        result = probe_consistency(family, m, n)
+        result = _probe_consistency(family, m, n, uniform_at)
         if result.witness is not None:
             return _witness_result(family.name, result.witness)
     c1, c2 = constants_by_n[2]

@@ -113,6 +113,40 @@ class TestNonFiniteInput:
         assert json.loads(proc.stdout)["error"]["type"] == "NonPositiveWeight"
 
 
+class TestPointShape:
+    """A point given by its weights alone must be a flat list: a scalar or a
+    nested list exits 2 with a typed size error, in every reader of one."""
+
+    @staticmethod
+    def assert_bad_size(proc):
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["type"] == "BadSize"
+
+    @pytest.mark.parametrize("point", [0.5, [[0.5, 0.5], [0.5, 0.5]]])
+    def test_tangent_point(self, cli, point):
+        self.assert_bad_size(cli.run(
+            "push",
+            "--channel", cli.file("w.json", COEMBED_112),
+            "--p", cli.file("p.json", {"n": 3, "p": [0.25, 0.25, 0.5]}),
+            "--vector", cli.file("x.json", {"p": point, "m_rep": [1.0, -1.0]}),
+        ))
+
+    @pytest.mark.parametrize("point", [0.5, [[0.5, 0.5], [0.5, 0.5]]])
+    def test_cotangent_point(self, cli, point):
+        self.assert_bad_size(cli.run(
+            "pull",
+            "--channel", cli.file("v.json", EMBED_112),
+            "--p", cli.file("p.json", {"n": 2, "p": [0.5, 0.5]}),
+            "--vector", cli.file("a.json", {"p": point, "rep": [1.0, -1.0]}),
+        ))
+
+    @pytest.mark.parametrize("point", [0.5, [[0.5, 0.5], [0.5, 0.5]]])
+    def test_expfam_base_point(self, cli, point):
+        model = {**EXPFAM2, "base": point}
+        proc = cli.run("fisher", "--model", cli.file("m.json", model), "--xi", "0.1,0.2")
+        self.assert_bad_size(proc)
+
+
 class TestCrb:
     def test_bernoulli_equality(self, cli):
         code, out = cli.run_json(
@@ -309,6 +343,24 @@ class TestVerify:
             "verify", "--config", cli.file("c.json", {"battery": "wat", "seed": 0})
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "config, kind", [(["battery"], "list"), ("battery", "str"), (5, "int")]
+    )
+    def test_config_not_an_object_exits_2(self, cli, config, kind):
+        proc = cli.run("verify", "--config", cli.file("c.json", config))
+        assert proc.returncode == 2
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "InvalidParameter"
+        assert error["message"] == f"a battery config is a JSON object, not {kind}"
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--step", "--grid"])
+    def test_battery_parameters_come_from_the_config(self, cli, flag):
+        """weak_invariance's alphas, step and grid_count are config keys, not options."""
+        config = cli.file("c.json", {"battery": "strong_invariance", "trials": 2, "seed": 0})
+        proc = cli.run("verify", "--config", config, flag, "1")
+        assert proc.returncode == 2
+        assert b"unrecognized arguments" in proc.stderr
 
 
 class TestCharacterizeCommand:

@@ -9,7 +9,10 @@ residual, witness and gap must be the same float, compared through
 ``float.hex`` (witnesses also through their JSON text). Grammar families
 build the matrix in closed form (``CandidateFamily.indicator_matrix``);
 the per-pair loop stays here as its reference, and the denominator loop
-as the reference of the array ``rationalize``.
+as the reference of the array ``rationalize``. ``characterize`` evaluates
+each uniform indicator matrix once per run; its reference keeps the older
+step order, in which every consistency probe recomputes both of its
+uniform matrices.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fishergeo import verify
 from fishergeo.errors import InvalidParameter, NotRational, SizeMismatch
 from fishergeo.families import CandidateFamily, parse_family
 from fishergeo.markov import Surjection
@@ -34,23 +38,32 @@ from fishergeo.simplex import (
     uniform,
 )
 from fishergeo.verify import (
+    PASS_TOL,
     RATIONAL_TOL,
     VIOLATION_TOL,
+    CharacterizeResult,
     ConsistencyProbeResult,
     RationalProbeResult,
     UniformProbeResult,
     Witness,
     _best_rational_approximation,
+    _bilinearity_witness,
     _continuity_errors,
     _fit_constants,
+    _flatten_dirichlet,
     _floats,
+    _format_constant,
     _pair_matrix,
+    _witness_result,
     block_surjection,
+    characterize,
+    check_bilinearity,
     partition_surjection,
     probe_consistency,
     probe_rational,
     probe_uniform,
     rationalize,
+    replay_witness,
 )
 
 
@@ -216,6 +229,64 @@ def reference_continuity_errors(family, spot, bounds) -> list[float]:
         fit = np.array(reference_fit_constants(family, approx))
         errors.append(float(np.max(np.abs(fit - spot_fit))))
     return errors
+
+
+def reference_characterize(family, n_max, denominator_bound, trials, seed) -> CharacterizeResult:
+    """``characterize`` in its older step order, through the references above."""
+    rng = np.random.default_rng(seed)
+    for n in range(2, n_max + 1):
+        case = {"family": family, "n": n, "seed": int(rng.integers(2**32))}
+        if check_bilinearity(**case) > VIOLATION_TOL:
+            return _witness_result(family.name, _bilinearity_witness(case))
+    constants_by_n = {}
+    for n in range(2, n_max + 1):
+        result = reference_probe_uniform(family, n)
+        if result.witness is not None:
+            return _witness_result(family.name, result.witness)
+        constants_by_n[n] = (n * result.a, n * n * result.b)
+    pairs = [(2, n) for n in range(2, n_max + 1)] + [(n, 2) for n in range(3, n_max + 1)]
+    for m, n in pairs:
+        result = reference_probe_consistency(family, m, n)
+        if result.witness is not None:
+            return _witness_result(family.name, result.witness)
+    c1, c2 = constants_by_n[2]
+    for n in range(2, n_max + 1):
+        for _ in range(trials):
+            denominator = int(rng.integers(n, denominator_bound + 1))
+            counts = rng.multinomial(denominator - n, np.full(n, 1.0 / n)) + 1
+            point = new_distribution(SampleSpace(n), counts / denominator)
+            result = reference_probe_rational(family, point, denominator_bound, (c1, c2))
+            if result.witness is not None:
+                return _witness_result(family.name, result.witness)
+    ii1_worst = 0.0
+    for n in range(2, n_max + 1):
+        ones = RandomVariable(SampleSpace(n), np.ones(n))
+        for _ in range(max(2, trials // 2)):
+            p = new_distribution(SampleSpace(n), _flatten_dirichlet(rng, n))
+            a = RandomVariable(SampleSpace(n), rng.normal(size=n))
+            ii1_worst = max(ii1_worst, abs(family(p, a, ones)))
+    ii1_holds = ii1_worst <= PASS_TOL
+    n_spot = min(3, n_max)
+    irrational = np.sqrt(np.arange(2, 2 + n_spot, dtype=float))
+    spot = new_distribution(SampleSpace(n_spot), irrational / irrational.sum())
+    bounds = [b for b in (8, 16, 32, 64) if b <= denominator_bound]
+    errors = reference_continuity_errors(family, spot, bounds)
+    if errors and errors[-1] > VIOLATION_TOL:
+        return _witness_result(family.name, Witness(
+            kind="continuity", m=n_spot, n=n_spot, lhs=errors[-1], rhs=0.0, gap=errors[-1],
+            point=_floats(spot.weights), family=family.name, detail=f"D={bounds[-1]}",
+        ))
+    if ii1_holds and abs(c1 + c2) <= PASS_TOL:
+        verdict = f"c*Cov with c={_format_constant(c1)}"
+    else:
+        verdict = (
+            f"c1*L2 + c2*MM with (c1, c2) = ({_format_constant(c1)}, {_format_constant(c2)})"
+        )
+    return CharacterizeResult(
+        family.name, c1, c2, ii1_holds, verdict, None, constants_by_n, tuple(errors),
+        "consistent with the invariant decomposition on all sampled "
+        "dimensions and rational points; continuity spot-checked only",
+    )
 
 
 def bits(value):
@@ -458,3 +529,63 @@ def test_rationalize_scans_past_the_first_block():
             reference_rationalize, p, bound
         )
     assert rationalize(p, 1000)[0] == 303
+
+
+def characterize_outcome(fn, family, n_max, bound, trials, seed):
+    """The JSON text of the result and, for a grammar witness, its replayed gap."""
+    try:
+        result = fn(family, n_max, bound, trials, seed)
+    except Exception as exc:  # noqa: BLE001 - both sides must fail alike
+        return type(exc).__name__
+    witness = result.witness
+    replayed = None
+    if witness is not None and isinstance(family, CandidateFamily):
+        replayed = outcome(replay_witness, witness)
+        assert replayed == bits(witness.gap), (witness.kind, replayed)
+    return json.dumps(result.to_json()), replayed
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=FAMILIES,
+    n_max=st.integers(2, 6),
+    bound=st.sampled_from([8, 16, 64]),
+    trials=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(family=parse_family("COV"), n_max=6, bound=64, trials=8, seed=0)
+@example(family=parse_family("PK(400)"), n_max=6, bound=64, trials=8, seed=0)
+@example(family=parse_family("PK(-400)"), n_max=6, bound=64, trials=8, seed=0)
+@example(family=parse_family("PK(-40)"), n_max=6, bound=64, trials=8, seed=0)
+@example(family=parse_family("PK(2)"), n_max=4, bound=16, trials=2, seed=0)
+@example(family=PLUGINS[0], n_max=4, bound=16, trials=2, seed=1)
+@example(family=PLUGINS[2], n_max=4, bound=16, trials=2, seed=1)
+@example(family=PLUGINS[3], n_max=6, bound=64, trials=8, seed=0)
+def test_characterize_matches_its_older_step_order(family, n_max, bound, trials, seed):
+    """One uniform table per run changes no result, witness or replay."""
+    args = (family, n_max, bound, trials, seed)
+    expected = characterize_outcome(reference_characterize, *args)
+    assert characterize_outcome(characterize, *args) == expected
+
+
+@pytest.mark.parametrize("n_max, calls, older_calls", [(6, 8, 23), (5, 7, 18), (4, 5, 13)])
+def test_characterize_evaluates_each_uniform_matrix_once(monkeypatch, n_max, calls, older_calls):
+    """Each size 2..n_max and 2n is probed once; the older order probed 23 times at n_max 6."""
+    sizes, older_sizes = [], []
+
+    def counted(record, probe):
+        def wrapper(family, n):
+            record.append(n)
+            return probe(family, n)
+        return wrapper
+
+    monkeypatch.setattr(verify, "_probe_uniform", counted(sizes, verify._probe_uniform))
+    monkeypatch.setitem(
+        globals(), "reference_probe_uniform", counted(older_sizes, reference_probe_uniform)
+    )
+    family = parse_family("COV")
+    assert characterize(family, n_max=n_max).passed
+    assert reference_characterize(family, n_max, 64, 8, 0).passed
+    expected = sorted({*range(2, n_max + 1), *(2 * n for n in range(2, n_max + 1))})
+    assert sorted(sizes) == expected and len(expected) == calls
+    assert len(older_sizes) == older_calls
