@@ -497,6 +497,8 @@ def run_battery(config: dict) -> BatteryReport:
     if "battery" not in config:
         raise InvalidParameter("config needs a 'battery' key")
     name = config["battery"]
+    if not isinstance(name, str):
+        raise InvalidParameter(f"battery must be a name (a string), not {name!r}")
     runner = _BATTERIES.get(name)
     if runner is None:
         raise InvalidParameter(

@@ -13,14 +13,15 @@ joined by ``+``, each an atom with an optional ``coefficient*`` prefix.
 Bilinearity in (A, B) holds by construction; the probe still spot-checks it
 to guard future plugin evaluators.
 
-On indicator variables with disjoint supports, the only variables the
-characterization probe pairs, a family's pair matrix has the closed form
+The grammar's arithmetic is written once, in ``CandidateFamily.matrix``:
+the matrix [h(p, A_i, B_j)] for variables given as the rows of A and B,
 
-    sum_k c_k diag(R p^k) + c_MM (R p)(R p)^T       (R: the indicator rows)
+    sum_k c_k [sum_w p(w)^k A_i(w) B_j(w)]_ij + c_MM (A p)(B p)^T,
 
-the matrix form of the invariant decomposition c1 diag(p) + c2 p p^T.
-``CandidateFamily.indicator_matrix`` computes it with the float operations
-of ``__call__`` on each pair, so every entry is bitwise equal to the call.
+and calling a family on one pair reads the 1x1 entry. On the indicator rows
+R the characterization probe pairs, it is the closed form
+sum_k c_k diag(R p^k) + c_MM (R p)(R p)^T, the matrix form of the invariant
+decomposition c1 diag(p) + c2 p p^T.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FisherGeoError, InvalidParameter, SizeMismatch
+from .errors import FisherGeoError, SizeMismatch
 from .simplex import Distribution, RandomVariable
 
 _TERM_RE = re.compile(
@@ -50,46 +51,32 @@ class CandidateFamily:
     terms: tuple[tuple[float, str, int], ...]  # (coeff, "PK" | "MM", k)
 
     def __call__(self, p: Distribution, a: RandomVariable, b: RandomVariable) -> float:
-        product = a.values * b.values
-        total = 0.0
-        for coeff, kind, k in self.terms:
-            if kind == "PK":
-                total += coeff * float(np.sum(p.weights**k * product))
-            else:
-                total += coeff * float(np.dot(p.weights, a.values)) * float(
-                    np.dot(p.weights, b.values)
-                )
-        return total
+        return float(self.matrix(p, a.values[None], b.values[None])[0, 0])
 
-    def indicator_matrix(self, p: Distribution, rows) -> np.ndarray:
-        """[self(p, A_i, A_j)] for indicator rows A_i: 0/1 values, disjoint supports.
+    def matrix(self, p: Distribution, rows_a, rows_b) -> np.ndarray:
+        """[self(p, A_i, B_j)] for random variables A_i, B_j given as rows.
 
-        Entry for entry the float operations of ``__call__``: each term's
-        ``coeff * T`` is added to a zeros matrix in term order. A PK(k) term
-        sums ``p**k * A_i`` on the diagonal; off it the pair product is all
-        zeros, so every entry is ``sum(p**k * 0.0)`` (NaN where ``p**k``
-        overflows, as in the call). The MM term is ``(coeff * <A_i>) * <A_j>``
-        with each mean a dot product of ``p`` and one row, as in the call.
+        Each term's ``coeff * T`` is added to a zeros matrix in term order. A
+        PK(k) term is the row-wise ``sum(p**k * (A_i * B_j))``; the MM term is
+        ``(coeff * <A_i>) * <B_j>`` with each mean one dot product of ``p``
+        and a row. The rows are made C-contiguous first: the row-wise sum over
+        an F-ordered product rounds differently.
         """
-        rows = np.ascontiguousarray(rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != p.space.size:
-            raise SizeMismatch(f"expected rows of length {p.space.size}, got shape {rows.shape}")
-        if not np.all((rows == 0.0) | (rows == 1.0)):
-            raise InvalidParameter("indicator rows must hold only 0 and 1")
-        if not np.all(np.sum(rows, axis=0) <= 1.0):
-            raise InvalidParameter("indicator rows must have disjoint supports")
         w = p.weights
-        size = rows.shape[0]
-        matrix = np.zeros((size, size))
+        rows_a, rows_b = (np.ascontiguousarray(rows, dtype=float) for rows in (rows_a, rows_b))
+        for rows in (rows_a, rows_b):
+            if rows.ndim != 2 or rows.shape[1] != w.size:
+                raise SizeMismatch(f"expected rows of length {w.size}, got shape {rows.shape}")
+        product = rows_a[:, None, :] * rows_b[None, :, :]
+        matrix = np.zeros(product.shape[:2])
         for coeff, kind, k in self.terms:
             if kind == "PK":
-                power = w**k
-                term = np.full((size, size), np.sum(power * 0.0))
-                np.fill_diagonal(term, np.sum(power * rows, axis=1))
-                matrix += coeff * term
+                matrix += coeff * np.sum(w**k * product, axis=-1)
             else:
-                means = np.array([float(np.dot(w, row)) for row in rows])
-                matrix += np.multiply.outer(coeff * means, means)
+                means_a, means_b = (
+                    np.array([np.dot(w, row) for row in rows]) for rows in (rows_a, rows_b)
+                )
+                matrix += np.multiply.outer(coeff * means_a, means_b)
         return matrix
 
 

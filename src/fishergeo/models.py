@@ -40,7 +40,7 @@ from .errors import (
     SizeMismatch,
 )
 from .geometry import CotangentVector, TangentVector, delta, flat, pair
-from .simplex import Distribution, RandomVariable, SampleSpace
+from .simplex import Distribution, RandomVariable, SampleSpace, cov
 
 #: Relative step for central-difference Jacobians.
 FD_STEP_SCALE = 1e-6
@@ -313,12 +313,8 @@ def crb_check(
     elif mode != "local":
         raise InvalidParameter(f"mode must be 'local' or 'global', got {mode!r}")
 
-    # The centered estimators are the representatives of delta(p, A^i).
-    centered = [c.rep.values for c in covectors]
-    v = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            v[i, j] = v[j, i] = float(np.dot(p.weights, centered[i] * centered[j]))
+    # g(delta A, delta B) = Cov(A, B): V is the covariance matrix.
+    v = np.array([[cov(p, a, b) for b in estimators] for a in estimators])
     g_inv = _information(p, jac, xi).inverse()
     diff = v - g_inv
     diff = 0.5 * (diff + diff.T)

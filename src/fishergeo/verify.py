@@ -432,16 +432,18 @@ def weak_invariance_residual(
 # ---------------------------------------------------------------------------
 
 
-def _pair_matrix(family: CandidateFamily, p: Distribution, rows: np.ndarray) -> np.ndarray:
-    """[family(p, A_i, A_j)] for the indicator variables A_i given as rows.
+def _pair_matrix(family: CandidateFamily, p: Distribution, rows, cols) -> np.ndarray:
+    """[family(p, A_i, B_j)] for the variables A_i and B_j given as rows of
+    ``rows`` and ``cols``: the probe's only way of evaluating a family.
 
-    A grammar family gives the matrix in closed form; a plugin callable, or
-    a subclass that may override ``__call__``, is called once per pair.
+    A grammar family computes the matrix itself; a plugin callable, or a
+    subclass that may override ``__call__``, is called once per pair.
     """
     if type(family) is CandidateFamily:
-        return family.indicator_matrix(p, rows)
-    variables = [RandomVariable(p.space, row) for row in rows]
-    return np.array([[family(p, a, b) for b in variables] for a in variables], dtype=float)
+        return family.matrix(p, rows, cols)
+    left = [RandomVariable(p.space, row) for row in rows]
+    right = [RandomVariable(p.space, col) for col in cols]
+    return np.array([[family(p, a, b) for b in right] for a in left], dtype=float)
 
 
 def _indicator_witness(
@@ -494,7 +496,8 @@ def _probe_uniform(family: CandidateFamily, n: int) -> tuple[UniformProbeResult,
     if n < 2:
         raise InvalidParameter("probe needs n >= 2")
     u = uniform(SampleSpace(n))
-    matrix = _pair_matrix(family, u, np.eye(n))
+    units = np.eye(n)
+    matrix = _pair_matrix(family, u, units, units)
     off_mask = ~np.eye(n, dtype=bool)
     b = float(np.mean(matrix[off_mask]))
     a = float(np.mean(np.diag(matrix))) - b
@@ -514,8 +517,8 @@ def _probe_uniform(family: CandidateFamily, n: int) -> tuple[UniformProbeResult,
 
 def _lifted_pair_matrix(family: CandidateFamily, surjection: Surjection) -> np.ndarray:
     """The codomain's indicator pair matrix, lifted to the domain's uniform point."""
-    units = np.eye(surjection.codomain.size)
-    return _pair_matrix(family, uniform(surjection.domain), units[:, surjection.map0])
+    lifts = np.eye(surjection.codomain.size)[:, surjection.map0]
+    return _pair_matrix(family, uniform(surjection.domain), lifts, lifts)
 
 
 @dataclass(frozen=True)
@@ -653,7 +656,8 @@ def probe_rational(
     c1, c2 = constants
     surjection = partition_surjection(counts)
     w = p.weights
-    value = _pair_matrix(family, p, np.eye(n))
+    units = np.eye(n)
+    value = _pair_matrix(family, p, units, units)
     lifted = _lifted_pair_matrix(family, surjection)
     target = c1 * np.diag(w) + c2 * np.outer(w, w)
     to_lift, to_target = np.abs(value - lifted), np.abs(value - target)
@@ -723,7 +727,8 @@ def _continuity_errors(
     """Step (d): distance from the constants fitted at ``spot`` to those
     fitted at its best rational approximation, per denominator bound."""
     def fit(p: Distribution) -> np.ndarray:
-        return np.array(_fit_constants(p, _pair_matrix(family, p, np.eye(p.space.size))))
+        units = np.eye(p.space.size)
+        return np.array(_fit_constants(p, _pair_matrix(family, p, units, units)))
 
     spot_fit = fit(spot)
     return [
@@ -786,20 +791,20 @@ def _witness_result(family_name: str, witness: Witness) -> CharacterizeResult:
 
 def check_bilinearity(family: CandidateFamily, n: int, seed: int) -> float:
     """Largest bilinearity defect over ``_BILINEARITY_TRIALS`` random triples;
-    grammar families satisfy it by construction, plugin evaluators may not."""
+    grammar families satisfy it by construction, plugin evaluators may not.
+    Each trial reads its six values as one 3x1 and one 1x3 pair matrix."""
     rng = np.random.default_rng(seed)
     space = SampleSpace(n)
     worst = 0.0
     for _ in range(_BILINEARITY_TRIALS):
         p = new_distribution(space, _flatten_dirichlet(rng, n))
-        a1 = RandomVariable(space, rng.normal(size=n))
-        a2 = RandomVariable(space, rng.normal(size=n))
-        b = RandomVariable(space, rng.normal(size=n))
+        a1, a2, b = (rng.normal(size=n) for _ in range(3))
         s, t = rng.normal(size=2)
-        combo = RandomVariable(space, s * a1.values + t * a2.values)
-        left = family(p, combo, b) - s * family(p, a1, b) - t * family(p, a2, b)
-        right = family(p, b, combo) - s * family(p, b, a1) - t * family(p, b, a2)
-        worst = max(worst, abs(left), abs(right))
+        rows = np.array([s * a1 + t * a2, a1, a2])
+        left = _pair_matrix(family, p, rows, [b])[:, 0]
+        right = _pair_matrix(family, p, [b], rows)[0]
+        for at_combo, at_a1, at_a2 in (left, right):
+            worst = max(worst, abs(at_combo - s * at_a1 - t * at_a2))
     return worst
 
 
@@ -868,11 +873,11 @@ def characterize(
     ii1_worst = 0.0
     for n in range(2, n_max + 1):
         space = SampleSpace(n)
-        ones = RandomVariable(space, np.ones(n))
         for _ in range(max(2, trials // 2)):
             p = new_distribution(space, _flatten_dirichlet(rng, n))
-            a = RandomVariable(space, rng.normal(size=n))
-            ii1_worst = max(ii1_worst, abs(family(p, a, ones)))
+            a = rng.normal(size=(1, n))
+            ii1 = float(_pair_matrix(family, p, a, np.ones((1, n)))[0, 0])
+            ii1_worst = max(ii1_worst, abs(ii1))
     ii1_holds = ii1_worst <= PASS_TOL
 
     # Step (d) surrogate: fitted constants at rational approximations of an

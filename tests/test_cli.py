@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from fishergeo import errors
+
+from conftest import GOLDEN_DIR
 
 BERNOULLI = {"kind": "bernoulli"}
 CATEGORICAL3 = {"kind": "categorical", "n": 3}
@@ -354,6 +358,14 @@ class TestVerify:
         assert error["type"] == "InvalidParameter"
         assert error["message"] == f"a battery config is a JSON object, not {kind}"
 
+    @pytest.mark.parametrize("battery", [[], {"a": 1}])
+    def test_battery_not_a_name_exits_2(self, cli, battery):
+        proc = cli.run("verify", "--config", cli.file("c.json", {"battery": battery, "seed": 0}))
+        assert proc.returncode == 2
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "InvalidParameter"
+        assert error["message"] == f"battery must be a name (a string), not {battery!r}"
+
     @pytest.mark.parametrize("flag", ["--alpha", "--step", "--grid"])
     def test_battery_parameters_come_from_the_config(self, cli, flag):
         """weak_invariance's alphas, step and grid_count are config keys, not options."""
@@ -379,6 +391,20 @@ class TestCharacterizeCommand:
             "--denominator-bound", "16", "--trials", "2",
         )
         assert proc.returncode == 1
+
+
+class TestEntryPoints:
+    def test_package_runs_the_cli(self):
+        """``python -m fishergeo`` prints the golden that ``python -m fishergeo.cli`` does."""
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "fishergeo", "--seed", "0", "characterize",
+                "--family", "COV", "--n-max", "4", "--denominator-bound", "16", "--trials", "2",
+            ],
+            capture_output=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == (GOLDEN_DIR / "expected" / "characterize_cov.json").read_bytes()
 
 
 class TestOutputContract:

@@ -1,22 +1,24 @@
 """The pair-matrix probe kernel against the per-pair loops it replaced.
 
-The reference below is the per-pair implementation of probe steps (a)-(d):
-each step evaluates the family on indicator pairs one call at a time, lifts
-indicators with ``compose_variable`` and tracks its worst gap with a strict
-``gap > worst`` scan. The kernel reads the same values into matrices and
-does the same float operations on them, so every matrix entry, constant,
-residual, witness and gap must be the same float, compared through
-``float.hex`` (witnesses also through their JSON text). Grammar families
-build the matrix in closed form (``CandidateFamily.indicator_matrix``);
-the per-pair loop stays here as its reference, and the denominator loop
-as the reference of the array ``rationalize``. ``characterize`` evaluates
-each uniform indicator matrix once per run; its reference keeps the older
-step order, in which every consistency probe recomputes both of its
-uniform matrices.
+The reference below is the per-pair implementation of probe steps (a)-(d),
+of the bilinearity check and of the ii1 check: each evaluates the family on
+one pair at a time, lifts indicators with ``compose_variable`` and tracks its
+worst gap with a strict ``gap > worst`` scan. A grammar family is evaluated
+there by ``reference_call``, the per-pair sum that ``CandidateFamily.__call__``
+computed before ``CandidateFamily.matrix`` took over the grammar's arithmetic,
+so no reference goes through ``matrix``; plugins and subclasses are called.
+The kernel reads the same values into matrices and does the same float
+operations on them, so every matrix entry, constant, residual, witness and
+gap must be the same float, compared through ``float.hex`` (witnesses also
+through their JSON text). The denominator loop stays here as the reference
+of the array ``rationalize``. ``characterize`` evaluates each uniform
+indicator matrix once per run; its reference keeps the older step order, in
+which every consistency probe recomputes both of its uniform matrices.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -26,7 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fishergeo import verify
-from fishergeo.errors import InvalidParameter, NotRational, SizeMismatch
+from fishergeo.errors import NotRational, SizeMismatch
 from fishergeo.families import CandidateFamily, parse_family
 from fishergeo.markov import Surjection
 from fishergeo.simplex import (
@@ -47,7 +49,6 @@ from fishergeo.verify import (
     UniformProbeResult,
     Witness,
     _best_rational_approximation,
-    _bilinearity_witness,
     _continuity_errors,
     _fit_constants,
     _flatten_dirichlet,
@@ -73,9 +74,46 @@ pytestmark = pytest.mark.filterwarnings(
 )
 
 
-def reference_pair_matrix(family, p: Distribution, rows: np.ndarray) -> np.ndarray:
-    variables = [RandomVariable(p.space, row) for row in rows]
-    return np.array([[family(p, a, b) for b in variables] for a in variables], dtype=float)
+def reference_call(family, p: Distribution, a: RandomVariable, b: RandomVariable) -> float:
+    """One pair's value: a grammar family's terms summed one by one, with the
+    float operations ``CandidateFamily.matrix`` must match; any other family
+    is called."""
+    if type(family) is not CandidateFamily:
+        return family(p, a, b)
+    product = a.values * b.values
+    total = 0.0
+    for coeff, kind, k in family.terms:
+        if kind == "PK":
+            total += coeff * float(np.sum(p.weights**k * product))
+        else:
+            total += coeff * float(np.dot(p.weights, a.values)) * float(
+                np.dot(p.weights, b.values)
+            )
+    return total
+
+
+def reference_pair_matrix(family, p: Distribution, rows, cols) -> np.ndarray:
+    left = [RandomVariable(p.space, row) for row in rows]
+    right = [RandomVariable(p.space, col) for col in cols]
+    return np.array([[reference_call(family, p, a, b) for b in right] for a in left], dtype=float)
+
+
+def reference_check_bilinearity(family, n: int, seed: int) -> float:
+    rng = np.random.default_rng(seed)
+    space = SampleSpace(n)
+    worst = 0.0
+    for _ in range(verify._BILINEARITY_TRIALS):
+        p = new_distribution(space, _flatten_dirichlet(rng, n))
+        a1 = RandomVariable(space, rng.normal(size=n))
+        a2 = RandomVariable(space, rng.normal(size=n))
+        b = RandomVariable(space, rng.normal(size=n))
+        s, t = rng.normal(size=2)
+        combo = RandomVariable(space, s * a1.values + t * a2.values)
+        h = functools.partial(reference_call, family, p)
+        left = h(combo, b) - s * h(a1, b) - t * h(a2, b)
+        right = h(b, combo) - s * h(b, a1) - t * h(b, a2)
+        worst = max(worst, abs(left), abs(right))
+    return worst
 
 
 def reference_rationalize(p: Distribution, denominator_bound: int) -> tuple[int, np.ndarray]:
@@ -96,7 +134,7 @@ def reference_uniform_matrix(family, n: int) -> np.ndarray:
     matrix = np.empty((n, n))
     for i in range(n):
         for j in range(n):
-            matrix[i, j] = family(u, units[i], units[j])
+            matrix[i, j] = reference_call(family, u, units[i], units[j])
     return matrix
 
 
@@ -144,8 +182,10 @@ def reference_probe_consistency(family, m: int, n: int) -> ConsistencyProbeResul
         for j in range(n):
             e_i = indicator(u_small.space, i)
             e_j = indicator(u_small.space, j)
-            lhs = family(u_small, e_i, e_j)
-            rhs = family(u_big, surjection.compose_variable(e_i), surjection.compose_variable(e_j))
+            lhs = reference_call(family, u_small, e_i, e_j)
+            rhs = reference_call(
+                family, u_big, surjection.compose_variable(e_i), surjection.compose_variable(e_j)
+            )
             gap = abs(lhs - rhs)
             if gap > worst:
                 worst = gap
@@ -173,7 +213,7 @@ def reference_fit_constants(family, p: Distribution) -> tuple[float, float]:
             l2 = p.weights[i] if i == j else 0.0
             mm = p.weights[i] * p.weights[j]
             features.append((l2, mm))
-            targets.append(family(p, units[i], units[j]))
+            targets.append(reference_call(family, p, units[i], units[j]))
     solution, *_ = np.linalg.lstsq(np.array(features), np.array(targets), rcond=None)
     return float(solution[0]), float(solution[1])
 
@@ -197,9 +237,10 @@ def reference_probe_rational(family, p, denominator_bound, constants=None) -> Ra
     witness = None
     for i in range(n):
         for j in range(n):
-            value = family(p, units[i], units[j])
-            lifted = family(
-                u_big, surjection.compose_variable(units[i]), surjection.compose_variable(units[j])
+            value = reference_call(family, p, units[i], units[j])
+            lifted = reference_call(
+                family, u_big,
+                surjection.compose_variable(units[i]), surjection.compose_variable(units[j]),
             )
             target = c1 * (p.weights[i] if i == j else 0.0) + c2 * (p.weights[i] * p.weights[j])
             gap = max(abs(value - lifted), abs(value - target))
@@ -236,8 +277,12 @@ def reference_characterize(family, n_max, denominator_bound, trials, seed) -> Ch
     rng = np.random.default_rng(seed)
     for n in range(2, n_max + 1):
         case = {"family": family, "n": n, "seed": int(rng.integers(2**32))}
-        if check_bilinearity(**case) > VIOLATION_TOL:
-            return _witness_result(family.name, _bilinearity_witness(case))
+        defect = reference_check_bilinearity(**case)
+        if defect > VIOLATION_TOL:
+            return _witness_result(family.name, Witness(
+                kind="bilinearity", m=n, n=n, lhs=defect, rhs=0.0, gap=defect,
+                family=family.name, detail=f"seed={case['seed']}",
+            ))
     constants_by_n = {}
     for n in range(2, n_max + 1):
         result = reference_probe_uniform(family, n)
@@ -264,7 +309,7 @@ def reference_characterize(family, n_max, denominator_bound, trials, seed) -> Ch
         for _ in range(max(2, trials // 2)):
             p = new_distribution(SampleSpace(n), _flatten_dirichlet(rng, n))
             a = RandomVariable(SampleSpace(n), rng.normal(size=n))
-            ii1_worst = max(ii1_worst, abs(family(p, a, ones)))
+            ii1_worst = max(ii1_worst, abs(reference_call(family, p, a, ones)))
     ii1_holds = ii1_worst <= PASS_TOL
     n_spot = min(3, n_max)
     irrational = np.sqrt(np.arange(2, 2 + n_spot, dtype=float))
@@ -372,7 +417,7 @@ def rational_point(n: int, denominator: int, seed: int) -> Distribution:
 @example(family=parse_family("PK(-400)"), n=6)
 @example(family=parse_family("PK(400)"), n=6)
 def test_probe_uniform_bitwise(family, n):
-    matrix = _pair_matrix(family, uniform(SampleSpace(n)), np.eye(n))
+    matrix = _pair_matrix(family, uniform(SampleSpace(n)), np.eye(n), np.eye(n))
     assert bits(matrix) == bits(reference_uniform_matrix(family, n))
     assert outcome(probe_uniform, family, n) == outcome(reference_probe_uniform, family, n)
 
@@ -401,7 +446,7 @@ def test_probe_rational_bitwise(family, n, data, seed, constants):
     denominator = data.draw(st.integers(n, 32), label="denominator")
     bound = data.draw(st.integers(denominator, 40), label="bound")
     p = rational_point(n, denominator, seed)
-    matrix = _pair_matrix(family, p, np.eye(n))
+    matrix = _pair_matrix(family, p, np.eye(n), np.eye(n))
     assert outcome(_fit_constants, p, matrix) == outcome(reference_fit_constants, family, p)
     assert outcome(probe_rational, family, p, bound, constants) == outcome(
         reference_probe_rational, family, p, bound, constants
@@ -454,28 +499,98 @@ def indicator_cases(draw):
 @example(family=parse_family("1*L2 + -0.75*MM + 2*PK(-400)"), case=(uniform(SampleSpace(4)), np.eye(4)))
 def test_indicator_matrix_bitwise(family, case):
     p, rows = case
-    expected = outcome(reference_pair_matrix, family, p, rows)
-    assert outcome(family.indicator_matrix, p, rows) == expected
-    assert outcome(_pair_matrix, family, p, rows) == expected
+    expected = outcome(reference_pair_matrix, family, p, rows, rows)
+    assert outcome(family.matrix, p, rows, rows) == expected
+    assert outcome(_pair_matrix, family, p, rows, rows) == expected
+
+
+@st.composite
+def row_cases(draw):
+    """A point and two sets of rows on its space. Each set is Gaussian rows
+    (C- or F-ordered, 1 to 4 of them, so A and B may differ in count) or the
+    unit rows: the identity of an n-point space or, on the domain of a
+    partition surjection, the F-ordered lifts ``np.eye(n)[:, map0]``."""
+    n = draw(st.integers(2, 6), label="n")
+    if draw(st.booleans(), label="lift"):
+        counts = draw(st.lists(st.integers(1, 60 // n), min_size=n, max_size=n), label="counts")
+        surjection = partition_surjection(np.array(counts))
+        space, units = surjection.domain, np.eye(n)[:, surjection.map0]
+    else:
+        space, units = SampleSpace(n), np.eye(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if draw(st.booleans(), label="uniform"):
+        p = uniform(space)
+    else:
+        p = new_distribution(space, 0.5 / space.size + 0.5 * rng.dirichlet(np.ones(space.size)))
+
+    def rows(label):
+        kind = draw(st.sampled_from(["units", "gaussian", "gaussian F"]), label=label)
+        if kind == "units":
+            return units
+        gaussian = rng.normal(size=(draw(st.integers(1, 4), label=f"{label} count"), space.size))
+        return np.asfortranarray(gaussian) if kind == "gaussian F" else gaussian
+
+    return p, rows("A"), rows("B")
+
+
+GAUSSIAN_6 = np.random.default_rng(6).normal(size=(3, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=GRAMMAR, case=row_cases())
+@example(family=parse_family("PK(-400)"), case=(uniform(SampleSpace(6)), GAUSSIAN_6, np.eye(6)))
+@example(family=parse_family("PK(400)"), case=(uniform(SampleSpace(6)), np.eye(6), GAUSSIAN_6))
+@example(
+    family=parse_family("1*L2 + -0.75*MM + 2*PK(-400)"),
+    case=(uniform(SampleSpace(6)), np.asfortranarray(GAUSSIAN_6), GAUSSIAN_6[:1]),
+)
+def test_matrix_bitwise(family, case):
+    """Every entry of ``matrix`` is the per-pair sum on its pair."""
+    p, rows_a, rows_b = case
+    matrix = family.matrix(p, rows_a, rows_b)
+    assert matrix.shape == (len(rows_a), len(rows_b))
+    assert bits(matrix) == bits(reference_pair_matrix(family, p, rows_a, rows_b))
+    assert bits(_pair_matrix(family, p, rows_a, rows_b)) == bits(matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=GRAMMAR, case=row_cases())
+def test_call_bitwise(family, case):
+    p, rows_a, rows_b = case
+    a, b = RandomVariable(p.space, rows_a[0]), RandomVariable(p.space, rows_b[-1])
+    value = family(p, a, b)
+    assert type(value) is float
+    assert bits(value) == bits(reference_call(family, p, a, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=FAMILIES, n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+@example(family=parse_family("PK(-40)"), n=6, seed=0)
+@example(family=parse_family("PK(-400)"), n=6, seed=0)
+@example(family=PLUGINS[1], n=3, seed=0)
+def test_check_bilinearity_bitwise(family, n, seed):
+    assert outcome(check_bilinearity, family, n, seed) == outcome(
+        reference_check_bilinearity, family, n, seed
+    )
 
 
 @pytest.mark.parametrize(
     "rows, error",
     [
-        ([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]], InvalidParameter),  # not 0/1
-        ([[1.0, 0.0, math.nan], [0.0, 1.0, 0.0]], InvalidParameter),  # not 0/1
-        ([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], InvalidParameter),  # overlapping supports
-        ([[1.0, 0.0], [0.0, 1.0]], SizeMismatch),  # rows of the wrong length
-        ([1.0, 0.0, 0.0], SizeMismatch),  # not a matrix
+        pytest.param([[1.0, 0.0], [0.0, 1.0]], SizeMismatch, id="rows3-SizeMismatch"),  # wrong length
+        pytest.param([1.0, 0.0, 0.0], SizeMismatch, id="rows4-SizeMismatch"),  # not a matrix
     ],
 )
 def test_indicator_matrix_rejects_other_rows(rows, error):
+    family, p, units = parse_family("COV"), uniform(SampleSpace(3)), np.eye(3)
     with pytest.raises(error):
-        parse_family("COV").indicator_matrix(uniform(SampleSpace(3)), np.array(rows))
+        family.matrix(p, np.array(rows), units)
+    with pytest.raises(error):
+        family.matrix(p, units, np.array(rows))
 
 
 class Doubled(CandidateFamily):
-    """A grammar subclass whose call differs from the closed form."""
+    """A grammar subclass whose call differs from the grammar's matrix."""
 
     def __call__(self, p, a, b) -> float:
         return 2.0 * super().__call__(p, a, b) + 1.0
@@ -483,10 +598,46 @@ class Doubled(CandidateFamily):
 
 def test_subclass_keeps_its_own_call():
     family = Doubled("doubled PK(2)", parse_family("PK(2)").terms)
-    p = rational_point(4, 12, seed=3)
-    matrix = _pair_matrix(family, p, np.eye(4))
-    assert bits(matrix) == bits(reference_pair_matrix(family, p, np.eye(4)))
-    assert bits(matrix) != bits(parse_family("PK(2)").indicator_matrix(p, np.eye(4)))
+    p, units = rational_point(4, 12, seed=3), np.eye(4)
+    matrix = _pair_matrix(family, p, units, units)
+    assert bits(matrix) == bits(reference_pair_matrix(family, p, units, units))
+    assert bits(matrix) != bits(parse_family("PK(2)").matrix(p, units, units))
+
+
+class Logged:
+    """A plugin that records every pair it is called on."""
+
+    def __init__(self, family):
+        self.family, self.name, self.log = family, family.name, []
+
+    def __call__(self, p, a, b) -> float:
+        self.log.append((p.weights.tobytes(), a.values.tobytes(), b.values.tobytes()))
+        return self.family(p, a, b)
+
+
+@pytest.mark.parametrize("n_max, plugin_calls", [(4, 759), (6, 2129)])
+def test_characterize_calls_grammar_families_never(monkeypatch, n_max, plugin_calls):
+    """A grammar family is evaluated through ``matrix`` only: ``characterize``
+    makes no ``__call__``, where per-pair bilinearity and ii1 checks made 84
+    (n_max 4) and 140 (n_max 6). A plugin is still called once per pair: 759
+    and 2129 calls on a passing run, as with the per-pair checks, and the
+    bilinearity check calls it pair for pair in the reference's order."""
+    calls = []
+    call = CandidateFamily.__call__
+    monkeypatch.setattr(
+        CandidateFamily, "__call__", lambda self, p, a, b: calls.append(self.name) or call(self, p, a, b)
+    )
+    assert characterize(parse_family("COV"), n_max=n_max).passed
+    assert calls == []
+
+    plugin = Logged(Plugin("cov", _cov))
+    assert characterize(plugin, n_max=n_max).passed
+    assert len(plugin.log) == plugin_calls
+    for family in (Plugin("cov", _cov), *PLUGINS):
+        logged, reference = Logged(family), Logged(family)
+        check_bilinearity(logged, n_max, seed=n_max)
+        reference_check_bilinearity(reference, n_max, seed=n_max)
+        assert logged.log == reference.log and len(logged.log) == 24
 
 
 def rationalize_outcome(fn, p, bound):

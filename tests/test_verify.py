@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 from functools import partial
 
@@ -352,6 +353,20 @@ class TestCharacterize:
 
     def test_bilinearity_guard(self):
         assert check_bilinearity(COV_FAMILY, 4, seed=7) <= 1e-12
+
+    def test_plugin_returning_numpy_floats_gives_a_json_result(self):
+        """ii1_holds is a Python bool even when the plugin returns np.float64."""
+
+        class NumpyCov:
+            name = "numpy cov"
+
+            def __call__(self, p, a, b):
+                w = p.weights
+                return np.dot(w, a.values * b.values) - np.dot(w, a.values) * np.dot(w, b.values)
+
+        result = characterize(NumpyCov(), n_max=3, denominator_bound=8, trials=2, seed=0)
+        assert result.passed and result.ii1_holds is True
+        assert json.loads(json.dumps(result.to_json()))["ii1_holds"] is True
 
 
 def same_bits(a: float, b: float) -> bool:
