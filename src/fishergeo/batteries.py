@@ -1,19 +1,19 @@
 """Randomized verification batteries with deterministic aggregation.
 
-Every battery is a draw function run through one trial driver. The driver
-draws each case from a single seeded generator, evaluates it with a
-single-case check from :mod:`fishergeo.verify`, and tracks the worst residual
-in trial order. Violations are first minimized by greedy shrinking (reduce
-the sample space, then the vector support) and then recorded as witnesses,
-each tagged with (seed, trial) so the exact case can be regenerated.
+Every battery is one ``_Battery`` spec in ``_BATTERIES``: its config keys
+with their defaults and types, a draw, the single-case check from
+:mod:`fishergeo.verify` that evaluates each case, and how the residual is
+read and judged. ``run_battery`` reads a config against the spec before any
+trial runs; ``_drive``, the one trial loop, draws each case from a single
+seeded generator and tracks the worst residual in trial order. Violations
+are first minimized by greedy shrinking (reduce the sample space, then the
+vector support) and then recorded as witnesses, each tagged with
+(seed, trial) so the exact case can be regenerated.
 """
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, replace
-from functools import partial
-from itertools import product
-from operator import attrgetter
+from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
@@ -21,26 +21,21 @@ import numpy as np
 from .errors import FisherGeoError, InvalidParameter
 from .families import CandidateFamily, parse_family
 from .geometry import TangentVector, delta
+from .jsonio import read_bool, read_float, read_float_list, read_int
 from .markov import Channel, apply, canonical_embedding, random_channel, random_surjection
 from .models import categorical_model, crb_check, unbiased_estimators
 from .simplex import RandomVariable, SampleSpace, new_distribution, sample_interior
+# The battery specs name their checks; _drive calls them through this namespace.
 from .verify import (
-    PASS_TOL,
-    STRONG_INVARIANCE_TOL,
-    VIOLATION_TOL,
-    Witness,
-    characterize,
-    check_invariance,
-    check_monotonicity_cometric,
-    check_monotonicity_metric,
-    check_prop6_identity,
-    check_strong_invariance,
-    classify,
-    weak_invariance_residual,
+    PASS_TOL, STRONG_INVARIANCE_TOL, VIOLATION_TOL, Witness, characterize, check_invariance,
+    check_monotonicity_cometric, check_monotonicity_metric, check_prop6_identity,
+    check_strong_invariance, classify, weak_invariance_residual,
 )
 
 #: CRB battery verdicts tolerate eigenvalues of V - G^{-1} down to this.
 CRB_EIG_TOL = -1e-8
+#: A control run passes when even its smallest residual exceeds this.
+CONTROL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -176,55 +171,100 @@ def _zero_entry(key: str) -> Callable[[dict], Iterator[dict]]:
 
 
 # ---------------------------------------------------------------------------
-# The trial driver
+# Battery specs and the trial driver
 # ---------------------------------------------------------------------------
 
 
-def _require_run(battery: str, trials: int, n_max: int, min_n: int) -> None:
-    if trials < 1:
-        raise InvalidParameter(f"battery {battery!r} needs trials >= 1, got {trials!r}")
-    if n_max < min_n:
-        raise InvalidParameter(f"battery {battery!r} needs n_max >= {min_n}, got {n_max!r}")
+def _at_least(minimum: int) -> Callable[[Any, str], int]:
+    return lambda value, key: read_int(value, key, minimum)
 
 
-def _drive(
-    battery: str, trials: int, n_max: int, seed: int,
-    draw: Callable[[np.random.Generator, int], dict],
-    check: Callable[..., Any],
-    residual: Callable[[Any], float],
-    *,
-    min_n: int = 2, pass_tol: float = PASS_TOL, violation_tol: float = VIOLATION_TOL,
-    shrinkers: tuple = (),
-    extras: Callable[[float], dict] = lambda worst: {},
-) -> BatteryReport:
-    """Run ``trials`` seeded cases through ``check`` and aggregate them.
+def _read_family(value, key: str) -> CandidateFamily:
+    if isinstance(value, str):
+        return parse_family(value)
+    if not isinstance(value, CandidateFamily):
+        raise InvalidParameter(
+            f"{key} must be a grammar expression or a CandidateFamily, not {value!r}"
+        )
+    return value
 
-    ``draw(rng, n_max)`` returns a case: the check's inputs keyed by
-    parameter name, already built. ``residual`` reads the signed residual
+
+#: The reader of each config key but ``n_max``, an integer of at least the
+#: battery's ``min_n``. A reader returns the value in its type or raises
+#: InvalidParameter naming the key.
+_READERS: dict[str, Callable[[Any, str], Any]] = {
+    "trials": _at_least(1), "seed": _at_least(0), "grid_count": _at_least(1),
+    "denominator_bound": _at_least(2), "step": read_float, "alphas": read_float_list,
+    "mismatched": read_bool, "family": _read_family,
+}
+
+
+@dataclass(frozen=True)
+class _Battery:
+    """One battery: its config keys with their defaults, its trials, its verdict.
+
+    A default of None marks a required key. ``draw(rng, trial=..., **params)``
+    returns a case: the inputs of the check named ``check``, keyed by
+    parameter name. The check is looked up in this module at run time, so a
+    rebound name is the one called. ``residual`` reads the signed residual
     from the check's report. Above ``violation_tol`` the case is shrunk and
-    recorded as a witness of the kind named ``battery``, unless the report
-    carries its own witness.
+    recorded as a witness of the kind ``name``, unless the report carries
+    its own. ``record(case, report)`` adds one entry per trial to the list
+    that ``extras(params, worst, records)`` reads.
+
+    When the bool key named ``control`` is true, the run is a control of the
+    opposite polarity, which shows that the check detects a mismatch: it
+    tracks the smallest residual, records no witness, passes when that
+    residual exceeds ``CONTROL_TOL`` and reports as ``<name>_control``.
     """
-    _require_run(battery, trials, n_max, min_n)
+
+    name: str
+    defaults: dict[str, Any]
+    draw: Callable[..., dict]
+    check: str
+    residual: Callable[[Any], float]
+    rounds: Callable[[dict], int] = itemgetter("trials")
+    min_n: int = 2
+    pass_tol: float = PASS_TOL
+    violation_tol: float = VIOLATION_TOL
+    shrinkers: tuple = ()
+    record: Callable[[dict, Any], Any] | None = None
+    extras: Callable[[dict, float, list], dict] = lambda params, worst, records: {}
+    control: str | None = None
+
+
+def _drive(spec: _Battery, params: dict) -> BatteryReport:
+    """Run ``spec.rounds(params)`` seeded cases through the check and aggregate them."""
+    check = globals()[spec.check]
+    control = spec.control is not None and params[spec.control]
+    seed, rounds = params["seed"], spec.rounds(params)
     rng = np.random.default_rng(seed)
-    worst = -np.inf
-    witnesses: list[Witness] = []
-    for trial in range(trials):
-        case = draw(rng, n_max)
+    pick, worst = (min, np.inf) if control else (max, -np.inf)
+    witnesses, records = [], []
+    for trial in range(rounds):
+        case = spec.draw(rng, trial=trial, **params)
         report = check(**case)
-        value = residual(report)
-        worst = max(worst, value)
-        if value > violation_tol:
+        value = float(spec.residual(report))
+        worst = pick(worst, value)
+        if spec.record is not None:
+            records.append(spec.record(case, report))
+        if not control and value > spec.violation_tol:
             witness = getattr(report, "witness", None)
             if witness is None:
                 case = shrink_case(
-                    case, lambda c: residual(check(**c)) > violation_tol, shrinkers
+                    case, lambda c: spec.residual(check(**c)) > spec.violation_tol, spec.shrinkers
                 )
-                witness = Witness.from_case(battery, case, f"seed={seed} trial={trial}")
+                witness = Witness.from_case(spec.name, case, f"seed={seed} trial={trial}")
             witnesses.append(witness)
-    status = "violation" if witnesses else classify(max(worst, 0.0), pass_tol)
+    if control:
+        status = "pass" if worst > CONTROL_TOL else "violation"
+    else:
+        status = "violation" if witnesses else classify(max(worst, 0.0), spec.pass_tol)
     return BatteryReport(
-        battery, trials, n_max, seed, float(worst), status, tuple(witnesses), extras(worst)
+        f"{spec.name}_control" if control else spec.name,
+        # a battery without a trials key (weak_invariance) reports its rounds
+        params.get("trials", rounds), params["n_max"], seed, worst, status,
+        tuple(witnesses), spec.extras(params, worst, records),
     )
 
 
@@ -262,7 +302,7 @@ def _random_pair(rng: np.random.Generator, n_max: int):
     return canonical_embedding(surjection, q), q
 
 
-def _draw_invariance(rng: np.random.Generator, n_max: int) -> dict:
+def _draw_invariance(rng: np.random.Generator, n_max: int, **_) -> dict:
     pair, q = _random_pair(rng, n_max)
     small = pair.surjection.codomain
     return {
@@ -273,13 +313,13 @@ def _draw_invariance(rng: np.random.Generator, n_max: int) -> dict:
     }
 
 
-def _draw_strong_invariance(rng: np.random.Generator, n_max: int) -> dict:
+def _draw_strong_invariance(rng: np.random.Generator, n_max: int, **_) -> dict:
     pair, q = _random_pair(rng, n_max)
     a = _random_variable(rng, pair.surjection.codomain)
     return {"pair": pair, "q": q, "a": a, "b": _random_variable(rng, q.space)}
 
 
-def _draw_prop6(rng: np.random.Generator, n_max: int, family: CandidateFamily) -> dict:
+def _draw_prop6(rng: np.random.Generator, n_max: int, family: CandidateFamily, **_) -> dict:
     pair, _ = _random_pair(rng, n_max)
     p = sample_interior(pair.surjection.codomain, seed=int(rng.integers(2**32)))
     alpha = delta(p, _random_variable(rng, p.space))
@@ -288,7 +328,7 @@ def _draw_prop6(rng: np.random.Generator, n_max: int, family: CandidateFamily) -
     return {"pair": pair, "p": p, "alpha": alpha, "beta": beta, "family": family}
 
 
-def _draw_crb(rng: np.random.Generator, n_max: int) -> dict:
+def _draw_crb(rng: np.random.Generator, n_max: int, **_) -> dict:
     """Locally unbiased estimators on a random categorical model point."""
     n = int(rng.integers(2, n_max + 1))
     model = categorical_model(n)
@@ -296,14 +336,36 @@ def _draw_crb(rng: np.random.Generator, n_max: int) -> dict:
     return {"model": model, "xi": xi, "estimators": unbiased_estimators(model, xi, rng)}
 
 
-def _family(family) -> CandidateFamily:
-    if isinstance(family, str):
-        return parse_family(family)
-    if not isinstance(family, CandidateFamily):
-        raise InvalidParameter(
-            f"family must be a grammar expression or a CandidateFamily, got {family!r}"
-        )
-    return family
+def _size_pairs(n_max: int) -> list[tuple[int, int]]:
+    return [(m, n) for m in range(2, n_max) for n in range(m + 1, n_max + 1)]
+
+
+def _draw_weak_invariance(rng: np.random.Generator, n_max: int, alphas: tuple[float, ...],
+                          grid_count: int, step: float, mismatched: bool, trial: int, **_) -> dict:
+    """Trial t runs the t-th (alpha, size pair) of their product, alpha-major."""
+    sizes = _size_pairs(n_max)
+    alpha = alphas[trial // len(sizes)]
+    m, n = sizes[trial % len(sizes)]
+    surjection = random_surjection(n, m, seed=int(rng.integers(2**32)))
+    q = sample_interior(SampleSpace(n), seed=int(rng.integers(2**32)))
+    # keep grid points well inside the simplex: the finite-difference
+    # step (default 1e-4) must not push any weight negative
+    grid = [
+        sample_interior(SampleSpace(m), seed=int(rng.integers(2**32)), floor=0.02)
+        .weights[: m - 1]
+        for _ in range(grid_count)
+    ]
+    return {
+        "surjection": surjection, "q": q, "alpha": alpha,
+        "grid": grid, "step": step, "mismatched": mismatched,
+    }
+
+
+def _weak_invariance_extras(params: dict, worst: float, grids: list) -> dict:
+    shared = {"step": params["step"], "alphas": list(params["alphas"])}
+    if params["mismatched"]:
+        return {**shared, "mismatch_detected": worst > CONTROL_TOL}
+    return {"residual_max": worst, **shared, "grids": grids}
 
 
 # ---------------------------------------------------------------------------
@@ -311,186 +373,77 @@ def _family(family) -> CandidateFamily:
 # ---------------------------------------------------------------------------
 
 
-def battery_monotonicity_metric(
-    trials: int = 1000, n_max: int = 6, seed: int = 0
-) -> BatteryReport:
-    """Metric norms never grow under random channels."""
-    return _drive(
-        "monotonicity_metric", trials, n_max, seed,
-        partial(_draw_channel_case, key="x"), check_monotonicity_metric, attrgetter("slack"),
+_BATTERIES: dict[str, _Battery] = {spec.name: spec for spec in (
+    _Battery(
+        "monotonicity_metric", {"trials": 1000, "n_max": 6, "seed": 0},
+        lambda rng, n_max, **_: _draw_channel_case(rng, n_max, "x"),
+        "check_monotonicity_metric", attrgetter("slack"),
         shrinkers=(_merge_inputs, _merge_outputs, _zero_entry("x")),
-    )
-
-
-def battery_monotonicity_cometric(
-    trials: int = 1000, n_max: int = 6, seed: int = 0
-) -> BatteryReport:
-    """Variance of conditional expectations never exceeds the variance."""
-    return _drive(
-        "monotonicity_cometric", trials, n_max, seed,
-        partial(_draw_channel_case, key="a"), check_monotonicity_cometric, attrgetter("slack"),
+    ),
+    _Battery(
+        "monotonicity_cometric", {"trials": 1000, "n_max": 6, "seed": 0},
+        lambda rng, n_max, **_: _draw_channel_case(rng, n_max, "a"),
+        "check_monotonicity_cometric", attrgetter("slack"),
         shrinkers=(_merge_inputs, _merge_outputs, _zero_entry("a")),
-    )
-
-
-def battery_invariance(trials: int = 500, n_max: int = 8, seed: int = 0) -> BatteryReport:
-    """Metric/co-metric/covariance invariance through canonical pairs."""
-    return _drive(
-        "invariance", trials, n_max, seed,
-        _draw_invariance, check_invariance, attrgetter("max_residual"), min_n=3,
-    )
-
-
-def battery_strong_invariance(
-    trials: int = 500, n_max: int = 8, seed: int = 0
-) -> BatteryReport:
-    """Adjoint/projector identities and the mixed covariance identity."""
-    return _drive(
-        "strong_invariance", trials, n_max, seed,
-        _draw_strong_invariance, check_strong_invariance, attrgetter("max_residual"),
+    ),
+    _Battery(
+        "invariance", {"trials": 500, "n_max": 8, "seed": 0}, _draw_invariance,
+        "check_invariance", attrgetter("max_residual"), min_n=3,
+    ),
+    _Battery(
+        "strong_invariance", {"trials": 500, "n_max": 8, "seed": 0}, _draw_strong_invariance,
+        "check_strong_invariance", attrgetter("max_residual"),
         min_n=3, pass_tol=STRONG_INVARIANCE_TOL,
-    )
-
-
-def battery_prop6(
-    trials: int = 200,
-    n_max: int = 6,
-    seed: int = 0,
-    family: CandidateFamily | str = "COV",
-) -> BatteryReport:
-    """Two-sided pairing identity with a candidate family in place of g."""
-    family = _family(family)
-    return _drive(
-        "prop6", trials, n_max, seed,
-        partial(_draw_prop6, family=family), check_prop6_identity, attrgetter("residual"),
-        min_n=3, extras=lambda worst: {"family": family.name},
-    )
-
-
-def battery_crb(trials: int = 1000, n_max: int = 4, seed: int = 0) -> BatteryReport:
-    """Randomized locally unbiased estimators never beat the bound.
-
-    Estimators come from ``unbiased_estimators``. The models are full
-    categorical families, where the kernel of restriction holds only the
-    constants, so every trial samples the equality case V = G^{-1}.
-    """
-    return _drive(
-        "crb", trials, n_max, seed, _draw_crb, crb_check,
+    ),
+    _Battery(
+        "prop6", {"trials": 200, "n_max": 6, "seed": 0, "family": "COV"},
+        _draw_prop6, "check_prop6_identity", attrgetter("residual"), min_n=3,
+        extras=lambda params, worst, records: {"family": params["family"].name},
+    ),
+    _Battery(
+        # Full categorical models: the kernel of restriction holds only the
+        # constants, so every trial samples the equality case V = G^{-1}.
+        "crb", {"trials": 1000, "n_max": 4, "seed": 0}, _draw_crb, "crb_check",
         # the minimum eigenvalue of V - G^{-1}, negated and scaled by G^{-1}
         lambda r: -(r.min_eigenvalue / (1.0 + np.max(np.abs(r.inverse_information)))),
         pass_tol=-CRB_EIG_TOL, violation_tol=-CRB_EIG_TOL,
-        extras=lambda worst: {"min_scaled_eigenvalue": float(-worst)},
-    )
-
-
-def battery_weak_invariance(
-    n_max: int = 5,
-    seed: int = 0,
-    step: float = 1e-4,
-    alphas: tuple[float, ...] = (-1.0, 0.0, 1.0),
-    grid_count: int = 3,
-    mismatched: bool = False,
-) -> BatteryReport:
-    """Connection invariance through canonical pairs on a parameter grid.
-
-    With ``mismatched`` the big simplex carries the dual connection instead;
-    the battery then passes only if the residual is large, confirming the
-    check can detect non-invariance.
-    """
-    if not alphas or grid_count < 1:
-        raise InvalidParameter(
-            f"weak_invariance needs alphas and grid_count >= 1, got {alphas!r}, {grid_count!r}"
-        )
-    sizes = [(m, n) for m in range(2, n_max) for n in range(m + 1, n_max + 1)]
-    cases = iter(product(alphas, sizes))
-    grids: list[list[list[float]]] = []
-
-    def draw(rng: np.random.Generator, _n_max: int) -> dict:
-        alpha, (m, n) = next(cases)
-        surjection = random_surjection(n, m, seed=int(rng.integers(2**32)))
-        q = sample_interior(SampleSpace(n), seed=int(rng.integers(2**32)))
-        # keep grid points well inside the simplex: the finite-difference
-        # step (default 1e-4) must not push any weight negative
-        grid = [
-            sample_interior(SampleSpace(m), seed=int(rng.integers(2**32)), floor=0.02)
-            .weights[: m - 1]
-            for _ in range(grid_count)
-        ]
-        grids.append([[float(v) for v in g] for g in grid])
-        return {
-            "surjection": surjection, "q": q, "alpha": alpha,
-            "grid": grid, "step": step, "mismatched": mismatched,
-        }
-
-    trials = len(sizes) * len(alphas)
-    if not mismatched:
-        # Finite differences dominate here: pass at the violation tolerance.
-        return _drive(
-            "weak_invariance", trials, n_max, seed, draw, weak_invariance_residual, float,
-            min_n=3, pass_tol=VIOLATION_TOL,
-            extras=lambda worst: {
-                "residual_max": worst, "step": step, "alphas": list(alphas), "grids": grids,
-            },
-        )
-    # The control tracks its smallest residual as the largest negated one
-    # and records no witnesses.
-    control = _drive(
-        "weak_invariance_control", trials, n_max, seed, draw, weak_invariance_residual,
-        lambda r: -r, min_n=3, violation_tol=np.inf,
-    )
-    detected = -control.max_residual > 1e-3
-    return replace(
-        control,
-        max_residual=-control.max_residual,
-        status="pass" if detected else "violation",
-        extras={"step": step, "alphas": list(alphas), "mismatch_detected": detected},
-    )
-
-
-def battery_characterize(
-    family: CandidateFamily | str,
-    n_max: int = 6,
-    denominator_bound: int = 64,
-    trials: int = 8,
-    seed: int = 0,
-) -> BatteryReport:
-    """Wrap the characterization probe as a battery."""
-    family = _family(family)
-    _require_run("characterize", trials, n_max, 2)
-    result = characterize(family, n_max, denominator_bound, trials, seed)
-    witnesses = () if result.witness is None else (result.witness,)
-    return BatteryReport(
+        extras=lambda params, worst, records: {"min_scaled_eigenvalue": float(-worst)},
+    ),
+    _Battery(
+        # One trial per alpha and size pair. The mismatched control puts the
+        # dual connection on the big simplex, so its residuals must be large.
+        "weak_invariance",
+        {
+            "n_max": 5, "seed": 0, "step": 1e-4, "alphas": (-1.0, 0.0, 1.0),
+            "grid_count": 3, "mismatched": False,
+        },
+        _draw_weak_invariance, "weak_invariance_residual", float,
+        rounds=lambda params: len(_size_pairs(params["n_max"])) * len(params["alphas"]),
+        # finite differences dominate here: pass at the violation tolerance
+        min_n=3, pass_tol=VIOLATION_TOL,
+        record=lambda case, report: [[float(v) for v in g] for g in case["grid"]],
+        extras=_weak_invariance_extras, control="mismatched",
+    ),
+    _Battery(
+        # one round: the probe draws its own cases and builds its own witness
         "characterize",
-        trials,
-        n_max,
-        seed,
-        0.0 if result.passed else result.witness.gap,
-        "pass" if result.passed else "violation",
-        witnesses,
-        {"characterize": result.to_json()},
-    )
-
-
-_BATTERIES: dict[str, Callable[..., BatteryReport]] = {
-    "monotonicity_metric": battery_monotonicity_metric,
-    "monotonicity_cometric": battery_monotonicity_cometric,
-    "invariance": battery_invariance,
-    "strong_invariance": battery_strong_invariance,
-    "prop6": battery_prop6,
-    "crb": battery_crb,
-    "weak_invariance": battery_weak_invariance,
-    "characterize": battery_characterize,
-}
+        {"family": None, "n_max": 6, "denominator_bound": 64, "trials": 8, "seed": 0},
+        lambda rng, trial, **params: params, "characterize",
+        lambda result: 0.0 if result.passed else result.witness.gap,
+        rounds=lambda params: 1,
+        record=lambda case, result: result.to_json(),
+        extras=lambda params, worst, records: {"characterize": records[0]},
+    ),
+)}
 
 
 def run_battery(config: dict) -> BatteryReport:
-    """Dispatch a battery-config object to its runner.
+    """Run the battery that a config object names, on its checked parameters.
 
-    Recognized keys per battery: ``battery`` (required), ``trials``,
-    ``n_max``, ``seed``, ``family``, ``denominator_bound``, ``step``,
-    ``alphas``, ``grid_count``, ``mismatched``. The keys are bound to the
-    runner's parameters before it starts, so an unknown or missing key
-    raises InvalidParameter naming it; errors inside the run propagate.
+    Every key besides ``battery`` must be one of the battery's keys (see
+    ``_BATTERIES``), and its value is read in the key's type before any
+    trial runs: an unknown key, a missing required key or a wrong value
+    raises InvalidParameter naming the key. Errors inside the run propagate.
     """
     if not isinstance(config, dict):
         raise InvalidParameter(f"a battery config is a JSON object, not {type(config).__name__}")
@@ -499,14 +452,61 @@ def run_battery(config: dict) -> BatteryReport:
     name = config["battery"]
     if not isinstance(name, str):
         raise InvalidParameter(f"battery must be a name (a string), not {name!r}")
-    runner = _BATTERIES.get(name)
-    if runner is None:
-        raise InvalidParameter(
-            f"unknown battery {name!r}; known: {sorted(_BATTERIES)}"
-        )
-    kwargs = {k: v for k, v in config.items() if k != "battery"}
-    try:
-        inspect.signature(runner).bind(**kwargs)
-    except TypeError as exc:
-        raise InvalidParameter(f"bad config for battery {name!r}: {exc}") from exc
-    return runner(**kwargs)
+    spec = _BATTERIES.get(name)
+    if spec is None:
+        raise InvalidParameter(f"unknown battery {name!r}; known: {sorted(_BATTERIES)}")
+    for key in config:
+        if key != "battery" and key not in spec.defaults:
+            raise InvalidParameter(
+                f"battery {name!r} has no key {key!r}; its keys: {sorted(spec.defaults)}"
+            )
+    params = {}
+    for key, default in spec.defaults.items():
+        if key not in config and default is None:
+            raise InvalidParameter(f"battery {name!r} needs the key {key!r}")
+        read = _at_least(spec.min_n) if key == "n_max" else _READERS[key]
+        params[key] = read(config.get(key, default), key)
+    return _drive(spec, params)
+
+
+# One view per battery: the same run and validation as a config object.
+
+
+def battery_monotonicity_metric(**params) -> BatteryReport:
+    """Metric norms never grow under random channels."""
+    return run_battery({"battery": "monotonicity_metric", **params})
+
+
+def battery_monotonicity_cometric(**params) -> BatteryReport:
+    """Variance of conditional expectations never exceeds the variance."""
+    return run_battery({"battery": "monotonicity_cometric", **params})
+
+
+def battery_invariance(**params) -> BatteryReport:
+    """Metric/co-metric/covariance invariance through canonical pairs."""
+    return run_battery({"battery": "invariance", **params})
+
+
+def battery_strong_invariance(**params) -> BatteryReport:
+    """Adjoint/projector identities and the mixed covariance identity."""
+    return run_battery({"battery": "strong_invariance", **params})
+
+
+def battery_prop6(**params) -> BatteryReport:
+    """Two-sided pairing identity with a candidate family in place of g."""
+    return run_battery({"battery": "prop6", **params})
+
+
+def battery_crb(**params) -> BatteryReport:
+    """Randomized locally unbiased estimators never beat the Cramér-Rao bound."""
+    return run_battery({"battery": "crb", **params})
+
+
+def battery_weak_invariance(**params) -> BatteryReport:
+    """Connection invariance through canonical pairs, or its mismatched control."""
+    return run_battery({"battery": "weak_invariance", **params})
+
+
+def battery_characterize(**params) -> BatteryReport:
+    """The characterization probe as a one-round battery."""
+    return run_battery({"battery": "characterize", **params})

@@ -6,7 +6,9 @@ and seed: floats print in shortest round-trip form, object keys are emitted
 in a fixed order, and all randomness flows through the explicit seed.
 
 Exit codes: 0 = pass, 1 = mathematical violation or witness found,
-2 = input/usage error (with a machine-readable error object).
+2 = input/usage error (with a machine-readable error object). Only the
+package's own errors, file errors and malformed JSON count as input errors:
+any other exception is a bug and surfaces as a traceback.
 """
 from __future__ import annotations
 
@@ -41,8 +43,13 @@ _DASHED_VALUE = re.compile(r"^-[\d.]")
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # bytes that are not UTF-8, an integer too long to convert
+        raise InvalidParameter(f"cannot read {path} as JSON: {exc}") from exc
 
 
 def _matrix(values: np.ndarray) -> list[list[float]]:
@@ -257,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_join_dashed_values(sys.argv[1:] if argv is None else argv))
     try:
         code, payload = args.handler(args)
-    except (FisherGeoError, OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (FisherGeoError, OSError, json.JSONDecodeError) as exc:
         _emit(
             {"error": {"type": type(exc).__name__, "message": str(exc)}},
             args.out,

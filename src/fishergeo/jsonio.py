@@ -4,8 +4,16 @@ All formats are flat JSON objects with fixed key order; loading validates
 the type invariants (strict positivity, normalization, sum-zero, centering,
 column stochasticity, surjectivity) and raises the package's semantic
 errors.
+
+The ``read_*`` functions decide what a valid JSON integer, number, bool or
+list of numbers is, here and in a battery config: a bool is never taken for
+a number, and a string never for a number or a bool. Each returns the value
+in its Python type or raises InvalidParameter naming the key.
 """
 from __future__ import annotations
+
+import math
+import numbers
 
 import numpy as np
 
@@ -30,26 +38,92 @@ def _require(obj: dict, key: str):
     return obj[key]
 
 
+#: The largest integer a JSON value may carry: beyond it a double cannot
+#: hold every integer (I-JSON, RFC 7493 section 2.2).
+MAX_INT = 2**53 - 1
+
+
+def read_int(value, key: str, minimum: int = -MAX_INT) -> int:
+    """An integer in [minimum, MAX_INT]; numpy integers count, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameter(f"{key} must be an integer, not {value!r}")
+    if not minimum <= value <= MAX_INT:
+        raise InvalidParameter(f"{key} must be an integer in [{minimum}, {MAX_INT}], got {value!r}")
+    return int(value)
+
+
+def _number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
+def read_float(value, key: str) -> float:
+    """A finite number, as a float."""
+    try:
+        number = float(value) if _number(value) else None
+    except OverflowError:  # an integer beyond the double range
+        number = None
+    if number is None or not math.isfinite(number):
+        raise InvalidParameter(f"{key} must be a finite number, not {value!r}")
+    return number
+
+
+def read_float_list(value, key: str) -> tuple[float, ...]:
+    """A non-empty list of finite numbers, as a tuple of floats."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise InvalidParameter(f"{key} must be a non-empty list of finite numbers, not {value!r}")
+    return tuple(read_float(item, key) for item in value)
+
+
+def read_bool(value, key: str) -> bool:
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidParameter(f"{key} must be true or false, not {value!r}")
+    return bool(value)
+
+
+def _numbers_only(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return all(_numbers_only(item) for item in value)
+    return _number(value)
+
+
+def read_floats(value, key: str) -> np.ndarray:
+    """A number or a rectangular nest of lists of numbers, as a float array.
+
+    Shape and finiteness are left to the constructor the array feeds, which
+    names its own error (a NaN weight is a NonPositiveWeight).
+    """
+    if _numbers_only(value):
+        try:
+            return np.asarray(value, dtype=float)
+        except (ValueError, OverflowError):  # ragged, or beyond the double range
+            pass
+    raise InvalidParameter(f"{key} must be a number or a rectangular list of numbers")
+
+
+def _field(obj: dict, key: str, read):
+    return read(_require(obj, key), key)
+
+
 def _floats(values) -> list[float]:
     return [float(v) for v in np.asarray(values, dtype=float).reshape(-1)]
 
 
-def _point(values) -> Distribution:
+def _point(values, key: str) -> Distribution:
     """A distribution sized by its own list of weights."""
-    weights = np.asarray(values, dtype=float)
+    weights = read_floats(values, key)
     if weights.ndim != 1:
         raise BadSize(f"a point is a flat list of weights, got shape {weights.shape}")
     return new_distribution(SampleSpace(weights.shape[0]), weights)
 
 
 def distribution_from_json(obj: dict) -> Distribution:
-    n = int(_require(obj, "n"))
-    return new_distribution(SampleSpace(n), np.asarray(_require(obj, "p"), dtype=float))
+    n = _field(obj, "n", read_int)
+    return new_distribution(SampleSpace(n), _field(obj, "p", read_floats))
 
 
 def random_variable_from_json(obj: dict) -> RandomVariable:
-    n = int(_require(obj, "n"))
-    return RandomVariable(SampleSpace(n), np.asarray(_require(obj, "values"), dtype=float))
+    n = _field(obj, "n", read_int)
+    return RandomVariable(SampleSpace(n), _field(obj, "values", read_floats))
 
 
 def tangent_to_json(x: TangentVector) -> dict:
@@ -57,8 +131,8 @@ def tangent_to_json(x: TangentVector) -> dict:
 
 
 def tangent_from_json(obj: dict) -> TangentVector:
-    base = _point(_require(obj, "p"))
-    return TangentVector(base, np.asarray(_require(obj, "m_rep"), dtype=float))
+    base = _field(obj, "p", _point)
+    return TangentVector(base, _field(obj, "m_rep", read_floats))
 
 
 def cotangent_to_json(alpha: CotangentVector) -> dict:
@@ -66,15 +140,15 @@ def cotangent_to_json(alpha: CotangentVector) -> dict:
 
 
 def cotangent_from_json(obj: dict) -> CotangentVector:
-    base = _point(_require(obj, "p"))
-    rep = np.asarray(_require(obj, "rep"), dtype=float)
+    base = _field(obj, "p", _point)
+    rep = _field(obj, "rep", read_floats)
     return CotangentVector(base, RandomVariable(base.space, rep))
 
 
 def channel_from_json(obj: dict) -> Channel:
-    n_in = int(_require(obj, "n_in"))
-    n_out = int(_require(obj, "n_out"))
-    kernel = np.asarray(_require(obj, "kernel"), dtype=float)
+    n_in = _field(obj, "n_in", read_int)
+    n_out = _field(obj, "n_out", read_int)
+    kernel = _field(obj, "kernel", read_floats)
     return Channel(SampleSpace(n_in), SampleSpace(n_out), kernel)
 
 
@@ -89,14 +163,14 @@ def model_from_json(obj: dict) -> ParametricModel:
     if kind == "bernoulli":
         return bernoulli_model()
     if kind == "categorical":
-        return categorical_model(int(_require(obj, "n")))
+        return categorical_model(_field(obj, "n", read_int))
     if kind == "expfam":
-        stats = np.asarray(_require(obj, "stats"), dtype=float)
-        base = None if obj.get("base") is None else _point(obj["base"])
+        stats = _field(obj, "stats", read_floats)
+        base = None if obj.get("base") is None else _point(obj["base"], "base")
         return exponential_family_model(stats, base)
     if kind == "affine":
-        anchor = np.asarray(_require(obj, "p0"), dtype=float)
-        directions = np.asarray(_require(obj, "directions"), dtype=float)
+        anchor = _field(obj, "p0", read_floats)
+        directions = _field(obj, "directions", read_floats)
         return affine_model(anchor, directions)
     raise InvalidParameter(f"unknown model kind {kind!r}")
 

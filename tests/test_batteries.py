@@ -1,6 +1,7 @@
 """The battery driver: run-size and config checks, and the witness path."""
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import fishergeo.batteries as batteries
 import fishergeo.verify as verify_module
 from fishergeo.batteries import run_battery
-from fishergeo.errors import InvalidParameter
+from fishergeo.errors import FisherGeoError, InvalidParameter
 from fishergeo.verify import replay_witness
 
 
@@ -84,10 +85,11 @@ class TestConfig:
             run_battery({"battery": "characterize", "family": 5})
 
     def test_type_error_inside_a_battery_propagates(self, monkeypatch):
-        def broken(trials: int = 1, n_max: int = 2, seed: int = 0):
+        def broken(rng, **params):
             raise TypeError("bug inside the battery")
 
-        monkeypatch.setitem(batteries._BATTERIES, "crb", broken)
+        spec = dataclasses.replace(batteries._BATTERIES["crb"], draw=broken)
+        monkeypatch.setitem(batteries._BATTERIES, "crb", spec)
         with pytest.raises(TypeError, match="bug inside the battery"):
             run_battery({"battery": "crb", "trials": 2})
 
@@ -97,10 +99,92 @@ def test_violations_are_shrunk_tagged_and_replayable(monkeypatch, name):
     # Monotonicity holds, so no real trial violates it: drop both witness
     # thresholds to make every trial a violation and follow the witness path.
     monkeypatch.setattr(verify_module, "VIOLATION_TOL", -np.inf)
-    monkeypatch.setitem(batteries._drive.__kwdefaults__, "violation_tol", -np.inf)
+    spec = dataclasses.replace(batteries._BATTERIES[name], violation_tol=-np.inf)
+    monkeypatch.setitem(batteries._BATTERIES, name, spec)
     report = run_battery({"battery": name, "trials": 4, "n_max": 5, "seed": 7})
     assert report.status == "violation"
     assert [w.detail for w in report.witnesses] == [f"seed=7 trial={t}" for t in range(4)]
     for witness in report.witnesses:
         assert (witness.kind, witness.m, witness.n) == (name, 2, 2)
         assert np.float64(replay_witness(witness)).tobytes() == np.float64(witness.gap).tobytes()
+
+
+#: Any JSON value: integers small enough to run, plus some beyond the range
+#: a JSON integer may carry.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=6)
+    | st.integers(-3, 6) | st.sampled_from([2**53, 2**64, -(2**63)]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=2),
+    max_leaves=5,
+)
+#: A small valid config per battery, for one key to be replaced.
+SMALL_CONFIGS = {
+    "monotonicity_metric": {"trials": 2, "n_max": 3},
+    "monotonicity_cometric": {"trials": 2, "n_max": 3},
+    "invariance": {"trials": 2, "n_max": 3},
+    "strong_invariance": {"trials": 2, "n_max": 3},
+    "prop6": {"trials": 2, "n_max": 3},
+    "crb": {"trials": 2, "n_max": 3},
+    "weak_invariance": {"n_max": 3, "grid_count": 1, "alphas": [0.0]},
+    "characterize": {"family": "COV", "n_max": 3, "denominator_bound": 8, "trials": 1},
+}
+INT_KEYS = {"trials", "n_max", "seed", "grid_count", "denominator_bound"}
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def well_typed(key: str, value) -> bool:
+    """Whether ``value`` has the type of config key ``key`` (range aside)."""
+    if key in INT_KEYS:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if key == "step":
+        return is_number(value)
+    if key == "alphas":
+        return isinstance(value, list) and all(is_number(v) for v in value)
+    if key == "mismatched":
+        return isinstance(value, bool)
+    return key == "family" and isinstance(value, str)
+
+
+def test_small_configs_cover_every_battery():
+    assert sorted(SMALL_CONFIGS) == sorted(batteries._BATTERIES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), value=JSON_VALUES)
+def test_any_json_value_gives_a_report_or_a_typed_error(data, value):
+    """Any value for any key runs or raises a FisherGeoError; a value of the
+    wrong type (a bool for an integer among them) raises InvalidParameter
+    naming the key."""
+    name = data.draw(st.sampled_from(sorted(SMALL_CONFIGS)))
+    key = data.draw(st.sampled_from(sorted(batteries._BATTERIES[name].defaults) + ["bogus"]))
+    config = {**SMALL_CONFIGS[name], "battery": name, key: value}
+    if not well_typed(key, value):
+        with pytest.raises(InvalidParameter, match=key):
+            run_battery(config)
+        return
+    try:
+        report = run_battery(config)
+    except FisherGeoError:
+        return
+    assert isinstance(report.trials, int) and isinstance(report.seed, int)
+    json.dumps(report.to_json())
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
+def test_checks_are_called_through_the_module_namespace(monkeypatch, name):
+    """A tracer rebinds the module's names: a check the spec captured at
+    import time would run outside the trace."""
+    check = getattr(batteries, batteries._BATTERIES[name].check)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(batteries, batteries._BATTERIES[name].check, counted)
+    report = run_battery({"battery": name, **SMALL_CONFIGS[name]})
+    assert len(calls) == (1 if name == "characterize" else report.trials)

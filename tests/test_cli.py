@@ -374,6 +374,36 @@ class TestVerify:
         assert proc.returncode == 2
         assert b"unrecognized arguments" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"battery": "strong_invariance", "trials": True}, "trials"),
+            ({"battery": "strong_invariance", "n_max": 3.0}, "n_max"),
+            ({"battery": "strong_invariance", "seed": 1.0}, "seed"),
+            ({"battery": "strong_invariance", "trials": "5"}, "trials"),
+            ({"battery": "strong_invariance", "n_max": float("inf")}, "n_max"),
+            ({"battery": "weak_invariance", "mismatched": "no"}, "mismatched"),
+            ({"battery": "weak_invariance", "step": float("nan")}, "step"),
+            ({"battery": "characterize", "family": "COV", "denominator_bound": True},
+             "denominator_bound"),
+        ],
+    )
+    def test_wrong_value_types_exit_2_naming_the_key(self, cli, config, key):
+        """Each of these once ran, echoed a bool, or failed with a raw error."""
+        proc = cli.run("verify", "--config", cli.file("c.json", config))
+        assert proc.returncode == 2
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "InvalidParameter"
+        assert error["message"].startswith(f"{key} must be")
+
+    def test_overflowing_size_exits_2(self, cli):
+        # 1e400 parses as inf: no int, and no OverflowError traceback
+        path = cli.dir / "c.json"
+        path.write_text('{"battery": "crb", "n_max": 1e400}', encoding="utf-8")
+        proc = cli.run("verify", "--config", str(path))
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["message"] == "n_max must be an integer, not inf"
+
 
 class TestCharacterizeCommand:
     def test_cov(self, cli):
@@ -424,3 +454,56 @@ class TestOutputContract:
             "fisher", "--model", cli.file("m.json", BERNOULLI), "--xi", "0.5"
         )
         assert list(out_first) == ["G", "G_inv", "tolerances"]
+
+
+class TestInputErrors:
+    """Exit 2 is for bad input only: JSON fields are read in their types, and
+    an error that is not the package's own is a bug, shown as a traceback."""
+
+    @pytest.mark.parametrize(
+        "p, key",
+        [
+            ({"n": 3.7, "p": [0.25, 0.25, 0.5]}, "n"),
+            ({"n": True, "p": [0.5, 0.5]}, "n"),
+            ({"n": "abc", "p": [0.5, 0.5]}, "n"),
+            ({"n": [2], "p": [0.5, 0.5]}, "n"),
+            ({"n": 2, "p": "ab"}, "p"),
+        ],
+    )
+    def test_distribution_fields_are_typed(self, cli, p, key):
+        proc = cli.run(
+            "transport", "--mode", "m",
+            "--vector", cli.file("x.json", {"p": [0.5, 0.5], "m_rep": [1.0, -1.0]}),
+            "--to", cli.file("q.json", p),
+        )
+        assert proc.returncode == 2
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "InvalidParameter" and error["message"].startswith(key)
+
+    def test_ragged_kernel_exits_2(self, cli):
+        proc = cli.run(
+            "push",
+            "--channel", cli.file("w.json", {**COEMBED_112, "kernel": [[1.0, 1.0, 0.0], [0.0]]}),
+            "--p", cli.file("p.json", {"n": 3, "p": [0.25, 0.25, 0.5]}),
+            "--vector", cli.file("x.json", {"p": [0.25, 0.25, 0.5], "m_rep": [1.0, 0.0, -1.0]}),
+        )
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["message"].startswith("kernel")
+
+    def test_undecodable_file_exits_2(self, cli):
+        path = cli.dir / "m.json"
+        path.write_bytes(b"\xff\xfe")
+        proc = cli.run("fisher", "--model", str(path), "--xi", "0.5")
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["type"] == "InvalidParameter"
+
+    @pytest.mark.parametrize("bug", [ValueError, TypeError, KeyError, np.linalg.LinAlgError])
+    def test_a_bug_is_not_reported_as_bad_input(self, cli, monkeypatch, bug):
+        from fishergeo import cli as cli_module
+
+        def broken(*args, **kwargs):
+            raise bug("bug inside the library")
+
+        monkeypatch.setattr(cli_module, "fisher_info", broken)
+        with pytest.raises(bug, match="bug inside the library"):
+            cli_module.main(["fisher", "--model", cli.file("m.json", BERNOULLI), "--xi", "0.5"])
