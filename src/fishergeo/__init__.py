@@ -12,7 +12,6 @@ from .simplex import (
     SampleSpace,
     cov,
     expect,
-    inner_l2,
     new_distribution,
     sample_interior,
     uniform,
@@ -38,15 +37,11 @@ from .models import (
     affine_model,
     bernoulli_model,
     categorical_model,
-    cometric_matrix,
     crb_check,
     exponential_family_model,
     fisher_info,
-    lift,
     lifts,
     restrict,
-    score,
-    tangent_basis,
 )
 from .markov import (
     Channel,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -34,7 +35,7 @@ from .jsonio import (
 )
 from .markov import pullback, pushforward
 from .models import crb_check, fisher_info
-from .verify import PASS_TOL, VIOLATION_TOL, characterize
+from .verify import PASS_TOL, VIOLATION_TOL
 
 DEFAULT_TOL = 1e-6
 #: A value that argparse would take for an option: a minus sign, then a digit
@@ -60,17 +61,22 @@ def _parse_xi(text: str) -> np.ndarray:
     try:
         return np.array([float(part) for part in text.split(",") if part.strip()])
     except ValueError as exc:
-        raise FisherGeoError(f"cannot parse parameter vector {text!r}: {exc}") from exc
+        raise InvalidParameter(f"cannot parse parameter vector {text!r}: {exc}") from exc
 
 
 def _parse_box(text: str) -> list[tuple[float, float]]:
+    """Axes ``lo:hi`` with finite bounds and lo <= hi, or InvalidParameter naming the axis."""
     box = []
     for axis in text.split(","):
         lo, _, hi = axis.partition(":")
         try:
-            box.append((float(lo), float(hi)))
-        except ValueError as exc:
-            raise InvalidParameter(f"box axis {axis!r} is not lo:hi") from exc
+            lo, hi = float(lo), float(hi)
+        except ValueError:
+            lo = hi = math.nan
+        # Written so that NaN, given or from a failed parse, fails it.
+        if not -math.inf < lo <= hi < math.inf:
+            raise InvalidParameter(f"box axis {axis!r} is not lo:hi with finite lo <= hi")
+        box.append((lo, hi))
     return box
 
 
@@ -156,14 +162,11 @@ def cmd_verify(args) -> tuple[int, dict]:
 
 
 def cmd_characterize(args) -> tuple[int, dict]:
-    result = characterize(
-        args.family,
-        n_max=args.n_max,
-        denominator_bound=args.denominator_bound,
-        trials=args.trials,
-        seed=args.seed,
-    )
-    return (0 if result.passed else 1), result.to_json()
+    report = run_battery({
+        "battery": "characterize", "family": args.family, "n_max": args.n_max,
+        "denominator_bound": args.denominator_bound, "trials": args.trials, "seed": args.seed,
+    })
+    return (0 if report.passed else 1), report.extras["characterize"]
 
 
 def build_parser() -> argparse.ArgumentParser:

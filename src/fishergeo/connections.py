@@ -89,13 +89,6 @@ class VectorFieldOnModel:
             )
         return c
 
-    def ambient_m_rep(self, xi) -> np.ndarray:
-        """m-representation of the field value at p_xi."""
-        return self.coefficients_at(xi) @ jacobian_at(self.model, xi)
-
-    def ambient(self, xi) -> TangentVector:
-        return TangentVector(self.model.point(xi), self.ambient_m_rep(xi))
-
 
 def coordinate_field(model: ParametricModel, index: int) -> VectorFieldOnModel:
     if not 0 <= index < model.dim:
@@ -103,22 +96,6 @@ def coordinate_field(model: ParametricModel, index: int) -> VectorFieldOnModel:
     unit = np.zeros(model.dim)
     unit[index] = 1.0
     return VectorFieldOnModel(model, lambda xi: unit.copy())
-
-
-def constant_m_field(model: ParametricModel, m_rep: np.ndarray) -> VectorFieldOnModel:
-    """Ambient field with a fixed m-representation, written in coordinates.
-
-    Only valid when the given m-representation stays inside the model's
-    tangent space at every queried point (true on full-simplex models).
-    """
-    m_rep = np.asarray(m_rep, dtype=float)
-
-    def coeffs(xi: np.ndarray) -> np.ndarray:
-        jac = jacobian_at(model, xi)
-        sol, *_ = np.linalg.lstsq(jac.T, m_rep, rcond=None)
-        return sol
-
-    return VectorFieldOnModel(model, coeffs)
 
 
 def _require_inputs(model: ParametricModel, step: float, fields) -> None:

@@ -101,8 +101,3 @@ def parse_family(expression: str) -> CandidateFamily:
         else:
             terms.append((coeff, "PK", int(match.group("k"))))
     return CandidateFamily(expression.strip(), tuple(terms))
-
-
-COV_FAMILY = parse_family("COV")
-L2_FAMILY = parse_family("L2")
-MM_FAMILY = parse_family("MM")

@@ -75,10 +75,6 @@ def require_same_base(a: TangentVector | CotangentVector, b: TangentVector | Cot
         raise BasePointMismatch("operands are attached to different base points")
 
 
-def zero_tangent(p: Distribution) -> TangentVector:
-    return TangentVector(p, np.zeros(p.space.size))
-
-
 def delta(p: Distribution, a: RandomVariable) -> CotangentVector:
     """Differential of the expectation functional of A at p.
 
@@ -144,29 +140,6 @@ def norm_tangent(x: TangentVector) -> float:
 
 def norm_cotangent(alpha: CotangentVector) -> float:
     return math.sqrt(max(fisher_cometric(alpha, alpha), 0.0))
-
-
-def tangent_gram(vectors: list[TangentVector]) -> np.ndarray:
-    """Gram matrix [g(X_i, X_j)] of tangent vectors at a common base.
-
-    Each entry is ``fisher_metric`` of the two vectors, bitwise.
-    """
-    if not vectors:
-        return np.empty((0, 0))
-    for x in vectors[1:]:
-        require_same_base(vectors[0], x)
-    rows = np.array([x.m_rep for x in vectors])
-    return fisher_metric_rows(vectors[0].base, rows, rows)
-
-
-def cotangent_gram(covectors: list[CotangentVector]) -> np.ndarray:
-    """Gram matrix [g(a_i, a_j)] of cotangent vectors at a common base."""
-    k = len(covectors)
-    g = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            g[i, j] = g[j, i] = fisher_cometric(covectors[i], covectors[j])
-    return g
 
 
 def require_rows_sum_zero(rows: np.ndarray) -> None:

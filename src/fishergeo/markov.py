@@ -190,12 +190,6 @@ class EmbeddingPair:
     def coembedding_channel(self) -> Channel:
         return coembedding(self.surjection)
 
-    def embed(self, p: Distribution) -> Distribution:
-        return apply(self.embedding_channel, p)
-
-    def marginalize(self, q: Distribution) -> Distribution:
-        return apply(self.coembedding_channel, q)
-
 
 def canonical_embedding(surjection: Surjection, q: Distribution) -> EmbeddingPair:
     """The pair whose embedding passes through q: r_x(y) = q(y)/q^F(x)."""

@@ -10,7 +10,7 @@ Every check evaluates a model once per point: ``p_xi``, the validated
 Jacobian and, where it needs it, the information matrix are computed once
 and every restriction, lift and covariance at that point reads them.
 
-``lift`` realizes the minimum-norm ambient extension of a model covector:
+``lifts`` realizes the minimum-norm ambient extension of model covectors:
 among all ambient cotangent vectors restricting to the given coefficients it
 is the unique one of smallest co-norm, and that co-norm squared equals
 ``c^T G^{-1} c``. ``crb_check`` compares the covariance matrix of a locally
@@ -40,7 +40,7 @@ from .errors import (
     SizeMismatch,
 )
 from .geometry import CotangentVector, TangentVector, delta, flat, pair
-from .simplex import Distribution, RandomVariable, SampleSpace, cov
+from .simplex import Distribution, RandomVariable, SampleSpace, cov_matrix
 
 #: Relative step for central-difference Jacobians.
 FD_STEP_SCALE = 1e-6
@@ -128,20 +128,6 @@ def jacobian_at(model: ParametricModel, xi) -> np.ndarray:
     return jac
 
 
-def tangent_basis(model: ParametricModel, xi) -> list[TangentVector]:
-    """Coordinate tangent vectors at ``p_xi``."""
-    p = model.point(xi)
-    return [TangentVector(p, row) for row in jacobian_at(model, xi)]
-
-
-def score(model: ParametricModel, xi) -> list[RandomVariable]:
-    """Score variables ``d log p_xi / d xi_i``; each is centered at p_xi."""
-    p = model.point(xi)
-    return [
-        RandomVariable(model.space, row / p.weights) for row in jacobian_at(model, xi)
-    ]
-
-
 @dataclass(frozen=True, eq=False)
 class FisherMatrix:
     """Symmetric positive-definite information matrix at a parameter point."""
@@ -183,11 +169,6 @@ def fisher_info(model: ParametricModel, xi) -> FisherMatrix:
     return _information(model.point(xi), jacobian_at(model, xi), xi)
 
 
-def cometric_matrix(model: ParametricModel, xi) -> np.ndarray:
-    """Inverse information matrix [g(d xi^i, d xi^j)]."""
-    return fisher_info(model, xi).inverse()
-
-
 def restrict(model: ParametricModel, xi, alpha_ambient: CotangentVector) -> np.ndarray:
     """Coefficients of the restricted covector in the ``d xi`` basis."""
     p = model.point(xi)
@@ -226,11 +207,6 @@ def _lifts(model: ParametricModel, xi, rows) -> tuple[np.ndarray, list[Cotangent
             raise SingularMatrix(str(exc)) from exc
         lifted.append(flat(TangentVector(p, weights @ jac)))
     return jac, lifted
-
-
-def lift(model: ParametricModel, xi, coeffs) -> CotangentVector:
-    """Minimum-norm ambient extension of one model covector; see ``lifts``."""
-    return lifts(model, xi, [coeffs])[0]
 
 
 def unbiased_estimators(model: ParametricModel, xi, rng) -> list[RandomVariable]:
@@ -314,7 +290,7 @@ def crb_check(
         raise InvalidParameter(f"mode must be 'local' or 'global', got {mode!r}")
 
     # g(delta A, delta B) = Cov(A, B): V is the covariance matrix.
-    v = np.array([[cov(p, a, b) for b in estimators] for a in estimators])
+    v = cov_matrix(p, estimators)
     g_inv = _information(p, jac, xi).inverse()
     diff = v - g_inv
     diff = 0.5 * (diff + diff.T)

@@ -2,7 +2,7 @@
 
 A distribution is a strictly positive probability vector on ``{1, ..., n}``;
 a random variable is any real vector on the same index set. First and second
-moments (expectation, L2 inner product, covariance, variance) are the only
+moments (expectation, covariance and its matrix, variance) are the only
 operations; everything heavier lives in the geometry modules.
 """
 from __future__ import annotations
@@ -107,15 +107,6 @@ def uniform(space: SampleSpace) -> Distribution:
     return Distribution(space, np.full(space.size, 1.0 / space.size))
 
 
-def indicator(space: SampleSpace, index: int) -> RandomVariable:
-    """Indicator variable of a single outcome (0-based index)."""
-    if not 0 <= index < space.size:
-        raise BadSize(f"index {index} out of range for size {space.size}")
-    values = np.zeros(space.size)
-    values[index] = 1.0
-    return RandomVariable(space, values)
-
-
 def _require_same_space(p: Distribution | RandomVariable, a: RandomVariable) -> None:
     if p.space != a.space:
         raise SizeMismatch(f"sample spaces differ: {p.space.size} vs {a.space.size}")
@@ -127,13 +118,6 @@ def expect(p: Distribution, a: RandomVariable) -> float:
     return float(np.dot(p.weights, a.values))
 
 
-def inner_l2(p: Distribution, a: RandomVariable, b: RandomVariable) -> float:
-    """Weighted L2 inner product sum(p(w) * A(w) * B(w))."""
-    _require_same_space(p, a)
-    _require_same_space(p, b)
-    return float(np.dot(p.weights, a.values * b.values))
-
-
 def cov(p: Distribution, a: RandomVariable, b: RandomVariable) -> float:
     """Covariance: the L2 inner product of the centered arguments."""
     _require_same_space(p, a)
@@ -141,6 +125,23 @@ def cov(p: Distribution, a: RandomVariable, b: RandomVariable) -> float:
     ca = a.values - np.dot(p.weights, a.values)
     cb = b.values - np.dot(p.weights, b.values)
     return float(np.dot(p.weights, ca * cb))
+
+
+def cov_matrix(p: Distribution, variables) -> np.ndarray:
+    """[Cov_p(A_i, A_j)] for a sequence of random variables.
+
+    Each variable is checked and centered once; every entry is then the
+    ``cov`` of its two variables, bitwise.
+    """
+    for a in variables:
+        _require_same_space(p, a)
+    centered = [a.values - np.dot(p.weights, a.values) for a in variables]
+    k = len(centered)
+    matrix = np.empty((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            matrix[i, j] = matrix[j, i] = np.dot(p.weights, centered[i] * centered[j])
+    return matrix
 
 
 def variance(p: Distribution, a: RandomVariable) -> float:

@@ -634,25 +634,17 @@ def probe_rational(
     family: CandidateFamily,
     p: Distribution,
     denominator_bound: int,
-    constants: tuple[float, float] | None = None,
+    constants: tuple[float, float],
 ) -> RationalProbeResult:
     """Step (c): the decomposition extends to rational points.
 
     Builds the partition surjection from the uniform space over the common
     denominator, lifts indicator pairs, and checks both the lift equality
-    and the target decomposition c1 <A|B>_p + c2 <A><B>. When ``constants``
-    is omitted they are derived from the uniform probe at the same n.
+    and the target decomposition c1 <A|B>_p + c2 <A><B> with
+    ``constants = (c1, c2)``.
     """
     n = p.space.size
     denominator, counts = rationalize(p, denominator_bound)
-    if constants is None:
-        base = probe_uniform(family, n)
-        if base.witness is not None:
-            return RationalProbeResult(
-                n, denominator, tuple(int(c) for c in counts),
-                0.0, 0.0, 0.0, 0.0, base.max_residual, base.witness,
-            )
-        constants = (n * base.a, n * n * base.b)
     c1, c2 = constants
     surjection = partition_surjection(counts)
     w = p.weights

@@ -15,6 +15,7 @@ from fishergeo.batteries import (
     battery_invariance,
     battery_monotonicity_cometric,
     battery_monotonicity_metric,
+    battery_prop6,
     battery_weak_invariance,
 )
 from fishergeo.connections import (
@@ -22,20 +23,14 @@ from fishergeo.connections import (
     coordinate_field,
     duality_check,
 )
-from fishergeo.geometry import (
-    TangentVector,
-    cotangent_gram,
-    delta,
-    fisher_cometric,
-    norm_cotangent,
-    tangent_gram,
-)
+from fishergeo.geometry import delta, fisher_cometric, fisher_metric_rows, norm_cotangent
 from fishergeo.markov import Surjection, canonical_embedding, conditional_expectation
 from fishergeo.models import bernoulli_model, categorical_model, crb_check
 from fishergeo.simplex import (
     RandomVariable,
     SampleSpace,
     cov,
+    cov_matrix,
     new_distribution,
     sample_interior,
     variance,
@@ -71,17 +66,13 @@ def test_criterion_02_metric_cometric_duality():
     for n in range(2, 7):
         for seed in (0, 1):
             p = sample_interior(SampleSpace(n), seed=300 + 10 * n + seed)
-            basis = []
-            covectors = []
-            for i in range(n - 1):
-                m_rep = np.zeros(n)
-                m_rep[i], m_rep[n - 1] = 1.0, -1.0
-                basis.append(TangentVector(p, m_rep))
-                unit = np.zeros(n)
-                unit[i] = 1.0
-                covectors.append(delta(p, RandomVariable(p.space, unit)))
-            g = tangent_gram(basis)
-            c = cotangent_gram(covectors)
+            # tangent basis e_i - e_n as m-representation rows, and the
+            # differentials delta(e_i) of the coordinates xi^i = p(i)
+            basis = np.eye(n)[: n - 1]
+            basis[:, n - 1] = -1.0
+            covectors = [delta(p, RandomVariable(p.space, unit)) for unit in np.eye(n)[: n - 1]]
+            g = fisher_metric_rows(p, basis, basis)
+            c = cov_matrix(p, [alpha.rep for alpha in covectors])
             assert np.max(np.abs(g @ c - np.eye(n - 1))) <= 1e-8, (n, seed)
 
 
@@ -187,6 +178,11 @@ def test_criterion_07_cencov_probe():
     pk2_result = characterize("PK(2)", n_max=6, denominator_bound=64, trials=8, seed=707)
     assert pk2_result.witness is not None
     assert pk2_result.witness.kind == "cross_dimension"
+
+    # the two-sided pairing identity through random embedding pairs: the
+    # covariance satisfies it, PK(2) does not
+    assert battery_prop6(family="COV", trials=200, n_max=6, seed=707).passed
+    assert battery_prop6(family="PK(2)", trials=200, n_max=6, seed=707).witnesses
     assert time.perf_counter() - start < 10.0
 
 

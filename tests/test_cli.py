@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fishergeo import errors
+from fishergeo.verify import characterize
 
 from conftest import GOLDEN_DIR
 
@@ -62,6 +63,13 @@ class TestFisher:
     def test_missing_file_exits_2(self, cli):
         proc = cli.run("fisher", "--model", str(cli.dir / "nope.json"), "--xi", "0.5")
         assert proc.returncode == 2
+
+    def test_malformed_parameter_vector_exits_2(self, cli):
+        proc = cli.run("fisher", "--model", cli.file("m.json", CATEGORICAL3), "--xi", "0.3,abc")
+        assert proc.returncode == 2
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "InvalidParameter"
+        assert error["message"].startswith("cannot parse parameter vector '0.3,abc'")
 
     def test_dashed_parameter_vector_as_separate_argument(self, cli):
         """``--xi -0.5,0.3`` is read as the value of --xi, not as an option."""
@@ -196,10 +204,16 @@ class TestCrb:
         assert json.loads(proc.stdout)["error"]["type"] == "SizeMismatch"
 
     @pytest.mark.parametrize(
-        "box, axis", [("0.1", "'0.1'"), ("0.1:x", "'0.1:x'"), ("0.1:0.4,0.2", "'0.2'")]
+        "box, axis",
+        [
+            ("0.1", "'0.1'"), ("0.1:x", "'0.1:x'"), ("0.1:0.4,0.2", "'0.2'"),
+            ("0.2:0.1", "'0.2:0.1'"), ("0.1:0.4,0.3:0.2", "'0.3:0.2'"),
+            ("0.1:inf", "'0.1:inf'"), ("0.1:0.4,-inf:0.4", "'-inf:0.4'"), ("nan:0.4", "'nan:0.4'"),
+        ],
     )
     def test_malformed_box_exits_2(self, cli, box, axis):
-        """A box axis that is not lo:hi is a typed input error naming the axis."""
+        """A box axis that is not lo:hi with finite bounds and lo <= hi is a
+        typed input error naming the axis."""
         proc = cli.run(
             "crb",
             "--model", cli.file("m.json", BERNOULLI),
@@ -421,6 +435,40 @@ class TestCharacterizeCommand:
             "--denominator-bound", "16", "--trials", "2",
         )
         assert proc.returncode == 1
+
+    # PK(+-400) overflows and underflows on purpose.
+    @pytest.mark.filterwarnings(
+        "ignore:overflow encountered:RuntimeWarning",
+        "ignore:invalid value encountered:RuntimeWarning",
+    )
+    @pytest.mark.parametrize(
+        "family", ["COV", "PK(2)", "1*L2 + 0.5*MM", "PK(400)", "PK(-400)", "PK(-40)"]
+    )
+    def test_prints_the_probe_result(self, capsys, family):
+        """The subcommand runs the characterize battery and prints the probe's
+        own result, with its exit code."""
+        from fishergeo import cli as cli_module
+
+        code = cli_module.main([
+            "--seed", "3", "characterize", "--family", family, "--n-max", "4",
+            "--denominator-bound", "16", "--trials", "2",
+        ])
+        result = characterize(family, n_max=4, denominator_bound=16, trials=2, seed=3)
+        assert capsys.readouterr().out == json.dumps(result.to_json(), indent=2) + "\n"
+        assert code == (0 if result.passed else 1)
+
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [
+            ("--trials", "0", "trials"), ("--trials", "-3", "trials"),
+            ("--n-max", "1", "n_max"), ("--denominator-bound", "1", "denominator_bound"),
+        ],
+    )
+    def test_flags_are_read_as_battery_keys(self, cli, flag, value, key):
+        proc = cli.run("characterize", "--family", "COV", flag, value)
+        assert proc.returncode == 2
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "InvalidParameter" and error["message"].startswith(key)
 
 
 class TestEntryPoints:

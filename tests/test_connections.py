@@ -8,7 +8,6 @@ from fishergeo.connections import (
     M_CONNECTION,
     ConnectionTag,
     VectorFieldOnModel,
-    constant_m_field,
     coordinate_field,
     covariant_derivative,
     duality_check,
@@ -19,7 +18,7 @@ from fishergeo.connections import (
 )
 from fishergeo.errors import InvalidParameter
 from fishergeo.geometry import TangentVector, flat
-from fishergeo.markov import Surjection, canonical_embedding
+from fishergeo.markov import Surjection, apply, canonical_embedding
 from fishergeo.models import bernoulli_model, categorical_model
 from fishergeo.simplex import (
     SampleSpace,
@@ -88,7 +87,8 @@ class TestTransports:
 class TestCovariantDerivative:
     def test_m_derivative_of_constant_m_field_vanishes(self):
         model = categorical_model(3)
-        field = constant_m_field(model, np.array([0.5, -0.2, -0.3]))
+        # m-representation (0.5, -0.2, -0.3) at every point, in the (e_i - e_n) basis
+        field = VectorFieldOnModel(model, lambda xi: np.array([0.5, -0.2]))
         x = coordinate_field(model, 0)
         out = covariant_derivative(M_CONNECTION, model, [0.3, 0.4], x, field)
         assert np.max(np.abs(out.m_rep)) < 1e-10
@@ -241,5 +241,5 @@ class TestWeakInvariance:
         pair, model, *_ = self.pair_and_fields()
         big = pushforward_model(pair, model)
         xi = np.array([0.3])
-        direct = pair.embed(model.point(xi))
+        direct = apply(pair.embedding_channel, model.point(xi))
         assert np.array_equal(big.point(xi).weights, direct.weights)

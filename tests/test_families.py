@@ -3,14 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fishergeo.families import (
-    COV_FAMILY,
-    FamilyParseError,
-    L2_FAMILY,
-    MM_FAMILY,
-    parse_family,
-)
-from fishergeo.simplex import RandomVariable, SampleSpace, cov, inner_l2, new_distribution
+from fishergeo.families import FamilyParseError, parse_family
+from fishergeo.simplex import RandomVariable, SampleSpace, cov, new_distribution
+
+COV_FAMILY = parse_family("COV")
+L2_FAMILY = parse_family("L2")
+MM_FAMILY = parse_family("MM")
 
 
 def dist(*weights: float):
@@ -19,6 +17,11 @@ def dist(*weights: float):
 
 def rv(*values: float) -> RandomVariable:
     return RandomVariable(SampleSpace(len(values)), np.array(values))
+
+
+def inner_l2(p, a: RandomVariable, b: RandomVariable) -> float:
+    """Weighted L2 inner product sum(p(w) * A(w) * B(w))."""
+    return float(np.dot(p.weights, a.values * b.values))
 
 
 class TestParsing:

@@ -264,12 +264,14 @@ class TestEmbeddingPairs:
 
     def test_embedding_recovers_q(self):
         pair_ = canonical_embedding(F112, Q3)
-        assert np.allclose(pair_.embed(F112.marginalize(Q3)).weights, Q3.weights, atol=1e-15)
+        embedded = apply(pair_.embedding_channel, F112.marginalize(Q3))
+        assert np.allclose(embedded.weights, Q3.weights, atol=1e-15)
 
     def test_section_property(self):
         pair_ = canonical_embedding(F112, Q3)
         p = dist(0.3, 0.7)
-        assert np.allclose(pair_.marginalize(pair_.embed(p)).weights, p.weights, atol=1e-15)
+        round_trip = apply(pair_.coembedding_channel, apply(pair_.embedding_channel, p))
+        assert np.allclose(round_trip.weights, p.weights, atol=1e-15)
 
     def test_section_property_on_vectors_and_coefficients(self):
         f = random_surjection(6, 3, seed=16)
@@ -285,8 +287,8 @@ class TestEmbeddingPairs:
         # cotangent side: pulling back through the embedding after the
         # co-embedding restores the class. Base points are compared exactly,
         # so the covector must live at the recomputed image point.
-        p_img = pair_.embed(p)
-        p_round = pair_.marginalize(p_img)
+        p_img = apply(pair_.embedding_channel, p)
+        p_round = apply(pair_.coembedding_channel, p_img)
         alpha = delta(p_round, RandomVariable(SampleSpace(3), rng.normal(size=3)))
         lifted = pullback(pair_.coembedding_channel, p_img, alpha)
         back = pullback(pair_.embedding_channel, p, lifted)

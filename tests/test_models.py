@@ -13,23 +13,26 @@ from fishergeo.errors import (
     RankDeficient,
     SizeMismatch,
 )
-from fishergeo.geometry import delta, fisher_cometric, norm_cotangent, tangent_gram
+from fishergeo.geometry import (
+    TangentVector,
+    delta,
+    e_rep,
+    fisher_cometric,
+    fisher_metric_rows,
+    norm_cotangent,
+)
 from fishergeo.models import (
     affine_model,
     bernoulli_model,
     categorical_model,
-    cometric_matrix,
     crb_check,
     exponential_family_model,
     FisherMatrix,
     fisher_info,
     jacobian_at,
-    lift,
     lifts,
     ParametricModel,
     restrict,
-    score,
-    tangent_basis,
 )
 from fishergeo.simplex import Distribution, RandomVariable, SampleSpace
 
@@ -41,6 +44,12 @@ def line_model():
 
 def rv(*values: float) -> RandomVariable:
     return RandomVariable(SampleSpace(len(values)), np.array(values))
+
+
+def scores(model, xi) -> list[RandomVariable]:
+    """d log p_xi / d xi_i: the e-representations of the Jacobian rows."""
+    p = model.point(xi)
+    return [e_rep(TangentVector(p, row)) for row in jacobian_at(model, xi)]
 
 
 def fd_fisher_oracle(model, xi, h: float = 1e-6) -> np.ndarray:
@@ -58,35 +67,36 @@ def fd_fisher_oracle(model, xi, h: float = 1e-6) -> np.ndarray:
 
 class TestBases:
     def test_bernoulli_tangent_basis(self):
-        basis = tangent_basis(bernoulli_model(), [0.5])
+        basis = jacobian_at(bernoulli_model(), [0.5])
         assert len(basis) == 1
-        assert np.allclose(basis[0].m_rep, [1.0, -1.0], atol=1e-12)
+        assert np.allclose(basis[0], [1.0, -1.0], atol=1e-12)
 
     def test_line_model_tangent_basis(self):
-        basis = tangent_basis(line_model(), [0.25])
-        assert np.allclose(basis[0].m_rep, [1.0, 1.0, -2.0], atol=1e-12)
+        basis = jacobian_at(line_model(), [0.25])
+        assert np.allclose(basis[0], [1.0, 1.0, -2.0], atol=1e-12)
 
     def test_basis_vectors_sum_to_zero(self):
         for model, xi in [
             (categorical_model(4), [0.2, 0.3, 0.1]),
             (exponential_family_model(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])), [0.3, -0.2]),
         ]:
-            for v in tangent_basis(model, xi):
-                assert abs(float(np.sum(v.m_rep))) < 1e-12
+            p = model.point(xi)
+            for row in jacobian_at(model, xi):
+                assert abs(float(np.sum(TangentVector(p, row).m_rep))) < 1e-12
 
     def test_bernoulli_score(self):
-        ell = score(bernoulli_model(), [0.5])
+        ell = scores(bernoulli_model(), [0.5])
         assert np.allclose(ell[0].values, [2.0, -2.0], atol=1e-12)
 
     def test_line_model_score(self):
-        ell = score(line_model(), [0.25])
+        ell = scores(line_model(), [0.25])
         assert np.allclose(ell[0].values, [4.0, 4.0, -4.0], atol=1e-12)
 
     def test_scores_are_centered(self):
         model = categorical_model(3)
         xi = np.array([0.2, 0.5])
         p = model.point(xi)
-        for ell in score(model, xi):
+        for ell in scores(model, xi):
             assert abs(float(np.dot(p.weights, ell.values))) < 1e-12
 
     def test_finite_difference_jacobian_matches_analytic(self):
@@ -105,7 +115,7 @@ class TestBases:
             np.array([[1.0, -1.0, 0.0], [2.0, -2.0, 0.0]]),
         )
         with pytest.raises(RankDeficient):
-            tangent_basis(degenerate, [0.01, 0.01])
+            jacobian_at(degenerate, [0.01, 0.01])
 
     def test_invalid_parameter(self):
         with pytest.raises(InvalidParameter):
@@ -144,20 +154,21 @@ class TestFisherInfo:
         model = categorical_model(4)
         xi = np.array([0.15, 0.35, 0.2])
         g = fisher_info(model, xi).matrix
-        gram = tangent_gram(tangent_basis(model, xi))
+        jac = jacobian_at(model, xi)
+        gram = fisher_metric_rows(model.point(xi), jac, jac)
         assert np.allclose(g, gram, rtol=1e-9)
 
     def test_cometric_matrix_bernoulli(self):
-        assert np.allclose(cometric_matrix(bernoulli_model(), [0.5]), [[0.25]], atol=1e-12)
+        assert np.allclose(fisher_info(bernoulli_model(), [0.5]).inverse(), [[0.25]], atol=1e-12)
 
     def test_cometric_matrix_line(self):
-        assert np.allclose(cometric_matrix(line_model(), [0.25]), [[1.0 / 16.0]], atol=1e-14)
+        assert np.allclose(fisher_info(line_model(), [0.25]).inverse(), [[1.0 / 16.0]], atol=1e-14)
 
     def test_product_is_identity(self):
         model = categorical_model(5)
         xi = np.array([0.1, 0.2, 0.25, 0.15])
-        g = fisher_info(model, xi).matrix
-        assert np.max(np.abs(g @ cometric_matrix(model, xi) - np.eye(4))) < 1e-8
+        info = fisher_info(model, xi)
+        assert np.max(np.abs(info.matrix @ info.inverse() - np.eye(4))) < 1e-8
 
 
 class TestRestrictAndLift:
@@ -175,15 +186,15 @@ class TestRestrictAndLift:
         assert np.allclose(restrict(model, [0.25], delta(p, rv(3, 3, 3))), [0.0], atol=1e-12)
 
     def test_lift_norm_line_model(self):
-        alpha = lift(line_model(), [0.25], [1.0])
+        alpha = lifts(line_model(), [0.25], [[1.0]])[0]
         assert norm_cotangent(alpha) ** 2 == pytest.approx(1.0 / 16.0, rel=1e-12)
 
     def test_lift_zero(self):
-        alpha = lift(line_model(), [0.25], [0.0])
+        alpha = lifts(line_model(), [0.25], [[0.0]])[0]
         assert np.allclose(alpha.rep.values, 0.0, atol=1e-15)
 
     def test_lift_bernoulli_is_indicator_class(self):
-        alpha = lift(bernoulli_model(), [0.5], [1.0])
+        alpha = lifts(bernoulli_model(), [0.5], [[1.0]])[0]
         assert np.allclose(alpha.rep.values, [0.5, -0.5], atol=1e-12)
 
     def test_restrict_after_lift_is_identity(self):
@@ -191,7 +202,7 @@ class TestRestrictAndLift:
         xi = np.array([0.3, 0.25, 0.2])
         coeffs = np.array([0.7, -1.3, 0.4])
         assert np.allclose(
-            restrict(model, xi, lift(model, xi, coeffs)), coeffs, atol=1e-10
+            restrict(model, xi, lifts(model, xi, [coeffs])[0]), coeffs, atol=1e-10
         )
 
     def test_lift_is_minimum_norm(self):
@@ -201,7 +212,7 @@ class TestRestrictAndLift:
         xi = [0.25]
         p = model.point(xi)
         jac = jacobian_at(model, xi)
-        lifted = lift(model, xi, [1.0])
+        lifted = lifts(model, xi, [[1.0]])[0]
         base_norm = norm_cotangent(lifted)
         rng = np.random.default_rng(5)
         for _ in range(25):
@@ -218,10 +229,10 @@ class TestRestrictAndLift:
         # g_M(alpha, beta) via G^{-1} equals the ambient co-metric of lifts.
         model = categorical_model(3)
         xi = np.array([0.25, 0.4])
-        g_inv = cometric_matrix(model, xi)
+        g_inv = fisher_info(model, xi).inverse()
         a = np.array([1.0, 0.0])
         b = np.array([0.3, -0.8])
-        ambient = fisher_cometric(lift(model, xi, a), lift(model, xi, b))
+        ambient = fisher_cometric(*lifts(model, xi, [a, b]))
         assert ambient == pytest.approx(float(a @ g_inv @ b), rel=1e-9)
 
 
@@ -289,7 +300,7 @@ class TestCrb:
         model = categorical_model(3)
         reps = []
         for xi in ([0.2, 0.3], [0.35, 0.4], [0.25, 0.6]):
-            alpha = lift(model, xi, [1.0, 0.0])
+            alpha = lifts(model, xi, [[1.0, 0.0]])[0]
             p = model.point(xi)
             reps.append(alpha.rep.values + np.dot(p.weights, [1, 0, 0]))
         for other in reps[1:]:
@@ -302,11 +313,12 @@ class TestCrb:
 
 class TestLifts:
     def test_lift_is_lifts_of_one_row(self):
+        """Each row's lift is the same float whether it is lifted alone or with others."""
         model = exponential_family_model(np.array([[1.0, 0.0, -1.0, 2.0], [0.0, 1.0, 1.0, -1.0]]))
         xi = [0.2, -0.4]
         rows = [[1.0, 0.0], [0.3, -2.0], [0.0, 0.0]]
         for row, alpha in zip(rows, lifts(model, xi, rows)):
-            assert alpha.rep.values.tobytes() == lift(model, xi, row).rep.values.tobytes()
+            assert alpha.rep.values.tobytes() == lifts(model, xi, [row])[0].rep.values.tobytes()
             assert np.allclose(restrict(model, xi, alpha), row, atol=1e-10)
 
     def test_wrong_row_length(self):
@@ -335,13 +347,13 @@ class TestNonFinite:
     )
     def test_non_finite_jacobian_rejected(self, rows):
         model = fixed_jacobian_model(rows)
-        for check in (jacobian_at, fisher_info, cometric_matrix, tangent_basis):
+        for check in (jacobian_at, fisher_info):
             with pytest.raises(InvalidParameter, match="finite"):
                 check(model, [0.1])
         with pytest.raises(InvalidParameter, match="finite"):
             crb_check(model, [0.1], [rv(4.0, 0.0, 0.0)])
         with pytest.raises(InvalidParameter, match="finite"):
-            lift(model, [0.1], [1.0])
+            lifts(model, [0.1], [[1.0]])
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_affine_anchor(self, bad):

@@ -35,7 +35,6 @@ from fishergeo.simplex import (
     Distribution,
     RandomVariable,
     SampleSpace,
-    indicator,
     new_distribution,
     uniform,
 )
@@ -72,6 +71,13 @@ from fishergeo.verify import (
 pytestmark = pytest.mark.filterwarnings(
     "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
 )
+
+
+def indicator(space: SampleSpace, index: int) -> RandomVariable:
+    """Indicator variable of one outcome (0-based index)."""
+    values = np.zeros(space.size)
+    values[index] = 1.0
+    return RandomVariable(space, values)
 
 
 def reference_call(family, p: Distribution, a: RandomVariable, b: RandomVariable) -> float:
@@ -218,17 +224,9 @@ def reference_fit_constants(family, p: Distribution) -> tuple[float, float]:
     return float(solution[0]), float(solution[1])
 
 
-def reference_probe_rational(family, p, denominator_bound, constants=None) -> RationalProbeResult:
+def reference_probe_rational(family, p, denominator_bound, constants) -> RationalProbeResult:
     n = p.space.size
     denominator, counts = rationalize(p, denominator_bound)
-    if constants is None:
-        base = reference_probe_uniform(family, n)
-        if base.witness is not None:
-            return RationalProbeResult(
-                n, denominator, tuple(int(c) for c in counts),
-                0.0, 0.0, 0.0, 0.0, base.max_residual, base.witness,
-            )
-        constants = (n * base.a, n * n * base.b)
     c1, c2 = constants
     surjection = partition_surjection(counts)
     u_big = uniform(surjection.domain)
@@ -400,7 +398,6 @@ GRAMMAR = st.lists(st.tuples(COEFFS, ATOMS), min_size=1, max_size=3).map(
 )
 FAMILIES = st.one_of(GRAMMAR, st.sampled_from(PLUGINS))
 CONSTANTS = st.one_of(
-    st.none(),
     st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
     st.sampled_from([(1.0, -1.0), (math.nan, 1.0), (math.inf, 0.0), (0.5, -math.inf)]),
 )
@@ -470,7 +467,8 @@ def test_references_find_witnesses(expression):
     family = parse_family(expression)
     assert reference_probe_consistency(family, 2, 3).witness is not None
     p = rational_point(4, 12, seed=1)
-    assert reference_probe_rational(family, p, 12).witness is not None
+    base = reference_probe_uniform(family, 4)
+    assert reference_probe_rational(family, p, 12, (4 * base.a, 16 * base.b)).witness is not None
 
 
 @st.composite

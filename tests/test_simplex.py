@@ -14,13 +14,14 @@ from fishergeo.errors import (
     NotNormalized,
     SizeMismatch,
 )
+from fishergeo.families import parse_family
 from fishergeo.simplex import (
     Distribution,
     RandomVariable,
     SampleSpace,
     cov,
+    cov_matrix,
     expect,
-    inner_l2,
     new_distribution,
     sample_interior,
     uniform,
@@ -34,6 +35,10 @@ def rv(*values: float) -> RandomVariable:
 
 def dist(*weights: float) -> Distribution:
     return new_distribution(SampleSpace(len(weights)), np.array(weights))
+
+
+#: The weighted L2 inner product sum(p(w) * A(w) * B(w)), as a grammar family.
+inner_l2 = parse_family("L2")
 
 
 class TestConstruction:
@@ -258,3 +263,37 @@ class TestSampleInterior:
     def test_uniform_helper(self):
         u = uniform(SampleSpace(4))
         assert np.allclose(u.weights, 0.25)
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in np.asarray(values, dtype=float).reshape(-1)]
+
+
+@st.composite
+def point_and_rows(draw):
+    """A point on 2..16 outcomes and 1..8 variables, each row scaled by 1e-5..1e5."""
+    n = draw(st.integers(2, 16), label="n")
+    k = draw(st.integers(1, 8), label="k")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    p = sample_interior(SampleSpace(n), seed=int(rng.integers(2**32)), floor=1e-3 / n)
+    rows = rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-5, 5, size=(k, 1))
+    return p, [RandomVariable(p.space, row) for row in rows]
+
+
+class TestCovMatrix:
+    @given(point_and_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_entries_are_cov_bitwise(self, case):
+        """Every entry is the float of the ``cov`` call on its two variables."""
+        p, variables = case
+        expected = [[cov(p, a, b) for b in variables] for a in variables]
+        assert hexes(cov_matrix(p, variables)) == hexes(expected)
+
+    def test_closed_form(self):
+        # Var = 3/16 for an indicator of weight 1/4; Cov of the two indicators = -3/16
+        matrix = cov_matrix(dist(0.25, 0.75), [rv(1, 0), rv(0, 1)])
+        assert matrix.tolist() == [[0.1875, -0.1875], [-0.1875, 0.1875]]
+
+    def test_space_mismatch(self):
+        with pytest.raises(SizeMismatch):
+            cov_matrix(dist(0.5, 0.5), [rv(1, 0), rv(1, 0, 0)])

@@ -2,7 +2,8 @@
 
 The reference below is the per-entry implementation: Gram-Schmidt over
 ``TangentVector`` objects and the double ``fisher_metric`` loop for the
-matrices of the two differentials and for ``tangent_gram``. The array kernel
+matrices of the two differentials and for the tangent Gram matrix, which
+``fisher_metric_rows`` computes from m-representation rows. The array kernel
 does the same float operations in the same order, so every basis entry,
 every residual and every Gram entry must be the same float, compared through
 ``float.hex``.
@@ -10,17 +11,15 @@ every residual and every Gram entry must be the same float, compared through
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fishergeo.errors import BasePointMismatch
 from fishergeo.geometry import (
     TangentVector,
     fisher_metric,
+    fisher_metric_rows,
     norm_tangent,
     orthonormal_basis_rows,
-    tangent_gram,
 )
 from fishergeo.markov import (
     apply,
@@ -151,11 +150,10 @@ def test_strong_invariance_residuals_bitwise(n_big, data, seed, exponent, count)
     seed=st.integers(0, 2**32 - 1),
     basis_count=st.integers(0, 4),
     random_count=st.integers(0, 4),
-    mismatch=st.booleans(),
 )
-def test_tangent_gram_bitwise(p, seed, basis_count, random_count, mismatch):
-    """Basis vectors, random vectors of mixed scale and, with ``mismatch``,
-    one vector at another base point, which both sides reject."""
+def test_tangent_gram_bitwise(p, seed, basis_count, random_count):
+    """``fisher_metric_rows`` on the m-representation rows of basis vectors
+    and random vectors of mixed scale."""
     rng = np.random.default_rng(seed)
     n = p.space.size
     vectors = reference_basis(p)[:basis_count]
@@ -163,15 +161,7 @@ def test_tangent_gram_bitwise(p, seed, basis_count, random_count, mismatch):
         m = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 3, size=n)
         m[-1] = -m[:-1].sum()
         vectors.append(TangentVector(p, m))
-    if mismatch:
-        other = boundary_point(n, seed + 1, 2.0, 1)
-        vectors.insert(int(rng.integers(len(vectors) + 1)), TangentVector(other, np.zeros(n)))
-        if len(vectors) > 1:
-            with pytest.raises(BasePointMismatch):
-                reference_gram(vectors)
-            with pytest.raises(BasePointMismatch):
-                tangent_gram(vectors)
-            return
-    gram = tangent_gram(vectors)
+    rows = np.array([x.m_rep for x in vectors]).reshape(len(vectors), n)
+    gram = fisher_metric_rows(p, rows, rows)
     assert gram.shape == (len(vectors), len(vectors))
     assert hexes(gram) == hexes(reference_gram(vectors))

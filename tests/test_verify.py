@@ -24,7 +24,7 @@ from fishergeo.batteries import (
     shrink_case,
 )
 from fishergeo.errors import InvalidParameter, NotRational
-from fishergeo.families import COV_FAMILY, L2_FAMILY, parse_family
+from fishergeo.families import parse_family
 from fishergeo.geometry import TangentVector, delta
 from fishergeo.markov import (
     Channel,
@@ -71,6 +71,14 @@ def rv(*values: float) -> RandomVariable:
 
 F112 = Surjection.from_one_based([1, 1, 2])
 Q3 = dist(0.25, 0.25, 0.5)
+COV_FAMILY = parse_family("COV")
+L2_FAMILY = parse_family("L2")
+
+
+def uniform_constants(family, n: int) -> tuple[float, float]:
+    """(c1, c2) = (n a, n^2 b) from the uniform probe at n."""
+    base = probe_uniform(family, n)
+    return n * base.a, n * n * base.b
 
 
 class TestMonotonicityChecks:
@@ -295,14 +303,14 @@ class TestProbeConsistency:
 
 class TestProbeRational:
     def test_cov_quarter(self):
-        result = probe_rational(COV_FAMILY, dist(0.25, 0.75), 8)
+        result = probe_rational(COV_FAMILY, dist(0.25, 0.75), 8, uniform_constants(COV_FAMILY, 2))
         assert result.denominator == 4 and result.counts == (1, 3)
         assert result.max_residual <= 1e-9
         assert (result.c1, result.c2) == pytest.approx((1.0, -1.0), rel=1e-12)
 
     def test_grammar_roundtrip_recovers_constants(self):
         fam = parse_family("2*L2 + 5*MM")
-        result = probe_rational(fam, dist(0.25, 0.75), 8)
+        result = probe_rational(fam, dist(0.25, 0.75), 8, uniform_constants(fam, 2))
         assert result.fitted_c1 == pytest.approx(2.0, rel=1e-9)
         assert result.fitted_c2 == pytest.approx(5.0, rel=1e-9)
         assert result.max_residual <= 1e-9
