@@ -4,8 +4,9 @@ Every battery is one ``_Battery`` spec in ``_BATTERIES``: its config keys
 with their defaults and types, a draw, the single-case check from
 :mod:`fishergeo.verify` that evaluates each case, and how the residual is
 read and judged. ``run_battery`` reads a config against the spec before any
-trial runs; ``_drive``, the one trial loop, draws each case from a single
-seeded generator and tracks the worst residual in trial order. Violations
+trial runs; ``_drive``, the one trial loop, draws every case from a single
+seeded generator, evaluates them through the check, or in one call of the
+spec's kernel, and tracks the worst residual in trial order. Violations
 are first minimized by greedy shrinking (reduce the sample space, then the
 vector support) and then recorded as witnesses, each tagged with
 (seed, trial) so the exact case can be regenerated.
@@ -29,7 +30,8 @@ from .simplex import RandomVariable, SampleSpace, new_distribution, sample_inter
 from .verify import (
     PASS_TOL, STRONG_INVARIANCE_TOL, VIOLATION_TOL, Witness, characterize, check_invariance,
     check_monotonicity_cometric, check_monotonicity_metric, check_prop6_identity,
-    check_strong_invariance, classify, weak_invariance_residual,
+    check_strong_invariance, classify, invariance_kernel, strong_invariance_kernel,
+    weak_invariance_residual,
 )
 
 #: CRB battery verdicts tolerate eigenvalues of V - G^{-1} down to this.
@@ -205,12 +207,15 @@ class _Battery:
 
     A default of None marks a required key. ``draw(rng, trial=..., **params)``
     returns a case: the inputs of the check named ``check``, keyed by
-    parameter name. The check is looked up in this module at run time, so a
-    rebound name is the one called. ``residual`` reads the signed residual
-    from the check's report. Above ``violation_tol`` the case is shrunk and
-    recorded as a witness of the kind ``name``, unless the report carries
-    its own. ``record(case, report)`` adds one entry per trial to the list
-    that ``extras(params, worst, records)`` reads.
+    parameter name. A battery with a ``kernel`` evaluates all its cases in
+    one call of it: the check over a leading trial axis, which takes each
+    input as a sequence with one entry per trial and returns the reports in
+    trial order. Checks and kernels are looked up in this module at run
+    time, so a rebound name is the one called. ``residual`` reads the
+    signed residual from the check's report. Above ``violation_tol`` the
+    case is shrunk and recorded as a witness of the kind ``name``, unless
+    the report carries its own. ``record(case, report)`` adds one entry per
+    trial to the list that ``extras(params, worst, records)`` reads.
 
     When the bool key named ``control`` is true, the run is a control of the
     opposite polarity, which shows that the check detects a mismatch: it
@@ -231,19 +236,24 @@ class _Battery:
     record: Callable[[dict, Any], Any] | None = None
     extras: Callable[[dict, float, list], dict] = lambda params, worst, records: {}
     control: str | None = None
+    kernel: str | None = None
 
 
 def _drive(spec: _Battery, params: dict) -> BatteryReport:
-    """Run ``spec.rounds(params)`` seeded cases through the check and aggregate them."""
+    """Draw ``spec.rounds(params)`` seeded cases, run them through the check
+    or the kernel and aggregate them in trial order."""
     check = globals()[spec.check]
     control = spec.control is not None and params[spec.control]
     seed, rounds = params["seed"], spec.rounds(params)
     rng = np.random.default_rng(seed)
     pick, worst = (min, np.inf) if control else (max, -np.inf)
     witnesses, records = [], []
-    for trial in range(rounds):
-        case = spec.draw(rng, trial=trial, **params)
-        report = check(**case)
+    cases = [spec.draw(rng, trial=trial, **params) for trial in range(rounds)]
+    if spec.kernel is None:
+        reports = [check(**case) for case in cases]
+    else:
+        reports = globals()[spec.kernel](**{key: [case[key] for case in cases] for key in cases[0]})
+    for trial, (case, report) in enumerate(zip(cases, reports)):
         value = float(spec.residual(report))
         worst = pick(worst, value)
         if spec.record is not None:
@@ -388,12 +398,12 @@ _BATTERIES: dict[str, _Battery] = {spec.name: spec for spec in (
     ),
     _Battery(
         "invariance", {"trials": 500, "n_max": 8, "seed": 0}, _draw_invariance,
-        "check_invariance", attrgetter("max_residual"), min_n=3,
+        "check_invariance", attrgetter("max_residual"), min_n=3, kernel="invariance_kernel",
     ),
     _Battery(
         "strong_invariance", {"trials": 500, "n_max": 8, "seed": 0}, _draw_strong_invariance,
         "check_strong_invariance", attrgetter("max_residual"),
-        min_n=3, pass_tol=STRONG_INVARIANCE_TOL,
+        min_n=3, pass_tol=STRONG_INVARIANCE_TOL, kernel="strong_invariance_kernel",
     ),
     _Battery(
         "prop6", {"trials": 200, "n_max": 6, "seed": 0, "family": "COV"},

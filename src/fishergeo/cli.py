@@ -38,9 +38,10 @@ from .models import crb_check, fisher_info
 from .verify import PASS_TOL, VIOLATION_TOL
 
 DEFAULT_TOL = 1e-6
-#: A value that argparse would take for an option: a minus sign, then a digit
-#: or a dot. No option of this CLI starts that way.
-_DASHED_VALUE = re.compile(r"^-[\d.]")
+#: A value that argparse would take for an option: a minus sign, then a digit,
+#: a dot, or "inf" or "nan" in any case, as ``float`` reads them. No option of
+#: this CLI starts that way.
+_DASHED_VALUE = re.compile(r"^-([\d.]|inf|nan)", re.IGNORECASE)
 
 
 def _load_json(path: str):
@@ -249,8 +250,9 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 def _join_dashed_values(argv: list[str]) -> list[str]:
     """``--opt value`` as ``--opt=value`` where value starts with '-' and a
-    digit or a dot: argparse reads a separate ``-0.5,0.3`` or ``-1e-4`` as
-    an option, not as the value of the option before it."""
+    digit, a dot, "inf" or "nan": argparse reads a separate ``-0.5,0.3``,
+    ``-1e-4`` or ``-inf:0.4`` as an option, not as the value of the option
+    before it."""
     joined: list[str] = []
     for arg in argv:
         previous = joined[-1] if joined else ""

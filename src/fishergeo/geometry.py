@@ -70,6 +70,15 @@ class CotangentVector:
             raise NotCentered(f"representative has mean {mean!r} at the base point")
 
 
+def require_centered(means: np.ndarray) -> None:
+    """The ``CotangentVector`` check on an array of means <rep>_p, one per
+    representative; the first bad mean in C order is named."""
+    centered = abs(means) <= CENTERING_TOL
+    if not centered.all():
+        mean = float(np.reshape(means, -1)[np.argmin(np.reshape(centered, -1))])
+        raise NotCentered(f"representative has mean {mean!r} at the base point")
+
+
 def require_same_base(a: TangentVector | CotangentVector, b: TangentVector | CotangentVector) -> None:
     if a.base != b.base:
         raise BasePointMismatch("operands are attached to different base points")
@@ -146,41 +155,55 @@ def require_rows_sum_zero(rows: np.ndarray) -> None:
     """Raise ``NotSumZero`` unless every row, as an m-representation, sums to 0.
 
     The row-wise form of the ``TangentVector`` check, with the same tolerance;
-    a non-finite row fails.
+    a non-finite row fails. Rows may be stacked along leading axes; the first
+    bad row in C order is named.
     """
-    totals = np.sum(rows, axis=-1)
-    bad = ~(np.abs(totals) <= SUM_ZERO_TOL)
-    if np.any(bad):
-        total = float(totals[np.argmax(bad)])
+    totals = rows.sum(axis=-1)
+    zero = abs(totals) <= SUM_ZERO_TOL
+    if not zero.all():
+        total = float(np.reshape(totals, -1)[np.argmin(np.reshape(zero, -1))])
         raise NotSumZero(f"m-representation sums to {total!r}, not 0")
 
 
-def fisher_metric_rows(p: Distribution, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def _weights(p: Distribution | np.ndarray) -> np.ndarray:
+    return p.weights if isinstance(p, Distribution) else p
+
+
+def fisher_metric_rows(p: Distribution | np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """[g_p(X_i, Y_j)] for m-representations given as rows, C-ordered.
 
-    Each entry is ``fisher_metric`` of the two rows, bitwise.
+    ``p`` is a distribution, or the weights of several points stacked along
+    leading axes, (..., n) with rows (..., i, n) and (..., j, n). Each entry
+    is ``fisher_metric`` of the two rows, bitwise.
     """
-    return np.sum(xs[:, None, :] * ys[None, :, :] / p.weights, axis=-1)
+    w = _weights(p)
+    return (xs[..., :, None, :] * ys[..., None, :, :] / w[..., None, None, :]).sum(axis=-1)
 
 
-def orthonormal_basis_rows(p: Distribution) -> np.ndarray:
+def orthonormal_basis_rows(p: Distribution | np.ndarray) -> np.ndarray:
     """Deterministic g-orthonormal tangent basis at p, as m-representation rows.
 
     Right-looking Gram-Schmidt over e_i - e_n, i = 1..n-1: row k is
     normalized, then its projection is removed from every later row at once.
     Each row receives the same subtractions in the same order as in
     left-looking Gram-Schmidt, so every entry is the same float.
+
+    ``p`` is a distribution, giving rows (n - 1, n), or the weights of k
+    points of one size n as a (k, n) array, giving (k, n - 1, n): each
+    point's basis is bitwise the one it has alone. Every step checks that
+    the rows still sum to 0.
     """
-    n = p.space.size
-    w = p.weights
-    rows = np.zeros((n - 1, n))
-    rows[np.arange(n - 1), np.arange(n - 1)] = 1.0
-    rows[:, n - 1] = -1.0
+    w = _weights(p)
+    batch = np.atleast_2d(w)
+    count, n = batch.shape
+    rows = np.zeros((count, n - 1, n))
+    rows[:, np.arange(n - 1), np.arange(n - 1)] = 1.0
+    rows[:, :, n - 1] = -1.0
     for k in range(n - 1):
-        v = rows[k]
-        u = v / math.sqrt(max(float(np.sum(v * v / w)), 0.0))
-        rows[k] = u
-        rest = rows[k + 1 :]
-        rest -= np.sum(rest * u / w, axis=-1)[:, None] * u
-        require_rows_sum_zero(rows[k:])
-    return rows
+        v = rows[:, k]
+        u = v / np.sqrt(np.maximum((v * v / batch).sum(axis=-1), 0.0))[:, None]
+        rows[:, k] = u
+        rest = rows[:, k + 1 :]
+        rest -= (rest * u[:, None] / batch[:, None]).sum(axis=-1)[..., None] * u[:, None]
+        require_rows_sum_zero(rows[:, k:])
+    return rows if w.ndim == 2 else rows[0]

@@ -36,6 +36,23 @@ KERNEL_COLUMN_TOL = 1e-12
 RANDOM_CHANNEL_FLOOR = 1e-3
 
 
+def require_kernel(k: np.ndarray) -> None:
+    """The ``Channel`` checks on kernels (n_out, n_in), stacked along leading
+    axes or not: nonnegative entries, unit column sums, every output reached.
+    Each check runs over the whole stack before the next one."""
+    # Written so that NaN fails both tests.
+    if not (k >= 0.0).all():
+        raise InvalidChannel("kernel entries must be nonnegative")
+    col_sums = k.sum(axis=-2)
+    deviation = abs(col_sums - 1.0)
+    if not deviation.max() <= KERNEL_COLUMN_TOL:
+        normalized = deviation.max(axis=-1) <= KERNEL_COLUMN_TOL
+        bad = col_sums.reshape(-1, col_sums.shape[-1])[np.argmin(normalized.reshape(-1))]
+        raise NotNormalized(f"column sums {bad.tolist()} deviate from 1")
+    if (k.max(axis=-1) <= 0.0).any():
+        raise NotSurjective("some output has no positive kernel entry")
+
+
 @dataclass(frozen=True, eq=False)
 class Channel:
     """Surjective column-stochastic kernel W(y|x), shape (n_out, n_in)."""
@@ -51,14 +68,7 @@ class Channel:
                 f"kernel shape {k.shape} != "
                 f"{(self.out_space.size, self.in_space.size)}"
             )
-        # Written so that NaN fails both tests.
-        if not np.all(k >= 0.0):
-            raise InvalidChannel("kernel entries must be nonnegative")
-        col_sums = k.sum(axis=0)
-        if not np.max(np.abs(col_sums - 1.0)) <= KERNEL_COLUMN_TOL:
-            raise NotNormalized(f"column sums {col_sums.tolist()} deviate from 1")
-        if np.any(k.max(axis=1) <= 0.0):
-            raise NotSurjective("some output has no positive kernel entry")
+        require_kernel(k)
         k.flags.writeable = False
         object.__setattr__(self, "kernel", k)
 

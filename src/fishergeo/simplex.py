@@ -27,6 +27,41 @@ def _readonly(values, n: int | None = None) -> np.ndarray:
     return arr
 
 
+def _first_row(rows: np.ndarray, good: np.ndarray) -> np.ndarray:
+    """The first row, in C order over the leading axes, whose ``good`` is False."""
+    return rows.reshape(-1, rows.shape[-1])[np.argmin(good.reshape(-1))]
+
+
+def require_weights(w: np.ndarray) -> None:
+    """The ``Distribution`` checks on weight rows: each weight above the
+    floor, each row summing to 1. Rows may be stacked along leading axes;
+    the first bad row is named, as its ``Distribution`` would name it."""
+    # Written so that NaN fails both tests.
+    if not (w > POSITIVITY_FLOOR).all():
+        row = _first_row(w, (w > POSITIVITY_FLOOR).all(axis=-1))
+        finite = np.isfinite(row)
+        if np.all(finite):
+            bad = int(np.argmin(row))
+            problem = f"is at or below {POSITIVITY_FLOOR}"
+        else:
+            bad = int(np.argmin(finite))
+            problem = "is non-finite"
+        raise NonPositiveWeight(f"weight {float(row[bad])!r} at index {bad + 1} {problem}")
+    totals = w.sum(axis=-1)
+    normalized = abs(totals - 1.0) <= NORMALIZATION_TOL
+    if not normalized.all():
+        total = float(_first_row(totals[..., None], normalized)[0])
+        raise NotNormalized(f"weights sum to {total!r}, not 1")
+
+
+def require_finite(values: np.ndarray) -> None:
+    """The ``RandomVariable`` check on value rows, stacked along leading axes
+    or not; the first row with a non-finite value is named."""
+    if not np.isfinite(values).all():
+        row = _first_row(values, np.isfinite(values).all(axis=-1))
+        raise InvalidParameter(f"random variable values must be finite: {row.tolist()}")
+
+
 @dataclass(frozen=True)
 class SampleSpace:
     """Finite sample space; elements are identified with indices 1..size."""
@@ -48,19 +83,7 @@ class Distribution:
     def __post_init__(self) -> None:
         w = _readonly(self.weights, self.space.size)
         object.__setattr__(self, "weights", w)
-        # Written so that NaN fails both tests.
-        if not np.all(w > POSITIVITY_FLOOR):
-            finite = np.isfinite(w)
-            if np.all(finite):
-                bad = int(np.argmin(w))
-                problem = f"is at or below {POSITIVITY_FLOOR}"
-            else:
-                bad = int(np.argmin(finite))
-                problem = "is non-finite"
-            raise NonPositiveWeight(f"weight {float(w[bad])!r} at index {bad + 1} {problem}")
-        total = float(np.sum(w))
-        if not abs(total - 1.0) <= NORMALIZATION_TOL:
-            raise NotNormalized(f"weights sum to {total!r}, not 1")
+        require_weights(w)
 
     # Value equality, not tolerance: two distributions are the same base
     # point only if their weights are bitwise equal.
@@ -84,8 +107,7 @@ class RandomVariable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _readonly(self.values, self.space.size))
-        if not np.isfinite(self.values).all():
-            raise InvalidParameter(f"random variable values must be finite: {self.values.tolist()}")
+        require_finite(self.values)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -4,7 +4,10 @@ Single-case checks cover monotonicity of the metric/co-metric/variance under
 channels, the invariance identities of embedding/co-embedding pairs, the
 strong-invariance (adjoint/projector) identities, and the two-sided pairing
 identity for candidate bilinear families. Randomized batteries drive them
-over seeded trials and aggregate deterministic reports.
+over seeded trials and aggregate deterministic reports. The two invariance
+checks are array kernels over a leading trial axis, ``invariance_kernel``
+and ``strong_invariance_kernel``, on a batch of one; their batteries call
+the kernels once on all their trials.
 
 The probe decomposes an invariant family into ``c1 * L2 + c2 * MM``:
 
@@ -34,17 +37,16 @@ import numpy as np
 
 from .connections import DEFAULT_STEP, ConnectionTag, VectorFieldOnModel, coordinate_field
 from .connections import weak_invariance_check
-from .errors import InvalidParameter, NotRational, SizeMismatch
+from .errors import FisherGeoError, InvalidParameter, NotRational, SizeMismatch
 from .families import CandidateFamily, parse_family
 from .geometry import (
     CotangentVector,
     TangentVector,
     delta,
-    fisher_cometric,
-    fisher_metric,
     fisher_metric_rows,
     norm_tangent,
     orthonormal_basis_rows,
+    require_centered,
     require_rows_sum_zero,
 )
 from .markov import (
@@ -54,16 +56,17 @@ from .markov import (
     apply,
     canonical_embedding,
     conditional_expectation,
-    pullback,
     pushforward,
+    require_kernel,
 )
 from .models import categorical_model, crb_check
 from .simplex import (
     Distribution,
     RandomVariable,
     SampleSpace,
-    cov,
     new_distribution,
+    require_finite,
+    require_weights,
     uniform,
     variance,
 )
@@ -232,6 +235,13 @@ class InvarianceReport:
         return self.max_residual <= PASS_TOL
 
 
+@dataclass(frozen=True)
+class StrongInvarianceReport(InvarianceReport):
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= STRONG_INVARIANCE_TOL
+
+
 def check_invariance(
     pair: EmbeddingPair,
     q: Distribution,
@@ -246,40 +256,10 @@ def check_invariance(
     embedding, the co-metric identity through the co-embedding, and the
     variance/covariance identities under composition with the surjection.
     ``x_m_rep``/``y_m_rep`` are sum-zero arrays on the small space; ``a``,
-    ``b`` random variables there. Residuals are relative.
+    ``b`` random variables there. Residuals are relative. This is
+    ``invariance_kernel`` on a batch of one.
     """
-    psi = pair.coembedding_channel
-    phi = pair.embedding_channel
-    p = apply(psi, q)
-    x = TangentVector(p, np.asarray(x_m_rep, dtype=float))
-    y = TangentVector(p, np.asarray(y_m_rep, dtype=float))
-    metric_res = _relative(
-        fisher_metric(x, y),
-        fisher_metric(pushforward(phi, p, x), pushforward(phi, p, y)),
-    )
-    alpha = delta(p, a)
-    beta = delta(p, b)
-    cometric_res = _relative(
-        fisher_cometric(alpha, beta),
-        fisher_cometric(pullback(psi, q, alpha), pullback(psi, q, beta)),
-    )
-    a_lift = pair.surjection.compose_variable(a)
-    b_lift = pair.surjection.compose_variable(b)
-    residuals = {
-        "metric": metric_res,
-        "cometric": cometric_res,
-        "variance": _relative(variance(p, a), variance(q, a_lift)),
-        "covariance": _relative(cov(p, a, b), cov(q, a_lift, b_lift)),
-    }
-    worst = max(residuals.values())
-    return InvarianceReport(residuals, worst, classify(worst))
-
-
-@dataclass(frozen=True)
-class StrongInvarianceReport(InvarianceReport):
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= STRONG_INVARIANCE_TOL
+    return invariance_kernel([pair], [q], [x_m_rep], [y_m_rep], [a], [b])[0]
 
 
 def check_strong_invariance(
@@ -293,53 +273,270 @@ def check_strong_invariance(
     the embedded tangent space; together with the section identity this is
     exactly the two-isometry statement. Finally the mixed covariance
     identity Cov_{q^F}(A, E_V(B|.)) = Cov_q(A o F, B) is evaluated with
-    ``a`` on the small space and ``b`` on the large one.
+    ``a`` on the small space and ``b`` on the large one. This is
+    ``strong_invariance_kernel`` on a batch of one.
     """
-    phi = pair.embedding_channel
-    psi = pair.coembedding_channel
-    p = apply(psi, q)
-    recovered = apply(phi, p)
-    if not np.allclose(recovered.weights, q.weights, rtol=0, atol=1e-12):
-        raise InvalidParameter(
-            "pair is not the canonical embedding through q: the embedding "
-            "of the marginal does not recover q"
-        )
-    small_basis = orthonormal_basis_rows(p)
-    big_basis = orthonormal_basis_rows(q)
-    dim_small = len(small_basis)
+    return strong_invariance_kernel([pair], [q], [a], [b])[0]
 
-    # Images of the basis rows, one ``kernel @ row`` product each (a single
-    # matrix-matrix product may sum in another order); the canonical pair
-    # embeds exactly at q, so images are attached there.
-    images_up = np.array([phi.kernel @ u for u in small_basis])
-    images_down = np.array([psi.kernel @ v for v in big_basis])
-    require_rows_sum_zero(images_up)
-    require_rows_sum_zero(images_down)
-    # Matrices in the orthonormal bases, kept C-ordered: a matrix product on
-    # an F-ordered operand rounds differently in the last bit.
-    a_mat = np.ascontiguousarray(fisher_metric_rows(q, big_basis, images_up))
-    b_mat = np.ascontiguousarray(fisher_metric_rows(p, small_basis, images_down))
 
-    projector = a_mat @ b_mat
-    eye_small = np.eye(dim_small)
-    residuals = {
-        "adjoint": float(np.max(np.abs(b_mat - a_mat.T))),
-        "projector_idempotent": float(
-            np.max(np.abs(projector @ projector - projector))
-        ),
-        "projector_self_adjoint": float(np.max(np.abs(projector - projector.T))),
-        "projector_fixes_image": float(np.max(np.abs(projector @ a_mat - a_mat))),
-        "section": float(np.max(np.abs(b_mat @ a_mat - eye_small))),
-        "isometry": float(np.max(np.abs(a_mat.T @ a_mat - eye_small))),
-        "coisometry": float(np.max(np.abs(b_mat @ b_mat.T - eye_small))),
-    }
-    lhs = cov(p, a, conditional_expectation(phi, b))
-    rhs = cov(q, pair.surjection.compose_variable(a), b)
-    residuals["covariance_identity"] = abs(lhs - rhs)
-    worst = max(residuals.values())
-    return StrongInvarianceReport(
-        residuals, worst, classify(worst, pass_tol=STRONG_INVARIANCE_TOL)
+# ---------------------------------------------------------------------------
+# Pair kernels: the two invariance checks over a leading trial axis
+#
+# Trials of one shape (n, m) are stacked into C-ordered arrays, and every
+# product is the one the trial makes alone: one BLAS dot, matrix-vector or
+# matrix-matrix product per trial, and row sums over the last axis. So every
+# entry is bitwise the trial's own. The checks of the objects the single
+# case builds (Channel, Distribution, TangentVector, CotangentVector,
+# RandomVariable) run on the stacks, in the order the single case meets them.
+# ---------------------------------------------------------------------------
+
+
+#: The residuals of each pair check, in report order.
+_INVARIANCE_KEYS = ("metric", "cometric", "variance", "covariance")
+_STRONG_INVARIANCE_KEYS = (
+    "adjoint", "projector_idempotent", "projector_self_adjoint", "projector_fixes_image",
+    "section", "isometry", "coisometry", "covariance_identity",
+)
+#: Largest |embedding of the marginal - q| of a canonical pair.
+_CANONICAL_TOL = 1e-12
+
+
+def _relative(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    return abs(lhs - rhs) / np.maximum(np.maximum(1.0, abs(lhs)), abs(rhs))
+
+
+def _apply(kernels: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``kernels[t] @ vectors[t]``, one matrix-vector product per vector."""
+    return (kernels @ vectors[..., None])[..., 0]
+
+
+def _dots(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``np.dot(w[t], v[t])`` for each trial t: one BLAS dot per row."""
+    return (w[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _cov_rows(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``simplex.cov`` of each trial's rows."""
+    ca = a - _dots(w, a)[:, None]
+    cb = b - _dots(w, b)[:, None]
+    return _dots(w, ca * cb)
+
+
+def _delta_rows(w: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The representatives of ``geometry.delta`` at each trial's point, checked."""
+    centered = values - _dots(w, values)[:, None]
+    require_finite(centered)
+    require_centered(_dots(w, centered))
+    return centered
+
+
+def _conditional_expectation(kernels: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``markov.conditional_expectation`` through each trial's kernel, checked."""
+    expectation = _apply(kernels.transpose(0, 2, 1), values)
+    require_finite(expectation)
+    return expectation
+
+
+def _lift(values: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """``Surjection.compose_variable`` of each trial's values, checked."""
+    lifted = np.take_along_axis(values, maps, axis=1)
+    require_finite(lifted)
+    return lifted
+
+
+def _sized_rows(rows: list, size: int, mismatch: str) -> np.ndarray:
+    """Rows of length ``size``, stacked; a row of another length raises
+    ``SizeMismatch`` with ``mismatch`` formatted with that length."""
+    for row in rows:
+        if len(row) != size:
+            raise SizeMismatch(mismatch.format(len(row)))
+    return np.array(rows)
+
+
+class _PairStack(NamedTuple):
+    """The trials of one shape (n, m), stacked."""
+
+    trials: list[int]
+    maps: np.ndarray  # (k, n) surjections, 0-based
+    phi: np.ndarray  # (k, n, m) embedding kernels, each C-ordered as its Channel's
+    psi: np.ndarray  # (k, m, n) co-embedding kernels
+    q: np.ndarray  # (k, n) big points
+    p: np.ndarray  # (k, m) their marginals
+
+
+def _pair_stacks(pair, q) -> list[_PairStack]:
+    """The trials grouped by shape, with the Channel checks of both kernels
+    and the Distribution check of each marginal."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for t, (one, point) in enumerate(zip(pair, q)):
+        if point.space != one.surjection.domain:
+            raise SizeMismatch("distribution is not on the channel input space")
+        groups.setdefault((one.surjection.domain.size, one.surjection.codomain.size), []).append(t)
+    stacks = []
+    for (n, m), trials in groups.items():
+        maps = np.array([pair[t].surjection.map0 for t in trials])
+        fibers = np.array([pair[t].fiber_distributions for t in trials])
+        phi = np.ascontiguousarray(fibers.transpose(0, 2, 1))
+        psi = np.zeros((len(trials), m, n))
+        psi[np.arange(len(trials))[:, None], maps, np.arange(n)] = 1.0
+        require_kernel(phi)
+        require_kernel(psi)
+        points = np.array([q[t].weights for t in trials])
+        marginals = _apply(psi, points)
+        require_weights(marginals)
+        stacks.append(_PairStack(trials, maps, phi, psi, points, marginals))
+    return stacks
+
+
+def _in_trial_order(rows: Callable[..., np.ndarray], *columns) -> np.ndarray:
+    """``rows(*columns)``; when a check fails, the error raised is the one the
+    first failing trial raises alone."""
+    if len({len(column) for column in columns}) != 1:
+        raise SizeMismatch("every argument needs one entry per trial")
+    try:
+        return rows(*columns)
+    except FisherGeoError:
+        if len(columns[0]) > 1:
+            for t in range(len(columns[0])):
+                rows(*(column[t : t + 1] for column in columns))
+        raise
+
+
+def _reports(report: type, keys: tuple[str, ...], residuals: np.ndarray, pass_tol: float) -> list:
+    """One report per row of residuals, its worst residual classified at ``pass_tol``."""
+    reports = []
+    for row in residuals.tolist():
+        values = dict(zip(keys, row))
+        worst = max(values.values())
+        reports.append(report(values, worst, classify(worst, pass_tol)))
+    return reports
+
+
+def invariance_kernel(pair, q, x_m_rep, y_m_rep, a, b) -> list[InvarianceReport]:
+    """``check_invariance`` over a leading trial axis.
+
+    Each argument is a sequence with one entry per trial, in any mix of
+    sizes. Every residual is bitwise the one the trial gives alone, and a
+    failed check raises what the first failing trial raises alone.
+    """
+    residuals = _in_trial_order(_invariance_rows, pair, q, x_m_rep, y_m_rep, a, b)
+    return _reports(InvarianceReport, _INVARIANCE_KEYS, residuals, PASS_TOL)
+
+
+def _invariance_rows(pair, q, x_m_rep, y_m_rep, a, b) -> np.ndarray:
+    residuals = np.empty((len(pair), len(_INVARIANCE_KEYS)))
+    for s in _pair_stacks(pair, q):
+        m = s.p.shape[1]
+        tangents = []
+        for m_reps in (x_m_rep, y_m_rep):
+            rows = [np.asarray(m_reps[t], dtype=float).reshape(-1) for t in s.trials]
+            tangents.append(_sized_rows(rows, m, f"m_rep length {{}} != space size {m}"))
+            require_rows_sum_zero(tangents[-1])
+        x, y = tangents
+        # pushforward through the embedding, to the embedded image of p
+        image = _apply(s.phi, s.p)
+        require_weights(image)
+        x_up = _apply(s.phi, x)
+        require_rows_sum_zero(x_up)
+        y_up = _apply(s.phi, y)
+        require_rows_sum_zero(y_up)
+        mismatch = "random variable and distribution on different spaces"
+        a_values = _sized_rows([a[t].values for t in s.trials], m, mismatch)
+        alpha = _delta_rows(s.p, a_values)
+        b_values = _sized_rows([b[t].values for t in s.trials], m, mismatch)
+        beta = _delta_rows(s.p, b_values)
+        # pullback through the co-embedding: conditional expectation, then delta at q
+        alpha_up = _delta_rows(s.q, _conditional_expectation(s.psi, alpha))
+        beta_up = _delta_rows(s.q, _conditional_expectation(s.psi, beta))
+        a_lift, b_lift = _lift(a_values, s.maps), _lift(b_values, s.maps)
+        residuals[s.trials] = np.stack([
+            _relative((x * y / s.p).sum(axis=-1), (x_up * y_up / image).sum(axis=-1)),
+            _relative(_cov_rows(s.p, alpha, beta), _cov_rows(s.q, alpha_up, beta_up)),
+            _relative(_cov_rows(s.p, a_values, a_values), _cov_rows(s.q, a_lift, a_lift)),
+            _relative(_cov_rows(s.p, a_values, b_values), _cov_rows(s.q, a_lift, b_lift)),
+        ], axis=-1)
+    return residuals
+
+
+def strong_invariance_kernel(pair, q, a, b) -> list[StrongInvarianceReport]:
+    """``check_strong_invariance`` over a leading trial axis.
+
+    Each argument is a sequence with one entry per trial, in any mix of
+    sizes. The Gram-Schmidt bases of every small and big point are built in
+    one ``orthonormal_basis_rows`` call per space size; the rest runs once
+    per shape. Every residual is bitwise the one the trial gives alone, and
+    a failed check raises what the first failing trial raises alone.
+    """
+    residuals = _in_trial_order(_strong_invariance_rows, pair, q, a, b)
+    return _reports(
+        StrongInvarianceReport, _STRONG_INVARIANCE_KEYS, residuals, STRONG_INVARIANCE_TOL
     )
+
+
+def _bases(points: list[np.ndarray]) -> list[np.ndarray]:
+    """The orthonormal basis rows of each stack of points, smallest size first,
+    with one ``orthonormal_basis_rows`` call per size."""
+    by_size: dict[int, list[int]] = {}
+    for i, stack in enumerate(points):
+        by_size.setdefault(stack.shape[1], []).append(i)
+    bases: list = [None] * len(points)
+    for size in sorted(by_size):
+        members = by_size[size]
+        rows = orthonormal_basis_rows(np.concatenate([points[i] for i in members]))
+        ends = np.cumsum([len(points[i]) for i in members])
+        for i, chunk in zip(members, np.split(rows, ends[:-1])):
+            bases[i] = chunk
+    return bases
+
+
+def _max_abs(matrices: np.ndarray) -> np.ndarray:
+    return abs(matrices).max(axis=(1, 2))
+
+
+def _strong_invariance_rows(pair, q, a, b) -> np.ndarray:
+    stacks = _pair_stacks(pair, q)
+    for s in stacks:
+        recovered = _apply(s.phi, s.p)
+        require_weights(recovered)
+        if not abs(recovered - s.q).max() <= _CANONICAL_TOL:
+            raise InvalidParameter(
+                "pair is not the canonical embedding through q: the embedding "
+                "of the marginal does not recover q"
+            )
+    bases = _bases([point for s in stacks for point in (s.p, s.q)])
+    residuals = np.empty((len(pair), len(_STRONG_INVARIANCE_KEYS)))
+    for s, small, big in zip(stacks, bases[0::2], bases[1::2]):
+        n, m = s.q.shape[1], s.p.shape[1]
+        # Images of the basis rows, one ``kernel @ row`` product each; the
+        # canonical pair embeds exactly at q, so images are attached there.
+        images_up = _apply(s.phi[:, None], small)
+        images_down = _apply(s.psi[:, None], big)
+        require_rows_sum_zero(images_up)
+        require_rows_sum_zero(images_down)
+        # Matrices in the orthonormal bases, kept C-ordered: a matrix product
+        # on an F-ordered operand rounds differently in the last bit.
+        a_mat = np.ascontiguousarray(fisher_metric_rows(s.q, big, images_up))
+        b_mat = np.ascontiguousarray(fisher_metric_rows(s.p, small, images_down))
+        a_t = a_mat.transpose(0, 2, 1)
+        projector = a_mat @ b_mat
+        eye_small = np.eye(m - 1)
+        mismatch = "variable is not on the channel output space"
+        b_values = _sized_rows([b[t].values for t in s.trials], n, mismatch)
+        expectation = _conditional_expectation(s.phi, b_values)
+        a_values = _sized_rows([a[t].values for t in s.trials], m, f"sample spaces differ: {m} vs {{}}")
+        lhs = _cov_rows(s.p, a_values, expectation)
+        rhs = _cov_rows(s.q, _lift(a_values, s.maps), b_values)
+        residuals[s.trials] = np.stack([
+            _max_abs(b_mat - a_t),
+            _max_abs(projector @ projector - projector),
+            _max_abs(projector - projector.transpose(0, 2, 1)),
+            _max_abs(projector @ a_mat - a_mat),
+            _max_abs(b_mat @ a_mat - eye_small),
+            _max_abs(a_t @ a_mat - eye_small),
+            _max_abs(b_mat @ b_mat.transpose(0, 2, 1) - eye_small),
+            abs(lhs - rhs),
+        ], axis=-1)
+    return residuals
 
 
 @dataclass(frozen=True)
@@ -822,8 +1019,11 @@ def characterize(
     """
     if isinstance(family, str):
         family = parse_family(family)
-    if n_max < 2 or denominator_bound < 2:
-        raise InvalidParameter("characterize needs n_max >= 2 and bound >= 2")
+    # a rational point on n outcomes with positive weights k/D needs D >= n
+    if n_max < 2 or denominator_bound < n_max or trials < 1:
+        raise InvalidParameter(
+            "characterize needs n_max >= 2, denominator_bound >= n_max and trials >= 1"
+        )
     rng = np.random.default_rng(seed)
 
     for n in range(2, n_max + 1):

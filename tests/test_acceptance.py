@@ -16,6 +16,7 @@ from fishergeo.batteries import (
     battery_monotonicity_cometric,
     battery_monotonicity_metric,
     battery_prop6,
+    battery_strong_invariance,
     battery_weak_invariance,
 )
 from fishergeo.connections import (
@@ -157,6 +158,11 @@ def test_criterion_06_strong_invariance():
         b_rand = RandomVariable(SampleSpace(n_big), rng.normal(size=n_big))
         rep = check_strong_invariance(pair_rand, q_rand, a_rand, b_rand)
         assert rep.max_residual <= 1e-8, trial
+
+    # the battery at its acceptance size, where shapes repeat in the batch
+    battery = battery_strong_invariance(trials=500, n_max=8, seed=616)
+    assert battery.passed and not battery.witnesses
+    assert battery.max_residual <= 1e-8
 
 
 def test_criterion_07_cencov_probe():

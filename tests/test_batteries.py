@@ -176,15 +176,20 @@ def test_any_json_value_gives_a_report_or_a_typed_error(data, value):
 
 @pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
 def test_checks_are_called_through_the_module_namespace(monkeypatch, name):
-    """A tracer rebinds the module's names: a check the spec captured at
-    import time would run outside the trace."""
-    check = getattr(batteries, batteries._BATTERIES[name].check)
+    """A tracer rebinds the module's names: a check or kernel the spec
+    captured at import time would run outside the trace. A battery with a
+    kernel calls it once per run; the others call their check once per
+    trial."""
+    spec = batteries._BATTERIES[name]
+    called = spec.kernel or spec.check
+    original = getattr(batteries, called)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return check(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(batteries, batteries._BATTERIES[name].check, counted)
+    monkeypatch.setattr(batteries, called, counted)
     report = run_battery({"battery": name, **SMALL_CONFIGS[name]})
-    assert len(calls) == (1 if name == "characterize" else report.trials)
+    batched = spec.kernel is not None or name == "characterize"
+    assert len(calls) == (1 if batched else report.trials)

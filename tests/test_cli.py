@@ -228,6 +228,25 @@ class TestCrb:
         assert f"box axis {axis} is not lo:hi" in error["message"]
 
 
+    @pytest.mark.parametrize("bound", ["-inf", "-INF", "-Infinity", "-nan", "-NaN"])
+    def test_dashed_non_finite_box_as_separate_argument(self, cli, bound):
+        """``--box -inf:0.4`` reaches the box reader, as ``--box=-inf:0.4`` does,
+        and prints the same typed error."""
+        args = [
+            "crb",
+            "--model", cli.file("m.json", BERNOULLI),
+            "--xi", "0.25",
+            "--estimators", cli.file("est.json", [{"n": 2, "values": [1.0, 0.0]}]),
+            "--mode", "global",
+        ]
+        joined = cli.run(*args, f"--box={bound}:0.4")
+        separate = cli.run(*args, "--box", f"{bound}:0.4")
+        assert joined.returncode == 2
+        assert json.loads(joined.stdout)["error"]["type"] == "InvalidParameter"
+        assert (separate.returncode, separate.stdout) == (joined.returncode, joined.stdout)
+        assert separate.stderr == b""
+
+
 class TestPushPull:
     def test_push_block_sums(self, cli):
         code, out = cli.run_json(

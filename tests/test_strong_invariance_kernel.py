@@ -1,21 +1,32 @@
-"""The array strong-invariance kernel against the object-level code it replaced.
+"""The array pair kernels against the object-level code they replaced.
 
-The reference below is the per-entry implementation: Gram-Schmidt over
+The references below are the per-entry implementations: Gram-Schmidt over
 ``TangentVector`` objects and the double ``fisher_metric`` loop for the
 matrices of the two differentials and for the tangent Gram matrix, which
-``fisher_metric_rows`` computes from m-representation rows. The array kernel
-does the same float operations in the same order, so every basis entry,
-every residual and every Gram entry must be the same float, compared through
-``float.hex``.
+``fisher_metric_rows`` computes from m-representation rows, and the body of
+``check_invariance`` before it became ``invariance_kernel`` on a batch of
+one. The kernels do the same float operations in the same order, on one
+trial or on a batch of mixed shapes, so every basis entry, every residual
+and every Gram entry must be the same float, compared through
+``float.hex``; and a trial that fails a check must raise what the reference
+raises.
 """
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fishergeo.batteries as batteries
+from fishergeo.batteries import _draw_invariance, _draw_strong_invariance, run_battery
+from fishergeo.errors import FisherGeoError, InvalidParameter, SizeMismatch
 from fishergeo.geometry import (
     TangentVector,
+    delta,
+    fisher_cometric,
     fisher_metric,
     fisher_metric_rows,
     norm_tangent,
@@ -25,10 +36,17 @@ from fishergeo.markov import (
     apply,
     canonical_embedding,
     conditional_expectation,
+    pullback,
+    pushforward,
     random_surjection,
 )
-from fishergeo.simplex import Distribution, RandomVariable, SampleSpace, cov
-from fishergeo.verify import check_strong_invariance
+from fishergeo.simplex import Distribution, RandomVariable, SampleSpace, cov, variance
+from fishergeo.verify import (
+    check_invariance,
+    check_strong_invariance,
+    invariance_kernel,
+    strong_invariance_kernel,
+)
 
 
 def reference_basis(p: Distribution) -> list[TangentVector]:
@@ -49,6 +67,12 @@ def reference_residuals(pair, q, a, b) -> dict[str, float]:
     phi = pair.embedding_channel
     psi = pair.coembedding_channel
     p = apply(psi, q)
+    recovered = apply(phi, p)
+    if not np.allclose(recovered.weights, q.weights, rtol=0, atol=1e-12):
+        raise InvalidParameter(
+            "pair is not the canonical embedding through q: the embedding "
+            "of the marginal does not recover q"
+        )
     small_basis = reference_basis(p)
     big_basis = reference_basis(q)
     dim_small, dim_big = len(small_basis), len(big_basis)
@@ -77,6 +101,37 @@ def reference_residuals(pair, q, a, b) -> dict[str, float]:
     rhs = cov(q, pair.surjection.compose_variable(a), b)
     residuals["covariance_identity"] = abs(lhs - rhs)
     return residuals
+
+
+def relative(lhs: float, rhs: float) -> float:
+    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+
+
+def reference_invariance(pair, q, x_m_rep, y_m_rep, a, b) -> dict[str, float]:
+    """The residuals of ``check_invariance`` as it was before its kernel."""
+    psi = pair.coembedding_channel
+    phi = pair.embedding_channel
+    p = apply(psi, q)
+    x = TangentVector(p, np.asarray(x_m_rep, dtype=float))
+    y = TangentVector(p, np.asarray(y_m_rep, dtype=float))
+    metric_res = relative(
+        fisher_metric(x, y),
+        fisher_metric(pushforward(phi, p, x), pushforward(phi, p, y)),
+    )
+    alpha = delta(p, a)
+    beta = delta(p, b)
+    cometric_res = relative(
+        fisher_cometric(alpha, beta),
+        fisher_cometric(pullback(psi, q, alpha), pullback(psi, q, beta)),
+    )
+    a_lift = pair.surjection.compose_variable(a)
+    b_lift = pair.surjection.compose_variable(b)
+    return {
+        "metric": metric_res,
+        "cometric": cometric_res,
+        "variance": relative(variance(p, a), variance(q, a_lift)),
+        "covariance": relative(cov(p, a, b), cov(q, a_lift, b_lift)),
+    }
 
 
 def reference_gram(vectors: list[TangentVector]) -> np.ndarray:
@@ -165,3 +220,204 @@ def test_tangent_gram_bitwise(p, seed, basis_count, random_count):
     gram = fisher_metric_rows(p, rows, rows)
     assert gram.shape == (len(vectors), len(vectors))
     assert hexes(gram) == hexes(reference_gram(vectors))
+
+
+# ---------------------------------------------------------------------------
+# Batches of mixed shapes
+# ---------------------------------------------------------------------------
+
+
+def pair_case(n_big: int, n_small: int, seed: int, exponent: float, count: int) -> dict:
+    """The inputs of both pair checks at a boundary-pushed canonical pair."""
+    q = boundary_point(n_big, seed, exponent, count)
+    pair = canonical_embedding(random_surjection(n_big, n_small, seed=seed), q)
+    rng = np.random.default_rng(seed + 1)
+    small, big = SampleSpace(n_small), SampleSpace(n_big)
+    x, y = rng.normal(size=(2, n_small))
+    return {
+        "pair": pair, "q": q,
+        "a": RandomVariable(small, rng.normal(size=n_small)),
+        "b": RandomVariable(big, rng.normal(size=n_big)),
+        "b_small": RandomVariable(small, rng.normal(size=n_small)),
+        "x_m_rep": x - x.mean(), "y_m_rep": y - y.mean(),
+    }
+
+
+def strong_case(case: dict) -> dict:
+    return {key: case[key] for key in ("pair", "q", "a", "b")}
+
+
+def invariance_case(case: dict) -> dict:
+    return {**{key: case[key] for key in ("pair", "q", "x_m_rep", "y_m_rep", "a")}, "b": case["b_small"]}
+
+
+def columns(cases: list[dict]) -> dict[str, list]:
+    return {key: [case[key] for case in cases] for key in cases[0]}
+
+
+shapes = st.integers(3, 24).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n - 1)))
+
+
+@st.composite
+def mixed_batches(draw) -> list[dict]:
+    """1-8 trials whose shapes come from 1-3 (n, m) pairs, so that some
+    shapes repeat and some sizes are shared between small and big points."""
+    pool = draw(st.lists(shapes, min_size=1, max_size=3))
+    trials = draw(st.lists(
+        st.tuples(
+            st.sampled_from(pool), st.integers(0, 2**32 - 1), st.floats(1.0, 10.0),
+            st.integers(0, 3),
+        ),
+        min_size=1, max_size=8,
+    ))
+    return [pair_case(n, m, seed, exponent, count) for (n, m), seed, exponent, count in trials]
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_batches())
+def test_strong_invariance_kernel_batches_bitwise(cases):
+    reports = strong_invariance_kernel(**columns([strong_case(c) for c in cases]))
+    assert len(reports) == len(cases)
+    for case, report in zip(cases, reports):
+        expected = reference_residuals(**strong_case(case))
+        assert list(report.residuals) == list(expected)
+        assert hexes(list(report.residuals.values())) == hexes(list(expected.values()))
+        assert float(report.max_residual).hex() == float(max(expected.values())).hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_batches())
+def test_invariance_kernel_batches_bitwise(cases):
+    reports = invariance_kernel(**columns([invariance_case(c) for c in cases]))
+    assert len(reports) == len(cases)
+    for case, report in zip(cases, reports):
+        expected = reference_invariance(**invariance_case(case))
+        assert list(report.residuals) == list(expected)
+        assert hexes(list(report.residuals.values())) == hexes(list(expected.values()))
+        single = check_invariance(**invariance_case(case))
+        assert hexes(list(single.residuals.values())) == hexes(list(expected.values()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 24),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+    exponent=st.floats(1.0, 10.0),
+    count=st.integers(0, 3),
+)
+def test_basis_rows_of_stacked_points_bitwise(n, seeds, exponent, count):
+    points = [boundary_point(n, seed, exponent, count) for seed in seeds]
+    stacked = orthonormal_basis_rows(np.array([p.weights for p in points]))
+    assert stacked.shape == (len(points), n - 1, n) and stacked.flags.c_contiguous
+    for p, rows in zip(points, stacked):
+        assert hexes(rows) == hexes([v.m_rep for v in reference_basis(p)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 16),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+    count=st.integers(1, 4),
+)
+def test_fisher_metric_rows_of_stacked_points_bitwise(n, seeds, count):
+    rng = np.random.default_rng(seeds[0])
+    points = [boundary_point(n, seed, 4.0, 1) for seed in seeds]
+    xs = rng.normal(size=(len(points), count, n)) * 10.0 ** rng.uniform(-8, 3, size=n)
+    ys = rng.normal(size=(len(points), count + 1, n))
+    stacked = fisher_metric_rows(np.array([p.weights for p in points]), xs, ys)
+    for p, x, y, gram in zip(points, xs, ys, stacked):
+        assert hexes(gram) == hexes(fisher_metric_rows(p, x, y))
+
+
+@pytest.mark.parametrize("n_max, trials", [(8, 20), (16, 5), (8, 100)])
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_battery_draws_bitwise(n_max, trials, seed):
+    """The batteries' own draws, at the sizes of the benchmark and beyond."""
+    rng = np.random.default_rng(seed)
+    strong = [_draw_strong_invariance(rng, n_max) for _ in range(trials)]
+    for case, report in zip(strong, strong_invariance_kernel(**columns(strong))):
+        expected = reference_residuals(**case)
+        assert hexes(list(report.residuals.values())) == hexes(list(expected.values()))
+    plain = [_draw_invariance(rng, n_max) for _ in range(trials)]
+    for case, report in zip(plain, invariance_kernel(**columns(plain))):
+        expected = reference_invariance(**case)
+        assert hexes(list(report.residuals.values())) == hexes(list(expected.values()))
+
+
+# ---------------------------------------------------------------------------
+# Errors: what the failing trial raises alone, the first in trial order
+# ---------------------------------------------------------------------------
+
+
+def error_of(run) -> tuple[type, str]:
+    with pytest.raises(FisherGeoError) as caught:
+        run()
+    return type(caught.value), str(caught.value)
+
+
+def non_canonical(case: dict) -> dict:
+    """The case with a q that the embedding of its marginal does not recover."""
+    n = case["q"].space.size
+    w = np.arange(1.0, n + 1.0)
+    return {**case, "q": Distribution(case["q"].space, w / w.sum())}
+
+
+def test_single_case_errors_match_the_object_level_code():
+    case = pair_case(6, 3, 11, 2.0, 0)
+    strong, plain = strong_case(case), invariance_case(case)
+    wrong_b = RandomVariable(SampleSpace(3), [1.0, 2.0, 3.0])
+    wrong_a = RandomVariable(SampleSpace(4), [1.0, 2.0, 3.0, 4.0])
+    for bad in (non_canonical(strong), {**strong, "b": wrong_b}, {**strong, "a": wrong_a},
+                {**strong, "q": boundary_point(5, 1, 2.0, 0)}):
+        assert error_of(lambda: check_strong_invariance(**bad)) == error_of(
+            lambda: reference_residuals(**bad)
+        )
+    for bad in ({**plain, "x_m_rep": plain["x_m_rep"] + 1.0}, {**plain, "y_m_rep": np.zeros(4)},
+                {**plain, "a": wrong_a}, {**plain, "b": RandomVariable(SampleSpace(6), np.ones(6))},
+                {**plain, "q": boundary_point(7, 1, 2.0, 0)}):
+        assert error_of(lambda: check_invariance(**bad)) == error_of(
+            lambda: reference_invariance(**bad)
+        )
+
+
+@pytest.mark.parametrize("name", ["strong_invariance", "invariance"])
+def test_battery_raises_what_the_first_bad_trial_raises(monkeypatch, name):
+    """Trial 2 fails late in the check (a variable of the wrong size) and
+    trial 5 fails early (not canonical, or not sum-zero). A batch evaluated
+    stage by stage meets trial 5 first; the battery must still raise trial
+    2's error, as the per-trial check raises it."""
+    spec = batteries._BATTERIES[name]
+    draw, spoiled = spec.draw, {}
+
+    def spoiling(rng, trial, **params):
+        case = draw(rng, trial=trial, **params)
+        if trial == 2:
+            case["a"] = RandomVariable(case["q"].space, np.ones(case["q"].space.size))
+        elif trial == 5 and name == "strong_invariance":
+            case = non_canonical(case)
+        elif trial == 5:
+            case["x_m_rep"] = case["x_m_rep"] + 1.0
+        spoiled[trial] = case
+        return case
+
+    monkeypatch.setitem(batteries._BATTERIES, name, dataclasses.replace(spec, draw=spoiling))
+    config = {"battery": name, "trials": 12, "n_max": 8, "seed": 1}
+    check = check_strong_invariance if name == "strong_invariance" else check_invariance
+    raised = error_of(lambda: run_battery(config))
+    shapes = {(c["pair"].surjection.domain.size, c["pair"].surjection.codomain.size)
+              for c in spoiled.values()}
+    assert len(shapes) > 1
+    assert raised == error_of(lambda: check(**spoiled[2]))
+    assert raised != error_of(lambda: check(**spoiled[5]))
+    kernel = strong_invariance_kernel if name == "strong_invariance" else invariance_kernel
+    cases = [spoiled[t] for t in range(12)]
+    assert error_of(lambda: kernel(**columns(cases))) == raised
+    assert error_of(lambda: kernel(**columns(cases[3:]))) == error_of(lambda: check(**spoiled[5]))
+
+
+def test_kernels_need_one_entry_per_trial_in_every_argument():
+    case = strong_case(pair_case(5, 3, 7, 2.0, 0))
+    assert strong_invariance_kernel([], [], [], []) == []
+    with pytest.raises(SizeMismatch, match="one entry per trial"):
+        strong_invariance_kernel([case["pair"]] * 2, [case["q"]] * 2, [case["a"]], [case["b"]] * 2)

@@ -581,6 +581,22 @@ class TestBatteries:
         with pytest.raises(InvalidParameter):
             run_battery({"battery": "characterize"})
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_characterize_needs_a_rational_point(self, trials):
+        """With no trial the rational-point step would check no point and pass."""
+        with pytest.raises(InvalidParameter, match="trials >= 1"):
+            characterize("COV", trials=trials)
+
+    @pytest.mark.parametrize("n_max, bound", [(3, 2), (6, 5)])
+    def test_characterize_needs_a_denominator_for_every_size(self, n_max, bound):
+        """A point on n outcomes with weights k/D > 0 needs D >= n; a smaller
+        bound used to fail inside the draw with a bare ValueError."""
+        with pytest.raises(InvalidParameter, match="denominator_bound >= n_max"):
+            characterize("COV", n_max=n_max, denominator_bound=bound)
+        with pytest.raises(InvalidParameter, match="denominator_bound >= n_max"):
+            run_battery({"battery": "characterize", "family": "COV", "n_max": n_max,
+                         "denominator_bound": bound})
+
 
 class TestShrinking:
     def test_shrinker_minimizes_synthetic_case(self):
