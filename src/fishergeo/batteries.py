@@ -214,8 +214,8 @@ class _Battery:
     time, so a rebound name is the one called. ``residual`` reads the
     signed residual from the check's report. Above ``violation_tol`` the
     case is shrunk and recorded as a witness of the kind ``name``, unless
-    the report carries its own. ``record(case, report)`` adds one entry per
-    trial to the list that ``extras(params, worst, records)`` reads.
+    the report carries its own. ``extras(params, worst, cases, reports)``
+    adds keys to the report from every case and report, in trial order.
 
     When the bool key named ``control`` is true, the run is a control of the
     opposite polarity, which shows that the check detects a mismatch: it
@@ -233,8 +233,7 @@ class _Battery:
     pass_tol: float = PASS_TOL
     violation_tol: float = VIOLATION_TOL
     shrinkers: tuple = ()
-    record: Callable[[dict, Any], Any] | None = None
-    extras: Callable[[dict, float, list], dict] = lambda params, worst, records: {}
+    extras: Callable[[dict, float, list, list], dict] = lambda *_: {}
     control: str | None = None
     kernel: str | None = None
 
@@ -247,7 +246,7 @@ def _drive(spec: _Battery, params: dict) -> BatteryReport:
     seed, rounds = params["seed"], spec.rounds(params)
     rng = np.random.default_rng(seed)
     pick, worst = (min, np.inf) if control else (max, -np.inf)
-    witnesses, records = [], []
+    witnesses = []
     cases = [spec.draw(rng, trial=trial, **params) for trial in range(rounds)]
     if spec.kernel is None:
         reports = [check(**case) for case in cases]
@@ -256,8 +255,6 @@ def _drive(spec: _Battery, params: dict) -> BatteryReport:
     for trial, (case, report) in enumerate(zip(cases, reports)):
         value = float(spec.residual(report))
         worst = pick(worst, value)
-        if spec.record is not None:
-            records.append(spec.record(case, report))
         if not control and value > spec.violation_tol:
             witness = getattr(report, "witness", None)
             if witness is None:
@@ -274,7 +271,7 @@ def _drive(spec: _Battery, params: dict) -> BatteryReport:
         f"{spec.name}_control" if control else spec.name,
         # a battery without a trials key (weak_invariance) reports its rounds
         params.get("trials", rounds), params["n_max"], seed, worst, status,
-        tuple(witnesses), spec.extras(params, worst, records),
+        tuple(witnesses), spec.extras(params, worst, cases, reports),
     )
 
 
@@ -371,10 +368,11 @@ def _draw_weak_invariance(rng: np.random.Generator, n_max: int, alphas: tuple[fl
     }
 
 
-def _weak_invariance_extras(params: dict, worst: float, grids: list) -> dict:
+def _weak_invariance_extras(params: dict, worst: float, cases: list, reports: list) -> dict:
     shared = {"step": params["step"], "alphas": list(params["alphas"])}
     if params["mismatched"]:
         return {**shared, "mismatch_detected": worst > CONTROL_TOL}
+    grids = [[[float(v) for v in g] for g in case["grid"]] for case in cases]
     return {"residual_max": worst, **shared, "grids": grids}
 
 
@@ -408,7 +406,7 @@ _BATTERIES: dict[str, _Battery] = {spec.name: spec for spec in (
     _Battery(
         "prop6", {"trials": 200, "n_max": 6, "seed": 0, "family": "COV"},
         _draw_prop6, "check_prop6_identity", attrgetter("residual"), min_n=3,
-        extras=lambda params, worst, records: {"family": params["family"].name},
+        extras=lambda params, *_: {"family": params["family"].name},
     ),
     _Battery(
         # Full categorical models: the kernel of restriction holds only the
@@ -417,7 +415,7 @@ _BATTERIES: dict[str, _Battery] = {spec.name: spec for spec in (
         # the minimum eigenvalue of V - G^{-1}, negated and scaled by G^{-1}
         lambda r: -(r.min_eigenvalue / (1.0 + np.max(np.abs(r.inverse_information)))),
         pass_tol=-CRB_EIG_TOL, violation_tol=-CRB_EIG_TOL,
-        extras=lambda params, worst, records: {"min_scaled_eigenvalue": float(-worst)},
+        extras=lambda params, worst, *_: {"min_scaled_eigenvalue": float(-worst)},
     ),
     _Battery(
         # One trial per alpha and size pair. The mismatched control puts the
@@ -431,7 +429,6 @@ _BATTERIES: dict[str, _Battery] = {spec.name: spec for spec in (
         rounds=lambda params: len(_size_pairs(params["n_max"])) * len(params["alphas"]),
         # finite differences dominate here: pass at the violation tolerance
         min_n=3, pass_tol=VIOLATION_TOL,
-        record=lambda case, report: [[float(v) for v in g] for g in case["grid"]],
         extras=_weak_invariance_extras, control="mismatched",
     ),
     _Battery(
@@ -441,8 +438,7 @@ _BATTERIES: dict[str, _Battery] = {spec.name: spec for spec in (
         lambda rng, trial, **params: params, "characterize",
         lambda result: 0.0 if result.passed else result.witness.gap,
         rounds=lambda params: 1,
-        record=lambda case, result: result.to_json(),
-        extras=lambda params, worst, records: {"characterize": records[0]},
+        extras=lambda params, worst, cases, reports: {"characterize": reports[0].to_json()},
     ),
 )}
 
@@ -515,8 +511,3 @@ def battery_crb(**params) -> BatteryReport:
 def battery_weak_invariance(**params) -> BatteryReport:
     """Connection invariance through canonical pairs, or its mismatched control."""
     return run_battery({"battery": "weak_invariance", **params})
-
-
-def battery_characterize(**params) -> BatteryReport:
-    """The characterization probe as a one-round battery."""
-    return run_battery({"battery": "characterize", **params})

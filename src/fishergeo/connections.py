@@ -137,25 +137,19 @@ def covariant_derivative(
     x: VectorFieldOnModel,
     y: VectorFieldOnModel,
     step: float = DEFAULT_STEP,
-    richardson: bool = False,
 ) -> TangentVector:
     """nabla^alpha_X Y at p_xi, as an ambient tangent vector.
 
-    The result need not lie in the model's tangent space. With ``richardson``
-    the usual (4 D(h/2) - D(h)) / 3 extrapolation removes the leading
-    second-order term. ``step`` must be finite and positive.
+    The result need not lie in the model's tangent space. ``step`` must be
+    finite and positive.
     """
     _require_inputs(model, step, [y])
     xi = np.asarray(xi, dtype=float).reshape(-1)
     direction = x.coefficients_at(xi)
     p = model.point(xi)
-    estimates = []
-    for h in (step, step / 2.0) if richardson else (step,):
-        (up,) = _values_at(model, xi + h * direction, [y])
-        (down,) = _values_at(model, xi - h * direction, [y])
-        estimates.append(_transported_difference(tag, p, up, down, h))
-    m_rep = (4.0 * estimates[1] - estimates[0]) / 3.0 if richardson else estimates[0]
-    return TangentVector(p, m_rep)
+    (up,) = _values_at(model, xi + step * direction, [y])
+    (down,) = _values_at(model, xi - step * direction, [y])
+    return TangentVector(p, _transported_difference(tag, p, up, down, step))
 
 
 def duality_check(

@@ -108,22 +108,29 @@ def _floats(values) -> list[float]:
     return [float(v) for v in np.asarray(values, dtype=float).reshape(-1)]
 
 
+def _flat(values, key: str, scalar: bool = True) -> np.ndarray:
+    """A flat list of numbers, as a float array; with ``scalar`` a single
+    number is let through, for the constructor to size."""
+    array = read_floats(values, key)
+    if array.ndim > 1 or (array.ndim == 0 and not scalar):
+        raise BadSize(f"{key} must be a flat list of numbers, got shape {array.shape}")
+    return array
+
+
 def _point(values, key: str) -> Distribution:
     """A distribution sized by its own list of weights."""
-    weights = read_floats(values, key)
-    if weights.ndim != 1:
-        raise BadSize(f"a point is a flat list of weights, got shape {weights.shape}")
+    weights = _flat(values, key, scalar=False)
     return new_distribution(SampleSpace(weights.shape[0]), weights)
 
 
 def distribution_from_json(obj: dict) -> Distribution:
     n = _field(obj, "n", read_int)
-    return new_distribution(SampleSpace(n), _field(obj, "p", read_floats))
+    return new_distribution(SampleSpace(n), _field(obj, "p", _flat))
 
 
 def random_variable_from_json(obj: dict) -> RandomVariable:
     n = _field(obj, "n", read_int)
-    return RandomVariable(SampleSpace(n), _field(obj, "values", read_floats))
+    return RandomVariable(SampleSpace(n), _field(obj, "values", _flat))
 
 
 def tangent_to_json(x: TangentVector) -> dict:
@@ -132,7 +139,7 @@ def tangent_to_json(x: TangentVector) -> dict:
 
 def tangent_from_json(obj: dict) -> TangentVector:
     base = _field(obj, "p", _point)
-    return TangentVector(base, _field(obj, "m_rep", read_floats))
+    return TangentVector(base, _field(obj, "m_rep", _flat))
 
 
 def cotangent_to_json(alpha: CotangentVector) -> dict:
@@ -141,7 +148,7 @@ def cotangent_to_json(alpha: CotangentVector) -> dict:
 
 def cotangent_from_json(obj: dict) -> CotangentVector:
     base = _field(obj, "p", _point)
-    rep = _field(obj, "rep", read_floats)
+    rep = _field(obj, "rep", _flat)
     return CotangentVector(base, RandomVariable(base.space, rep))
 
 
@@ -169,7 +176,7 @@ def model_from_json(obj: dict) -> ParametricModel:
         base = None if obj.get("base") is None else _point(obj["base"], "base")
         return exponential_family_model(stats, base)
     if kind == "affine":
-        anchor = _field(obj, "p0", read_floats)
+        anchor = _field(obj, "p0", _flat)
         directions = _field(obj, "directions", read_floats)
         return affine_model(anchor, directions)
     raise InvalidParameter(f"unknown model kind {kind!r}")

@@ -13,6 +13,7 @@ reachable, which is the canonical pair used by the invariance batteries.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,6 +23,7 @@ from .errors import (
     BadSize,
     BasePointMismatch,
     InvalidChannel,
+    InvalidParameter,
     NotNormalized,
     NotSurjective,
     SizeMismatch,
@@ -96,10 +98,15 @@ class Surjection:
         object.__setattr__(self, "map0", tuple(int(v) for v in values))
 
     @classmethod
-    def from_one_based(cls, values, m: int | None = None) -> Surjection:
-        values = [int(v) for v in values]
-        m = max(values) if m is None else m
-        return cls(SampleSpace(len(values)), SampleSpace(m), tuple(v - 1 for v in values))
+    def from_one_based(cls, values) -> Surjection:
+        """The surjection sending point w to values[w], both counted from 1."""
+        values = list(values)
+        if not values:
+            raise BadSize(f"a surjection needs at least one value, got {values!r}")
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise InvalidParameter(f"surjection values must be integers, not {v!r}")
+        return cls(SampleSpace(len(values)), SampleSpace(max(values)), tuple(int(v) - 1 for v in values))
 
     def compose_variable(self, a: RandomVariable) -> RandomVariable:
         """A o F: lift a variable on the codomain to the domain."""

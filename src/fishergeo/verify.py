@@ -96,10 +96,6 @@ def classify(residual: float, pass_tol: float = PASS_TOL) -> str:
     return "violation"
 
 
-def _relative(lhs: float, rhs: float) -> float:
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-
-
 def _floats(values) -> tuple[float, ...]:
     return tuple(float(v) for v in np.asarray(values).reshape(-1))
 
@@ -821,8 +817,6 @@ class RationalProbeResult(_ProbeVerdict):
     counts: tuple[int, ...]
     c1: float
     c2: float
-    fitted_c1: float
-    fitted_c2: float
     max_residual: float
     witness: Witness | None
 
@@ -861,52 +855,34 @@ def probe_rational(
             worst, f"D={denominator_bound}",
             surjection=surjection.map0, point=_floats(w), constants=(float(c1), float(c2)),
         )
-    fitted = _fit_constants(p, value)
     return RationalProbeResult(
-        n,
-        denominator,
-        tuple(int(c) for c in counts),
-        float(c1),
-        float(c2),
-        fitted[0],
-        fitted[1],
-        worst,
-        witness,
+        n, denominator, tuple(int(c) for c in counts), float(c1), float(c2), worst, witness
     )
 
 
 def _best_rational_approximation(
     weights: np.ndarray, denominator_bound: int
 ) -> Distribution:
-    """Closest point with a common denominator <= the bound (largest-remainder)."""
+    """Closest point with a common denominator <= the bound (largest-remainder).
+
+    Each denominator m starts from floor(w m), at least 1 per weight, gives
+    a deficit to the largest remainders and takes an excess greedily from the
+    largest floor - w m, down to 1 each; the first m with the smallest error
+    wins. One pass over (bound - n + 1, n) arrays: callers pass bounds <= 64.
+    """
     n = weights.shape[0]
-    best: np.ndarray | None = None
-    best_err = np.inf
-    for m in range(n, denominator_bound + 1):
-        floors = np.maximum(np.floor(weights * m).astype(int), 1)
-        deficit = m - int(floors.sum())
-        counts = floors.copy()
-        if deficit > 0:
-            remainders = weights * m - floors
-            for idx in np.argsort(-remainders)[:deficit]:
-                counts[idx] += 1
-        elif deficit < 0:
-            excess = floors - 1
-            order = np.argsort(-(floors - weights * m))
-            left = -deficit
-            for idx in order:
-                take = min(left, int(excess[idx]))
-                counts[idx] -= take
-                left -= take
-                if left == 0:
-                    break
-            if left:
-                continue
-        err = float(np.max(np.abs(weights - counts / m)))
-        if err < best_err:
-            best_err = err
-            best = counts / m
-    assert best is not None
+    ms = np.arange(n, denominator_bound + 1)[:, None]
+    scaled = weights * ms
+    floors = np.maximum(np.floor(scaled).astype(int), 1)
+    deficit = ms - floors.sum(axis=1, keepdims=True)
+    order = np.argsort(np.where(deficit > 0, -(scaled - floors), -(floors - scaled)), axis=1)
+    excess = np.take_along_axis(floors - 1, order, axis=1)
+    earlier = np.cumsum(excess, axis=1) - excess
+    steps = np.where(deficit > 0, np.arange(n) < deficit, -np.clip(-deficit - earlier, 0, excess))
+    counts = np.empty_like(floors)
+    np.put_along_axis(counts, order, excess + 1 + steps, axis=1)
+    approx = counts / ms
+    best = approx[np.argmin(np.max(np.abs(weights - approx), axis=1))]
     return new_distribution(SampleSpace(n), best)
 
 

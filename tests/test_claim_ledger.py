@@ -10,8 +10,8 @@ to it:
 - every battery on the table runs in the acceptance suite;
 - every public module-level name and public method of ``src/fishergeo`` is
   on the table, is referenced elsewhere in ``src/`` (not from ``__init__``
-  and not only from another unplaced name), is a ``battery_<name>`` view,
-  which the benchmark calls by name, or is the console script ``cli.main``.
+  and not only from another unplaced name), is a ``battery_<name>`` view
+  that the benchmark calls by name, or is the console script ``cli.main``.
 
 It also runs the README's quick tour and checks the results its comments
 state.
@@ -33,10 +33,25 @@ from conftest import GOLDEN_DIR
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fishergeo"
 README = ROOT / "README.md"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
-#: Placed whatever references them: the benchmark calls the views by name,
+
+def benchmark_views() -> set[str]:
+    """The ``battery_<name>`` views the benchmark calls: the battery named by
+    each ``battery_call(kind, "<name>", ...)`` and each ``battery_<name>``
+    attribute it reads."""
+    views = set()
+    for node in ast.walk(ast.parse(WORKLOADS.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "battery_call":
+            views.add(f"batteries.battery_{node.args[1].value}")
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("battery_"):
+            views.add(f"batteries.{node.attr}")
+    return views
+
+
+#: Placed whatever references them: the benchmark calls these views by name,
 #: and ``cli.main`` is the ``fishergeo`` console script.
-VIEW = re.compile(r"^batteries\.battery_[a-z0-9_]+$")
+VIEWS = benchmark_views()
 CONSOLE_SCRIPT = "cli.main"
 
 
@@ -244,7 +259,7 @@ def unplaced_names(sources: dict[str, str], table: set[str]) -> list[str]:
     scopes = {unit: {unit.module, *imported.get((unit.module, unit.name), ())} for unit in units}
     placed = {
         unit for unit in units
-        if unit.qualname in table or VIEW.match(unit.qualname) or unit.qualname == CONSOLE_SCRIPT
+        if unit.qualname in table or unit.qualname in VIEWS or unit.qualname == CONSOLE_SCRIPT
     }
     changed = True
     while changed:
@@ -292,6 +307,13 @@ def test_placement_needs_a_live_reference():
     assert unplaced_names(sources, {"b.VALUE"}) == ["a.user"]
     sources["b"] = "class Holder:\n    def method(self):\n        return 2\n"
     assert unplaced_names(sources, {"b.Holder"}) == ["a.used", "a.user", "b.Holder.method"]
+
+
+def test_every_benchmark_view_resolves():
+    """The benchmark's views are read from its source: each one it names exists."""
+    assert VIEWS
+    for name in sorted(VIEWS):
+        resolve(name)
 
 
 def test_every_export_resolves():

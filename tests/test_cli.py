@@ -159,6 +159,48 @@ class TestPointShape:
         self.assert_bad_size(proc)
 
 
+P3 = [0.25, 0.25, 0.5]
+
+
+@pytest.mark.parametrize(
+    "field, command, inputs, shape",
+    [
+        ("p", "push", {
+            "--channel": COEMBED_112, "--p": {"n": 3, "p": [[0.25], [0.25], [0.5]]},
+            "--vector": {"p": P3, "m_rep": [1.0, 0.0, -1.0]},
+        }, (3, 1)),
+        ("m_rep", "push", {
+            "--channel": COEMBED_112, "--p": {"n": 3, "p": P3},
+            "--vector": {"p": P3, "m_rep": [[1.0], [0.0], [-1.0]]},
+        }, (3, 1)),
+        ("rep", "pull", {
+            "--channel": EMBED_112, "--p": {"n": 2, "p": [0.5, 0.5]},
+            "--vector": {"p": P3, "rep": [[1.0], [0.0], [-1.0]]},
+        }, (3, 1)),
+        ("values", "crb", {
+            "--model": BERNOULLI, "--xi": "0.25",
+            "--estimators": [{"n": 2, "values": [[1.0], [0.0]]}],
+        }, (2, 1)),
+        ("p0", "fisher", {
+            "--model": {"kind": "affine", "p0": [[0.5], [0.5]], "directions": [[1.0, -1.0]]},
+            "--xi": "0.1",
+        }, (2, 1)),
+    ],
+    ids=["p", "m_rep", "rep", "values", "p0"],
+)
+def test_flat_field_must_be_a_flat_list(cli, field, command, inputs, shape):
+    """A flat field given as a nested list exits 2 with a BadSize naming it,
+    as a point's weights do, instead of being flattened."""
+    args = [command]
+    for flag, value in inputs.items():
+        args += [flag, value if isinstance(value, str) else cli.file(f"{flag[2:]}.json", value)]
+    proc = cli.run(*args)
+    assert proc.returncode == 2
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "BadSize"
+    assert error["message"] == f"{field} must be a flat list of numbers, got shape {shape}"
+
+
 class TestCrb:
     def test_bernoulli_equality(self, cli):
         code, out = cli.run_json(

@@ -127,18 +127,6 @@ class TestCovariantDerivative:
         mid = covariant_derivative(ConnectionTag(0.0), model, [0.3], x, x)
         assert np.allclose(mid.m_rep, 0.5 * (e_part.m_rep + m_part.m_rep), atol=1e-12)
 
-    def test_richardson_improves_accuracy(self):
-        model = bernoulli_model()
-        x = coordinate_field(model, 0)
-        reference = covariant_derivative(E_CONNECTION, model, [0.3], x, x, step=1e-6)
-        plain = covariant_derivative(E_CONNECTION, model, [0.3], x, x, step=1e-3)
-        extrapolated = covariant_derivative(
-            E_CONNECTION, model, [0.3], x, x, step=1e-3, richardson=True
-        )
-        err_plain = np.max(np.abs(plain.m_rep - reference.m_rep))
-        err_rich = np.max(np.abs(extrapolated.m_rep - reference.m_rep))
-        assert err_rich < err_plain / 10
-
 
 class TestDuality:
     def test_bernoulli_residual_small(self):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from fishergeo.errors import (
     BasePointMismatch,
     FisherGeoError,
     InvalidChannel,
+    InvalidParameter,
     NotNormalized,
     NotSurjective,
     SizeMismatch,
@@ -112,6 +115,25 @@ class TestSurjection:
         f = Surjection.from_one_based([1, 1, 2])
         assert f.map0 == (0, 0, 1)
         assert f.domain.size == 3 and f.codomain.size == 2
+
+    @pytest.mark.parametrize(
+        "values, error, named",
+        [
+            ([], BadSize, "[]"),
+            (["a"], InvalidParameter, "'a'"),
+            ([float("nan"), 1], InvalidParameter, "nan"),
+            ([1.5, 2], InvalidParameter, "1.5"),
+            ([1, 2.9], InvalidParameter, "2.9"),
+            ([True, 2], InvalidParameter, "True"),
+        ],
+        ids=["empty", "string", "nan", "fraction", "fraction_last", "bool"],
+    )
+    def test_one_based_values_are_integers(self, values, error, named):
+        """A value that is not an integer (a bool included) or an empty list
+        raises a typed error naming it, instead of a bare ValueError or a
+        silently truncated map."""
+        with pytest.raises(error, match=re.escape(named)):
+            Surjection.from_one_based(values)
 
     def test_compose_variable(self):
         assert np.array_equal(F112.compose_variable(rv(5, 7)).values, [5.0, 5.0, 7.0])

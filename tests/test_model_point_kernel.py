@@ -224,29 +224,22 @@ def reference_flat_derivative(
     return (pulled(step) - pulled(-step)) / (2.0 * step)
 
 
-def reference_covariant_derivative(tag, model, xi, x, y, step=1e-4, richardson=False):
+def reference_covariant_derivative(tag, model, xi, x, y, step=1e-4):
     xi = np.asarray(xi, dtype=float).reshape(-1)
     direction = x.coefficients_at(xi)
     p = model.point(xi)
-
-    def at_step(h: float) -> np.ndarray:
-        parts = np.zeros(model.space.size)
-        weight_e = 0.5 * (1.0 + tag.alpha)
-        weight_m = 0.5 * (1.0 - tag.alpha)
-        if weight_e != 0.0:
-            parts = parts + weight_e * reference_flat_derivative(
-                e_transport, model, xi, direction, y, h
-            )
-        if weight_m != 0.0:
-            parts = parts + weight_m * reference_flat_derivative(
-                m_transport, model, xi, direction, y, h
-            )
-        return parts
-
-    m_rep = at_step(step)
-    if richardson:
-        m_rep = (4.0 * at_step(step / 2.0) - m_rep) / 3.0
-    return TangentVector(p, m_rep)
+    parts = np.zeros(model.space.size)
+    weight_e = 0.5 * (1.0 + tag.alpha)
+    weight_m = 0.5 * (1.0 - tag.alpha)
+    if weight_e != 0.0:
+        parts = parts + weight_e * reference_flat_derivative(
+            e_transport, model, xi, direction, y, step
+        )
+    if weight_m != 0.0:
+        parts = parts + weight_m * reference_flat_derivative(
+            m_transport, model, xi, direction, y, step
+        )
+    return TangentVector(p, parts)
 
 
 def reference_duality_check(model, xi, x, y, z, step=1e-4):
@@ -475,17 +468,14 @@ def test_lifts_bitwise(drawn, seed, count):
     drawn=models,
     seed=st.integers(0, 2**32 - 1),
     alpha=alphas,
-    richardson=st.booleans(),
     step=st.sampled_from([1e-4, 1e-3]),
 )
-def test_covariant_derivative_bitwise(drawn, seed, alpha, richardson, step):
+def test_covariant_derivative_bitwise(drawn, seed, alpha, step):
     model, xi = drawn
     x, y = fields(model, seed)
     tag = ConnectionTag(alpha)
-    expected = outcome(
-        reference_covariant_derivative, tag, model, xi, x, y, step, richardson
-    )
-    value = outcome(covariant_derivative, tag, model, xi, x, y, step, richardson)
+    expected = outcome(reference_covariant_derivative, tag, model, xi, x, y, step)
+    value = outcome(covariant_derivative, tag, model, xi, x, y, step)
     if isinstance(expected, type):
         assert value is expected
     else:
@@ -595,13 +585,12 @@ def test_duality_check_evaluates_each_point_once():
     assert calls == {"point": 3, "jacobian": 3}
 
 
-@pytest.mark.parametrize("richardson, points, jacobians", [(False, 3, 2), (True, 5, 4)])
-def test_covariant_derivative_evaluation_count(richardson, points, jacobians):
+def test_covariant_derivative_evaluation_count():
     model, calls = counted(categorical_model(4))
     x = coordinate_field(model, 1)
     y = VectorFieldOnModel(model, lambda xi: 0.4 + 0.3 * xi**2)
-    covariant_derivative(ConnectionTag(0.5), model, [0.2, 0.3, 0.1], x, y, richardson=richardson)
-    assert calls == {"point": points, "jacobian": jacobians}
+    covariant_derivative(ConnectionTag(0.5), model, [0.2, 0.3, 0.1], x, y)
+    assert calls == {"point": 3, "jacobian": 2}
 
 
 @settings(max_examples=200, deadline=None)

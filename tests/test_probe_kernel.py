@@ -10,10 +10,11 @@ so no reference goes through ``matrix``; plugins and subclasses are called.
 The kernel reads the same values into matrices and does the same float
 operations on them, so every matrix entry, constant, residual, witness and
 gap must be the same float, compared through ``float.hex`` (witnesses also
-through their JSON text). The denominator loop stays here as the reference
-of the array ``rationalize``. ``characterize`` evaluates each uniform
-indicator matrix once per run; its reference keeps the older step order, in
-which every consistency probe recomputes both of its uniform matrices.
+through their JSON text). The denominator loops stay here as the
+references of the array ``rationalize`` and ``_best_rational_approximation``.
+``characterize`` evaluates each uniform indicator matrix once per run; its
+reference keeps the older step order, in which every consistency probe
+recomputes both of its uniform matrices.
 """
 from __future__ import annotations
 
@@ -131,6 +132,38 @@ def reference_rationalize(p: Distribution, denominator_bound: int) -> tuple[int,
             if float(np.max(np.abs(w - counts / m))) <= RATIONAL_TOL:
                 return m, counts
     raise NotRational(f"no rational representation with denominator <= {denominator_bound}")
+
+
+def reference_best_rational_approximation(weights: np.ndarray, denominator_bound: int) -> Distribution:
+    n = weights.shape[0]
+    best: np.ndarray | None = None
+    best_err = np.inf
+    for m in range(n, denominator_bound + 1):
+        floors = np.maximum(np.floor(weights * m).astype(int), 1)
+        deficit = m - int(floors.sum())
+        counts = floors.copy()
+        if deficit > 0:
+            remainders = weights * m - floors
+            for idx in np.argsort(-remainders)[:deficit]:
+                counts[idx] += 1
+        elif deficit < 0:
+            excess = floors - 1
+            order = np.argsort(-(floors - weights * m))
+            left = -deficit
+            for idx in order:
+                take = min(left, int(excess[idx]))
+                counts[idx] -= take
+                left -= take
+                if left == 0:
+                    break
+            if left:
+                continue
+        err = float(np.max(np.abs(weights - counts / m)))
+        if err < best_err:
+            best_err = err
+            best = counts / m
+    assert best is not None
+    return new_distribution(SampleSpace(n), best)
 
 
 def reference_uniform_matrix(family, n: int) -> np.ndarray:
@@ -253,10 +286,8 @@ def reference_probe_rational(family, p, denominator_bound, constants) -> Rationa
                         family=family.name, constants=(float(c1), float(c2)),
                         detail=f"D={denominator_bound}",
                     )
-    fitted = reference_fit_constants(family, p)
     return RationalProbeResult(
-        n, denominator, tuple(int(c) for c in counts), float(c1), float(c2),
-        fitted[0], fitted[1], worst, witness,
+        n, denominator, tuple(int(c) for c in counts), float(c1), float(c2), worst, witness
     )
 
 
@@ -264,7 +295,7 @@ def reference_continuity_errors(family, spot, bounds) -> list[float]:
     spot_fit = np.array(reference_fit_constants(family, spot))
     errors = []
     for bound in bounds:
-        approx = _best_rational_approximation(spot.weights, bound)
+        approx = reference_best_rational_approximation(spot.weights, bound)
         fit = np.array(reference_fit_constants(family, approx))
         errors.append(float(np.max(np.abs(fit - spot_fit))))
     return errors
@@ -668,6 +699,30 @@ def test_rationalize_bitwise(n, data, seed, kind):
     assert rationalize_outcome(rationalize, p, bound) == rationalize_outcome(
         reference_rationalize, p, bound
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["dirichlet", "pushed", "rational"]),
+    denominator=st.integers(8, 128),
+)
+def test_best_rational_approximation_bitwise(n, seed, kind, denominator):
+    """The one-pass denominator scan picks the loop's counts at every bound
+    its callers pass: interior points, weights pushed to 1e-6, and exact
+    rationals k/D, whose remainders tie."""
+    rng = np.random.default_rng(seed)
+    if kind == "dirichlet":
+        weights = 1e-3 + (1.0 - n * 1e-3) * rng.dirichlet(np.ones(n))
+    elif kind == "pushed":
+        weights = 1e-6 + (1.0 - n * 1e-6) * rng.dirichlet(np.full(n, 0.05))
+    else:
+        weights = rational_point(n, denominator, seed).weights
+    for bound in (8, 16, 32, 64):
+        assert bits(_best_rational_approximation(weights, bound).weights) == bits(
+            reference_best_rational_approximation(weights, bound).weights
+        )
 
 
 def test_rationalize_scans_past_the_first_block():

@@ -309,10 +309,13 @@ class TestProbeRational:
         assert (result.c1, result.c2) == pytest.approx((1.0, -1.0), rel=1e-12)
 
     def test_grammar_roundtrip_recovers_constants(self):
+        """The probe passes at a rational point, and step (d)'s least-squares
+        fit there recovers the grammar's constants."""
         fam = parse_family("2*L2 + 5*MM")
-        result = probe_rational(fam, dist(0.25, 0.75), 8, uniform_constants(fam, 2))
-        assert result.fitted_c1 == pytest.approx(2.0, rel=1e-9)
-        assert result.fitted_c2 == pytest.approx(5.0, rel=1e-9)
+        p = dist(0.25, 0.75)
+        result = probe_rational(fam, p, 8, uniform_constants(fam, 2))
+        matrix = verify_module._pair_matrix(fam, p, np.eye(2), np.eye(2))
+        assert verify_module._fit_constants(p, matrix) == pytest.approx((2.0, 5.0), rel=1e-9)
         assert result.max_residual <= 1e-9
 
     def test_irrational_point_rejected(self):
