@@ -2,8 +2,8 @@
 
 Every battery is one ``_Battery`` spec in ``_BATTERIES``: its config keys
 with their defaults and types, a draw, the single-case check from
-:mod:`fishergeo.verify` that evaluates each case, and how the residual is
-read and judged. ``run_battery`` reads a config against the spec before any
+:mod:`fishergeo.verify` or :mod:`fishergeo.models` that evaluates each case,
+and how the residual is read and judged. ``run_battery`` reads a config against the spec before any
 trial runs; ``_drive``, the one trial loop, draws every case from a single
 seeded generator, evaluates them through the check, or in one call of the
 spec's kernel, and tracks the worst residual in trial order. Violations
@@ -24,7 +24,11 @@ from .families import CandidateFamily, parse_family
 from .geometry import TangentVector, delta
 from .jsonio import read_bool, read_float, read_float_list, read_int
 from .markov import Channel, apply, canonical_embedding, random_channel, random_surjection
-from .models import categorical_model, crb_check, unbiased_estimators
+# The crb spec names its check and kernel; its draw calls the estimator kernel
+# through this namespace too.
+from .models import (
+    categorical_model, crb_check, crb_kernel, estimator_noise, unbiased_estimators_kernel,
+)
 from .simplex import RandomVariable, SampleSpace, new_distribution, sample_interior
 # The battery specs name their checks; _drive calls them through this namespace.
 from .verify import (
@@ -205,13 +209,15 @@ _READERS: dict[str, Callable[[Any, str], Any]] = {
 class _Battery:
     """One battery: its config keys with their defaults, its trials, its verdict.
 
-    A default of None marks a required key. ``draw(rng, trial=..., **params)``
-    returns a case: the inputs of the check named ``check``, keyed by
-    parameter name. A battery with a ``kernel`` evaluates all its cases in
-    one call of it: the check over a leading trial axis, which takes each
-    input as a sequence with one entry per trial and returns the reports in
-    trial order. Checks and kernels are looked up in this module at run
-    time, so a rebound name is the one called. ``residual`` reads the
+    A default of None marks a required key. ``draw(rng, rounds=..., **params)``
+    returns the cases of all rounds in trial order, each the inputs of the
+    check named ``check``, keyed by parameter name; ``_per_trial`` makes it
+    from a draw of one case. A battery with a ``kernel`` evaluates all its
+    cases in one call of it: the check over a leading trial axis, which
+    takes each input as a sequence with one entry per trial and returns the
+    reports in trial order. Checks and kernels, and the kernels a draw
+    calls, are looked up in this module at run time, so a rebound name is
+    the one called. ``residual`` reads the
     signed residual from the check's report. Above ``violation_tol`` the
     case is shrunk and recorded as a witness of the kind ``name``, unless
     the report carries its own. ``extras(params, worst, cases, reports)``
@@ -225,7 +231,7 @@ class _Battery:
 
     name: str
     defaults: dict[str, Any]
-    draw: Callable[..., dict]
+    draw: Callable[..., list[dict]]
     check: str
     residual: Callable[[Any], float]
     rounds: Callable[[dict], int] = itemgetter("trials")
@@ -247,7 +253,7 @@ def _drive(spec: _Battery, params: dict) -> BatteryReport:
     rng = np.random.default_rng(seed)
     pick, worst = (min, np.inf) if control else (max, -np.inf)
     witnesses = []
-    cases = [spec.draw(rng, trial=trial, **params) for trial in range(rounds)]
+    cases = spec.draw(rng, rounds=rounds, **params)
     if spec.kernel is None:
         reports = [check(**case) for case in cases]
     else:
@@ -278,6 +284,11 @@ def _drive(spec: _Battery, params: dict) -> BatteryReport:
 # ---------------------------------------------------------------------------
 # Draws
 # ---------------------------------------------------------------------------
+
+
+def _per_trial(draw: Callable[..., dict]) -> Callable[..., list[dict]]:
+    """The draw of every round from ``draw(rng, trial=..., **params)``, one case per trial."""
+    return lambda rng, rounds, **params: [draw(rng, trial=t, **params) for t in range(rounds)]
 
 
 def _random_sum_zero(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -335,12 +346,22 @@ def _draw_prop6(rng: np.random.Generator, n_max: int, family: CandidateFamily, *
     return {"pair": pair, "p": p, "alpha": alpha, "beta": beta, "family": family}
 
 
-def _draw_crb(rng: np.random.Generator, n_max: int, **_) -> dict:
-    """Locally unbiased estimators on a random categorical model point."""
-    n = int(rng.integers(2, n_max + 1))
-    model = categorical_model(n)
-    xi = sample_interior(model.space, seed=int(rng.integers(2**32))).weights[: n - 1]
-    return {"model": model, "xi": xi, "estimators": unbiased_estimators(model, xi, rng)}
+def _draw_crb(rng: np.random.Generator, rounds: int, n_max: int, **_) -> list[dict]:
+    """Locally unbiased estimators on random categorical model points.
+
+    Each trial draws its size, its point and its estimator noise, in the
+    order of one ``unbiased_estimators`` call; the estimators of all trials
+    then come from one ``unbiased_estimators_kernel`` call.
+    """
+    models, xis, noise = [], [], []
+    for _ in range(rounds):
+        n = int(rng.integers(2, n_max + 1))
+        model = categorical_model(n)
+        models.append(model)
+        xis.append(sample_interior(model.space, seed=int(rng.integers(2**32))).weights[: n - 1])
+        noise.append(estimator_noise(model, rng))
+    estimators = unbiased_estimators_kernel(models, xis, noise)
+    return [{"model": m, "xi": x, "estimators": e} for m, x, e in zip(models, xis, estimators)]
 
 
 def _size_pairs(n_max: int) -> list[tuple[int, int]]:
@@ -384,28 +405,29 @@ def _weak_invariance_extras(params: dict, worst: float, cases: list, reports: li
 _BATTERIES: dict[str, _Battery] = {spec.name: spec for spec in (
     _Battery(
         "monotonicity_metric", {"trials": 1000, "n_max": 6, "seed": 0},
-        lambda rng, n_max, **_: _draw_channel_case(rng, n_max, "x"),
+        _per_trial(lambda rng, n_max, **_: _draw_channel_case(rng, n_max, "x")),
         "check_monotonicity_metric", attrgetter("slack"),
         shrinkers=(_merge_inputs, _merge_outputs, _zero_entry("x")),
     ),
     _Battery(
         "monotonicity_cometric", {"trials": 1000, "n_max": 6, "seed": 0},
-        lambda rng, n_max, **_: _draw_channel_case(rng, n_max, "a"),
+        _per_trial(lambda rng, n_max, **_: _draw_channel_case(rng, n_max, "a")),
         "check_monotonicity_cometric", attrgetter("slack"),
         shrinkers=(_merge_inputs, _merge_outputs, _zero_entry("a")),
     ),
     _Battery(
-        "invariance", {"trials": 500, "n_max": 8, "seed": 0}, _draw_invariance,
+        "invariance", {"trials": 500, "n_max": 8, "seed": 0}, _per_trial(_draw_invariance),
         "check_invariance", attrgetter("max_residual"), min_n=3, kernel="invariance_kernel",
     ),
     _Battery(
-        "strong_invariance", {"trials": 500, "n_max": 8, "seed": 0}, _draw_strong_invariance,
+        "strong_invariance", {"trials": 500, "n_max": 8, "seed": 0},
+        _per_trial(_draw_strong_invariance),
         "check_strong_invariance", attrgetter("max_residual"),
         min_n=3, pass_tol=STRONG_INVARIANCE_TOL, kernel="strong_invariance_kernel",
     ),
     _Battery(
         "prop6", {"trials": 200, "n_max": 6, "seed": 0, "family": "COV"},
-        _draw_prop6, "check_prop6_identity", attrgetter("residual"), min_n=3,
+        _per_trial(_draw_prop6), "check_prop6_identity", attrgetter("residual"), min_n=3,
         extras=lambda params, *_: {"family": params["family"].name},
     ),
     _Battery(
@@ -414,7 +436,7 @@ _BATTERIES: dict[str, _Battery] = {spec.name: spec for spec in (
         "crb", {"trials": 1000, "n_max": 4, "seed": 0}, _draw_crb, "crb_check",
         # the minimum eigenvalue of V - G^{-1}, negated and scaled by G^{-1}
         lambda r: -(r.min_eigenvalue / (1.0 + np.max(np.abs(r.inverse_information)))),
-        pass_tol=-CRB_EIG_TOL, violation_tol=-CRB_EIG_TOL,
+        pass_tol=-CRB_EIG_TOL, violation_tol=-CRB_EIG_TOL, kernel="crb_kernel",
         extras=lambda params, worst, *_: {"min_scaled_eigenvalue": float(-worst)},
     ),
     _Battery(
@@ -425,7 +447,7 @@ _BATTERIES: dict[str, _Battery] = {spec.name: spec for spec in (
             "n_max": 5, "seed": 0, "step": 1e-4, "alphas": (-1.0, 0.0, 1.0),
             "grid_count": 3, "mismatched": False,
         },
-        _draw_weak_invariance, "weak_invariance_residual", float,
+        _per_trial(_draw_weak_invariance), "weak_invariance_residual", float,
         rounds=lambda params: len(_size_pairs(params["n_max"])) * len(params["alphas"]),
         # finite differences dominate here: pass at the violation tolerance
         min_n=3, pass_tol=VIOLATION_TOL,
@@ -435,7 +457,7 @@ _BATTERIES: dict[str, _Battery] = {spec.name: spec for spec in (
         # one round: the probe draws its own cases and builds its own witness
         "characterize",
         {"family": None, "n_max": 6, "denominator_bound": 64, "trials": 8, "seed": 0},
-        lambda rng, trial, **params: params, "characterize",
+        _per_trial(lambda rng, trial, **params: params), "characterize",
         lambda result: 0.0 if result.passed else result.witness.gap,
         rounds=lambda params: 1,
         extras=lambda params, worst, cases, reports: {"characterize": reports[0].to_json()},

@@ -1,9 +1,15 @@
 """Semantic exception hierarchy.
 
 Every public operation raises one of these instead of bare ValueError,
-so callers (and the CLI's exit-code mapping) can dispatch on type.
+so callers (and the CLI's exit-code mapping) can dispatch on type. A kernel
+that checks a batch of trials at once raises, through ``in_trial_order``,
+what the first failing trial raises alone.
 """
 from __future__ import annotations
+
+from typing import Callable, TypeVar
+
+_R = TypeVar("_R")
 
 
 class FisherGeoError(Exception):
@@ -72,3 +78,18 @@ class InvalidChannel(FisherGeoError, ValueError):
 
 class NotRational(FisherGeoError, ValueError):
     """Distribution has no rational representation within the denominator bound."""
+
+
+def in_trial_order(rows: Callable[..., _R], *columns) -> _R:
+    """``rows(*columns)`` for a kernel whose arguments hold one entry per
+    trial. When a check fails, the error raised is the one the first failing
+    trial raises alone: the trials are rerun one at a time, in order."""
+    if len({len(column) for column in columns}) != 1:
+        raise SizeMismatch("every argument needs one entry per trial")
+    try:
+        return rows(*columns)
+    except FisherGeoError:
+        if len(columns[0]) > 1:
+            for t in range(len(columns[0])):
+                rows(*(column[t : t + 1] for column in columns))
+        raise

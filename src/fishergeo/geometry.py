@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import BasePointMismatch, NotCentered, NotSumZero, SizeMismatch
-from .simplex import Distribution, RandomVariable, cov, expect
+from .errors import BasePointMismatch, FisherGeoError, NotCentered, NotSumZero, SizeMismatch
+from .simplex import Distribution, RandomVariable, cov, expect, expect_rows, require_finite
 
 #: Absolute tolerance on sum(m_rep) for tangent vectors.
 SUM_ZERO_TOL = 1e-10
@@ -72,7 +73,7 @@ def require_centered(means: np.ndarray) -> None:
     """The ``CotangentVector`` check on an array of means <rep>_p, one per
     representative; the first bad mean in C order is named."""
     centered = abs(means) <= CENTERING_TOL
-    if not centered.all():
+    if np.count_nonzero(centered) != centered.size:
         mean = float(np.reshape(means, -1)[np.argmin(np.reshape(centered, -1))])
         raise NotCentered(f"representative has mean {mean!r} at the base point")
 
@@ -162,6 +163,47 @@ def require_rows_sum_zero(rows: np.ndarray) -> None:
     if np.count_nonzero(zero) != zero.size:
         total = float(np.reshape(totals, -1)[np.argmin(np.reshape(zero, -1))])
         raise NotSumZero(f"m-representation sums to {total!r}, not 0")
+
+
+def _require_in_row_order(*checks: tuple[Callable[[np.ndarray], None], np.ndarray]) -> None:
+    """Run each ``(check, stack)`` on its whole stack. The stacks share their
+    leading axes; when a check fails, raise what the object path meets first:
+    each row in C order over the leading axes of the first stack, whose rows
+    are its last axis, with the row's checks in the order given."""
+    try:
+        for check, stack in checks:
+            check(stack)
+    except FisherGeoError:
+        lead = checks[0][1].shape[:-1]
+        count = int(np.prod(lead))
+        rows = [(check, stack.reshape(count, *stack.shape[len(lead):])) for check, stack in checks]
+        for r in range(count):
+            for check, stack in rows:
+                check(stack[r])
+        raise
+
+
+def delta_rows(w: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``delta`` of value rows (T, ..., n) at stacked points (T, n): the
+    centered representatives, each with the checks of its ``RandomVariable``
+    and ``CotangentVector``. A failing check raises what the first failing
+    row, in C order, raises alone."""
+    centered = values - expect_rows(w, values)[..., None]
+    _require_in_row_order((require_finite, centered), (require_centered, expect_rows(w, centered)))
+    return centered
+
+
+def flat_rows(w: np.ndarray, m_reps: np.ndarray) -> np.ndarray:
+    """``flat`` of tangent m-representations (T, r, n) at stacked points
+    (T, n): the scores ``m_rep / p``, each with the checks of its
+    ``TangentVector``, ``RandomVariable`` and ``CotangentVector``. A failing
+    check raises what the first failing row, in C order, raises alone."""
+    reps = m_reps / w[:, None, :]
+    _require_in_row_order(
+        (require_rows_sum_zero, m_reps), (require_finite, reps),
+        (require_centered, expect_rows(w, reps)),
+    )
+    return reps
 
 
 def _weights(p: Distribution | np.ndarray) -> np.ndarray:

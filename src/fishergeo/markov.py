@@ -43,7 +43,8 @@ def require_kernel(k: np.ndarray) -> None:
     axes or not: nonnegative entries, unit column sums, every output reached.
     Each check runs over the whole stack before the next one."""
     # Written so that NaN fails both tests.
-    if not (k >= 0.0).all():
+    nonnegative = k >= 0.0
+    if np.count_nonzero(nonnegative) != nonnegative.size:
         raise InvalidChannel("kernel entries must be nonnegative")
     col_sums = k.sum(axis=-2)
     deviation = abs(col_sums - 1.0)
@@ -51,7 +52,7 @@ def require_kernel(k: np.ndarray) -> None:
         normalized = deviation.max(axis=-1) <= KERNEL_COLUMN_TOL
         bad = col_sums.reshape(-1, col_sums.shape[-1])[np.argmin(normalized.reshape(-1))]
         raise NotNormalized(f"column sums {bad.tolist()} deviate from 1")
-    if (k.max(axis=-1) <= 0.0).any():
+    if np.count_nonzero(k.max(axis=-1) <= 0.0):
         raise NotSurjective("some output has no positive kernel entry")
 
 

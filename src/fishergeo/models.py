@@ -15,8 +15,16 @@ among all ambient cotangent vectors restricting to the given coefficients it
 is the unique one of smallest co-norm, and that co-norm squared equals
 ``c^T G^{-1} c``. ``crb_check`` compares the covariance matrix of a locally
 unbiased estimator tuple against ``G^{-1}`` and reports the smallest
-eigenvalue of the difference. ``lifts`` and ``unbiased_estimators`` read one
-Jacobian and one information matrix for all the covectors at a point.
+eigenvalue of the difference.
+
+Model points are evaluated over a leading trial axis: each trial's point
+and raw Jacobian come from its model, and the checks of ``jacobian_at``,
+``FisherMatrix``, ``TangentVector``, ``CotangentVector`` and
+``RandomVariable``, the information matrices and their inverses run on the
+trials of one model shape at once. ``crb_kernel`` is ``crb_check`` in local
+mode on such a batch and ``unbiased_estimators_kernel`` the estimators of
+``unbiased_estimators``; the single-point functions are the kernels on a
+batch of one, and the ``crb`` battery calls each kernel once per run.
 
 The built-in zoo covers Bernoulli, the full categorical family, exponential
 families with user-supplied sufficient statistics, and affine (mixture)
@@ -38,9 +46,18 @@ from .errors import (
     RankDeficient,
     SingularMatrix,
     SizeMismatch,
+    in_trial_order,
 )
-from .geometry import CotangentVector, TangentVector, delta, flat, pair
-from .simplex import Distribution, RandomVariable, SampleSpace, cov_matrix
+from .geometry import (
+    CotangentVector,
+    TangentVector,
+    delta,
+    delta_rows,
+    flat_rows,
+    pair,
+    require_rows_sum_zero,
+)
+from .simplex import Distribution, RandomVariable, SampleSpace, expect_rows
 
 #: Relative step for central-difference Jacobians.
 FD_STEP_SCALE = 1e-6
@@ -97,33 +114,49 @@ def jacobian_at(model: ParametricModel, xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float).reshape(-1)
     if xi.shape[0] != model.dim:
         raise SizeMismatch(f"expected {model.dim} parameters, got {xi.shape[0]}")
+    return _checked_jacobians(_raw_jacobian(model, xi)[None])[0]
+
+
+def _raw_jacobian(model: ParametricModel, xi: np.ndarray) -> np.ndarray:
+    """The model's Jacobian at ``xi``, or central differences; only its shape is checked."""
     if model.jacobian is not None:
         jac = np.array(model.jacobian(xi), dtype=float)
         if jac.shape != (model.dim, model.space.size):
             raise SizeMismatch(
                 f"jacobian shape {jac.shape} != {(model.dim, model.space.size)}"
             )
-    else:
-        jac = np.empty((model.dim, model.space.size))
-        for i in range(model.dim):
-            h = FD_STEP_SCALE * max(1.0, abs(xi[i]))
-            up, down = xi.copy(), xi.copy()
-            up[i] += h
-            down[i] -= h
-            jac[i] = (model.point(up).weights - model.point(down).weights) / (2 * h)
-    if not np.all(np.isfinite(jac)):
-        raise InvalidParameter(f"Jacobian entries must be finite, got {jac.tolist()}")
-    sums = jac.sum(axis=1)
-    scale = max(1.0, float(np.max(np.abs(jac))))
-    if np.max(np.abs(sums)) > JACOBIAN_SUM_TOL * scale:
+        return jac
+    jac = np.empty((model.dim, model.space.size))
+    for i in range(model.dim):
+        h = FD_STEP_SCALE * max(1.0, abs(xi[i]))
+        up, down = xi.copy(), xi.copy()
+        up[i] += h
+        down[i] -= h
+        jac[i] = (model.point(up).weights - model.point(down).weights) / (2 * h)
+    return jac
+
+
+def _checked_jacobians(jac: np.ndarray) -> np.ndarray:
+    """``jacobian_at``'s checks on raw Jacobians stacked (T, dim, n): finite
+    entries, rows summing to 0, full rank. Returns them mean-subtracted; a
+    failing check names the first failing trial."""
+    finite = np.isfinite(jac)
+    if np.count_nonzero(finite) != finite.size:
+        bad = jac[np.argmin(finite.all(axis=(1, 2)))]
+        raise InvalidParameter(f"Jacobian entries must be finite, got {bad.tolist()}")
+    sums = jac.sum(axis=-1)
+    scale = np.maximum(1.0, abs(jac).max(axis=(1, 2)))
+    bent = abs(sums).max(axis=-1) > JACOBIAN_SUM_TOL * scale
+    if np.count_nonzero(bent):
         raise InvalidParameter(
-            f"Jacobian rows must sum to 0 (tangency), got sums {sums.tolist()}"
+            f"Jacobian rows must sum to 0 (tangency), got sums {sums[np.argmax(bent)].tolist()}"
         )
-    jac = jac - sums[:, None] / model.space.size
+    jac = jac - sums[..., None] / jac.shape[-1]
     svals = np.linalg.svd(jac, compute_uv=False)
-    if svals[-1] < RANK_RTOL * svals[0]:
+    deficient = svals[:, -1] < RANK_RTOL * svals[:, 0]
+    if np.count_nonzero(deficient):
         raise RankDeficient(
-            f"Jacobian singular values {svals.tolist()} fail the rank test"
+            f"Jacobian singular values {svals[np.argmax(deficient)].tolist()} fail the rank test"
         )
     return jac
 
@@ -139,34 +172,50 @@ class FisherMatrix:
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
             raise SizeMismatch(f"non-empty square matrix required, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InvalidParameter("information matrix entries must be finite")
-        if np.max(np.abs(m - m.T)) > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(m)))):
-            raise RankDeficient("information matrix is not symmetric")
-        if np.min(np.linalg.eigvalsh(m)) <= 0.0:
-            raise RankDeficient("information matrix is not positive definite")
+        _require_information(m)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
 
     def inverse(self) -> np.ndarray:
         """G^{-1}, the co-metric Gram matrix in the ``d xi`` basis."""
-        try:
-            return np.linalg.inv(self.matrix)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrix(str(exc)) from exc
+        return _inverses(self.matrix)
 
 
-def _information(p: Distribution, jac: np.ndarray, xi) -> FisherMatrix:
-    """Score Gram matrix at ``p`` from the Jacobian rows evaluated there."""
-    scores = jac / p.weights
-    g = scores @ (scores * p.weights).T
-    return FisherMatrix(0.5 * (g + g.T), np.asarray(xi, dtype=float))
+def _require_information(m: np.ndarray) -> np.ndarray:
+    """The ``FisherMatrix`` checks on square matrices, stacked along leading
+    axes or not: finite, symmetric, positive definite. Returns ``m``."""
+    finite = np.isfinite(m)
+    if np.count_nonzero(finite) != finite.size:
+        raise InvalidParameter("information matrix entries must be finite")
+    asymmetry = abs(m - np.swapaxes(m, -1, -2)).max(axis=(-2, -1))
+    if np.count_nonzero(asymmetry > SYMMETRY_TOL * np.maximum(1.0, abs(m).max(axis=(-2, -1)))):
+        raise RankDeficient("information matrix is not symmetric")
+    if np.count_nonzero(np.linalg.eigvalsh(m).min(axis=-1) <= 0.0):
+        raise RankDeficient("information matrix is not positive definite")
+    return m
+
+
+def _inverses(m: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(str(exc)) from exc
+
+
+def _score_grams(w: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """The score Gram matrices at stacked points (T, n) from their Jacobian
+    rows (T, dim, n), symmetrized; the ``FisherMatrix`` checks come after."""
+    scores = jac / w[:, None, :]
+    # the transposed view keeps the operand layout of the one-point product
+    g = scores @ (scores * w[:, None, :]).transpose(0, 2, 1)
+    return 0.5 * (g + g.transpose(0, 2, 1))
 
 
 def fisher_info(model: ParametricModel, xi) -> FisherMatrix:
     """Fisher information matrix G_ij = <L_i | L_j>_{p_xi}."""
-    return _information(model.point(xi), jacobian_at(model, xi), xi)
+    g = _score_grams(model.point(xi).weights[None], jacobian_at(model, xi)[None])
+    return FisherMatrix(g[0], np.asarray(xi, dtype=float))
 
 
 def restrict(model: ParametricModel, xi, alpha_ambient: CotangentVector) -> np.ndarray:
@@ -177,6 +226,49 @@ def restrict(model: ParametricModel, xi, alpha_ambient: CotangentVector) -> np.n
     return np.array(
         [pair(alpha_ambient, TangentVector(p, row)) for row in jacobian_at(model, xi)]
     )
+
+
+# ---------------------------------------------------------------------------
+# Model points over a leading trial axis
+#
+# Trials of one model shape (dim, n) are stacked into C-ordered arrays, and
+# every product is the one the trial makes alone: one BLAS dot, matrix-vector
+# or matrix-matrix product per slice, and LAPACK per slice. So every entry is
+# bitwise the trial's own. The checks of the objects the single point builds
+# run on the stacks, in the order the single point meets them.
+# ---------------------------------------------------------------------------
+
+
+def _points(model, xi) -> tuple[list[np.ndarray], list[Distribution], list]:
+    """Each trial's parameter as a vector and its point ``p_xi``; and the
+    trials of each model shape (dim, n), in order of first appearance, with
+    their points' weights stacked (T, n)."""
+    xi = [np.asarray(x, dtype=float).reshape(-1) for x in xi]
+    points = [one.point(x) for one, x in zip(model, xi)]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for t, one in enumerate(model):
+        groups.setdefault((one.dim, one.space.size), []).append(t)
+    stacks = [(trials, np.array([points[t].weights for t in trials])) for trials in groups.values()]
+    return xi, points, stacks
+
+
+def _jacobians(model, xi, trials: list[int]) -> np.ndarray:
+    """``jacobian_at`` of the given trials, stacked (T, dim, n)."""
+    return _checked_jacobians(np.array([_raw_jacobian(model[t], xi[t]) for t in trials]))
+
+
+def _lifted(w: np.ndarray, jac: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The representatives of flat(X), X = sum_i (G^{-1} c)_i d_i, at stacked
+    points (T, n) with Jacobians (T, dim, n), for coefficient rows c stacked
+    (T, r, dim), as (T, r, n). Each lift gets the checks of its
+    TangentVector, RandomVariable and CotangentVector."""
+    g = _require_information(_score_grams(w, jac))
+    try:
+        # one solve per row, as the vector right-hand side of a single point
+        weights = np.linalg.solve(g[:, None], rows[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(str(exc)) from exc
+    return flat_rows(w, (weights[..., None, :] @ jac[:, None])[..., 0, :])
 
 
 def lifts(model: ParametricModel, xi, rows) -> list[CotangentVector]:
@@ -191,34 +283,61 @@ def lifts(model: ParametricModel, xi, rows) -> list[CotangentVector]:
     for coeffs in rows:
         if coeffs.shape[0] != model.dim:
             raise SizeMismatch(f"expected {model.dim} coefficients, got {coeffs.shape[0]}")
-    return _lifts(model, xi, rows)[1]
-
-
-def _lifts(model: ParametricModel, xi, rows) -> tuple[np.ndarray, list[CotangentVector]]:
-    """The Jacobian at ``xi`` and the lifts of ``rows``, from one evaluation."""
+    xi = np.asarray(xi, dtype=float).reshape(-1)
     p = model.point(xi)
-    jac = jacobian_at(model, xi)
-    g = _information(p, jac, xi).matrix
-    lifted = []
-    for coeffs in rows:
-        try:
-            weights = np.linalg.solve(g, coeffs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrix(str(exc)) from exc
-        lifted.append(flat(TangentVector(p, weights @ jac)))
-    return jac, lifted
+    jac = _jacobians([model], [xi], [0])
+    reps = _lifted(p.weights[None], jac, np.array(rows).reshape(1, len(rows), model.dim))
+    return [CotangentVector(p, RandomVariable(p.space, rep)) for rep in reps[0]]
+
+
+def estimator_noise(model: ParametricModel, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of one ``unbiased_estimators`` call, in its order: for each
+    estimator ``normal(size=n)``, then ``uniform(0, 2)``. Returns the noise
+    rows (dim, n) and the scales (dim,)."""
+    n = model.space.size
+    noise, scale = np.empty((model.dim, n)), np.empty(model.dim)
+    for i in range(model.dim):
+        noise[i] = rng.normal(size=n)
+        scale[i] = rng.uniform(0, 2)
+    return noise, scale
 
 
 def unbiased_estimators(model: ParametricModel, xi, rng) -> list[RandomVariable]:
     """Random locally unbiased estimators at ``xi``: each lift of d xi^i plus
-    ``normal`` noise in the kernel of restriction, scaled by ``uniform(0, 2)``."""
-    jac, lifted = _lifts(model, xi, np.eye(model.dim))
-    estimators = []
-    for alpha in lifted:
-        noise = rng.normal(size=model.space.size)
-        noise -= jac.T @ np.linalg.lstsq(jac.T, noise, rcond=None)[0]
-        scale = float(rng.uniform(0, 2))
-        estimators.append(RandomVariable(model.space, alpha.rep.values + scale * noise))
+    ``normal`` noise in the kernel of restriction, scaled by ``uniform(0, 2)``.
+    ``unbiased_estimators_kernel`` on a batch of one."""
+    return unbiased_estimators_kernel([model], [xi], [estimator_noise(model, rng)])[0]
+
+
+def unbiased_estimators_kernel(model, xi, noise) -> list[list[RandomVariable]]:
+    """``unbiased_estimators`` over a leading trial axis.
+
+    Each argument is a sequence with one entry per trial, in any mix of
+    models; a trial's ``noise`` is what ``estimator_noise`` draws for it.
+    The lifts of all trials of one model shape are computed together; each
+    noise row is projected onto the kernel of restriction by its own
+    ``lstsq``. Every estimator is bitwise the one the trial gives alone, and
+    a failed check raises what the first failing trial raises alone.
+    """
+    return in_trial_order(_estimator_rows, model, xi, noise)
+
+
+def _estimator_rows(model, xi, noise) -> list[list[RandomVariable]]:
+    xi, _, stacks = _points(model, xi)
+    estimators: list = [None] * len(xi)
+    for trials, w in stacks:
+        jac = _jacobians(model, xi, trials)
+        k, n = jac.shape[1:]
+        reps = _lifted(w, jac, np.broadcast_to(np.eye(k), (len(trials), k, k)))
+        for row, t in enumerate(trials):
+            z, scale = (np.array(part, dtype=float) for part in noise[t])
+            if z.shape != (k, n) or scale.shape != (k,):
+                raise SizeMismatch(f"noise of shapes {z.shape}, {scale.shape} != {(k, n)}, {(k,)}")
+            jac_t = jac[row].T
+            for i in range(k):
+                z[i] -= jac_t @ np.linalg.lstsq(jac_t, z[i], rcond=None)[0]
+            space = model[t].space
+            estimators[t] = [RandomVariable(space, v) for v in reps[row] + scale[:, None] * z]
     return estimators
 
 
@@ -253,61 +372,95 @@ def crb_check(
     at xi only. ``global`` additionally checks <A^i>_{p_xi'} = xi'^i on a
     grid of ``_GLOBAL_GRID_POINTS`` per axis over ``box`` (required in that mode:
     unbiasedness over all of M is only desk-checkable on a declared box).
+    ``mode`` and ``box`` are checked before anything is evaluated.
 
     Raises NotLocallyUnbiased when the precondition fails; the PSD verdict
-    tolerance is ``1e-8 * (1 + spectral norm of G^{-1})``.
+    tolerance is ``1e-8 * (1 + spectral norm of G^{-1})``. The local
+    comparison is ``crb_kernel`` on a batch of one.
     """
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    if len(estimators) != model.dim:
-        raise SizeMismatch(f"need {model.dim} estimators, got {len(estimators)}")
-    k = model.dim
-    p = model.point(xi)
-    covectors = [delta(p, a) for a in estimators]
-    jac = jacobian_at(model, xi)
-    basis = [TangentVector(p, row) for row in jac]
-    errors = np.array([[pair(c, v) for v in basis] for c in covectors]) - np.eye(k)
-    worst = float(np.max(np.abs(errors)))
-    if worst > UNBIASED_TOL:
-        raise NotLocallyUnbiased(
-            f"restrict(delta(A^i)) deviates from e_i by {worst:.3e} at xi={xi.tolist()}"
-        )
-    if mode == "global":
-        if box is None:
-            raise InvalidParameter("global mode needs an explicit parameter box")
-        axes = [np.linspace(lo, hi, _GLOBAL_GRID_POINTS) for lo, hi in box]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        grid = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-        for point in grid:
-            q = model.point(point)
-            for i, a in enumerate(estimators):
-                err = abs(float(np.dot(q.weights, a.values)) - point[i])
-                if err > UNBIASED_TOL:
-                    raise NotLocallyUnbiased(
-                        f"<A^{i + 1}> deviates from xi^{i + 1} by {err:.3e} "
-                        f"at grid point {point.tolist()}"
-                    )
-    elif mode != "local":
+    if mode not in ("local", "global"):
         raise InvalidParameter(f"mode must be 'local' or 'global', got {mode!r}")
+    if mode == "global" and box is None:
+        raise InvalidParameter("global mode needs an explicit parameter box")
+    report = crb_kernel([model], [xi], [estimators])[0]
+    if mode == "local":
+        return report
+    axes = [np.linspace(lo, hi, _GLOBAL_GRID_POINTS) for lo, hi in box]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    grid = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    for point in grid:
+        q = model.point(point)
+        for i, a in enumerate(estimators):
+            err = abs(float(np.dot(q.weights, a.values)) - point[i])
+            if err > UNBIASED_TOL:
+                raise NotLocallyUnbiased(
+                    f"<A^{i + 1}> deviates from xi^{i + 1} by {err:.3e} "
+                    f"at grid point {point.tolist()}"
+                )
+    return replace(report, mode=mode)
 
-    # g(delta A, delta B) = Cov(A, B): V is the covariance matrix.
-    v = cov_matrix(p, estimators)
-    g_inv = _information(p, jac, xi).inverse()
-    diff = v - g_inv
-    diff = 0.5 * (diff + diff.T)
-    min_eig = float(np.min(np.linalg.eigvalsh(diff)))
-    spectral = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (g_inv + g_inv.T)))))
-    tol = 1e-8 * (1.0 + spectral)
-    equality = float(np.max(np.abs(diff))) <= tol
-    return CrbReport(
-        xi=tuple(float(t) for t in xi),
-        covariance=v,
-        inverse_information=g_inv,
-        min_eigenvalue=min_eig,
-        psd_tolerance=tol,
-        verdict="psd" if min_eig >= -tol else "violation",
-        equality=equality,
-        mode=mode,
-    )
+
+def crb_kernel(model, xi, estimators) -> list[CrbReport]:
+    """``crb_check`` in local mode over a leading trial axis.
+
+    Each argument is a sequence with one entry per trial, in any mix of
+    models and sizes. Every report is bitwise the one the trial gives alone,
+    and a failed check raises what the first failing trial raises alone.
+    """
+    return in_trial_order(_crb_rows, model, xi, estimators)
+
+
+def _estimator_values(p: Distribution, estimators) -> list[np.ndarray]:
+    if any(a.space != p.space for a in estimators):
+        # the object path checks the estimators before the mismatched one first
+        for a in estimators:
+            delta(p, a)
+    return [a.values for a in estimators]
+
+
+def _crb_rows(model, xi, estimators) -> list[CrbReport]:
+    for one, tuple_ in zip(model, estimators):
+        if len(tuple_) != one.dim:
+            raise SizeMismatch(f"need {one.dim} estimators, got {len(tuple_)}")
+    xi, points, stacks = _points(model, xi)
+    reports: list = [None] * len(xi)
+    for trials, w in stacks:
+        values = np.array([_estimator_values(points[t], estimators[t]) for t in trials])
+        centered = delta_rows(w, values)
+        jac = _jacobians(model, xi, trials)
+        require_rows_sum_zero(jac)  # each row a TangentVector
+        k = jac.shape[1]
+        # restrict(delta(A^i)) - e_i: the pairing of each representative with each row
+        errors = (jac[:, None, :, None, :] @ centered[:, :, None, :, None])[..., 0, 0] - np.eye(k)
+        worst = abs(errors).max(axis=(1, 2))
+        biased = worst > UNBIASED_TOL
+        if np.count_nonzero(biased):
+            first = int(np.argmax(biased))
+            raise NotLocallyUnbiased(
+                f"restrict(delta(A^i)) deviates from e_i by {worst[first]:.3e} "
+                f"at xi={xi[trials[first]].tolist()}"
+            )
+        # g(delta A, delta B) = Cov(A, B): V is the covariance matrix.
+        v = expect_rows(w, centered[:, :, None, :] * centered[:, None, :, :])
+        g_inv = _inverses(_require_information(_score_grams(w, jac)))
+        diff = v - g_inv
+        diff = 0.5 * (diff + diff.transpose(0, 2, 1))
+        min_eig = np.linalg.eigvalsh(diff).min(axis=-1)
+        spectral = abs(np.linalg.eigvalsh(0.5 * (g_inv + g_inv.transpose(0, 2, 1)))).max(axis=-1)
+        tol = 1e-8 * (1.0 + spectral)
+        equality = abs(diff).max(axis=(1, 2)) <= tol
+        for row, t in enumerate(trials):
+            reports[t] = CrbReport(
+                xi=tuple(float(s) for s in xi[t]),
+                covariance=v[row],
+                inverse_information=g_inv[row],
+                min_eigenvalue=float(min_eig[row]),
+                psd_tolerance=float(tol[row]),
+                verdict="psd" if min_eig[row] >= -tol[row] else "violation",
+                equality=bool(equality[row]),
+                mode="local",
+            )
+    return reports
 
 
 # ---------------------------------------------------------------------------

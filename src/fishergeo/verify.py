@@ -37,16 +37,16 @@ import numpy as np
 
 from .connections import DEFAULT_STEP, ConnectionTag, VectorFieldOnModel, coordinate_field
 from .connections import weak_invariance_check
-from .errors import FisherGeoError, InvalidParameter, NotRational, SizeMismatch
+from .errors import InvalidParameter, NotRational, SizeMismatch, in_trial_order
 from .families import CandidateFamily, parse_family
 from .geometry import (
     CotangentVector,
     TangentVector,
     delta,
+    delta_rows,
     fisher_metric_rows,
     norm_tangent,
     orthonormal_basis_rows,
-    require_centered,
     require_rows_sum_zero,
 )
 from .markov import (
@@ -64,6 +64,7 @@ from .simplex import (
     Distribution,
     RandomVariable,
     SampleSpace,
+    expect_rows,
     new_distribution,
     require_finite,
     require_weights,
@@ -306,24 +307,11 @@ def _apply(kernels: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return (kernels @ vectors[..., None])[..., 0]
 
 
-def _dots(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``np.dot(w[t], v[t])`` for each trial t: one BLAS dot per row."""
-    return (w[:, None, :] @ v[:, :, None])[:, 0, 0]
-
-
 def _cov_rows(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``simplex.cov`` of each trial's rows."""
-    ca = a - _dots(w, a)[:, None]
-    cb = b - _dots(w, b)[:, None]
-    return _dots(w, ca * cb)
-
-
-def _delta_rows(w: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The representatives of ``geometry.delta`` at each trial's point, checked."""
-    centered = values - _dots(w, values)[:, None]
-    require_finite(centered)
-    require_centered(_dots(w, centered))
-    return centered
+    ca = a - expect_rows(w, a)[:, None]
+    cb = b - expect_rows(w, b)[:, None]
+    return expect_rows(w, ca * cb)
 
 
 def _conditional_expectation(kernels: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -384,20 +372,6 @@ def _pair_stacks(pair, q) -> list[_PairStack]:
     return stacks
 
 
-def _in_trial_order(rows: Callable[..., np.ndarray], *columns) -> np.ndarray:
-    """``rows(*columns)``; when a check fails, the error raised is the one the
-    first failing trial raises alone."""
-    if len({len(column) for column in columns}) != 1:
-        raise SizeMismatch("every argument needs one entry per trial")
-    try:
-        return rows(*columns)
-    except FisherGeoError:
-        if len(columns[0]) > 1:
-            for t in range(len(columns[0])):
-                rows(*(column[t : t + 1] for column in columns))
-        raise
-
-
 def _reports(report: type, keys: tuple[str, ...], residuals: np.ndarray, pass_tol: float) -> list:
     """One report per row of residuals, its worst residual classified at ``pass_tol``."""
     reports = []
@@ -415,7 +389,7 @@ def invariance_kernel(pair, q, x_m_rep, y_m_rep, a, b) -> list[InvarianceReport]
     sizes. Every residual is bitwise the one the trial gives alone, and a
     failed check raises what the first failing trial raises alone.
     """
-    residuals = _in_trial_order(_invariance_rows, pair, q, x_m_rep, y_m_rep, a, b)
+    residuals = in_trial_order(_invariance_rows, pair, q, x_m_rep, y_m_rep, a, b)
     return _reports(InvarianceReport, _INVARIANCE_KEYS, residuals, PASS_TOL)
 
 
@@ -438,12 +412,12 @@ def _invariance_rows(pair, q, x_m_rep, y_m_rep, a, b) -> np.ndarray:
         require_rows_sum_zero(y_up)
         mismatch = "random variable and distribution on different spaces"
         a_values = _sized_rows([a[t].values for t in s.trials], m, mismatch)
-        alpha = _delta_rows(s.p, a_values)
+        alpha = delta_rows(s.p, a_values)
         b_values = _sized_rows([b[t].values for t in s.trials], m, mismatch)
-        beta = _delta_rows(s.p, b_values)
+        beta = delta_rows(s.p, b_values)
         # pullback through the co-embedding: conditional expectation, then delta at q
-        alpha_up = _delta_rows(s.q, _conditional_expectation(s.psi, alpha))
-        beta_up = _delta_rows(s.q, _conditional_expectation(s.psi, beta))
+        alpha_up = delta_rows(s.q, _conditional_expectation(s.psi, alpha))
+        beta_up = delta_rows(s.q, _conditional_expectation(s.psi, beta))
         a_lift, b_lift = _lift(a_values, s.maps), _lift(b_values, s.maps)
         residuals[s.trials] = np.stack([
             _relative((x * y / s.p).sum(axis=-1), (x_up * y_up / image).sum(axis=-1)),
@@ -463,7 +437,7 @@ def strong_invariance_kernel(pair, q, a, b) -> list[StrongInvarianceReport]:
     per shape. Every residual is bitwise the one the trial gives alone, and
     a failed check raises what the first failing trial raises alone.
     """
-    residuals = _in_trial_order(_strong_invariance_rows, pair, q, a, b)
+    residuals = in_trial_order(_strong_invariance_rows, pair, q, a, b)
     return _reports(
         StrongInvarianceReport, _STRONG_INVARIANCE_KEYS, residuals, STRONG_INVARIANCE_TOL
     )

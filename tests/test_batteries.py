@@ -179,17 +179,24 @@ def test_checks_are_called_through_the_module_namespace(monkeypatch, name):
     """A tracer rebinds the module's names: a check or kernel the spec
     captured at import time would run outside the trace. A battery with a
     kernel calls it once per run; the others call their check once per
-    trial."""
+    trial. The crb draw calls its estimator kernel once per run, and its
+    noise draw once per trial."""
     spec = batteries._BATTERIES[name]
-    called = spec.kernel or spec.check
-    original = getattr(batteries, called)
-    calls = []
+    called = [spec.kernel or spec.check]
+    if name == "crb":
+        called += ["unbiased_estimators_kernel", "estimator_noise"]
+    calls = dict.fromkeys(called, 0)
+    for key in called:
+        original = getattr(batteries, key)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+        def counted(*args, _key=key, _original=original, **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(batteries, called, counted)
+        monkeypatch.setattr(batteries, key, counted)
     report = run_battery({"battery": name, **SMALL_CONFIGS[name]})
     batched = spec.kernel is not None or name == "characterize"
-    assert len(calls) == (1 if batched else report.trials)
+    expected = {called[0]: 1 if batched else report.trials}
+    if name == "crb":
+        expected.update(unbiased_estimators_kernel=1, estimator_noise=report.trials)
+    assert calls == expected

@@ -13,9 +13,16 @@ own point map and Jacobian. The library now evaluates each point once and
 reads those values, with the same float operations in the same order, so
 every output must be the same float, compared through ``float.hex``, or the
 same error type.
+
+``crb_kernel`` and ``unbiased_estimators_kernel`` evaluate a batch of model
+points at once, stacked by model shape, and the ``crb`` battery draws all
+its trials through one call of the second. Each trial of a batch must give
+its reference values, and a batch with a failing trial must raise what the
+first failing trial raises alone.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -39,7 +46,10 @@ from fishergeo.connections import (
 from fishergeo.errors import (
     BasePointMismatch,
     FisherGeoError,
+    InvalidParameter,
+    NotCentered,
     NotLocallyUnbiased,
+    RankDeficient,
     SingularMatrix,
     SizeMismatch,
 )
@@ -60,10 +70,13 @@ from fishergeo.models import (
     bernoulli_model,
     categorical_model,
     crb_check,
+    crb_kernel,
+    estimator_noise,
     exponential_family_model,
     jacobian_at,
     lifts,
     unbiased_estimators,
+    unbiased_estimators_kernel,
 )
 from fishergeo.simplex import Distribution, RandomVariable, SampleSpace, sample_interior
 
@@ -324,6 +337,10 @@ def draw_model(kind: str, n: int, seed: int, exponent: float, count: int):
     if kind == "categorical":
         w = interior_point(n, seed, exponent, count)
         return categorical_model(n), w[: n - 1]
+    if kind == "fd":
+        # an affine or exponential family without its analytic Jacobian
+        model, xi = draw_model("affine" if seed % 2 else "expfam", n, seed, exponent, count)
+        return replace(model, jacobian=None, name="fd"), xi
     dim = int(rng.integers(1, n))
     if kind == "affine":
         anchor = interior_point(n, seed, exponent, count)
@@ -380,11 +397,11 @@ def assert_crb_equal(model, xi, estimators):
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_max=st.integers(2, 8))
 def test_crb_draw_and_check_bitwise(seed, n_max):
-    """The draw, through ``unbiased_estimators``, against both older draws.
-    Every generator must end in the same state, so later trials draw the
-    same cases."""
+    """The draw of one trial, through ``unbiased_estimators_kernel``, against
+    both older draws. Every generator must end in the same state, so later
+    trials draw the same cases."""
     rng = np.random.default_rng(seed)
-    case = _draw_crb(rng, n_max)
+    [case] = _draw_crb(rng, 1, n_max)
     assert sorted(case) == ["estimators", "model", "xi"]
     for reference in (reference_draw_crb, reference_draw_crb_lifts):
         reference_rng = np.random.default_rng(seed)
@@ -418,23 +435,29 @@ def test_unbiased_estimators_on_any_model_bitwise(drawn, seed):
     bias=st.sampled_from([0.0, 1e-9, 1e-6, 1.0, None]),
 )
 def test_crb_check_bitwise(drawn, seed, bias):
-    """Lifted (locally unbiased) estimators plus ``bias`` times noise, or
-    pure noise when ``bias`` is None."""
     model, xi = drawn
+    estimators = estimator_tuple(model, xi, seed, bias)
+    if isinstance(estimators, type):
+        assert outcome(lifts, model, xi, np.eye(model.dim)) is estimators
+        return
+    assert_crb_equal(model, xi, estimators)
+
+
+def estimator_tuple(model, xi, seed: int, bias):
+    """Lifted (locally unbiased) estimators plus ``bias`` times noise, or
+    pure noise when ``bias`` is None; the reference lift's error type when
+    it raises."""
     rng = np.random.default_rng(seed)
     n = model.space.size
     if bias is None:
-        estimators = [RandomVariable(model.space, rng.normal(size=n)) for _ in range(model.dim)]
-    else:
-        lifted = outcome(lambda: [reference_lift(model, xi, u) for u in np.eye(model.dim)])
-        if isinstance(lifted, type):
-            assert outcome(lifts, model, xi, np.eye(model.dim)) is lifted
-            return
-        estimators = [
-            RandomVariable(model.space, alpha.rep.values + xi[i] + bias * rng.normal(size=n))
-            for i, alpha in enumerate(lifted)
-        ]
-    assert_crb_equal(model, xi, estimators)
+        return [RandomVariable(model.space, rng.normal(size=n)) for _ in range(model.dim)]
+    lifted = outcome(lambda: [reference_lift(model, xi, u) for u in np.eye(model.dim)])
+    if isinstance(lifted, type):
+        return lifted
+    return [
+        RandomVariable(model.space, alpha.rep.values + xi[i] + bias * rng.normal(size=n))
+        for i, alpha in enumerate(lifted)
+    ]
 
 
 def test_crb_references_reach_both_outcomes():
@@ -541,7 +564,7 @@ def test_crb_trial_evaluates_its_point_once_per_step(monkeypatch):
         return model
 
     monkeypatch.setattr(batteries, "categorical_model", counted_categorical)
-    case = _draw_crb(np.random.default_rng(11), 6)
+    [case] = _draw_crb(np.random.default_rng(11), 1, 6)
     crb_check(**case)
     expected = reference_draw_crb_lifts(np.random.default_rng(11), 6, counted_categorical)
     crb_check(expected["model"], expected["xi"], expected["estimators"])
@@ -631,3 +654,205 @@ def test_duality_check_bitwise(drawn, seed, picks, step):
         assert residual is expected
     else:
         assert hexes([residual]) == hexes([expected])
+
+
+# ---------------------------------------------------------------------------
+# The model-point kernels: crb_check and unbiased_estimators over a batch
+# ---------------------------------------------------------------------------
+
+
+def error_of(run) -> tuple[type, str]:
+    with pytest.raises(FisherGeoError) as caught:
+        run()
+    return type(caught.value), str(caught.value)
+
+
+#: Points of every model kind, analytic or finite-difference Jacobians, with
+#: n from 2 to 8 and up to two weights pushed towards the boundary.
+batch_points = st.builds(
+    draw_model,
+    kind=st.sampled_from(["categorical", "affine", "expfam", "fd"]),
+    n=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.floats(1.0, 6.0),
+    count=st.integers(0, 2),
+)
+
+
+def assert_report_is(report, expected) -> None:
+    assert report.mode == "local"
+    assert hexes(report.covariance) == hexes(expected["covariance"])
+    assert hexes(report.inverse_information) == hexes(expected["inverse_information"])
+    assert hexes([report.min_eigenvalue, report.psd_tolerance]) == hexes(
+        [expected["min_eigenvalue"], expected["psd_tolerance"]]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    batch=st.lists(
+        st.tuples(
+            batch_points,
+            st.integers(0, 2**32 - 1),
+            # mostly locally unbiased tuples, some biased or pure noise
+            st.sampled_from([0.0, 1e-9, 0.0, 1e-9, 1e-6, None]),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_crb_kernel_bitwise(batch):
+    """A mixed batch gives each trial's reference report, bitwise; a batch
+    with a failing trial raises what the first one raises alone."""
+    trials = []
+    for (model, xi), seed, bias in batch:
+        estimators = estimator_tuple(model, xi, seed, bias)
+        if not isinstance(estimators, type):
+            trials.append((model, xi, estimators))
+    if not trials:
+        return
+    expected = [outcome(reference_crb, *trial) for trial in trials]
+    columns = [list(column) for column in zip(*trials)]
+    failed = [t for t, e in enumerate(expected) if isinstance(e, type)]
+    if failed:
+        raised = error_of(lambda: crb_kernel(*columns))
+        assert raised[0] is expected[failed[0]]
+        assert raised == error_of(lambda: crb_check(*trials[failed[0]]))
+        return
+    reports = crb_kernel(*columns)
+    assert len(reports) == len(trials)
+    for report, reference in zip(reports, expected):
+        assert_report_is(report, reference)
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=st.lists(st.tuples(batch_points, st.integers(0, 2**32 - 1)), min_size=1, max_size=5))
+def test_unbiased_estimators_kernel_bitwise(batch):
+    """Each trial's estimators from its ``estimator_noise`` draw are the
+    reference's from the same generator, bitwise."""
+    models_, points, noise, expected = [], [], [], []
+    for (model, xi), seed in batch:
+        models_.append(model)
+        points.append(xi)
+        noise.append(estimator_noise(model, np.random.default_rng(seed)))
+        expected.append(
+            outcome(reference_unbiased_estimators, model, xi, np.random.default_rng(seed))
+        )
+    failed = [t for t, e in enumerate(expected) if isinstance(e, type)]
+    if failed:
+        raised = error_of(lambda: unbiased_estimators_kernel(models_, points, noise))
+        assert raised[0] is expected[failed[0]]
+        first = failed[0]
+        assert raised == error_of(
+            lambda: unbiased_estimators_kernel([models_[first]], [points[first]], [noise[first]])
+        )
+        return
+    for values, reference in zip(unbiased_estimators_kernel(models_, points, noise), expected):
+        assert hexes([a.values for a in values]) == hexes([a.values for a in reference])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_max=st.integers(2, 8), rounds=st.integers(1, 12))
+def test_crb_battery_draw_and_kernel_bitwise(seed, n_max, rounds):
+    """The battery's batched draw against one reference draw per trial from
+    one generator, which must end in the same state; then the kernel on the
+    drawn batch against the per-trial reference check."""
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    cases = _draw_crb(rng, rounds, n_max)
+    assert len(cases) == rounds
+    for case in cases:
+        expected = reference_draw_crb(reference_rng, n_max)
+        assert hexes(case["xi"]) == hexes(expected["xi"])
+        assert hexes([a.values for a in case["estimators"]]) == hexes(
+            [a.values for a in expected["estimators"]]
+        )
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    reports = crb_kernel(*[[case[key] for case in cases] for key in ("model", "xi", "estimators")])
+    for case, report in zip(cases, reports):
+        assert_report_is(report, reference_crb(case["model"], case["xi"], case["estimators"]))
+
+
+def rank_deficient_trial() -> tuple:
+    """An affine model whose two directions coincide, so its Jacobian fails the rank test."""
+    direction = [0.01, -0.01, 0.0, 0.0]
+    model = affine_model(np.full(4, 0.25), [direction, direction])
+    return model, np.array([0.1, 0.1])
+
+
+def test_crb_kernel_raises_what_the_first_bad_trial_raises():
+    """Trial 1 fails late (a biased tuple), trial 3 early (a rank-deficient
+    Jacobian) and trial 4 first of all (one estimator short). A batch
+    evaluated stage by stage meets trial 4 first; the kernel must still
+    raise trial 1's error, as ``crb_check`` raises it alone."""
+    trials = []
+    for kind, n, seed, bias in (
+        ("categorical", 4, 1, 0.0), ("expfam", 5, 2, 1.0), ("fd", 4, 3, 0.0),
+    ):
+        model, xi = draw_model(kind, n, seed, 2.0, 1)
+        trials.append((model, xi, estimator_tuple(model, xi, seed, bias)))
+    model, xi = rank_deficient_trial()
+    trials.append((model, xi, [RandomVariable(model.space, np.arange(4.0))] * 2))
+    model, xi = draw_model("categorical", 3, 5, 2.0, 1)
+    trials.append((model, xi, estimator_tuple(model, xi, 5, 0.0)[:1]))
+    expected = [NotLocallyUnbiased, RankDeficient, SizeMismatch]
+    assert [outcome(reference_crb, *trial) for trial in trials[1::2] + trials[4:]] == expected
+    assert not isinstance(outcome(reference_crb, *trials[2]), type)
+    for start, first, kind in zip((0, 2, 4), (1, 3, 4), expected):
+        columns = [list(column) for column in zip(*trials[start:])]
+        raised = error_of(lambda: crb_kernel(*columns))
+        assert raised[0] is kind
+        assert raised == error_of(lambda: crb_check(*trials[first]))
+
+
+def test_unbiased_estimators_kernel_raises_what_the_first_bad_trial_raises():
+    """Trial 1's estimators are not finite (an infinite scale), which the
+    kernel meets last; trial 2's Jacobian fails the rank test, which it
+    meets early. The kernel must raise trial 1's error."""
+    trials = []
+    for seed, n in ((1, 4), (2, 3)):
+        model, xi = draw_model("categorical", n, seed, 2.0, 1)
+        trials.append((model, xi, estimator_noise(model, np.random.default_rng(seed))))
+    noise, scale = trials[1][2]
+    trials[1] = (*trials[1][:2], (noise, np.full_like(scale, np.inf)))
+    model, xi = rank_deficient_trial()
+    trials.append((model, xi, estimator_noise(model, np.random.default_rng(3))))
+    columns = [list(column) for column in zip(*trials)]
+    raised = error_of(lambda: unbiased_estimators_kernel(*columns))
+    assert raised[0] is InvalidParameter and "must be finite" in raised[1]
+    assert raised == error_of(lambda: unbiased_estimators_kernel(*[[c] for c in trials[1]]))
+    assert error_of(lambda: unbiased_estimators_kernel(*[c[2:] for c in columns]))[0] is RankDeficient
+
+
+def test_model_point_kernels_need_one_entry_per_trial():
+    model, xi = draw_model("categorical", 3, 0, 2.0, 1)
+    estimators = estimator_tuple(model, xi, 0, 0.0)
+    assert crb_kernel([], [], []) == []
+    assert unbiased_estimators_kernel([], [], []) == []
+    with pytest.raises(SizeMismatch, match="one entry per trial"):
+        crb_kernel([model] * 2, [xi], [estimators] * 2)
+    with pytest.raises(SizeMismatch, match="one entry per trial"):
+        unbiased_estimators_kernel([model], [xi] * 2, [estimator_noise(model, np.random.default_rng(0))])
+
+
+def test_crb_check_meets_each_estimators_checks_in_order():
+    """Estimator 1 is too large to be centered to the tolerance, and
+    estimator 2 overflows when it is centered. The object path checks
+    estimator 1 first, so the stacked checks must raise its NotCentered,
+    not estimator 2's InvalidParameter; and the same before an estimator
+    on the wrong space."""
+    model, xi = categorical_model(3), np.array([0.3, 0.5])
+    estimators = [
+        RandomVariable(model.space, np.array([1e17, 1.0, 3.0])),
+        RandomVariable(model.space, np.array([1.7e308, -1.7e308, 0.0])),
+    ]
+    with np.errstate(over="ignore"):
+        raised = error_of(lambda: crb_check(model, xi, estimators))
+        assert raised == error_of(lambda: reference_crb(model, xi, estimators))
+        assert raised[0] is NotCentered
+        assert error_of(lambda: crb_check(model, xi, estimators[1:] * 2))[0] is InvalidParameter
+    # an estimator on another space cannot be stacked: the same order holds
+    other = RandomVariable(SampleSpace(2), np.array([1.0, 2.0]))
+    for tuple_, kind in (([estimators[0], other], NotCentered), ([other, estimators[0]], SizeMismatch)):
+        raised = error_of(lambda: crb_check(model, xi, tuple_))
+        assert raised == error_of(lambda: reference_crb(model, xi, tuple_))
+        assert raised[0] is kind

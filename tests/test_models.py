@@ -310,6 +310,17 @@ class TestCrb:
         with pytest.raises(SizeMismatch):
             crb_check(categorical_model(3), [0.3, 0.3], [rv(1, 0, 0)])
 
+    # A biased tuple would raise NotLocallyUnbiased if the point were evaluated.
+    BIASED = [rv(1, 2, 3), rv(2, 4, 6)]
+
+    def test_unknown_mode_is_rejected_before_evaluation(self):
+        with pytest.raises(InvalidParameter, match="mode must be 'local' or 'global', got 'bogus'"):
+            crb_check(categorical_model(3), [0.3, 0.3], self.BIASED, mode="bogus")
+
+    def test_global_mode_without_box_is_rejected_before_evaluation(self):
+        with pytest.raises(InvalidParameter, match="global mode needs an explicit parameter box"):
+            crb_check(categorical_model(3), [0.3, 0.3], self.BIASED, mode="global")
+
 
 class TestLifts:
     def test_lift_is_lifts_of_one_row(self):

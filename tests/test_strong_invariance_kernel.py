@@ -390,16 +390,17 @@ def test_battery_raises_what_the_first_bad_trial_raises(monkeypatch, name):
     spec = batteries._BATTERIES[name]
     draw, spoiled = spec.draw, {}
 
-    def spoiling(rng, trial, **params):
-        case = draw(rng, trial=trial, **params)
-        if trial == 2:
-            case["a"] = RandomVariable(case["q"].space, np.ones(case["q"].space.size))
-        elif trial == 5 and name == "strong_invariance":
-            case = non_canonical(case)
-        elif trial == 5:
-            case["x_m_rep"] = case["x_m_rep"] + 1.0
-        spoiled[trial] = case
-        return case
+    def spoiling(rng, rounds, **params):
+        cases = draw(rng, rounds=rounds, **params)
+        for trial, case in enumerate(cases):
+            if trial == 2:
+                case["a"] = RandomVariable(case["q"].space, np.ones(case["q"].space.size))
+            elif trial == 5 and name == "strong_invariance":
+                case = non_canonical(case)
+            elif trial == 5:
+                case["x_m_rep"] = case["x_m_rep"] + 1.0
+            spoiled[trial] = case
+        return [spoiled[t] for t in range(rounds)]
 
     monkeypatch.setitem(batteries._BATTERIES, name, dataclasses.replace(spec, draw=spoiling))
     config = {"battery": name, "trials": 12, "n_max": 8, "seed": 1}

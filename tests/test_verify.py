@@ -487,7 +487,7 @@ class TestWitnessReplay:
     def test_crb_replays_bitwise(self, any_gap):
         rng = np.random.default_rng(32)
         for _ in range(6):
-            case = _draw_crb(rng, 5)
+            [case] = _draw_crb(rng, 1, 5)
             report = crb_check(case["model"], case["xi"], case["estimators"])
             witness = Witness.from_case("crb", case)
             assert len(witness.estimators) == case["model"].dim
