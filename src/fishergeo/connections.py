@@ -34,9 +34,9 @@ import numpy as np
 
 from .errors import InvalidParameter, SizeMismatch
 from .geometry import TangentVector, e_rep, fisher_metric, from_e_rep
-from .markov import EmbeddingPair, apply, pushforward
+from .markov import EmbeddingPair, apply, apply_rows, pushforward
 from .models import ParametricModel, jacobian_at
-from .simplex import Distribution, RandomVariable, expect
+from .simplex import Distribution, RandomVariable, centered_rows
 
 #: Default finite-difference step for covariant derivatives.
 DEFAULT_STEP = 1e-4
@@ -68,8 +68,7 @@ def e_transport(x: TangentVector, q: Distribution) -> TangentVector:
     """
     if q.space != x.base.space:
         raise SizeMismatch("target point lives on a different sample space")
-    ell = e_rep(x)
-    shifted = ell.values - expect(q, ell)
+    shifted = centered_rows(q.weights[None], e_rep(x).values[None])[0]
     return from_e_rep(q, RandomVariable(q.space, shifted))
 
 
@@ -203,7 +202,7 @@ def pushforward_model(pair: EmbeddingPair, model: ParametricModel) -> Parametric
         return apply(channel, model.point(xi))
 
     def jac(xi: np.ndarray) -> np.ndarray:
-        return jacobian_at(model, xi) @ channel.kernel.T
+        return apply_rows(channel.kernel[None], jacobian_at(model, xi)[None])[0]
 
     return ParametricModel(
         channel.out_space, model.dim, point_map, jac, name=f"{model.name}>embedded"

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FisherGeoError, SizeMismatch
-from .simplex import Distribution, RandomVariable
+from .simplex import Distribution, RandomVariable, expect_rows
 
 _TERM_RE = re.compile(
     r"^\s*(?:(?P<coeff>[+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)\s*\*)?\s*"
@@ -58,9 +58,9 @@ class CandidateFamily:
 
         Each term's ``coeff * T`` is added to a zeros matrix in term order. A
         PK(k) term is the row-wise ``sum(p**k * (A_i * B_j))``; the MM term is
-        ``(coeff * <A_i>) * <B_j>`` with each mean one dot product of ``p``
-        and a row. The rows are made C-contiguous first: the row-wise sum over
-        an F-ordered product rounds differently.
+        ``(coeff * <A_i>) * <B_j>`` with the means from ``expect_rows`` on a
+        batch of one. The rows are made C-contiguous first: the row-wise sum
+        over an F-ordered product rounds differently.
         """
         w = p.weights
         rows_a, rows_b = (np.ascontiguousarray(rows, dtype=float) for rows in (rows_a, rows_b))
@@ -73,9 +73,7 @@ class CandidateFamily:
             if kind == "PK":
                 matrix += coeff * np.sum(w**k * product, axis=-1)
             else:
-                means_a, means_b = (
-                    np.array([np.dot(w, row) for row in rows]) for rows in (rows_a, rows_b)
-                )
+                means_a, means_b = (expect_rows(w[None], r[None])[0] for r in (rows_a, rows_b))
                 matrix += np.multiply.outer(coeff * means_a, means_b)
         return matrix
 

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BasePointMismatch, FisherGeoError, NotCentered, NotSumZero, SizeMismatch
-from .simplex import Distribution, RandomVariable, cov, expect, expect_rows, require_finite
+from .simplex import Distribution, RandomVariable, centered_rows, cov, expect, expect_rows, require_finite
 
 #: Absolute tolerance on sum(m_rep) for tangent vectors.
 SUM_ZERO_TOL = 1e-10
@@ -91,7 +91,7 @@ def delta(p: Distribution, a: RandomVariable) -> CotangentVector:
     """
     if a.space != p.space:
         raise SizeMismatch("random variable and distribution on different spaces")
-    centered = a.values - np.dot(p.weights, a.values)
+    centered = centered_rows(p.weights[None], a.values[None])[0]
     return CotangentVector(p, RandomVariable(p.space, centered))
 
 
@@ -107,7 +107,7 @@ def pair(alpha: CotangentVector, x: TangentVector) -> float:
 
 def e_rep(x: TangentVector) -> RandomVariable:
     """Score (e-representation) L_X = X_m / p; centered at the base point."""
-    return RandomVariable(x.base.space, x.m_rep / x.base.weights)
+    return RandomVariable(x.base.space, _scores(x.base.weights[None], x.m_rep[None, None])[0, 0])
 
 
 def from_e_rep(p: Distribution, ell: RandomVariable) -> TangentVector:
@@ -121,9 +121,9 @@ def from_e_rep(p: Distribution, ell: RandomVariable) -> TangentVector:
 
 
 def fisher_metric(x: TangentVector, y: TangentVector) -> float:
-    """g_p(X, Y) = <L_X | L_Y>_p = sum(X_m * Y_m / p)."""
+    """g_p(X, Y) = <L_X | L_Y>_p = sum(X_m * Y_m / p), on one row each."""
     require_same_base(x, y)
-    return float(np.sum(x.m_rep * y.m_rep / x.base.weights))
+    return float(fisher_metric_rows(x.base, x.m_rep[None], y.m_rep[None])[0, 0])
 
 
 def fisher_cometric(alpha: CotangentVector, beta: CotangentVector) -> float:
@@ -150,12 +150,12 @@ def norm_cotangent(alpha: CotangentVector) -> float:
     return math.sqrt(max(fisher_cometric(alpha, alpha), 0.0))
 
 
-def require_rows_sum_zero(rows: np.ndarray) -> None:
+def require_rows_sum_zero(rows: np.ndarray) -> np.ndarray:
     """Raise ``NotSumZero`` unless every row, as an m-representation, sums to 0.
 
     The row-wise form of the ``TangentVector`` check, with the same tolerance;
     a non-finite row fails. Rows may be stacked along leading axes; the first
-    bad row in C order is named.
+    bad row in C order is named. Returns ``rows``.
     """
     totals = rows.sum(axis=-1)
     zero = abs(totals) <= SUM_ZERO_TOL
@@ -163,9 +163,10 @@ def require_rows_sum_zero(rows: np.ndarray) -> None:
     if np.count_nonzero(zero) != zero.size:
         total = float(np.reshape(totals, -1)[np.argmin(np.reshape(zero, -1))])
         raise NotSumZero(f"m-representation sums to {total!r}, not 0")
+    return rows
 
 
-def _require_in_row_order(*checks: tuple[Callable[[np.ndarray], None], np.ndarray]) -> None:
+def _require_in_row_order(*checks: tuple[Callable[[np.ndarray], object], np.ndarray]) -> None:
     """Run each ``(check, stack)`` on its whole stack. The stacks share their
     leading axes; when a check fails, raise what the object path meets first:
     each row in C order over the leading axes of the first stack, whose rows
@@ -188,9 +189,14 @@ def delta_rows(w: np.ndarray, values: np.ndarray) -> np.ndarray:
     centered representatives, each with the checks of its ``RandomVariable``
     and ``CotangentVector``. A failing check raises what the first failing
     row, in C order, raises alone."""
-    centered = values - expect_rows(w, values)[..., None]
+    centered = centered_rows(w, values)
     _require_in_row_order((require_finite, centered), (require_centered, expect_rows(w, centered)))
     return centered
+
+
+def _scores(w: np.ndarray, m_reps: np.ndarray) -> np.ndarray:
+    """The scores ``m_rep / p`` of m-representations (T, r, n) at points (T, n)."""
+    return m_reps / w[:, None, :]
 
 
 def flat_rows(w: np.ndarray, m_reps: np.ndarray) -> np.ndarray:
@@ -198,16 +204,12 @@ def flat_rows(w: np.ndarray, m_reps: np.ndarray) -> np.ndarray:
     (T, n): the scores ``m_rep / p``, each with the checks of its
     ``TangentVector``, ``RandomVariable`` and ``CotangentVector``. A failing
     check raises what the first failing row, in C order, raises alone."""
-    reps = m_reps / w[:, None, :]
+    reps = _scores(w, m_reps)
     _require_in_row_order(
         (require_rows_sum_zero, m_reps), (require_finite, reps),
         (require_centered, expect_rows(w, reps)),
     )
     return reps
-
-
-def _weights(p: Distribution | np.ndarray) -> np.ndarray:
-    return p.weights if isinstance(p, Distribution) else p
 
 
 def fisher_metric_rows(p: Distribution | np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -217,7 +219,7 @@ def fisher_metric_rows(p: Distribution | np.ndarray, xs: np.ndarray, ys: np.ndar
     leading axes, (..., n) with rows (..., i, n) and (..., j, n). Each entry
     is ``fisher_metric`` of the two rows, bitwise.
     """
-    w = _weights(p)
+    w = p.weights if isinstance(p, Distribution) else p
     return (xs[..., :, None, :] * ys[..., None, :, :] / w[..., None, None, :]).sum(axis=-1)
 
 
@@ -234,7 +236,7 @@ def orthonormal_basis_rows(p: Distribution | np.ndarray) -> np.ndarray:
     point's basis is bitwise the one it has alone. Every step checks that
     the rows still sum to 0.
     """
-    w = _weights(p)
+    w = p.weights if isinstance(p, Distribution) else p
     batch = np.atleast_2d(w)
     count, n = batch.shape
     rows = np.zeros((count, n - 1, n))
@@ -242,9 +244,9 @@ def orthonormal_basis_rows(p: Distribution | np.ndarray) -> np.ndarray:
     rows[:, :, n - 1] = -1.0
     for k in range(n - 1):
         v = rows[:, k]
-        u = v / np.sqrt(np.maximum((v * v / batch).sum(axis=-1), 0.0))[:, None]
+        u = v / np.sqrt(np.maximum(fisher_metric_rows(batch, v[:, None], v[:, None])[:, 0], 0.0))
         rows[:, k] = u
         rest = rows[:, k + 1 :]
-        rest -= (rest * u[:, None] / batch[:, None]).sum(axis=-1)[..., None] * u[:, None]
+        rest -= fisher_metric_rows(batch, rest, u[:, None]) * u[:, None]
         require_rows_sum_zero(rows[:, k:])
     return rows if w.ndim == 2 else rows[0]

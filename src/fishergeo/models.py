@@ -57,7 +57,7 @@ from .geometry import (
     pair,
     require_rows_sum_zero,
 )
-from .simplex import Distribution, RandomVariable, SampleSpace, expect_rows
+from .simplex import Distribution, RandomVariable, SampleSpace, cov_rows, expect
 
 #: Relative step for central-difference Jacobians.
 FD_STEP_SCALE = 1e-6
@@ -391,7 +391,7 @@ def crb_check(
     for point in grid:
         q = model.point(point)
         for i, a in enumerate(estimators):
-            err = abs(float(np.dot(q.weights, a.values)) - point[i])
+            err = abs(expect(q, a) - point[i])
             if err > UNBIASED_TOL:
                 raise NotLocallyUnbiased(
                     f"<A^{i + 1}> deviates from xi^{i + 1} by {err:.3e} "
@@ -441,7 +441,7 @@ def _crb_rows(model, xi, estimators) -> list[CrbReport]:
                 f"at xi={xi[trials[first]].tolist()}"
             )
         # g(delta A, delta B) = Cov(A, B): V is the covariance matrix.
-        v = expect_rows(w, centered[:, :, None, :] * centered[:, None, :, :])
+        v = cov_rows(w, values[:, :, None, :], values[:, None, :, :])
         g_inv = _inverses(_require_information(_score_grams(w, jac)))
         diff = v - g_inv
         diff = 0.5 * (diff + diff.transpose(0, 2, 1))

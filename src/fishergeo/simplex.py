@@ -2,8 +2,10 @@
 
 A distribution is a strictly positive probability vector on ``{1, ..., n}``;
 a random variable is any real vector on the same index set. First and second
-moments (expectation, covariance and its matrix, variance) are the only
-operations; everything heavier lives in the geometry modules.
+moments are the only operations, each with one arithmetic over stacked
+points (``expect_rows``, ``centered_rows``, ``cov_rows``): a scalar function
+checks its objects' spaces and calls it on a batch of one, and a kernel
+calls it on its stacks, then runs the constructors' ``require_*`` checks.
 """
 from __future__ import annotations
 
@@ -32,10 +34,11 @@ def _first_row(rows: np.ndarray, good: np.ndarray) -> np.ndarray:
     return rows.reshape(-1, rows.shape[-1])[np.argmin(good.reshape(-1))]
 
 
-def require_weights(w: np.ndarray) -> None:
+def require_weights(w: np.ndarray) -> np.ndarray:
     """The ``Distribution`` checks on weight rows: each weight above the
     floor, each row summing to 1. Rows may be stacked along leading axes;
-    the first bad row is named, as its ``Distribution`` would name it."""
+    the first bad row is named, as its ``Distribution`` would name it.
+    Returns ``w``."""
     # Written so that NaN fails both tests; count_nonzero, because .all()
     # costs about 2 µs even on one row.
     positive = w > POSITIVITY_FLOOR
@@ -54,15 +57,17 @@ def require_weights(w: np.ndarray) -> None:
     if np.count_nonzero(normalized) != normalized.size:
         total = float(_first_row(totals[..., None], normalized)[0])
         raise NotNormalized(f"weights sum to {total!r}, not 1")
+    return w
 
 
-def require_finite(values: np.ndarray) -> None:
+def require_finite(values: np.ndarray) -> np.ndarray:
     """The ``RandomVariable`` check on value rows, stacked along leading axes
-    or not; the first row with a non-finite value is named."""
+    or not; the first row with a non-finite value is named. Returns ``values``."""
     finite = np.isfinite(values)
     if np.count_nonzero(finite) != finite.size:
         row = _first_row(values, finite.all(axis=-1))
         raise InvalidParameter(f"random variable values must be finite: {row.tolist()}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -138,43 +143,43 @@ def _require_same_space(p: Distribution | RandomVariable, a: RandomVariable) -> 
 
 
 def expect(p: Distribution, a: RandomVariable) -> float:
-    """Expectation sum(p(w) * A(w))."""
+    """Expectation sum(p(w) * A(w)), ``expect_rows`` on a batch of one."""
     _require_same_space(p, a)
-    return float(np.dot(p.weights, a.values))
+    return float(expect_rows(p.weights[None], a.values[None])[0])
 
 
 def expect_rows(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``expect`` of value rows at stacked points: ``np.dot(w[t], row)`` for
-    each row of trial t, one BLAS dot each. ``w`` holds one point per trial
-    (T, n) and ``rows`` the trials' rows (T, ..., n); the result is (T, ...)."""
-    w = w.reshape(w.shape[0], *(1,) * (rows.ndim - 2), 1, w.shape[1])
-    return (w @ rows[..., None])[..., 0, 0]
+    """Expectations of value rows (T, ..., n) at stacked points (T, n), as
+    (T, ...): ``np.dot(w[t], row)`` for each row of trial t, one BLAS dot each."""
+    return (w.reshape(len(w), *(1,) * (rows.ndim - 1), -1) @ rows[..., None])[..., 0, 0]
+
+
+def centered_rows(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Value rows (T, ..., n) centered at stacked points (T, n): A - <A>_p."""
+    return rows - expect_rows(w, rows)[..., None]
+
+
+def cov_rows(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Covariances of value rows (T, ..., n), broadcast against each other, at
+    stacked points (T, n): the expectation of the centered rows' product."""
+    return expect_rows(w, centered_rows(w, a) * centered_rows(w, b))
 
 
 def cov(p: Distribution, a: RandomVariable, b: RandomVariable) -> float:
-    """Covariance: the L2 inner product of the centered arguments."""
+    """Covariance, ``cov_rows`` on a batch of one."""
     _require_same_space(p, a)
     _require_same_space(p, b)
-    ca = a.values - np.dot(p.weights, a.values)
-    cb = b.values - np.dot(p.weights, b.values)
-    return float(np.dot(p.weights, ca * cb))
+    return float(cov_rows(p.weights[None], a.values[None], b.values[None])[0])
 
 
 def cov_matrix(p: Distribution, variables) -> np.ndarray:
-    """[Cov_p(A_i, A_j)] for a sequence of random variables.
-
-    Each variable is checked and centered once; every entry is then the
-    ``cov`` of its two variables, bitwise.
-    """
+    """[Cov_p(A_i, A_j)] for an iterable of random variables, ``cov_rows`` of
+    every pair on a batch of one: each entry is the ``cov`` of its pair, bitwise."""
+    variables = list(variables)
     for a in variables:
         _require_same_space(p, a)
-    centered = [a.values - np.dot(p.weights, a.values) for a in variables]
-    k = len(centered)
-    matrix = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            matrix[i, j] = matrix[j, i] = np.dot(p.weights, centered[i] * centered[j])
-    return matrix
+    rows = np.array([a.values for a in variables]).reshape(1, len(variables), 1, p.space.size)
+    return cov_rows(p.weights[None], rows, rows.transpose(0, 2, 1, 3))[0]
 
 
 def variance(p: Distribution, a: RandomVariable) -> float:

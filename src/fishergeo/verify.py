@@ -54,8 +54,11 @@ from .markov import (
     EmbeddingPair,
     Surjection,
     apply,
+    apply_rows,
     canonical_embedding,
+    compose_variable_rows,
     conditional_expectation,
+    conditional_expectation_rows,
     pushforward,
     require_kernel,
 )
@@ -64,7 +67,7 @@ from .simplex import (
     Distribution,
     RandomVariable,
     SampleSpace,
-    expect_rows,
+    cov_rows,
     new_distribution,
     require_finite,
     require_weights,
@@ -279,12 +282,13 @@ def check_strong_invariance(
 # ---------------------------------------------------------------------------
 # Pair kernels: the two invariance checks over a leading trial axis
 #
-# Trials of one shape (n, m) are stacked into C-ordered arrays, and every
-# product is the one the trial makes alone: one BLAS dot, matrix-vector or
-# matrix-matrix product per trial, and row sums over the last axis. So every
-# entry is bitwise the trial's own. The checks of the objects the single
-# case builds (Channel, Distribution, TangentVector, CotangentVector,
-# RandomVariable) run on the stacks, in the order the single case meets them.
+# Trials of one shape (n, m) are stacked into C-ordered arrays and go through
+# the rows forms of simplex, geometry and markov, whose batches of one are the
+# scalar functions the single case calls: one BLAS dot or matrix-vector
+# product per row, and row sums over the last axis. So every entry is bitwise
+# the trial's own. The checks of the objects the single case builds (Channel,
+# Distribution, TangentVector, CotangentVector, RandomVariable) run on the
+# stacks afterwards, in the order the single case meets them.
 # ---------------------------------------------------------------------------
 
 
@@ -300,32 +304,6 @@ _CANONICAL_TOL = 1e-12
 
 def _relative(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return abs(lhs - rhs) / np.maximum(np.maximum(1.0, abs(lhs)), abs(rhs))
-
-
-def _apply(kernels: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """``kernels[t] @ vectors[t]``, one matrix-vector product per vector."""
-    return (kernels @ vectors[..., None])[..., 0]
-
-
-def _cov_rows(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``simplex.cov`` of each trial's rows."""
-    ca = a - expect_rows(w, a)[:, None]
-    cb = b - expect_rows(w, b)[:, None]
-    return expect_rows(w, ca * cb)
-
-
-def _conditional_expectation(kernels: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``markov.conditional_expectation`` through each trial's kernel, checked."""
-    expectation = _apply(kernels.transpose(0, 2, 1), values)
-    require_finite(expectation)
-    return expectation
-
-
-def _lift(values: np.ndarray, maps: np.ndarray) -> np.ndarray:
-    """``Surjection.compose_variable`` of each trial's values, checked."""
-    lifted = np.take_along_axis(values, maps, axis=1)
-    require_finite(lifted)
-    return lifted
 
 
 def _sized_rows(rows: list, size: int, mismatch: str) -> np.ndarray:
@@ -360,14 +338,12 @@ def _pair_stacks(pair, q) -> list[_PairStack]:
     for (n, m), trials in groups.items():
         maps = np.array([pair[t].surjection.map0 for t in trials])
         fibers = np.array([pair[t].fiber_distributions for t in trials])
-        phi = np.ascontiguousarray(fibers.transpose(0, 2, 1))
+        phi = require_kernel(np.ascontiguousarray(fibers.transpose(0, 2, 1)))
         psi = np.zeros((len(trials), m, n))
         psi[np.arange(len(trials))[:, None], maps, np.arange(n)] = 1.0
-        require_kernel(phi)
         require_kernel(psi)
         points = np.array([q[t].weights for t in trials])
-        marginals = _apply(psi, points)
-        require_weights(marginals)
+        marginals = require_weights(apply_rows(psi, points))
         stacks.append(_PairStack(trials, maps, phi, psi, points, marginals))
     return stacks
 
@@ -397,33 +373,31 @@ def _invariance_rows(pair, q, x_m_rep, y_m_rep, a, b) -> np.ndarray:
     residuals = np.empty((len(pair), len(_INVARIANCE_KEYS)))
     for s in _pair_stacks(pair, q):
         m = s.p.shape[1]
-        tangents = []
-        for m_reps in (x_m_rep, y_m_rep):
-            rows = [np.asarray(m_reps[t], dtype=float).reshape(-1) for t in s.trials]
-            tangents.append(_sized_rows(rows, m, f"m_rep length {{}} != space size {m}"))
-            require_rows_sum_zero(tangents[-1])
-        x, y = tangents
+        x, y = (require_rows_sum_zero(_sized_rows(
+            [np.asarray(m_reps[t], dtype=float).reshape(-1) for t in s.trials],
+            m, f"m_rep length {{}} != space size {m}",
+        )) for m_reps in (x_m_rep, y_m_rep))
         # pushforward through the embedding, to the embedded image of p
-        image = _apply(s.phi, s.p)
-        require_weights(image)
-        x_up = _apply(s.phi, x)
-        require_rows_sum_zero(x_up)
-        y_up = _apply(s.phi, y)
-        require_rows_sum_zero(y_up)
+        image = require_weights(apply_rows(s.phi, s.p))
+        x_up = require_rows_sum_zero(apply_rows(s.phi, x))
+        y_up = require_rows_sum_zero(apply_rows(s.phi, y))
         mismatch = "random variable and distribution on different spaces"
         a_values = _sized_rows([a[t].values for t in s.trials], m, mismatch)
         alpha = delta_rows(s.p, a_values)
         b_values = _sized_rows([b[t].values for t in s.trials], m, mismatch)
         beta = delta_rows(s.p, b_values)
         # pullback through the co-embedding: conditional expectation, then delta at q
-        alpha_up = delta_rows(s.q, _conditional_expectation(s.psi, alpha))
-        beta_up = delta_rows(s.q, _conditional_expectation(s.psi, beta))
-        a_lift, b_lift = _lift(a_values, s.maps), _lift(b_values, s.maps)
+        alpha_up = delta_rows(s.q, require_finite(conditional_expectation_rows(s.psi, alpha)))
+        beta_up = delta_rows(s.q, require_finite(conditional_expectation_rows(s.psi, beta)))
+        a_lift, b_lift = (
+            require_finite(compose_variable_rows(v, s.maps)) for v in (a_values, b_values)
+        )
         residuals[s.trials] = np.stack([
-            _relative((x * y / s.p).sum(axis=-1), (x_up * y_up / image).sum(axis=-1)),
-            _relative(_cov_rows(s.p, alpha, beta), _cov_rows(s.q, alpha_up, beta_up)),
-            _relative(_cov_rows(s.p, a_values, a_values), _cov_rows(s.q, a_lift, a_lift)),
-            _relative(_cov_rows(s.p, a_values, b_values), _cov_rows(s.q, a_lift, b_lift)),
+            _relative(fisher_metric_rows(s.p, x[:, None], y[:, None])[:, 0, 0],
+                      fisher_metric_rows(image, x_up[:, None], y_up[:, None])[:, 0, 0]),
+            _relative(cov_rows(s.p, alpha, beta), cov_rows(s.q, alpha_up, beta_up)),
+            _relative(cov_rows(s.p, a_values, a_values), cov_rows(s.q, a_lift, a_lift)),
+            _relative(cov_rows(s.p, a_values, b_values), cov_rows(s.q, a_lift, b_lift)),
         ], axis=-1)
     return residuals
 
@@ -466,8 +440,7 @@ def _max_abs(matrices: np.ndarray) -> np.ndarray:
 def _strong_invariance_rows(pair, q, a, b) -> np.ndarray:
     stacks = _pair_stacks(pair, q)
     for s in stacks:
-        recovered = _apply(s.phi, s.p)
-        require_weights(recovered)
+        recovered = require_weights(apply_rows(s.phi, s.p))
         if not abs(recovered - s.q).max() <= _CANONICAL_TOL:
             raise InvalidParameter(
                 "pair is not the canonical embedding through q: the embedding "
@@ -479,10 +452,8 @@ def _strong_invariance_rows(pair, q, a, b) -> np.ndarray:
         n, m = s.q.shape[1], s.p.shape[1]
         # Images of the basis rows, one ``kernel @ row`` product each; the
         # canonical pair embeds exactly at q, so images are attached there.
-        images_up = _apply(s.phi[:, None], small)
-        images_down = _apply(s.psi[:, None], big)
-        require_rows_sum_zero(images_up)
-        require_rows_sum_zero(images_down)
+        images_up = require_rows_sum_zero(apply_rows(s.phi[:, None], small))
+        images_down = require_rows_sum_zero(apply_rows(s.psi[:, None], big))
         # Matrices in the orthonormal bases, kept C-ordered: a matrix product
         # on an F-ordered operand rounds differently in the last bit.
         a_mat = np.ascontiguousarray(fisher_metric_rows(s.q, big, images_up))
@@ -492,10 +463,9 @@ def _strong_invariance_rows(pair, q, a, b) -> np.ndarray:
         eye_small = np.eye(m - 1)
         mismatch = "variable is not on the channel output space"
         b_values = _sized_rows([b[t].values for t in s.trials], n, mismatch)
-        expectation = _conditional_expectation(s.phi, b_values)
+        expectation = require_finite(conditional_expectation_rows(s.phi, b_values))
         a_values = _sized_rows([a[t].values for t in s.trials], m, f"sample spaces differ: {m} vs {{}}")
-        lhs = _cov_rows(s.p, a_values, expectation)
-        rhs = _cov_rows(s.q, _lift(a_values, s.maps), b_values)
+        a_lift = require_finite(compose_variable_rows(a_values, s.maps))
         residuals[s.trials] = np.stack([
             _max_abs(b_mat - a_t),
             _max_abs(projector @ projector - projector),
@@ -504,7 +474,7 @@ def _strong_invariance_rows(pair, q, a, b) -> np.ndarray:
             _max_abs(b_mat @ a_mat - eye_small),
             _max_abs(a_t @ a_mat - eye_small),
             _max_abs(b_mat @ b_mat.transpose(0, 2, 1) - eye_small),
-            abs(lhs - rhs),
+            abs(cov_rows(s.p, a_values, expectation) - cov_rows(s.q, a_lift, b_values)),
         ], axis=-1)
     return residuals
 

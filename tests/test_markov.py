@@ -135,6 +135,28 @@ class TestSurjection:
         with pytest.raises(error, match=re.escape(named)):
             Surjection.from_one_based(values)
 
+    @pytest.mark.parametrize(
+        "map0, named",
+        [
+            ((0, 1.5), "1.5"),
+            ((False, True), "False"),
+            (("a", 1), "'a'"),
+            ((float("nan"), 1), "nan"),
+            ((0, 1.0), "1.0"),
+            ((np.float64(0.0), 1), repr(np.float64(0.0))),
+        ],
+        ids=["fraction", "bool", "string", "nan", "integral_float", "numpy_float"],
+    )
+    def test_constructor_values_are_integers(self, map0, named):
+        """The constructor raises ``InvalidParameter`` naming a value that is
+        not an integer, instead of truncating it or raising a bare ValueError."""
+        with pytest.raises(InvalidParameter, match=f"integers, not {re.escape(named)}"):
+            Surjection(SampleSpace(2), SampleSpace(2), map0)
+
+    def test_constructor_takes_numpy_integers(self):
+        f = Surjection(SampleSpace(3), SampleSpace(2), tuple(np.array([1, 0, 1])))
+        assert f.map0 == (1, 0, 1) and all(type(v) is int for v in f.map0)
+
     def test_compose_variable(self):
         assert np.array_equal(F112.compose_variable(rv(5, 7)).values, [5.0, 5.0, 7.0])
 

@@ -2,8 +2,9 @@
 
 The reference below is the per-pair implementation of probe steps (a)-(d),
 of the bilinearity check and of the ii1 check: each evaluates the family on
-one pair at a time, lifts indicators with ``compose_variable`` and tracks its
-worst gap with a strict ``gap > worst`` scan. A grammar family is evaluated
+one pair at a time, lifts indicators with the frozen ``compose_variable`` of
+``test_frozen_scalars`` and tracks its worst gap with a strict
+``gap > worst`` scan. A grammar family is evaluated
 there by ``reference_call``, the per-pair sum that ``CandidateFamily.__call__``
 computed before ``CandidateFamily.matrix`` took over the grammar's arithmetic,
 so no reference goes through ``matrix``; plugins and subclasses are called.
@@ -66,6 +67,7 @@ from fishergeo.verify import (
     rationalize,
     replay_witness,
 )
+from test_frozen_scalars import compose_variable
 
 
 # PK(+-400) overflows and underflows on purpose; both sides warn alike.
@@ -223,7 +225,7 @@ def reference_probe_consistency(family, m: int, n: int) -> ConsistencyProbeResul
             e_j = indicator(u_small.space, j)
             lhs = reference_call(family, u_small, e_i, e_j)
             rhs = reference_call(
-                family, u_big, surjection.compose_variable(e_i), surjection.compose_variable(e_j)
+                family, u_big, compose_variable(surjection, e_i), compose_variable(surjection, e_j)
             )
             gap = abs(lhs - rhs)
             if gap > worst:
@@ -271,7 +273,7 @@ def reference_probe_rational(family, p, denominator_bound, constants) -> Rationa
             value = reference_call(family, p, units[i], units[j])
             lifted = reference_call(
                 family, u_big,
-                surjection.compose_variable(units[i]), surjection.compose_variable(units[j]),
+                compose_variable(surjection, units[i]), compose_variable(surjection, units[j]),
             )
             target = c1 * (p.weights[i] if i == j else 0.0) + c2 * (p.weights[i] * p.weights[j])
             gap = max(abs(value - lifted), abs(value - target))

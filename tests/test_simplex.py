@@ -297,3 +297,16 @@ class TestCovMatrix:
     def test_space_mismatch(self):
         with pytest.raises(SizeMismatch):
             cov_matrix(dist(0.5, 0.5), [rv(1, 0), rv(1, 0, 0)])
+
+    def test_one_shot_iterable(self):
+        """A generator is read once: its variables are both checked and paired."""
+        p = dist(0.25, 0.75)
+        variables = [rv(1, 0), rv(0, 1), rv(2, -1)]
+        matrix = cov_matrix(p, (a for a in variables))
+        assert hexes(matrix) == hexes(cov_matrix(p, variables))
+        assert matrix.shape == (3, 3)
+        with pytest.raises(SizeMismatch):
+            cov_matrix(p, (a for a in [rv(1, 0), rv(1, 0, 0)]))
+
+    def test_no_variables(self):
+        assert cov_matrix(dist(0.5, 0.5), []).shape == (0, 0)

@@ -5,11 +5,12 @@ The references below are the per-entry implementations: Gram-Schmidt over
 matrices of the two differentials and for the tangent Gram matrix, which
 ``fisher_metric_rows`` computes from m-representation rows, and the body of
 ``check_invariance`` before it became ``invariance_kernel`` on a batch of
-one. The kernels do the same float operations in the same order, on one
-trial or on a batch of mixed shapes, so every basis entry, every residual
-and every Gram entry must be the same float, compared through
-``float.hex``; and a trial that fails a check must raise what the reference
-raises.
+one. They call the frozen copies of ``test_frozen_scalars``, not the
+library's scalars, which share the kernels' rows forms. The kernels do the
+same float operations in the same order, on one trial or on a batch of
+mixed shapes, so every basis entry, every residual and every Gram entry
+must be the same float, compared through ``float.hex``; and a trial that
+fails a check must raise what the reference raises.
 """
 from __future__ import annotations
 
@@ -23,29 +24,27 @@ from hypothesis import strategies as st
 import fishergeo.batteries as batteries
 from fishergeo.batteries import _draw_invariance, _draw_strong_invariance, run_battery
 from fishergeo.errors import FisherGeoError, InvalidParameter, SizeMismatch
-from fishergeo.geometry import (
-    TangentVector,
-    delta,
-    fisher_cometric,
-    fisher_metric,
-    fisher_metric_rows,
-    norm_tangent,
-    orthonormal_basis_rows,
-)
-from fishergeo.markov import (
-    apply,
-    canonical_embedding,
-    conditional_expectation,
-    pullback,
-    pushforward,
-    random_surjection,
-)
-from fishergeo.simplex import Distribution, RandomVariable, SampleSpace, cov, variance
+from fishergeo.geometry import TangentVector, fisher_metric_rows, orthonormal_basis_rows
+from fishergeo.markov import canonical_embedding, random_surjection
+from fishergeo.simplex import Distribution, RandomVariable, SampleSpace
 from fishergeo.verify import (
     check_invariance,
     check_strong_invariance,
     invariance_kernel,
     strong_invariance_kernel,
+)
+from test_frozen_scalars import (
+    apply,
+    compose_variable,
+    conditional_expectation,
+    cov,
+    delta,
+    fisher_cometric,
+    fisher_metric,
+    norm_tangent,
+    pullback,
+    pushforward,
+    variance,
 )
 
 
@@ -98,7 +97,7 @@ def reference_residuals(pair, q, a, b) -> dict[str, float]:
         "coisometry": float(np.max(np.abs(b_mat @ b_mat.T - eye_small))),
     }
     lhs = cov(p, a, conditional_expectation(phi, b))
-    rhs = cov(q, pair.surjection.compose_variable(a), b)
+    rhs = cov(q, compose_variable(pair.surjection, a), b)
     residuals["covariance_identity"] = abs(lhs - rhs)
     return residuals
 
@@ -124,8 +123,8 @@ def reference_invariance(pair, q, x_m_rep, y_m_rep, a, b) -> dict[str, float]:
         fisher_cometric(alpha, beta),
         fisher_cometric(pullback(psi, q, alpha), pullback(psi, q, beta)),
     )
-    a_lift = pair.surjection.compose_variable(a)
-    b_lift = pair.surjection.compose_variable(b)
+    a_lift = compose_variable(pair.surjection, a)
+    b_lift = compose_variable(pair.surjection, b)
     return {
         "metric": metric_res,
         "cometric": cometric_res,
