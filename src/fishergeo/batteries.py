@@ -35,7 +35,7 @@ from .verify import (
     PASS_TOL, STRONG_INVARIANCE_TOL, VIOLATION_TOL, Witness, characterize, check_invariance,
     check_monotonicity_cometric, check_monotonicity_metric, check_prop6_identity,
     check_strong_invariance, classify, invariance_kernel, strong_invariance_kernel,
-    weak_invariance_residual,
+    weak_invariance_residual, weak_invariance_residual_kernel,
 )
 
 #: CRB battery verdicts tolerate eigenvalues of V - G^{-1} down to this.
@@ -450,7 +450,7 @@ _BATTERIES: dict[str, _Battery] = {spec.name: spec for spec in (
         _per_trial(_draw_weak_invariance), "weak_invariance_residual", float,
         rounds=lambda params: len(_size_pairs(params["n_max"])) * len(params["alphas"]),
         # finite differences dominate here: pass at the violation tolerance
-        min_n=3, pass_tol=VIOLATION_TOL,
+        min_n=3, pass_tol=VIOLATION_TOL, kernel="weak_invariance_residual_kernel",
         extras=_weak_invariance_extras, control="mismatched",
     ),
     _Battery(

@@ -24,19 +24,36 @@ same three evaluations at xi and xi +- step Z, and
 ``weak_invariance_check`` compares a connection on a small simplex with the
 conjugated connection pushed through a Markov embedding/co-embedding pair,
 both as ambient vectors and in metric-contracted form.
+
+Every check is one stencil kernel on a batch of one: the stencils xi and
+xi +- step Z are stacked by model shape, every point and raw Jacobian comes
+from its model, and the checks of ``jacobian_at``, ``Distribution``,
+``RandomVariable`` and ``TangentVector``, the transports, the central
+differences, the pushforwards and the metric contractions run on the
+stacks, in the order a single stencil meets them. ``weak_invariance_kernel``
+runs the stencils of many trials and grid points at once; the
+``weak_invariance`` battery checks all its trials in one call of it.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameter, SizeMismatch
-from .geometry import TangentVector, e_rep, fisher_metric, from_e_rep
-from .markov import EmbeddingPair, apply, apply_rows, pushforward
-from .models import ParametricModel, jacobian_at
-from .simplex import Distribution, RandomVariable, centered_rows
+from .errors import InvalidParameter, SizeMismatch, in_trial_order
+from .geometry import (
+    TangentVector,
+    fisher_metric_rows,
+    require_centered,
+    require_rows_sum_zero,
+    score_rows,
+)
+from .markov import EmbeddingPair, apply, apply_rows
+from .models import ParametricModel, jacobian_at, jacobians_at
+from .simplex import Distribution, centered_rows, expect_rows, require_finite, require_weights
 
 #: Default finite-difference step for covariant derivatives.
 DEFAULT_STEP = 1e-4
@@ -44,9 +61,17 @@ DEFAULT_STEP = 1e-4
 
 @dataclass(frozen=True)
 class ConnectionTag:
-    """Point on the alpha-family; +1 is the e-, -1 the m-connection."""
+    """Point on the alpha-family; +1 is the e-, -1 the m-connection.
+
+    ``alpha`` must be a finite number.
+    """
 
     alpha: float
+
+    def __post_init__(self) -> None:
+        # Written so that NaN fails the test.
+        if not (isinstance(self.alpha, numbers.Real) and -math.inf < self.alpha < math.inf):
+            raise InvalidParameter(f"alpha must be a finite number, got {self.alpha!r}")
 
 
 E_CONNECTION = ConnectionTag(1.0)
@@ -64,12 +89,23 @@ def e_transport(x: TangentVector, q: Distribution) -> TangentVector:
     """Exponential transport: keep the score class, re-center at the target.
 
     The corresponding 1-form d<A> is m-parallel, so the representative class
-    A modulo constants is preserved exactly.
+    A modulo constants is preserved exactly. The stencil kernel's transport
+    on a batch of one.
     """
     if q.space != x.base.space:
         raise SizeMismatch("target point lives on a different sample space")
-    shifted = centered_rows(q.weights[None], e_rep(x).values[None])[0]
-    return from_e_rep(q, RandomVariable(q.space, shifted))
+    return TangentVector(q, _e_transported(q.weights[None], x.base.weights[None], x.m_rep[None])[0])
+
+
+def _e_transported(w: np.ndarray, w_from: np.ndarray, m_reps: np.ndarray) -> np.ndarray:
+    """e-transport of m-representations (T, n) at points ``w_from`` (T, n) to
+    points ``w`` (T, n), with the checks of ``e_transport``'s objects in its
+    order: the score's and the shifted score's ``RandomVariable``, the
+    centering of ``from_e_rep`` and the result's ``TangentVector``."""
+    scores = require_finite(score_rows(w_from, m_reps[:, None])[:, 0])
+    shifted = require_finite(centered_rows(w, scores))
+    require_centered(expect_rows(w, shifted))
+    return require_rows_sum_zero(w * shifted)
 
 
 @dataclass(frozen=True)
@@ -107,26 +143,73 @@ def _require_inputs(model: ParametricModel, step: float, fields) -> None:
             raise InvalidParameter("vector field lives on a different model")
 
 
-def _values_at(model: ParametricModel, xi, fields) -> list[TangentVector]:
-    """Each field's value at p_xi, from one point and one Jacobian."""
-    p = model.point(xi)
-    coefficients = [field.coefficients_at(xi) for field in fields]
-    jac = jacobian_at(model, xi)
-    return [TangentVector(p, c @ jac) for c in coefficients]
+# ---------------------------------------------------------------------------
+# The stencil kernel
+#
+# Stencils of one model shape are stacked into C-ordered arrays with a
+# leading axis, one row per stencil. Every product is the one a single
+# stencil makes: one vector-matrix product per field value, one
+# matrix-vector product per pushed vector and last-axis sums for the metric,
+# so every entry is bitwise the stencil's own. The checks run on the stacks
+# in the order a single stencil meets them.
+# ---------------------------------------------------------------------------
+
+
+def _values_at(model, xi: np.ndarray, fields) -> tuple[np.ndarray, np.ndarray]:
+    """The values of each row's fields at p_xi, for points xi (T, dim) of one
+    model shape: the weights (T, n) and the m-representations (T, r, n), each
+    with the check of its ``TangentVector``. Each point, and the Jacobian
+    there, is evaluated once."""
+    w = np.array([one.point(at).weights for one, at in zip(model, xi)])
+    coefficients = np.array([[f.coefficients_at(at) for f in row] for row, at in zip(fields, xi)])
+    jac = np.array(jacobians_at(model, xi))
+    return w, require_rows_sum_zero((coefficients[..., None, :] @ jac[:, None])[..., 0, :])
+
+
+def _stencil(xi: np.ndarray, shift: np.ndarray, *more: np.ndarray) -> np.ndarray:
+    """The points xi + shift and xi - shift (and ``more``) of each row of xi,
+    interleaved in the order a single stencil meets them."""
+    return np.stack([xi + shift, xi - shift, *more], axis=1).reshape(-1, xi.shape[1])
 
 
 def _transported_difference(
-    tag: ConnectionTag, p: Distribution, up: TangentVector, down: TangentVector, h: float
+    alpha: np.ndarray, w: np.ndarray, w_pm: np.ndarray, m_pm: np.ndarray, h: np.ndarray
 ) -> np.ndarray:
-    """Central difference of a field's values at xi +- h Z, e- and m-transported
-    back to p and mixed with the tag's weights: the m-rep of nabla^alpha_Z."""
-    weight_e, weight_m = 0.5 * (1.0 + tag.alpha), 0.5 * (1.0 - tag.alpha)
-    parts = np.zeros(p.space.size)
-    for transport, weight in ((e_transport, weight_e), (m_transport, weight_m)):
-        if weight != 0.0:
-            diff = transport(up, p).m_rep - transport(down, p).m_rep
-            parts = parts + weight * (diff / (2.0 * h))
+    """Central differences of a field's values ``m_pm`` at the points ``w_pm``,
+    (2T, n) with the rows at xi + h Z and xi - h Z interleaved, e- and
+    m-transported back to the points ``w`` (T, n) and mixed with the weights
+    of each row's alpha: the m-reps of nabla^alpha_Z, unchecked. A row whose
+    weight of a transport is 0 skips it; the m-transport keeps the m-reps."""
+    parts = np.zeros(w.shape)
+    two_h = 2.0 * h[:, None]
+    weight = 0.5 * (1.0 + alpha)
+    on = weight != 0.0
+    if np.count_nonzero(on):
+        pm = np.repeat(on, 2)
+        moved = in_trial_order(_e_transported, np.repeat(w[on], 2, axis=0), w_pm[pm], m_pm[pm])
+        parts[on] += weight[on, None] * ((moved[0::2] - moved[1::2]) / two_h[on])
+    weight = 0.5 * (1.0 - alpha)
+    on = weight != 0.0
+    parts[on] += weight[on, None] * ((m_pm[0::2] - m_pm[1::2])[on] / two_h[on])
     return parts
+
+
+def _nabla_rows(alpha: np.ndarray, model, xi: np.ndarray, x, y, h: np.ndarray):
+    """nabla^alpha_X Y at points xi (T, dim) of one model shape: the points,
+    their weights (T, n) and the checked m-reps (T, n)."""
+    direction = np.array([f.coefficients_at(at) for f, at in zip(x, xi)])
+    points = [one.point(at) for one, at in zip(model, xi)]
+    w = np.array([p.weights for p in points])
+    twice = [one for one in model for _ in (0, 1)]
+    fields = [[f] for f in y for _ in (0, 1)]
+    w_pm, m_pm = in_trial_order(_values_at, twice, _stencil(xi, h[:, None] * direction), fields)
+    nabla = _transported_difference(alpha, w, w_pm, m_pm[:, 0], h)
+    return points, w, require_rows_sum_zero(nabla)
+
+
+def _metric(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """g(X_t, Y_t) of the rows of x and y (T, n) at points w (T, n)."""
+    return fisher_metric_rows(w, x[:, None], y[:, None])[:, 0, 0]
 
 
 def covariant_derivative(
@@ -140,15 +223,14 @@ def covariant_derivative(
     """nabla^alpha_X Y at p_xi, as an ambient tangent vector.
 
     The result need not lie in the model's tangent space. ``step`` must be
-    finite and positive.
+    finite and positive, and both fields must live on ``model``. The stencil
+    kernel on a batch of one.
     """
-    _require_inputs(model, step, [y])
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    direction = x.coefficients_at(xi)
-    p = model.point(xi)
-    (up,) = _values_at(model, xi + step * direction, [y])
-    (down,) = _values_at(model, xi - step * direction, [y])
-    return TangentVector(p, _transported_difference(tag, p, up, down, step))
+    _require_inputs(model, step, [x, y])
+    xi = np.asarray(xi, dtype=float).reshape(1, -1)
+    h = np.array([step], dtype=float)
+    points, _, nabla = _nabla_rows(np.array([tag.alpha]), [model], xi, [x], [y], h)
+    return TangentVector(points[0], nabla[0])
 
 
 def duality_check(
@@ -163,21 +245,23 @@ def duality_check(
 
     The left side is an independent central difference of the metric along
     Z; the residual vanishes at rate O(step^2) on smooth models. Both sides
-    read the same three evaluations, at xi +- step Z and at xi.
+    read the same three evaluations, at xi +- step Z and at xi. All three
+    fields must live on ``model``. The stencil kernel on a batch of one.
     """
-    _require_inputs(model, step, [x, y])
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    direction = z.coefficients_at(xi)
-    x_up, y_up = _values_at(model, xi + step * direction, [x, y])
-    x_down, y_down = _values_at(model, xi - step * direction, [x, y])
-    x_at, y_at = _values_at(model, xi, [x, y])
-    p = x_at.base
-    lhs = (fisher_metric(x_up, y_up) - fisher_metric(x_down, y_down)) / (2.0 * step)
-    nabla_e_x = _transported_difference(E_CONNECTION, p, x_up, x_down, step)
-    rhs = fisher_metric(TangentVector(p, nabla_e_x), y_at)
-    nabla_m_y = _transported_difference(M_CONNECTION, p, y_up, y_down, step)
-    rhs = rhs + fisher_metric(x_at, TangentVector(p, nabla_m_y))
-    return abs(lhs - rhs)
+    _require_inputs(model, step, [x, y, z])
+    xi = np.asarray(xi, dtype=float).reshape(1, -1)
+    h = np.array([step], dtype=float)
+    shift = h[:, None] * np.array([z.coefficients_at(xi[0])])
+    # the values of x and y at xi + step Z, xi - step Z and xi
+    w3, m3 = in_trial_order(_values_at, [model] * 3, _stencil(xi, shift, xi), [[x, y]] * 3)
+    w_pm, w, x_pm, y_pm = w3[:2], w3[2:], m3[:2, 0], m3[:2, 1]
+    g_pm = _metric(w_pm, x_pm, y_pm)
+    lhs = (g_pm[0::2] - g_pm[1::2]) / (2.0 * h)
+    nabla_e_x = _transported_difference(np.array([E_CONNECTION.alpha]), w, w_pm, x_pm, h)
+    rhs = _metric(w, require_rows_sum_zero(nabla_e_x), m3[2:, 1])
+    nabla_m_y = _transported_difference(np.array([M_CONNECTION.alpha]), w, w_pm, y_pm, h)
+    rhs = rhs + _metric(w, m3[2:, 0], require_rows_sum_zero(nabla_m_y))
+    return float(abs(lhs - rhs)[0])
 
 
 @dataclass(frozen=True)
@@ -225,41 +309,96 @@ def weak_invariance_check(
     the pushforward of the fields through the embedding. With matching
     alpha on both sides the identity holds up to finite-difference error;
     ``tag_big`` lets a deliberately mismatched connection be installed on
-    the big simplex as a control.
+    the big simplex as a control. ``grid`` must hold at least one point,
+    and ``step`` must be finite and positive; both are checked before
+    anything is evaluated. ``weak_invariance_kernel`` on a batch of one.
     """
-    if x.model is not y.model:
-        raise InvalidParameter("x and y must live on the same model")
-    model = x.model
-    inner_tag = tag if tag_big is None else tag_big
-    big = pushforward_model(pair, model)
-    x_big = VectorFieldOnModel(big, x.coefficients)
-    y_big = VectorFieldOnModel(big, y.coefficients)
-    psi = pair.coembedding_channel
-    phi = pair.embedding_channel
+    return weak_invariance_kernel([pair], [tag], [x], [y], [grid], [step], [tag_big])[0]
 
-    worst_vec = 0.0
-    worst_metric = 0.0
-    frozen_grid: list[tuple[float, ...]] = []
-    for raw in grid:
-        xi = np.asarray(raw, dtype=float).reshape(-1)
-        frozen_grid.append(tuple(float(t) for t in xi))
-        small_nabla = covariant_derivative(tag, model, xi, x, y, step)
-        big_nabla = covariant_derivative(inner_tag, big, xi, x_big, y_big, step)
-        pushed_back = pushforward(psi, big_nabla.base, big_nabla)
-        worst_vec = max(
-            worst_vec, float(np.max(np.abs(small_nabla.m_rep - pushed_back.m_rep)))
-        )
-        p_small = small_nabla.base
-        for row in jacobian_at(model, xi):
-            z = TangentVector(p_small, row)
-            lhs = fisher_metric(small_nabla, z)
-            rhs = fisher_metric(big_nabla, pushforward(phi, p_small, z))
-            worst_metric = max(worst_metric, abs(lhs - rhs))
-    return WeakInvarianceReport(
-        residual_max=worst_vec,
-        metric_residual_max=worst_metric,
-        grid=tuple(frozen_grid),
-        step=step,
-        alpha=tag.alpha,
-        alpha_big=inner_tag.alpha,
-    )
+
+def weak_invariance_kernel(pair, tag, x, y, grid, step, tag_big) -> list[WeakInvarianceReport]:
+    """``weak_invariance_check`` over a leading trial axis.
+
+    Each argument is a sequence with one entry per trial, in any mix of
+    pairs, models, grids and tags. The stencils of every grid point of every
+    trial are evaluated together, stacked by the shapes of the small and
+    the image model; the image model keeps its own evaluation. Every report
+    is bitwise the one the trial gives alone, and a failed check raises what
+    the first failing trial raises alone, which is what its first failing
+    grid point raises.
+    """
+    return in_trial_order(_weak_invariance_rows, pair, tag, x, y, grid, step, tag_big)
+
+
+def _weak_invariance_rows(pair, tag, x, y, grid, step, tag_big) -> list[WeakInvarianceReport]:
+    grids, units = [], []
+    for pair_t, tag_t, x_t, y_t, grid_t, step_t, big_t in zip(pair, tag, x, y, grid, step, tag_big):
+        if x_t.model is not y_t.model:
+            raise InvalidParameter("x and y must live on the same model")
+        big = pushforward_model(pair_t, x_t.model)
+        _require_inputs(x_t.model, step_t, [x_t, y_t])
+        points = [np.asarray(raw, dtype=float).reshape(-1) for raw in grid_t]
+        if not points:
+            raise InvalidParameter("grid must hold at least one point")
+        inner = tag_t if big_t is None else big_t
+        grids.append((points, tag_t.alpha, inner.alpha, step_t))
+        for xi in points:
+            units.append((pair_t, x_t.model, big, xi, tag_t.alpha, inner.alpha, x_t, y_t, step_t))
+    vec, metric = in_trial_order(_grid_point_rows, *zip(*units)) if units else ([], [])
+    reports, u = [], 0
+    for points, alpha, alpha_big, step_t in grids:
+        # builtin max in grid order, as the grid loop reduced them
+        worst_vec = worst_metric = 0.0
+        for value, row in zip(vec[u : u + len(points)], metric[u : u + len(points)]):
+            worst_vec = max(worst_vec, value)
+            for entry in row:
+                worst_metric = max(worst_metric, entry)
+        u += len(points)
+        reports.append(WeakInvarianceReport(
+            residual_max=worst_vec,
+            metric_residual_max=worst_metric,
+            grid=tuple(tuple(float(t) for t in xi) for xi in points),
+            step=step_t,
+            alpha=alpha,
+            alpha_big=alpha_big,
+        ))
+    return reports
+
+
+def _grid_point_rows(
+    pair, small, big, xi, alpha, alpha_big, x, y, step
+) -> tuple[list[float], list[list[float]]]:
+    """The vector residual and the metric residual of each row of the small
+    model's Jacobian, for every grid point (one entry each), stacked by the
+    shapes of the small and the image model."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for u, (one, image, at) in enumerate(zip(small, big, xi)):
+        groups.setdefault((one.dim, one.space.size, image.space.size, at.shape[0]), []).append(u)
+    vec: list = [None] * len(xi)
+    metric: list = [None] * len(xi)
+    for units in groups.values():
+        def pick(column):
+            return [column[u] for u in units]
+
+        at, h, x_u, y_u = np.array(pick(xi)), np.array(pick(step), dtype=float), pick(x), pick(y)
+        _, w, nabla = _nabla_rows(np.array(pick(alpha)), pick(small), at, x_u, y_u, h)
+        _, w_big, nabla_big = _nabla_rows(np.array(pick(alpha_big)), pick(big), at, x_u, y_u, h)
+        # pushforward(psi, ...) of the image connection: its point, then its vector
+        psi = np.array([p.coembedding_channel.kernel for p in pick(pair)])
+        require_weights(apply_rows(psi, w_big))
+        pushed = require_rows_sum_zero(apply_rows(psi, nabla_big))
+        residual = abs(nabla - pushed).max(axis=-1)
+        jac = np.array(jacobians_at(pick(small), at))
+        phi = np.array([p.embedding_channel.kernel for p in pick(pair)])
+        phi_p, phi_z = apply_rows(phi, w), apply_rows(phi[:, None], jac)
+        for i in range(jac.shape[1]):
+            # row i as a TangentVector, then the point and vector of its pushforward
+            require_rows_sum_zero(jac[:, i])
+            require_weights(phi_p)
+            require_rows_sum_zero(phi_z[:, i])
+        lhs = fisher_metric_rows(w, nabla[:, None], jac)[:, 0]
+        rhs = fisher_metric_rows(w_big, nabla_big[:, None], phi_z)[:, 0]
+        for row, u in enumerate(units):
+            vec[u] = float(residual[row])
+            metric[u] = abs(lhs[row] - rhs[row]).tolist()
+    return vec, metric

@@ -107,16 +107,14 @@ def pair(alpha: CotangentVector, x: TangentVector) -> float:
 
 def e_rep(x: TangentVector) -> RandomVariable:
     """Score (e-representation) L_X = X_m / p; centered at the base point."""
-    return RandomVariable(x.base.space, _scores(x.base.weights[None], x.m_rep[None, None])[0, 0])
+    return RandomVariable(x.base.space, score_rows(x.base.weights[None], x.m_rep[None, None])[0, 0])
 
 
 def from_e_rep(p: Distribution, ell: RandomVariable) -> TangentVector:
     """Inverse of ``e_rep``: m_rep = p * L. Requires <L>_p = 0."""
     if ell.space != p.space:
         raise SizeMismatch("random variable and distribution on different spaces")
-    mean = expect(p, ell)
-    if not abs(mean) <= CENTERING_TOL:
-        raise NotCentered(f"<L>_p = {mean!r}, expected 0")
+    require_centered(np.array([expect(p, ell)]))
     return TangentVector(p, p.weights * ell.values)
 
 
@@ -194,8 +192,9 @@ def delta_rows(w: np.ndarray, values: np.ndarray) -> np.ndarray:
     return centered
 
 
-def _scores(w: np.ndarray, m_reps: np.ndarray) -> np.ndarray:
-    """The scores ``m_rep / p`` of m-representations (T, r, n) at points (T, n)."""
+def score_rows(w: np.ndarray, m_reps: np.ndarray) -> np.ndarray:
+    """The scores ``m_rep / p`` of m-representations (T, r, n) at points (T, n),
+    unchecked: ``e_rep`` on stacks."""
     return m_reps / w[:, None, :]
 
 
@@ -204,7 +203,7 @@ def flat_rows(w: np.ndarray, m_reps: np.ndarray) -> np.ndarray:
     (T, n): the scores ``m_rep / p``, each with the checks of its
     ``TangentVector``, ``RandomVariable`` and ``CotangentVector``. A failing
     check raises what the first failing row, in C order, raises alone."""
-    reps = _scores(w, m_reps)
+    reps = score_rows(w, m_reps)
     _require_in_row_order(
         (require_rows_sum_zero, m_reps), (require_finite, reps),
         (require_centered, expect_rows(w, reps)),

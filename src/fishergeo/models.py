@@ -21,10 +21,12 @@ Model points are evaluated over a leading trial axis: each trial's point
 and raw Jacobian come from its model, and the checks of ``jacobian_at``,
 ``FisherMatrix``, ``TangentVector``, ``CotangentVector`` and
 ``RandomVariable``, the information matrices and their inverses run on the
-trials of one model shape at once. ``crb_kernel`` is ``crb_check`` in local
-mode on such a batch and ``unbiased_estimators_kernel`` the estimators of
-``unbiased_estimators``; the single-point functions are the kernels on a
-batch of one, and the ``crb`` battery calls each kernel once per run.
+trials of one model shape at once. ``jacobians_at`` is ``jacobian_at`` on
+such a batch, ``crb_kernel`` is ``crb_check`` in local mode and
+``unbiased_estimators_kernel`` the estimators of ``unbiased_estimators``;
+the single-point functions are the kernels on a batch of one, the ``crb``
+battery calls each kernel once per run, and the connection checks read
+their Jacobians from ``jacobians_at``.
 
 The built-in zoo covers Bernoulli, the full categorical family, exponential
 families with user-supplied sufficient statistics, and affine (mixture)
@@ -109,12 +111,33 @@ def jacobian_at(model: ParametricModel, xi) -> np.ndarray:
     Falls back to central differences with step ``1e-6 * max(1, |xi_i|)``
     when the model carries no analytic Jacobian. Rows are mean-subtracted
     after validation so downstream tangent vectors satisfy their sum-zero
-    invariant exactly.
+    invariant exactly. ``jacobians_at`` on a batch of one.
     """
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    if xi.shape[0] != model.dim:
-        raise SizeMismatch(f"expected {model.dim} parameters, got {xi.shape[0]}")
-    return _checked_jacobians(_raw_jacobian(model, xi)[None])[0]
+    return jacobians_at([model], [xi])[0]
+
+
+def jacobians_at(model, xi) -> list[np.ndarray]:
+    """``jacobian_at`` over a leading trial axis.
+
+    Each argument is a sequence with one entry per trial, in any mix of
+    models. The raw Jacobians come from the trials' models and are checked
+    once per model shape (dim, n), stacked. Every Jacobian is
+    bitwise the one the trial gives alone, and a failed check raises what
+    the first failing trial raises alone.
+    """
+    return in_trial_order(_jacobian_rows, model, xi)
+
+
+def _jacobian_rows(model, xi) -> list[np.ndarray]:
+    xi = [np.asarray(x, dtype=float).reshape(-1) for x in xi]
+    for one, x in zip(model, xi):
+        if x.shape[0] != one.dim:
+            raise SizeMismatch(f"expected {one.dim} parameters, got {x.shape[0]}")
+    jac: list = [None] * len(xi)
+    for trials in _shapes(model):
+        for t, checked in zip(trials, _jacobians(model, xi, trials)):
+            jac[t] = checked
+    return jac
 
 
 def _raw_jacobian(model: ParametricModel, xi: np.ndarray) -> np.ndarray:
@@ -239,16 +262,20 @@ def restrict(model: ParametricModel, xi, alpha_ambient: CotangentVector) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def _points(model, xi) -> tuple[list[np.ndarray], list[Distribution], list]:
-    """Each trial's parameter as a vector and its point ``p_xi``; and the
-    trials of each model shape (dim, n), in order of first appearance, with
-    their points' weights stacked (T, n)."""
-    xi = [np.asarray(x, dtype=float).reshape(-1) for x in xi]
-    points = [one.point(x) for one, x in zip(model, xi)]
+def _shapes(model) -> list[list[int]]:
+    """The trials of each model shape (dim, n), in order of first appearance."""
     groups: dict[tuple[int, int], list[int]] = {}
     for t, one in enumerate(model):
         groups.setdefault((one.dim, one.space.size), []).append(t)
-    stacks = [(trials, np.array([points[t].weights for t in trials])) for trials in groups.values()]
+    return list(groups.values())
+
+
+def _points(model, xi) -> tuple[list[np.ndarray], list[Distribution], list]:
+    """Each trial's parameter as a vector and its point ``p_xi``; and the
+    trials of each model shape, with their points' weights stacked (T, n)."""
+    xi = [np.asarray(x, dtype=float).reshape(-1) for x in xi]
+    points = [one.point(x) for one, x in zip(model, xi)]
+    stacks = [(trials, np.array([points[t].weights for t in trials])) for trials in _shapes(model)]
     return xi, points, stacks
 
 

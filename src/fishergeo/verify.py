@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .connections import DEFAULT_STEP, ConnectionTag, VectorFieldOnModel, coordinate_field
-from .connections import weak_invariance_check
+from .connections import weak_invariance_kernel
 from .errors import InvalidParameter, NotRational, SizeMismatch, in_trial_order
 from .families import CandidateFamily, parse_family
 from .geometry import (
@@ -552,16 +552,40 @@ def weak_invariance_residual(
     each point of ``grid`` and returns the larger of its vector and metric
     residuals. With ``mismatched`` the big simplex carries the dual
     connection (the e-connection when alpha = 0) as a control.
+    ``weak_invariance_residual_kernel`` on a batch of one.
     """
-    m = surjection.codomain.size
-    model = categorical_model(m)
-    y = VectorFieldOnModel(model, lambda xi: np.full(m - 1, 0.4) + 0.3 * np.asarray(xi) ** 2)
-    tag_big = ConnectionTag(-alpha if alpha != 0.0 else 1.0) if mismatched else None
-    report = weak_invariance_check(
-        canonical_embedding(surjection, q), ConnectionTag(alpha),
-        coordinate_field(model, 0), y, grid, step=step, tag_big=tag_big,
+    return weak_invariance_residual_kernel(
+        [surjection], [q], [alpha], [grid], [step], [mismatched]
+    )[0]
+
+
+def weak_invariance_residual_kernel(surjection, q, alpha, grid, step, mismatched) -> list[float]:
+    """``weak_invariance_residual`` over a leading trial axis: the checks of
+    all trials in one ``weak_invariance_kernel`` call. Every residual is
+    bitwise the one the trial gives alone, and a failed check raises what
+    the first failing trial raises alone."""
+    return in_trial_order(
+        _weak_invariance_residual_rows, surjection, q, alpha, grid, step, mismatched
     )
-    return max(report.residual_max, report.metric_residual_max)
+
+
+def _quadratic_field(model) -> VectorFieldOnModel:
+    """Y^i = 0.4 + 0.3 (xi^i)^2 on ``model``."""
+    dim = model.dim
+    return VectorFieldOnModel(model, lambda xi: np.full(dim, 0.4) + 0.3 * np.asarray(xi) ** 2)
+
+
+def _weak_invariance_residual_rows(surjection, q, alpha, grid, step, mismatched) -> list[float]:
+    trials = []
+    for surjection_t, q_t, alpha_t, mismatched_t in zip(surjection, q, alpha, mismatched):
+        model = categorical_model(surjection_t.codomain.size)
+        tag_big = ConnectionTag(-alpha_t if alpha_t != 0.0 else 1.0) if mismatched_t else None
+        pair = canonical_embedding(surjection_t, q_t)
+        xy = (coordinate_field(model, 0), _quadratic_field(model))
+        trials.append((pair, ConnectionTag(alpha_t), *xy, tag_big))
+    pairs, tags, x, y, tag_big = zip(*trials) if trials else ([],) * 5
+    reports = weak_invariance_kernel(pairs, tags, x, y, grid, step, tag_big)
+    return [max(report.residual_max, report.metric_residual_max) for report in reports]
 
 
 # ---------------------------------------------------------------------------

@@ -180,11 +180,16 @@ def test_checks_are_called_through_the_module_namespace(monkeypatch, name):
     captured at import time would run outside the trace. A battery with a
     kernel calls it once per run; the others call their check once per
     trial. The crb draw calls its estimator kernel once per run, and its
-    noise draw once per trial."""
+    noise draw once per trial. The weak_invariance kernel checks three
+    trials in one call and never calls the single-trial check."""
     spec = batteries._BATTERIES[name]
     called = [spec.kernel or spec.check]
+    config = SMALL_CONFIGS[name]
     if name == "crb":
         called += ["unbiased_estimators_kernel", "estimator_noise"]
+    if name == "weak_invariance":
+        called += [spec.check]
+        config = {**config, "alphas": [-1.0, 0.0, 1.0]}
     calls = dict.fromkeys(called, 0)
     for key in called:
         original = getattr(batteries, key)
@@ -194,9 +199,12 @@ def test_checks_are_called_through_the_module_namespace(monkeypatch, name):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(batteries, key, counted)
-    report = run_battery({"battery": name, **SMALL_CONFIGS[name]})
+    report = run_battery({"battery": name, **config})
     batched = spec.kernel is not None or name == "characterize"
     expected = {called[0]: 1 if batched else report.trials}
     if name == "crb":
         expected.update(unbiased_estimators_kernel=1, estimator_noise=report.trials)
+    if name == "weak_invariance":
+        assert report.trials == 3
+        expected[spec.check] = 0
     assert calls == expected

@@ -19,7 +19,7 @@ from fishergeo.connections import (
 from fishergeo.errors import InvalidParameter
 from fishergeo.geometry import TangentVector, flat
 from fishergeo.markov import Surjection, apply, canonical_embedding
-from fishergeo.models import bernoulli_model, categorical_model
+from fishergeo.models import ParametricModel, bernoulli_model, categorical_model
 from fishergeo.simplex import (
     SampleSpace,
     new_distribution,
@@ -163,8 +163,8 @@ class TestDuality:
 
 
 class TestInputs:
-    """A step that is not finite and positive, or a field on another model,
-    is rejected before any evaluation."""
+    """A step that is not finite and positive, a field on another model, a
+    non-finite alpha or an empty grid is rejected before any evaluation."""
 
     @pytest.mark.parametrize("step", [0.0, -1e-4, float("nan"), float("inf")])
     def test_bad_step_rejected(self, step):
@@ -183,6 +183,49 @@ class TestInputs:
             duality_check(model, [0.2, 0.3], other, f, f)
         with pytest.raises(InvalidParameter, match="different model"):
             covariant_derivative(M_CONNECTION, model, [0.2, 0.3], f, other)
+
+    def test_derivative_direction_on_another_model_rejected(self):
+        model = categorical_model(3)
+        other = coordinate_field(categorical_model(3), 0)
+        with pytest.raises(InvalidParameter, match="different model"):
+            covariant_derivative(M_CONNECTION, model, [0.2, 0.3], other, coordinate_field(model, 1))
+
+    def test_duality_direction_on_another_model_rejected(self):
+        model = categorical_model(3)
+        other = coordinate_field(categorical_model(3), 0)
+        f = coordinate_field(model, 1)
+        with pytest.raises(InvalidParameter, match="different model"):
+            duality_check(model, [0.3, 0.3], f, f, other)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf"), "0.5", None])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(InvalidParameter, match="alpha"):
+            ConnectionTag(alpha)
+
+    def test_weak_invariance_checks_step_and_grid_before_evaluating(self):
+        """An empty grid or a bad step raises before any point is evaluated:
+        an empty grid would otherwise report residuals of 0.0, a pass that
+        checked nothing."""
+        pair = canonical_embedding(
+            Surjection.from_one_based([1, 1, 2]),
+            new_distribution(SampleSpace(3), np.array([0.2, 0.3, 0.5])),
+        )
+        base = bernoulli_model()
+        evaluated = []
+
+        def point_map(xi):
+            evaluated.append(xi)
+            return base.point_map(xi)
+
+        model = ParametricModel(base.space, 1, point_map, base.jacobian)
+        f = coordinate_field(model, 0)
+        for grid, step, match in (([], 1e-4, "grid"), ([], -1.0, "step"), ([[0.3]], -1.0, "step"),
+                                  ([[0.3]], float("nan"), "step")):
+            with pytest.raises(InvalidParameter, match=match):
+                weak_invariance_check(pair, ConnectionTag(0.0), f, f, grid, step=step)
+        assert evaluated == []
+        weak_invariance_check(pair, ConnectionTag(0.0), f, f, [[0.3]])
+        assert len(evaluated) == 6
 
 
 class TestWeakInvariance:

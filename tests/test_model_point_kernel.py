@@ -19,6 +19,11 @@ points at once, stacked by model shape, and the ``crb`` battery draws all
 its trials through one call of the second. Each trial of a batch must give
 its reference values, and a batch with a failing trial must raise what the
 first failing trial raises alone.
+
+The connection references call the frozen ``e_transport``,
+``fisher_metric`` and ``pushforward`` of ``test_frozen_scalars``: the
+library's scalars are the stencil kernel's and the pair kernels' rows forms
+on a batch of one.
 """
 from __future__ import annotations
 
@@ -38,7 +43,6 @@ from fishergeo.connections import (
     coordinate_field,
     covariant_derivative,
     duality_check,
-    e_transport,
     m_transport,
     pushforward_model,
     weak_invariance_check,
@@ -57,11 +61,10 @@ from fishergeo.geometry import (
     CotangentVector,
     TangentVector,
     delta,
-    fisher_metric,
     flat,
     pair,
 )
-from fishergeo.markov import canonical_embedding, pushforward, random_surjection
+from fishergeo.markov import canonical_embedding, random_surjection
 from fishergeo.models import (
     UNBIASED_TOL,
     FisherMatrix,
@@ -79,6 +82,7 @@ from fishergeo.models import (
     unbiased_estimators_kernel,
 )
 from fishergeo.simplex import Distribution, RandomVariable, SampleSpace, sample_interior
+from test_frozen_scalars import e_transport, fisher_metric, pushforward
 
 # ---------------------------------------------------------------------------
 # References: the per-call code
