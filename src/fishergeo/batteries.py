@@ -34,7 +34,7 @@ from .simplex import RandomVariable, SampleSpace, new_distribution, sample_inter
 from .verify import (
     PASS_TOL, STRONG_INVARIANCE_TOL, VIOLATION_TOL, Witness, characterize, check_invariance,
     check_monotonicity_cometric, check_monotonicity_metric, check_prop6_identity,
-    check_strong_invariance, classify, invariance_kernel, strong_invariance_kernel,
+    check_strong_invariance, classify, invariance_kernel, prop6_kernel, strong_invariance_kernel,
     weak_invariance_residual, weak_invariance_residual_kernel,
 )
 
@@ -428,7 +428,7 @@ _BATTERIES: dict[str, _Battery] = {spec.name: spec for spec in (
     _Battery(
         "prop6", {"trials": 200, "n_max": 6, "seed": 0, "family": "COV"},
         _per_trial(_draw_prop6), "check_prop6_identity", attrgetter("residual"), min_n=3,
-        extras=lambda params, *_: {"family": params["family"].name},
+        kernel="prop6_kernel", extras=lambda params, *_: {"family": params["family"].name},
     ),
     _Battery(
         # Full categorical models: the kernel of restriction holds only the

@@ -5,9 +5,10 @@ channels, the invariance identities of embedding/co-embedding pairs, the
 strong-invariance (adjoint/projector) identities, and the two-sided pairing
 identity for candidate bilinear families. Randomized batteries drive them
 over seeded trials and aggregate deterministic reports. The two invariance
-checks are array kernels over a leading trial axis, ``invariance_kernel``
-and ``strong_invariance_kernel``, on a batch of one; their batteries call
-the kernels once on all their trials.
+checks and the pairing identity are array kernels over a leading trial
+axis, ``invariance_kernel``, ``strong_invariance_kernel`` and
+``prop6_kernel``, on a batch of one; their batteries call the kernels once
+on all their trials.
 
 The probe decomposes an invariant family into ``c1 * L2 + c2 * MM``:
 
@@ -20,6 +21,12 @@ The probe decomposes an invariant family into ``c1 * L2 + c2 * MM``:
   (d) continuity surrogate: fitted constants at rational approximations of
       an irrational spot-check point converge as the denominator bound grows.
 
+The sampled steps (the bilinearity and kill-constants spot checks, the
+rational points of (c) and the fits of (d)) draw the points of one size
+first, in the order of one point at a time, and evaluate a grammar family
+at all of them in one ``CandidateFamily.matrix_rows`` call; a plugin family
+is still called point by point, pair by pair, in that order.
+
 Verdicts distinguish the covariance multiple (when the family kills
 constants) from a general (c1, c2) decomposition; reports state consistency
 with the decomposition on sampled points, never more. Residuals at or below
@@ -31,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cache, partial
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -42,7 +49,6 @@ from .families import CandidateFamily, parse_family
 from .geometry import (
     CotangentVector,
     TangentVector,
-    delta,
     delta_rows,
     fisher_metric_rows,
     norm_tangent,
@@ -101,11 +107,11 @@ def classify(residual: float, pass_tol: float = PASS_TOL) -> str:
 
 
 def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in np.asarray(values).reshape(-1))
+    return tuple(np.asarray(values, dtype=float).reshape(-1).tolist())
 
 
 def _rows(matrix) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(float(v) for v in row) for row in np.asarray(matrix))
+    return tuple(map(tuple, np.asarray(matrix, dtype=float).tolist()))
 
 
 def _lists(value):
@@ -326,6 +332,14 @@ class _PairStack(NamedTuple):
     p: np.ndarray  # (k, m) their marginals
 
 
+def _coembedding_kernels(pairs: list[EmbeddingPair], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based maps (k, n) and co-embedding kernels (k, m, n) of pairs of
+    one shape, stacked, with the Channel checks of the kernels."""
+    maps = np.array([one.surjection.map0 for one in pairs])
+    psi = (maps[:, None, :] == np.arange(m)[:, None]).astype(float)
+    return maps, require_kernel(psi)
+
+
 def _pair_stacks(pair, q) -> list[_PairStack]:
     """The trials grouped by shape, with the Channel checks of both kernels
     and the Distribution check of each marginal."""
@@ -336,12 +350,9 @@ def _pair_stacks(pair, q) -> list[_PairStack]:
         groups.setdefault((one.surjection.domain.size, one.surjection.codomain.size), []).append(t)
     stacks = []
     for (n, m), trials in groups.items():
-        maps = np.array([pair[t].surjection.map0 for t in trials])
         fibers = np.array([pair[t].fiber_distributions for t in trials])
         phi = require_kernel(np.ascontiguousarray(fibers.transpose(0, 2, 1)))
-        psi = np.zeros((len(trials), m, n))
-        psi[np.arange(len(trials))[:, None], maps, np.arange(n)] = 1.0
-        require_kernel(psi)
+        maps, psi = _coembedding_kernels([pair[t] for t in trials], m)
         points = np.array([q[t].weights for t in trials])
         marginals = require_weights(apply_rows(psi, points))
         stacks.append(_PairStack(trials, maps, phi, psi, points, marginals))
@@ -505,40 +516,93 @@ def check_prop6_identity(
 
     evaluated on canonical centered representatives. The covariance family
     satisfies the identity; families that do not descend to cotangent
-    classes generically produce a witness.
+    classes generically produce a witness. This is ``prop6_kernel`` on a
+    batch of one.
     """
-    phi = pair.embedding_channel
-    psi = pair.coembedding_channel
-    if p.space != phi.in_space:
-        raise SizeMismatch("p must live on the small space of the pair")
-    if alpha.base != p:
-        raise InvalidParameter("alpha must be based at p")
-    q_img = apply(phi, p)
-    if beta.base != q_img:
-        raise InvalidParameter("beta must be based at the embedded image of p")
-    phi_pull = delta(p, conditional_expectation(phi, beta.rep))
-    psi_pull = delta(q_img, conditional_expectation(psi, alpha.rep))
-    lhs = family(p, alpha.rep, phi_pull.rep)
-    rhs = family(q_img, psi_pull.rep, beta.rep)
-    residual = abs(lhs - rhs)
-    status = classify(residual)
-    witness = None
-    if status == "violation":
-        witness = Witness(
-            kind="prop6_identity",
-            m=p.space.size,
-            n=q_img.space.size,
-            lhs=lhs,
-            rhs=rhs,
-            gap=residual,
-            surjection=pair.surjection.map0,
-            kernel=_rows(phi.kernel),
-            point=_floats(p.weights),
-            a=_floats(alpha.rep.values),
-            b=_floats(beta.rep.values),
-            family=family.name,
-        )
-    return Prop6Report(lhs, rhs, residual, status, witness)
+    return prop6_kernel([pair], [p], [alpha], [beta], [family])[0]
+
+
+def prop6_kernel(pair, p, alpha, beta, family) -> list[Prop6Report]:
+    """``check_prop6_identity`` over a leading trial axis.
+
+    Each argument is a sequence with one entry per trial, in any mix of
+    sizes and families. The trials of one shape (m, n) go through the
+    stacked kernels and the rows forms together, and a grammar family
+    evaluates both sides of all of them in one ``CandidateFamily.matrix_rows``
+    call each; any other family is called pair by pair, in trial order. Every
+    report is bitwise the one the trial gives alone, a witness is built for a
+    violating trial only, and a failed check raises what the first failing
+    trial raises alone.
+    """
+    return in_trial_order(_prop6_rows, pair, p, alpha, beta, family)
+
+
+def _prop6_rows(pair, p, alpha, beta, family) -> list[Prop6Report]:
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for t, (one, family_t) in enumerate(zip(pair, family)):
+        shape = (one.surjection.codomain.size, one.surjection.domain.size)
+        groups.setdefault((*shape, id(family_t)), []).append(t)
+    # per trial: its embedding kernel and both pulled-back rows; and the two
+    # sides of each trial with a grammar family
+    pulled: list = [None] * len(pair)
+    sides: dict[int, tuple[float, float]] = {}
+    for (m, n, _), trials in groups.items():
+        # the embedding channel is read, and checked when first read, as the
+        # single case reads it; the battery's draw has read it already
+        phi = np.array([pair[t].embedding_channel.kernel for t in trials])
+        _, psi = _coembedding_kernels([pair[t] for t in trials], m)
+        for t in trials:
+            if p[t].space.size != m:
+                raise SizeMismatch("p must live on the small space of the pair")
+            # a base that is p itself is equal to it: valid weights are never NaN
+            if alpha[t].base is not p[t] and alpha[t].base != p[t]:
+                raise InvalidParameter("alpha must be based at p")
+        w = np.array([p[t].weights for t in trials])
+        q_img = require_weights(apply_rows(phi, w))
+        bases = [beta[t].base for t in trials]
+        if any(base.space.size != n for base in bases) or not np.array_equal(
+            np.array([base.weights for base in bases]), q_img
+        ):
+            raise InvalidParameter("beta must be based at the embedded image of p")
+        a_reps = np.array([alpha[t].rep.values for t in trials])
+        b_reps = np.array([beta[t].rep.values for t in trials])
+        phi_pull = delta_rows(w, require_finite(conditional_expectation_rows(phi, b_reps)))
+        psi_pull = delta_rows(q_img, require_finite(conditional_expectation_rows(psi, a_reps)))
+        for t, *rows in zip(trials, phi, phi_pull, psi_pull):
+            pulled[t] = rows
+        one = family[trials[0]]
+        if type(one) is CandidateFamily:
+            lhs = one.matrix_rows(w, a_reps[:, None], phi_pull[:, None])[:, 0, 0]
+            rhs = one.matrix_rows(q_img, psi_pull[:, None], b_reps[:, None])[:, 0, 0]
+            sides.update(zip(trials, zip(lhs.tolist(), rhs.tolist())))
+    reports = []
+    for t, (kernel, phi_row, psi_row) in enumerate(pulled):
+        if t in sides:
+            lhs, rhs = sides[t]
+        else:
+            q_t = beta[t].base
+            lhs = family[t](p[t], alpha[t].rep, RandomVariable(p[t].space, phi_row))
+            rhs = family[t](q_t, RandomVariable(q_t.space, psi_row), beta[t].rep)
+        residual = abs(lhs - rhs)
+        status = classify(residual)
+        witness = None
+        if status == "violation":
+            witness = Witness(
+                kind="prop6_identity",
+                m=p[t].space.size,
+                n=kernel.shape[0],
+                lhs=lhs,
+                rhs=rhs,
+                gap=residual,
+                surjection=pair[t].surjection.map0,
+                kernel=_rows(kernel),
+                point=_floats(p[t].weights),
+                a=_floats(alpha[t].rep.values),
+                b=_floats(beta[t].rep.values),
+                family=family[t].name,
+            )
+        reports.append(Prop6Report(lhs, rhs, residual, status, witness))
+    return reports
 
 
 def weak_invariance_residual(
@@ -595,7 +659,8 @@ def _weak_invariance_residual_rows(surjection, q, alpha, grid, step, mismatched)
 
 def _pair_matrix(family: CandidateFamily, p: Distribution, rows, cols) -> np.ndarray:
     """[family(p, A_i, B_j)] for the variables A_i and B_j given as rows of
-    ``rows`` and ``cols``: the probe's only way of evaluating a family.
+    ``rows`` and ``cols``: with ``_pair_matrices``, the probe's only way of
+    evaluating a family.
 
     A grammar family computes the matrix itself; a plugin callable, or a
     subclass that may override ``__call__``, is called once per pair.
@@ -605,6 +670,21 @@ def _pair_matrix(family: CandidateFamily, p: Distribution, rows, cols) -> np.nda
     left = [RandomVariable(p.space, row) for row in rows]
     right = [RandomVariable(p.space, col) for col in cols]
     return np.array([[family(p, a, b) for b in right] for a in left], dtype=float)
+
+
+def _pair_matrices(family: CandidateFamily, w: np.ndarray, rows, cols) -> Iterator[np.ndarray]:
+    """``_pair_matrix`` at each point of the stack ``w`` (T, n), for rows
+    (T, r, n) and (T, c, n), yielded in point order; each point gets the
+    checks of its ``Distribution``. A grammar family evaluates all points in
+    one ``matrix_rows`` call at the first ``next``. Any other family is
+    called pair by pair at one point per ``next``, so its calls come in the
+    order of a loop that evaluates each point when it reaches it.
+    """
+    if type(family) is CandidateFamily:
+        yield from family.matrix_rows(in_trial_order(require_weights, w), rows, cols)
+        return
+    for w_t, rows_t, cols_t in zip(w, rows, cols):
+        yield _pair_matrix(family, new_distribution(SampleSpace(w_t.size), w_t), rows_t, cols_t)
 
 
 def _indicator_witness(
@@ -731,27 +811,45 @@ def _probe_consistency(
 
 
 def rationalize(p: Distribution, denominator_bound: int) -> tuple[int, np.ndarray]:
-    """Smallest common denominator representation p(i) = k_i / m, m <= bound.
+    """Smallest common denominator representation p(i) = k_i / m, m <= bound:
+    ``_rationalize_rows`` on a batch of one."""
+    return next(_rationalize_rows(p.weights[None], denominator_bound))
 
-    Scans the denominators n, n + 1, ... in blocks of ``_RATIONALIZE_BLOCK``
-    and stops at the first block with a hit.
+
+def _rationalize_rows(points: np.ndarray, denominator_bound: int) -> Iterator[tuple[int, np.ndarray]]:
+    """``rationalize`` at each point of the stack ``points`` (T, n), yielded
+    in point order; a point with no representation raises ``NotRational``
+    when it is reached.
+
+    Scans the denominators n, n + 1, ... in blocks of ``_RATIONALIZE_BLOCK``,
+    each block over every point not matched by an earlier block, and stops
+    once every point is matched.
     """
-    w = p.weights
-    n = w.shape[0]
+    count, n = points.shape
+    denominators = np.zeros(count, dtype=int)
+    counts = np.zeros((count, n), dtype=int)
     for start in range(n, denominator_bound + 1, _RATIONALIZE_BLOCK):
+        unmatched = np.flatnonzero(denominators == 0)
+        if not unmatched.size:
+            break
         ms = np.arange(start, min(start + _RATIONALIZE_BLOCK, denominator_bound + 1))[:, None]
-        counts = np.rint(w * ms).astype(int)
+        w = points[unmatched, None, :]
+        block = np.rint(w * ms).astype(int)
         hits = (
-            np.all(counts >= 1, axis=1)
-            & (counts.sum(axis=1) == ms[:, 0])
-            & (np.max(np.abs(w - counts / ms), axis=1) <= RATIONAL_TOL)
+            np.all(block >= 1, axis=2)
+            & (block.sum(axis=2) == ms[:, 0])
+            & (np.max(np.abs(w - block / ms), axis=2) <= RATIONAL_TOL)
         )
-        if hits.any():
-            first = int(np.argmax(hits))
-            return int(ms[first, 0]), counts[first]
-    raise NotRational(
-        f"no rational representation with denominator <= {denominator_bound}"
-    )
+        matched = np.flatnonzero(hits.any(axis=1))
+        first = np.argmax(hits[matched], axis=1)
+        denominators[unmatched[matched]] = ms[first, 0]
+        counts[unmatched[matched]] = block[matched, first]
+    for denominator, row in zip(denominators.tolist(), counts):
+        if not denominator:
+            raise NotRational(
+                f"no rational representation with denominator <= {denominator_bound}"
+            )
+        yield denominator, row
 
 
 def partition_surjection(counts: np.ndarray) -> Surjection:
@@ -800,32 +898,48 @@ def probe_rational(
     Builds the partition surjection from the uniform space over the common
     denominator, lifts indicator pairs, and checks both the lift equality
     and the target decomposition c1 <A|B>_p + c2 <A><B> with
-    ``constants = (c1, c2)``.
+    ``constants = (c1, c2)``. This is ``_rational_probes`` on a batch of one.
     """
-    n = p.space.size
-    denominator, counts = rationalize(p, denominator_bound)
+    return next(_rational_probes(family, p.weights[None], denominator_bound, constants))
+
+
+def _rational_probes(
+    family: CandidateFamily, points: np.ndarray, denominator_bound: int,
+    constants: tuple[float, float],
+) -> Iterator[RationalProbeResult]:
+    """``probe_rational`` at each point of the stack ``points`` (T, n),
+    yielded in point order: the denominators come from one
+    ``_rationalize_rows`` scan, the value matrices from one
+    ``_pair_matrices`` stack and the targets from one product, while each
+    point's lifted matrix is its own, over its own denominator. A caller that
+    stops at the first witness evaluates a plugin family at no later point.
+    """
+    count, n = points.shape
     c1, c2 = constants
-    surjection = partition_surjection(counts)
-    w = p.weights
-    units = np.eye(n)
-    value = _pair_matrix(family, p, units, units)
-    lifted = _lifted_pair_matrix(family, surjection)
-    target = c1 * np.diag(w) + c2 * np.outer(w, w)
-    to_lift, to_target = np.abs(value - lifted), np.abs(value - target)
-    # Python's max(to_lift, to_target): the first unless the second is larger
-    # (np.maximum would differ on NaN)
-    worst, i, j = _first_worst(np.where(to_target > to_lift, to_target, to_lift))
-    witness = None
-    if worst > VIOLATION_TOL:
-        rhs = lifted if to_lift[i, j] >= to_target[i, j] else target
-        witness = _indicator_witness(
-            "rational_point", family, (n, surjection.domain.size), (i, j), (value, rhs),
-            worst, f"D={denominator_bound}",
-            surjection=surjection.map0, point=_floats(w), constants=(float(c1), float(c2)),
+    units = np.broadcast_to(np.eye(n), (count, n, n))
+    values = _pair_matrices(family, points, units, units)
+    diagonals = points[:, :, None] * np.eye(n)
+    targets = c1 * diagonals + c2 * (points[:, :, None] * points[:, None, :])
+    found = _rationalize_rows(points, denominator_bound)
+    for w, (denominator, counts), target in zip(points, found, targets):
+        surjection = partition_surjection(counts)
+        value = next(values)
+        lifted = _lifted_pair_matrix(family, surjection)
+        to_lift, to_target = np.abs(value - lifted), np.abs(value - target)
+        # Python's max(to_lift, to_target): the first unless the second is larger
+        # (np.maximum would differ on NaN)
+        worst, i, j = _first_worst(np.where(to_target > to_lift, to_target, to_lift))
+        witness = None
+        if worst > VIOLATION_TOL:
+            rhs = lifted if to_lift[i, j] >= to_target[i, j] else target
+            witness = _indicator_witness(
+                "rational_point", family, (n, surjection.domain.size), (i, j), (value, rhs),
+                worst, f"D={denominator_bound}",
+                surjection=surjection.map0, point=_floats(w), constants=(float(c1), float(c2)),
+            )
+        yield RationalProbeResult(
+            n, denominator, tuple(int(c) for c in counts), float(c1), float(c2), worst, witness
         )
-    return RationalProbeResult(
-        n, denominator, tuple(int(c) for c in counts), float(c1), float(c2), worst, witness
-    )
 
 
 def _best_rational_approximation(
@@ -858,16 +972,15 @@ def _continuity_errors(
     family: CandidateFamily, spot: Distribution, bounds: list[int]
 ) -> list[float]:
     """Step (d): distance from the constants fitted at ``spot`` to those
-    fitted at its best rational approximation, per denominator bound."""
-    def fit(p: Distribution) -> np.ndarray:
-        units = np.eye(p.space.size)
-        return np.array(_fit_constants(p, _pair_matrix(family, p, units, units)))
-
-    spot_fit = fit(spot)
-    return [
-        float(np.max(np.abs(fit(_best_rational_approximation(spot.weights, bound)) - spot_fit)))
-        for bound in bounds
-    ]
+    fitted at its best rational approximation, per denominator bound. The
+    indicator matrices of all the points come from one ``_pair_matrices``
+    stack; each point is fitted on its own."""
+    points = [spot, *(_best_rational_approximation(spot.weights, bound) for bound in bounds)]
+    n = spot.space.size
+    units = np.broadcast_to(np.eye(n), (len(points), n, n))
+    matrices = _pair_matrices(family, np.array([p.weights for p in points]), units, units)
+    spot_fit, *fits = (np.array(_fit_constants(p, matrix)) for p, matrix in zip(points, matrices))
+    return [float(np.max(np.abs(fit - spot_fit))) for fit in fits]
 
 
 def _format_constant(value: float) -> str:
@@ -925,19 +1038,22 @@ def _witness_result(family_name: str, witness: Witness) -> CharacterizeResult:
 def check_bilinearity(family: CandidateFamily, n: int, seed: int) -> float:
     """Largest bilinearity defect over ``_BILINEARITY_TRIALS`` random triples;
     grammar families satisfy it by construction, plugin evaluators may not.
-    Each trial reads its six values as one 3x1 and one 1x3 pair matrix."""
+    Each trial reads its six values as one 3x1 and one 1x3 pair matrix, and
+    the trials are drawn first, then evaluated as one ``_pair_matrices``
+    stack per side."""
     rng = np.random.default_rng(seed)
-    space = SampleSpace(n)
-    worst = 0.0
+    draws = []
     for _ in range(_BILINEARITY_TRIALS):
-        p = new_distribution(space, _flatten_dirichlet(rng, n))
+        w = _flatten_dirichlet(rng, n)
         a1, a2, b = (rng.normal(size=n) for _ in range(3))
         s, t = rng.normal(size=2)
-        rows = np.array([s * a1 + t * a2, a1, a2])
-        left = _pair_matrix(family, p, rows, [b])[:, 0]
-        right = _pair_matrix(family, p, [b], rows)[0]
-        for at_combo, at_a1, at_a2 in (left, right):
-            worst = max(worst, abs(at_combo - s * at_a1 - t * at_a2))
+        draws.append((w, np.array([s * a1 + t * a2, a1, a2]), b[None], s, t))
+    w, rows, b, s, t = (np.array(column) for column in zip(*draws))
+    worst = 0.0
+    sides = zip(_pair_matrices(family, w, rows, b), _pair_matrices(family, w, b, rows))
+    for (left, right), s_t, t_t in zip(sides, s, t):
+        for at_combo, at_a1, at_a2 in (left[:, 0], right[0]):
+            worst = max(worst, abs(at_combo - s_t * at_a1 - t_t * at_a2))
     return worst
 
 
@@ -994,26 +1110,24 @@ def characterize(
             return _witness_result(family.name, result.witness)
     c1, c2 = constants_by_n[2]
 
+    # Steps (c) and ii1 draw the points of one size first, then evaluate
+    # them as one stack; the first witness in trial order is returned.
     for n in range(2, n_max + 1):
-        space = SampleSpace(n)
+        points = []
         for _ in range(trials):
             denominator = int(rng.integers(n, denominator_bound + 1))
-            counts = rng.multinomial(denominator - n, np.full(n, 1.0 / n)) + 1
-            point = new_distribution(space, counts / denominator)
-            result = probe_rational(
-                family, point, denominator_bound, constants=(c1, c2)
-            )
+            points.append((rng.multinomial(denominator - n, np.full(n, 1.0 / n)) + 1) / denominator)
+        for result in _rational_probes(family, np.array(points), denominator_bound, (c1, c2)):
             if result.witness is not None:
                 return _witness_result(family.name, result.witness)
 
     ii1_worst = 0.0
     for n in range(2, n_max + 1):
-        space = SampleSpace(n)
-        for _ in range(max(2, trials // 2)):
-            p = new_distribution(space, _flatten_dirichlet(rng, n))
-            a = rng.normal(size=(1, n))
-            ii1 = float(_pair_matrix(family, p, a, np.ones((1, n)))[0, 0])
-            ii1_worst = max(ii1_worst, abs(ii1))
+        count = max(2, trials // 2)
+        draws = [(_flatten_dirichlet(rng, n), rng.normal(size=(1, n))) for _ in range(count)]
+        w, a = (np.array(column) for column in zip(*draws))
+        for ii1 in _pair_matrices(family, w, a, np.ones((count, 1, n))):
+            ii1_worst = max(ii1_worst, abs(float(ii1[0, 0])))
     ii1_holds = ii1_worst <= PASS_TOL
 
     # Step (d) surrogate: fitted constants at rational approximations of an

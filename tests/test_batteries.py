@@ -180,15 +180,16 @@ def test_checks_are_called_through_the_module_namespace(monkeypatch, name):
     captured at import time would run outside the trace. A battery with a
     kernel calls it once per run; the others call their check once per
     trial. The crb draw calls its estimator kernel once per run, and its
-    noise draw once per trial. The weak_invariance kernel checks three
-    trials in one call and never calls the single-trial check."""
+    noise draw once per trial. The weak_invariance and prop6 kernels check
+    all their trials in one call and never call the single-trial check."""
     spec = batteries._BATTERIES[name]
     called = [spec.kernel or spec.check]
     config = SMALL_CONFIGS[name]
     if name == "crb":
         called += ["unbiased_estimators_kernel", "estimator_noise"]
-    if name == "weak_invariance":
+    if name in ("weak_invariance", "prop6"):
         called += [spec.check]
+    if name == "weak_invariance":
         config = {**config, "alphas": [-1.0, 0.0, 1.0]}
     calls = dict.fromkeys(called, 0)
     for key in called:
@@ -204,7 +205,9 @@ def test_checks_are_called_through_the_module_namespace(monkeypatch, name):
     expected = {called[0]: 1 if batched else report.trials}
     if name == "crb":
         expected.update(unbiased_estimators_kernel=1, estimator_noise=report.trials)
-    if name == "weak_invariance":
-        assert report.trials == 3
+    if name in ("weak_invariance", "prop6"):
+        assert report.trials == {"weak_invariance": 3, "prop6": 2}[name]
         expected[spec.check] = 0
+    if name == "prop6":
+        assert expected == {"prop6_kernel": 1, "check_prop6_identity": 0}
     assert calls == expected

@@ -518,6 +518,22 @@ class TestCharacterizeCommand:
         assert capsys.readouterr().out == json.dumps(result.to_json(), indent=2) + "\n"
         assert code == (0 if result.passed else 1)
 
+    @pytest.mark.parametrize("command", ["characterize", "prop6"])
+    def test_non_finite_coefficient_exits_2(self, cli, command):
+        """``1e400*L2`` once crashed characterize with exit 1 and made prop6
+        exit 2 with a misleading NaN witness gap; both now reject the family."""
+        if command == "characterize":
+            proc = cli.run("characterize", "--family", "1e400*L2")
+        else:
+            config = {"battery": "prop6", "family": "1e400*L2", "trials": 20, "n_max": 6}
+            proc = cli.run("verify", "--config", cli.file("c.json", config))
+        assert proc.returncode == 2
+        error = json.loads(proc.stdout)["error"]
+        assert error == {
+            "type": "FamilyParseError",
+            "message": "coefficient of term '1e400*L2' is not a finite number",
+        }
+
     @pytest.mark.parametrize(
         "flag, value, key",
         [

@@ -48,6 +48,20 @@ class TestParsing:
             with pytest.raises(FamilyParseError):
                 parse_family(expr)
 
+    @pytest.mark.parametrize(
+        "expr, term",
+        [("1e400*L2", "1e400*L2"), ("COV + -1e309*MM", "-1e309*MM"), ("2*L2 + 1E999*PK(2)", "1E999*PK(2)")],
+    )
+    def test_non_finite_coefficient_is_named(self, expr, term):
+        """A coefficient that overflows to inf once parsed to a family whose
+        probe constants were inf or NaN."""
+        with pytest.raises(FamilyParseError) as raised:
+            parse_family(expr)
+        assert str(raised.value) == f"coefficient of term {term!r} is not a finite number"
+
+    def test_largest_finite_coefficient_parses(self):
+        assert parse_family("1.7976931348623157e308*L2").terms == ((1.7976931348623157e308, "PK", 1),)
+
 
 class TestEvaluation:
     def test_cov_matches_simplex_cov(self):
