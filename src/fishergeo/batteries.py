@@ -1,9 +1,10 @@
 """Randomized verification batteries with deterministic aggregation.
 
 Every battery is one ``_Battery`` spec in ``_BATTERIES``: its config keys
-with their defaults and types, a draw, the single-case check from
-:mod:`fishergeo.verify` or :mod:`fishergeo.models` that evaluates each case,
-and how the residual is read and judged. ``run_battery`` reads a config against the spec before any
+with their defaults and types, a draw, the one function from
+:mod:`fishergeo.verify` or :mod:`fishergeo.models` that evaluates the cases
+(a single-case check or a kernel over all of them), and how the residual is
+read and judged. ``run_battery`` reads a config against the spec before any
 trial runs; ``_drive``, the one trial loop, draws every case from a single
 seeded generator, evaluates them through the check, or in one call of the
 spec's kernel, and tracks the worst residual in trial order. Violations
@@ -24,18 +25,15 @@ from .families import CandidateFamily, parse_family
 from .geometry import TangentVector, delta
 from .jsonio import read_bool, read_float, read_float_list, read_int
 from .markov import Channel, apply, canonical_embedding, random_channel, random_surjection
-# The crb spec names its check and kernel; its draw calls the estimator kernel
-# through this namespace too.
-from .models import (
-    categorical_model, crb_check, crb_kernel, estimator_noise, unbiased_estimators_kernel,
-)
+# The crb spec names its kernel; its draw calls the estimator kernel through
+# this namespace too.
+from .models import categorical_model, crb_kernel, estimator_noise, unbiased_estimators_kernel
 from .simplex import RandomVariable, SampleSpace, new_distribution, sample_interior
 # The battery specs name their checks; _drive calls them through this namespace.
 from .verify import (
-    PASS_TOL, STRONG_INVARIANCE_TOL, VIOLATION_TOL, Witness, characterize, check_invariance,
-    check_monotonicity_cometric, check_monotonicity_metric, check_prop6_identity,
-    check_strong_invariance, classify, invariance_kernel, prop6_kernel, strong_invariance_kernel,
-    weak_invariance_residual, weak_invariance_residual_kernel,
+    PASS_TOL, STRONG_INVARIANCE_TOL, VIOLATION_TOL, Witness, characterize,
+    check_monotonicity_cometric, check_monotonicity_metric, classify, invariance_kernel,
+    prop6_kernel, strong_invariance_kernel, weak_invariance_residual_kernel,
 )
 
 #: CRB battery verdicts tolerate eigenvalues of V - G^{-1} down to this.
@@ -210,18 +208,19 @@ class _Battery:
     """One battery: its config keys with their defaults, its trials, its verdict.
 
     A default of None marks a required key. ``draw(rng, rounds=..., **params)``
-    returns the cases of all rounds in trial order, each the inputs of the
-    check named ``check``, keyed by parameter name; ``_per_trial`` makes it
-    from a draw of one case. A battery with a ``kernel`` evaluates all its
-    cases in one call of it: the check over a leading trial axis, which
-    takes each input as a sequence with one entry per trial and returns the
-    reports in trial order. Checks and kernels, and the kernels a draw
-    calls, are looked up in this module at run time, so a rebound name is
-    the one called. ``residual`` reads the
-    signed residual from the check's report. Above ``violation_tol`` the
-    case is shrunk and recorded as a witness of the kind ``name``, unless
-    the report carries its own. ``extras(params, worst, cases, reports)``
-    adds keys to the report from every case and report, in trial order.
+    returns the cases of all rounds in trial order, each keyed by parameter
+    name; ``_per_trial`` makes it from a draw of one case. A spec names one
+    evaluator, never two: either the single-case ``check``, called once per
+    case, or the ``kernel``, which takes each input as a sequence with one
+    entry per trial, evaluates all cases in one call and returns the reports
+    in trial order. Checks and kernels, and the kernels a draw calls, are
+    looked up in this module at run time, so a rebound name is the one
+    called. ``residual`` reads the signed residual from a report. Above
+    ``violation_tol`` the case is recorded as a witness of the kind ``name``,
+    unless the report carries its own; a spec with ``shrinkers`` (a check
+    spec) first shrinks the case through its check.
+    ``extras(params, worst, cases, reports)`` adds keys to the report from
+    every case and report, in trial order.
 
     When the bool key named ``control`` is true, the run is a control of the
     opposite polarity, which shows that the check detects a mismatch: it
@@ -232,8 +231,9 @@ class _Battery:
     name: str
     defaults: dict[str, Any]
     draw: Callable[..., list[dict]]
-    check: str
     residual: Callable[[Any], float]
+    check: str | None = None
+    kernel: str | None = None
     rounds: Callable[[dict], int] = itemgetter("trials")
     min_n: int = 2
     pass_tol: float = PASS_TOL
@@ -241,31 +241,31 @@ class _Battery:
     shrinkers: tuple = ()
     extras: Callable[[dict, float, list, list], dict] = lambda *_: {}
     control: str | None = None
-    kernel: str | None = None
 
 
 def _drive(spec: _Battery, params: dict) -> BatteryReport:
     """Draw ``spec.rounds(params)`` seeded cases, run them through the check
     or the kernel and aggregate them in trial order."""
-    check = globals()[spec.check]
     control = spec.control is not None and params[spec.control]
     seed, rounds = params["seed"], spec.rounds(params)
     rng = np.random.default_rng(seed)
     pick, worst = (min, np.inf) if control else (max, -np.inf)
     witnesses = []
     cases = spec.draw(rng, rounds=rounds, **params)
+    evaluate = globals()[spec.kernel or spec.check]
     if spec.kernel is None:
-        reports = [check(**case) for case in cases]
+        reports = [evaluate(**case) for case in cases]
     else:
-        reports = globals()[spec.kernel](**{key: [case[key] for case in cases] for key in cases[0]})
+        reports = evaluate(**{key: [case[key] for case in cases] for key in cases[0]})
     for trial, (case, report) in enumerate(zip(cases, reports)):
         value = float(spec.residual(report))
         worst = pick(worst, value)
         if not control and value > spec.violation_tol:
             witness = getattr(report, "witness", None)
             if witness is None:
+                # only check specs have shrinkers, so a case is shrunk through its check
                 case = shrink_case(
-                    case, lambda c: spec.residual(check(**c)) > spec.violation_tol, spec.shrinkers
+                    case, lambda c: spec.residual(evaluate(**c)) > spec.violation_tol, spec.shrinkers
                 )
                 witness = Witness.from_case(spec.name, case, f"seed={seed} trial={trial}")
             witnesses.append(witness)
@@ -406,37 +406,36 @@ _BATTERIES: dict[str, _Battery] = {spec.name: spec for spec in (
     _Battery(
         "monotonicity_metric", {"trials": 1000, "n_max": 6, "seed": 0},
         _per_trial(lambda rng, n_max, **_: _draw_channel_case(rng, n_max, "x")),
-        "check_monotonicity_metric", attrgetter("slack"),
+        attrgetter("slack"), check="check_monotonicity_metric",
         shrinkers=(_merge_inputs, _merge_outputs, _zero_entry("x")),
     ),
     _Battery(
         "monotonicity_cometric", {"trials": 1000, "n_max": 6, "seed": 0},
         _per_trial(lambda rng, n_max, **_: _draw_channel_case(rng, n_max, "a")),
-        "check_monotonicity_cometric", attrgetter("slack"),
+        attrgetter("slack"), check="check_monotonicity_cometric",
         shrinkers=(_merge_inputs, _merge_outputs, _zero_entry("a")),
     ),
     _Battery(
         "invariance", {"trials": 500, "n_max": 8, "seed": 0}, _per_trial(_draw_invariance),
-        "check_invariance", attrgetter("max_residual"), min_n=3, kernel="invariance_kernel",
+        attrgetter("max_residual"), kernel="invariance_kernel", min_n=3,
     ),
     _Battery(
         "strong_invariance", {"trials": 500, "n_max": 8, "seed": 0},
-        _per_trial(_draw_strong_invariance),
-        "check_strong_invariance", attrgetter("max_residual"),
-        min_n=3, pass_tol=STRONG_INVARIANCE_TOL, kernel="strong_invariance_kernel",
+        _per_trial(_draw_strong_invariance), attrgetter("max_residual"),
+        kernel="strong_invariance_kernel", min_n=3, pass_tol=STRONG_INVARIANCE_TOL,
     ),
     _Battery(
         "prop6", {"trials": 200, "n_max": 6, "seed": 0, "family": "COV"},
-        _per_trial(_draw_prop6), "check_prop6_identity", attrgetter("residual"), min_n=3,
-        kernel="prop6_kernel", extras=lambda params, *_: {"family": params["family"].name},
+        _per_trial(_draw_prop6), attrgetter("residual"), kernel="prop6_kernel", min_n=3,
+        extras=lambda params, *_: {"family": params["family"].name},
     ),
     _Battery(
         # Full categorical models: the kernel of restriction holds only the
         # constants, so every trial samples the equality case V = G^{-1}.
-        "crb", {"trials": 1000, "n_max": 4, "seed": 0}, _draw_crb, "crb_check",
+        "crb", {"trials": 1000, "n_max": 4, "seed": 0}, _draw_crb,
         # the minimum eigenvalue of V - G^{-1}, negated and scaled by G^{-1}
         lambda r: -(r.min_eigenvalue / (1.0 + np.max(np.abs(r.inverse_information)))),
-        pass_tol=-CRB_EIG_TOL, violation_tol=-CRB_EIG_TOL, kernel="crb_kernel",
+        kernel="crb_kernel", pass_tol=-CRB_EIG_TOL, violation_tol=-CRB_EIG_TOL,
         extras=lambda params, worst, *_: {"min_scaled_eigenvalue": float(-worst)},
     ),
     _Battery(
@@ -447,18 +446,18 @@ _BATTERIES: dict[str, _Battery] = {spec.name: spec for spec in (
             "n_max": 5, "seed": 0, "step": 1e-4, "alphas": (-1.0, 0.0, 1.0),
             "grid_count": 3, "mismatched": False,
         },
-        _per_trial(_draw_weak_invariance), "weak_invariance_residual", float,
+        _per_trial(_draw_weak_invariance), float, kernel="weak_invariance_residual_kernel",
         rounds=lambda params: len(_size_pairs(params["n_max"])) * len(params["alphas"]),
         # finite differences dominate here: pass at the violation tolerance
-        min_n=3, pass_tol=VIOLATION_TOL, kernel="weak_invariance_residual_kernel",
+        min_n=3, pass_tol=VIOLATION_TOL,
         extras=_weak_invariance_extras, control="mismatched",
     ),
     _Battery(
         # one round: the probe draws its own cases and builds its own witness
         "characterize",
         {"family": None, "n_max": 6, "denominator_bound": 64, "trials": 8, "seed": 0},
-        _per_trial(lambda rng, trial, **params: params), "characterize",
-        lambda result: 0.0 if result.passed else result.witness.gap,
+        _per_trial(lambda rng, trial, **params: params),
+        lambda result: 0.0 if result.passed else result.witness.gap, check="characterize",
         rounds=lambda params: 1,
         extras=lambda params, worst, cases, reports: {"characterize": reports[0].to_json()},
     ),

@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameter, SizeMismatch, in_trial_order
+from .errors import InvalidParameter, SizeMismatch, by_shape, in_trial_order
 from .geometry import (
     TangentVector,
     fisher_metric_rows,
@@ -371,12 +371,12 @@ def _grid_point_rows(
     """The vector residual and the metric residual of each row of the small
     model's Jacobian, for every grid point (one entry each), stacked by the
     shapes of the small and the image model."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for u, (one, image, at) in enumerate(zip(small, big, xi)):
-        groups.setdefault((one.dim, one.space.size, image.space.size, at.shape[0]), []).append(u)
     vec: list = [None] * len(xi)
     metric: list = [None] * len(xi)
-    for units in groups.values():
+    for units in by_shape(
+        (one.dim, one.space.size, image.space.size, at.shape[0])
+        for one, image, at in zip(small, big, xi)
+    ):
         def pick(column):
             return [column[u] for u in units]
 

@@ -1,13 +1,16 @@
 """Semantic exception hierarchy.
 
 Every public operation raises one of these instead of bare ValueError,
-so callers (and the CLI's exit-code mapping) can dispatch on type. A kernel
-that checks a batch of trials at once raises, through ``in_trial_order``,
-what the first failing trial raises alone.
+so callers (and the CLI's exit-code mapping) can dispatch on type.
+
+This module also holds the batching contract of every kernel that checks a
+batch of trials at once: ``by_shape`` groups the trials that stack together,
+and ``in_trial_order`` makes a failing batch raise what its first failing
+trial, or row, raises alone.
 """
 from __future__ import annotations
 
-from typing import Callable, TypeVar
+from typing import Callable, Hashable, Iterable, TypeVar
 
 _R = TypeVar("_R")
 
@@ -82,8 +85,9 @@ class NotRational(FisherGeoError, ValueError):
 
 def in_trial_order(rows: Callable[..., _R], *columns) -> _R:
     """``rows(*columns)`` for a kernel whose arguments hold one entry per
-    trial. When a check fails, the error raised is the one the first failing
-    trial raises alone: the trials are rerun one at a time, in order."""
+    trial (or per row). When a check fails, the error raised is the one the
+    first failing trial raises alone: the trials are rerun one at a time, in
+    order."""
     if len({len(column) for column in columns}) != 1:
         raise SizeMismatch("every argument needs one entry per trial")
     try:
@@ -93,3 +97,12 @@ def in_trial_order(rows: Callable[..., _R], *columns) -> _R:
             for t in range(len(columns[0])):
                 rows(*(column[t : t + 1] for column in columns))
         raise
+
+
+def by_shape(shapes: Iterable[Hashable]) -> list[list[int]]:
+    """The trials of each shape, given one shape per trial, with the shapes
+    in order of first appearance."""
+    groups: dict[Hashable, list[int]] = {}
+    for t, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(t)
+    return list(groups.values())

@@ -14,16 +14,18 @@ and the Fisher metric is the L2 inner product of e-representations
 (scores) L_X = X_m / p. ``flat``/``sharp`` realize the metric <-> co-metric
 correspondence; both routes agree and give mutually inverse Gram matrices
 in any coordinate system.
+
+The rows forms (``delta_rows``, ``flat_rows``) check whole stacks of rows at
+once; on a failure, ``errors.in_trial_order`` reruns the checks row by row,
+so a stack raises what its first bad row, in C order, raises alone.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
-from .errors import BasePointMismatch, FisherGeoError, NotCentered, NotSumZero, SizeMismatch
+from .errors import BasePointMismatch, NotCentered, NotSumZero, SizeMismatch, in_trial_order
 from .simplex import Distribution, RandomVariable, centered_rows, cov, expect, expect_rows, require_finite
 
 #: Absolute tolerance on sum(m_rep) for tangent vectors.
@@ -64,9 +66,7 @@ class CotangentVector:
                 f"rep on space of size {self.rep.space.size}, "
                 f"base on size {self.base.space.size}"
             )
-        mean = expect(self.base, self.rep)
-        if not abs(mean) <= CENTERING_TOL:
-            raise NotCentered(f"representative has mean {mean!r} at the base point")
+        require_centered(expect_rows(self.base.weights[None], self.rep.values[None]))
 
 
 def require_centered(means: np.ndarray) -> None:
@@ -164,22 +164,14 @@ def require_rows_sum_zero(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _require_in_row_order(*checks: tuple[Callable[[np.ndarray], object], np.ndarray]) -> None:
-    """Run each ``(check, stack)`` on its whole stack. The stacks share their
-    leading axes; when a check fails, raise what the object path meets first:
-    each row in C order over the leading axes of the first stack, whose rows
-    are its last axis, with the row's checks in the order given."""
-    try:
-        for check, stack in checks:
-            check(stack)
-    except FisherGeoError:
-        lead = checks[0][1].shape[:-1]
-        count = int(np.prod(lead))
-        rows = [(check, stack.reshape(count, *stack.shape[len(lead):])) for check, stack in checks]
-        for r in range(count):
-            for check, stack in rows:
-                check(stack[r])
-        raise
+def _row_checks(reps: np.ndarray, means: np.ndarray, *m_reps: np.ndarray) -> None:
+    """The checks of each row's ``TangentVector`` (when its m-representations
+    are given), then of its ``RandomVariable`` and ``CotangentVector``:
+    representatives (rows, n) with their means (rows,)."""
+    for m in m_reps:
+        require_rows_sum_zero(m)
+    require_finite(reps)
+    require_centered(means)
 
 
 def delta_rows(w: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -188,7 +180,8 @@ def delta_rows(w: np.ndarray, values: np.ndarray) -> np.ndarray:
     and ``CotangentVector``. A failing check raises what the first failing
     row, in C order, raises alone."""
     centered = centered_rows(w, values)
-    _require_in_row_order((require_finite, centered), (require_centered, expect_rows(w, centered)))
+    n = w.shape[-1]
+    in_trial_order(_row_checks, centered.reshape(-1, n), expect_rows(w, centered).reshape(-1))
     return centered
 
 
@@ -204,9 +197,9 @@ def flat_rows(w: np.ndarray, m_reps: np.ndarray) -> np.ndarray:
     ``TangentVector``, ``RandomVariable`` and ``CotangentVector``. A failing
     check raises what the first failing row, in C order, raises alone."""
     reps = score_rows(w, m_reps)
-    _require_in_row_order(
-        (require_rows_sum_zero, m_reps), (require_finite, reps),
-        (require_centered, expect_rows(w, reps)),
+    n = w.shape[-1]
+    in_trial_order(
+        _row_checks, reps.reshape(-1, n), expect_rows(w, reps).reshape(-1), m_reps.reshape(-1, n)
     )
     return reps
 

@@ -48,6 +48,7 @@ from .errors import (
     RankDeficient,
     SingularMatrix,
     SizeMismatch,
+    by_shape,
     in_trial_order,
 )
 from .geometry import (
@@ -134,7 +135,7 @@ def _jacobian_rows(model, xi) -> list[np.ndarray]:
         if x.shape[0] != one.dim:
             raise SizeMismatch(f"expected {one.dim} parameters, got {x.shape[0]}")
     jac: list = [None] * len(xi)
-    for trials in _shapes(model):
+    for trials in by_shape((one.dim, one.space.size) for one in model):
         for t, checked in zip(trials, _jacobians(model, xi, trials)):
             jac[t] = checked
     return jac
@@ -262,20 +263,13 @@ def restrict(model: ParametricModel, xi, alpha_ambient: CotangentVector) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def _shapes(model) -> list[list[int]]:
-    """The trials of each model shape (dim, n), in order of first appearance."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for t, one in enumerate(model):
-        groups.setdefault((one.dim, one.space.size), []).append(t)
-    return list(groups.values())
-
-
 def _points(model, xi) -> tuple[list[np.ndarray], list[Distribution], list]:
     """Each trial's parameter as a vector and its point ``p_xi``; and the
     trials of each model shape, with their points' weights stacked (T, n)."""
     xi = [np.asarray(x, dtype=float).reshape(-1) for x in xi]
     points = [one.point(x) for one, x in zip(model, xi)]
-    stacks = [(trials, np.array([points[t].weights for t in trials])) for trials in _shapes(model)]
+    shapes = by_shape((one.dim, one.space.size) for one in model)
+    stacks = [(trials, np.array([points[t].weights for t in trials])) for trials in shapes]
     return xi, points, stacks
 
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from .connections import DEFAULT_STEP, ConnectionTag, VectorFieldOnModel, coordinate_field
 from .connections import weak_invariance_kernel
-from .errors import InvalidParameter, NotRational, SizeMismatch, in_trial_order
+from .errors import InvalidParameter, NotRational, SizeMismatch, by_shape, in_trial_order
 from .families import CandidateFamily, parse_family
 from .geometry import (
     CotangentVector,
@@ -343,13 +343,12 @@ def _coembedding_kernels(pairs: list[EmbeddingPair], m: int) -> tuple[np.ndarray
 def _pair_stacks(pair, q) -> list[_PairStack]:
     """The trials grouped by shape, with the Channel checks of both kernels
     and the Distribution check of each marginal."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for t, (one, point) in enumerate(zip(pair, q)):
+    for one, point in zip(pair, q):
         if point.space != one.surjection.domain:
             raise SizeMismatch("distribution is not on the channel input space")
-        groups.setdefault((one.surjection.domain.size, one.surjection.codomain.size), []).append(t)
     stacks = []
-    for (n, m), trials in groups.items():
+    for trials in by_shape((one.surjection.domain.size, one.surjection.codomain.size) for one in pair):
+        m = pair[trials[0]].surjection.codomain.size
         fibers = np.array([pair[t].fiber_distributions for t in trials])
         phi = require_kernel(np.ascontiguousarray(fibers.transpose(0, 2, 1)))
         maps, psi = _coembedding_kernels([pair[t] for t in trials], m)
@@ -429,14 +428,10 @@ def strong_invariance_kernel(pair, q, a, b) -> list[StrongInvarianceReport]:
 
 
 def _bases(points: list[np.ndarray]) -> list[np.ndarray]:
-    """The orthonormal basis rows of each stack of points, smallest size first,
-    with one ``orthonormal_basis_rows`` call per size."""
-    by_size: dict[int, list[int]] = {}
-    for i, stack in enumerate(points):
-        by_size.setdefault(stack.shape[1], []).append(i)
+    """The orthonormal basis rows of each stack of points, with one
+    ``orthonormal_basis_rows`` call per size."""
     bases: list = [None] * len(points)
-    for size in sorted(by_size):
-        members = by_size[size]
+    for members in by_shape(stack.shape[1] for stack in points):
         rows = orthonormal_basis_rows(np.concatenate([points[i] for i in members]))
         ends = np.cumsum([len(points[i]) for i in members])
         for i, chunk in zip(members, np.split(rows, ends[:-1])):
@@ -538,15 +533,15 @@ def prop6_kernel(pair, p, alpha, beta, family) -> list[Prop6Report]:
 
 
 def _prop6_rows(pair, p, alpha, beta, family) -> list[Prop6Report]:
-    groups: dict[tuple[int, int, int], list[int]] = {}
-    for t, (one, family_t) in enumerate(zip(pair, family)):
-        shape = (one.surjection.codomain.size, one.surjection.domain.size)
-        groups.setdefault((*shape, id(family_t)), []).append(t)
     # per trial: its embedding kernel and both pulled-back rows; and the two
     # sides of each trial with a grammar family
     pulled: list = [None] * len(pair)
     sides: dict[int, tuple[float, float]] = {}
-    for (m, n, _), trials in groups.items():
+    for trials in by_shape(
+        (one.surjection.codomain.size, one.surjection.domain.size, id(family_t))
+        for one, family_t in zip(pair, family)
+    ):
+        m, n = pair[trials[0]].surjection.codomain.size, pair[trials[0]].surjection.domain.size
         # the embedding channel is read, and checked when first read, as the
         # single case reads it; the battery's draw has read it already
         phi = np.array([pair[t].embedding_channel.kernel for t in trials])

@@ -78,7 +78,11 @@ class TestConfig:
         def no_trial(*args, **kwargs):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(batteries, "check_prop6_identity", no_trial)
+        # what _drive calls: the prop6 spec's draw and kernel, and characterize
+        spec = dataclasses.replace(batteries._BATTERIES["prop6"], draw=no_trial)
+        monkeypatch.setitem(batteries._BATTERIES, "prop6", spec)
+        monkeypatch.setattr(batteries, spec.kernel, no_trial)
+        monkeypatch.setattr(batteries, "characterize", no_trial)
         with pytest.raises(InvalidParameter, match="family"):
             run_battery({"battery": "prop6", "family": 5})
         with pytest.raises(InvalidParameter, match="family"):
@@ -181,33 +185,45 @@ def test_checks_are_called_through_the_module_namespace(monkeypatch, name):
     kernel calls it once per run; the others call their check once per
     trial. The crb draw calls its estimator kernel once per run, and its
     noise draw once per trial. The weak_invariance and prop6 kernels check
-    all their trials in one call and never call the single-trial check."""
+    all their trials in one call and never call the single-trial check,
+    which lives in ``verify`` alone."""
     spec = batteries._BATTERIES[name]
-    called = [spec.kernel or spec.check]
+    called = [(batteries, spec.kernel or spec.check)]
     config = SMALL_CONFIGS[name]
     if name == "crb":
-        called += ["unbiased_estimators_kernel", "estimator_noise"]
-    if name in ("weak_invariance", "prop6"):
-        called += [spec.check]
+        called += [(batteries, "unbiased_estimators_kernel"), (batteries, "estimator_noise")]
+    single = {"weak_invariance": "weak_invariance_residual", "prop6": "check_prop6_identity"}
+    if name in single:
+        called += [(verify_module, single[name])]
     if name == "weak_invariance":
         config = {**config, "alphas": [-1.0, 0.0, 1.0]}
-    calls = dict.fromkeys(called, 0)
-    for key in called:
-        original = getattr(batteries, key)
+    calls = dict.fromkeys((key for _, key in called), 0)
+    for module, key in called:
+        original = getattr(module, key)
 
         def counted(*args, _key=key, _original=original, **kwargs):
             calls[_key] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(batteries, key, counted)
+        monkeypatch.setattr(module, key, counted)
     report = run_battery({"battery": name, **config})
     batched = spec.kernel is not None or name == "characterize"
-    expected = {called[0]: 1 if batched else report.trials}
+    expected = {called[0][1]: 1 if batched else report.trials}
     if name == "crb":
         expected.update(unbiased_estimators_kernel=1, estimator_noise=report.trials)
-    if name in ("weak_invariance", "prop6"):
+    if name in single:
         assert report.trials == {"weak_invariance": 3, "prop6": 2}[name]
-        expected[spec.check] = 0
+        expected[single[name]] = 0
     if name == "prop6":
         assert expected == {"prop6_kernel": 1, "check_prop6_identity": 0}
     assert calls == expected
+
+
+@pytest.mark.parametrize("name", sorted(batteries._BATTERIES))
+def test_each_spec_names_one_evaluator(name):
+    """A spec names its single-case check or its kernel, never both, and only
+    a check spec shrinks its cases: the shrinker reruns the check."""
+    spec = batteries._BATTERIES[name]
+    assert (spec.check is None) != (spec.kernel is None)
+    assert callable(getattr(batteries, spec.check or spec.kernel))
+    assert not spec.shrinkers or spec.check is not None

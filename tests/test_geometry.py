@@ -2,17 +2,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fishergeo.errors import BasePointMismatch, InvalidParameter, NotCentered, NotSumZero
+from fishergeo.errors import BasePointMismatch, FisherGeoError, InvalidParameter, NotCentered, NotSumZero
 from fishergeo.geometry import (
     CotangentVector,
     TangentVector,
     delta,
+    delta_rows,
     e_rep,
     fisher_cometric,
     fisher_metric,
     fisher_metric_rows,
     flat,
+    flat_rows,
     from_e_rep,
     norm_cotangent,
     norm_tangent,
@@ -22,6 +26,7 @@ from fishergeo.geometry import (
     sharp,
 )
 from fishergeo.simplex import (
+    Distribution,
     RandomVariable,
     SampleSpace,
     cov_matrix,
@@ -127,6 +132,72 @@ class TestDelta:
         a = delta(p, rv(1, -2, 0.5))
         b = delta(p, rv(1 + 3.25, -2 + 3.25, 0.5 + 3.25))
         assert np.allclose(a.rep.values, b.rep.values, atol=1e-12)
+
+
+def error_of(run) -> tuple[type, str] | None:
+    try:
+        run()
+    except FisherGeoError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def plant(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """A row that fails a check of ``delta`` or ``flat``, or comes close."""
+    row = np.zeros(n)
+    if kind == "non_finite":
+        # centering overflows for delta, every score overflows for flat
+        row[:2] = 1.7e308, -1.7e308
+    elif kind == "off_centre":
+        # rounding leaves the representative's mean far above CENTERING_TOL
+        row[:2] = 1e9, -1e9
+        row *= 1e3 ** rng.integers(0, 3)
+    else:
+        row[:] = rng.normal(size=n) + 1.0  # an m-rep that does not sum to 0
+    return row
+
+
+class TestRowsForms:
+    """``delta_rows`` and ``flat_rows`` on (T, r, n) stacks raise what the
+    first bad row, in C order, raises alone through ``delta`` or ``flat``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        function=st.sampled_from(["delta", "flat"]),
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(2, 5)),
+        seed=st.integers(0, 2**32 - 1),
+        bad=st.lists(
+            st.tuples(st.integers(0, 59), st.sampled_from(["non_finite", "off_centre", "sum"])),
+            max_size=3,
+        ),
+    )
+    def test_first_bad_row_in_c_order(self, function, shape, seed, bad):
+        trials, r, n = shape
+        rng = np.random.default_rng(seed)
+        w = 0.01 + (1.0 - 0.01 * n) * rng.dirichlet(np.ones(n), size=trials)
+        rows = rng.normal(size=shape)
+        rows -= rows.mean(axis=-1, keepdims=True)
+        for index, kind in bad:
+            rows.reshape(-1, n)[index % (trials * r)] = plant(kind, n, rng)
+        space = SampleSpace(n)
+        if function == "delta":
+            one, stacked = (lambda p, row: delta(p, RandomVariable(space, row))), delta_rows
+        else:
+            one, stacked = (lambda p, row: flat(TangentVector(p, row))), flat_rows
+        expected = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(trials):
+                p = Distribution(space, w[t])
+                for i in range(r):
+                    expected = expected or error_of(lambda: one(p, rows[t, i]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert error_of(lambda: stacked(w, rows)) == expected
+        if expected is None:
+            reps = stacked(w, rows)
+            for t in range(trials):
+                for i in range(r):
+                    alone = one(Distribution(space, w[t]), rows[t, i]).rep.values
+                    assert reps[t, i].tobytes() == alone.tobytes()
 
 
 class TestPairing:

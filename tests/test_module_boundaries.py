@@ -1,8 +1,10 @@
-"""Modules of the package use each other's public names only.
+"""Modules of the package use each other's public names only, and the
+batching contract of the kernels stays in ``errors``.
 
 A private name (leading underscore) is free to change with its module, so no
 other module may import it. API decisions rely on this rule; this test keeps
-it from eroding silently.
+it from eroding silently. Likewise, trials are grouped by shape through
+``errors.by_shape`` only, so no other module builds its own groups.
 """
 from __future__ import annotations
 
@@ -50,3 +52,45 @@ def test_detects_private_imports():
         "from fishergeo.verify import _pair_matrix",
         "from . import _x",
     ]
+
+
+def list_groupings(source: str) -> list[int]:
+    """The lines of ``source`` that group into a dict of lists, as
+    ``groups.setdefault(key, []).append(item)``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        inner = node.func.value
+        if (
+            node.func.attr == "append"
+            and isinstance(inner, ast.Call)
+            and isinstance(inner.func, ast.Attribute)
+            and inner.func.attr == "setdefault"
+            and len(inner.args) == 2
+            and isinstance(inner.args[1], ast.List)
+            and not inner.args[1].elts
+        ):
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_trials_are_grouped_in_errors_only(path):
+    found = list_groupings(path.read_text(encoding="utf-8"))
+    if path.name == "errors.py":
+        assert len(found) == 1
+    else:
+        assert found == []
+
+
+def test_detects_list_groupings():
+    source = (
+        "groups.setdefault((n, m), []).append(t)\n"
+        "config.setdefault('seed', 0)\n"
+        "found.setdefault(key, set()).add(other)\n"
+        "kinds.setdefault(kind, []).extend(items)\n"
+        "\n"
+        "by_size.setdefault(stack.shape[1], []).append(i)\n"
+    )
+    assert list_groupings(source) == [1, 6]
