@@ -10,25 +10,33 @@ seeded generator, evaluates them through the check, or in one call of the
 spec's kernel, and tracks the worst residual in trial order. Violations
 are first minimized by greedy shrinking (reduce the sample space, then the
 vector support) and then recorded as witnesses, each tagged with
-(seed, trial) so the exact case can be regenerated.
+(seed, trial). The channel and pair batteries draw all their trials at once,
+so a draw is not prefix-stable: a trial is regenerated from the run's
+``(seed, trials, n_max)`` and its index, not from its seed and index alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import FisherGeoError, InvalidParameter
+from .errors import FisherGeoError, InvalidParameter, by_shape
 from .families import CandidateFamily, parse_family
 from .geometry import TangentVector, delta
 from .jsonio import read_bool, read_float, read_float_list, read_int
-from .markov import Channel, apply, canonical_embedding, random_channel, random_surjection
+from .markov import (
+    Channel, Surjection, apply, canonical_embedding, random_channel_kernels, random_surjection,
+)
 # The crb spec names its kernel; its draw calls the estimator kernel through
 # this namespace too.
 from .models import categorical_model, crb_kernel, estimator_noise, unbiased_estimators_kernel
-from .simplex import RandomVariable, SampleSpace, new_distribution, sample_interior
+from .simplex import (
+    Distribution, RandomVariable, SampleSpace, interior_rows, new_distribution, sample_interior,
+)
 # The battery specs name their checks; _drive calls them through this namespace.
 from .verify import (
     PASS_TOL, STRONG_INVARIANCE_TOL, VIOLATION_TOL, Witness, characterize,
@@ -291,59 +299,135 @@ def _per_trial(draw: Callable[..., dict]) -> Callable[..., list[dict]]:
     return lambda rng, rounds, **params: [draw(rng, trial=t, **params) for t in range(rounds)]
 
 
-def _random_sum_zero(rng: np.random.Generator, n: int) -> np.ndarray:
-    m = rng.normal(size=n)
-    return m - m.mean()
+# The channel and pair batteries draw all their trials at once from the
+# battery's generator: every trial's sizes; then, for each shape in
+# ``by_shape`` order, one flat Dirichlet block per kind of point (and one for
+# the channel columns); then the free values of all surjections in one
+# ``integers`` block and their orders in one row-wise ``permuted``; then one
+# ``normal`` block for every variable and tangent vector. Each trial's objects
+# are then built from its rows, in trial order. Every drawn object has the law
+# of one drawn alone through ``random_channel``, ``sample_interior`` (floor
+# 1e-6) or ``random_surjection``, but the stream is not prefix-stable: a trial
+# is regenerated from the run's (seed, trials, n_max) and its index.
 
 
-def _random_variable(rng: np.random.Generator, space: SampleSpace) -> RandomVariable:
-    return RandomVariable(space, rng.normal(size=space.size))
+def _by_shape_rows(rng: np.random.Generator, shapes: list[tuple[int, ...]], *blocks) -> list[list]:
+    """Per block, the row of each trial: for each shape, in ``by_shape``
+    order, each ``block(rng, shape, count)`` draws the rows of its trials."""
+    rows = [[None] * len(shapes) for _ in blocks]
+    for trials in by_shape(shapes):
+        for per_trial, block in zip(rows, blocks):
+            for t, row in zip(trials, block(rng, shapes[trials[0]], len(trials))):
+                per_trial[t] = row
+    return rows
 
 
-def _draw_channel_case(rng: np.random.Generator, n_max: int, key: str) -> dict:
-    """A random channel, an input point, and a tangent vector ``x`` at it or
-    a variable ``a`` on the output space."""
-    n_in = int(rng.integers(2, n_max + 1))
-    n_out = int(rng.integers(2, n_max + 1))
-    channel = random_channel(n_in, n_out, seed=int(rng.integers(2**32)))
-    p = sample_interior(channel.in_space, seed=int(rng.integers(2**32)))
-    if key == "x":
-        return {"channel": channel, "p": p, "x": TangentVector(p, _random_sum_zero(rng, n_in))}
-    return {"channel": channel, "p": p, "a": _random_variable(rng, channel.out_space)}
+def _points_on(axis: int) -> Callable[..., np.ndarray]:
+    """The block of interior points on the space of size ``shape[axis]``."""
+    return lambda rng, shape, count: interior_rows(rng.dirichlet(np.ones(shape[axis]), size=count))
 
 
-def _random_pair(rng: np.random.Generator, n_max: int):
-    n_big = int(rng.integers(3, n_max + 1))
-    n_small = int(rng.integers(2, n_big))
-    surjection = random_surjection(n_big, n_small, seed=int(rng.integers(2**32)))
-    q = sample_interior(SampleSpace(n_big), seed=int(rng.integers(2**32)))
+def _channel_kernels(rng: np.random.Generator, shape: tuple[int, int], count: int) -> np.ndarray:
+    """The block of column-major kernels of channels of shape (n_in, n_out)."""
+    n_in, n_out = shape
+    return random_channel_kernels(rng.dirichlet(np.ones(n_out), size=(count, n_in)))
+
+
+def _split(values, sizes: list[int]) -> list:
+    """Consecutive slices of ``values`` of the given sizes."""
+    return [values[end - size : end] for size, end in zip(sizes, accumulate(sizes))]
+
+
+def _normal_rows(rng: np.random.Generator, sizes: list[int]) -> list[np.ndarray]:
+    """Standard normal rows of the given sizes, from one ``normal`` block."""
+    return _split(rng.normal(size=sum(sizes)), sizes)
+
+
+def _surjection_maps(rng: np.random.Generator, n: np.ndarray, m: np.ndarray) -> list[tuple]:
+    """0-based maps of surjections from n[t] onto m[t] points, in the law of
+    ``random_surjection``: every point of the codomain once and n - m values
+    uniform on it, in a uniformly random order. The rows are padded with -1
+    to the longest map before the row-wise shuffle, which leaves the order of
+    each row's own values uniform."""
+    columns = np.arange(n.max())
+    rows = np.where(columns < m[:, None], columns, -1)
+    rows[(columns >= m[:, None]) & (columns < n[:, None])] = rng.integers(0, np.repeat(m, n - m))
+    shuffled = rng.permuted(rows, axis=1)
+    return [tuple(row) for row in _split(shuffled[shuffled >= 0].tolist(), n.tolist())]
+
+
+def _draw_channel_cases(rng: np.random.Generator, rounds: int, n_max: int, key: str,
+                        **_) -> list[dict]:
+    """Random channels, input points, and a tangent vector ``x`` at each or a
+    variable ``a`` on each output space."""
+    shapes = [tuple(shape) for shape in rng.integers(2, n_max + 1, size=(rounds, 2)).tolist()]
+    points, kernels = _by_shape_rows(rng, shapes, _points_on(0), _channel_kernels)
+    values = _normal_rows(rng, [n_in if key == "x" else n_out for n_in, n_out in shapes])
+    cases = []
+    for (n_in, n_out), w, kernel, v in zip(shapes, points, kernels, values):
+        channel = Channel(SampleSpace(n_in), SampleSpace(n_out), kernel)
+        p = Distribution(channel.in_space, w)
+        vector = TangentVector(p, v - v.mean()) if key == "x" else RandomVariable(channel.out_space, v)
+        cases.append({"channel": channel, "p": p, key: vector})
+    return cases
+
+
+def _pair_trials(rng: np.random.Generator, rounds: int, n_max: int, *blocks):
+    """The sizes (n, m), 2 <= m < n <= n_max, of canonical-pair trials, the
+    rows of their big points and of ``blocks``, and their surjection maps."""
+    n = rng.integers(3, n_max + 1, size=rounds)
+    m = rng.integers(2, n)
+    shapes = list(zip(n.tolist(), m.tolist()))
+    rows = _by_shape_rows(rng, shapes, _points_on(0), *blocks)
+    return shapes, rows, _surjection_maps(rng, n, m)
+
+
+def _canonical_pair(shape: tuple[int, int], map0: tuple, w: np.ndarray):
+    n, m = shape
+    surjection = Surjection(SampleSpace(n), SampleSpace(m), map0)
+    q = Distribution(surjection.domain, w)
     return canonical_embedding(surjection, q), q
 
 
-def _draw_invariance(rng: np.random.Generator, n_max: int, **_) -> dict:
-    pair, q = _random_pair(rng, n_max)
-    small = pair.surjection.codomain
-    return {
-        "pair": pair, "q": q,
-        "a": _random_variable(rng, small), "b": _random_variable(rng, small),
-        "x_m_rep": _random_sum_zero(rng, small.size),
-        "y_m_rep": _random_sum_zero(rng, small.size),
-    }
+def _draw_invariance(rng: np.random.Generator, rounds: int, n_max: int, **_) -> list[dict]:
+    shapes, (big,), maps = _pair_trials(rng, rounds, n_max)
+    values = _normal_rows(rng, [m for _, m in shapes for _ in range(4)])
+    cases = []
+    for t, shape in enumerate(shapes):
+        pair, q = _canonical_pair(shape, maps[t], big[t])
+        small = pair.surjection.codomain
+        a, b, x, y = values[4 * t : 4 * t + 4]
+        cases.append({
+            "pair": pair, "q": q, "a": RandomVariable(small, a), "b": RandomVariable(small, b),
+            "x_m_rep": x - x.mean(), "y_m_rep": y - y.mean(),
+        })
+    return cases
 
 
-def _draw_strong_invariance(rng: np.random.Generator, n_max: int, **_) -> dict:
-    pair, q = _random_pair(rng, n_max)
-    a = _random_variable(rng, pair.surjection.codomain)
-    return {"pair": pair, "q": q, "a": a, "b": _random_variable(rng, q.space)}
+def _draw_strong_invariance(rng: np.random.Generator, rounds: int, n_max: int, **_) -> list[dict]:
+    shapes, (big,), maps = _pair_trials(rng, rounds, n_max)
+    values = _normal_rows(rng, [size for n, m in shapes for size in (m, n)])
+    cases = []
+    for t, shape in enumerate(shapes):
+        pair, q = _canonical_pair(shape, maps[t], big[t])
+        a = RandomVariable(pair.surjection.codomain, values[2 * t])
+        cases.append({"pair": pair, "q": q, "a": a, "b": RandomVariable(q.space, values[2 * t + 1])})
+    return cases
 
 
-def _draw_prop6(rng: np.random.Generator, n_max: int, family: CandidateFamily, **_) -> dict:
-    pair, _ = _random_pair(rng, n_max)
-    p = sample_interior(pair.surjection.codomain, seed=int(rng.integers(2**32)))
-    alpha = delta(p, _random_variable(rng, p.space))
-    q_img = apply(pair.embedding_channel, p)
-    beta = delta(q_img, _random_variable(rng, q_img.space))
-    return {"pair": pair, "p": p, "alpha": alpha, "beta": beta, "family": family}
+def _draw_prop6(rng: np.random.Generator, rounds: int, n_max: int, family: CandidateFamily,
+                **_) -> list[dict]:
+    shapes, (big, small), maps = _pair_trials(rng, rounds, n_max, _points_on(1))
+    values = _normal_rows(rng, [size for n, m in shapes for size in (m, n)])
+    cases = []
+    for t, shape in enumerate(shapes):
+        pair, _ = _canonical_pair(shape, maps[t], big[t])
+        p = Distribution(pair.surjection.codomain, small[t])
+        alpha = delta(p, RandomVariable(p.space, values[2 * t]))
+        q_img = apply(pair.embedding_channel, p)
+        beta = delta(q_img, RandomVariable(q_img.space, values[2 * t + 1]))
+        cases.append({"pair": pair, "p": p, "alpha": alpha, "beta": beta, "family": family})
+    return cases
 
 
 def _draw_crb(rng: np.random.Generator, rounds: int, n_max: int, **_) -> list[dict]:
@@ -405,28 +489,28 @@ def _weak_invariance_extras(params: dict, worst: float, cases: list, reports: li
 _BATTERIES: dict[str, _Battery] = {spec.name: spec for spec in (
     _Battery(
         "monotonicity_metric", {"trials": 1000, "n_max": 6, "seed": 0},
-        _per_trial(lambda rng, n_max, **_: _draw_channel_case(rng, n_max, "x")),
+        partial(_draw_channel_cases, key="x"),
         attrgetter("slack"), check="check_monotonicity_metric",
         shrinkers=(_merge_inputs, _merge_outputs, _zero_entry("x")),
     ),
     _Battery(
         "monotonicity_cometric", {"trials": 1000, "n_max": 6, "seed": 0},
-        _per_trial(lambda rng, n_max, **_: _draw_channel_case(rng, n_max, "a")),
+        partial(_draw_channel_cases, key="a"),
         attrgetter("slack"), check="check_monotonicity_cometric",
         shrinkers=(_merge_inputs, _merge_outputs, _zero_entry("a")),
     ),
     _Battery(
-        "invariance", {"trials": 500, "n_max": 8, "seed": 0}, _per_trial(_draw_invariance),
+        "invariance", {"trials": 500, "n_max": 8, "seed": 0}, _draw_invariance,
         attrgetter("max_residual"), kernel="invariance_kernel", min_n=3,
     ),
     _Battery(
         "strong_invariance", {"trials": 500, "n_max": 8, "seed": 0},
-        _per_trial(_draw_strong_invariance), attrgetter("max_residual"),
+        _draw_strong_invariance, attrgetter("max_residual"),
         kernel="strong_invariance_kernel", min_n=3, pass_tol=STRONG_INVARIANCE_TOL,
     ),
     _Battery(
         "prop6", {"trials": 200, "n_max": 6, "seed": 0, "family": "COV"},
-        _per_trial(_draw_prop6), attrgetter("residual"), kernel="prop6_kernel", min_n=3,
+        _draw_prop6, attrgetter("residual"), kernel="prop6_kernel", min_n=3,
         extras=lambda params, *_: {"family": params["family"].name},
     ),
     _Battery(

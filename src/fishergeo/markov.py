@@ -32,7 +32,7 @@ from .errors import (
     SizeMismatch,
 )
 from .geometry import CotangentVector, TangentVector, delta
-from .simplex import Distribution, RandomVariable, SampleSpace
+from .simplex import Distribution, RandomVariable, SampleSpace, interior_rows
 
 #: Column-sum tolerance for channel kernels.
 KERNEL_COLUMN_TOL = 1e-12
@@ -116,12 +116,11 @@ class Surjection:
         return RandomVariable(self.domain, lifted)
 
     def marginalize(self, q: Distribution) -> Distribution:
-        """q^F: block sums of q over the fibers of F."""
+        """q^F: block sums of q over the fibers of F, the push of q through
+        ``coembedding(F)`` by ``apply_rows``, bitwise."""
         if q.space != self.domain:
             raise SizeMismatch("distribution is not on the domain")
-        sums = np.bincount(
-            np.asarray(self.map0), weights=q.weights, minlength=self.codomain.size
-        )
+        sums = apply_rows(_coembedding_kernel(self)[None], q.weights[None])[0]
         return Distribution(self.codomain, sums)
 
 
@@ -188,10 +187,14 @@ def coembedding(surjection: Surjection) -> Channel:
 
     Applying it marginalizes: q -> q^F.
     """
+    return Channel(surjection.domain, surjection.codomain, _coembedding_kernel(surjection))
+
+
+def _coembedding_kernel(surjection: Surjection) -> np.ndarray:
     n, m = surjection.domain.size, surjection.codomain.size
     kernel = np.zeros((m, n))
     kernel[np.asarray(surjection.map0), np.arange(n)] = 1.0
-    return Channel(surjection.domain, surjection.codomain, kernel)
+    return kernel
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,13 +212,13 @@ class EmbeddingPair:
             raise SizeMismatch(f"fiber matrix shape {r.shape} != {(m, n)}")
         # Supports first, then sums; both written so that NaN fails them.
         on_fiber = np.asarray(self.surjection.map0) == np.arange(m)[:, None]
-        bad = np.where(on_fiber, ~(r > 0.0), r != 0.0).any(axis=1)
-        if np.any(bad):
-            x = int(np.argmax(bad))
+        bad = np.where(on_fiber, ~(r > 0.0), r != 0.0)
+        if np.count_nonzero(bad):
+            x = int(np.argmax(bad.any(axis=1)))
             raise InvalidChannel(
                 f"support of r_{x + 1} must be exactly the fiber of {x + 1}"
             )
-        if not np.max(np.abs(r.sum(axis=1) - 1.0)) <= KERNEL_COLUMN_TOL:
+        if not abs(r.sum(axis=1) - 1.0).max() <= KERNEL_COLUMN_TOL:
             raise NotNormalized("every r_x must sum to 1")
         r.flags.writeable = False
         object.__setattr__(self, "fiber_distributions", r)
@@ -246,20 +249,27 @@ def canonical_embedding(surjection: Surjection, q: Distribution) -> EmbeddingPai
 
 
 def random_channel(n_in: int, n_out: int, seed: int) -> Channel:
-    """Reproducible surjective channel.
-
-    Each column is a flat Dirichlet draw flattened into
-    ``[floor, 1 - (n_out - 1) * floor]``, so every kernel entry is >= floor
-    and surjectivity holds with margin.
-    """
+    """Reproducible surjective channel: ``random_channel_kernels`` of n_in
+    flat Dirichlet draws from ``default_rng(seed)``."""
     if n_in < 2 or n_out < 2:
         raise BadSize("channel spaces need size >= 2")
+    columns = np.random.default_rng(seed).dirichlet(np.ones(n_out), size=n_in)
+    return Channel(SampleSpace(n_in), SampleSpace(n_out), random_channel_kernels(columns))
+
+
+def random_channel_kernels(columns: np.ndarray) -> np.ndarray:
+    """Channel kernels (..., n_out, n_in) from flat Dirichlet draws
+    (..., n_in, n_out), one per column.
+
+    Each column is flattened into ``[floor, 1 - (n_out - 1) * floor]`` with
+    ``RANDOM_CHANNEL_FLOOR``, so every kernel entry is >= floor and
+    surjectivity holds with margin. The kernels are the transposed view of
+    the flattened draws, so each is column-major.
+    """
+    n_out = columns.shape[-1]
     if n_out * RANDOM_CHANNEL_FLOOR >= 1.0:
         raise BadSize(f"output space too large for floor {RANDOM_CHANNEL_FLOOR}")
-    rng = np.random.default_rng(seed)
-    columns = rng.dirichlet(np.ones(n_out), size=n_in).T
-    kernel = RANDOM_CHANNEL_FLOOR + (1.0 - n_out * RANDOM_CHANNEL_FLOOR) * columns
-    return Channel(SampleSpace(n_in), SampleSpace(n_out), kernel)
+    return interior_rows(columns, RANDOM_CHANNEL_FLOOR).swapaxes(-1, -2)
 
 
 def random_surjection(n: int, m: int, seed: int) -> Surjection:

@@ -186,16 +186,21 @@ def variance(p: Distribution, a: RandomVariable) -> float:
     return cov(p, a, a)
 
 
-def sample_interior(space: SampleSpace, seed: int, floor: float = 1e-6) -> Distribution:
-    """Draw a reproducible interior point of the simplex.
+def interior_rows(draws: np.ndarray, floor: float = 1e-6) -> np.ndarray:
+    """Flat Dirichlet draws, rows (..., n), flattened into ``[floor, 1 - (n-1)*floor]``.
 
-    Flat Dirichlet draw flattened into ``[floor, 1 - (n-1)*floor]``: every
-    weight is >= floor by construction and the sum stays 1 to float
-    precision, so no renormalization can push a weight back under the floor.
+    Every weight is >= floor by construction and each row still sums to 1 to
+    float precision, so no renormalization can push a weight back under the
+    floor. ``sample_interior`` is it on one draw.
     """
-    n = space.size
+    n = draws.shape[-1]
     if not 0.0 < floor < 1.0 / n:
         raise BadFloor(f"floor must lie in (0, 1/{n}), got {floor!r}")
-    rng = np.random.default_rng(seed)
-    draw = rng.dirichlet(np.ones(n))
-    return Distribution(space, floor + (1.0 - n * floor) * draw)
+    return floor + (1.0 - n * floor) * draws
+
+
+def sample_interior(space: SampleSpace, seed: int, floor: float = 1e-6) -> Distribution:
+    """Draw a reproducible interior point of the simplex: one flat Dirichlet
+    draw from ``default_rng(seed)``, flattened by ``interior_rows``."""
+    draw = np.random.default_rng(seed).dirichlet(np.ones(space.size))
+    return Distribution(space, interior_rows(draw, floor))

@@ -74,6 +74,7 @@ from .simplex import (
     RandomVariable,
     SampleSpace,
     cov_rows,
+    interior_rows,
     new_distribution,
     require_finite,
     require_weights,
@@ -94,7 +95,8 @@ RATIONAL_TOL = 1e-9
 _RATIONALIZE_BLOCK = 64
 #: Random triples per bilinearity spot check.
 _BILINEARITY_TRIALS = 4
-#: Weight floor of the random points of the bilinearity and kill-constants checks.
+#: Weight floor of the random points of the bilinearity and kill-constants
+#: checks, on at most 500 outcomes.
 _DIRICHLET_FLOOR = 1e-3
 
 
@@ -1053,9 +1055,9 @@ def check_bilinearity(family: CandidateFamily, n: int, seed: int) -> float:
 
 
 def _flatten_dirichlet(rng: np.random.Generator, n: int) -> np.ndarray:
-    """A flat Dirichlet draw with every weight at least ``_DIRICHLET_FLOOR``."""
-    draw = rng.dirichlet(np.ones(n))
-    return _DIRICHLET_FLOOR + (1.0 - n * _DIRICHLET_FLOOR) * draw
+    """A flat Dirichlet draw with every weight at least ``_DIRICHLET_FLOOR``,
+    or ``0.5 / n`` past 500 outcomes, so the floors never take all the mass."""
+    return interior_rows(rng.dirichlet(np.ones(n)), min(_DIRICHLET_FLOOR, 0.5 / n))
 
 
 def characterize(

@@ -1,0 +1,306 @@
+"""The batched draws of the channel and pair batteries against the per-trial
+draws they replaced, in law.
+
+The channel and pair batteries draw all their trials at once from the
+battery's generator, so their stream differs from the old one, which seeded
+one generator per drawn object. What must not differ is the law of each
+trial. The old draws are kept here, frozen, and compared with the new ones:
+
+- exactly, where the law is a rule: the size ranges, the floors of the
+  points (1e-6) and of the channel columns (``RANDOM_CHANNEL_FLOOR``), the
+  column-major kernels, and the supports of the sizes drawn;
+- by a two-sample Kolmogorov-Smirnov statistic, numpy only, on the rest: the
+  sizes, the smallest weight, the surjections' fibers and orders, and one
+  residual per battery, at fixed seeds.
+"""
+from __future__ import annotations
+
+from functools import partial
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fishergeo.batteries import (
+    _draw_channel_cases,
+    _draw_invariance,
+    _draw_prop6,
+    _draw_strong_invariance,
+)
+from fishergeo.families import parse_family
+from fishergeo.geometry import TangentVector, delta
+from fishergeo.markov import (
+    RANDOM_CHANNEL_FLOOR,
+    apply,
+    canonical_embedding,
+    random_channel,
+    random_surjection,
+)
+from fishergeo.simplex import RandomVariable, SampleSpace, sample_interior
+from fishergeo.verify import (
+    check_monotonicity_cometric,
+    check_monotonicity_metric,
+    invariance_kernel,
+    prop6_kernel,
+    strong_invariance_kernel,
+)
+
+#: The floor of ``sample_interior``, which the drawn points keep.
+POINT_FLOOR = 1e-6
+#: Trials per side of each comparison in law.
+TRIALS = 2000
+#: Significance of each KS comparison at its fixed seed.
+KS_ALPHA = 1e-4
+
+# ---------------------------------------------------------------------------
+# The per-trial draws, frozen: one generator seeded per drawn object
+# ---------------------------------------------------------------------------
+
+
+def frozen_random_sum_zero(rng: np.random.Generator, n: int) -> np.ndarray:
+    m = rng.normal(size=n)
+    return m - m.mean()
+
+
+def frozen_random_variable(rng: np.random.Generator, space: SampleSpace) -> RandomVariable:
+    return RandomVariable(space, rng.normal(size=space.size))
+
+
+def frozen_channel_case(rng: np.random.Generator, n_max: int, key: str) -> dict:
+    n_in = int(rng.integers(2, n_max + 1))
+    n_out = int(rng.integers(2, n_max + 1))
+    channel = random_channel(n_in, n_out, seed=int(rng.integers(2**32)))
+    p = sample_interior(channel.in_space, seed=int(rng.integers(2**32)))
+    if key == "x":
+        return {"channel": channel, "p": p, "x": TangentVector(p, frozen_random_sum_zero(rng, n_in))}
+    return {"channel": channel, "p": p, "a": frozen_random_variable(rng, channel.out_space)}
+
+
+def frozen_random_pair(rng: np.random.Generator, n_max: int):
+    n_big = int(rng.integers(3, n_max + 1))
+    n_small = int(rng.integers(2, n_big))
+    surjection = random_surjection(n_big, n_small, seed=int(rng.integers(2**32)))
+    q = sample_interior(SampleSpace(n_big), seed=int(rng.integers(2**32)))
+    return canonical_embedding(surjection, q), q
+
+
+def frozen_invariance(rng: np.random.Generator, n_max: int) -> dict:
+    pair, q = frozen_random_pair(rng, n_max)
+    small = pair.surjection.codomain
+    return {
+        "pair": pair, "q": q,
+        "a": frozen_random_variable(rng, small), "b": frozen_random_variable(rng, small),
+        "x_m_rep": frozen_random_sum_zero(rng, small.size),
+        "y_m_rep": frozen_random_sum_zero(rng, small.size),
+    }
+
+
+def frozen_strong_invariance(rng: np.random.Generator, n_max: int) -> dict:
+    pair, q = frozen_random_pair(rng, n_max)
+    a = frozen_random_variable(rng, pair.surjection.codomain)
+    return {"pair": pair, "q": q, "a": a, "b": frozen_random_variable(rng, q.space)}
+
+
+def frozen_prop6(rng: np.random.Generator, n_max: int, family) -> dict:
+    pair, _ = frozen_random_pair(rng, n_max)
+    p = sample_interior(pair.surjection.codomain, seed=int(rng.integers(2**32)))
+    alpha = delta(p, frozen_random_variable(rng, p.space))
+    q_img = apply(pair.embedding_channel, p)
+    beta = delta(q_img, frozen_random_variable(rng, q_img.space))
+    return {"pair": pair, "p": p, "alpha": alpha, "beta": beta, "family": family}
+
+
+# ---------------------------------------------------------------------------
+# The batteries: their draws, old and new, and what each case reads
+# ---------------------------------------------------------------------------
+
+
+def columns(cases: list[dict]) -> dict[str, list]:
+    return {key: [case[key] for case in cases] for key in cases[0]}
+
+
+def residuals(kernel, field: str, cases: list[dict]) -> list[float]:
+    return [getattr(report, field) for report in kernel(**columns(cases))]
+
+
+def slacks(check, cases: list[dict]) -> list[float]:
+    return [check(**case).slack for case in cases]
+
+
+def channel_sizes(case: dict) -> tuple[int, int]:
+    return case["channel"].in_space.size, case["channel"].out_space.size
+
+
+def pair_sizes(case: dict) -> tuple[int, int]:
+    return case["pair"].surjection.domain.size, case["pair"].surjection.codomain.size
+
+
+def channel_points(case: dict) -> list[np.ndarray]:
+    return [case["p"].weights]
+
+
+def pair_points(case: dict) -> list[np.ndarray]:
+    return [case[key].weights for key in ("q", "p") if key in case]
+
+
+PK2 = parse_family("PK(2)")
+
+#: name: (n_max, old draw of one trial, new draw of a batch, sizes of a case,
+#: points of a case, residuals of the cases)
+BATTERIES = {
+    "monotonicity_metric": (
+        6, partial(frozen_channel_case, key="x"), partial(_draw_channel_cases, key="x"),
+        channel_sizes, channel_points, partial(slacks, check_monotonicity_metric),
+    ),
+    "monotonicity_cometric": (
+        6, partial(frozen_channel_case, key="a"), partial(_draw_channel_cases, key="a"),
+        channel_sizes, channel_points, partial(slacks, check_monotonicity_cometric),
+    ),
+    "invariance": (
+        8, frozen_invariance, _draw_invariance, pair_sizes, pair_points,
+        partial(residuals, invariance_kernel, "max_residual"),
+    ),
+    "strong_invariance": (
+        8, frozen_strong_invariance, _draw_strong_invariance, pair_sizes, pair_points,
+        partial(residuals, strong_invariance_kernel, "max_residual"),
+    ),
+    "prop6": (
+        6, partial(frozen_prop6, family=PK2), partial(_draw_prop6, family=PK2),
+        pair_sizes, pair_points, partial(residuals, prop6_kernel, "residual"),
+    ),
+}
+
+
+def frozen_cases(name: str, seed: int, trials: int) -> list[dict]:
+    n_max, old, *_ = BATTERIES[name]
+    rng = np.random.default_rng(seed)
+    return [old(rng, n_max) for _ in range(trials)]
+
+
+def batched_cases(name: str, seed: int, trials: int) -> list[dict]:
+    n_max, _, new, *_ = BATTERIES[name]
+    return new(np.random.default_rng(seed), rounds=trials, n_max=n_max)
+
+
+# ---------------------------------------------------------------------------
+# Exact: sizes and floors
+# ---------------------------------------------------------------------------
+
+
+class BoundaryDirichlet:
+    """A generator whose flat Dirichlet draws sit on the boundary of their
+    support: the smallest entry of each row is set to 0 and the others are
+    scaled to keep the sum. Every other draw is the wrapped generator's."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def dirichlet(self, alpha, size=None):
+        rows = self._rng.dirichlet(alpha, size=size)
+        flat = rows.reshape(-1, rows.shape[-1])
+        smallest = flat.argmin(axis=1)
+        flat[np.arange(len(flat)), smallest] = 0.0
+        flat /= flat.sum(axis=1, keepdims=True)
+        return rows
+
+
+def check_sizes_and_floors(name: str, cases: list[dict], n_max: int) -> None:
+    for case in cases:
+        if name.startswith("monotonicity"):
+            n_in, n_out = channel_sizes(case)
+            assert 2 <= n_in <= n_max and 2 <= n_out <= n_max
+            kernel = case["channel"].kernel
+            assert kernel.flags.f_contiguous
+            # each column is flattened from the boundary: its smallest entry is the floor
+            assert kernel.min(axis=0).tolist() == [RANDOM_CHANNEL_FLOOR] * n_in
+            assert case["p"].weights.min() == POINT_FLOOR
+        else:
+            n, m = pair_sizes(case)
+            assert 3 <= n <= n_max and 2 <= m < n
+            # prop6 keeps its small point p, the others their big point q
+            for w in pair_points(case):
+                assert w.min() == POINT_FLOOR
+
+
+@pytest.mark.parametrize("name", sorted(BATTERIES))
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_max=st.integers(3, 9), trials=st.integers(1, 40))
+def test_sizes_and_floors_exactly(name, seed, n_max, trials):
+    """Every trial's sizes lie in the battery's range, and a Dirichlet draw
+    on the boundary of its support is flattened onto the floor exactly, as
+    ``sample_interior`` and ``random_channel`` flatten theirs."""
+    new = BATTERIES[name][2]
+    cases = new(BoundaryDirichlet(np.random.default_rng(seed)), rounds=trials, n_max=n_max)
+    assert len(cases) == trials
+    check_sizes_and_floors(name, cases, n_max)
+
+
+@pytest.mark.parametrize("name", sorted(BATTERIES))
+def test_sizes_drawn_are_the_old_ones(name):
+    """At a fixed seed, the old and the new draws give the same set of sizes:
+    every size pair of the range, and no other."""
+    sizes = BATTERIES[name][3]
+    old = {sizes(case) for case in frozen_cases(name, 11, 600)}
+    new = {sizes(case) for case in batched_cases(name, 11, 600)}
+    assert old == new
+
+
+# ---------------------------------------------------------------------------
+# In law: two-sample Kolmogorov-Smirnov statistics
+# ---------------------------------------------------------------------------
+
+
+def ks_statistic(x, y) -> float:
+    """sup |F_x - F_y| of the two empirical distribution functions."""
+    x, y = np.sort(np.asarray(x, dtype=float)), np.sort(np.asarray(y, dtype=float))
+    grid = np.concatenate([x, y])
+    fx = np.searchsorted(x, grid, side="right") / len(x)
+    fy = np.searchsorted(y, grid, side="right") / len(y)
+    return float(np.max(np.abs(fx - fy)))
+
+
+def ks_bound(n: int, m: int, alpha: float = KS_ALPHA) -> float:
+    """The asymptotic critical value of the statistic at level ``alpha``
+    (conservative for samples with ties)."""
+    return float(np.sqrt(-np.log(alpha / 2.0) / 2.0) * np.sqrt((n + m) / (n * m)))
+
+
+def test_ks_statistic_tells_laws_apart():
+    rng = np.random.default_rng(0)
+    same = ks_statistic(rng.normal(size=TRIALS), rng.normal(size=TRIALS))
+    shifted = ks_statistic(rng.normal(size=TRIALS), rng.normal(0.2, size=TRIALS))
+    assert same < ks_bound(TRIALS, TRIALS) < shifted
+    assert ks_statistic([0, 1, 1, 2], [0, 1, 1, 2]) == 0.0
+    assert ks_statistic([0, 0], [1, 1]) == 1.0
+
+
+def statistics(name: str, cases: list[dict]) -> dict[str, list[float]]:
+    _, _, _, sizes, points, read = BATTERIES[name]
+    stats = {
+        "first_size": [sizes(case)[0] for case in cases],
+        "second_size": [sizes(case)[1] for case in cases],
+        "smallest_weight": [min(w.min() for w in points(case)) for case in cases],
+        "residual": read(cases),
+    }
+    if name.startswith("monotonicity"):
+        stats["smallest_kernel_entry"] = [case["channel"].kernel.min() for case in cases]
+    else:
+        maps = [case["pair"].surjection.map0 for case in cases]
+        stats["first_fiber"] = [row.count(0) for row in maps]
+        stats["first_position_of_0"] = [row.index(0) for row in maps]
+    return stats
+
+
+@pytest.mark.parametrize("name, seed", [(name, 101 + i) for i, name in enumerate(sorted(BATTERIES))])
+def test_draws_agree_in_law(name, seed):
+    """At a fixed seed, every statistic of the new draw is within the KS bound
+    of the old draw's."""
+    old = statistics(name, frozen_cases(name, seed, TRIALS))
+    new = statistics(name, batched_cases(name, seed, TRIALS))
+    bound = ks_bound(TRIALS, TRIALS)
+    distances = {key: ks_statistic(old[key], new[key]) for key in old}
+    assert {key: d for key, d in distances.items() if d > bound} == {}

@@ -163,6 +163,18 @@ class TestSurjection:
     def test_marginalize(self):
         assert np.array_equal(F112.marginalize(Q3).weights, [0.5, 0.5])
 
+    def test_marginalize_is_the_push_through_the_coembedding(self):
+        """q^F is ``apply(coembedding(F), q)`` bitwise: the push of a point has
+        one arithmetic. Fiber sums by ``np.bincount`` differed in the last bit
+        in 526 of these 3000 cases."""
+        rng = np.random.default_rng(2024)
+        for _ in range(3000):
+            n = int(rng.integers(2, 20))
+            f = random_surjection(n, int(rng.integers(2, n + 1)), seed=int(rng.integers(2**32)))
+            q = sample_interior(f.domain, seed=int(rng.integers(2**32)))
+            ours, pushed = f.marginalize(q).weights, apply(coembedding(f), q).weights
+            assert [v.hex() for v in ours.tolist()] == [v.hex() for v in pushed.tolist()]
+
 
 class TestApply:
     def test_identity(self):

@@ -23,6 +23,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from fishergeo import batteries
+from fishergeo import verify as verify_module
 from fishergeo.errors import FisherGeoError, InvalidParameter, NotRational, SizeMismatch
 from fishergeo.families import CandidateFamily, parse_family
 from fishergeo.geometry import delta
@@ -503,7 +504,7 @@ def prop6_case(seed: int, n_max: int, pushed: int, family) -> dict:
     values are scaled by 1e-5..1e5. A draw the objects reject is skipped."""
     rng = np.random.default_rng(seed)
     if not pushed:
-        return batteries._draw_prop6(rng, n_max=n_max, family=family)
+        return batteries._draw_prop6(rng, rounds=1, n_max=n_max, family=family)[0]
     n = int(rng.integers(3, n_max + 1))
     m = int(rng.integers(2, n))
     try:
@@ -546,7 +547,7 @@ def test_prop6_kernel_matches_the_frozen_check(family, trials):
 
 def drawn_cases(family, count: int, seed: int = 7, n_max: int = 6) -> list[dict]:
     rng = np.random.default_rng(seed)
-    return [batteries._draw_prop6(rng, n_max=n_max, family=family) for _ in range(count)]
+    return batteries._draw_prop6(rng, rounds=count, n_max=n_max, family=family)
 
 
 def with_shape(cases: list[dict], shape: tuple[int, int]) -> list[dict]:
@@ -628,24 +629,61 @@ def test_prop6_battery_matches_the_frozen_loop(family, seed):
 # ---------------------------------------------------------------------------
 
 
+def unscaled_floor_dirichlet(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The bilinearity points' draw while its floor stayed 1e-3 at every n:
+    past 1000 outcomes its weights can be negative."""
+    draw = rng.dirichlet(np.ones(n))
+    return 1e-3 + (1.0 - n * 1e-3) * draw
+
+
 @pytest.mark.parametrize(
     "n, seed, first_bad", [(1100, 0, None), (1150, 0, 0), (1118, 14, 1), (1110, 9, 3)]
 )
-def test_bilinearity_points_are_checked_as_distributions(n, seed, first_bad):
-    """Beyond 1000 outcomes a floored Dirichlet draw can fall below the
-    weight floor. The stacked points raise what the first bad point's
-    ``Distribution`` raised, whichever of the four trials it is."""
+def test_bilinearity_points_are_checked_as_distributions(monkeypatch, n, seed, first_bad):
+    """The stacked points raise what the first bad point's ``Distribution``
+    raises, whichever of the four trials it is. The draw with the unscaled
+    floor plants the bad points, in the stacked check and in the frozen one."""
+    monkeypatch.setattr(verify_module, "_flatten_dirichlet", unscaled_floor_dirichlet)
+    monkeypatch.setitem(globals(), "_flatten_dirichlet", unscaled_floor_dirichlet)
     family = parse_family("COV")
     rng = np.random.default_rng(seed)
     bad = []
     for _ in range(_BILINEARITY_TRIALS):
-        bad.append(bool(np.any(_flatten_dirichlet(rng, n) <= 1e-12)))
+        bad.append(bool(np.any(unscaled_floor_dirichlet(rng, n) <= 1e-12)))
         for size in (n, n, n, 2):
             rng.normal(size=size)
     assert (bad.index(True) if any(bad) else None) == first_bad
     expected = outcome(lambda: frozen_check_bilinearity(family, n, seed))
     assert isinstance(expected, tuple) == (first_bad is not None)
     assert outcome(lambda: check_bilinearity(family, n, seed)) == expected
+
+
+@pytest.mark.parametrize("n, seed", [(1100, 0), (1150, 0), (1118, 14), (1110, 9)])
+def test_bilinearity_points_stay_interior_past_1000_outcomes(n, seed):
+    """The floor ``min(1e-3, 0.5 / n)`` leaves half the mass to the draw, so
+    the seeds whose points fell below the weight floor now give interior
+    points, and the covariance passes the check, bitwise as the frozen one."""
+    rng = np.random.default_rng(seed)
+    for _ in range(_BILINEARITY_TRIALS):
+        w = _flatten_dirichlet(rng, n)
+        assert w.min() >= 0.5 / n and abs(w.sum() - 1.0) <= 1e-12
+        for size in (n, n, n, 2):
+            rng.normal(size=size)
+    family = parse_family("COV")
+    assert check_bilinearity(family, n, seed) <= VIOLATION_TOL
+    assert outcome(lambda: check_bilinearity(family, n, seed)) == outcome(
+        lambda: frozen_check_bilinearity(family, n, seed)
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(2, 500), seed=st.integers(0, 2**32 - 1))
+def test_bilinearity_points_are_unchanged_up_to_500_outcomes(n, seed):
+    """Up to 500 outcomes the scaled floor is 1e-3, so every draw is the
+    unscaled one, bitwise."""
+    ours, unscaled = (draw(np.random.default_rng(seed), n)
+                      for draw in (_flatten_dirichlet, unscaled_floor_dirichlet))
+    assert hexes(ours) == hexes(unscaled)
 
 
 CHARACTERIZE_FAMILIES = st.one_of(

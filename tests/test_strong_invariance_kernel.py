@@ -334,11 +334,11 @@ def test_fisher_metric_rows_of_stacked_points_bitwise(n, seeds, count):
 def test_battery_draws_bitwise(n_max, trials, seed):
     """The batteries' own draws, at the sizes of the benchmark and beyond."""
     rng = np.random.default_rng(seed)
-    strong = [_draw_strong_invariance(rng, n_max) for _ in range(trials)]
+    strong = _draw_strong_invariance(rng, trials, n_max)
     for case, report in zip(strong, strong_invariance_kernel(**columns(strong))):
         expected = reference_residuals(**case)
         assert hexes(list(report.residuals.values())) == hexes(list(expected.values()))
-    plain = [_draw_invariance(rng, n_max) for _ in range(trials)]
+    plain = _draw_invariance(rng, trials, n_max)
     for case, report in zip(plain, invariance_kernel(**columns(plain))):
         expected = reference_invariance(**case)
         assert hexes(list(report.residuals.values())) == hexes(list(expected.values()))

@@ -9,7 +9,7 @@ import pytest
 
 import fishergeo.verify as verify_module
 from fishergeo.batteries import (
-    _draw_channel_case,
+    _draw_channel_cases,
     _draw_crb,
     _draw_invariance,
     _draw_strong_invariance,
@@ -445,18 +445,16 @@ class TestWitnessReplay:
     @pytest.mark.parametrize(
         "kind, draw, check, residual",
         [
-            ("monotonicity_metric", partial(_draw_channel_case, key="x"),
+            ("monotonicity_metric", partial(_draw_channel_cases, key="x"),
              check_monotonicity_metric, "slack"),
-            ("monotonicity_cometric", partial(_draw_channel_case, key="a"),
+            ("monotonicity_cometric", partial(_draw_channel_cases, key="a"),
              check_monotonicity_cometric, "slack"),
             ("invariance", _draw_invariance, check_invariance, "max_residual"),
             ("strong_invariance", _draw_strong_invariance, check_strong_invariance, "max_residual"),
         ],
     )
     def test_drawn_case_replays_bitwise(self, any_gap, kind, draw, check, residual):
-        rng = np.random.default_rng(31)
-        for _ in range(6):
-            case = draw(rng, 6)
+        for case in draw(np.random.default_rng(31), rounds=6, n_max=6):
             report = check(**case)
             witness = Witness.from_case(kind, case)
             assert same_bits(witness.gap, getattr(report, residual))
@@ -467,10 +465,8 @@ class TestWitnessReplay:
         from fishergeo.batteries import _merge_inputs, _merge_outputs, _zero_entry
 
         kind = "monotonicity_metric" if key == "x" else "monotonicity_cometric"
-        rng = np.random.default_rng(33)
         replayed = 0
-        for _ in range(4):
-            case = _draw_channel_case(rng, 6, key)
+        for case in _draw_channel_cases(np.random.default_rng(33), rounds=4, n_max=6, key=key):
             for reducer in (_merge_inputs, _merge_outputs, _zero_entry(key)):
                 for smaller in reducer(case):
                     witness = Witness.from_case(kind, smaller)
@@ -479,7 +475,7 @@ class TestWitnessReplay:
         assert replayed > 20
 
     def test_invariance_witness_stores_tangent_inputs(self, any_gap):
-        case = _draw_invariance(np.random.default_rng(4), 5)
+        [case] = _draw_invariance(np.random.default_rng(4), rounds=1, n_max=5)
         witness = Witness.from_case("invariance", case)
         payload = witness.to_json()
         assert payload["x"] == list(case["x_m_rep"]) and payload["y"] == list(case["y_m_rep"])
