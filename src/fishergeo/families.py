@@ -40,6 +40,10 @@ _TERM_RE = re.compile(
     r"(?P<atom>L2|MM|COV|PK\(\s*(?P<k>-?\d+)\s*\))\s*$"
 )
 
+#: Pair products ``matrix_rows`` holds at once (8 MB): at n = 240 outcomes, the
+#: n x n indicator matrix of the probe is evaluated in blocks of 18 rows.
+_BLOCK_FLOATS = 2**20
+
 
 class FamilyParseError(FisherGeoError, ValueError):
     """Expression is not in the candidate-family grammar."""
@@ -69,20 +73,26 @@ class CandidateFamily:
         PK(k) term is the last-axis ``sum(p**k * (A_i * B_j))``; the MM term
         is ``(coeff * <A_i>) * <B_j>`` with the means from ``expect_rows``.
         The rows are made C-contiguous first: the row-wise sum over an
-        F-ordered product rounds differently. The weights are not checked.
+        F-ordered product rounds differently. The pair products are formed
+        for a block of ``rows_a`` at a time, at most about ``_BLOCK_FLOATS``
+        of them; each entry keeps its own sums, so the blocks do not move
+        its bits. The weights are not checked.
         """
         rows_a, rows_b = (np.ascontiguousarray(rows, dtype=float) for rows in (rows_a, rows_b))
         for rows in (rows_a, rows_b):
             if rows.ndim != 3 or rows.shape[0] != len(w) or rows.shape[2] != w.shape[1]:
                 raise SizeMismatch(f"expected rows of length {w.shape[1]}, got shape {rows.shape[1:]}")
-        product = rows_a[:, :, None, :] * rows_b[:, None, :, :]
-        matrix = np.zeros(product.shape[:3])
-        for coeff, kind, k in self.terms:
-            if kind == "PK":
-                matrix += coeff * (w[:, None, None, :] ** k * product).sum(axis=-1)
-            else:
-                means_a, means_b = (expect_rows(w, rows) for rows in (rows_a, rows_b))
-                matrix += (coeff * means_a)[:, :, None] * means_b[:, None, :]
+        matrix = np.zeros((len(w), rows_a.shape[1], rows_b.shape[1]))
+        step = _BLOCK_FLOATS // (rows_b.shape[1] * w.size or 1) or 1
+        for start in range(0, rows_a.shape[1], step):
+            part = slice(start, start + step)
+            block, product = matrix[:, part], rows_a[:, part, None, :] * rows_b[:, None, :, :]
+            for coeff, kind, k in self.terms:
+                if kind == "PK":
+                    block += coeff * (w[:, None, None, :] ** k * product).sum(axis=-1)
+                else:
+                    means_a, means_b = (expect_rows(w, rows) for rows in (rows_a, rows_b))
+                    block += (coeff * means_a[:, part])[:, :, None] * means_b[:, None, :]
         return matrix
 
 

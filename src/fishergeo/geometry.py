@@ -213,32 +213,3 @@ def fisher_metric_rows(p: Distribution | np.ndarray, xs: np.ndarray, ys: np.ndar
     """
     w = p.weights if isinstance(p, Distribution) else p
     return (xs[..., :, None, :] * ys[..., None, :, :] / w[..., None, None, :]).sum(axis=-1)
-
-
-def orthonormal_basis_rows(p: Distribution | np.ndarray) -> np.ndarray:
-    """Deterministic g-orthonormal tangent basis at p, as m-representation rows.
-
-    Right-looking Gram-Schmidt over e_i - e_n, i = 1..n-1: row k is
-    normalized, then its projection is removed from every later row at once.
-    Each row receives the same subtractions in the same order as in
-    left-looking Gram-Schmidt, so every entry is the same float.
-
-    ``p`` is a distribution, giving rows (n - 1, n), or the weights of k
-    points of one size n as a (k, n) array, giving (k, n - 1, n): each
-    point's basis is bitwise the one it has alone. Every step checks that
-    the rows still sum to 0.
-    """
-    w = p.weights if isinstance(p, Distribution) else p
-    batch = np.atleast_2d(w)
-    count, n = batch.shape
-    rows = np.zeros((count, n - 1, n))
-    rows[:, np.arange(n - 1), np.arange(n - 1)] = 1.0
-    rows[:, :, n - 1] = -1.0
-    for k in range(n - 1):
-        v = rows[:, k]
-        u = v / np.sqrt(np.maximum(fisher_metric_rows(batch, v[:, None], v[:, None])[:, 0], 0.0))
-        rows[:, k] = u
-        rest = rows[:, k + 1 :]
-        rest -= fisher_metric_rows(batch, rest, u[:, None]) * u[:, None]
-        require_rows_sum_zero(rows[:, k:])
-    return rows if w.ndim == 2 else rows[0]

@@ -4,9 +4,10 @@ A channel is a column-stochastic kernel W(y|x) (columns indexed by the input
 point x); the induced Markov map is p -> W p. Tangent vectors push forward
 through the kernel; cotangent vectors pull back through the conditional
 expectation E_W(A|x) = sum_y W(y|x) A(y). Each operation has one arithmetic
-over stacked rows (``apply_rows``, ``conditional_expectation_rows`` and
-``compose_variable_rows`` for A o F): the scalar functions call it on a batch
-of one, and the pair kernels of ``verify`` on their stacks.
+over stacked rows (``apply_rows``, ``conditional_expectation_rows``,
+``compose_variable_rows`` for A o F and ``coembedding_kernel_rows`` for the
+kernel of a surjection): the scalar functions call it on a batch of one, and
+the pair kernels of ``verify`` on their stacks.
 
 A surjection F between sample spaces generates the deterministic
 co-embedding q -> q^F (block sums over fibers of F). Splitting each fiber
@@ -191,10 +192,17 @@ def coembedding(surjection: Surjection) -> Channel:
 
 
 def _coembedding_kernel(surjection: Surjection) -> np.ndarray:
-    n, m = surjection.domain.size, surjection.codomain.size
-    kernel = np.zeros((m, n))
-    kernel[np.asarray(surjection.map0), np.arange(n)] = 1.0
-    return kernel
+    return coembedding_kernel_rows(np.asarray(surjection.map0)[None], surjection.codomain.size)[0]
+
+
+def coembedding_kernel_rows(maps: np.ndarray, m: int) -> np.ndarray:
+    """The kernels (T, m, n), C-ordered, of ``coembedding`` of 0-based maps
+    (T, n) onto m points: entry (x, y) of kernel t is 1 iff maps[t, y] = x.
+    Unchecked."""
+    count, n = maps.shape
+    kernels = np.zeros((count, m, n))
+    kernels[np.arange(count)[:, None], maps, np.arange(n)] = 1.0
+    return kernels
 
 
 @dataclass(frozen=True, eq=False)

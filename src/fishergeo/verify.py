@@ -52,7 +52,6 @@ from .geometry import (
     delta_rows,
     fisher_metric_rows,
     norm_tangent,
-    orthonormal_basis_rows,
     require_rows_sum_zero,
 )
 from .markov import (
@@ -62,6 +61,7 @@ from .markov import (
     apply,
     apply_rows,
     canonical_embedding,
+    coembedding_kernel_rows,
     compose_variable_rows,
     conditional_expectation,
     conditional_expectation_rows,
@@ -276,12 +276,19 @@ def check_strong_invariance(
     """Adjointness of the pair's differentials plus the covariance identity.
 
     Requires the canonical pair of (F, q): the embedding must pass through
-    q. In g-orthonormal bases the matrices of the two differentials are
-    mutual transposes; their composition is the orthogonal projector onto
-    the embedded tangent space; together with the section identity this is
-    exactly the two-isometry statement. Finally the mixed covariance
-    identity Cov_{q^F}(A, E_V(B|.)) = Cov_q(A o F, B) is evaluated with
-    ``a`` on the small space and ``b`` on the large one. This is
+    q. With p = q^F, the differentials Phi of the embedding and Psi of the
+    co-embedding are mutually adjoint, g_q(Phi X, Y) = g_p(X, Psi Y); Psi is
+    a left inverse of Phi; Phi is an isometry and Psi a co-isometry; and
+    Pi = Phi Psi is the g_q-orthogonal projector onto the embedded tangent
+    space. Each statement is a rational identity, checked on the spanning
+    rows X_i = e_i - e_m and Y_j = e_j - e_n of the two tangent spaces, with
+    every product through ``apply_rows`` and every inner product through
+    ``fisher_metric_rows``. A residual is the identity's largest entrywise
+    gap, relative to the largest of 1, both sides and, where the terms of a
+    side may cancel, the sum of their absolute values: so it stays at
+    rounding level near the boundary. Finally the mixed covariance identity
+    Cov_{q^F}(A, E_V(B|.)) = Cov_q(A o F, B) is evaluated with ``a`` on the
+    small space and ``b`` on the large one. This is
     ``strong_invariance_kernel`` on a batch of one.
     """
     return strong_invariance_kernel([pair], [q], [a], [b])[0]
@@ -310,8 +317,10 @@ _STRONG_INVARIANCE_KEYS = (
 _CANONICAL_TOL = 1e-12
 
 
-def _relative(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return abs(lhs - rhs) / np.maximum(np.maximum(1.0, abs(lhs)), abs(rhs))
+def _relative(lhs: np.ndarray, rhs: np.ndarray, terms: np.ndarray | float = 1.0) -> np.ndarray:
+    """|lhs - rhs| over the largest of 1, |lhs|, |rhs| and ``terms``, the sum
+    of the absolute terms of a side whose terms may cancel."""
+    return abs(lhs - rhs) / np.maximum(np.maximum(np.maximum(1.0, terms), abs(lhs)), abs(rhs))
 
 
 def _sized_rows(rows: list, size: int, mismatch: str) -> np.ndarray:
@@ -334,14 +343,6 @@ class _PairStack(NamedTuple):
     p: np.ndarray  # (k, m) their marginals
 
 
-def _coembedding_kernels(pairs: list[EmbeddingPair], m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 0-based maps (k, n) and co-embedding kernels (k, m, n) of pairs of
-    one shape, stacked, with the Channel checks of the kernels."""
-    maps = np.array([one.surjection.map0 for one in pairs])
-    psi = (maps[:, None, :] == np.arange(m)[:, None]).astype(float)
-    return maps, require_kernel(psi)
-
-
 def _pair_stacks(pair, q) -> list[_PairStack]:
     """The trials grouped by shape, with the Channel checks of both kernels
     and the Distribution check of each marginal."""
@@ -353,7 +354,8 @@ def _pair_stacks(pair, q) -> list[_PairStack]:
         m = pair[trials[0]].surjection.codomain.size
         fibers = np.array([pair[t].fiber_distributions for t in trials])
         phi = require_kernel(np.ascontiguousarray(fibers.transpose(0, 2, 1)))
-        maps, psi = _coembedding_kernels([pair[t] for t in trials], m)
+        maps = np.array([pair[t].surjection.map0 for t in trials])
+        psi = require_kernel(coembedding_kernel_rows(maps, m))
         points = np.array([q[t].weights for t in trials])
         marginals = require_weights(apply_rows(psi, points))
         stacks.append(_PairStack(trials, maps, phi, psi, points, marginals))
@@ -418,31 +420,14 @@ def strong_invariance_kernel(pair, q, a, b) -> list[StrongInvarianceReport]:
     """``check_strong_invariance`` over a leading trial axis.
 
     Each argument is a sequence with one entry per trial, in any mix of
-    sizes. The Gram-Schmidt bases of every small and big point are built in
-    one ``orthonormal_basis_rows`` call per space size; the rest runs once
-    per shape. Every residual is bitwise the one the trial gives alone, and
-    a failed check raises what the first failing trial raises alone.
+    sizes; it runs once per shape. Every residual is bitwise the one the
+    trial gives alone, and a failed check raises what the first failing
+    trial raises alone.
     """
     residuals = in_trial_order(_strong_invariance_rows, pair, q, a, b)
     return _reports(
         StrongInvarianceReport, _STRONG_INVARIANCE_KEYS, residuals, STRONG_INVARIANCE_TOL
     )
-
-
-def _bases(points: list[np.ndarray]) -> list[np.ndarray]:
-    """The orthonormal basis rows of each stack of points, with one
-    ``orthonormal_basis_rows`` call per size."""
-    bases: list = [None] * len(points)
-    for members in by_shape(stack.shape[1] for stack in points):
-        rows = orthonormal_basis_rows(np.concatenate([points[i] for i in members]))
-        ends = np.cumsum([len(points[i]) for i in members])
-        for i, chunk in zip(members, np.split(rows, ends[:-1])):
-            bases[i] = chunk
-    return bases
-
-
-def _max_abs(matrices: np.ndarray) -> np.ndarray:
-    return abs(matrices).max(axis=(1, 2))
 
 
 def _strong_invariance_rows(pair, q, a, b) -> np.ndarray:
@@ -454,36 +439,47 @@ def _strong_invariance_rows(pair, q, a, b) -> np.ndarray:
                 "pair is not the canonical embedding through q: the embedding "
                 "of the marginal does not recover q"
             )
-    bases = _bases([point for s in stacks for point in (s.p, s.q)])
     residuals = np.empty((len(pair), len(_STRONG_INVARIANCE_KEYS)))
-    for s, small, big in zip(stacks, bases[0::2], bases[1::2]):
+    for s in stacks:
         n, m = s.q.shape[1], s.p.shape[1]
-        # Images of the basis rows, one ``kernel @ row`` product each; the
-        # canonical pair embeds exactly at q, so images are attached there.
-        images_up = require_rows_sum_zero(apply_rows(s.phi[:, None], small))
-        images_down = require_rows_sum_zero(apply_rows(s.psi[:, None], big))
-        # Matrices in the orthonormal bases, kept C-ordered: a matrix product
-        # on an F-ordered operand rounds differently in the last bit.
-        a_mat = np.ascontiguousarray(fisher_metric_rows(s.q, big, images_up))
-        b_mat = np.ascontiguousarray(fisher_metric_rows(s.p, small, images_down))
-        a_t = a_mat.transpose(0, 2, 1)
-        projector = a_mat @ b_mat
-        eye_small = np.eye(m - 1)
+        # The spanning rows X_i = e_i - e_m of the small tangent space and
+        # Y_j = e_j - e_n of the big one, and their images, one ``kernel @ row``
+        # product each; the canonical pair embeds exactly at q, so the images
+        # of X and of Pi Y = Phi Psi Y are attached there.
+        small, big = (np.eye(size)[:-1] - np.eye(size)[-1] for size in (m, n))
+        phi, psi = s.phi[:, None], s.psi[:, None]
+        up = require_rows_sum_zero(apply_rows(phi, small))
+        down = require_rows_sum_zero(apply_rows(psi, big))
+        projected = require_rows_sum_zero(apply_rows(phi, down))
+        section = apply_rows(psi, up)
+        gram = fisher_metric_rows(s.q, projected, big)
+        # Where one fiber holds both outcomes of Y_j, the terms of g_q(Phi X_i, Y_j)
+        # and g_q(Pi Y_i, Y_j) cancel to 0 from about 1/p, so their gaps are
+        # measured against the sums of the absolute terms; the terms of every
+        # other entry share a sign.
+        adjoint_terms, gram_terms = (
+            fisher_metric_rows(s.q, abs(rows), abs(big)) for rows in (up, projected)
+        )
         mismatch = "variable is not on the channel output space"
         b_values = _sized_rows([b[t].values for t in s.trials], n, mismatch)
         expectation = require_finite(conditional_expectation_rows(s.phi, b_values))
         a_values = _sized_rows([a[t].values for t in s.trials], m, f"sample spaces differ: {m} vs {{}}")
         a_lift = require_finite(compose_variable_rows(a_values, s.maps))
-        residuals[s.trials] = np.stack([
-            _max_abs(b_mat - a_t),
-            _max_abs(projector @ projector - projector),
-            _max_abs(projector - projector.transpose(0, 2, 1)),
-            _max_abs(projector @ a_mat - a_mat),
-            _max_abs(b_mat @ a_mat - eye_small),
-            _max_abs(a_t @ a_mat - eye_small),
-            _max_abs(b_mat @ b_mat.transpose(0, 2, 1) - eye_small),
-            abs(cov_rows(s.p, a_values, expectation) - cov_rows(s.q, a_lift, b_values)),
-        ], axis=-1)
+        # each identity's largest entrywise relative gap, in report order
+        sides = [
+            (fisher_metric_rows(s.q, up, big), fisher_metric_rows(s.p, small, down), adjoint_terms),
+            (apply_rows(phi, apply_rows(psi, projected)), projected, 1.0),
+            (gram, gram.transpose(0, 2, 1), np.maximum(gram_terms, gram_terms.transpose(0, 2, 1))),
+            (apply_rows(phi, section), up, 1.0),
+            (section, small, 1.0),
+            (fisher_metric_rows(s.q, up, up), fisher_metric_rows(s.p, small, small), 1.0),
+            (fisher_metric_rows(s.p, down, down), gram, gram_terms),
+        ]
+        residuals[s.trials] = np.stack(
+            [_relative(*identity).max(axis=(1, 2)) for identity in sides]
+            + [abs(cov_rows(s.p, a_values, expectation) - cov_rows(s.q, a_lift, b_values))],
+            axis=-1,
+        )
     return residuals
 
 
@@ -547,7 +543,8 @@ def _prop6_rows(pair, p, alpha, beta, family) -> list[Prop6Report]:
         # the embedding channel is read, and checked when first read, as the
         # single case reads it; the battery's draw has read it already
         phi = np.array([pair[t].embedding_channel.kernel for t in trials])
-        _, psi = _coembedding_kernels([pair[t] for t in trials], m)
+        maps = np.array([pair[t].surjection.map0 for t in trials])
+        psi = require_kernel(coembedding_kernel_rows(maps, m))
         for t in trials:
             if p[t].space.size != m:
                 raise SizeMismatch("p must live on the small space of the pair")

@@ -8,9 +8,9 @@ compares the rows forms with themselves. The functions below are verbatim
 copies of the scalar bodies as they were written before the rows forms
 took over: ``np.dot`` expectations, ``kernel @ w``, ``kernel.T @ a``,
 ``values[map0]``, ``np.sum(x * y / w)``, ``m / w``, the double loop of
-``cov_matrix``, the per-row means of ``CandidateFamily.matrix``, the
-inline Gram-Schmidt metric and the Jacobian product of an embedded model. They build the library's objects, so they run
-the same checks. The kernel tests use them as references, and the
+``cov_matrix``, the per-row means of ``CandidateFamily.matrix`` and the
+Jacobian product of an embedded model. They build the library's objects, so
+they run the same checks. The kernel tests use them as references, and the
 hypothesis tests here hold every public scalar to its copy through
 ``float.hex``, on 2 to 39 outcomes, weights pushed down to 1e-9 and
 channels that are not square.
@@ -158,22 +158,6 @@ def pushed_jacobian(pair, model, xi) -> np.ndarray:
     return jacobian_at(model, xi) @ pair.embedding_channel.kernel.T
 
 
-def orthonormal_basis_rows(w: np.ndarray) -> np.ndarray:
-    """Right-looking Gram-Schmidt at the points ``w`` (k, n), with its metric inline."""
-    batch = np.atleast_2d(w)
-    count, n = batch.shape
-    rows = np.zeros((count, n - 1, n))
-    rows[:, np.arange(n - 1), np.arange(n - 1)] = 1.0
-    rows[:, :, n - 1] = -1.0
-    for k in range(n - 1):
-        v = rows[:, k]
-        u = v / np.sqrt(np.maximum((v * v / batch).sum(axis=-1), 0.0))[:, None]
-        rows[:, k] = u
-        rest = rows[:, k + 1 :]
-        rest -= (rest * u[:, None] / batch[:, None]).sum(axis=-1)[..., None] * u[:, None]
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # The public scalars against their copies
 # ---------------------------------------------------------------------------
@@ -259,7 +243,6 @@ def test_moments_and_geometry_match_their_copies(case, k):
     assert same(lambda: geometry.norm_tangent(x), lambda: norm_tangent(x))
     assert same(lambda: geometry.fisher_cometric(alpha, beta), lambda: fisher_cometric(alpha, beta))
     assert same(lambda: connections.e_transport(x, q).m_rep, lambda: e_transport(x, q).m_rep)
-    assert same(lambda: geometry.orthonormal_basis_rows(p), lambda: orthonormal_basis_rows(p.weights))
     for expression in ("MM", "COV", "1*L2 + 0.5*MM"):
         family = families.parse_family(expression)
         rows_a, rows_b = values(rng, (k + 1, n)), values(rng, (3, n))
@@ -288,13 +271,6 @@ def test_markov_maps_match_their_copies(case, n_out, column_major):
         surjection = random_surjection(n, n_out, seed=case["seed"])
         assert same(lambda: surjection.compose_variable(a).values,
                     lambda: compose_variable(surjection, a).values)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(2, 39), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
-def test_stacked_basis_rows_match_the_copy(n, seeds):
-    points = np.array([boundary_weights(np.random.default_rng(s), n, 1) for s in seeds])
-    assert hexes(geometry.orthonormal_basis_rows(points)) == hexes(orthonormal_basis_rows(points))
 
 
 @settings(max_examples=100, deadline=None)

@@ -20,7 +20,6 @@ from fishergeo.geometry import (
     from_e_rep,
     norm_cotangent,
     norm_tangent,
-    orthonormal_basis_rows,
     pair,
     require_rows_sum_zero,
     sharp,
@@ -364,11 +363,3 @@ class TestCoordinateDuality:
             g = fisher_metric_rows(p, basis, basis)
             c = cov_matrix(p, [alpha.rep for alpha in covecs])
             assert np.max(np.abs(g @ c - np.eye(n - 1))) < 1e-8
-
-
-class TestOrthonormalBasis:
-    def test_orthonormality(self):
-        p = sample_interior(SampleSpace(5), seed=77)
-        basis = orthonormal_basis_rows(p)
-        gram = fisher_metric_rows(p, basis, basis)
-        assert np.allclose(gram, np.eye(4), atol=1e-10)

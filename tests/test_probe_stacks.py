@@ -15,6 +15,7 @@ calls in the same order.
 from __future__ import annotations
 
 import json
+import tracemalloc
 from functools import cache, partial
 
 import numpy as np
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from fishergeo import batteries
+from fishergeo import batteries, families
 from fishergeo import verify as verify_module
 from fishergeo.errors import FisherGeoError, InvalidParameter, NotRational, SizeMismatch
 from fishergeo.families import CandidateFamily, parse_family
@@ -491,6 +492,41 @@ def test_matrix_rows_needs_one_row_stack_per_point():
     family, w = parse_family("MM"), np.full((2, 3), 1 / 3)
     with pytest.raises(SizeMismatch, match=r"expected rows of length 3, got shape \(3, 3\)"):
         family.matrix_rows(w, np.ones((3, 3, 3)), np.ones((2, 3, 3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=FAMILIES, case=stacks(), block_floats=st.integers(1, 300))
+def test_matrix_rows_in_row_blocks_matches_the_frozen_matrix(family, case, block_floats):
+    """Blocks from one row of ``rows_a`` up to all of them: each entry keeps
+    its own last-axis sums, so every slice is the frozen ``matrix``, bitwise."""
+    w, rows_a, rows_b = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(families, "_BLOCK_FLOATS", block_floats)
+        stacked = family.matrix_rows(w, rows_a, rows_b)
+    for t in range(len(w)):
+        p = Distribution(SampleSpace(w.shape[1]), w[t])
+        assert hexes(stacked[t]) == hexes(frozen_matrix(family, p, rows_a[t], rows_b[t]))
+
+
+def test_indicator_matrix_at_240_outcomes_in_bounded_memory():
+    """The n x n indicator matrix at n = 240, as the probe evaluates it at the
+    lifts of ``n_max`` 120. The whole (n, n, n) product and its weighted copy
+    peak at 222 MB of traced memory; the row blocks stay under 25 MB. The
+    frozen ``matrix`` of each entry depends on its own row of A only, so it
+    is evaluated 24 rows at a time."""
+    n = 240
+    family = parse_family("2*PK(2) + COV")
+    p = Distribution(SampleSpace(n), boundary_weights(np.random.default_rng(240), n, 3))
+    eye = np.eye(n)
+    tracemalloc.start()
+    try:
+        matrix = family.matrix(p, eye, eye)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = np.concatenate([frozen_matrix(family, p, eye[i : i + 24], eye) for i in range(0, n, 24)])
+    assert hexes(matrix) == hexes(expected)
+    assert peak < 25e6
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """The array pair kernels against the object-level code they replaced.
 
-The references below are the per-entry implementations: Gram-Schmidt over
-``TangentVector`` objects and the double ``fisher_metric`` loop for the
-matrices of the two differentials and for the tangent Gram matrix, which
-``fisher_metric_rows`` computes from m-representation rows, and the body of
+The references below are the per-entry implementations: the double
+``fisher_metric`` loop for the tangent Gram matrix, which
+``fisher_metric_rows`` computes from m-representation rows, the body of
 ``check_invariance`` before it became ``invariance_kernel`` on a batch of
-one. They call the frozen copies of ``test_frozen_scalars``, not the
-library's scalars, which share the kernels' rows forms. The kernels do the
-same float operations in the same order, on one trial or on a batch of
-mixed shapes, so every basis entry, every residual and every Gram entry
-must be the same float, compared through ``float.hex``; and a trial that
-fails a check must raise what the reference raises.
+one, and the object-level checks and covariance identity of
+``check_strong_invariance``. They call the frozen copies of
+``test_frozen_scalars``, not the library's scalars, which share the kernels'
+rows forms. The kernels do the same float operations in the same order, on
+one trial or on a batch of mixed shapes, so every residual the references
+compute and every Gram entry must be the same float, compared through
+``float.hex``; every residual of a batch must be the one its trial gives
+alone; and a trial that fails a check must raise what the reference raises.
+The seven operator identities of the strong-invariance check are held to
+the exact oracle of ``tests/exact.py`` instead (``test_exact_oracle``).
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from hypothesis import strategies as st
 import fishergeo.batteries as batteries
 from fishergeo.batteries import _draw_invariance, _draw_strong_invariance, run_battery
 from fishergeo.errors import FisherGeoError, InvalidParameter, SizeMismatch
-from fishergeo.geometry import TangentVector, fisher_metric_rows, orthonormal_basis_rows
+from fishergeo.geometry import TangentVector, fisher_metric_rows
 from fishergeo.markov import canonical_embedding, random_surjection
 from fishergeo.simplex import Distribution, RandomVariable, SampleSpace
 from fishergeo.verify import (
@@ -41,28 +44,21 @@ from test_frozen_scalars import (
     delta,
     fisher_cometric,
     fisher_metric,
-    norm_tangent,
     pullback,
     pushforward,
     variance,
 )
 
 
-def reference_basis(p: Distribution) -> list[TangentVector]:
+def spanning_vectors(p: Distribution) -> list[TangentVector]:
+    """The tangent vectors e_i - e_n, i = 1..n-1, at p."""
     n = p.space.size
-    basis: list[TangentVector] = []
-    for i in range(n - 1):
-        m = np.zeros(n)
-        m[i] = 1.0
-        m[n - 1] = -1.0
-        v = TangentVector(p, m)
-        for u in basis:
-            v = TangentVector(p, v.m_rep - fisher_metric(v, u) * u.m_rep)
-        basis.append(TangentVector(p, v.m_rep / norm_tangent(v)))
-    return basis
+    return [TangentVector(p, np.eye(n)[i] - np.eye(n)[n - 1]) for i in range(n - 1)]
 
 
 def reference_residuals(pair, q, a, b) -> dict[str, float]:
+    """The checks of ``check_strong_invariance`` on objects, in its order, and
+    its covariance identity."""
     phi = pair.embedding_channel
     psi = pair.coembedding_channel
     p = apply(psi, q)
@@ -72,34 +68,15 @@ def reference_residuals(pair, q, a, b) -> dict[str, float]:
             "pair is not the canonical embedding through q: the embedding "
             "of the marginal does not recover q"
         )
-    small_basis = reference_basis(p)
-    big_basis = reference_basis(q)
-    dim_small, dim_big = len(small_basis), len(big_basis)
-    a_mat = np.empty((dim_big, dim_small))
-    for i, u in enumerate(small_basis):
-        image = TangentVector(q, phi.kernel @ u.m_rep)
-        for j, v in enumerate(big_basis):
-            a_mat[j, i] = fisher_metric(image, v)
-    b_mat = np.empty((dim_small, dim_big))
-    for j, v in enumerate(big_basis):
-        image = TangentVector(p, psi.kernel @ v.m_rep)
-        for i, u in enumerate(small_basis):
-            b_mat[i, j] = fisher_metric(image, u)
-    projector = a_mat @ b_mat
-    eye_small = np.eye(dim_small)
-    residuals = {
-        "adjoint": float(np.max(np.abs(b_mat - a_mat.T))),
-        "projector_idempotent": float(np.max(np.abs(projector @ projector - projector))),
-        "projector_self_adjoint": float(np.max(np.abs(projector - projector.T))),
-        "projector_fixes_image": float(np.max(np.abs(projector @ a_mat - a_mat))),
-        "section": float(np.max(np.abs(b_mat @ a_mat - eye_small))),
-        "isometry": float(np.max(np.abs(a_mat.T @ a_mat - eye_small))),
-        "coisometry": float(np.max(np.abs(b_mat @ b_mat.T - eye_small))),
-    }
+    # the images of the spanning rows, Phi X at q, Psi Y at p and Pi Y at q
+    for x in spanning_vectors(p):
+        TangentVector(q, phi.kernel @ x.m_rep)
+    down = [TangentVector(p, psi.kernel @ y.m_rep) for y in spanning_vectors(q)]
+    for y in down:
+        TangentVector(q, phi.kernel @ y.m_rep)
     lhs = cov(p, a, conditional_expectation(phi, b))
     rhs = cov(q, compose_variable(pair.surjection, a), b)
-    residuals["covariance_identity"] = abs(lhs - rhs)
-    return residuals
+    return {"covariance_identity": abs(lhs - rhs)}
 
 
 def relative(lhs: float, rhs: float) -> float:
@@ -168,16 +145,6 @@ points = st.builds(
 
 
 @settings(max_examples=200, deadline=None)
-@given(points)
-def test_basis_rows_bitwise(p):
-    expected = [v.m_rep for v in reference_basis(p)]
-    assert hexes(orthonormal_basis_rows(p)) == hexes(expected)
-    assert hexes([TangentVector(p, row).m_rep for row in orthonormal_basis_rows(p)]) == hexes(
-        expected
-    )
-
-
-@settings(max_examples=200, deadline=None)
 @given(
     n_big=st.integers(3, 24),
     data=st.data(),
@@ -194,8 +161,14 @@ def test_strong_invariance_residuals_bitwise(n_big, data, seed, exponent, count)
     b = RandomVariable(SampleSpace(n_big), rng.normal(size=n_big))
     expected = reference_residuals(pair, q, a, b)
     residuals = check_strong_invariance(pair, q, a, b).residuals
-    assert list(residuals) == list(expected)
-    assert hexes(list(residuals.values())) == hexes(list(expected.values()))
+    assert list(residuals) == [
+        "adjoint", "projector_idempotent", "projector_self_adjoint", "projector_fixes_image",
+        "section", "isometry", "coisometry", "covariance_identity",
+    ]
+    assert hexes(residuals["covariance_identity"]) == hexes(expected["covariance_identity"])
+    # the operator identities stay at rounding level with weights near 1e-10,
+    # on up to 24 outcomes (test_exact_oracle gives their budget for n <= 8)
+    assert max(list(residuals.values())[:7]) <= 1e-13
 
 
 @settings(max_examples=200, deadline=None)
@@ -206,11 +179,11 @@ def test_strong_invariance_residuals_bitwise(n_big, data, seed, exponent, count)
     random_count=st.integers(0, 4),
 )
 def test_tangent_gram_bitwise(p, seed, basis_count, random_count):
-    """``fisher_metric_rows`` on the m-representation rows of basis vectors
-    and random vectors of mixed scale."""
+    """``fisher_metric_rows`` on the m-representation rows of spanning
+    vectors e_i - e_n and random vectors of mixed scale."""
     rng = np.random.default_rng(seed)
     n = p.space.size
-    vectors = reference_basis(p)[:basis_count]
+    vectors = spanning_vectors(p)[:basis_count]
     for _ in range(random_count):
         m = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 3, size=n)
         m[-1] = -m[:-1].sum()
@@ -279,9 +252,11 @@ def test_strong_invariance_kernel_batches_bitwise(cases):
     assert len(reports) == len(cases)
     for case, report in zip(cases, reports):
         expected = reference_residuals(**strong_case(case))
-        assert list(report.residuals) == list(expected)
-        assert hexes(list(report.residuals.values())) == hexes(list(expected.values()))
-        assert float(report.max_residual).hex() == float(max(expected.values())).hex()
+        assert hexes(report.residuals["covariance_identity"]) == hexes(expected["covariance_identity"])
+        single = check_strong_invariance(**strong_case(case))
+        assert list(report.residuals) == list(single.residuals)
+        assert hexes(list(report.residuals.values())) == hexes(list(single.residuals.values()))
+        assert float(report.max_residual).hex() == float(max(single.residuals.values())).hex()
 
 
 @settings(max_examples=60, deadline=None)
@@ -295,21 +270,6 @@ def test_invariance_kernel_batches_bitwise(cases):
         assert hexes(list(report.residuals.values())) == hexes(list(expected.values()))
         single = check_invariance(**invariance_case(case))
         assert hexes(list(single.residuals.values())) == hexes(list(expected.values()))
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    n=st.integers(2, 24),
-    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
-    exponent=st.floats(1.0, 10.0),
-    count=st.integers(0, 3),
-)
-def test_basis_rows_of_stacked_points_bitwise(n, seeds, exponent, count):
-    points = [boundary_point(n, seed, exponent, count) for seed in seeds]
-    stacked = orthonormal_basis_rows(np.array([p.weights for p in points]))
-    assert stacked.shape == (len(points), n - 1, n) and stacked.flags.c_contiguous
-    for p, rows in zip(points, stacked):
-        assert hexes(rows) == hexes([v.m_rep for v in reference_basis(p)])
 
 
 @settings(max_examples=100, deadline=None)
@@ -337,7 +297,9 @@ def test_battery_draws_bitwise(n_max, trials, seed):
     strong = _draw_strong_invariance(rng, trials, n_max)
     for case, report in zip(strong, strong_invariance_kernel(**columns(strong))):
         expected = reference_residuals(**case)
-        assert hexes(list(report.residuals.values())) == hexes(list(expected.values()))
+        assert hexes(report.residuals["covariance_identity"]) == hexes(expected["covariance_identity"])
+        single = check_strong_invariance(**case)
+        assert hexes(list(report.residuals.values())) == hexes(list(single.residuals.values()))
     plain = _draw_invariance(rng, trials, n_max)
     for case, report in zip(plain, invariance_kernel(**columns(plain))):
         expected = reference_invariance(**case)
