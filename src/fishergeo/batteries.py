@@ -13,6 +13,7 @@ vector support) and then recorded as witnesses, each tagged with
 (seed, trial). The channel and pair batteries draw all their trials at once,
 so a draw is not prefix-stable: a trial is regenerated from the run's
 ``(seed, trials, n_max)`` and its index, not from its seed and index alone.
+A pair battery's case is arrays, checked by its kernel, not objects.
 """
 from __future__ import annotations
 
@@ -26,16 +27,17 @@ import numpy as np
 
 from .errors import FisherGeoError, InvalidParameter, by_shape
 from .families import CandidateFamily, parse_family
-from .geometry import TangentVector, delta
+from .geometry import TangentVector
 from .jsonio import read_bool, read_float, read_float_list, read_int
 from .markov import (
-    Channel, Surjection, apply, canonical_embedding, random_channel_kernels, random_surjection,
+    Channel, apply_rows, canonical_embedding_rows, random_channel_kernels, random_surjection,
 )
 # The crb spec names its kernel; its draw calls the estimator kernel through
 # this namespace too.
 from .models import categorical_model, crb_kernel, estimator_noise, unbiased_estimators_kernel
 from .simplex import (
-    Distribution, RandomVariable, SampleSpace, interior_rows, new_distribution, sample_interior,
+    Distribution, RandomVariable, SampleSpace, centered_rows, interior_rows, new_distribution,
+    sample_interior,
 )
 # The battery specs name their checks; _drive calls them through this namespace.
 from .verify import (
@@ -304,11 +306,12 @@ def _per_trial(draw: Callable[..., dict]) -> Callable[..., list[dict]]:
 # ``by_shape`` order, one flat Dirichlet block per kind of point (and one for
 # the channel columns); then the free values of all surjections in one
 # ``integers`` block and their orders in one row-wise ``permuted``; then one
-# ``normal`` block for every variable and tangent vector. Each trial's objects
-# are then built from its rows, in trial order. Every drawn object has the law
-# of one drawn alone through ``random_channel``, ``sample_interior`` (floor
-# 1e-6) or ``random_surjection``, but the stream is not prefix-stable: a trial
-# is regenerated from the run's (seed, trials, n_max) and its index.
+# ``normal`` block for every variable and tangent vector. A channel trial's
+# objects are then built from its rows; a pair trial stays rows, with its
+# canonical fibers and centered representatives computed per shape. Each has
+# the law of one drawn alone through ``random_channel``, ``sample_interior``
+# (floor 1e-6) or ``random_surjection``, but the stream is not prefix-stable:
+# a trial is regenerated from the run's (seed, trials, n_max) and its index.
 
 
 def _by_shape_rows(rng: np.random.Generator, shapes: list[tuple[int, ...]], *blocks) -> list[list]:
@@ -343,7 +346,7 @@ def _normal_rows(rng: np.random.Generator, sizes: list[int]) -> list[np.ndarray]
     return _split(rng.normal(size=sum(sizes)), sizes)
 
 
-def _surjection_maps(rng: np.random.Generator, n: np.ndarray, m: np.ndarray) -> list[tuple]:
+def _surjection_maps(rng: np.random.Generator, n: np.ndarray, m: np.ndarray) -> list[np.ndarray]:
     """0-based maps of surjections from n[t] onto m[t] points, in the law of
     ``random_surjection``: every point of the codomain once and n - m values
     uniform on it, in a uniformly random order. The rows are padded with -1
@@ -353,7 +356,7 @@ def _surjection_maps(rng: np.random.Generator, n: np.ndarray, m: np.ndarray) -> 
     rows = np.where(columns < m[:, None], columns, -1)
     rows[(columns >= m[:, None]) & (columns < n[:, None])] = rng.integers(0, np.repeat(m, n - m))
     shuffled = rng.permuted(rows, axis=1)
-    return [tuple(row) for row in _split(shuffled[shuffled >= 0].tolist(), n.tolist())]
+    return _split(shuffled[shuffled >= 0], n.tolist())
 
 
 def _draw_channel_cases(rng: np.random.Generator, rounds: int, n_max: int, key: str,
@@ -374,59 +377,57 @@ def _draw_channel_cases(rng: np.random.Generator, rounds: int, n_max: int, key: 
 
 def _pair_trials(rng: np.random.Generator, rounds: int, n_max: int, *blocks):
     """The sizes (n, m), 2 <= m < n <= n_max, of canonical-pair trials, the
-    rows of their big points and of ``blocks``, and their surjection maps."""
+    rows of their big points q and of ``blocks``, their maps and fibers through q."""
     n = rng.integers(3, n_max + 1, size=rounds)
     m = rng.integers(2, n)
     shapes = list(zip(n.tolist(), m.tolist()))
     rows = _by_shape_rows(rng, shapes, _points_on(0), *blocks)
-    return shapes, rows, _surjection_maps(rng, n, m)
-
-
-def _canonical_pair(shape: tuple[int, int], map0: tuple, w: np.ndarray):
-    n, m = shape
-    surjection = Surjection(SampleSpace(n), SampleSpace(m), map0)
-    q = Distribution(surjection.domain, w)
-    return canonical_embedding(surjection, q), q
+    maps = _surjection_maps(rng, n, m)
+    fibers = [None] * rounds
+    for trials in by_shape(shapes):
+        big = np.array([rows[0][t] for t in trials])
+        stack = canonical_embedding_rows(np.array([maps[t] for t in trials]), big, shapes[trials[0]][1])
+        for t, r in zip(trials, stack):
+            fibers[t] = r
+    return shapes, rows, maps, fibers
 
 
 def _draw_invariance(rng: np.random.Generator, rounds: int, n_max: int, **_) -> list[dict]:
-    shapes, (big,), maps = _pair_trials(rng, rounds, n_max)
+    shapes, (big,), maps, fibers = _pair_trials(rng, rounds, n_max)
     values = _normal_rows(rng, [m for _, m in shapes for _ in range(4)])
     cases = []
-    for t, shape in enumerate(shapes):
-        pair, q = _canonical_pair(shape, maps[t], big[t])
-        small = pair.surjection.codomain
+    for t in range(rounds):
         a, b, x, y = values[4 * t : 4 * t + 4]
         cases.append({
-            "pair": pair, "q": q, "a": RandomVariable(small, a), "b": RandomVariable(small, b),
-            "x_m_rep": x - x.mean(), "y_m_rep": y - y.mean(),
+            "surjection": maps[t], "fibers": fibers[t], "q": big[t],
+            "x": x - x.mean(), "y": y - y.mean(), "a": a, "b": b,
         })
     return cases
 
 
 def _draw_strong_invariance(rng: np.random.Generator, rounds: int, n_max: int, **_) -> list[dict]:
-    shapes, (big,), maps = _pair_trials(rng, rounds, n_max)
+    shapes, (big,), maps, fibers = _pair_trials(rng, rounds, n_max)
     values = _normal_rows(rng, [size for n, m in shapes for size in (m, n)])
-    cases = []
-    for t, shape in enumerate(shapes):
-        pair, q = _canonical_pair(shape, maps[t], big[t])
-        a = RandomVariable(pair.surjection.codomain, values[2 * t])
-        cases.append({"pair": pair, "q": q, "a": a, "b": RandomVariable(q.space, values[2 * t + 1])})
-    return cases
+    return [
+        {"surjection": maps[t], "fibers": fibers[t], "q": big[t], "a": values[2 * t], "b": values[2 * t + 1]}
+        for t in range(rounds)
+    ]
 
 
 def _draw_prop6(rng: np.random.Generator, rounds: int, n_max: int, family: CandidateFamily,
                 **_) -> list[dict]:
-    shapes, (big, small), maps = _pair_trials(rng, rounds, n_max, _points_on(1))
+    shapes, (_, small), maps, fibers = _pair_trials(rng, rounds, n_max, _points_on(1))
     values = _normal_rows(rng, [size for n, m in shapes for size in (m, n)])
-    cases = []
-    for t, shape in enumerate(shapes):
-        pair, _ = _canonical_pair(shape, maps[t], big[t])
-        p = Distribution(pair.surjection.codomain, small[t])
-        alpha = delta(p, RandomVariable(p.space, values[2 * t]))
-        q_img = apply(pair.embedding_channel, p)
-        beta = delta(q_img, RandomVariable(q_img.space, values[2 * t + 1]))
-        cases.append({"pair": pair, "p": p, "alpha": alpha, "beta": beta, "family": family})
+    cases = [
+        {"surjection": maps[t], "fibers": fibers[t], "p": small[t], "family": family} for t in range(rounds)
+    ]
+    for trials in by_shape(shapes):
+        w = np.array([small[t] for t in trials])
+        phi = np.ascontiguousarray(np.array([fibers[t] for t in trials]).transpose(0, 2, 1))
+        a = centered_rows(w, np.array([values[2 * t] for t in trials]))
+        b = centered_rows(apply_rows(phi, w), np.array([values[2 * t + 1] for t in trials]))
+        for t, a_t, b_t in zip(trials, a, b):
+            cases[t].update(a=a_t, b=b_t)
     return cases
 
 

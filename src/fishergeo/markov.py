@@ -5,9 +5,10 @@ point x); the induced Markov map is p -> W p. Tangent vectors push forward
 through the kernel; cotangent vectors pull back through the conditional
 expectation E_W(A|x) = sum_y W(y|x) A(y). Each operation has one arithmetic
 over stacked rows (``apply_rows``, ``conditional_expectation_rows``,
-``compose_variable_rows`` for A o F and ``coembedding_kernel_rows`` for the
-kernel of a surjection): the scalar functions call it on a batch of one, and
-the pair kernels of ``verify`` on their stacks.
+``compose_variable_rows``, ``coembedding_kernel_rows``,
+``canonical_embedding_rows``), as the checks of a constructor do
+(``require_maps``, ``require_fibers``): the objects use it on a batch of
+one, and the pair kernels of ``verify`` and the draws on their stacks.
 
 A surjection F between sample spaces generates the deterministic
 co-embedding q -> q^F (block sums over fibers of F). Splitting each fiber
@@ -33,7 +34,7 @@ from .errors import (
     SizeMismatch,
 )
 from .geometry import CotangentVector, TangentVector, delta
-from .simplex import Distribution, RandomVariable, SampleSpace, interior_rows
+from .simplex import Distribution, RandomVariable, SampleSpace, interior_rows, require_weights
 
 #: Column-sum tolerance for channel kernels.
 KERNEL_COLUMN_TOL = 1e-12
@@ -90,15 +91,10 @@ class Surjection:
     map0: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.codomain.size > self.domain.size:
-            raise BadSize("codomain cannot be larger than the domain")
         if len(self.map0) != self.domain.size:
             raise SizeMismatch(f"map length {len(self.map0)} != domain size {self.domain.size}")
         values = _integers(self.map0)
-        if min(values) < 0 or max(values) >= self.codomain.size:
-            raise BadSize("map values out of codomain range")
-        if len(set(values)) != self.codomain.size:
-            raise NotSurjective("map does not attain every codomain value")
+        require_maps(np.array([values]), self.codomain.size)
         object.__setattr__(self, "map0", values)
 
     @classmethod
@@ -121,8 +117,8 @@ class Surjection:
         ``coembedding(F)`` by ``apply_rows``, bitwise."""
         if q.space != self.domain:
             raise SizeMismatch("distribution is not on the domain")
-        sums = apply_rows(_coembedding_kernel(self)[None], q.weights[None])[0]
-        return Distribution(self.codomain, sums)
+        kernel = coembedding_kernel_rows(np.asarray(self.map0)[None], self.codomain.size)
+        return Distribution(self.codomain, apply_rows(kernel, q.weights[None])[0])
 
 
 def _integers(values) -> tuple[int, ...]:
@@ -131,6 +127,38 @@ def _integers(values) -> tuple[int, ...]:
         if type(v) is not int and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
             raise InvalidParameter(f"surjection values must be integers, not {v!r}")
     return tuple(int(v) for v in values)
+
+
+def require_maps(maps: np.ndarray, m: int) -> np.ndarray:
+    """The ``Surjection`` checks on 0-based maps (T, n) onto m points, each
+    over the whole stack: m <= n, values in range, of an integer type,
+    attaining every point. Returns ``maps``."""
+    if m > maps.shape[-1]:
+        raise BadSize("codomain cannot be larger than the domain")
+    # the range first: a map holding a Python int past int64 is an object array
+    if np.count_nonzero((maps < 0) | (maps >= m)):
+        raise BadSize("map values out of codomain range")
+    if maps.dtype.kind not in "iu":
+        raise InvalidParameter(f"surjection values must be integers, not {maps.dtype}")
+    attained = np.zeros((len(maps), m), dtype=bool)
+    attained[np.arange(len(maps))[:, None], maps] = True
+    if np.count_nonzero(attained) != attained.size:
+        raise NotSurjective("map does not attain every codomain value")
+    return maps
+
+
+def require_fibers(maps: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The ``EmbeddingPair`` checks on fiber matrices r (T, m, n) of 0-based
+    maps (T, n), written so that NaN fails them: each r_x supported exactly
+    on the fiber of x (the first bad r_x is named), then summing to 1."""
+    on_fiber = maps[:, None, :] == np.arange(r.shape[-2])[:, None]
+    bad = np.where(on_fiber, ~(r > 0.0), r != 0.0)
+    if np.count_nonzero(bad):
+        x = int(np.argmax(bad.any(axis=-1)[np.argmax(bad.any(axis=(-2, -1)))]))
+        raise InvalidChannel(f"support of r_{x + 1} must be exactly the fiber of {x + 1}")
+    if not abs(r.sum(axis=-1) - 1.0).max() <= KERNEL_COLUMN_TOL:
+        raise NotNormalized("every r_x must sum to 1")
+    return r
 
 
 def apply_rows(kernels: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -188,11 +216,8 @@ def coembedding(surjection: Surjection) -> Channel:
 
     Applying it marginalizes: q -> q^F.
     """
-    return Channel(surjection.domain, surjection.codomain, _coembedding_kernel(surjection))
-
-
-def _coembedding_kernel(surjection: Surjection) -> np.ndarray:
-    return coembedding_kernel_rows(np.asarray(surjection.map0)[None], surjection.codomain.size)[0]
+    kernel = coembedding_kernel_rows(np.asarray(surjection.map0)[None], surjection.codomain.size)[0]
+    return Channel(surjection.domain, surjection.codomain, kernel)
 
 
 def coembedding_kernel_rows(maps: np.ndarray, m: int) -> np.ndarray:
@@ -218,16 +243,7 @@ class EmbeddingPair:
         r = np.array(self.fiber_distributions, dtype=float)
         if r.shape != (m, n):
             raise SizeMismatch(f"fiber matrix shape {r.shape} != {(m, n)}")
-        # Supports first, then sums; both written so that NaN fails them.
-        on_fiber = np.asarray(self.surjection.map0) == np.arange(m)[:, None]
-        bad = np.where(on_fiber, ~(r > 0.0), r != 0.0)
-        if np.count_nonzero(bad):
-            x = int(np.argmax(bad.any(axis=1)))
-            raise InvalidChannel(
-                f"support of r_{x + 1} must be exactly the fiber of {x + 1}"
-            )
-        if not abs(r.sum(axis=1) - 1.0).max() <= KERNEL_COLUMN_TOL:
-            raise NotNormalized("every r_x must sum to 1")
+        require_fibers(np.array([self.surjection.map0]), r[None])
         r.flags.writeable = False
         object.__setattr__(self, "fiber_distributions", r)
 
@@ -246,14 +262,20 @@ class EmbeddingPair:
 
 
 def canonical_embedding(surjection: Surjection, q: Distribution) -> EmbeddingPair:
-    """The pair whose embedding passes through q: r_x(y) = q(y)/q^F(x)."""
+    """The pair whose embedding passes through q: r_x(y) = q(y)/q^F(x),
+    ``canonical_embedding_rows`` on a batch of one."""
     if q.space != surjection.domain:
         raise SizeMismatch("distribution is not on the domain of the surjection")
-    marginal = surjection.marginalize(q)
-    fiber_of = np.asarray(surjection.map0)
-    r = np.zeros((surjection.codomain.size, surjection.domain.size))
-    r[fiber_of, np.arange(surjection.domain.size)] = q.weights / marginal.weights[fiber_of]
-    return EmbeddingPair(surjection, r)
+    r = canonical_embedding_rows(np.asarray(surjection.map0)[None], q.weights[None], surjection.codomain.size)
+    return EmbeddingPair(surjection, r[0])
+
+
+def canonical_embedding_rows(maps: np.ndarray, q: np.ndarray, m: int) -> np.ndarray:
+    """The fiber matrices r_x(y) = q(y)/q^F(x), (T, m, n), of 0-based maps (T, n) onto
+    m points through points q (T, n). Only the marginals q^F are checked."""
+    psi = coembedding_kernel_rows(maps, m)
+    marginals = require_weights(apply_rows(psi, q))
+    return psi * (q / marginals[np.arange(len(maps))[:, None], maps])[:, None, :]
 
 
 def random_channel(n_in: int, n_out: int, seed: int) -> Channel:

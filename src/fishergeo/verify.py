@@ -7,8 +7,9 @@ identity for candidate bilinear families. Randomized batteries drive them
 over seeded trials and aggregate deterministic reports. The two invariance
 checks and the pairing identity are array kernels over a leading trial
 axis, ``invariance_kernel``, ``strong_invariance_kernel`` and
-``prop6_kernel``, on a batch of one; their batteries call the kernels once
-on all their trials.
+``prop6_kernel``, on the arrays of one case (map, fiber matrix, points and
+variable rows); their batteries call them once on the arrays of all their
+trials, and their witnesses are built from, and replay to, these arrays.
 
 The probe decomposes an invariant family into ``c1 * L2 + c2 * MM``:
 
@@ -52,6 +53,7 @@ from .geometry import (
     delta_rows,
     fisher_metric_rows,
     norm_tangent,
+    require_centered,
     require_rows_sum_zero,
 )
 from .markov import (
@@ -66,7 +68,8 @@ from .markov import (
     conditional_expectation,
     conditional_expectation_rows,
     pushforward,
-    require_kernel,
+    require_fibers,
+    require_maps,
 )
 from .models import categorical_model, crb_check
 from .simplex import (
@@ -74,6 +77,7 @@ from .simplex import (
     RandomVariable,
     SampleSpace,
     cov_rows,
+    expect_rows,
     interior_rows,
     new_distribution,
     require_finite,
@@ -267,7 +271,12 @@ def check_invariance(
     ``b`` random variables there. Residuals are relative. This is
     ``invariance_kernel`` on a batch of one.
     """
-    return invariance_kernel([pair], [q], [x_m_rep], [y_m_rep], [a], [b])[0]
+    if q.space != pair.surjection.domain:
+        raise SizeMismatch("distribution is not on the channel input space")
+    if a.space != pair.surjection.codomain or b.space != pair.surjection.codomain:
+        raise SizeMismatch("random variable and distribution on different spaces")
+    return _one(invariance_kernel, surjection=pair.surjection.map0, fibers=pair.fiber_distributions,
+                q=q.weights, x=x_m_rep, y=y_m_rep, a=a.values, b=b.values)
 
 
 def check_strong_invariance(
@@ -291,19 +300,29 @@ def check_strong_invariance(
     small space and ``b`` on the large one. This is
     ``strong_invariance_kernel`` on a batch of one.
     """
-    return strong_invariance_kernel([pair], [q], [a], [b])[0]
+    if q.space != pair.surjection.domain:
+        raise SizeMismatch("distribution is not on the channel input space")
+    if b.space != q.space:
+        raise SizeMismatch("variable is not on the channel output space")
+    if a.space != pair.surjection.codomain:
+        raise SizeMismatch(f"sample spaces differ: {pair.surjection.codomain.size} vs {a.space.size}")
+    return _one(strong_invariance_kernel, surjection=pair.surjection.map0, fibers=pair.fiber_distributions,
+                q=q.weights, a=a.values, b=b.values)
 
 
 # ---------------------------------------------------------------------------
-# Pair kernels: the two invariance checks over a leading trial axis
+# Pair kernels: the invariance checks and the pairing identity over a leading
+# trial axis
 #
-# Trials of one shape (n, m) are stacked into C-ordered arrays and go through
+# A trial is arrays: the 0-based map of its surjection F (n,), the fiber
+# matrix r (m, n) of its pair, its points and its variable rows. Trials whose
+# inputs have the same shapes are stacked into C-ordered arrays and go through
 # the rows forms of simplex, geometry and markov, whose batches of one are the
-# scalar functions the single case calls: one BLAS dot or matrix-vector
-# product per row, and row sums over the last axis. So every entry is bitwise
-# the trial's own. The checks of the objects the single case builds (Channel,
-# Distribution, TangentVector, CotangentVector, RandomVariable) run on the
-# stacks afterwards, in the order the single case meets them.
+# scalar functions the objects use: one BLAS dot or matrix-vector product per
+# row, and row sums over the last axis. So every entry is bitwise the trial's
+# own. The checks of the objects a trial stands for run once per stack
+# through the ``require_*`` helpers of their constructors: the pair's first,
+# then its points', its variables' and those of what the check derives.
 # ---------------------------------------------------------------------------
 
 
@@ -323,43 +342,36 @@ def _relative(lhs: np.ndarray, rhs: np.ndarray, terms: np.ndarray | float = 1.0)
     return abs(lhs - rhs) / np.maximum(np.maximum(np.maximum(1.0, terms), abs(lhs)), abs(rhs))
 
 
-def _sized_rows(rows: list, size: int, mismatch: str) -> np.ndarray:
-    """Rows of length ``size``, stacked; a row of another length raises
-    ``SizeMismatch`` with ``mismatch`` formatted with that length."""
-    for row in rows:
-        if len(row) != size:
-            raise SizeMismatch(mismatch.format(len(row)))
-    return np.array(rows)
+def _sized(rows: np.ndarray, size: int, mismatch: str = "expected length {1}, got {0}") -> np.ndarray:
+    """Stacked rows of length ``size``, or ``SizeMismatch``: ``mismatch`` of (length, size)."""
+    if rows.shape[1] != size:
+        raise SizeMismatch(mismatch.format(rows.shape[1], size))
+    return rows
 
 
-class _PairStack(NamedTuple):
-    """The trials of one shape (n, m), stacked."""
-
-    trials: list[int]
-    maps: np.ndarray  # (k, n) surjections, 0-based
-    phi: np.ndarray  # (k, n, m) embedding kernels, each C-ordered as its Channel's
-    psi: np.ndarray  # (k, m, n) co-embedding kernels
-    q: np.ndarray  # (k, n) big points
-    p: np.ndarray  # (k, m) their marginals
+def _one(kernel: Callable, **case):
+    """``kernel`` on a batch of one: the report of one case, its inputs by name."""
+    return kernel(**{key: [value] for key, value in case.items()})[0]
 
 
-def _pair_stacks(pair, q) -> list[_PairStack]:
-    """The trials grouped by shape, with the Channel checks of both kernels
-    and the Distribution check of each marginal."""
-    for one, point in zip(pair, q):
-        if point.space != one.surjection.domain:
-            raise SizeMismatch("distribution is not on the channel input space")
-    stacks = []
-    for trials in by_shape((one.surjection.domain.size, one.surjection.codomain.size) for one in pair):
-        m = pair[trials[0]].surjection.codomain.size
-        fibers = np.array([pair[t].fiber_distributions for t in trials])
-        phi = require_kernel(np.ascontiguousarray(fibers.transpose(0, 2, 1)))
-        maps = np.array([pair[t].surjection.map0 for t in trials])
-        psi = require_kernel(coembedding_kernel_rows(maps, m))
-        points = np.array([q[t].weights for t in trials])
-        marginals = require_weights(apply_rows(psi, points))
-        stacks.append(_PairStack(trials, maps, phi, psi, points, marginals))
-    return stacks
+def _pair_stacks(surjection, fibers, *rows, family=None) -> Iterator[tuple]:
+    """Per group of trials with inputs of one shape (and one family), after
+    the ``Surjection`` and ``EmbeddingPair`` checks: the trials, maps, kernels
+    Phi (k, n, m), C-ordered as a Channel's, and Psi, and each of ``rows``."""
+    columns = (surjection, fibers, *rows)
+    shapes = [tuple(np.shape(column[t]) for column in columns) for t in range(len(surjection))]
+    for trials in by_shape(shapes if family is None else zip(shapes, map(id, family))):
+        maps = np.array([surjection[t] for t in trials]).reshape(len(trials), -1)
+        r = np.array([fibers[t] for t in trials], dtype=float)
+        n, m = maps.shape[1], (r.shape[1:] or (0,))[0]
+        SampleSpace(n), SampleSpace(m)
+        require_maps(maps, m)
+        if r.shape[1:] != (m, n):
+            raise SizeMismatch(f"fiber matrix shape {r.shape[1:]} != {(m, n)}")
+        require_fibers(maps, r)
+        stacked = [np.array([col[t] for t in trials], dtype=float).reshape(len(trials), -1) for col in rows]
+        phi = np.ascontiguousarray(r.transpose(0, 2, 1))
+        yield trials, maps, phi, coembedding_kernel_rows(maps, m), *stacked
 
 
 def _reports(report: type, keys: tuple[str, ...], residuals: np.ndarray, pass_tol: float) -> list:
@@ -372,51 +384,49 @@ def _reports(report: type, keys: tuple[str, ...], residuals: np.ndarray, pass_to
     return reports
 
 
-def invariance_kernel(pair, q, x_m_rep, y_m_rep, a, b) -> list[InvarianceReport]:
+def invariance_kernel(surjection, fibers, q, x, y, a, b) -> list[InvarianceReport]:
     """``check_invariance`` over a leading trial axis.
 
     Each argument is a sequence with one entry per trial, in any mix of
     sizes. Every residual is bitwise the one the trial gives alone, and a
     failed check raises what the first failing trial raises alone.
     """
-    residuals = in_trial_order(_invariance_rows, pair, q, x_m_rep, y_m_rep, a, b)
+    residuals = in_trial_order(_invariance_rows, surjection, fibers, q, x, y, a, b)
     return _reports(InvarianceReport, _INVARIANCE_KEYS, residuals, PASS_TOL)
 
 
-def _invariance_rows(pair, q, x_m_rep, y_m_rep, a, b) -> np.ndarray:
-    residuals = np.empty((len(pair), len(_INVARIANCE_KEYS)))
-    for s in _pair_stacks(pair, q):
-        m = s.p.shape[1]
-        x, y = (require_rows_sum_zero(_sized_rows(
-            [np.asarray(m_reps[t], dtype=float).reshape(-1) for t in s.trials],
-            m, f"m_rep length {{}} != space size {m}",
-        )) for m_reps in (x_m_rep, y_m_rep))
+def _invariance_rows(surjection, fibers, q, x, y, a, b) -> np.ndarray:
+    residuals = np.empty((len(q), len(_INVARIANCE_KEYS)))
+    for trials, maps, phi, psi, w, a_values, b_values, *m_reps in _pair_stacks(
+        surjection, fibers, q, a, b, x, y
+    ):
+        n, m = phi.shape[1:]
+        w = require_weights(_sized(w, n))
+        a_values, b_values = (require_finite(_sized(v, m)) for v in (a_values, b_values))
+        p = require_weights(apply_rows(psi, w))
+        x, y = (require_rows_sum_zero(_sized(v, m, "m_rep length {0} != space size {1}")) for v in m_reps)
         # pushforward through the embedding, to the embedded image of p
-        image = require_weights(apply_rows(s.phi, s.p))
-        x_up = require_rows_sum_zero(apply_rows(s.phi, x))
-        y_up = require_rows_sum_zero(apply_rows(s.phi, y))
-        mismatch = "random variable and distribution on different spaces"
-        a_values = _sized_rows([a[t].values for t in s.trials], m, mismatch)
-        alpha = delta_rows(s.p, a_values)
-        b_values = _sized_rows([b[t].values for t in s.trials], m, mismatch)
-        beta = delta_rows(s.p, b_values)
+        image = require_weights(apply_rows(phi, p))
+        x_up, y_up = (require_rows_sum_zero(apply_rows(phi, v)) for v in (x, y))
+        alpha, beta = (delta_rows(p, v) for v in (a_values, b_values))
         # pullback through the co-embedding: conditional expectation, then delta at q
-        alpha_up = delta_rows(s.q, require_finite(conditional_expectation_rows(s.psi, alpha)))
-        beta_up = delta_rows(s.q, require_finite(conditional_expectation_rows(s.psi, beta)))
-        a_lift, b_lift = (
-            require_finite(compose_variable_rows(v, s.maps)) for v in (a_values, b_values)
+        alpha_up, beta_up = (
+            delta_rows(w, require_finite(conditional_expectation_rows(psi, v))) for v in (alpha, beta)
         )
-        residuals[s.trials] = np.stack([
-            _relative(fisher_metric_rows(s.p, x[:, None], y[:, None])[:, 0, 0],
+        a_lift, b_lift = (
+            require_finite(compose_variable_rows(v, maps)) for v in (a_values, b_values)
+        )
+        residuals[trials] = np.stack([
+            _relative(fisher_metric_rows(p, x[:, None], y[:, None])[:, 0, 0],
                       fisher_metric_rows(image, x_up[:, None], y_up[:, None])[:, 0, 0]),
-            _relative(cov_rows(s.p, alpha, beta), cov_rows(s.q, alpha_up, beta_up)),
-            _relative(cov_rows(s.p, a_values, a_values), cov_rows(s.q, a_lift, a_lift)),
-            _relative(cov_rows(s.p, a_values, b_values), cov_rows(s.q, a_lift, b_lift)),
+            _relative(cov_rows(p, alpha, beta), cov_rows(w, alpha_up, beta_up)),
+            _relative(cov_rows(p, a_values, a_values), cov_rows(w, a_lift, a_lift)),
+            _relative(cov_rows(p, a_values, b_values), cov_rows(w, a_lift, b_lift)),
         ], axis=-1)
     return residuals
 
 
-def strong_invariance_kernel(pair, q, a, b) -> list[StrongInvarianceReport]:
+def strong_invariance_kernel(surjection, fibers, q, a, b) -> list[StrongInvarianceReport]:
     """``check_strong_invariance`` over a leading trial axis.
 
     Each argument is a sequence with one entry per trial, in any mix of
@@ -424,60 +434,57 @@ def strong_invariance_kernel(pair, q, a, b) -> list[StrongInvarianceReport]:
     trial gives alone, and a failed check raises what the first failing
     trial raises alone.
     """
-    residuals = in_trial_order(_strong_invariance_rows, pair, q, a, b)
+    residuals = in_trial_order(_strong_invariance_rows, surjection, fibers, q, a, b)
     return _reports(
         StrongInvarianceReport, _STRONG_INVARIANCE_KEYS, residuals, STRONG_INVARIANCE_TOL
     )
 
 
-def _strong_invariance_rows(pair, q, a, b) -> np.ndarray:
-    stacks = _pair_stacks(pair, q)
-    for s in stacks:
-        recovered = require_weights(apply_rows(s.phi, s.p))
-        if not abs(recovered - s.q).max() <= _CANONICAL_TOL:
+def _strong_invariance_rows(surjection, fibers, q, a, b) -> np.ndarray:
+    residuals = np.empty((len(q), len(_STRONG_INVARIANCE_KEYS)))
+    for trials, maps, phi, psi, w, a_values, b_values in _pair_stacks(surjection, fibers, q, a, b):
+        n, m = phi.shape[1:]
+        w = require_weights(_sized(w, n))
+        a_values = require_finite(_sized(a_values, m))
+        b_values = require_finite(_sized(b_values, n))
+        p = require_weights(apply_rows(psi, w))
+        if not abs(require_weights(apply_rows(phi, p)) - w).max() <= _CANONICAL_TOL:
             raise InvalidParameter(
                 "pair is not the canonical embedding through q: the embedding "
                 "of the marginal does not recover q"
             )
-    residuals = np.empty((len(pair), len(_STRONG_INVARIANCE_KEYS)))
-    for s in stacks:
-        n, m = s.q.shape[1], s.p.shape[1]
         # The spanning rows X_i = e_i - e_m of the small tangent space and
         # Y_j = e_j - e_n of the big one, and their images, one ``kernel @ row``
         # product each; the canonical pair embeds exactly at q, so the images
         # of X and of Pi Y = Phi Psi Y are attached there.
         small, big = (np.eye(size)[:-1] - np.eye(size)[-1] for size in (m, n))
-        phi, psi = s.phi[:, None], s.psi[:, None]
-        up = require_rows_sum_zero(apply_rows(phi, small))
-        down = require_rows_sum_zero(apply_rows(psi, big))
-        projected = require_rows_sum_zero(apply_rows(phi, down))
-        section = apply_rows(psi, up)
-        gram = fisher_metric_rows(s.q, projected, big)
+        up = require_rows_sum_zero(apply_rows(phi[:, None], small))
+        down = require_rows_sum_zero(apply_rows(psi[:, None], big))
+        projected = require_rows_sum_zero(apply_rows(phi[:, None], down))
+        section = apply_rows(psi[:, None], up)
+        gram = fisher_metric_rows(w, projected, big)
         # Where one fiber holds both outcomes of Y_j, the terms of g_q(Phi X_i, Y_j)
         # and g_q(Pi Y_i, Y_j) cancel to 0 from about 1/p, so their gaps are
         # measured against the sums of the absolute terms; the terms of every
         # other entry share a sign.
         adjoint_terms, gram_terms = (
-            fisher_metric_rows(s.q, abs(rows), abs(big)) for rows in (up, projected)
+            fisher_metric_rows(w, abs(rows), abs(big)) for rows in (up, projected)
         )
-        mismatch = "variable is not on the channel output space"
-        b_values = _sized_rows([b[t].values for t in s.trials], n, mismatch)
-        expectation = require_finite(conditional_expectation_rows(s.phi, b_values))
-        a_values = _sized_rows([a[t].values for t in s.trials], m, f"sample spaces differ: {m} vs {{}}")
-        a_lift = require_finite(compose_variable_rows(a_values, s.maps))
+        expectation = require_finite(conditional_expectation_rows(phi, b_values))
+        a_lift = require_finite(compose_variable_rows(a_values, maps))
         # each identity's largest entrywise relative gap, in report order
         sides = [
-            (fisher_metric_rows(s.q, up, big), fisher_metric_rows(s.p, small, down), adjoint_terms),
-            (apply_rows(phi, apply_rows(psi, projected)), projected, 1.0),
+            (fisher_metric_rows(w, up, big), fisher_metric_rows(p, small, down), adjoint_terms),
+            (apply_rows(phi[:, None], apply_rows(psi[:, None], projected)), projected, 1.0),
             (gram, gram.transpose(0, 2, 1), np.maximum(gram_terms, gram_terms.transpose(0, 2, 1))),
-            (apply_rows(phi, section), up, 1.0),
+            (apply_rows(phi[:, None], section), up, 1.0),
             (section, small, 1.0),
-            (fisher_metric_rows(s.q, up, up), fisher_metric_rows(s.p, small, small), 1.0),
-            (fisher_metric_rows(s.p, down, down), gram, gram_terms),
+            (fisher_metric_rows(w, up, up), fisher_metric_rows(p, small, small), 1.0),
+            (fisher_metric_rows(p, down, down), gram, gram_terms),
         ]
-        residuals[s.trials] = np.stack(
+        residuals[trials] = np.stack(
             [_relative(*identity).max(axis=(1, 2)) for identity in sides]
-            + [abs(cov_rows(s.p, a_values, expectation) - cov_rows(s.q, a_lift, b_values))],
+            + [abs(cov_rows(p, a_values, expectation) - cov_rows(w, a_lift, b_values))],
             axis=-1,
         )
     return residuals
@@ -509,92 +516,69 @@ def check_prop6_identity(
 
     evaluated on canonical centered representatives. The covariance family
     satisfies the identity; families that do not descend to cotangent
-    classes generically produce a witness. This is ``prop6_kernel`` on a
-    batch of one.
+    classes generically produce a witness. Once alpha is found based at p
+    and beta at the image of p, this is ``prop6_kernel`` on a batch of one.
     """
-    return prop6_kernel([pair], [p], [alpha], [beta], [family])[0]
+    if p.space != pair.surjection.codomain:
+        raise SizeMismatch("p must live on the small space of the pair")
+    # a base that is p itself is equal to it: valid weights are never NaN
+    if alpha.base is not p and alpha.base != p:
+        raise InvalidParameter("alpha must be based at p")
+    if beta.base != apply(pair.embedding_channel, p):
+        raise InvalidParameter("beta must be based at the embedded image of p")
+    return _one(prop6_kernel, surjection=pair.surjection.map0, fibers=pair.fiber_distributions,
+                p=p.weights, a=alpha.rep.values, b=beta.rep.values, family=family)
 
 
-def prop6_kernel(pair, p, alpha, beta, family) -> list[Prop6Report]:
+def prop6_kernel(surjection, fibers, p, a, b, family) -> list[Prop6Report]:
     """``check_prop6_identity`` over a leading trial axis.
 
     Each argument is a sequence with one entry per trial, in any mix of
-    sizes and families. The trials of one shape (m, n) go through the
-    stacked kernels and the rows forms together, and a grammar family
-    evaluates both sides of all of them in one ``CandidateFamily.matrix_rows``
-    call each; any other family is called pair by pair, in trial order. Every
-    report is bitwise the one the trial gives alone, a witness is built for a
-    violating trial only, and a failed check raises what the first failing
-    trial raises alone.
+    sizes and families; a and b represent alpha at p and beta at its image.
+    The trials of one shape and family go through the stacked kernels and
+    the rows forms together, and a grammar family evaluates both sides of
+    all of them in one ``CandidateFamily.matrix_rows`` call each; any other
+    family is called pair by pair, in trial order. Every report is bitwise
+    the one the trial gives alone, a witness is built for a violating trial
+    only, and a failed check raises what the first failing trial raises alone.
     """
-    return in_trial_order(_prop6_rows, pair, p, alpha, beta, family)
+    return in_trial_order(_prop6_rows, surjection, fibers, p, a, b, family)
 
 
-def _prop6_rows(pair, p, alpha, beta, family) -> list[Prop6Report]:
-    # per trial: its embedding kernel and both pulled-back rows; and the two
-    # sides of each trial with a grammar family
-    pulled: list = [None] * len(pair)
+def _prop6_rows(surjection, fibers, p, a, b, family) -> list[Prop6Report]:
+    # per trial its rows and pulled-back rows, and its two sides if its family is a grammar's
+    per_trial: list = [None] * len(p)
     sides: dict[int, tuple[float, float]] = {}
-    for trials in by_shape(
-        (one.surjection.codomain.size, one.surjection.domain.size, id(family_t))
-        for one, family_t in zip(pair, family)
-    ):
-        m, n = pair[trials[0]].surjection.codomain.size, pair[trials[0]].surjection.domain.size
-        # the embedding channel is read, and checked when first read, as the
-        # single case reads it; the battery's draw has read it already
-        phi = np.array([pair[t].embedding_channel.kernel for t in trials])
-        maps = np.array([pair[t].surjection.map0 for t in trials])
-        psi = require_kernel(coembedding_kernel_rows(maps, m))
-        for t in trials:
-            if p[t].space.size != m:
-                raise SizeMismatch("p must live on the small space of the pair")
-            # a base that is p itself is equal to it: valid weights are never NaN
-            if alpha[t].base is not p[t] and alpha[t].base != p[t]:
-                raise InvalidParameter("alpha must be based at p")
-        w = np.array([p[t].weights for t in trials])
+    for trials, maps, phi, psi, w, a_reps, b_reps in _pair_stacks(surjection, fibers, p, a, b, family=family):
+        n, m = phi.shape[1:]
+        w = require_weights(_sized(w, m))
+        require_centered(expect_rows(w, require_finite(_sized(a_reps, m))))
         q_img = require_weights(apply_rows(phi, w))
-        bases = [beta[t].base for t in trials]
-        if any(base.space.size != n for base in bases) or not np.array_equal(
-            np.array([base.weights for base in bases]), q_img
-        ):
-            raise InvalidParameter("beta must be based at the embedded image of p")
-        a_reps = np.array([alpha[t].rep.values for t in trials])
-        b_reps = np.array([beta[t].rep.values for t in trials])
+        require_centered(expect_rows(q_img, require_finite(_sized(b_reps, n))))
         phi_pull = delta_rows(w, require_finite(conditional_expectation_rows(phi, b_reps)))
         psi_pull = delta_rows(q_img, require_finite(conditional_expectation_rows(psi, a_reps)))
-        for t, *rows in zip(trials, phi, phi_pull, psi_pull):
-            pulled[t] = rows
+        for t, *rows in zip(trials, maps, phi, w, q_img, a_reps, b_reps, phi_pull, psi_pull):
+            per_trial[t] = rows
         one = family[trials[0]]
         if type(one) is CandidateFamily:
             lhs = one.matrix_rows(w, a_reps[:, None], phi_pull[:, None])[:, 0, 0]
             rhs = one.matrix_rows(q_img, psi_pull[:, None], b_reps[:, None])[:, 0, 0]
             sides.update(zip(trials, zip(lhs.tolist(), rhs.tolist())))
     reports = []
-    for t, (kernel, phi_row, psi_row) in enumerate(pulled):
+    for t, (map0, kernel, w, q_img, a_rep, b_rep, phi_row, psi_row) in enumerate(per_trial):
         if t in sides:
             lhs, rhs = sides[t]
         else:
-            q_t = beta[t].base
-            lhs = family[t](p[t], alpha[t].rep, RandomVariable(p[t].space, phi_row))
-            rhs = family[t](q_t, RandomVariable(q_t.space, psi_row), beta[t].rep)
+            p_t, q_t = Distribution(SampleSpace(len(w)), w), Distribution(SampleSpace(len(q_img)), q_img)
+            lhs = family[t](p_t, RandomVariable(p_t.space, a_rep), RandomVariable(p_t.space, phi_row))
+            rhs = family[t](q_t, RandomVariable(q_t.space, psi_row), RandomVariable(q_t.space, b_rep))
         residual = abs(lhs - rhs)
         status = classify(residual)
-        witness = None
-        if status == "violation":
-            witness = Witness(
-                kind="prop6_identity",
-                m=p[t].space.size,
-                n=kernel.shape[0],
-                lhs=lhs,
-                rhs=rhs,
-                gap=residual,
-                surjection=pair[t].surjection.map0,
-                kernel=_rows(kernel),
-                point=_floats(p[t].weights),
-                a=_floats(alpha[t].rep.values),
-                b=_floats(beta[t].rep.values),
-                family=family[t].name,
-            )
+        witness = Witness(
+            kind="prop6_identity", m=len(w), n=len(q_img), lhs=lhs, rhs=rhs, gap=residual,
+            surjection=tuple(map0.tolist()), kernel=_rows(kernel), point=_floats(w),
+            a=_floats(a_rep), b=_floats(b_rep), family=family[t].name,
+        ) if status == "violation" else None
         reports.append(Prop6Report(lhs, rhs, residual, status, witness))
     return reports
 
@@ -1193,18 +1177,16 @@ def _monotonicity_case(witness: Witness) -> dict:
 
 
 def _pair_witness(case: dict, detail: str = "") -> Witness:
-    """The canonical pair of (F, q), a and b, and for invariance x and y."""
-    invariance = "x_m_rep" in case
-    report = (check_invariance if invariance else check_strong_invariance)(**case)
-    surjection, q = case["pair"].surjection, case["q"]
+    """The map of F, the big point q, a, b, and for invariance x and y."""
+    invariance = "x" in case
+    report = _one(invariance_kernel if invariance else strong_invariance_kernel, **case)
     return Witness(
         kind="invariance" if invariance else "strong_invariance",
-        m=surjection.codomain.size, n=q.space.size,
+        m=len(case["fibers"]), n=len(case["q"]),
         lhs=report.max_residual, rhs=0.0, gap=report.max_residual,
-        surjection=surjection.map0, point=_floats(q.weights),
-        a=_floats(case["a"].values), b=_floats(case["b"].values), detail=detail,
-        x=_floats(case["x_m_rep"]) if invariance else None,
-        y=_floats(case["y_m_rep"]) if invariance else None,
+        surjection=tuple(np.asarray(case["surjection"]).tolist()), point=_floats(case["q"]),
+        a=_floats(case["a"]), b=_floats(case["b"]), detail=detail,
+        **({"x": _floats(case["x"]), "y": _floats(case["y"])} if invariance else {}),
     )
 
 
@@ -1215,25 +1197,19 @@ def _surjection_point(witness: Witness) -> tuple[Surjection, Distribution]:
 
 def _pair_case(witness: Witness) -> dict:
     surjection, q = _surjection_point(witness)
-    a = RandomVariable(surjection.codomain, np.array(witness.a))
-    case = {"pair": canonical_embedding(surjection, q), "q": q, "a": a}
-    if witness.kind == "strong_invariance":
-        return {**case, "b": RandomVariable(q.space, np.array(witness.b))}
-    b = RandomVariable(surjection.codomain, np.array(witness.b))
-    return {**case, "b": b, "x_m_rep": np.array(witness.x), "y_m_rep": np.array(witness.y)}
+    rows = "ab" if witness.kind == "strong_invariance" else "abxy"
+    return {
+        "surjection": surjection.map0, "fibers": canonical_embedding(surjection, q).fiber_distributions,
+        "q": q.weights, **{key: np.array(getattr(witness, key)) for key in rows},
+    }
 
 
 def _prop6_case(witness: Witness) -> dict:
-    surjection = Surjection(
-        SampleSpace(len(witness.surjection)), SampleSpace(witness.m), witness.surjection
-    )
-    pair = EmbeddingPair(surjection, np.array(witness.kernel).T)
-    p = new_distribution(SampleSpace(witness.m), np.array(witness.point))
-    alpha = CotangentVector(p, RandomVariable(p.space, np.array(witness.a)))
-    q_img = apply(pair.embedding_channel, p)
-    beta = CotangentVector(q_img, RandomVariable(q_img.space, np.array(witness.b)))
-    family = parse_family(witness.family)
-    return {"pair": pair, "p": p, "alpha": alpha, "beta": beta, "family": family}
+    return {
+        "surjection": witness.surjection, "fibers": np.array(witness.kernel).T,
+        "p": np.array(witness.point), "a": np.array(witness.a), "b": np.array(witness.b),
+        "family": parse_family(witness.family),
+    }
 
 
 def _crb_witness(case: dict, detail: str = "") -> Witness:
@@ -1318,7 +1294,7 @@ _KINDS: dict[str, _Kind] = {
     "monotonicity_cometric": _Kind(_monotonicity_witness, _monotonicity_case),
     "invariance": _Kind(_pair_witness, _pair_case),
     "strong_invariance": _Kind(_pair_witness, _pair_case),
-    "prop6_identity": _Kind(lambda case: check_prop6_identity(**case).witness, _prop6_case),
+    "prop6_identity": _Kind(lambda case: _one(prop6_kernel, **case).witness, _prop6_case),
     "crb": _Kind(_crb_witness, _crb_case),
     "weak_invariance": _Kind(_weak_invariance_witness, _weak_invariance_case),
     "uniform_shape": _Kind(

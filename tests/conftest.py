@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import re
 import subprocess
@@ -23,6 +25,29 @@ def run_cli(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
     )
 
 
+def run_cli_in_process(*args: str) -> subprocess.CompletedProcess:
+    """Run ``cli.main(args)`` in this process, as ``run_cli`` runs it in a
+    fresh one: stdout and stderr captured as UTF-8 bytes, and a
+    ``SystemExit`` (argparse's usage errors) turned into its exit code. An
+    exception that would end the process with a traceback propagates."""
+    from fishergeo import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+            if code is None:
+                code = 0
+            elif not isinstance(code, int):
+                print(code, file=sys.stderr)
+                code = 1
+    return subprocess.CompletedProcess(
+        ["fishergeo", *args], code, out.getvalue().encode(), err.getvalue().encode()
+    )
+
+
 def write_json(path: Path, payload) -> Path:
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path
@@ -30,7 +55,8 @@ def write_json(path: Path, payload) -> Path:
 
 @pytest.fixture()
 def cli(tmp_path: Path):
-    """CLI runner bound to a scratch directory for input files."""
+    """CLI runner bound to a scratch directory for input files; it runs the
+    CLI in this process (``run_cli_in_process``)."""
 
     class Runner:
         def __init__(self) -> None:
@@ -40,10 +66,10 @@ def cli(tmp_path: Path):
             return str(write_json(self.dir / name, payload))
 
         def run(self, *args: str) -> subprocess.CompletedProcess:
-            return run_cli(*args)
+            return run_cli_in_process(*args)
 
         def run_json(self, *args: str):
-            proc = run_cli(*args)
+            proc = run_cli_in_process(*args)
             return proc.returncode, json.loads(proc.stdout or b"{}")
 
     return Runner()

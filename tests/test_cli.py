@@ -10,7 +10,8 @@ import pytest
 from fishergeo import errors
 from fishergeo.verify import characterize
 
-from conftest import GOLDEN_DIR
+from conftest import GOLDEN_DIR, run_cli, run_cli_in_process
+from test_acceptance import GOLDEN_COMMANDS
 
 BERNOULLI = {"kind": "bernoulli"}
 CATEGORICAL3 = {"kind": "categorical", "n": 3}
@@ -560,6 +561,19 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout == (GOLDEN_DIR / "expected" / "characterize_cov.json").read_bytes()
+
+    def test_in_process_runs_are_the_subprocess_runs(self):
+        """The ``cli`` fixture runs ``cli.main`` in the test process: on every
+        golden command it gives the bytes and the exit code of a fresh
+        process."""
+        assert len(GOLDEN_COMMANDS) == 8
+        for name, args in GOLDEN_COMMANDS.items():
+            resolved = [str(GOLDEN_DIR / a) if a.startswith("inputs/") else a for a in args]
+            fresh, here = run_cli("--seed", "0", *resolved), run_cli_in_process("--seed", "0", *resolved)
+            assert (here.returncode, here.stdout, here.stderr) == (
+                fresh.returncode, fresh.stdout, fresh.stderr
+            ), name
+            assert here.stdout == (GOLDEN_DIR / "expected" / f"{name}.json").read_bytes(), name
 
 
 class TestOutputContract:

@@ -45,6 +45,7 @@ from fishergeo.verify import (
     prop6_kernel,
     strong_invariance_kernel,
 )
+from frozen_pairs import arrays
 
 #: The floor of ``sample_interior``, which the drawn points keep.
 POINT_FLOOR = 1e-6
@@ -133,7 +134,7 @@ def channel_sizes(case: dict) -> tuple[int, int]:
 
 
 def pair_sizes(case: dict) -> tuple[int, int]:
-    return case["pair"].surjection.domain.size, case["pair"].surjection.codomain.size
+    return len(case["surjection"]), len(case["fibers"])
 
 
 def channel_points(case: dict) -> list[np.ndarray]:
@@ -141,7 +142,7 @@ def channel_points(case: dict) -> list[np.ndarray]:
 
 
 def pair_points(case: dict) -> list[np.ndarray]:
-    return [case[key].weights for key in ("q", "p") if key in case]
+    return [case[key] for key in ("q", "p") if key in case]
 
 
 PK2 = parse_family("PK(2)")
@@ -173,9 +174,11 @@ BATTERIES = {
 
 
 def frozen_cases(name: str, seed: int, trials: int) -> list[dict]:
+    """The old draws; a pair case taken apart into the arrays the new draws yield."""
     n_max, old, *_ = BATTERIES[name]
     rng = np.random.default_rng(seed)
-    return [old(rng, n_max) for _ in range(trials)]
+    cases = [old(rng, n_max) for _ in range(trials)]
+    return cases if name.startswith("monotonicity") else [arrays(name, case) for case in cases]
 
 
 def batched_cases(name: str, seed: int, trials: int) -> list[dict]:
@@ -289,7 +292,7 @@ def statistics(name: str, cases: list[dict]) -> dict[str, list[float]]:
     if name.startswith("monotonicity"):
         stats["smallest_kernel_entry"] = [case["channel"].kernel.min() for case in cases]
     else:
-        maps = [case["pair"].surjection.map0 for case in cases]
+        maps = [np.asarray(case["surjection"]).tolist() for case in cases]
         stats["first_fiber"] = [row.count(0) for row in maps]
         stats["first_position_of_0"] = [row.index(0) for row in maps]
     return stats

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from fishergeo import batteries, families
 from fishergeo import verify as verify_module
-from fishergeo.errors import FisherGeoError, InvalidParameter, NotRational, SizeMismatch
+from fishergeo.errors import FisherGeoError, InvalidParameter, NotCentered, NotRational, SizeMismatch
 from fishergeo.families import CandidateFamily, parse_family
 from fishergeo.geometry import delta
 from fishergeo.markov import (
@@ -66,6 +66,7 @@ from fishergeo.verify import (
     partition_surjection,
     prop6_kernel,
 )
+from frozen_pairs import arrays, objects
 from test_frozen_scalars import boundary_weights, hexes, values
 from test_probe_kernel import PLUGINS, Logged, Plugin, _cov
 
@@ -414,7 +415,10 @@ def kernel_outcome(cases):
 
 
 def frozen_outcome(cases):
-    return outcome(lambda: [report_bits(frozen_check_prop6_identity(**case)) for case in cases])
+    """The frozen check trial by trial, on the objects of each array case."""
+    return outcome(
+        lambda: [report_bits(frozen_check_prop6_identity(**objects("prop6", case))) for case in cases]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +539,10 @@ def test_indicator_matrix_at_240_outcomes_in_bounded_memory():
 
 
 def prop6_case(seed: int, n_max: int, pushed: int, family) -> dict:
-    """A pairing trial: the battery's draw, or with ``pushed`` > 0 a canonical
-    pair, point and variables whose weights are pushed near 1e-9 and whose
-    values are scaled by 1e-5..1e5. A draw the objects reject is skipped."""
+    """A pairing trial as arrays: the battery's draw, or with ``pushed`` > 0
+    a canonical pair, point and variables whose weights are pushed near 1e-9
+    and whose values are scaled by 1e-5..1e5. A draw the objects reject is
+    skipped."""
     rng = np.random.default_rng(seed)
     if not pushed:
         return batteries._draw_prop6(rng, rounds=1, n_max=n_max, family=family)[0]
@@ -552,7 +557,7 @@ def prop6_case(seed: int, n_max: int, pushed: int, family) -> dict:
         beta = delta(q_img, RandomVariable(q_img.space, values(rng, n)))
     except FisherGeoError:
         reject()
-    return {"pair": pair, "p": p, "alpha": alpha, "beta": beta, "family": family}
+    return arrays("prop6", {"pair": pair, "p": p, "alpha": alpha, "beta": beta, "family": family})
 
 
 PROP6_FAMILIES = st.one_of(
@@ -577,7 +582,7 @@ def test_prop6_kernel_matches_the_frozen_check(family, trials):
     cases = [prop6_case(seed, n_max, pushed, family) for seed, n_max, pushed in trials]
     assert kernel_outcome(cases) == frozen_outcome(cases)
     first = frozen_outcome(cases[:1])
-    single = outcome(lambda: [report_bits(check_prop6_identity(**cases[0]))])
+    single = outcome(lambda: [report_bits(check_prop6_identity(**objects("prop6", cases[0])))])
     assert single == first
 
 
@@ -587,28 +592,34 @@ def drawn_cases(family, count: int, seed: int = 7, n_max: int = 6) -> list[dict]
 
 
 def with_shape(cases: list[dict], shape: tuple[int, int]) -> list[dict]:
-    return [
-        c for c in cases
-        if (c["pair"].surjection.codomain.size, c["pair"].surjection.domain.size) == shape
-    ]
+    return [c for c in cases if (len(c["fibers"]), len(c["surjection"])) == shape]
 
 
 def test_a_late_failure_before_an_early_failure_raises_the_late_one():
     """The first trial fails at the last of its checks, the second at the
     first of them, in one shape: the kernel raises the first trial's error,
-    as the trial-by-trial loop does."""
+    as the trial-by-trial loop does. On objects, the single case names the
+    base that is wrong, as the frozen check does."""
     family = parse_family("COV")
     first, second, other = with_shape(drawn_cases(family, 200), (2, 4))[:3]
-    # beta at another point of the big space: the check after the image is built
-    late = dict(first, beta=other["beta"])
-    # alpha at another point of the small space: the check before the image
-    early = dict(second, alpha=other["alpha"])
+    # beta's representative centered at another image point: checked after
+    # the image is built
+    late = dict(first, b=other["b"])
+    # alpha's representative centered at another small point: checked before
+    early = dict(second, a=other["a"])
     cases = [late, early]
     expected = frozen_outcome(cases)
-    assert expected == (InvalidParameter, "beta must be based at the embedded image of p")
+    assert expected[0] is NotCentered
     assert kernel_outcome(cases) == expected
     assert kernel_outcome(cases[::-1]) == frozen_outcome(cases[::-1])
-    assert frozen_outcome(cases[::-1]) == (InvalidParameter, "alpha must be based at p")
+    assert frozen_outcome(cases[::-1])[0] is NotCentered and frozen_outcome(cases[::-1]) != expected
+    first, second, other = (objects("prop6", case) for case in (first, second, other))
+    for bad, message in (
+        (dict(first, beta=other["beta"]), "beta must be based at the embedded image of p"),
+        (dict(second, alpha=other["alpha"]), "alpha must be based at p"),
+    ):
+        single = outcome(lambda: check_prop6_identity(**bad))
+        assert single == outcome(lambda: frozen_check_prop6_identity(**bad)) == (InvalidParameter, message)
 
 
 def test_a_nan_gap_before_an_early_failure_raises_the_nan_gap():
@@ -621,14 +632,15 @@ def test_a_nan_gap_before_an_early_failure_raises_the_nan_gap():
         trial for trial in (dict(case, family=nan_family) for case in cases)
         if isinstance(frozen_outcome([trial]), tuple)
     )
-    other = next(case for case in cases if case["pair"] is not nan_trial["pair"])
-    wrong_space = dict(other, p=uniform(SampleSpace(other["p"].space.size + 1)))
+    other = next(case for case in cases if case["surjection"] is not nan_trial["surjection"])
+    m = len(other["p"])
+    wrong_space = dict(other, p=uniform(SampleSpace(m + 1)).weights)
     batch = [nan_trial, wrong_space]
     expected = frozen_outcome(batch)
     assert expected[0] is InvalidParameter and expected[1].startswith("witness gap nan")
     assert kernel_outcome(batch) == expected
     assert kernel_outcome(batch[::-1]) == frozen_outcome(batch[::-1])
-    assert frozen_outcome(batch[::-1]) == (SizeMismatch, "p must live on the small space of the pair")
+    assert frozen_outcome(batch[::-1]) == (SizeMismatch, f"expected length {m}, got {m + 1}")
 
 
 def test_a_plugin_family_is_called_pair_by_pair_in_trial_order():
@@ -637,8 +649,7 @@ def test_a_plugin_family_is_called_pair_by_pair_in_trial_order():
     for plugin in (Plugin("cov", _cov), PLUGINS[1]):
         new, old = Logged(plugin), Logged(plugin)
         cases = drawn_cases(plugin, 12)
-        assert len({(c["pair"].surjection.codomain.size, c["pair"].surjection.domain.size)
-                    for c in cases}) > 2
+        assert len({(len(c["fibers"]), len(c["surjection"])) for c in cases}) > 2
         kernel = kernel_outcome([dict(c, family=new) for c in cases])
         assert kernel == frozen_outcome([dict(c, family=old) for c in cases])
         assert new.log == old.log and len(new.log) == 24

@@ -13,7 +13,9 @@ compute and every Gram entry must be the same float, compared through
 ``float.hex``; every residual of a batch must be the one its trial gives
 alone; and a trial that fails a check must raise what the reference raises.
 The seven operator identities of the strong-invariance check are held to
-the exact oracle of ``tests/exact.py`` instead (``test_exact_oracle``).
+the exact oracle of ``tests/exact.py`` instead (``test_exact_oracle``). The
+kernels take a case's arrays (``frozen_pairs.arrays``), the references and
+the single-case checks its objects (``frozen_pairs.objects``).
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ from fishergeo.verify import (
     invariance_kernel,
     strong_invariance_kernel,
 )
+from frozen_pairs import arrays, objects
 from test_frozen_scalars import (
     apply,
     compose_variable,
@@ -227,6 +230,15 @@ def columns(cases: list[dict]) -> dict[str, list]:
     return {key: [case[key] for case in cases] for key in cases[0]}
 
 
+def strong_columns(cases: list[dict]) -> dict[str, list]:
+    """The kernel's arguments for the object cases of ``strong_case``."""
+    return columns([arrays("strong_invariance", case) for case in cases])
+
+
+def invariance_columns(cases: list[dict]) -> dict[str, list]:
+    return columns([arrays("invariance", case) for case in cases])
+
+
 shapes = st.integers(3, 24).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n - 1)))
 
 
@@ -248,7 +260,7 @@ def mixed_batches(draw) -> list[dict]:
 @settings(max_examples=60, deadline=None)
 @given(mixed_batches())
 def test_strong_invariance_kernel_batches_bitwise(cases):
-    reports = strong_invariance_kernel(**columns([strong_case(c) for c in cases]))
+    reports = strong_invariance_kernel(**strong_columns([strong_case(c) for c in cases]))
     assert len(reports) == len(cases)
     for case, report in zip(cases, reports):
         expected = reference_residuals(**strong_case(case))
@@ -262,7 +274,7 @@ def test_strong_invariance_kernel_batches_bitwise(cases):
 @settings(max_examples=60, deadline=None)
 @given(mixed_batches())
 def test_invariance_kernel_batches_bitwise(cases):
-    reports = invariance_kernel(**columns([invariance_case(c) for c in cases]))
+    reports = invariance_kernel(**invariance_columns([invariance_case(c) for c in cases]))
     assert len(reports) == len(cases)
     for case, report in zip(cases, reports):
         expected = reference_invariance(**invariance_case(case))
@@ -292,17 +304,20 @@ def test_fisher_metric_rows_of_stacked_points_bitwise(n, seeds, count):
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_battery_draws_bitwise(n_max, trials, seed):
-    """The batteries' own draws, at the sizes of the benchmark and beyond."""
+    """The batteries' own draws, at the sizes of the benchmark and beyond:
+    the kernels on the drawn arrays, the references and the single-case
+    checks on the objects the arrays stand for."""
     rng = np.random.default_rng(seed)
     strong = _draw_strong_invariance(rng, trials, n_max)
     for case, report in zip(strong, strong_invariance_kernel(**columns(strong))):
+        case = objects("strong_invariance", case)
         expected = reference_residuals(**case)
         assert hexes(report.residuals["covariance_identity"]) == hexes(expected["covariance_identity"])
         single = check_strong_invariance(**case)
         assert hexes(list(report.residuals.values())) == hexes(list(single.residuals.values()))
     plain = _draw_invariance(rng, trials, n_max)
     for case, report in zip(plain, invariance_kernel(**columns(plain))):
-        expected = reference_invariance(**case)
+        expected = reference_invariance(**objects("invariance", case))
         assert hexes(list(report.residuals.values())) == hexes(list(expected.values()))
 
 
@@ -318,10 +333,11 @@ def error_of(run) -> tuple[type, str]:
 
 
 def non_canonical(case: dict) -> dict:
-    """The case with a q that the embedding of its marginal does not recover."""
-    n = case["q"].space.size
-    w = np.arange(1.0, n + 1.0)
-    return {**case, "q": Distribution(case["q"].space, w / w.sum())}
+    """The case with a q that the embedding of its marginal does not recover,
+    an object case or an array case."""
+    q = case["q"]
+    w = np.arange(1.0, len(getattr(q, "weights", q)) + 1.0)
+    return {**case, "q": Distribution(q.space, w / w.sum()) if isinstance(q, Distribution) else w / w.sum()}
 
 
 def test_single_case_errors_match_the_object_level_code():
@@ -344,10 +360,10 @@ def test_single_case_errors_match_the_object_level_code():
 
 @pytest.mark.parametrize("name", ["strong_invariance", "invariance"])
 def test_battery_raises_what_the_first_bad_trial_raises(monkeypatch, name):
-    """Trial 2 fails late in the check (a variable of the wrong size) and
-    trial 5 fails early (not canonical, or not sum-zero). A batch evaluated
-    stage by stage meets trial 5 first; the battery must still raise trial
-    2's error, as the per-trial check raises it."""
+    """Trial 2 fails at the checks of its variables (one of the wrong size)
+    and trial 5 later (not canonical, or not sum-zero). Trial 2 is the
+    first to fail alone, so the battery raises its error, and the object
+    path, which builds the variable, raises it too."""
     spec = batteries._BATTERIES[name]
     draw, spoiled = spec.draw, {}
 
@@ -355,31 +371,36 @@ def test_battery_raises_what_the_first_bad_trial_raises(monkeypatch, name):
         cases = draw(rng, rounds=rounds, **params)
         for trial, case in enumerate(cases):
             if trial == 2:
-                case["a"] = RandomVariable(case["q"].space, np.ones(case["q"].space.size))
+                case["a"] = np.ones(len(case["q"]))
             elif trial == 5 and name == "strong_invariance":
                 case = non_canonical(case)
             elif trial == 5:
-                case["x_m_rep"] = case["x_m_rep"] + 1.0
+                case["x"] = case["x"] + 1.0
             spoiled[trial] = case
         return [spoiled[t] for t in range(rounds)]
 
     monkeypatch.setitem(batteries._BATTERIES, name, dataclasses.replace(spec, draw=spoiling))
     config = {"battery": name, "trials": 12, "n_max": 8, "seed": 1}
-    check = check_strong_invariance if name == "strong_invariance" else check_invariance
-    raised = error_of(lambda: run_battery(config))
-    shapes = {(c["pair"].surjection.domain.size, c["pair"].surjection.codomain.size)
-              for c in spoiled.values()}
-    assert len(shapes) > 1
-    assert raised == error_of(lambda: check(**spoiled[2]))
-    assert raised != error_of(lambda: check(**spoiled[5]))
     kernel = strong_invariance_kernel if name == "strong_invariance" else invariance_kernel
+    check = check_strong_invariance if name == "strong_invariance" else check_invariance
+
+    def alone(trial: int) -> tuple[type, str]:
+        return error_of(lambda: kernel(**columns([spoiled[trial]])))
+
+    raised = error_of(lambda: run_battery(config))
+    shapes = {(len(c["surjection"]), len(c["fibers"])) for c in spoiled.values()}
+    assert len(shapes) > 1
+    assert raised == alone(2) == error_of(lambda: objects(name, spoiled[2]))
+    assert raised != alone(5) == error_of(lambda: check(**objects(name, spoiled[5])))
     cases = [spoiled[t] for t in range(12)]
     assert error_of(lambda: kernel(**columns(cases))) == raised
-    assert error_of(lambda: kernel(**columns(cases[3:]))) == error_of(lambda: check(**spoiled[5]))
+    assert error_of(lambda: kernel(**columns(cases[3:]))) == alone(5)
 
 
 def test_kernels_need_one_entry_per_trial_in_every_argument():
-    case = strong_case(pair_case(5, 3, 7, 2.0, 0))
-    assert strong_invariance_kernel([], [], [], []) == []
+    case = arrays("strong_invariance", strong_case(pair_case(5, 3, 7, 2.0, 0)))
+    assert strong_invariance_kernel([], [], [], [], []) == []
     with pytest.raises(SizeMismatch, match="one entry per trial"):
-        strong_invariance_kernel([case["pair"]] * 2, [case["q"]] * 2, [case["a"]], [case["b"]] * 2)
+        strong_invariance_kernel(
+            [case["surjection"]] * 2, [case["fibers"]] * 2, [case["q"]] * 2, [case["a"]], [case["b"]] * 2
+        )

@@ -52,11 +52,13 @@ from fishergeo.verify import (
     check_monotonicity_metric,
     check_prop6_identity,
     check_strong_invariance,
+    invariance_kernel,
     probe_consistency,
     probe_rational,
     probe_uniform,
     rationalize,
     replay_witness,
+    strong_invariance_kernel,
     weak_invariance_residual,
 )
 
@@ -384,6 +386,16 @@ def same_bits(a: float, b: float) -> bool:
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
+def check_invariance_arrays(**case):
+    """``invariance_kernel`` on the arrays of one drawn trial."""
+    return invariance_kernel(**{key: [value] for key, value in case.items()})[0]
+
+
+def check_strong_invariance_arrays(**case):
+    """``strong_invariance_kernel`` on the arrays of one drawn trial."""
+    return strong_invariance_kernel(**{key: [value] for key, value in case.items()})[0]
+
+
 def _cov(w, a, b) -> float:
     return float(np.dot(w, a * b) - np.dot(w, a) * np.dot(w, b))
 
@@ -449,8 +461,12 @@ class TestWitnessReplay:
              check_monotonicity_metric, "slack"),
             ("monotonicity_cometric", partial(_draw_channel_cases, key="a"),
              check_monotonicity_cometric, "slack"),
-            ("invariance", _draw_invariance, check_invariance, "max_residual"),
-            ("strong_invariance", _draw_strong_invariance, check_strong_invariance, "max_residual"),
+            # the pair kinds' checks run on the drawn arrays; the ids name the checks they stand for
+            pytest.param("invariance", _draw_invariance, check_invariance_arrays, "max_residual",
+                         id="invariance-_draw_invariance-check_invariance-max_residual"),
+            pytest.param("strong_invariance", _draw_strong_invariance, check_strong_invariance_arrays,
+                         "max_residual",
+                         id="strong_invariance-_draw_strong_invariance-check_strong_invariance-max_residual"),
         ],
     )
     def test_drawn_case_replays_bitwise(self, any_gap, kind, draw, check, residual):
@@ -478,7 +494,7 @@ class TestWitnessReplay:
         [case] = _draw_invariance(np.random.default_rng(4), rounds=1, n_max=5)
         witness = Witness.from_case("invariance", case)
         payload = witness.to_json()
-        assert payload["x"] == list(case["x_m_rep"]) and payload["y"] == list(case["y_m_rep"])
+        assert payload["x"] == list(case["x"]) and payload["y"] == list(case["y"])
 
     def test_crb_replays_bitwise(self, any_gap):
         rng = np.random.default_rng(32)
