@@ -268,6 +268,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_dashed_values(sys.argv[1:] if argv is None else argv))
     try:
+        if not 0.0 <= args.tol < math.inf:  # written so that NaN fails it
+            raise InvalidParameter(f"--tol must be finite and >= 0, got {args.tol!r}")
         code, payload = args.handler(args)
     except (FisherGeoError, OSError, json.JSONDecodeError) as exc:
         _emit(

@@ -32,7 +32,9 @@ from its model, and the checks of ``jacobian_at``, ``Distribution``,
 differences, the pushforwards and the metric contractions run on the
 stacks, in the order a single stencil meets them. ``weak_invariance_kernel``
 runs the stencils of many trials and grid points at once; the
-``weak_invariance`` battery checks all its trials in one call of it.
+``weak_invariance`` battery checks all its trials in one call of it. It
+takes each pair as its 0-based map and fiber matrix, and the image model
+and both pushforwards read the kernels of ``markov.pair_stacks``.
 """
 from __future__ import annotations
 
@@ -51,9 +53,9 @@ from .geometry import (
     require_rows_sum_zero,
     score_rows,
 )
-from .markov import EmbeddingPair, apply, apply_rows
+from .markov import EmbeddingPair, apply_rows, pair_stacks
 from .models import ParametricModel, jacobian_at, jacobians_at
-from .simplex import Distribution, centered_rows, expect_rows, require_finite, require_weights
+from .simplex import Distribution, SampleSpace, centered_rows, expect_rows, require_finite, require_weights
 
 #: Default finite-difference step for covariant derivatives.
 DEFAULT_STEP = 1e-4
@@ -276,21 +278,19 @@ class WeakInvarianceReport:
     alpha_big: float
 
 
-def pushforward_model(pair: EmbeddingPair, model: ParametricModel) -> ParametricModel:
-    """The image family xi -> Phi(p_xi) inside the big simplex."""
-    channel = pair.embedding_channel
-    if model.space != channel.in_space:
+def _pushforward_model(phi: np.ndarray, model: ParametricModel) -> ParametricModel:
+    """The image family xi -> Phi(p_xi) through a checked embedding kernel Phi (n, m)."""
+    if model.space.size != phi.shape[1]:
         raise SizeMismatch("model space does not match the embedding input")
+    space = SampleSpace(phi.shape[0])
 
     def point_map(xi: np.ndarray) -> Distribution:
-        return apply(channel, model.point(xi))
+        return Distribution(space, apply_rows(phi[None], model.point(xi).weights[None])[0])
 
     def jac(xi: np.ndarray) -> np.ndarray:
-        return apply_rows(channel.kernel[None], jacobian_at(model, xi)[None])[0]
+        return apply_rows(phi[None], jacobian_at(model, xi)[None])[0]
 
-    return ParametricModel(
-        channel.out_space, model.dim, point_map, jac, name=f"{model.name}>embedded"
-    )
+    return ParametricModel(space, model.dim, point_map, jac, name=f"{model.name}>embedded")
 
 
 def weak_invariance_check(
@@ -313,29 +313,35 @@ def weak_invariance_check(
     and ``step`` must be finite and positive; both are checked before
     anything is evaluated. ``weak_invariance_kernel`` on a batch of one.
     """
-    return weak_invariance_kernel([pair], [tag], [x], [y], [grid], [step], [tag_big])[0]
+    arrays = [pair.surjection.map0], [pair.fiber_distributions]
+    return weak_invariance_kernel(*arrays, [tag], [x], [y], [grid], [step], [tag_big])[0]
 
 
-def weak_invariance_kernel(pair, tag, x, y, grid, step, tag_big) -> list[WeakInvarianceReport]:
+def weak_invariance_kernel(surjection, fibers, tag, x, y, grid, step, tag_big) -> list[WeakInvarianceReport]:
     """``weak_invariance_check`` over a leading trial axis.
 
     Each argument is a sequence with one entry per trial, in any mix of
-    pairs, models, grids and tags. The stencils of every grid point of every
-    trial are evaluated together, stacked by the shapes of the small and
-    the image model; the image model keeps its own evaluation. Every report
-    is bitwise the one the trial gives alone, and a failed check raises what
+    pairs, models, grids and tags; a pair is a 0-based map (n,) and a fiber
+    matrix (m, n), checked first. The stencils of every grid point of every
+    trial are evaluated together, stacked by the shapes of the small and the
+    image model; the image model keeps its own evaluation. Every report is
+    bitwise the one the trial gives alone, and a failed check raises what
     the first failing trial raises alone, which is what its first failing
     grid point raises.
     """
-    return in_trial_order(_weak_invariance_rows, pair, tag, x, y, grid, step, tag_big)
+    return in_trial_order(_weak_invariance_rows, surjection, fibers, tag, x, y, grid, step, tag_big)
 
 
-def _weak_invariance_rows(pair, tag, x, y, grid, step, tag_big) -> list[WeakInvarianceReport]:
+def _weak_invariance_rows(surjection, fibers, tag, x, y, grid, step, tag_big) -> list[WeakInvarianceReport]:
+    kernels = {}  # each trial's Phi and Psi, from the stacks of its shape
+    for trials, _, phi, psi in pair_stacks(surjection, fibers):
+        kernels.update(zip(trials, zip(phi, psi)))
     grids, units = [], []
-    for pair_t, tag_t, x_t, y_t, grid_t, step_t, big_t in zip(pair, tag, x, y, grid, step, tag_big):
+    for t, tag_t, x_t, y_t, grid_t, step_t, big_t in zip(range(len(tag)), tag, x, y, grid, step, tag_big):
+        phi_t, psi_t = kernels[t]
         if x_t.model is not y_t.model:
             raise InvalidParameter("x and y must live on the same model")
-        big = pushforward_model(pair_t, x_t.model)
+        big = _pushforward_model(phi_t, x_t.model)
         _require_inputs(x_t.model, step_t, [x_t, y_t])
         points = [np.asarray(raw, dtype=float).reshape(-1) for raw in grid_t]
         if not points:
@@ -343,7 +349,7 @@ def _weak_invariance_rows(pair, tag, x, y, grid, step, tag_big) -> list[WeakInva
         inner = tag_t if big_t is None else big_t
         grids.append((points, tag_t.alpha, inner.alpha, step_t))
         for xi in points:
-            units.append((pair_t, x_t.model, big, xi, tag_t.alpha, inner.alpha, x_t, y_t, step_t))
+            units.append((phi_t, psi_t, x_t.model, big, xi, tag_t.alpha, inner.alpha, x_t, y_t, step_t))
     vec, metric = in_trial_order(_grid_point_rows, *zip(*units)) if units else ([], [])
     reports, u = [], 0
     for points, alpha, alpha_big, step_t in grids:
@@ -366,7 +372,7 @@ def _weak_invariance_rows(pair, tag, x, y, grid, step, tag_big) -> list[WeakInva
 
 
 def _grid_point_rows(
-    pair, small, big, xi, alpha, alpha_big, x, y, step
+    phi, psi, small, big, xi, alpha, alpha_big, x, y, step
 ) -> tuple[list[float], list[list[float]]]:
     """The vector residual and the metric residual of each row of the small
     model's Jacobian, for every grid point (one entry each), stacked by the
@@ -384,13 +390,12 @@ def _grid_point_rows(
         _, w, nabla = _nabla_rows(np.array(pick(alpha)), pick(small), at, x_u, y_u, h)
         _, w_big, nabla_big = _nabla_rows(np.array(pick(alpha_big)), pick(big), at, x_u, y_u, h)
         # pushforward(psi, ...) of the image connection: its point, then its vector
-        psi = np.array([p.coembedding_channel.kernel for p in pick(pair)])
-        require_weights(apply_rows(psi, w_big))
-        pushed = require_rows_sum_zero(apply_rows(psi, nabla_big))
+        psi_u, phi_u = np.array(pick(psi)), np.array(pick(phi))
+        require_weights(apply_rows(psi_u, w_big))
+        pushed = require_rows_sum_zero(apply_rows(psi_u, nabla_big))
         residual = abs(nabla - pushed).max(axis=-1)
         jac = np.array(jacobians_at(pick(small), at))
-        phi = np.array([p.embedding_channel.kernel for p in pick(pair)])
-        phi_p, phi_z = apply_rows(phi, w), apply_rows(phi[:, None], jac)
+        phi_p, phi_z = apply_rows(phi_u, w), apply_rows(phi_u[:, None], jac)
         for i in range(jac.shape[1]):
             # row i as a TangentVector, then the point and vector of its pushforward
             require_rows_sum_zero(jac[:, i])

@@ -8,7 +8,8 @@ over stacked rows (``apply_rows``, ``conditional_expectation_rows``,
 ``compose_variable_rows``, ``coembedding_kernel_rows``,
 ``canonical_embedding_rows``), as the checks of a constructor do
 (``require_maps``, ``require_fibers``): the objects use it on a batch of
-one, and the pair kernels of ``verify`` and the draws on their stacks.
+one, and the draws and the pair kernels on their stacks. A kernel reads its
+pairs, 0-based maps and fiber matrices, through ``pair_stacks`` only.
 
 A surjection F between sample spaces generates the deterministic
 co-embedding q -> q^F (block sums over fibers of F). Splitting each fiber
@@ -21,6 +22,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .errors import (
     NotNormalized,
     NotSurjective,
     SizeMismatch,
+    by_shape,
 )
 from .geometry import CotangentVector, TangentVector, delta
 from .simplex import Distribution, RandomVariable, SampleSpace, interior_rows, require_weights
@@ -259,6 +262,26 @@ class EmbeddingPair:
     @cached_property
     def coembedding_channel(self) -> Channel:
         return coembedding(self.surjection)
+
+
+def pair_stacks(surjection, fibers, *rows, key=None) -> Iterator[tuple]:
+    """Pair trials (0-based maps (n,), fiber matrices (m, n), ``rows``) by shape and ``key`` entry,
+    after the ``Surjection`` and ``EmbeddingPair`` checks: the trials, maps, kernels Phi
+    (k, n, m), C-ordered as a Channel's, and Psi (k, m, n), and each of ``rows``."""
+    columns = (surjection, fibers, *rows)
+    shapes = [tuple(np.shape(column[t]) for column in columns) for t in range(len(surjection))]
+    for trials in by_shape(shapes if key is None else zip(shapes, map(id, key))):
+        maps = np.array([surjection[t] for t in trials]).reshape(len(trials), -1)
+        r = np.array([fibers[t] for t in trials], dtype=float)
+        n, m = maps.shape[1], (r.shape[1:] or (0,))[0]
+        SampleSpace(n), SampleSpace(m)
+        require_maps(maps, m)
+        if r.shape[1:] != (m, n):
+            raise SizeMismatch(f"fiber matrix shape {r.shape[1:]} != {(m, n)}")
+        require_fibers(maps, r)
+        stacked = [np.array([col[t] for t in trials], dtype=float).reshape(len(trials), -1) for col in rows]
+        phi = np.ascontiguousarray(r.transpose(0, 2, 1))
+        yield trials, maps, phi, coembedding_kernel_rows(maps, m), *stacked
 
 
 def canonical_embedding(surjection: Surjection, q: Distribution) -> EmbeddingPair:

@@ -7,18 +7,19 @@ identity for candidate bilinear families. Randomized batteries drive them
 over seeded trials and aggregate deterministic reports. The two invariance
 checks and the pairing identity are array kernels over a leading trial
 axis, ``invariance_kernel``, ``strong_invariance_kernel`` and
-``prop6_kernel``, on the arrays of one case (map, fiber matrix, points and
-variable rows); their batteries call them once on the arrays of all their
-trials, and their witnesses are built from, and replay to, these arrays.
+``prop6_kernel``, on the arrays of one case (0-based map, fiber matrix,
+points and variable rows); their batteries call them once on all their
+trials, whose witnesses are built from, and replay to, these arrays. Like
+``connections.weak_invariance_kernel``, they read pairs through ``markov.pair_stacks``.
 
 The probe decomposes an invariant family into ``c1 * L2 + c2 * MM``:
 
   (a) evaluate on indicator pairs at the uniform distribution; permutation
       invariance forces the matrix shape a*I + b*ones;
-  (b) lift through block surjections to larger uniform spaces; consistency
-      across dimensions pins the constants c1 = n*a_n, c2 = n^2*b_n;
-  (c) extend to rational points via partition surjections from a uniform
-      space over the common denominator;
+  (b) lift through block maps (0-based, by ``np.repeat``) to larger uniform
+      spaces; consistency across dimensions pins c1 = n*a_n, c2 = n^2*b_n;
+  (c) extend to rational points via partition maps from a uniform space
+      over the common denominator;
   (d) continuity surrogate: fitted constants at rational approximations of
       an irrational spot-check point converge as the denominator bound grows.
 
@@ -45,7 +46,7 @@ import numpy as np
 
 from .connections import DEFAULT_STEP, ConnectionTag, VectorFieldOnModel, coordinate_field
 from .connections import weak_invariance_kernel
-from .errors import InvalidParameter, NotRational, SizeMismatch, by_shape, in_trial_order
+from .errors import InvalidParameter, NotRational, SizeMismatch, in_trial_order
 from .families import CandidateFamily, parse_family
 from .geometry import (
     CotangentVector,
@@ -62,14 +63,12 @@ from .markov import (
     Surjection,
     apply,
     apply_rows,
-    canonical_embedding,
-    coembedding_kernel_rows,
+    canonical_embedding_rows,
     compose_variable_rows,
     conditional_expectation,
     conditional_expectation_rows,
+    pair_stacks,
     pushforward,
-    require_fibers,
-    require_maps,
 )
 from .models import categorical_model, crb_check
 from .simplex import (
@@ -354,26 +353,6 @@ def _one(kernel: Callable, **case):
     return kernel(**{key: [value] for key, value in case.items()})[0]
 
 
-def _pair_stacks(surjection, fibers, *rows, family=None) -> Iterator[tuple]:
-    """Per group of trials with inputs of one shape (and one family), after
-    the ``Surjection`` and ``EmbeddingPair`` checks: the trials, maps, kernels
-    Phi (k, n, m), C-ordered as a Channel's, and Psi, and each of ``rows``."""
-    columns = (surjection, fibers, *rows)
-    shapes = [tuple(np.shape(column[t]) for column in columns) for t in range(len(surjection))]
-    for trials in by_shape(shapes if family is None else zip(shapes, map(id, family))):
-        maps = np.array([surjection[t] for t in trials]).reshape(len(trials), -1)
-        r = np.array([fibers[t] for t in trials], dtype=float)
-        n, m = maps.shape[1], (r.shape[1:] or (0,))[0]
-        SampleSpace(n), SampleSpace(m)
-        require_maps(maps, m)
-        if r.shape[1:] != (m, n):
-            raise SizeMismatch(f"fiber matrix shape {r.shape[1:]} != {(m, n)}")
-        require_fibers(maps, r)
-        stacked = [np.array([col[t] for t in trials], dtype=float).reshape(len(trials), -1) for col in rows]
-        phi = np.ascontiguousarray(r.transpose(0, 2, 1))
-        yield trials, maps, phi, coembedding_kernel_rows(maps, m), *stacked
-
-
 def _reports(report: type, keys: tuple[str, ...], residuals: np.ndarray, pass_tol: float) -> list:
     """One report per row of residuals, its worst residual classified at ``pass_tol``."""
     reports = []
@@ -397,7 +376,7 @@ def invariance_kernel(surjection, fibers, q, x, y, a, b) -> list[InvarianceRepor
 
 def _invariance_rows(surjection, fibers, q, x, y, a, b) -> np.ndarray:
     residuals = np.empty((len(q), len(_INVARIANCE_KEYS)))
-    for trials, maps, phi, psi, w, a_values, b_values, *m_reps in _pair_stacks(
+    for trials, maps, phi, psi, w, a_values, b_values, *m_reps in pair_stacks(
         surjection, fibers, q, a, b, x, y
     ):
         n, m = phi.shape[1:]
@@ -442,7 +421,7 @@ def strong_invariance_kernel(surjection, fibers, q, a, b) -> list[StrongInvarian
 
 def _strong_invariance_rows(surjection, fibers, q, a, b) -> np.ndarray:
     residuals = np.empty((len(q), len(_STRONG_INVARIANCE_KEYS)))
-    for trials, maps, phi, psi, w, a_values, b_values in _pair_stacks(surjection, fibers, q, a, b):
+    for trials, maps, phi, psi, w, a_values, b_values in pair_stacks(surjection, fibers, q, a, b):
         n, m = phi.shape[1:]
         w = require_weights(_sized(w, n))
         a_values = require_finite(_sized(a_values, m))
@@ -549,7 +528,7 @@ def _prop6_rows(surjection, fibers, p, a, b, family) -> list[Prop6Report]:
     # per trial its rows and pulled-back rows, and its two sides if its family is a grammar's
     per_trial: list = [None] * len(p)
     sides: dict[int, tuple[float, float]] = {}
-    for trials, maps, phi, psi, w, a_reps, b_reps in _pair_stacks(surjection, fibers, p, a, b, family=family):
+    for trials, maps, phi, psi, w, a_reps, b_reps in pair_stacks(surjection, fibers, p, a, b, key=family):
         n, m = phi.shape[1:]
         w = require_weights(_sized(w, m))
         require_centered(expect_rows(w, require_finite(_sized(a_reps, m))))
@@ -602,10 +581,10 @@ def weak_invariance_residual(
 
 
 def weak_invariance_residual_kernel(surjection, q, alpha, grid, step, mismatched) -> list[float]:
-    """``weak_invariance_residual`` over a leading trial axis: the checks of
-    all trials in one ``weak_invariance_kernel`` call. Every residual is
-    bitwise the one the trial gives alone, and a failed check raises what
-    the first failing trial raises alone."""
+    """``weak_invariance_residual`` over a leading trial axis: all trials in
+    one ``weak_invariance_kernel`` call, on their maps and canonical fiber
+    matrices. Every residual is bitwise the one the trial gives alone, and a
+    failed check raises what the first failing trial raises alone."""
     return in_trial_order(
         _weak_invariance_residual_rows, surjection, q, alpha, grid, step, mismatched
     )
@@ -622,11 +601,13 @@ def _weak_invariance_residual_rows(surjection, q, alpha, grid, step, mismatched)
     for surjection_t, q_t, alpha_t, mismatched_t in zip(surjection, q, alpha, mismatched):
         model = categorical_model(surjection_t.codomain.size)
         tag_big = ConnectionTag(-alpha_t if alpha_t != 0.0 else 1.0) if mismatched_t else None
-        pair = canonical_embedding(surjection_t, q_t)
+        if q_t.space != surjection_t.domain:
+            raise SizeMismatch("distribution is not on the domain of the surjection")
+        r = canonical_embedding_rows(np.array([surjection_t.map0]), q_t.weights[None], model.space.size)
         xy = (coordinate_field(model, 0), _quadratic_field(model))
-        trials.append((pair, ConnectionTag(alpha_t), *xy, tag_big))
-    pairs, tags, x, y, tag_big = zip(*trials) if trials else ([],) * 5
-    reports = weak_invariance_kernel(pairs, tags, x, y, grid, step, tag_big)
+        trials.append((surjection_t.map0, r[0], ConnectionTag(alpha_t), *xy, tag_big))
+    maps, fibers, tags, x, y, tag_big = zip(*trials) if trials else ([],) * 6
+    reports = weak_invariance_kernel(maps, fibers, tags, x, y, grid, step, tag_big)
     return [max(report.residual_max, report.metric_residual_max) for report in reports]
 
 
@@ -734,10 +715,11 @@ def _probe_uniform(family: CandidateFamily, n: int) -> tuple[UniformProbeResult,
     return UniformProbeResult(n, a, b, worst, witness), matrix
 
 
-def _lifted_pair_matrix(family: CandidateFamily, surjection: Surjection) -> np.ndarray:
-    """The codomain's indicator pair matrix, lifted to the domain's uniform point."""
-    lifts = np.eye(surjection.codomain.size)[:, surjection.map0]
-    return _pair_matrix(family, uniform(surjection.domain), lifts, lifts)
+def _lifted_pair_matrix(family: CandidateFamily, counts) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The indicator pair matrix lifted through the map collapsing blocks of ``counts``, and that map."""
+    map0 = np.repeat(np.arange(len(counts)), counts)
+    lifts = np.eye(len(counts))[:, map0]
+    return _pair_matrix(family, uniform(SampleSpace(map0.size)), lifts, lifts), tuple(map0.tolist())
 
 
 @dataclass(frozen=True)
@@ -772,15 +754,14 @@ def _probe_consistency(
     big, _ = uniform_at(m * n)
     if big.witness is not None:
         return ConsistencyProbeResult(m, n, 0.0, 0.0, big.max_residual, big.witness)
-    surjection = block_surjection(m, n)
-    rhs = _lifted_pair_matrix(family, surjection)
+    rhs, surjection = _lifted_pair_matrix(family, np.full(n, m))
     worst, i, j = _first_worst(np.abs(lhs - rhs))
     witness = None
     if worst > VIOLATION_TOL:
         witness = _indicator_witness(
             "cross_dimension", family, (n, m * n), (i, j), (lhs, rhs), worst,
             f"lift of indicator pair ({i + 1}, {j + 1}) changes the uniform evaluation",
-            surjection=surjection.map0,
+            surjection=surjection,
         )
     c1_small, c2_small = n * small.a, n * n * small.b
     c1_big, c2_big = m * n * big.a, (m * n) ** 2 * big.b
@@ -828,21 +809,6 @@ def _rationalize_rows(points: np.ndarray, denominator_bound: int) -> Iterator[tu
                 f"no rational representation with denominator <= {denominator_bound}"
             )
         yield denominator, row
-
-
-def partition_surjection(counts: np.ndarray) -> Surjection:
-    """Surjection collapsing consecutive blocks of the given sizes."""
-    total = int(np.sum(counts))
-    return Surjection(
-        SampleSpace(total),
-        SampleSpace(len(counts)),
-        tuple(np.repeat(np.arange(len(counts)), counts).tolist()),
-    )
-
-
-def block_surjection(m: int, n: int) -> Surjection:
-    """The surjection from an mn-point onto an n-point space by blocks of m."""
-    return partition_surjection(np.full(n, m))
 
 
 def _fit_constants(p: Distribution, matrix: np.ndarray) -> tuple[float, float]:
@@ -900,9 +866,8 @@ def _rational_probes(
     targets = c1 * diagonals + c2 * (points[:, :, None] * points[:, None, :])
     found = _rationalize_rows(points, denominator_bound)
     for w, (denominator, counts), target in zip(points, found, targets):
-        surjection = partition_surjection(counts)
         value = next(values)
-        lifted = _lifted_pair_matrix(family, surjection)
+        lifted, surjection = _lifted_pair_matrix(family, counts)
         to_lift, to_target = np.abs(value - lifted), np.abs(value - target)
         # Python's max(to_lift, to_target): the first unless the second is larger
         # (np.maximum would differ on NaN)
@@ -911,9 +876,9 @@ def _rational_probes(
         if worst > VIOLATION_TOL:
             rhs = lifted if to_lift[i, j] >= to_target[i, j] else target
             witness = _indicator_witness(
-                "rational_point", family, (n, surjection.domain.size), (i, j), (value, rhs),
+                "rational_point", family, (n, denominator), (i, j), (value, rhs),
                 worst, f"D={denominator_bound}",
-                surjection=surjection.map0, point=_floats(w), constants=(float(c1), float(c2)),
+                surjection=surjection, point=_floats(w), constants=(float(c1), float(c2)),
             )
         yield RationalProbeResult(
             n, denominator, tuple(int(c) for c in counts), float(c1), float(c2), worst, witness
@@ -1198,10 +1163,9 @@ def _surjection_point(witness: Witness) -> tuple[Surjection, Distribution]:
 def _pair_case(witness: Witness) -> dict:
     surjection, q = _surjection_point(witness)
     rows = "ab" if witness.kind == "strong_invariance" else "abxy"
-    return {
-        "surjection": surjection.map0, "fibers": canonical_embedding(surjection, q).fiber_distributions,
-        "q": q.weights, **{key: np.array(getattr(witness, key)) for key in rows},
-    }
+    fibers = canonical_embedding_rows(np.array([surjection.map0]), q.weights[None], witness.m)[0]
+    return {"surjection": surjection.map0, "fibers": fibers, "q": q.weights,
+            **{key: np.array(getattr(witness, key)) for key in rows}}
 
 
 def _prop6_case(witness: Witness) -> dict:

@@ -385,6 +385,50 @@ class TestDuality:
         assert json.loads(proc.stdout)["error"]["type"] == "InvalidParameter"
 
 
+class TestTolerance:
+    """``--tol`` must be finite and >= 0. Another value is bad input, rejected
+    before any handler runs: a NaN would be written as ``"tol": NaN``, which
+    is not JSON, and a negative one would fail every residual check."""
+
+    @staticmethod
+    def strict_json(text: bytes) -> dict:
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        return json.loads(text, parse_constant=reject)
+
+    @pytest.mark.parametrize("tol", ["nan", "NaN", "inf", "-inf", "-1", "-1e-300"])
+    @pytest.mark.parametrize("command", ["fisher", "duality", "verify"])
+    def test_bad_tol_exits_2_before_the_handler(self, cli, monkeypatch, tol, command):
+        from fishergeo import cli as cli_module
+
+        def handler(args):
+            raise AssertionError("the handler ran")
+
+        monkeypatch.setattr(cli_module, f"cmd_{command}", handler)
+        inputs = {
+            "fisher": ["--model", cli.file("m.json", BERNOULLI), "--xi", "0.5"],
+            "duality": ["--model", cli.file("m.json", BERNOULLI), "--xi", "0.3"],
+            "verify": ["--config", cli.file("c.json", {"battery": "strong_invariance", "trials": 1})],
+        }[command]
+        proc = cli.run("--tol", tol, command, *inputs)
+        assert proc.returncode == 2
+        error = self.strict_json(proc.stdout)["error"]
+        assert error["type"] == "InvalidParameter"
+        assert error["message"] == f"--tol must be finite and >= 0, got {float(tol)!r}"
+
+    @pytest.mark.parametrize("tol", ["0", "1e-300", "0.5"])
+    def test_finite_nonnegative_tol_is_reported(self, cli, tol):
+        proc = cli.run("--tol", tol, "fisher", "--model", cli.file("m.json", BERNOULLI), "--xi", "0.5")
+        assert proc.returncode == 0
+        assert self.strict_json(proc.stdout)["tolerances"]["tol"] == float(tol)
+
+    def test_tol_decides_the_duality_verdict(self, cli):
+        model = cli.file("m.json", BERNOULLI)
+        code, out = cli.run_json("--tol", "0", "duality", "--model", model, "--xi", "0.3")
+        assert out["residual"] > 0.0 and code == 1 and not out["pass"]
+
+
 class TestVerify:
     def test_characterize_battery_cov(self, cli):
         config = {

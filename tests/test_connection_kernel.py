@@ -12,11 +12,14 @@ kernel is never compared with itself. Every output must be the same float,
 compared through ``float.hex``, or the same error, type and message.
 
 ``weak_invariance_kernel`` and ``weak_invariance_residual_kernel`` check
-many trials at once, stacked by model shape. Each trial of a mixed batch
-(categorical, affine and exponential-family models, points pushed toward
-the boundary, mismatched tags on the big simplex) must give its frozen
-report, and a batch with a failing trial must raise what the first failing
-trial raises alone.
+many trials at once, stacked by model shape. The first takes each trial's
+pair as arrays, the 0-based map of its surjection and its fiber matrix;
+the frozen copies keep the pair objects, built from those arrays through
+the frozen constructor checks of ``frozen_pairs``. Each trial of a mixed
+batch (categorical, affine and exponential-family models, points pushed
+toward the boundary, mismatched tags on the big simplex) must give its
+frozen report, and a batch with a failing trial, a bad pair's arrays
+included, must raise what the first failing trial raises alone.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frozen_pairs
 from fishergeo import connections, verify
 from fishergeo.batteries import _draw_weak_invariance, _size_pairs
 from fishergeo.connections import (
@@ -37,7 +41,16 @@ from fishergeo.connections import (
     coordinate_field,
     weak_invariance_kernel,
 )
-from fishergeo.errors import FisherGeoError, InvalidParameter, NotCentered, SizeMismatch
+from fishergeo.errors import (
+    BadSize,
+    FisherGeoError,
+    InvalidChannel,
+    InvalidParameter,
+    NotCentered,
+    NotNormalized,
+    NotSurjective,
+    SizeMismatch,
+)
 from fishergeo.geometry import TangentVector
 from fishergeo.markov import Surjection, canonical_embedding, random_surjection
 from fishergeo.models import (
@@ -300,13 +313,23 @@ def test_duality_check_matches_its_copy(drawn, seed, picks, step):
 # ---------------------------------------------------------------------------
 
 
+def with_arrays(trial: tuple) -> tuple:
+    """A trial with its pair as its map and fiber matrix, both copied."""
+    pair, *rest = trial
+    return (np.array(pair.surjection.map0), np.array(pair.fiber_distributions), *rest)
+
+
+def kernel_columns(trials: list[tuple]) -> list[list]:
+    """The kernel's arguments for trials whose first entry is a pair."""
+    return [list(column) for column in zip(*map(with_arrays, trials))]
+
+
 def assert_kernel_matches(trials: list[tuple]) -> None:
     """The kernel on ``trials`` against each trial's frozen check; a failing
     batch raises what its first failing trial raises alone, in the kernel
     and in the copy."""
     expected = [outcome(lambda t=t: weak_invariance_check(*t)) for t in trials]
-    columns = [list(column) for column in zip(*trials)]
-    reports = outcome(lambda: weak_invariance_kernel(*columns))
+    reports = outcome(lambda: weak_invariance_kernel(*kernel_columns(trials)))
     bad = [t for t, e in enumerate(expected) if failed(e)]
     if bad:
         assert reports == expected[bad[0]]
@@ -393,7 +416,7 @@ def test_mismatched_tags_are_checked_on_the_big_simplex_only():
     for alpha, alpha_big in ((0.0, None), (0.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (0.3, None)):
         trials.append(weak_trial("expfam", 5, 2, 4, 2.0, 1, [1.0], DEFAULT_STEP, alpha, alpha_big))
     assert_kernel_matches(trials)
-    reports = weak_invariance_kernel(*[list(column) for column in zip(*trials)])
+    reports = weak_invariance_kernel(*kernel_columns(trials))
     assert [(r.alpha, r.alpha_big) for r in reports] == [
         (0.0, 0.0), (0.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (0.3, 0.3)
     ]
@@ -404,10 +427,105 @@ def test_kernels_need_one_entry_per_trial():
     pair, tag, x, y, grid, step, tag_big = weak_trial(
         "affine", 4, 0, 5, 2.0, 0, [1.0], DEFAULT_STEP, 0.0, None
     )
-    assert weak_invariance_kernel([], [], [], [], [], [], []) == []
+    assert weak_invariance_kernel([], [], [], [], [], [], [], []) == []
     assert verify.weak_invariance_residual_kernel([], [], [], [], [], []) == []
+    map0, fibers = pair.surjection.map0, pair.fiber_distributions
     with pytest.raises(SizeMismatch, match="one entry per trial"):
-        weak_invariance_kernel([pair] * 2, [tag], [x], [y], [grid], [step], [tag_big])
+        weak_invariance_kernel([map0] * 2, [fibers] * 2, [tag], [x], [y], [grid], [step], [tag_big])
+    with pytest.raises(SizeMismatch, match="one entry per trial"):
+        weak_invariance_kernel([map0], [fibers] * 2, [tag], [x], [y], [grid], [step], [tag_big])
+
+
+# ---------------------------------------------------------------------------
+# A pair's arrays: checked before anything else of its trial, as its objects
+# were built before the check ran
+# ---------------------------------------------------------------------------
+
+
+PAIR_DEFECTS = (
+    "map_out_of_range", "map_not_onto", "mass_off_fiber", "fiber_sum", "fiber_columns", "fiber_rows",
+)
+
+
+def spoil_pair(trial: tuple, defect: str, rng: np.random.Generator) -> tuple:
+    """A trial given as arrays, with one defect in its map or fiber matrix."""
+    map0, fibers, *rest = trial
+    map0, fibers = map0.copy(), fibers.copy()
+    m, n = fibers.shape
+    y = int(rng.integers(n))
+    if defect == "map_out_of_range":
+        map0[y] = rng.choice([-1, m, m + 3])
+    elif defect == "map_not_onto":
+        map0[:] = map0[y]
+    elif defect == "mass_off_fiber":
+        x = int(rng.integers(m))
+        fibers[x, y] = 0.0 if map0[y] == x else 0.25
+    elif defect == "fiber_sum":
+        fibers[int(rng.integers(m))] *= 1.0 + 10.0 ** rng.uniform(-11, -1)
+    elif defect == "fiber_columns":
+        fibers = fibers[:, :-1]
+    else:
+        fibers = fibers[:-1]
+    return (map0, fibers, *rest)
+
+
+def frozen_array_check(map0, fibers, *rest) -> WeakInvarianceReport:
+    """The frozen check of a trial given as arrays: its pair built through
+    the frozen constructor checks, onto as many points as r has rows."""
+    f = frozen_pairs.surjection(len(map0), len(fibers), np.asarray(map0).tolist())
+    return weak_invariance_check(frozen_pairs.embedding_pair(f, fibers), *rest)
+
+
+def assert_array_kernel_matches(trials: list[tuple]) -> None:
+    """The kernel on trials given as arrays against the frozen check of
+    each: the error of the first trial that fails alone, else every report."""
+    expected = []
+    for trial in trials:
+        expected.append(outcome(lambda t=trial: frozen_array_check(*t)))
+        if failed(expected[-1]):
+            break
+    reports = outcome(lambda: weak_invariance_kernel(*[list(column) for column in zip(*trials)]))
+    if failed(expected[-1]):
+        assert reports == expected[-1]
+        return
+    assert not failed(reports), reports
+    assert [report_hexes(r) for r in reports] == [report_hexes(e) for e in expected]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.lists(weak_trials, min_size=1, max_size=4),
+    defects=st.lists(st.tuples(st.integers(0, 3), st.sampled_from(PAIR_DEFECTS)), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bad_pair_arrays_raise_what_the_first_failing_trial_raises(batch, defects, seed):
+    """Up to three defects in the maps and fiber matrices of a batch; a
+    trial may also fail later, at its stencils."""
+    rng = np.random.default_rng(seed)
+    trials = [with_arrays(trial) for trial in batch]
+    for t, defect in defects:
+        trials[t % len(trials)] = spoil_pair(trials[t % len(trials)], defect, rng)
+    assert_array_kernel_matches(trials)
+
+
+@pytest.mark.parametrize("defect, error", [
+    ("map_out_of_range", BadSize), ("map_not_onto", NotSurjective), ("mass_off_fiber", InvalidChannel),
+    ("fiber_sum", NotNormalized), ("fiber_columns", SizeMismatch), ("fiber_rows", BadSize),
+])
+def test_each_pair_defect_is_rejected_in_trial_order(defect, error):
+    """Each defect alone makes its trial raise; in a batch it comes after an
+    earlier trial that fails late, at its first grid point's metric
+    contraction, and before the good trials."""
+    good = with_arrays(weak_trial("categorical", 5, 1, 11, 1.0, 0, [1.0, 0.5], DEFAULT_STEP, 0.5, None))
+    bad = spoil_pair(good, defect, np.random.default_rng(0))
+    assert outcome(lambda: frozen_array_check(*bad))[0] is error
+    center = np.array([0.3, 0.2])
+    model = nan_at_center(categorical_model(3), center)
+    fields_ = coordinate_field(model, 0), VectorFieldOnModel(model, lambda xi: 0.4 + 0.3 * xi**2)
+    late = (*good[:3], *fields_, [center], DEFAULT_STEP, None)
+    assert outcome(lambda: frozen_array_check(*late))[0] is InvalidParameter
+    for trials in ([good, bad, good], [bad], [late, bad], [bad, late], [good, late, bad]):
+        assert_array_kernel_matches(trials)
 
 
 def test_rank_deficient_model_raises_its_copys_error():

@@ -8,17 +8,17 @@ from fishergeo.connections import (
     M_CONNECTION,
     ConnectionTag,
     VectorFieldOnModel,
+    _pushforward_model,
     coordinate_field,
     covariant_derivative,
     duality_check,
     e_transport,
     m_transport,
-    pushforward_model,
     weak_invariance_check,
 )
 from fishergeo.errors import InvalidParameter
 from fishergeo.geometry import TangentVector, flat
-from fishergeo.markov import Surjection, apply, canonical_embedding
+from fishergeo.markov import Surjection, apply, canonical_embedding, pair_stacks
 from fishergeo.models import ParametricModel, bernoulli_model, categorical_model
 from fishergeo.simplex import (
     SampleSpace,
@@ -270,7 +270,8 @@ class TestWeakInvariance:
 
     def test_pushforward_model_points(self):
         pair, model, *_ = self.pair_and_fields()
-        big = pushforward_model(pair, model)
+        ((_, _, phi, _),) = pair_stacks([pair.surjection.map0], [pair.fiber_distributions])
+        big = _pushforward_model(phi[0], model)
         xi = np.array([0.3])
         direct = apply(pair.embedding_channel, model.point(xi))
         assert np.array_equal(big.point(xi).weights, direct.weights)

@@ -154,7 +154,7 @@ def family_matrix(family, p: Distribution, rows_a, rows_b) -> np.ndarray:
 
 
 def pushed_jacobian(pair, model, xi) -> np.ndarray:
-    """The Jacobian of ``connections.pushforward_model(pair, model)`` at xi."""
+    """The Jacobian at xi of the image of ``model`` through the pair's embedding."""
     return jacobian_at(model, xi) @ pair.embedding_channel.kernel.T
 
 
@@ -285,7 +285,8 @@ def test_pushed_jacobians_match_their_copy(case, extra, dim):
     pair = canonical_embedding(random_surjection(n, m, seed=case["seed"]), q)
     model = exponential_family_model(values(rng, (min(dim, m - 1), m)))
     xi = rng.normal(size=model.dim)
-    embedded = connections.pushforward_model(pair, model)
+    ((_, _, phi, _),) = markov.pair_stacks([pair.surjection.map0], [pair.fiber_distributions])
+    embedded = connections._pushforward_model(phi[0], model)
     assert same(lambda: embedded.jacobian(xi), lambda: pushed_jacobian(pair, model, xi))
 
 

@@ -15,6 +15,10 @@ below hold the array path to it:
   onto, mass off a fiber, a fiber that does not sum to 1, a non-finite
   value, an uncentered (or non-canonical) input, a row of the wrong length;
 - a run builds none of the objects, passing or under a metric mutant.
+
+The weak-invariance kernel and the probe read pairs and lifts as arrays
+too: a ``weak_invariance`` run, matched or mismatched, builds no
+``EmbeddingPair`` or ``Channel``, and ``characterize`` no ``Surjection``.
 """
 from __future__ import annotations
 
@@ -31,8 +35,9 @@ from fishergeo import batteries, geometry, verify
 from fishergeo.errors import FisherGeoError
 from fishergeo.families import parse_family
 from fishergeo.geometry import CotangentVector, TangentVector
-from fishergeo.markov import EmbeddingPair, Surjection
+from fishergeo.markov import Channel, EmbeddingPair, Surjection
 from fishergeo.simplex import Distribution, RandomVariable, SampleSpace
+from test_battery_pins import PINS
 from test_negative_controls import metric_over_p_power
 
 KINDS = ("invariance", "strong_invariance", "prop6")
@@ -249,12 +254,12 @@ def test_each_defect_is_rejected(kind, defect):
 # ---------------------------------------------------------------------------
 
 
-CLASSES = (Surjection, EmbeddingPair, Distribution, RandomVariable, TangentVector, CotangentVector)
+CLASSES = (Surjection, EmbeddingPair, Channel, Distribution, RandomVariable, TangentVector, CotangentVector)
 
 
 @pytest.fixture()
 def built(monkeypatch) -> Counter:
-    """Counts the constructions of the six classes a pair trial once built."""
+    """Counts the constructions of the seven classes a pair trial once built."""
     counts: Counter = Counter()
     for cls in CLASSES:
         def counting(self, _check=cls.__post_init__, _name=cls.__name__):
@@ -269,8 +274,8 @@ def test_the_count_sees_every_class(built):
     p = Distribution(SampleSpace(2), [0.5, 0.5])
     x = TangentVector(p, [1.0, -1.0])
     alpha = CotangentVector(p, RandomVariable(p.space, [1.0, -1.0]))
-    EmbeddingPair(Surjection.from_one_based([1, 1, 2]), np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]))
-    assert x is not None and alpha is not None
+    pair = EmbeddingPair(Surjection.from_one_based([1, 1, 2]), np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]))
+    assert x is not None and alpha is not None and pair.embedding_channel is not None
     assert sorted(built) == sorted(cls.__name__ for cls in CLASSES)
 
 
@@ -296,3 +301,23 @@ def test_a_caught_mutant_builds_no_objects(monkeypatch, built, battery):
     report = batteries.run_battery({"battery": battery, "trials": 100, "n_max": 8, "seed": 0})
     assert len(report.witnesses) == 100
     assert built == Counter()
+
+
+@pytest.mark.parametrize("pin", ["weak_invariance", "weak_invariance_mismatched"])
+def test_a_weak_invariance_run_builds_no_pair_or_channel(built, pin):
+    """The kernel reads each trial's pair as its map and canonical fiber
+    matrix; its draws still build each trial's surjection and point."""
+    report = batteries.run_battery(dict(PINS[pin]))
+    assert report.passed and report.trials == {"weak_invariance": 9, "weak_invariance_mismatched": 3}[pin]
+    assert (built["EmbeddingPair"], built["Channel"]) == (0, 0)
+    assert built["Surjection"] == report.trials
+
+
+@pytest.mark.parametrize("family", ["COV", "PK(2)"])
+def test_characterize_builds_no_surjection(built, family):
+    """The probe lifts through 0-based maps; a PK(2) witness stores its map."""
+    result = verify.characterize(family, n_max=5, denominator_bound=32, trials=4)
+    assert result.passed == (family == "COV")
+    assert built["Surjection"] == 0
+    if family == "PK(2)":
+        assert all(type(v) is int for v in result.witness.surjection)

@@ -12,7 +12,9 @@ The kernel reads the same values into matrices and does the same float
 operations on them, so every matrix entry, constant, residual, witness and
 gap must be the same float, compared through ``float.hex`` (witnesses also
 through their JSON text). The denominator loops stay here as the
-references of the array ``rationalize`` and ``_best_rational_approximation``.
+references of the array ``rationalize`` and ``_best_rational_approximation``,
+and ``partition_surjection`` and ``block_surjection`` are the frozen
+surjections that the probe built before it lifted through 0-based maps.
 ``characterize`` evaluates each uniform indicator matrix once per run; its
 reference keeps the older step order, in which every consistency probe
 recomputes both of its uniform matrices.
@@ -57,10 +59,8 @@ from fishergeo.verify import (
     _format_constant,
     _pair_matrix,
     _witness_result,
-    block_surjection,
     characterize,
     check_bilinearity,
-    partition_surjection,
     probe_consistency,
     probe_rational,
     probe_uniform,
@@ -201,6 +201,21 @@ def reference_probe_uniform(family, n: int) -> UniformProbeResult:
             detail=f"indicator pair ({i + 1}, {j + 1}) breaks permutation symmetry",
         )
     return UniformProbeResult(n, a, b, worst, witness)
+
+
+def partition_surjection(counts: np.ndarray) -> Surjection:
+    """Surjection collapsing consecutive blocks of the given sizes."""
+    total = int(np.sum(counts))
+    return Surjection(
+        SampleSpace(total),
+        SampleSpace(len(counts)),
+        tuple(np.repeat(np.arange(len(counts)), counts).tolist()),
+    )
+
+
+def block_surjection(m: int, n: int) -> Surjection:
+    """The surjection from an mn-point onto an n-point space by blocks of m."""
+    return partition_surjection(np.full(n, m))
 
 
 def reference_block_surjection(m: int, n: int) -> Surjection:

@@ -7,8 +7,9 @@ size. The functions below are verbatim copies of ``CandidateFamily.matrix``,
 ``check_prop6_identity`` and the ``characterize`` pipeline as they were
 written before the stacks took over, with a grammar family evaluated
 through the frozen ``matrix``, witness fields through the frozen
-``_floats`` and ``_rows``, and ``rationalize`` as its own block scan. The
-tests hold the new code to them through ``float.hex`` or the JSON text, or
+``_floats`` and ``_rows``, ``rationalize`` as its own block scan, and the
+lifts through the frozen ``partition_surjection`` and ``block_surjection``
+of ``test_probe_kernel``. The tests hold the new code to them through ``float.hex`` or the JSON text, or
 to the same error type and message, and hold a plugin family to the same
 calls in the same order.
 """
@@ -58,17 +59,15 @@ from fishergeo.verify import (
     _flatten_dirichlet,
     _format_constant,
     _witness_result,
-    block_surjection,
     characterize,
     check_bilinearity,
     check_prop6_identity,
     classify,
-    partition_surjection,
     prop6_kernel,
 )
 from frozen_pairs import arrays, objects
 from test_frozen_scalars import boundary_weights, hexes, values
-from test_probe_kernel import PLUGINS, Logged, Plugin, _cov
+from test_probe_kernel import PLUGINS, Logged, Plugin, _cov, block_surjection, partition_surjection
 
 # PK(+-400) overflows and underflows on purpose; both sides warn alike.
 pytestmark = pytest.mark.filterwarnings(

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from fishergeo.errors import (
     BadFloor,
+    BadSize,
     FisherGeoError,
     InvalidParameter,
     NonPositiveWeight,
@@ -15,6 +16,8 @@ from fishergeo.errors import (
     SizeMismatch,
 )
 from fishergeo.families import parse_family
+from fishergeo.markov import random_surjection
+from fishergeo.models import categorical_model
 from fishergeo.simplex import (
     Distribution,
     RandomVariable,
@@ -138,6 +141,31 @@ class TestConstruction:
     def test_value_equality_is_exact(self):
         assert dist(0.25, 0.75) == dist(0.25, 0.75)
         assert dist(0.25, 0.75) != dist(0.25 + 1e-13, 0.75 - 1e-13)
+
+
+class TestSampleSpaceSize:
+    """A size is any integer but a bool, stored as an int."""
+
+    @pytest.mark.parametrize("size", [3, np.int64(3), np.int32(3), np.uint8(3)])
+    def test_integers_are_stored_as_int(self, size):
+        space = SampleSpace(size)
+        assert type(space.size) is int and space == SampleSpace(3)
+        assert type(categorical_model(size).space.size) is int
+
+    def test_numpy_sizes_draw_the_same_surjection(self):
+        drawn = random_surjection(np.int64(5), np.int64(3), seed=0)
+        assert drawn.map0 == random_surjection(5, 3, seed=0).map0
+        assert (drawn.domain, drawn.codomain) == (SampleSpace(5), SampleSpace(3))
+
+    @pytest.mark.parametrize("size", [True, False, np.bool_(True), 3.0, np.float64(3.0), "3", None])
+    def test_non_integers_are_rejected_as_such(self, size):
+        with pytest.raises(BadSize, match="must be an integer"):
+            SampleSpace(size)
+
+    @pytest.mark.parametrize("size", [1, 0, -2, np.int64(1)])
+    def test_small_sizes_are_rejected(self, size):
+        with pytest.raises(BadSize, match=r"size >= 2, got -?\d+$"):
+            SampleSpace(size)
 
 
 class TestMoments:
