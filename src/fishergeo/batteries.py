@@ -13,7 +13,7 @@ vector support) and then recorded as witnesses, each tagged with
 (seed, trial). The channel and pair batteries draw all their trials at once,
 so a draw is not prefix-stable: a trial is regenerated from the run's
 ``(seed, trials, n_max)`` and its index, not from its seed and index alone.
-A pair battery's case is arrays, checked by its kernel, not objects.
+A pair or weak-invariance case is arrays, checked by its kernel, not objects.
 """
 from __future__ import annotations
 
@@ -30,14 +30,14 @@ from .families import CandidateFamily, parse_family
 from .geometry import TangentVector
 from .jsonio import read_bool, read_float, read_float_list, read_int
 from .markov import (
-    Channel, apply_rows, canonical_embedding_rows, random_channel_kernels, random_surjection,
+    Channel, apply_rows, canonical_embedding_rows, random_channel_kernels, random_surjection_map,
 )
 # The crb spec names its kernel; its draw calls the estimator kernel through
 # this namespace too.
 from .models import categorical_model, crb_kernel, estimator_noise, unbiased_estimators_kernel
 from .simplex import (
     Distribution, RandomVariable, SampleSpace, centered_rows, interior_rows, new_distribution,
-    sample_interior,
+    sample_interior_weights,
 )
 # The battery specs name their checks; _drive calls them through this namespace.
 from .verify import (
@@ -443,7 +443,7 @@ def _draw_crb(rng: np.random.Generator, rounds: int, n_max: int, **_) -> list[di
         n = int(rng.integers(2, n_max + 1))
         model = categorical_model(n)
         models.append(model)
-        xis.append(sample_interior(model.space, seed=int(rng.integers(2**32))).weights[: n - 1])
+        xis.append(sample_interior_weights(n, seed=int(rng.integers(2**32)))[: n - 1])
         noise.append(estimator_noise(model, rng))
     estimators = unbiased_estimators_kernel(models, xis, noise)
     return [{"model": m, "xi": x, "estimators": e} for m, x, e in zip(models, xis, estimators)]
@@ -455,19 +455,16 @@ def _size_pairs(n_max: int) -> list[tuple[int, int]]:
 
 def _draw_weak_invariance(rng: np.random.Generator, n_max: int, alphas: tuple[float, ...],
                           grid_count: int, step: float, mismatched: bool, trial: int, **_) -> dict:
-    """Trial t runs the t-th (alpha, size pair) of their product, alpha-major."""
+    """Trial t runs the t-th (alpha, size pair) of their product, alpha-major,
+    on the 0-based map of F, q and the grid, as arrays, each from its own seed."""
     sizes = _size_pairs(n_max)
     alpha = alphas[trial // len(sizes)]
     m, n = sizes[trial % len(sizes)]
-    surjection = random_surjection(n, m, seed=int(rng.integers(2**32)))
-    q = sample_interior(SampleSpace(n), seed=int(rng.integers(2**32)))
-    # keep grid points well inside the simplex: the finite-difference
-    # step (default 1e-4) must not push any weight negative
-    grid = [
-        sample_interior(SampleSpace(m), seed=int(rng.integers(2**32)), floor=0.02)
-        .weights[: m - 1]
-        for _ in range(grid_count)
-    ]
+    surjection = random_surjection_map(n, m, seed=int(rng.integers(2**32)))
+    q = sample_interior_weights(n, seed=int(rng.integers(2**32)))
+    # keep grid points well inside the simplex, at a floor of 0.02: the
+    # finite-difference step (default 1e-4) must not push any weight negative
+    grid = [sample_interior_weights(m, int(rng.integers(2**32)), 0.02)[: m - 1] for _ in range(grid_count)]
     return {
         "surjection": surjection, "q": q, "alpha": alpha,
         "grid": grid, "step": step, "mismatched": mismatched,

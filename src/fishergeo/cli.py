@@ -8,7 +8,8 @@ in a fixed order, and all randomness flows through the explicit seed.
 Exit codes: 0 = pass, 1 = mathematical violation or witness found,
 2 = input/usage error (with a machine-readable error object). Only the
 package's own errors, file errors and malformed JSON count as input errors:
-any other exception is a bug and surfaces as a traceback.
+any other exception is a bug and surfaces as a traceback. When ``--out``
+cannot be written, the error object goes to stdout.
 """
 from __future__ import annotations
 
@@ -239,7 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: dict, out_path: str | None) -> None:
+def _emit(payload: dict | Exception, out_path: str | None) -> None:
+    if isinstance(payload, Exception):
+        payload = {"error": {"type": type(payload).__name__, "message": str(payload)}}
     text = json.dumps(payload, indent=2) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
@@ -272,12 +275,12 @@ def main(argv: list[str] | None = None) -> int:
             raise InvalidParameter(f"--tol must be finite and >= 0, got {args.tol!r}")
         code, payload = args.handler(args)
     except (FisherGeoError, OSError, json.JSONDecodeError) as exc:
-        _emit(
-            {"error": {"type": type(exc).__name__, "message": str(exc)}},
-            args.out,
-        )
+        code, payload = 2, exc
+    try:
+        _emit(payload, args.out)
+    except OSError as exc:  # an unwritable --out is bad input too, reported on stdout;
+        _emit(payload if code == 2 else exc, None)  # a run that failed keeps its own error
         return 2
-    _emit(payload, args.out)
     return code
 
 

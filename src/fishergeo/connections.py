@@ -169,9 +169,12 @@ def _values_at(model, xi: np.ndarray, fields) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stencil(xi: np.ndarray, shift: np.ndarray, *more: np.ndarray) -> np.ndarray:
-    """The points xi + shift and xi - shift (and ``more``) of each row of xi,
-    interleaved in the order a single stencil meets them."""
-    return np.stack([xi + shift, xi - shift, *more], axis=1).reshape(-1, xi.shape[1])
+    """The points xi + shift and xi - shift (and ``more``) of each row of xi, interleaved in the order
+    a single stencil meets them. A nonzero shift lost in either raises: its difference would read 0."""
+    up, down = xi + shift, xi - shift
+    if np.count_nonzero((shift != 0.0) & ((up == xi) | (down == xi))):
+        raise InvalidParameter("step vanishes against xi: some xi +- step * Z equals xi, Z != 0")
+    return np.stack([up, down, *more], axis=1).reshape(-1, xi.shape[1])
 
 
 def _transported_difference(

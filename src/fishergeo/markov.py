@@ -326,10 +326,16 @@ def random_channel_kernels(columns: np.ndarray) -> np.ndarray:
 
 
 def random_surjection(n: int, m: int, seed: int) -> Surjection:
-    """Reproducible surjection from an n-point onto an m-point space."""
+    """A reproducible surjection from n onto m points: the Surjection of ``random_surjection_map``."""
+    return Surjection(SampleSpace(n), SampleSpace(m), tuple(random_surjection_map(n, m, seed).tolist()))
+
+
+def random_surjection_map(n: int, m: int, seed: int) -> np.ndarray:
+    """The 0-based map (n,) of a reproducible surjection onto m points: every point
+    once and n - m values uniform on them, shuffled by ``default_rng(seed)``."""
     if not 2 <= m <= n:
         raise BadSize(f"need 2 <= m <= n, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
     values = np.concatenate([np.arange(m), rng.integers(0, m, size=n - m)])
     rng.shuffle(values)
-    return Surjection(SampleSpace(n), SampleSpace(m), tuple(int(v) for v in values))
+    return values

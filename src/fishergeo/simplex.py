@@ -196,7 +196,7 @@ def interior_rows(draws: np.ndarray, floor: float = 1e-6) -> np.ndarray:
 
     Every weight is >= floor by construction and each row still sums to 1 to
     float precision, so no renormalization can push a weight back under the
-    floor. ``sample_interior`` is it on one draw.
+    floor. ``sample_interior_weights`` is it on one draw.
     """
     n = draws.shape[-1]
     if not 0.0 < floor < 1.0 / n:
@@ -205,7 +205,12 @@ def interior_rows(draws: np.ndarray, floor: float = 1e-6) -> np.ndarray:
 
 
 def sample_interior(space: SampleSpace, seed: int, floor: float = 1e-6) -> Distribution:
-    """Draw a reproducible interior point of the simplex: one flat Dirichlet
-    draw from ``default_rng(seed)``, flattened by ``interior_rows``."""
-    draw = np.random.default_rng(seed).dirichlet(np.ones(space.size))
-    return Distribution(space, interior_rows(draw, floor))
+    """A reproducible interior point of the simplex: the Distribution of ``sample_interior_weights``."""
+    return Distribution(space, sample_interior_weights(space.size, seed, floor))
+
+
+def sample_interior_weights(n: int, seed: int, floor: float = 1e-6) -> np.ndarray:
+    """The weights of a reproducible interior point of the simplex on n points:
+    one flat Dirichlet draw from ``default_rng(seed)``, flattened by ``interior_rows``."""
+    draw = np.random.default_rng(seed).dirichlet(np.ones(SampleSpace(n).size))
+    return interior_rows(draw, floor)

@@ -5,12 +5,12 @@ channels, the invariance identities of embedding/co-embedding pairs, the
 strong-invariance (adjoint/projector) identities, and the two-sided pairing
 identity for candidate bilinear families. Randomized batteries drive them
 over seeded trials and aggregate deterministic reports. The two invariance
-checks and the pairing identity are array kernels over a leading trial
-axis, ``invariance_kernel``, ``strong_invariance_kernel`` and
-``prop6_kernel``, on the arrays of one case (0-based map, fiber matrix,
-points and variable rows); their batteries call them once on all their
-trials, whose witnesses are built from, and replay to, these arrays. Like
-``connections.weak_invariance_kernel``, they read pairs through ``markov.pair_stacks``.
+checks, the pairing identity and weak invariance are array kernels over a
+leading trial axis, ``invariance_kernel``, ``strong_invariance_kernel``,
+``prop6_kernel`` and ``weak_invariance_residual_kernel``, on the arrays of
+one case (0-based map, fiber matrix or point, points and variable rows); their
+batteries call them once on all their trials, whose witnesses are built from,
+and replay to, these arrays. They read pairs through ``markov.pair_stacks``.
 
 The probe decomposes an invariant family into ``c1 * L2 + c2 * MM``:
 
@@ -44,8 +44,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .connections import DEFAULT_STEP, ConnectionTag, VectorFieldOnModel, coordinate_field
-from .connections import weak_invariance_kernel
+from .connections import ConnectionTag, VectorFieldOnModel, coordinate_field, weak_invariance_kernel
 from .errors import InvalidParameter, NotRational, SizeMismatch, in_trial_order
 from .families import CandidateFamily, parse_family
 from .geometry import (
@@ -60,7 +59,6 @@ from .geometry import (
 from .markov import (
     Channel,
     EmbeddingPair,
-    Surjection,
     apply,
     apply_rows,
     canonical_embedding_rows,
@@ -69,6 +67,7 @@ from .markov import (
     conditional_expectation_rows,
     pair_stacks,
     pushforward,
+    require_maps,
 )
 from .models import categorical_model, crb_check
 from .simplex import (
@@ -562,29 +561,13 @@ def _prop6_rows(surjection, fibers, p, a, b, family) -> list[Prop6Report]:
     return reports
 
 
-def weak_invariance_residual(
-    surjection: Surjection, q: Distribution, alpha: float, grid,
-    step: float = DEFAULT_STEP, mismatched: bool = False,
-) -> float:
-    """Weak invariance of the alpha-connection through the canonical pair of (F, q).
-
-    Runs ``weak_invariance_check`` with the fields X = d/dxi^1 and
-    Y^i = 0.4 + 0.3 (xi^i)^2 on the categorical model of the small space at
-    each point of ``grid`` and returns the larger of its vector and metric
-    residuals. With ``mismatched`` the big simplex carries the dual
-    connection (the e-connection when alpha = 0) as a control.
-    ``weak_invariance_residual_kernel`` on a batch of one.
-    """
-    return weak_invariance_residual_kernel(
-        [surjection], [q], [alpha], [grid], [step], [mismatched]
-    )[0]
-
-
 def weak_invariance_residual_kernel(surjection, q, alpha, grid, step, mismatched) -> list[float]:
-    """``weak_invariance_residual`` over a leading trial axis: all trials in
-    one ``weak_invariance_kernel`` call, on their maps and canonical fiber
-    matrices. Every residual is bitwise the one the trial gives alone, and a
-    failed check raises what the first failing trial raises alone."""
+    """Weak invariance of the alpha-connection through the canonical pair of (F, q), per trial: the
+    larger residual of ``weak_invariance_check`` with X = d/dxi^1 and Y^i = 0.4 + 0.3 (xi^i)^2 on the
+    categorical model of the small space at each grid point. F is a 0-based map onto max + 1 points
+    and q its weights, checked first as a Surjection and a Distribution; ``mismatched`` puts the dual
+    connection (the e-connection at alpha = 0) on the big simplex. One ``weak_invariance_kernel`` call
+    for all trials: each residual is bitwise the trial's alone, a failure the first failing trial's."""
     return in_trial_order(
         _weak_invariance_residual_rows, surjection, q, alpha, grid, step, mismatched
     )
@@ -598,17 +581,27 @@ def _quadratic_field(model) -> VectorFieldOnModel:
 
 def _weak_invariance_residual_rows(surjection, q, alpha, grid, step, mismatched) -> list[float]:
     trials = []
-    for surjection_t, q_t, alpha_t, mismatched_t in zip(surjection, q, alpha, mismatched):
-        model = categorical_model(surjection_t.codomain.size)
+    for map_t, q_t, alpha_t, mismatched_t in zip(surjection, q, alpha, mismatched):
+        maps, w, m = _map_and_point(map_t, q_t)
+        model = categorical_model(m)
         tag_big = ConnectionTag(-alpha_t if alpha_t != 0.0 else 1.0) if mismatched_t else None
-        if q_t.space != surjection_t.domain:
-            raise SizeMismatch("distribution is not on the domain of the surjection")
-        r = canonical_embedding_rows(np.array([surjection_t.map0]), q_t.weights[None], model.space.size)
+        r = canonical_embedding_rows(maps, w, m)
         xy = (coordinate_field(model, 0), _quadratic_field(model))
-        trials.append((surjection_t.map0, r[0], ConnectionTag(alpha_t), *xy, tag_big))
+        trials.append((maps[0], r[0], ConnectionTag(alpha_t), *xy, tag_big))
     maps, fibers, tags, x, y, tag_big = zip(*trials) if trials else ([],) * 6
     reports = weak_invariance_kernel(maps, fibers, tags, x, y, grid, step, tag_big)
     return [max(report.residual_max, report.metric_residual_max) for report in reports]
+
+
+def _map_and_point(surjection, q, m: int | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+    """A 0-based map onto m points (by default its max + 1) and the weights of q on its domain, as
+    rows (1, n), and m, after the ``Surjection`` checks of the map and the ``Distribution`` ones of q."""
+    maps = np.array(surjection).reshape(1, -1)
+    n = SampleSpace(maps.shape[1]).size
+    if m is None:  # a map of another dtype is checked onto n points, which require_maps rejects
+        m = int(maps.max()) + 1 if maps.dtype.kind in "iu" else n
+    require_maps(maps, SampleSpace(m).size)
+    return maps, require_weights(_sized(np.array(q, dtype=float).reshape(1, -1), n)), m
 
 
 # ---------------------------------------------------------------------------
@@ -1155,16 +1148,10 @@ def _pair_witness(case: dict, detail: str = "") -> Witness:
     )
 
 
-def _surjection_point(witness: Witness) -> tuple[Surjection, Distribution]:
-    surjection = Surjection(SampleSpace(witness.n), SampleSpace(witness.m), witness.surjection)
-    return surjection, new_distribution(surjection.domain, np.array(witness.point))
-
-
 def _pair_case(witness: Witness) -> dict:
-    surjection, q = _surjection_point(witness)
+    maps, q, m = _map_and_point(witness.surjection, witness.point, witness.m)
     rows = "ab" if witness.kind == "strong_invariance" else "abxy"
-    fibers = canonical_embedding_rows(np.array([surjection.map0]), q.weights[None], witness.m)[0]
-    return {"surjection": surjection.map0, "fibers": fibers, "q": q.weights,
+    return {"surjection": maps[0], "fibers": canonical_embedding_rows(maps, q, m)[0], "q": q[0],
             **{key: np.array(getattr(witness, key)) for key in rows}}
 
 
@@ -1196,23 +1183,21 @@ def _crb_case(witness: Witness) -> dict:
 
 
 def _weak_invariance_witness(case: dict, detail: str = "") -> Witness:
-    """The surjection, the big-space point, the grid, the step and alpha."""
-    residual = weak_invariance_residual(**case)
-    surjection, q = case["surjection"], case["q"]
+    """The map of F, the big point q, the grid, the step and alpha."""
+    residual = _one(weak_invariance_residual_kernel, **case)
+    map0 = tuple(np.asarray(case["surjection"]).tolist())
     return Witness(
-        kind="weak_invariance", m=surjection.codomain.size, n=q.space.size,
+        kind="weak_invariance", m=max(map0) + 1, n=len(case["q"]),
         lhs=residual, rhs=0.0, gap=residual,
-        surjection=surjection.map0, point=_floats(q.weights), detail=detail,
+        surjection=map0, point=_floats(case["q"]), detail=detail,
         grid=_rows(case["grid"]), step=float(case["step"]), alpha=float(case["alpha"]),
     )
 
 
 def _weak_invariance_case(witness: Witness) -> dict:
-    surjection, q = _surjection_point(witness)
-    return {
-        "surjection": surjection, "q": q,
-        "alpha": witness.alpha, "grid": witness.grid, "step": witness.step,
-    }
+    maps, q, _ = _map_and_point(witness.surjection, witness.point, witness.m)
+    return {"surjection": maps[0], "q": q[0], "alpha": witness.alpha, "grid": witness.grid,
+            "step": witness.step, "mismatched": False}
 
 
 def _bilinearity_witness(case: dict) -> Witness:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fishergeo.batteries as batteries
+import fishergeo.connections as connections_module
 import fishergeo.verify as verify_module
 from fishergeo.batteries import run_battery
 from fishergeo.errors import FisherGeoError, InvalidParameter
@@ -43,6 +44,15 @@ def test_empty_or_undersized_runs_are_rejected(config):
 def test_bad_weak_invariance_step_is_rejected(step):
     with pytest.raises(InvalidParameter, match="step"):
         batteries.battery_weak_invariance(n_max=3, step=step)
+
+
+@pytest.mark.parametrize("step", [1e-17, 1e-300, 5e-324])
+@pytest.mark.parametrize("mismatched", [False, True])
+def test_weak_invariance_step_that_vanishes_against_the_grid_is_rejected(step, mismatched):
+    """Lost in xi +- step at every grid point, such a step would give a
+    residual of 0.0, and a mismatched control that reads 0.0 too."""
+    with pytest.raises(InvalidParameter, match="vanishes"):
+        run_battery({"battery": "weak_invariance", "n_max": 4, "step": step, "mismatched": mismatched})
 
 
 @settings(max_examples=60, deadline=None)
@@ -185,16 +195,16 @@ def test_checks_are_called_through_the_module_namespace(monkeypatch, name):
     kernel calls it once per run; the others call their check once per
     trial. The crb draw calls its estimator kernel once per run, and its
     noise draw once per trial. The weak_invariance and prop6 kernels check
-    all their trials in one call and never call the single-trial check,
-    which lives in ``verify`` alone."""
+    all their trials in one call and never call the single-case check,
+    ``connections.weak_invariance_check`` or ``verify.check_prop6_identity``."""
     spec = batteries._BATTERIES[name]
     called = [(batteries, spec.kernel or spec.check)]
     config = SMALL_CONFIGS[name]
     if name == "crb":
         called += [(batteries, "unbiased_estimators_kernel"), (batteries, "estimator_noise")]
-    single = {"weak_invariance": "weak_invariance_residual", "prop6": "check_prop6_identity"}
+    single = {"weak_invariance": "weak_invariance_check", "prop6": "check_prop6_identity"}
     if name in single:
-        called += [(verify_module, single[name])]
+        called += [(connections_module if name == "weak_invariance" else verify_module, single[name])]
     if name == "weak_invariance":
         config = {**config, "alphas": [-1.0, 0.0, 1.0]}
     calls = dict.fromkeys((key for _, key in called), 0)

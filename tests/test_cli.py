@@ -385,6 +385,27 @@ class TestDuality:
         assert json.loads(proc.stdout)["error"]["type"] == "InvalidParameter"
 
 
+    @pytest.mark.parametrize("step", ["1e-17", "1e-300", "5e-324"])
+    @pytest.mark.parametrize("model", ["line_model.json", "bernoulli"])
+    def test_step_that_vanishes_against_xi_exits_2(self, cli, step, model):
+        """At xi = 0.3 each of these steps is lost in xi +- step: the central
+        differences would read 0 and the check pass without evaluating anything."""
+        path = str(GOLDEN_DIR / "inputs" / model) if model.endswith(".json") else cli.file("m.json", BERNOULLI)
+        proc = cli.run("duality", "--model", path, "--xi", "0.3", "--step", step)
+        assert proc.returncode == 2
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "InvalidParameter" and "vanishes" in error["message"]
+
+    def test_smallest_step_that_moves_xi_is_evaluated(self, cli):
+        """A step of one ulp of xi is not lost: the stencil is evaluated, and
+        its central difference of about 1e-16 fails a later check."""
+        code, out = cli.run_json(
+            "duality", "--model", cli.file("m.json", BERNOULLI), "--xi", "0.3",
+            "--step", repr(float(np.spacing(0.3))),
+        )
+        assert code == 2 and out["error"]["type"] == "NotSumZero"
+
+
 class TestTolerance:
     """``--tol`` must be finite and >= 0. Another value is bad input, rejected
     before any handler runs: a NaN would be written as ``"tol": NaN``, which
@@ -516,6 +537,15 @@ class TestVerify:
         assert error["type"] == "InvalidParameter"
         assert error["message"].startswith(f"{key} must be")
 
+    @pytest.mark.parametrize("mismatched", [False, True])
+    def test_weak_invariance_step_that_vanishes_exits_2(self, cli, mismatched):
+        """Once exit 0 with a max_residual of 0.0, and a control that read 0.0."""
+        config = {"battery": "weak_invariance", "n_max": 4, "step": 1e-300, "mismatched": mismatched}
+        proc = cli.run("verify", "--config", cli.file("c.json", config))
+        assert proc.returncode == 2
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "InvalidParameter" and "vanishes" in error["message"]
+
     def test_overflowing_size_exits_2(self, cli):
         # 1e400 parses as inf: no int, and no OverflowError traceback
         path = cli.dir / "c.json"
@@ -631,6 +661,34 @@ class TestOutputContract:
         assert proc.stdout == b""
         payload = json.loads(out_path.read_text())
         assert payload["G"] == [[4.0]]
+
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    @pytest.mark.parametrize("failing", [False, True])
+    def test_unwritable_out_exits_2_with_the_error_on_stdout(self, cli, where, failing):
+        """A path in a missing directory, or a directory: a file error, so bad
+        input. The error object goes to stdout: the --out error, or the
+        error of a run that already failed."""
+        out_path = cli.dir / "no" / "such" / "x.json" if where == "missing_dir" else cli.dir
+        xi = "nan" if failing else "0.5"
+        proc = cli.run(
+            "--out", str(out_path), "fisher", "--model", cli.file("m.json", BERNOULLI), "--xi", xi,
+        )
+        assert proc.returncode == 2
+        error = json.loads(proc.stdout)["error"]
+        if failing:
+            assert error["type"] == "InvalidParameter"
+        else:
+            expected = "FileNotFoundError" if where == "missing_dir" else "IsADirectoryError"
+            assert error["type"] == expected and str(out_path) in error["message"]
+        assert not (cli.dir / "no").exists()
+
+    def test_unwritable_out_in_a_subprocess(self, tmp_path):
+        proc = run_cli(
+            "--out", str(tmp_path / "missing" / "x.json"),
+            "fisher", "--model", str(GOLDEN_DIR / "inputs" / "line_model.json"), "--xi", "0.3",
+        )
+        assert proc.returncode == 2 and proc.stderr == b""
+        assert json.loads(proc.stdout)["error"]["type"] == "FileNotFoundError"
 
     def test_fixed_key_order(self, cli):
         code, out_first = cli.run_json(

@@ -13,9 +13,10 @@ compared through ``float.hex``, or the same error, type and message.
 
 ``weak_invariance_kernel`` and ``weak_invariance_residual_kernel`` check
 many trials at once, stacked by model shape. The first takes each trial's
-pair as arrays, the 0-based map of its surjection and its fiber matrix;
-the frozen copies keep the pair objects, built from those arrays through
-the frozen constructor checks of ``frozen_pairs``. Each trial of a mixed
+pair as arrays, the 0-based map of its surjection and its fiber matrix,
+and the second the map and the weights of the big point q; the frozen
+copies keep the pair, surjection and point objects, built from those arrays
+through the frozen constructor checks of ``frozen_pairs``. Each trial of a mixed
 batch (categorical, affine and exponential-family models, points pushed
 toward the boundary, mismatched tags on the big simplex) must give its
 frozen report, and a batch with a failing trial, a bad pair's arrays
@@ -46,6 +47,7 @@ from fishergeo.errors import (
     FisherGeoError,
     InvalidChannel,
     InvalidParameter,
+    NonPositiveWeight,
     NotCentered,
     NotNormalized,
     NotSurjective,
@@ -365,11 +367,104 @@ def test_weak_invariance_residual_kernel_matches_its_copy_on_battery_draws(
                               step=DEFAULT_STEP, mismatched=mismatched, trial=t)
         for t in range(rounds)
     ]
-    residuals = verify.weak_invariance_residual_kernel(
-        **{key: [case[key] for case in cases] for key in cases[0]}
-    )
-    assert hexes(residuals) == hexes([weak_invariance_residual(**case) for case in cases])
-    assert hexes([verify.weak_invariance_residual(**cases[-1])]) == hexes(residuals[-1:])
+    residuals = verify.weak_invariance_residual_kernel(**residual_columns(cases))
+    assert hexes(residuals) == hexes([weak_invariance_residual(**residual_objects(case)) for case in cases])
+    assert hexes(verify.weak_invariance_residual_kernel(**residual_columns(cases[-1:]))) == hexes(residuals[-1:])
+
+
+def residual_columns(cases: list[dict]) -> dict[str, list]:
+    return {key: [case[key] for case in cases] for key in cases[0]}
+
+
+def residual_objects(case: dict) -> dict:
+    """The frozen residual's case of an array case: the surjection onto
+    max + 1 points, then q on its domain, each built through the frozen
+    constructor checks."""
+    map0 = np.asarray(case["surjection"]).tolist()
+    f = frozen_pairs.surjection(len(map0), max(map0) + 1, map0)
+    return {**case, "surjection": f, "q": Distribution(f.domain, case["q"])}
+
+
+def frozen_residuals(cases: list[dict]):
+    """The error of the first trial that fails alone, its objects built and
+    then checked by the frozen residual; else every frozen residual."""
+    residuals = []
+    for case in cases:
+        residuals.append(outcome(lambda c=case: weak_invariance_residual(**residual_objects(c))))
+        if failed(residuals[-1]):
+            return residuals[-1]
+    return hexes(residuals)
+
+
+def raw_residuals(cases: list[dict]):
+    found = outcome(lambda: verify.weak_invariance_residual_kernel(**residual_columns(cases)))
+    return found if failed(found) else hexes(found)
+
+
+RAW_DEFECTS = ("map_out_of_range", "map_not_onto", "q_length", "q_weight")
+
+
+def spoil_raw(case: dict, defect: str, rng: np.random.Generator) -> dict:
+    """A battery case with one defect in its raw map or its point q, both copied."""
+    map0, q = np.array(case["surjection"]), np.array(case["q"])
+    m, y = int(map0.max()) + 1, int(rng.integers(len(map0)))
+    if defect == "map_out_of_range":
+        map0[y] = rng.choice([-1, -3, m, m + 3])
+    elif defect == "map_not_onto":
+        map0[:] = map0[y]
+    elif defect == "q_length":
+        q = q[:-1] if rng.random() < 0.5 else np.append(q, 0.5)
+    else:
+        i = int(rng.integers(len(q)))
+        q[i] = rng.choice([-rng.random(), 0.0, np.nan]) if rng.random() < 0.5 else q[i] * (1.0 + 1e-9)
+    return {**case, "surjection": map0, "q": q}
+
+
+def battery_cases(seed: int, n_max: int, alphas: list[float], mismatched: bool = False) -> list[dict]:
+    rng = np.random.default_rng(seed)
+    return [
+        _draw_weak_invariance(rng, n_max=n_max, alphas=alphas, grid_count=1,
+                              step=DEFAULT_STEP, mismatched=mismatched, trial=t)
+        for t in range(len(_size_pairs(n_max)) * len(alphas))
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_max=st.integers(3, 5),
+    defects=st.lists(st.tuples(st.integers(0, 8), st.sampled_from(RAW_DEFECTS)), min_size=1, max_size=3),
+    mismatched=st.booleans(),
+)
+def test_bad_raw_maps_and_points_raise_what_the_first_failing_trial_raises(seed, n_max, defects, mismatched):
+    """Up to three defects in the raw maps and points of a batch of battery
+    cases: a map value out of range (below 0, or past the codomain, which
+    leaves the map not onto or its codomain larger than its domain), a map
+    not onto, a q of the wrong length, a q with a bad weight. Two defects
+    may cancel, and a batch without one must give every frozen residual."""
+    cases = battery_cases(seed, n_max, [0.0], mismatched)
+    rng = np.random.default_rng(seed)
+    for t, defect in defects:
+        cases[t % len(cases)] = spoil_raw(cases[t % len(cases)], defect, rng)
+    assert raw_residuals(cases) == frozen_residuals(cases)
+
+
+@pytest.mark.parametrize("defect, error", [
+    ("map_out_of_range", BadSize), ("map_not_onto", NotSurjective), ("q_length", SizeMismatch),
+    ("q_weight", NonPositiveWeight),
+])
+def test_each_raw_defect_is_rejected_in_trial_order(defect, error):
+    """Each defect alone makes its trial raise its type, before the good
+    trials after it and after those before it."""
+    good = battery_cases(2, 4, [-1.0])
+    bad = spoil_raw(good[1], defect, np.random.default_rng(1))
+    if defect == "map_out_of_range":
+        bad["surjection"][0] = -1
+    elif defect == "q_weight":
+        bad["q"][0] = -0.5
+    assert outcome(lambda: verify.weak_invariance_residual_kernel(**residual_columns([bad])))[0] is error
+    for cases in ([bad], [good[0], bad, good[2]], [bad, good[0]], [*good, bad]):
+        assert raw_residuals(cases) == frozen_residuals(cases)
 
 
 def nan_at_center(model: ParametricModel, center: np.ndarray) -> ParametricModel:

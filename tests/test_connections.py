@@ -164,7 +164,8 @@ class TestDuality:
 
 class TestInputs:
     """A step that is not finite and positive, a field on another model, a
-    non-finite alpha or an empty grid is rejected before any evaluation."""
+    non-finite alpha or an empty grid is rejected before any evaluation; a
+    step that vanishes against xi before the stencil is evaluated."""
 
     @pytest.mark.parametrize("step", [0.0, -1e-4, float("nan"), float("inf")])
     def test_bad_step_rejected(self, step):
@@ -174,6 +175,33 @@ class TestInputs:
             duality_check(model, [0.3], f, f, f, step=step)
         with pytest.raises(InvalidParameter, match="step"):
             covariant_derivative(E_CONNECTION, model, [0.3], f, f, step=step)
+
+    @pytest.mark.parametrize("step", [1e-17, 1e-300, 5e-324])
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0])
+    def test_step_that_vanishes_against_xi_rejected(self, step, alpha):
+        """A step lost in xi +- step * Z would give central differences of 0:
+        a derivative of 0 and a duality residual of 0 that evaluated nothing."""
+        model = categorical_model(3)
+        x, y = coordinate_field(model, 0), VectorFieldOnModel(model, lambda xi: 0.4 + 0.3 * xi**2)
+        with pytest.raises(InvalidParameter, match="vanishes"):
+            covariant_derivative(ConnectionTag(alpha), model, [0.3, 0.2], x, y, step=step)
+        with pytest.raises(InvalidParameter, match="vanishes"):
+            duality_check(model, [0.3, 0.2], x, y, x, step=step)
+
+    def test_step_lost_in_one_component_only_rejected(self):
+        """Z = (1, 1) at xi = (1e-9, 0.5) with step 1e-17: the first
+        component moves, the second is lost."""
+        model = categorical_model(3)
+        z = VectorFieldOnModel(model, lambda xi: np.ones(2))
+        with pytest.raises(InvalidParameter, match="vanishes"):
+            covariant_derivative(E_CONNECTION, model, [1e-9, 0.5], z, z, step=1e-17)
+
+    def test_zero_component_of_the_direction_is_not_lost(self):
+        """A direction with a zero component moves xi along the others only."""
+        model = categorical_model(3)
+        x, y = coordinate_field(model, 0), coordinate_field(model, 1)
+        nabla = covariant_derivative(M_CONNECTION, model, [0.3, 0.2], x, y, step=1e-4)
+        assert np.allclose(nabla.m_rep, 0.0)
 
     def test_field_on_another_model_rejected(self):
         model = categorical_model(3)

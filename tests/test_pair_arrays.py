@@ -16,9 +16,12 @@ below hold the array path to it:
   value, an uncentered (or non-canonical) input, a row of the wrong length;
 - a run builds none of the objects, passing or under a metric mutant.
 
-The weak-invariance kernel and the probe read pairs and lifts as arrays
-too: a ``weak_invariance`` run, matched or mismatched, builds no
-``EmbeddingPair`` or ``Channel``, and ``characterize`` no ``Surjection``.
+The weak-invariance battery and the probe read pairs and lifts as arrays
+too: the ``weak_invariance`` draw yields each trial's map and points as
+arrays, bitwise those of its former object draw, and builds no object; a
+run, matched or mismatched, builds no ``Surjection``, ``EmbeddingPair`` or
+``Channel``; a ``crb`` draw builds one ``Distribution`` per trial, where it
+built two; and ``characterize`` builds no ``Surjection``.
 """
 from __future__ import annotations
 
@@ -32,11 +35,14 @@ from hypothesis import strategies as st
 
 import frozen_pairs
 from fishergeo import batteries, geometry, verify
-from fishergeo.errors import FisherGeoError
+from fishergeo.errors import BadFloor, BadSize, FisherGeoError
 from fishergeo.families import parse_family
 from fishergeo.geometry import CotangentVector, TangentVector
-from fishergeo.markov import Channel, EmbeddingPair, Surjection
-from fishergeo.simplex import Distribution, RandomVariable, SampleSpace
+from fishergeo.markov import Channel, EmbeddingPair, Surjection, random_surjection, random_surjection_map
+from fishergeo.models import categorical_model, estimator_noise, unbiased_estimators_kernel
+from fishergeo.simplex import (
+    Distribution, RandomVariable, SampleSpace, interior_rows, sample_interior, sample_interior_weights,
+)
 from test_battery_pins import PINS
 from test_negative_controls import metric_over_p_power
 
@@ -250,6 +256,122 @@ def test_each_defect_is_rejected(kind, defect):
 
 
 # ---------------------------------------------------------------------------
+# The weak-invariance and crb draws against their object draws
+# ---------------------------------------------------------------------------
+
+
+def frozen_random_surjection(n: int, m: int, seed: int) -> Surjection:
+    if not 2 <= m <= n:
+        raise BadSize(f"need 2 <= m <= n, got m={m}, n={n}")
+    rng = np.random.default_rng(seed)
+    values = np.concatenate([np.arange(m), rng.integers(0, m, size=n - m)])
+    rng.shuffle(values)
+    return Surjection(SampleSpace(n), SampleSpace(m), tuple(int(v) for v in values))
+
+
+def frozen_sample_interior(space: SampleSpace, seed: int, floor: float = 1e-6) -> Distribution:
+    draw = np.random.default_rng(seed).dirichlet(np.ones(space.size))
+    return Distribution(space, interior_rows(draw, floor))
+
+
+def frozen_draw_weak_invariance(rng, n_max, alphas, grid_count, step, mismatched, trial) -> dict:
+    """The object draw of one weak-invariance trial."""
+    sizes = batteries._size_pairs(n_max)
+    alpha = alphas[trial // len(sizes)]
+    m, n = sizes[trial % len(sizes)]
+    surjection = frozen_random_surjection(n, m, seed=int(rng.integers(2**32)))
+    q = frozen_sample_interior(SampleSpace(n), seed=int(rng.integers(2**32)))
+    grid = [
+        frozen_sample_interior(SampleSpace(m), seed=int(rng.integers(2**32)), floor=0.02).weights[: m - 1]
+        for _ in range(grid_count)
+    ]
+    return {
+        "surjection": surjection, "q": q, "alpha": alpha,
+        "grid": grid, "step": step, "mismatched": mismatched,
+    }
+
+
+def frozen_draw_crb(rng, rounds: int, n_max: int) -> list[dict]:
+    """The crb draw with one Distribution per trial's point xi."""
+    models, xis, noise = [], [], []
+    for _ in range(rounds):
+        n = int(rng.integers(2, n_max + 1))
+        model = categorical_model(n)
+        models.append(model)
+        xis.append(frozen_sample_interior(model.space, seed=int(rng.integers(2**32))).weights[: n - 1])
+        noise.append(estimator_noise(model, rng))
+    estimators = unbiased_estimators_kernel(models, xis, noise)
+    return [{"model": m, "xi": x, "estimators": e} for m, x, e in zip(models, xis, estimators)]
+
+
+def same_bytes(value, other) -> bool:
+    value, other = np.asarray(value, dtype=float), np.asarray(other, dtype=float)
+    return value.shape == other.shape and value.tobytes() == other.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), n_max=st.integers(3, 7),
+    alphas=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3), grid_count=st.integers(1, 3),
+)
+def test_weak_invariance_draws_are_the_object_draws(seed, n_max, alphas, grid_count):
+    """The same map, and the same q and grid bitwise, from the same generator calls."""
+    new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    params = {"n_max": n_max, "alphas": alphas, "grid_count": grid_count, "step": 1e-4, "mismatched": False}
+    for trial in range(len(batteries._size_pairs(n_max)) * len(alphas)):
+        new = batteries._draw_weak_invariance(new_rng, trial=trial, **params)
+        old = frozen_draw_weak_invariance(old_rng, trial=trial, **params)
+        assert new.keys() == old.keys()
+        assert np.asarray(new["surjection"]).tolist() == list(old["surjection"].map0)
+        assert np.asarray(new["surjection"]).dtype.kind == "i"
+        assert same_bytes(new["q"], old["q"].weights)
+        assert len(new["grid"]) == grid_count
+        assert all(same_bytes(a, b) for a, b in zip(new["grid"], old["grid"]))
+        assert [new[key] for key in ("alpha", "step", "mismatched")] == [
+            old[key] for key in ("alpha", "step", "mismatched")
+        ]
+    assert new_rng.integers(2**32) == old_rng.integers(2**32)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rounds=st.integers(1, 12), n_max=st.integers(2, 6))
+def test_crb_draws_are_the_object_draws(seed, rounds, n_max):
+    new = batteries._draw_crb(np.random.default_rng(seed), rounds, n_max)
+    old = frozen_draw_crb(np.random.default_rng(seed), rounds, n_max)
+    for a, b in zip(new, old, strict=True):
+        assert a["model"].space == b["model"].space
+        assert same_bytes(a["xi"], b["xi"])
+        assert all(same_bytes(x.values, y.values) for x, y in zip(a["estimators"], b["estimators"], strict=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 12), pick=st.integers(0, 10), seed=st.integers(0, 2**32 - 1),
+    floor=st.sampled_from([1e-6, 1e-3, 0.02]),
+)
+def test_the_object_draws_wrap_the_array_draws(n, pick, seed, floor):
+    """``random_surjection`` and ``sample_interior`` give their former objects."""
+    m = 2 + pick % (n - 1)
+    assert random_surjection(n, m, seed).map0 == frozen_random_surjection(n, m, seed).map0
+    assert all(type(v) is int for v in random_surjection(n, m, seed).map0)
+    assert random_surjection_map(n, m, seed).tolist() == list(frozen_random_surjection(n, m, seed).map0)
+    if floor < 1.0 / n:
+        point = sample_interior(SampleSpace(n), seed, floor)
+        assert same_bytes(point.weights, frozen_sample_interior(SampleSpace(n), seed, floor).weights)
+        assert same_bytes(sample_interior_weights(n, seed, floor), point.weights)
+
+
+def test_the_array_draws_reject_what_the_object_draws_reject():
+    for n, m in ((3, 1), (3, 4), (1, 1)):
+        with pytest.raises(BadSize, match="need 2 <= m <= n"):
+            random_surjection_map(n, m, 0)
+    with pytest.raises(BadSize, match="size >= 2"):
+        sample_interior_weights(1, 0)
+    with pytest.raises(BadFloor):
+        sample_interior_weights(3, 0, floor=0.4)
+
+
+# ---------------------------------------------------------------------------
 # No objects between the draw and the kernel
 # ---------------------------------------------------------------------------
 
@@ -305,12 +427,25 @@ def test_a_caught_mutant_builds_no_objects(monkeypatch, built, battery):
 
 @pytest.mark.parametrize("pin", ["weak_invariance", "weak_invariance_mismatched"])
 def test_a_weak_invariance_run_builds_no_pair_or_channel(built, pin):
-    """The kernel reads each trial's pair as its map and canonical fiber
-    matrix; its draws still build each trial's surjection and point."""
+    """The draw yields each trial's map and points as arrays, and the
+    kernel reads its pair as the map and canonical fiber matrix. The
+    Distributions of a run are the model points of its stencils."""
+    spec = batteries._BATTERIES["weak_invariance"]
+    params = {**spec.defaults, **PINS[pin]}
+    cases = spec.draw(np.random.default_rng(params["seed"]), rounds=spec.rounds(params), **params)
+    assert built == Counter()
     report = batteries.run_battery(dict(PINS[pin]))
-    assert report.passed and report.trials == {"weak_invariance": 9, "weak_invariance_mismatched": 3}[pin]
-    assert (built["EmbeddingPair"], built["Channel"]) == (0, 0)
-    assert built["Surjection"] == report.trials
+    assert report.passed and report.trials == len(cases)
+    assert report.trials == {"weak_invariance": 9, "weak_invariance_mismatched": 3}[pin]
+    assert (built["Surjection"], built["EmbeddingPair"], built["Channel"]) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("rounds", [1, 7])
+def test_a_crb_draw_builds_one_distribution_per_trial(built, rounds):
+    """The model point of each trial's estimators; its point xi is drawn as weights."""
+    cases = batteries._draw_crb(np.random.default_rng(rounds), rounds, 5)
+    assert len(cases) == rounds
+    assert built["Distribution"] == rounds
 
 
 @pytest.mark.parametrize("family", ["COV", "PK(2)"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from functools import partial
@@ -23,7 +24,7 @@ from fishergeo.batteries import (
     run_battery,
     shrink_case,
 )
-from fishergeo.errors import InvalidParameter, NotRational
+from fishergeo.errors import BadSize, InvalidParameter, NotRational
 from fishergeo.families import parse_family
 from fishergeo.geometry import TangentVector, delta
 from fishergeo.markov import (
@@ -33,6 +34,7 @@ from fishergeo.markov import (
     canonical_embedding,
     conditional_expectation,
     random_surjection,
+    random_surjection_map,
 )
 from fishergeo.models import crb_check
 from fishergeo.simplex import (
@@ -41,6 +43,7 @@ from fishergeo.simplex import (
     cov,
     new_distribution,
     sample_interior,
+    sample_interior_weights,
     variance,
 )
 from fishergeo.verify import (
@@ -59,7 +62,7 @@ from fishergeo.verify import (
     rationalize,
     replay_witness,
     strong_invariance_kernel,
-    weak_invariance_residual,
+    weak_invariance_residual_kernel,
 )
 
 
@@ -507,21 +510,45 @@ class TestWitnessReplay:
 
     @pytest.mark.parametrize("alpha", [-1.0, 0.5])
     def test_weak_invariance_replays_bitwise(self, any_gap, alpha):
+        """The case is arrays, as the battery draws it; the witness stores the
+        map as ints, so its JSON names the surjection 1-based, as before."""
         case = {
-            "surjection": random_surjection(4, 2, seed=5),
-            "q": sample_interior(SampleSpace(4), seed=6),
+            "surjection": random_surjection_map(4, 2, seed=5),
+            "q": sample_interior_weights(4, seed=6),
             "alpha": alpha,
-            "grid": [
-                sample_interior(SampleSpace(2), seed=s, floor=0.02).weights[:1] for s in (7, 8)
-            ],
+            "grid": [sample_interior_weights(2, seed=s, floor=0.02)[:1] for s in (7, 8)],
             "step": 1e-4,
             "mismatched": False,
         }
-        residual = weak_invariance_residual(**case)
+        [residual] = weak_invariance_residual_kernel(*([value] for value in case.values()))
         witness = Witness.from_case("weak_invariance", case)
+        assert all(type(v) is int for v in witness.surjection)
         payload = witness.to_json()
         assert (payload["alpha"], payload["step"], len(payload["grid"])) == (alpha, 1e-4, 2)
+        assert payload["surjection"] == [v + 1 for v in random_surjection(4, 2, seed=5).map0]
+        assert (payload["m"], payload["n"]) == (2, 4)
+        assert payload["point"] == sample_interior(SampleSpace(4), seed=6).weights.tolist()
         assert same_bits(replay_witness(witness), residual)
+
+    @pytest.mark.parametrize("kind", ["invariance", "strong_invariance", "weak_invariance"])
+    @pytest.mark.parametrize("offset", [None, 0, 5])
+    def test_a_stored_map_out_of_range_raises_bad_size(self, any_gap, kind, offset):
+        """Replay checks the stored map against the stored m before it
+        indexes anything with it: a first value of -1, m or m + 5."""
+        if kind == "weak_invariance":
+            case = {
+                "surjection": random_surjection_map(4, 2, seed=5), "q": sample_interior_weights(4, seed=6),
+                "alpha": 0.0, "grid": [[0.4]], "step": 1e-4, "mismatched": False,
+            }
+        else:
+            draw = _draw_invariance if kind == "invariance" else _draw_strong_invariance
+            [case] = draw(np.random.default_rng(3), rounds=1, n_max=5)
+        witness = Witness.from_case(kind, case)
+        assert same_bits(replay_witness(witness), witness.gap)
+        value = -1 if offset is None else witness.m + offset
+        spoiled = dataclasses.replace(witness, surjection=(value, *witness.surjection[1:]))
+        with pytest.raises(BadSize, match="out of codomain range"):
+            replay_witness(spoiled)
 
     @pytest.mark.parametrize("kind", sorted(PLUGINS))
     def test_probe_witness_replays_bitwise(self, plugin_names, kind):
