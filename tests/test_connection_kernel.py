@@ -543,10 +543,14 @@ PAIR_DEFECTS = (
 
 
 def spoil_pair(trial: tuple, defect: str, rng: np.random.Generator) -> tuple:
-    """A trial given as arrays, with one defect in its map or fiber matrix."""
+    """A trial given as arrays, with one defect in its map or fiber matrix.
+    Earlier defects may have dropped every row of the fiber matrix; a defect
+    that spoils a row then leaves the matrix as it is."""
     map0, fibers, *rest = trial
     map0, fibers = map0.copy(), fibers.copy()
     m, n = fibers.shape
+    if m == 0 and defect in ("mass_off_fiber", "fiber_sum"):
+        return trial
     y = int(rng.integers(n))
     if defect == "map_out_of_range":
         map0[y] = rng.choice([-1, m, m + 3])
