@@ -28,7 +28,7 @@ import numpy as np
 from .errors import FisherGeoError, InvalidParameter, by_shape
 from .families import CandidateFamily, parse_family
 from .geometry import TangentVector
-from .jsonio import read_bool, read_float, read_float_list, read_int
+from .jsonio import read_bool, read_float, read_float_list, read_int, read_object
 from .markov import (
     Channel, apply_rows, canonical_embedding_rows, random_channel_kernels, random_surjection_map,
 )
@@ -564,11 +564,7 @@ def run_battery(config: dict) -> BatteryReport:
     spec = _BATTERIES.get(name)
     if spec is None:
         raise InvalidParameter(f"unknown battery {name!r}; known: {sorted(_BATTERIES)}")
-    for key in config:
-        if key != "battery" and key not in spec.defaults:
-            raise InvalidParameter(
-                f"battery {name!r} has no key {key!r}; its keys: {sorted(spec.defaults)}"
-            )
+    read_object(config, ("battery", *spec.defaults), f"battery {name!r}")
     params = {}
     for key, default in spec.defaults.items():
         if key not in config and default is None:

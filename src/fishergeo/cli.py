@@ -4,6 +4,8 @@ Subcommands dispatch into the library and print one JSON report to stdout
 (or ``--out``). Output is byte-identical across runs for identical inputs
 and seed: floats print in shortest round-trip form, object keys are emitted
 in a fixed order, and all randomness flows through the explicit seed.
+A command imports the modules beyond the wire formats when it runs, so a
+process loads only what its command needs.
 
 Exit codes: 0 = pass, 1 = mathematical violation or witness found,
 2 = input/usage error (with a machine-readable error object). Only the
@@ -21,9 +23,7 @@ import sys
 
 import numpy as np
 
-from .batteries import run_battery
-from .connections import coordinate_field, duality_check, e_transport, m_transport
-from .errors import FisherGeoError, InvalidParameter
+from .errors import PASS_TOL, VIOLATION_TOL, FisherGeoError, InvalidParameter
 from .jsonio import (
     channel_from_json,
     cotangent_from_json,
@@ -36,7 +36,6 @@ from .jsonio import (
 )
 from .markov import pullback, pushforward
 from .models import crb_check, fisher_info
-from .verify import PASS_TOL, VIOLATION_TOL
 
 DEFAULT_TOL = 1e-6
 #: A value that argparse would take for an option: a minus sign, then a digit,
@@ -130,6 +129,8 @@ def cmd_pull(args) -> tuple[int, dict]:
 
 
 def cmd_transport(args) -> tuple[int, dict]:
+    from .connections import e_transport, m_transport
+
     x = tangent_from_json(_load_json(args.vector))
     target = distribution_from_json(_load_json(args.to))
     mover = e_transport if args.mode == "e" else m_transport
@@ -137,6 +138,8 @@ def cmd_transport(args) -> tuple[int, dict]:
 
 
 def cmd_duality(args) -> tuple[int, dict]:
+    from .connections import coordinate_field, duality_check
+
     model = model_from_json(_load_json(args.model))
     xi = _parse_xi(args.xi)
     fields = [
@@ -156,6 +159,8 @@ def cmd_duality(args) -> tuple[int, dict]:
 
 
 def cmd_verify(args) -> tuple[int, dict]:
+    from .batteries import run_battery
+
     config = _load_json(args.config)
     if isinstance(config, dict):
         config.setdefault("seed", args.seed)
@@ -164,6 +169,8 @@ def cmd_verify(args) -> tuple[int, dict]:
 
 
 def cmd_characterize(args) -> tuple[int, dict]:
+    from .batteries import run_battery
+
     report = run_battery({
         "battery": "characterize", "family": args.family, "n_max": args.n_max,
         "denominator_bound": args.denominator_bound, "trials": args.trials, "seed": args.seed,

@@ -1,4 +1,4 @@
-"""Semantic exception hierarchy.
+"""Semantic exception hierarchy, and the residual tolerances of the verdicts.
 
 Every public operation raises one of these instead of bare ValueError,
 so callers (and the CLI's exit-code mapping) can dispatch on type.
@@ -13,6 +13,12 @@ from __future__ import annotations
 from typing import Callable, Hashable, Iterable, TypeVar
 
 _R = TypeVar("_R")
+
+#: Residuals at or below this pass outright.
+PASS_TOL = 1e-9
+#: Residuals above this are genuine counterexamples (witness threshold);
+#: the band between the two is reported as "inconclusive".
+VIOLATION_TOL = 1e-6
 
 
 class FisherGeoError(Exception):

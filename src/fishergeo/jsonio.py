@@ -5,10 +5,11 @@ the type invariants (strict positivity, normalization, sum-zero, centering,
 column stochasticity, surjectivity) and raises the package's semantic
 errors.
 
-The ``read_*`` functions decide what a valid JSON integer, number, bool or
-list of numbers is, here and in a battery config: a bool is never taken for
-a number, and a string never for a number or a bool. Each returns the value
-in its Python type or raises InvalidParameter naming the key.
+The ``read_*`` functions decide what a valid JSON object, integer, number,
+bool or list of numbers is, here and in a battery config: an object carries
+only its format's keys, a bool is never taken for a number, and a string
+never for a number or a bool. Each returns the value in its Python type or
+raises InvalidParameter naming the key.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numbers
 
 import numpy as np
 
-from .errors import BadSize, InvalidParameter
+from .errors import BadSize, InvalidParameter, SizeMismatch
 from .geometry import CotangentVector, TangentVector
 from .markov import Channel
 from .models import (
@@ -36,6 +37,17 @@ def _require(obj: dict, key: str):
     if key not in obj:
         raise InvalidParameter(f"missing key {key!r}")
     return obj[key]
+
+
+def read_object(value, keys: tuple[str, ...], what: str) -> dict:
+    """A JSON object whose every key is one of ``keys``, the keys of the
+    format ``what``: a key the format does not define is an error naming it."""
+    if not isinstance(value, dict):
+        raise InvalidParameter(f"{what} is a JSON object, not {type(value).__name__}")
+    for key in value:
+        if key not in keys:
+            raise InvalidParameter(f"{what} has no key {key!r}; its keys: {sorted(keys)}")
+    return value
 
 
 #: The largest integer a JSON value may carry: beyond it a double cannot
@@ -124,11 +136,13 @@ def _point(values, key: str) -> Distribution:
 
 
 def distribution_from_json(obj: dict) -> Distribution:
+    read_object(obj, ("n", "p"), "distribution")
     n = _field(obj, "n", read_int)
     return new_distribution(SampleSpace(n), _field(obj, "p", _flat))
 
 
 def random_variable_from_json(obj: dict) -> RandomVariable:
+    read_object(obj, ("n", "values"), "random variable")
     n = _field(obj, "n", read_int)
     return RandomVariable(SampleSpace(n), _field(obj, "values", _flat))
 
@@ -138,6 +152,7 @@ def tangent_to_json(x: TangentVector) -> dict:
 
 
 def tangent_from_json(obj: dict) -> TangentVector:
+    read_object(obj, ("p", "m_rep"), "tangent vector")
     base = _field(obj, "p", _point)
     return TangentVector(base, _field(obj, "m_rep", _flat))
 
@@ -147,12 +162,14 @@ def cotangent_to_json(alpha: CotangentVector) -> dict:
 
 
 def cotangent_from_json(obj: dict) -> CotangentVector:
+    read_object(obj, ("p", "rep"), "cotangent vector")
     base = _field(obj, "p", _point)
     rep = _field(obj, "rep", _flat)
     return CotangentVector(base, RandomVariable(base.space, rep))
 
 
 def channel_from_json(obj: dict) -> Channel:
+    read_object(obj, ("n_in", "n_out", "kernel"), "channel")
     n_in = _field(obj, "n_in", read_int)
     n_out = _field(obj, "n_out", read_int)
     kernel = _field(obj, "kernel", read_floats)
@@ -164,19 +181,26 @@ def model_from_json(obj: dict) -> ParametricModel:
 
     Kinds: ``bernoulli``; ``categorical`` (needs n); ``expfam`` (needs the
     sufficient-statistics matrix ``stats``, optional ``base`` weights);
-    ``affine`` (needs the anchor ``p0`` and ``directions``).
+    ``affine`` (needs the anchor ``p0`` and ``directions``, optional ``n``,
+    which must be the length of ``p0``).
     """
     kind = _require(obj, "kind")
     if kind == "bernoulli":
+        read_object(obj, ("kind",), "bernoulli model")
         return bernoulli_model()
     if kind == "categorical":
+        read_object(obj, ("kind", "n"), "categorical model")
         return categorical_model(_field(obj, "n", read_int))
     if kind == "expfam":
+        read_object(obj, ("kind", "stats", "base"), "expfam model")
         stats = _field(obj, "stats", read_floats)
         base = None if obj.get("base") is None else _point(obj["base"], "base")
         return exponential_family_model(stats, base)
     if kind == "affine":
+        read_object(obj, ("kind", "n", "p0", "directions"), "affine model")
         anchor = _field(obj, "p0", _flat)
+        if "n" in obj and _field(obj, "n", read_int) != anchor.size:
+            raise SizeMismatch(f"n is {obj['n']}, but p0 has {anchor.size} weights")
         directions = _field(obj, "directions", read_floats)
         return affine_model(anchor, directions)
     raise InvalidParameter(f"unknown model kind {kind!r}")

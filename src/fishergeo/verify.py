@@ -45,7 +45,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .connections import ConnectionTag, VectorFieldOnModel, coordinate_field, weak_invariance_kernel
-from .errors import InvalidParameter, NotRational, SizeMismatch, in_trial_order
+from .errors import PASS_TOL, VIOLATION_TOL, InvalidParameter, NotRational, SizeMismatch, in_trial_order
 from .families import CandidateFamily, parse_family
 from .geometry import (
     CotangentVector,
@@ -84,11 +84,6 @@ from .simplex import (
     variance,
 )
 
-#: Residuals at or below this pass outright.
-PASS_TOL = 1e-9
-#: Residuals above this are genuine counterexamples (witness threshold);
-#: the band between the two is reported as "inconclusive".
-VIOLATION_TOL = 1e-6
 #: Matrix identities of the strong-invariance check pass at this tolerance.
 STRONG_INVARIANCE_TOL = 1e-8
 #: Absolute tolerance when matching weights to a rational k/m grid.

@@ -154,14 +154,15 @@ def acceptance_batteries(monkeypatch, tmp_path) -> set[str]:
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         and node.func.id.startswith("battery_")
     }
-    from fishergeo import cli
+    from fishergeo import batteries, cli
 
     def recording(config):
         names.add(config["battery"])
         return run_battery(config)
 
-    run_battery = cli.run_battery
-    monkeypatch.setattr(cli, "run_battery", recording)
+    # cli imports run_battery from batteries when a command runs.
+    run_battery = batteries.run_battery
+    monkeypatch.setattr(batteries, "run_battery", recording)
     for args in test_acceptance.GOLDEN_COMMANDS.values():
         resolved = [str(GOLDEN_DIR / a) if a.startswith("inputs/") else a for a in args]
         cli.main(["--seed", "0", "--out", str(tmp_path / "out.json"), *resolved])
@@ -316,12 +317,24 @@ def test_every_benchmark_view_resolves():
         resolve(name)
 
 
+def export_table() -> dict[str, tuple[str, ...]]:
+    """The package's export table, module -> names, read from its source."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    (table,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"]
+    ]
+    return ast.literal_eval(table)
+
+
 def test_every_export_resolves():
     import fishergeo
 
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    exported = [a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
-    assert all(hasattr(fishergeo, name) for name in exported)
+    table = export_table()
+    exported = [(module, name) for module, names in table.items() for name in names]
+    assert len(exported) == len({name for _, name in exported}) == 66
+    for module, name in exported:
+        assert getattr(fishergeo, name) is getattr(importlib.import_module(f"fishergeo.{module}"), name)
 
 
 # ---------------------------------------------------------------------------

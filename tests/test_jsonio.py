@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fishergeo import jsonio
-from fishergeo.errors import FisherGeoError, InvalidParameter
+from fishergeo.batteries import run_battery
+from fishergeo.errors import FisherGeoError, InvalidParameter, SizeMismatch
 
 #: Leaves of arbitrary JSON values, with small integers so that a size read
 #: from one stays cheap to build.
@@ -117,3 +118,66 @@ class TestReaders:
     def test_non_finite_entries_are_left_to_the_constructor(self):
         values = jsonio.read_floats([[float("nan"), 1.0]], "kernel")
         assert values.shape == (1, 2) and np.isnan(values[0, 0])
+
+
+#: A valid object of each format, by reader and, for models, by kind.
+VALID = {
+    "distribution": (jsonio.distribution_from_json, {"n": 2, "p": [0.25, 0.75]}),
+    "random_variable": (jsonio.random_variable_from_json, {"n": 2, "values": [1.0, 0.0]}),
+    "tangent": (jsonio.tangent_from_json, {"p": [0.5, 0.5], "m_rep": [1.0, -1.0]}),
+    "cotangent": (jsonio.cotangent_from_json, {"p": [0.5, 0.5], "rep": [1.0, -1.0]}),
+    "channel": (jsonio.channel_from_json, {"n_in": 2, "n_out": 2, "kernel": [[0.5, 1.0], [0.5, 0.0]]}),
+    "bernoulli": (jsonio.model_from_json, {"kind": "bernoulli"}),
+    "categorical": (jsonio.model_from_json, {"kind": "categorical", "n": 3}),
+    "expfam": (jsonio.model_from_json, {"kind": "expfam", "stats": [[1, 2, 3]], "base": [0.2, 0.3, 0.5]}),
+    "affine": (
+        jsonio.model_from_json,
+        {"kind": "affine", "n": 3, "p0": [0.0, 0.0, 1.0], "directions": [[1.0, 1.0, -2.0]]},
+    ),
+    "estimators": (
+        lambda obj: jsonio.estimators_from_json([obj]), {"n": 2, "values": [1.0, 0.0]},
+    ),
+}
+
+
+class TestUnknownKeys:
+    """A key that a format does not define is an input error naming it: a
+    typo must not run a different model and exit 0."""
+
+    @pytest.mark.parametrize("name", sorted(VALID))
+    def test_valid_object_reads(self, name):
+        reader, obj = VALID[name]
+        reader(dict(obj))
+
+    @pytest.mark.parametrize("name", sorted(VALID))
+    @pytest.mark.parametrize("key", ["bases", "N", ""])
+    def test_unknown_key_is_named(self, name, key):
+        reader, obj = VALID[name]
+        with pytest.raises(InvalidParameter, match=f"no key '{key}'; its keys: \\[") as info:
+            reader({**obj, key: 1})
+        for known in obj:
+            assert repr(known) in str(info.value)
+
+    def test_a_misspelt_base_is_not_the_uniform_base(self):
+        reader, obj = VALID["expfam"]
+        with pytest.raises(InvalidParameter, match="'bases'"):
+            reader({"kind": "expfam", "stats": obj["stats"], "bases": obj["base"]})
+
+    def test_optional_keys_may_be_left_out(self):
+        jsonio.model_from_json({"kind": "expfam", "stats": [[1, 2, 3]]})
+        jsonio.model_from_json({"kind": "affine", "p0": [0.0, 0.0, 1.0], "directions": [[1.0, 1.0, -2.0]]})
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_affine_n_is_the_length_of_p0(self, n):
+        obj = {**VALID["affine"][1], "n": n}
+        with pytest.raises(SizeMismatch, match="p0 has 3 weights"):
+            jsonio.model_from_json(obj)
+
+    @pytest.mark.parametrize("n", [3.0, True, "3"])
+    def test_affine_n_is_an_integer(self, n):
+        with pytest.raises(InvalidParameter, match="n must be an integer"):
+            jsonio.model_from_json({**VALID["affine"][1], "n": n})
+
+    def test_battery_configs_share_the_rule(self):
+        with pytest.raises(InvalidParameter, match="battery 'crb' has no key 'trails'"):
+            run_battery({"battery": "crb", "trails": 3})
