@@ -18,7 +18,7 @@ import numbers
 
 import numpy as np
 
-from .errors import BadSize, InvalidParameter, SizeMismatch
+from .errors import BadSize, FisherGeoError, InvalidParameter, SizeMismatch
 from .geometry import CotangentVector, TangentVector
 from .markov import Channel
 from .models import (
@@ -135,16 +135,23 @@ def _point(values, key: str) -> Distribution:
     return new_distribution(SampleSpace(weights.shape[0]), weights)
 
 
+def _of_size(n: int, values: np.ndarray, key: str, what: str) -> np.ndarray:
+    """``values``, read from ``key``, if it holds the ``n`` entries the object's n gives."""
+    if values.size != n:
+        raise SizeMismatch(f"n is {n}, but {key} has {values.size} {what}")
+    return values
+
+
 def distribution_from_json(obj: dict) -> Distribution:
     read_object(obj, ("n", "p"), "distribution")
-    n = _field(obj, "n", read_int)
-    return new_distribution(SampleSpace(n), _field(obj, "p", _flat))
+    space = SampleSpace(_field(obj, "n", read_int))
+    return new_distribution(space, _of_size(space.size, _field(obj, "p", _flat), "p", "weights"))
 
 
 def random_variable_from_json(obj: dict) -> RandomVariable:
     read_object(obj, ("n", "values"), "random variable")
-    n = _field(obj, "n", read_int)
-    return RandomVariable(SampleSpace(n), _field(obj, "values", _flat))
+    space = SampleSpace(_field(obj, "n", read_int))
+    return RandomVariable(space, _of_size(space.size, _field(obj, "values", _flat), "values", "values"))
 
 
 def tangent_to_json(x: TangentVector) -> dict:
@@ -199,14 +206,21 @@ def model_from_json(obj: dict) -> ParametricModel:
     if kind == "affine":
         read_object(obj, ("kind", "n", "p0", "directions"), "affine model")
         anchor = _field(obj, "p0", _flat)
-        if "n" in obj and _field(obj, "n", read_int) != anchor.size:
-            raise SizeMismatch(f"n is {obj['n']}, but p0 has {anchor.size} weights")
+        if "n" in obj:
+            _of_size(_field(obj, "n", read_int), anchor, "p0", "weights")
         directions = _field(obj, "directions", read_floats)
         return affine_model(anchor, directions)
     raise InvalidParameter(f"unknown model kind {kind!r}")
 
 
 def estimators_from_json(obj) -> list[RandomVariable]:
+    """The estimators of a JSON array; an item's error keeps its type, prefixed ``estimators[i]: ``."""
     if not isinstance(obj, list):
         raise InvalidParameter("estimators file must hold a JSON array")
-    return [random_variable_from_json(item) for item in obj]
+    estimators = []
+    for i, item in enumerate(obj):
+        try:
+            estimators.append(random_variable_from_json(item))
+        except FisherGeoError as exc:
+            raise type(exc)(f"estimators[{i}]: {exc}") from exc
+    return estimators

@@ -80,7 +80,6 @@ from .simplex import (
     new_distribution,
     require_finite,
     require_weights,
-    uniform,
     variance,
 )
 
@@ -519,9 +518,8 @@ def prop6_kernel(surjection, fibers, p, a, b, family) -> list[Prop6Report]:
 
 
 def _prop6_rows(surjection, fibers, p, a, b, family) -> list[Prop6Report]:
-    # per trial its rows and pulled-back rows, and its two sides if its family is a grammar's
+    # per trial its rows and the two sides of its group, each read by one next in trial order
     per_trial: list = [None] * len(p)
-    sides: dict[int, tuple[float, float]] = {}
     for trials, maps, phi, psi, w, a_reps, b_reps in pair_stacks(surjection, fibers, p, a, b, key=family):
         n, m = phi.shape[1:]
         w = require_weights(_sized(w, m))
@@ -530,21 +528,14 @@ def _prop6_rows(surjection, fibers, p, a, b, family) -> list[Prop6Report]:
         require_centered(expect_rows(q_img, require_finite(_sized(b_reps, n))))
         phi_pull = delta_rows(w, require_finite(conditional_expectation_rows(phi, b_reps)))
         psi_pull = delta_rows(q_img, require_finite(conditional_expectation_rows(psi, a_reps)))
-        for t, *rows in zip(trials, maps, phi, w, q_img, a_reps, b_reps, phi_pull, psi_pull):
-            per_trial[t] = rows
         one = family[trials[0]]
-        if type(one) is CandidateFamily:
-            lhs = one.matrix_rows(w, a_reps[:, None], phi_pull[:, None])[:, 0, 0]
-            rhs = one.matrix_rows(q_img, psi_pull[:, None], b_reps[:, None])[:, 0, 0]
-            sides.update(zip(trials, zip(lhs.tolist(), rhs.tolist())))
+        lhs = _pair_matrices(one, w, a_reps[:, None], phi_pull[:, None])
+        rhs = _pair_matrices(one, q_img, psi_pull[:, None], b_reps[:, None])
+        for t, *rows in zip(trials, maps, phi, w, q_img, a_reps, b_reps):
+            per_trial[t] = (*rows, lhs, rhs)
     reports = []
-    for t, (map0, kernel, w, q_img, a_rep, b_rep, phi_row, psi_row) in enumerate(per_trial):
-        if t in sides:
-            lhs, rhs = sides[t]
-        else:
-            p_t, q_t = Distribution(SampleSpace(len(w)), w), Distribution(SampleSpace(len(q_img)), q_img)
-            lhs = family[t](p_t, RandomVariable(p_t.space, a_rep), RandomVariable(p_t.space, phi_row))
-            rhs = family[t](q_t, RandomVariable(q_t.space, psi_row), RandomVariable(q_t.space, b_rep))
+    for t, (map0, kernel, w, q_img, a_rep, b_rep, lhs, rhs) in enumerate(per_trial):
+        lhs, rhs = float(next(lhs)[0, 0]), float(next(rhs)[0, 0])
         residual = abs(lhs - rhs)
         status = classify(residual)
         witness = Witness(
@@ -604,34 +595,23 @@ def _map_and_point(surjection, q, m: int | None = None) -> tuple[np.ndarray, np.
 # ---------------------------------------------------------------------------
 
 
-def _pair_matrix(family: CandidateFamily, p: Distribution, rows, cols) -> np.ndarray:
-    """[family(p, A_i, B_j)] for the variables A_i and B_j given as rows of
-    ``rows`` and ``cols``: with ``_pair_matrices``, the probe's only way of
-    evaluating a family.
-
-    A grammar family computes the matrix itself; a plugin callable, or a
-    subclass that may override ``__call__``, is called once per pair.
-    """
-    if type(family) is CandidateFamily:
-        return family.matrix(p, rows, cols)
-    left = [RandomVariable(p.space, row) for row in rows]
-    right = [RandomVariable(p.space, col) for col in cols]
-    return np.array([[family(p, a, b) for b in right] for a in left], dtype=float)
-
-
 def _pair_matrices(family: CandidateFamily, w: np.ndarray, rows, cols) -> Iterator[np.ndarray]:
-    """``_pair_matrix`` at each point of the stack ``w`` (T, n), for rows
-    (T, r, n) and (T, c, n), yielded in point order; each point gets the
-    checks of its ``Distribution``. A grammar family evaluates all points in
-    one ``matrix_rows`` call at the first ``next``. Any other family is
-    called pair by pair at one point per ``next``, so its calls come in the
-    order of a loop that evaluates each point when it reaches it.
+    """[family(p_t, A_ti, B_tj)] at each point of the stack ``w`` (T, n), for
+    rows (T, r, n) and (T, c, n), yielded in point order; each point gets the
+    checks of its ``Distribution``. The only family evaluator: a grammar
+    family evaluates all points in one ``matrix_rows`` call at the first
+    ``next``; a plugin, or a subclass that may override ``__call__``, is
+    called pair by pair at one point per ``next``, in the order of a loop that
+    evaluates each point when it reaches it, and its values are read as floats.
     """
     if type(family) is CandidateFamily:
         yield from family.matrix_rows(in_trial_order(require_weights, w), rows, cols)
         return
     for w_t, rows_t, cols_t in zip(w, rows, cols):
-        yield _pair_matrix(family, new_distribution(SampleSpace(w_t.size), w_t), rows_t, cols_t)
+        p = new_distribution(SampleSpace(w_t.size), w_t)
+        left = [RandomVariable(p.space, row) for row in rows_t]
+        right = [RandomVariable(p.space, col) for col in cols_t]
+        yield np.array([[family(p, a, b) for b in right] for a in left], dtype=float)
 
 
 def _indicator_witness(
@@ -683,9 +663,7 @@ def _probe_uniform(family: CandidateFamily, n: int) -> tuple[UniformProbeResult,
     """``probe_uniform`` and the indicator matrix it evaluated."""
     if n < 2:
         raise InvalidParameter("probe needs n >= 2")
-    u = uniform(SampleSpace(n))
-    units = np.eye(n)
-    matrix = _pair_matrix(family, u, units, units)
+    matrix, _ = _lifted_pair_matrix(family, np.ones(n, int))
     off_mask = ~np.eye(n, dtype=bool)
     b = float(np.mean(matrix[off_mask]))
     a = float(np.mean(np.diag(matrix))) - b
@@ -698,16 +676,16 @@ def _probe_uniform(family: CandidateFamily, n: int) -> tuple[UniformProbeResult,
         witness = _indicator_witness(
             "uniform_shape", family, (n, n), (i, j), (matrix, model), worst,
             f"indicator pair ({i + 1}, {j + 1}) breaks permutation symmetry",
-            point=_floats(u.weights),
+            point=_floats(np.full(n, 1.0 / n)),
         )
     return UniformProbeResult(n, a, b, worst, witness), matrix
 
 
 def _lifted_pair_matrix(family: CandidateFamily, counts) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The indicator pair matrix lifted through the map collapsing blocks of ``counts``, and that map."""
+    """The uniform indicator pair matrix lifted through the map collapsing blocks of ``counts``; the map."""
     map0 = np.repeat(np.arange(len(counts)), counts)
-    lifts = np.eye(len(counts))[:, map0]
-    return _pair_matrix(family, uniform(SampleSpace(map0.size)), lifts, lifts), tuple(map0.tolist())
+    lifts, uniform = np.eye(len(counts))[None, :, map0], np.full((1, map0.size), 1.0 / map0.size)
+    return next(_pair_matrices(family, uniform, lifts, lifts)), tuple(map0.tolist())
 
 
 @dataclass(frozen=True)

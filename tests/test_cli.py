@@ -191,7 +191,8 @@ P3 = [0.25, 0.25, 0.5]
 )
 def test_flat_field_must_be_a_flat_list(cli, field, command, inputs, shape):
     """A flat field given as a nested list exits 2 with a BadSize naming it,
-    as a point's weights do, instead of being flattened."""
+    as a point's weights do, instead of being flattened; an estimator's
+    field is named with the estimator's index."""
     args = [command]
     for flag, value in inputs.items():
         args += [flag, value if isinstance(value, str) else cli.file(f"{flag[2:]}.json", value)]
@@ -199,7 +200,8 @@ def test_flat_field_must_be_a_flat_list(cli, field, command, inputs, shape):
     assert proc.returncode == 2
     error = json.loads(proc.stdout)["error"]
     assert error["type"] == "BadSize"
-    assert error["message"] == f"{field} must be a flat list of numbers, got shape {shape}"
+    item = "estimators[0]: " if command == "crb" else ""
+    assert error["message"] == f"{item}{field} must be a flat list of numbers, got shape {shape}"
 
 
 class TestCrb:
@@ -245,6 +247,18 @@ class TestCrb:
         )
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["error"]["type"] == "SizeMismatch"
+
+    def test_a_bad_estimator_is_named(self, cli):
+        """An error in one estimator of the file names its index."""
+        proc = cli.run(
+            "crb",
+            "--model", cli.file("m.json", BERNOULLI),
+            "--xi", "0.25",
+            "--estimators", cli.file("est.json", [{"n": 2, "values": [1, 0]}, {"n": 3, "values": [0, 1]}]),
+        )
+        assert proc.returncode == 2
+        error = json.loads(proc.stdout)["error"]
+        assert error == {"type": "SizeMismatch", "message": "estimators[1]: n is 3, but values has 2 values"}
 
     @pytest.mark.parametrize(
         "box, axis",
@@ -358,6 +372,18 @@ class TestTransport:
             "--to", cli.file("q.json", {"n": 2, "p": [0.25, 0.75]}),
         )
         assert code == 0 and out["m_rep"] == [1.0, -1.0]
+
+
+    def test_a_point_of_another_length_names_n_and_p(self, cli):
+        proc = cli.run(
+            "transport",
+            "--mode", "m",
+            "--vector", cli.file("x.json", {"p": [0.5, 0.5], "m_rep": [1.0, -1.0]}),
+            "--to", cli.file("q.json", {"n": 4, "p": [0.25, 0.75]}),
+        )
+        assert proc.returncode == 2
+        error = json.loads(proc.stdout)["error"]
+        assert error == {"type": "SizeMismatch", "message": "n is 4, but p has 2 weights"}
 
 
 class TestDuality:

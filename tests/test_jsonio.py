@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fishergeo import jsonio
 from fishergeo.batteries import run_battery
-from fishergeo.errors import FisherGeoError, InvalidParameter, SizeMismatch
+from fishergeo.errors import BadSize, FisherGeoError, InvalidParameter, SizeMismatch
 
 #: Leaves of arbitrary JSON values, with small integers so that a size read
 #: from one stays cheap to build.
@@ -181,3 +181,44 @@ class TestUnknownKeys:
     def test_battery_configs_share_the_rule(self):
         with pytest.raises(InvalidParameter, match="battery 'crb' has no key 'trails'"):
             run_battery({"battery": "crb", "trails": 3})
+
+
+class TestFailingValueIsNamed:
+    """A wire-format error says which value failed: a list whose length is
+    not n names both keys, and an estimator's error names the estimator."""
+
+    @pytest.mark.parametrize(
+        "reader, obj, message",
+        [
+            (jsonio.distribution_from_json, {"n": 4, "p": [0.25, 0.75]}, "n is 4, but p has 2 weights"),
+            (jsonio.distribution_from_json, {"n": 2, "p": 0.5}, "n is 2, but p has 1 weights"),
+            (jsonio.random_variable_from_json, {"n": 3, "values": [0, 1]}, "n is 3, but values has 2 values"),
+            (jsonio.random_variable_from_json, {"n": 2, "values": [0, 1, 2]}, "n is 2, but values has 3 values"),
+        ],
+        ids=["p-short", "p-scalar", "values-short", "values-long"],
+    )
+    def test_a_list_of_another_length_names_n_and_the_list(self, reader, obj, message):
+        with pytest.raises(SizeMismatch) as info:
+            reader(obj)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "second, error, message",
+        [
+            (
+                {"n": 2, "valuse": [0, 1]}, InvalidParameter,
+                "estimators[1]: random variable has no key 'valuse'; its keys: ['n', 'values']",
+            ),
+            ({"n": 3, "values": [0, 1]}, SizeMismatch, "estimators[1]: n is 3, but values has 2 values"),
+            ({"n": 1, "values": [0]}, BadSize, "estimators[1]: sample space needs size >= 2, got 1"),
+        ],
+        ids=["unknown-key", "length", "size"],
+    )
+    def test_an_estimator_error_names_the_estimator(self, second, error, message):
+        with pytest.raises(error) as info:
+            jsonio.estimators_from_json([{"n": 2, "values": [1, 0]}, second])
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_a_file_that_is_not_an_array_is_named_as_before(self):
+        with pytest.raises(InvalidParameter, match="^estimators file must hold a JSON array$"):
+            jsonio.estimators_from_json({"n": 2, "values": [1, 0]})

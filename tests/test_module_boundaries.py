@@ -4,7 +4,9 @@ batching contract of the kernels stays in ``errors``.
 A private name (leading underscore) is free to change with its module, so no
 other module may import it. API decisions rely on this rule; this test keeps
 it from eroding silently. Likewise, trials are grouped by shape through
-``errors.by_shape`` only, so no other module builds its own groups.
+``errors.by_shape`` only, so no other module builds its own groups, and a
+grammar family is told from a plugin in ``verify._pair_matrices`` only, so
+no other code evaluates a family its own way.
 """
 from __future__ import annotations
 
@@ -94,3 +96,55 @@ def test_detects_list_groupings():
         "by_size.setdefault(stack.shape[1], []).append(i)\n"
     )
     assert list_groupings(source) == [1, 6]
+
+
+def family_type_tests(source: str) -> list[str]:
+    """The function around each ``type(<x>) is CandidateFamily`` in ``source``
+    (also ``is not``, ``==``, ``!=``, either side, or ``<module>.CandidateFamily``),
+    one entry per test, ``<module>`` outside any function."""
+    def is_type_call(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "type" and len(node.args) == 1)
+
+    def is_family_class(node):
+        return (isinstance(node, ast.Name) and node.id == "CandidateFamily") or (
+            isinstance(node, ast.Attribute) and node.attr == "CandidateFamily"
+        )
+
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for op, left, right in zip(node.ops, operands, operands[1:]):
+                if isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)) and (
+                    (is_type_call(left) and is_family_class(right))
+                    or (is_family_class(left) and is_type_call(right))
+                ):
+                    found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_a_grammar_family_is_told_from_a_plugin_in_pair_matrices_only():
+    found = {path.name: family_type_tests(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {name: scopes for name, scopes in found.items() if scopes} == {"verify.py": ["_pair_matrices"]}
+
+
+def test_detects_family_type_tests():
+    source = (
+        "if type(family) is CandidateFamily:\n"
+        "    pass\n"
+        "def outer(f):\n"
+        "    def inner(g):\n"
+        "        return type(g) is not families.CandidateFamily\n"
+        "    return CandidateFamily == type(f)\n"
+        "def ignored(f):\n"
+        "    return isinstance(f, CandidateFamily) or type(f) is int or type(f, g) is CandidateFamily\n"
+    )
+    assert family_type_tests(source) == ["<module>", "inner", "outer"]

@@ -57,7 +57,7 @@ from fishergeo.verify import (
     _flatten_dirichlet,
     _floats,
     _format_constant,
-    _pair_matrix,
+    _pair_matrices,
     _witness_result,
     characterize,
     check_bilinearity,
@@ -105,6 +105,11 @@ def reference_pair_matrix(family, p: Distribution, rows, cols) -> np.ndarray:
     left = [RandomVariable(p.space, row) for row in rows]
     right = [RandomVariable(p.space, col) for col in cols]
     return np.array([[reference_call(family, p, a, b) for b in right] for a in left], dtype=float)
+
+
+def pair_matrix(family, p: Distribution, rows, cols) -> np.ndarray:
+    """``_pair_matrices`` on a batch of one: the family's matrix at p."""
+    return next(_pair_matrices(family, p.weights[None], np.asarray(rows)[None], np.asarray(cols)[None]))
 
 
 def reference_check_bilinearity(family, n: int, seed: int) -> float:
@@ -462,7 +467,7 @@ def rational_point(n: int, denominator: int, seed: int) -> Distribution:
 @example(family=parse_family("PK(-400)"), n=6)
 @example(family=parse_family("PK(400)"), n=6)
 def test_probe_uniform_bitwise(family, n):
-    matrix = _pair_matrix(family, uniform(SampleSpace(n)), np.eye(n), np.eye(n))
+    matrix = pair_matrix(family, uniform(SampleSpace(n)), np.eye(n), np.eye(n))
     assert bits(matrix) == bits(reference_uniform_matrix(family, n))
     assert outcome(probe_uniform, family, n) == outcome(reference_probe_uniform, family, n)
 
@@ -491,7 +496,7 @@ def test_probe_rational_bitwise(family, n, data, seed, constants):
     denominator = data.draw(st.integers(n, 32), label="denominator")
     bound = data.draw(st.integers(denominator, 40), label="bound")
     p = rational_point(n, denominator, seed)
-    matrix = _pair_matrix(family, p, np.eye(n), np.eye(n))
+    matrix = pair_matrix(family, p, np.eye(n), np.eye(n))
     assert outcome(_fit_constants, p, matrix) == outcome(reference_fit_constants, family, p)
     assert outcome(probe_rational, family, p, bound, constants) == outcome(
         reference_probe_rational, family, p, bound, constants
@@ -547,7 +552,7 @@ def test_indicator_matrix_bitwise(family, case):
     p, rows = case
     expected = outcome(reference_pair_matrix, family, p, rows, rows)
     assert outcome(family.matrix, p, rows, rows) == expected
-    assert outcome(_pair_matrix, family, p, rows, rows) == expected
+    assert outcome(pair_matrix, family, p, rows, rows) == expected
 
 
 @st.composite
@@ -596,7 +601,7 @@ def test_matrix_bitwise(family, case):
     matrix = family.matrix(p, rows_a, rows_b)
     assert matrix.shape == (len(rows_a), len(rows_b))
     assert bits(matrix) == bits(reference_pair_matrix(family, p, rows_a, rows_b))
-    assert bits(_pair_matrix(family, p, rows_a, rows_b)) == bits(matrix)
+    assert bits(pair_matrix(family, p, rows_a, rows_b)) == bits(matrix)
 
 
 @settings(max_examples=200, deadline=None)
@@ -645,7 +650,7 @@ class Doubled(CandidateFamily):
 def test_subclass_keeps_its_own_call():
     family = Doubled("doubled PK(2)", parse_family("PK(2)").terms)
     p, units = rational_point(4, 12, seed=3), np.eye(4)
-    matrix = _pair_matrix(family, p, units, units)
+    matrix = pair_matrix(family, p, units, units)
     assert bits(matrix) == bits(reference_pair_matrix(family, p, units, units))
     assert bits(matrix) != bits(parse_family("PK(2)").matrix(p, units, units))
 

@@ -654,6 +654,23 @@ def test_a_plugin_family_is_called_pair_by_pair_in_trial_order():
         assert new.log == old.log and len(new.log) == 24
 
 
+@pytest.mark.parametrize("kind", [int, np.float32], ids=lambda kind: kind.__name__)
+def test_a_plugin_value_is_read_as_a_float(kind):
+    """A plugin's two sides are read as float64, as every probe step reads a
+    plugin's values: a plugin that returns a Python int or a numpy float32
+    gives reports whose sides and residual are Python floats, the sides the
+    frozen check's values and the residual their float64 gap."""
+    plugin = Plugin(f"PK(2) as {kind.__name__}", lambda w, a, b: kind(100.0 * np.sum(w**2 * a * b)))
+    cases = drawn_cases(plugin, 12)
+    reports = prop6_kernel(**{key: [case[key] for case in cases] for key in cases[0]})
+    frozen = [frozen_check_prop6_identity(**objects("prop6", case)) for case in cases]
+    assert any(report.witness is not None for report in reports)
+    for report, old in zip(reports, frozen):
+        assert (type(report.lhs), type(report.rhs), type(report.residual)) == (float, float, float)
+        assert (report.lhs, report.rhs) == (float(old.lhs), float(old.rhs))
+        assert report.residual == abs(report.lhs - report.rhs)
+
+
 def test_pk_minus_400_still_reports_a_nan_gap_as_bad_input():
     """ROADMAP item 4 owns this behaviour; the kernel keeps it."""
     with pytest.raises(InvalidParameter, match="^witness gap nan does not exceed 1e-06$"):
