@@ -226,11 +226,11 @@ class _Battery:
     in trial order. Checks and kernels, and the kernels a draw calls, are
     looked up in this module at run time, so a rebound name is the one
     called. ``residual`` reads the signed residual from a report. Above
-    ``violation_tol`` the case is recorded as a witness of the kind ``name``,
-    unless the report carries its own; a spec with ``shrinkers`` (a check
-    spec) first shrinks the case through its check.
-    ``extras(params, worst, cases, reports)`` adds keys to the report from
-    every case and report, in trial order.
+    ``VIOLATION_TOL``, whatever the spec's ``pass_tol``, the case is recorded
+    as a witness of the kind ``name``, unless the report carries its own; a
+    spec with ``shrinkers`` (a check spec) first shrinks the case through its
+    check. ``extras(params, worst, cases, reports)`` adds keys to the report
+    from every case and report, in trial order.
 
     When the bool key named ``control`` is true, the run is a control of the
     opposite polarity, which shows that the check detects a mismatch: it
@@ -247,7 +247,6 @@ class _Battery:
     rounds: Callable[[dict], int] = itemgetter("trials")
     min_n: int = 2
     pass_tol: float = PASS_TOL
-    violation_tol: float = VIOLATION_TOL
     shrinkers: tuple = ()
     extras: Callable[[dict, float, list, list], dict] = lambda *_: {}
     control: str | None = None
@@ -270,12 +269,12 @@ def _drive(spec: _Battery, params: dict) -> BatteryReport:
     for trial, (case, report) in enumerate(zip(cases, reports)):
         value = float(spec.residual(report))
         worst = pick(worst, value)
-        if not control and value > spec.violation_tol:
+        if not control and value > VIOLATION_TOL:
             witness = getattr(report, "witness", None)
             if witness is None:
                 # only check specs have shrinkers, so a case is shrunk through its check
                 case = shrink_case(
-                    case, lambda c: spec.residual(evaluate(**c)) > spec.violation_tol, spec.shrinkers
+                    case, lambda c: spec.residual(evaluate(**c)) > VIOLATION_TOL, spec.shrinkers
                 )
                 witness = Witness.from_case(spec.name, case, f"seed={seed} trial={trial}")
             witnesses.append(witness)
@@ -517,7 +516,7 @@ _BATTERIES: dict[str, _Battery] = {spec.name: spec for spec in (
         "crb", {"trials": 1000, "n_max": 4, "seed": 0}, _draw_crb,
         # the minimum eigenvalue of V - G^{-1}, negated and scaled by G^{-1}
         lambda r: -(r.min_eigenvalue / (1.0 + np.max(np.abs(r.inverse_information)))),
-        kernel="crb_kernel", pass_tol=-CRB_EIG_TOL, violation_tol=-CRB_EIG_TOL,
+        kernel="crb_kernel", pass_tol=-CRB_EIG_TOL,
         extras=lambda params, worst, *_: {"min_scaled_eigenvalue": float(-worst)},
     ),
     _Battery(

@@ -597,15 +597,15 @@ def _map_and_point(surjection, q, m: int | None = None) -> tuple[np.ndarray, np.
 
 def _pair_matrices(family: CandidateFamily, w: np.ndarray, rows, cols) -> Iterator[np.ndarray]:
     """[family(p_t, A_ti, B_tj)] at each point of the stack ``w`` (T, n), for
-    rows (T, r, n) and (T, c, n), yielded in point order; each point gets the
-    checks of its ``Distribution``. The only family evaluator: a grammar
+    rows (T, r, n) and (T, c, n), yielded in point order; the caller checks
+    ``w``, as ``matrix_rows``'s does. The only family evaluator: a grammar
     family evaluates all points in one ``matrix_rows`` call at the first
     ``next``; a plugin, or a subclass that may override ``__call__``, is
     called pair by pair at one point per ``next``, in the order of a loop that
     evaluates each point when it reaches it, and its values are read as floats.
     """
     if type(family) is CandidateFamily:
-        yield from family.matrix_rows(in_trial_order(require_weights, w), rows, cols)
+        yield from family.matrix_rows(w, rows, cols)
         return
     for w_t, rows_t, cols_t in zip(w, rows, cols):
         p = new_distribution(SampleSpace(w_t.size), w_t)
@@ -684,7 +684,8 @@ def _probe_uniform(family: CandidateFamily, n: int) -> tuple[UniformProbeResult,
 def _lifted_pair_matrix(family: CandidateFamily, counts) -> tuple[np.ndarray, tuple[int, ...]]:
     """The uniform indicator pair matrix lifted through the map collapsing blocks of ``counts``; the map."""
     map0 = np.repeat(np.arange(len(counts)), counts)
-    lifts, uniform = np.eye(len(counts))[None, :, map0], np.full((1, map0.size), 1.0 / map0.size)
+    lifts = np.eye(len(counts))[None, :, map0]
+    uniform = in_trial_order(require_weights, np.full((1, map0.size), 1.0 / map0.size))
     return next(_pair_matrices(family, uniform, lifts, lifts)), tuple(map0.tolist())
 
 
@@ -777,10 +778,9 @@ def _rationalize_rows(points: np.ndarray, denominator_bound: int) -> Iterator[tu
         yield denominator, row
 
 
-def _fit_constants(p: Distribution, matrix: np.ndarray) -> tuple[float, float]:
-    """Least-squares (c1, c2) fit of the indicator-pair matrix at p to
-    c1 diag(p) + c2 p p^T."""
-    w = p.weights
+def _fit_constants(w: np.ndarray, matrix: np.ndarray) -> tuple[float, float]:
+    """Least-squares (c1, c2) fit of the indicator-pair matrix at the point
+    of weights ``w`` to c1 diag(w) + c2 w w^T."""
     features = np.column_stack([np.diag(w).ravel(), np.outer(w, w).ravel()])
     solution, *_ = np.linalg.lstsq(features, matrix.ravel(), rcond=None)
     return float(solution[0]), float(solution[1])
@@ -817,7 +817,7 @@ def _rational_probes(
     family: CandidateFamily, points: np.ndarray, denominator_bound: int,
     constants: tuple[float, float],
 ) -> Iterator[RationalProbeResult]:
-    """``probe_rational`` at each point of the stack ``points`` (T, n),
+    """``probe_rational`` at each point of the checked stack ``points`` (T, n),
     yielded in point order: the denominators come from one
     ``_rationalize_rows`` scan, the value matrices from one
     ``_pair_matrices`` stack and the targets from one product, while each
@@ -851,10 +851,9 @@ def _rational_probes(
         )
 
 
-def _best_rational_approximation(
-    weights: np.ndarray, denominator_bound: int
-) -> Distribution:
-    """Closest point with a common denominator <= the bound (largest-remainder).
+def _best_rational_approximation(weights: np.ndarray, denominator_bound: int) -> np.ndarray:
+    """The weights of the closest point with a common denominator <= the
+    bound (largest-remainder); the caller checks them.
 
     Each denominator m starts from floor(w m), at least 1 per weight, gives
     a deficit to the largest remainders and takes an excess greedily from the
@@ -873,22 +872,22 @@ def _best_rational_approximation(
     counts = np.empty_like(floors)
     np.put_along_axis(counts, order, excess + 1 + steps, axis=1)
     approx = counts / ms
-    best = approx[np.argmin(np.max(np.abs(weights - approx), axis=1))]
-    return new_distribution(SampleSpace(n), best)
+    return approx[np.argmin(np.max(np.abs(weights - approx), axis=1))]
 
 
-def _continuity_errors(
-    family: CandidateFamily, spot: Distribution, bounds: list[int]
-) -> list[float]:
-    """Step (d): distance from the constants fitted at ``spot`` to those
-    fitted at its best rational approximation, per denominator bound. The
-    indicator matrices of all the points come from one ``_pair_matrices``
-    stack; each point is fitted on its own."""
-    points = [spot, *(_best_rational_approximation(spot.weights, bound) for bound in bounds)]
-    n = spot.space.size
+def _continuity_errors(family: CandidateFamily, spot: np.ndarray, bounds: list[int]) -> list[float]:
+    """Step (d): distance from the constants fitted at the spot's weights to
+    those fitted at its best rational approximation, per denominator bound.
+    The spot is checked first, then its approximations; the indicator
+    matrices of all the points come from one ``_pair_matrices`` stack; each
+    point is fitted on its own."""
+    in_trial_order(require_weights, spot[None])
+    points = np.array([spot, *(_best_rational_approximation(spot, bound) for bound in bounds)])
+    in_trial_order(require_weights, points[1:])
+    n = spot.size
     units = np.broadcast_to(np.eye(n), (len(points), n, n))
-    matrices = _pair_matrices(family, np.array([p.weights for p in points]), units, units)
-    spot_fit, *fits = (np.array(_fit_constants(p, matrix)) for p, matrix in zip(points, matrices))
+    matrices = _pair_matrices(family, points, units, units)
+    spot_fit, *fits = (np.array(_fit_constants(w, matrix)) for w, matrix in zip(points, matrices))
     return [float(np.max(np.abs(fit - spot_fit))) for fit in fits]
 
 
@@ -948,8 +947,8 @@ def check_bilinearity(family: CandidateFamily, n: int, seed: int) -> float:
     """Largest bilinearity defect over ``_BILINEARITY_TRIALS`` random triples;
     grammar families satisfy it by construction, plugin evaluators may not.
     Each trial reads its six values as one 3x1 and one 1x3 pair matrix, and
-    the trials are drawn first, then evaluated as one ``_pair_matrices``
-    stack per side."""
+    the trials are drawn first, their points checked once, then evaluated as
+    one ``_pair_matrices`` stack per side."""
     rng = np.random.default_rng(seed)
     draws = []
     for _ in range(_BILINEARITY_TRIALS):
@@ -958,6 +957,7 @@ def check_bilinearity(family: CandidateFamily, n: int, seed: int) -> float:
         s, t = rng.normal(size=2)
         draws.append((w, np.array([s * a1 + t * a2, a1, a2]), b[None], s, t))
     w, rows, b, s, t = (np.array(column) for column in zip(*draws))
+    in_trial_order(require_weights, w)
     worst = 0.0
     sides = zip(_pair_matrices(family, w, rows, b), _pair_matrices(family, w, b, rows))
     for (left, right), s_t, t_t in zip(sides, s, t):
@@ -1026,7 +1026,8 @@ def characterize(
         for _ in range(trials):
             denominator = int(rng.integers(n, denominator_bound + 1))
             points.append((rng.multinomial(denominator - n, np.full(n, 1.0 / n)) + 1) / denominator)
-        for result in _rational_probes(family, np.array(points), denominator_bound, (c1, c2)):
+        points = in_trial_order(require_weights, np.array(points))
+        for result in _rational_probes(family, points, denominator_bound, (c1, c2)):
             if result.witness is not None:
                 return _witness_result(family.name, result.witness)
 
@@ -1035,7 +1036,7 @@ def characterize(
         count = max(2, trials // 2)
         draws = [(_flatten_dirichlet(rng, n), rng.normal(size=(1, n))) for _ in range(count)]
         w, a = (np.array(column) for column in zip(*draws))
-        for ii1 in _pair_matrices(family, w, a, np.ones((count, 1, n))):
+        for ii1 in _pair_matrices(family, in_trial_order(require_weights, w), a, np.ones((count, 1, n))):
             ii1_worst = max(ii1_worst, abs(float(ii1[0, 0])))
     ii1_holds = ii1_worst <= PASS_TOL
 
@@ -1043,8 +1044,7 @@ def characterize(
     # irrational spot-check point converge to the fit at the point itself.
     n_spot = min(3, n_max)
     irrational = np.sqrt(np.arange(2, 2 + n_spot, dtype=float))
-    irrational /= irrational.sum()
-    spot = new_distribution(SampleSpace(n_spot), irrational)
+    spot = irrational / irrational.sum()
     bounds = [b for b in (8, 16, 32, 64) if b <= denominator_bound]
     continuity_errors = _continuity_errors(family, spot, bounds)
     if continuity_errors and continuity_errors[-1] > VIOLATION_TOL:
@@ -1183,10 +1183,10 @@ def _bilinearity_witness(case: dict) -> Witness:
 
 def _continuity_witness(case: dict) -> Witness:
     error = _continuity_errors(case["family"], case["spot"], [case["bound"]])[0]
-    n = case["spot"].space.size
+    n = case["spot"].size
     return Witness(
         kind="continuity", m=n, n=n, lhs=error, rhs=0.0, gap=error,
-        point=_floats(case["spot"].weights), family=case["family"].name,
+        point=_floats(case["spot"]), family=case["family"].name,
         detail=f"D={case['bound']}",
     )
 
@@ -1202,7 +1202,7 @@ def _rational_point_case(witness: Witness) -> dict:
 
 
 def _continuity_case(witness: Witness) -> dict:
-    spot = new_distribution(SampleSpace(witness.n), np.array(witness.point))
+    spot = _sized(np.array(witness.point, dtype=float).reshape(1, -1), SampleSpace(witness.n).size)[0]
     return _family_case(witness, spot=spot, bound=int(witness.detail.removeprefix("D=")))
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import fishergeo.batteries as batteries
 import fishergeo.connections as connections_module
+import fishergeo.models as models_module
 import fishergeo.verify as verify_module
 from fishergeo.batteries import run_battery
 from fishergeo.errors import FisherGeoError, InvalidParameter
@@ -110,16 +111,33 @@ class TestConfig:
 
 @pytest.mark.parametrize("name", ["monotonicity_metric", "monotonicity_cometric"])
 def test_violations_are_shrunk_tagged_and_replayable(monkeypatch, name):
-    # Monotonicity holds, so no real trial violates it: drop both witness
-    # thresholds to make every trial a violation and follow the witness path.
+    # Monotonicity holds, so no real trial violates it: drop the witness
+    # threshold, the driver's and the Witness's, to make every trial a
+    # violation and follow the witness path.
     monkeypatch.setattr(verify_module, "VIOLATION_TOL", -np.inf)
-    spec = dataclasses.replace(batteries._BATTERIES[name], violation_tol=-np.inf)
-    monkeypatch.setitem(batteries._BATTERIES, name, spec)
+    monkeypatch.setattr(batteries, "VIOLATION_TOL", -np.inf)
     report = run_battery({"battery": name, "trials": 4, "n_max": 5, "seed": 7})
     assert report.status == "violation"
     assert [w.detail for w in report.witnesses] == [f"seed=7 trial={t}" for t in range(4)]
     for witness in report.witnesses:
         assert (witness.kind, witness.m, witness.n) == (name, 2, 2)
+        assert np.float64(replay_witness(witness)).tobytes() == np.float64(witness.gap).tobytes()
+
+
+@pytest.mark.parametrize("shift, status, witnesses", [(5e-7, "inconclusive", 0), (1e-3, "violation", 5)])
+def test_a_crb_violation_is_judged_at_the_witness_threshold(monkeypatch, shift, status, witnesses):
+    """V - shift * I in place of V: a smallest eigenvalue of about -shift.
+    At 5e-7 it falls between the crb pass tolerance (1e-8, scaled) and the
+    witness threshold, so the run is inconclusive and builds no witness; at
+    1e-3 every trial is a violation whose witness replays bitwise."""
+    cov_rows = models_module.cov_rows
+    monkeypatch.setattr(
+        models_module, "cov_rows", lambda w, a, b: cov_rows(w, a, b) - shift * np.eye(a.shape[1])
+    )
+    report = run_battery({"battery": "crb", "trials": 5, "n_max": 4, "seed": 0})
+    assert (report.status, len(report.witnesses)) == (status, witnesses)
+    for witness in report.witnesses:
+        assert witness.kind == "crb" and witness.gap > shift / 2
         assert np.float64(replay_witness(witness)).tobytes() == np.float64(witness.gap).tobytes()
 
 

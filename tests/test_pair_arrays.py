@@ -21,12 +21,15 @@ too: the ``weak_invariance`` draw yields each trial's map and points as
 arrays, bitwise those of its former object draw, and builds no object; a
 run, matched or mismatched, builds no ``Surjection``, ``EmbeddingPair`` or
 ``Channel``; a ``crb`` draw builds one ``Distribution`` per trial, where it
-built two; and ``characterize`` builds no ``Surjection``.
+built two; and ``characterize`` builds no ``Surjection``, and no
+``Distribution`` when the family decomposes.
 """
 from __future__ import annotations
 
+import ast
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -446,6 +449,23 @@ def test_a_crb_draw_builds_one_distribution_per_trial(built, rounds):
     cases = batteries._draw_crb(np.random.default_rng(rounds), rounds, 5)
     assert len(cases) == rounds
     assert built["Distribution"] == rounds
+
+
+def benchmark_decomposing_families() -> list[str]:
+    """The families that ``perfbench/workloads.py`` runs ``characterize`` on and expects to decompose."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text())
+    (value,) = (node.value for node in tree.body
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "DECOMPOSING")
+    return list(ast.literal_eval(value))
+
+
+@pytest.mark.parametrize("family", benchmark_decomposing_families())
+def test_a_passing_characterize_builds_no_distribution(built, family):
+    """Every step reads its points as weight rows, the continuity spot and
+    its rational approximations too; the sizes are the benchmark's."""
+    result = verify.characterize(family, n_max=5, denominator_bound=32, trials=4, seed=11)
+    assert result.passed and result.continuity_errors
+    assert built == Counter()
 
 
 @pytest.mark.parametrize("family", ["COV", "PK(2)"])

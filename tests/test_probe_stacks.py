@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from collections import Counter
 from functools import cache, partial
 
 import numpy as np
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 
 from fishergeo import batteries, families
 from fishergeo import verify as verify_module
-from fishergeo.errors import FisherGeoError, InvalidParameter, NotCentered, NotRational, SizeMismatch
+from fishergeo.errors import FisherGeoError, InvalidParameter, NotCentered, NotRational, SizeMismatch, by_shape
 from fishergeo.families import CandidateFamily, parse_family
 from fishergeo.geometry import delta
 from fishergeo.markov import (
@@ -270,11 +271,13 @@ def frozen_probe_rational(family, p, denominator_bound, constants) -> RationalPr
 def frozen_continuity_errors(family, spot: Distribution, bounds: list[int]) -> list[float]:
     def fit(p: Distribution) -> np.ndarray:
         units = np.eye(p.space.size)
-        return np.array(_fit_constants(p, frozen_pair_matrix(family, p, units, units)))
+        return np.array(_fit_constants(p.weights, frozen_pair_matrix(family, p, units, units)))
 
     spot_fit = fit(spot)
     return [
-        float(np.max(np.abs(fit(_best_rational_approximation(spot.weights, bound)) - spot_fit)))
+        float(np.max(np.abs(
+            fit(new_distribution(spot.space, _best_rational_approximation(spot.weights, bound))) - spot_fit
+        )))
         for bound in bounds
     ]
 
@@ -678,6 +681,42 @@ def test_pk_minus_400_still_reports_a_nan_gap_as_bad_input():
     cases = drawn_cases(parse_family("PK(-400)"), 20)
     assert kernel_outcome(cases) == frozen_outcome(cases)
     assert frozen_outcome(cases) == (InvalidParameter, "witness gap nan does not exceed 1e-06")
+
+
+@pytest.fixture()
+def checked(monkeypatch) -> list:
+    """The weight stacks that ``verify`` checks, each kept, so that no two share an id."""
+    stacks = []
+    check = verify_module.require_weights
+
+    def counting(w):
+        stacks.append(w)
+        return check(w)
+
+    monkeypatch.setattr(verify_module, "require_weights", counting)
+    return stacks
+
+
+@pytest.mark.parametrize("family", ["COV", "PK(2)"])
+def test_a_grammar_prop6_run_checks_each_point_stack_once(checked, family):
+    """Per shape, the stack of points p (T, m) and the stack of their images
+    (T, n) are checked once each; ``_pair_matrices`` checks neither again."""
+    cases = drawn_cases(parse_family(family), 20)
+    shapes = [(len(c["p"]), len(c["surjection"])) for c in cases]
+    prop6_kernel(**{key: [case[key] for case in cases] for key in cases[0]})
+    expected = Counter()
+    for trials in by_shape(shapes):
+        m, n = shapes[trials[0]]
+        expected.update([(len(trials), m), (len(trials), n)])
+    assert len(expected) > 2
+    assert Counter(w.shape for w in checked) == expected
+    assert len({id(w) for w in checked}) == len(checked)
+
+
+def test_bilinearity_points_are_checked_once(checked):
+    """The four drawn points are one stack, checked once for both sides."""
+    assert check_bilinearity(parse_family("COV"), 5, 3) <= PASS_TOL
+    assert [w.shape for w in checked] == [(_BILINEARITY_TRIALS, 5)]
 
 
 @pytest.mark.parametrize("family, seed", [("COV", 0), ("PK(2)", 0), ("PK(2)", 3), ("PK(-1)", 5)])

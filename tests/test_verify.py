@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -24,7 +25,7 @@ from fishergeo.batteries import (
     run_battery,
     shrink_case,
 )
-from fishergeo.errors import BadSize, InvalidParameter, NotRational
+from fishergeo.errors import BadSize, FisherGeoError, InvalidParameter, NotRational
 from fishergeo.families import parse_family
 from fishergeo.geometry import TangentVector, delta
 from fishergeo.markov import (
@@ -320,7 +321,7 @@ class TestProbeRational:
         p = dist(0.25, 0.75)
         result = probe_rational(fam, p, 8, uniform_constants(fam, 2))
         matrix = next(verify_module._pair_matrices(fam, p.weights[None], np.eye(2)[None], np.eye(2)[None]))
-        assert verify_module._fit_constants(p, matrix) == pytest.approx((2.0, 5.0), rel=1e-9)
+        assert verify_module._fit_constants(p.weights, matrix) == pytest.approx((2.0, 5.0), rel=1e-9)
         assert result.max_residual <= 1e-9
 
     def test_irrational_point_rejected(self):
@@ -555,6 +556,20 @@ class TestWitnessReplay:
         result = characterize(PLUGINS[kind], n_max=3, denominator_bound=16, trials=2, seed=1)
         assert result.witness.kind == kind
         assert same_bits(replay_witness(result.witness), result.witness.gap)
+
+    @pytest.mark.parametrize("n, point", [
+        (3, (0.5, 0.5)), (3, (math.nan, 0.5, 0.5)), (3, (-0.1, 0.6, 0.5)), (3, (0.2, 0.2, 0.2)), (1, (1.0,)),
+    ])
+    def test_a_bad_stored_continuity_point_raises_what_its_distribution_raises(self, plugin_names, n, point):
+        """The spot replays as a weight row: a point of the wrong length, a
+        non-finite, negative or unnormalized weight, or a size below 2 raises
+        the error type and message of the ``Distribution`` it once rebuilt."""
+        result = characterize(PLUGINS["continuity"], n_max=3, denominator_bound=16, trials=2, seed=1)
+        spoiled = dataclasses.replace(result.witness, n=n, point=point)
+        with pytest.raises(FisherGeoError) as expected:
+            new_distribution(SampleSpace(n), np.array(point))
+        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+            replay_witness(spoiled)
 
     def test_cross_dimension_replay_bitwise(self):
         result = probe_consistency(parse_family("PK(2)"), 2, 3)
