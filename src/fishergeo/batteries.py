@@ -514,9 +514,7 @@ _BATTERIES: dict[str, _Battery] = {spec.name: spec for spec in (
         # Full categorical models: the kernel of restriction holds only the
         # constants, so every trial samples the equality case V = G^{-1}.
         "crb", {"trials": 1000, "n_max": 4, "seed": 0}, _draw_crb,
-        # the minimum eigenvalue of V - G^{-1}, negated and scaled by G^{-1}
-        lambda r: -(r.min_eigenvalue / (1.0 + np.max(np.abs(r.inverse_information)))),
-        kernel="crb_kernel", pass_tol=-CRB_EIG_TOL,
+        attrgetter("scaled_residual"), kernel="crb_kernel", pass_tol=-CRB_EIG_TOL,
         extras=lambda params, worst, *_: {"min_scaled_eigenvalue": float(-worst)},
     ),
     _Battery(

@@ -33,8 +33,9 @@ differences, the pushforwards and the metric contractions run on the
 stacks, in the order a single stencil meets them. ``weak_invariance_kernel``
 runs the stencils of many trials and grid points at once; the
 ``weak_invariance`` battery checks all its trials in one call of it. It
-takes each pair as its 0-based map and fiber matrix, and the image model
-and both pushforwards read the kernels of ``markov.pair_stacks``.
+takes each pair as its 0-based map and fiber matrix, and both pushforwards
+read the kernels of ``markov.pair_stacks``. The embedded family is Phi
+applied to the small model's points and Jacobians at each stencil point.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameter, SizeMismatch, by_shape, in_trial_order
+from .errors import InvalidParameter, NonPositiveWeight, NotNormalized, SizeMismatch, by_shape, in_trial_order
 from .geometry import (
     TangentVector,
     fisher_metric_rows,
@@ -54,8 +55,8 @@ from .geometry import (
     score_rows,
 )
 from .markov import EmbeddingPair, apply_rows, pair_stacks
-from .models import ParametricModel, jacobian_at, jacobians_at
-from .simplex import Distribution, SampleSpace, centered_rows, expect_rows, require_finite, require_weights
+from .models import ParametricModel, checked_jacobians, jacobians_at
+from .simplex import Distribution, centered_rows, expect_rows, require_finite, require_weights
 
 #: Default finite-difference step for covariant derivatives.
 DEFAULT_STEP = 1e-4
@@ -157,15 +158,35 @@ def _require_inputs(model: ParametricModel, step: float, fields) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _values_at(model, xi: np.ndarray, fields) -> tuple[np.ndarray, np.ndarray]:
+def _values_at(model, xi: np.ndarray, fields) -> tuple[np.ndarray, ...]:
     """The values of each row's fields at p_xi, for points xi (T, dim) of one
-    model shape: the weights (T, n) and the m-representations (T, r, n), each
-    with the check of its ``TangentVector``. Each point, and the Jacobian
-    there, is evaluated once."""
+    model shape: the weights (T, n), the m-representations (T, r, n) with the
+    check of each ``TangentVector``, and the coefficients (T, r, dim) and
+    checked Jacobians (T, dim, n) they read. Each point is evaluated once."""
     w = np.array([one.point(at).weights for one, at in zip(model, xi)])
     coefficients = np.array([[f.coefficients_at(at) for f in row] for row, at in zip(fields, xi)])
     jac = np.array(jacobians_at(model, xi))
-    return w, require_rows_sum_zero((coefficients[..., None, :] @ jac[:, None])[..., 0, :])
+    return w, require_rows_sum_zero((coefficients[..., None, :] @ jac[:, None])[..., 0, :]), coefficients, jac
+
+
+def _image_points(phi: np.ndarray, w: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Phi p (T, n) of points p (T, m) at parameters xi (T, dim), through
+    kernels Phi (T, n, m), checked as ``ParametricModel.point`` checks a point of
+    the embedded family. A failure names the first row's xi: run it in trial order."""
+    try:
+        return require_weights(apply_rows(phi, w))
+    except (NonPositiveWeight, NotNormalized) as exc:
+        raise InvalidParameter(f"xi={xi[0].tolist()} outside the model: {exc}") from exc
+
+
+def _image_values(phi, w, coefficients, jac, xi) -> tuple[np.ndarray, np.ndarray]:
+    """``_values_at`` of the embedded family from the small model's weights
+    (T, m), coefficients and checked Jacobians (T, dim, m) at points xi:
+    Phi p, then Phi applied to each Jacobian row with ``jacobian_at``'s
+    checks, then the same coefficients read through them."""
+    w_big = _image_points(phi, w, xi)
+    jac_big = checked_jacobians(apply_rows(phi[:, None], jac))
+    return w_big, require_rows_sum_zero((coefficients[..., None, :] @ jac_big[:, None])[..., 0, :])
 
 
 def _stencil(xi: np.ndarray, shift: np.ndarray, *more: np.ndarray) -> np.ndarray:
@@ -183,8 +204,9 @@ def _transported_difference(
     """Central differences of a field's values ``m_pm`` at the points ``w_pm``,
     (2T, n) with the rows at xi + h Z and xi - h Z interleaved, e- and
     m-transported back to the points ``w`` (T, n) and mixed with the weights
-    of each row's alpha: the m-reps of nabla^alpha_Z, unchecked. A row whose
-    weight of a transport is 0 skips it; the m-transport keeps the m-reps."""
+    of each row's alpha: the m-reps of nabla^alpha_Z, with the check of their
+    ``TangentVector``. A row whose weight of a transport is 0 skips it; the
+    m-transport keeps the m-reps."""
     parts = np.zeros(w.shape)
     two_h = 2.0 * h[:, None]
     weight = 0.5 * (1.0 + alpha)
@@ -196,20 +218,21 @@ def _transported_difference(
     weight = 0.5 * (1.0 - alpha)
     on = weight != 0.0
     parts[on] += weight[on, None] * ((m_pm[0::2] - m_pm[1::2])[on] / two_h[on])
-    return parts
+    return require_rows_sum_zero(parts)
 
 
 def _nabla_rows(alpha: np.ndarray, model, xi: np.ndarray, x, y, h: np.ndarray):
     """nabla^alpha_X Y at points xi (T, dim) of one model shape: the points,
-    their weights (T, n) and the checked m-reps (T, n)."""
+    their weights (T, n), the checked m-reps (T, n), and the stencil as
+    ``_image_values`` reads it: weights, coefficients, Jacobians, points."""
     direction = np.array([f.coefficients_at(at) for f, at in zip(x, xi)])
     points = [one.point(at) for one, at in zip(model, xi)]
     w = np.array([p.weights for p in points])
     twice = [one for one in model for _ in (0, 1)]
     fields = [[f] for f in y for _ in (0, 1)]
-    w_pm, m_pm = in_trial_order(_values_at, twice, _stencil(xi, h[:, None] * direction), fields)
-    nabla = _transported_difference(alpha, w, w_pm, m_pm[:, 0], h)
-    return points, w, require_rows_sum_zero(nabla)
+    at_pm = _stencil(xi, h[:, None] * direction)
+    w_pm, m_pm, *read = in_trial_order(_values_at, twice, at_pm, fields)
+    return points, w, _transported_difference(alpha, w, w_pm, m_pm[:, 0], h), (w_pm, *read, at_pm)
 
 
 def _metric(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -234,7 +257,7 @@ def covariant_derivative(
     _require_inputs(model, step, [x, y])
     xi = np.asarray(xi, dtype=float).reshape(1, -1)
     h = np.array([step], dtype=float)
-    points, _, nabla = _nabla_rows(np.array([tag.alpha]), [model], xi, [x], [y], h)
+    points, _, nabla, _ = _nabla_rows(np.array([tag.alpha]), [model], xi, [x], [y], h)
     return TangentVector(points[0], nabla[0])
 
 
@@ -258,14 +281,14 @@ def duality_check(
     h = np.array([step], dtype=float)
     shift = h[:, None] * np.array([z.coefficients_at(xi[0])])
     # the values of x and y at xi + step Z, xi - step Z and xi
-    w3, m3 = in_trial_order(_values_at, [model] * 3, _stencil(xi, shift, xi), [[x, y]] * 3)
+    w3, m3, _, _ = in_trial_order(_values_at, [model] * 3, _stencil(xi, shift, xi), [[x, y]] * 3)
     w_pm, w, x_pm, y_pm = w3[:2], w3[2:], m3[:2, 0], m3[:2, 1]
     g_pm = _metric(w_pm, x_pm, y_pm)
     lhs = (g_pm[0::2] - g_pm[1::2]) / (2.0 * h)
     nabla_e_x = _transported_difference(np.array([E_CONNECTION.alpha]), w, w_pm, x_pm, h)
-    rhs = _metric(w, require_rows_sum_zero(nabla_e_x), m3[2:, 1])
+    rhs = _metric(w, nabla_e_x, m3[2:, 1])
     nabla_m_y = _transported_difference(np.array([M_CONNECTION.alpha]), w, w_pm, y_pm, h)
-    rhs = rhs + _metric(w, m3[2:, 0], require_rows_sum_zero(nabla_m_y))
+    rhs = rhs + _metric(w, m3[2:, 0], nabla_m_y)
     return float(abs(lhs - rhs)[0])
 
 
@@ -279,21 +302,6 @@ class WeakInvarianceReport:
     step: float
     alpha: float
     alpha_big: float
-
-
-def _pushforward_model(phi: np.ndarray, model: ParametricModel) -> ParametricModel:
-    """The image family xi -> Phi(p_xi) through a checked embedding kernel Phi (n, m)."""
-    if model.space.size != phi.shape[1]:
-        raise SizeMismatch("model space does not match the embedding input")
-    space = SampleSpace(phi.shape[0])
-
-    def point_map(xi: np.ndarray) -> Distribution:
-        return Distribution(space, apply_rows(phi[None], model.point(xi).weights[None])[0])
-
-    def jac(xi: np.ndarray) -> np.ndarray:
-        return apply_rows(phi[None], jacobian_at(model, xi)[None])[0]
-
-    return ParametricModel(space, model.dim, point_map, jac, name=f"{model.name}>embedded")
 
 
 def weak_invariance_check(
@@ -327,7 +335,8 @@ def weak_invariance_kernel(surjection, fibers, tag, x, y, grid, step, tag_big) -
     pairs, models, grids and tags; a pair is a 0-based map (n,) and a fiber
     matrix (m, n), checked first. The stencils of every grid point of every
     trial are evaluated together, stacked by the shapes of the small and the
-    image model; the image model keeps its own evaluation. Every report is
+    image model; the image model's points and Jacobians are Phi applied to
+    the small model's, evaluated once per stencil point. Every report is
     bitwise the one the trial gives alone, and a failed check raises what
     the first failing trial raises alone, which is what its first failing
     grid point raises.
@@ -344,7 +353,8 @@ def _weak_invariance_rows(surjection, fibers, tag, x, y, grid, step, tag_big) ->
         phi_t, psi_t = kernels[t]
         if x_t.model is not y_t.model:
             raise InvalidParameter("x and y must live on the same model")
-        big = _pushforward_model(phi_t, x_t.model)
+        if x_t.model.space.size != phi_t.shape[1]:
+            raise SizeMismatch("model space does not match the embedding input")
         _require_inputs(x_t.model, step_t, [x_t, y_t])
         points = [np.asarray(raw, dtype=float).reshape(-1) for raw in grid_t]
         if not points:
@@ -352,7 +362,7 @@ def _weak_invariance_rows(surjection, fibers, tag, x, y, grid, step, tag_big) ->
         inner = tag_t if big_t is None else big_t
         grids.append((points, tag_t.alpha, inner.alpha, step_t))
         for xi in points:
-            units.append((phi_t, psi_t, x_t.model, big, xi, tag_t.alpha, inner.alpha, x_t, y_t, step_t))
+            units.append((phi_t, psi_t, x_t.model, xi, tag_t.alpha, inner.alpha, x_t, y_t, step_t))
     vec, metric = in_trial_order(_grid_point_rows, *zip(*units)) if units else ([], [])
     reports, u = [], 0
     for points, alpha, alpha_big, step_t in grids:
@@ -375,34 +385,33 @@ def _weak_invariance_rows(surjection, fibers, tag, x, y, grid, step, tag_big) ->
 
 
 def _grid_point_rows(
-    phi, psi, small, big, xi, alpha, alpha_big, x, y, step
+    phi, psi, small, xi, alpha, alpha_big, x, y, step
 ) -> tuple[list[float], list[list[float]]]:
     """The vector residual and the metric residual of each row of the small
     model's Jacobian, for every grid point (one entry each), stacked by the
     shapes of the small and the image model."""
     vec: list = [None] * len(xi)
     metric: list = [None] * len(xi)
-    for units in by_shape(
-        (one.dim, one.space.size, image.space.size, at.shape[0])
-        for one, image, at in zip(small, big, xi)
-    ):
+    for units in by_shape((one.dim, one.space.size, len(k), at.shape[0]) for one, k, at in zip(small, phi, xi)):
         def pick(column):
             return [column[u] for u in units]
 
         at, h, x_u, y_u = np.array(pick(xi)), np.array(pick(step), dtype=float), pick(x), pick(y)
-        _, w, nabla = _nabla_rows(np.array(pick(alpha)), pick(small), at, x_u, y_u, h)
-        _, w_big, nabla_big = _nabla_rows(np.array(pick(alpha_big)), pick(big), at, x_u, y_u, h)
-        # pushforward(psi, ...) of the image connection: its point, then its vector
         psi_u, phi_u = np.array(pick(psi)), np.array(pick(phi))
+        _, w, nabla, stencil = _nabla_rows(np.array(pick(alpha)), pick(small), at, x_u, y_u, h)
+        # the image connection from the small model's evaluation: its points, then its stencil
+        w_big = in_trial_order(_image_points, phi_u, w, at)
+        w_pm, m_pm = in_trial_order(_image_values, np.repeat(phi_u, 2, axis=0), *stencil)
+        nabla_big = _transported_difference(np.array(pick(alpha_big)), w_big, w_pm, m_pm[:, 0], h)
+        # pushforward(psi, ...) of the image connection: its point, then its vector
         require_weights(apply_rows(psi_u, w_big))
         pushed = require_rows_sum_zero(apply_rows(psi_u, nabla_big))
         residual = abs(nabla - pushed).max(axis=-1)
         jac = np.array(jacobians_at(pick(small), at))
-        phi_p, phi_z = apply_rows(phi_u, w), apply_rows(phi_u[:, None], jac)
+        phi_z = apply_rows(phi_u[:, None], jac)
         for i in range(jac.shape[1]):
-            # row i as a TangentVector, then the point and vector of its pushforward
+            # row i as a TangentVector, then the vector of its pushforward at the image point
             require_rows_sum_zero(jac[:, i])
-            require_weights(phi_p)
             require_rows_sum_zero(phi_z[:, i])
         lhs = fisher_metric_rows(w, nabla[:, None], jac)[:, 0]
         rhs = fisher_metric_rows(w_big, nabla_big[:, None], phi_z)[:, 0]

@@ -160,7 +160,7 @@ def _raw_jacobian(model: ParametricModel, xi: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _checked_jacobians(jac: np.ndarray) -> np.ndarray:
+def checked_jacobians(jac: np.ndarray) -> np.ndarray:
     """``jacobian_at``'s checks on raw Jacobians stacked (T, dim, n): finite
     entries, rows summing to 0, full rank. Returns them mean-subtracted; a
     failing check names the first failing trial."""
@@ -275,7 +275,7 @@ def _points(model, xi) -> tuple[list[np.ndarray], list[Distribution], list]:
 
 def _jacobians(model, xi, trials: list[int]) -> np.ndarray:
     """``jacobian_at`` of the given trials, stacked (T, dim, n)."""
-    return _checked_jacobians(np.array([_raw_jacobian(model[t], xi[t]) for t in trials]))
+    return checked_jacobians(np.array([_raw_jacobian(model[t], xi[t]) for t in trials]))
 
 
 def _lifted(w: np.ndarray, jac: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -378,6 +378,11 @@ class CrbReport:
     @property
     def passed(self) -> bool:
         return self.verdict == "psd"
+
+    @property
+    def scaled_residual(self) -> float:
+        """-min eigenvalue / (1 + max |G^{-1}|): the crb battery's residual and its witness gap."""
+        return float(-(self.min_eigenvalue / (1.0 + np.max(np.abs(self.inverse_information)))))
 
 
 def crb_check(

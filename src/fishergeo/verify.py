@@ -1142,7 +1142,7 @@ def _crb_witness(case: dict, detail: str = "") -> Witness:
     n = case["model"].space.size
     return Witness(
         kind="crb", m=n, n=n,
-        lhs=report.min_eigenvalue, rhs=0.0, gap=-report.min_eigenvalue,
+        lhs=report.min_eigenvalue, rhs=0.0, gap=report.scaled_residual,
         point=_floats(case["model"].point(case["xi"]).weights), detail=detail,
         estimators=_rows([e.values for e in case["estimators"]]),
     )

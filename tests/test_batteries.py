@@ -141,6 +141,22 @@ def test_a_crb_violation_is_judged_at_the_witness_threshold(monkeypatch, shift, 
         assert np.float64(replay_witness(witness)).tobytes() == np.float64(witness.gap).tobytes()
 
 
+def test_a_crb_witness_stores_the_residual_the_battery_judges(monkeypatch):
+    """With V - 1e-3 * I in place of V, every trial is a violation. Each
+    witness's gap is the scaled residual that set the status, so the
+    report's worst residual is its largest gap, bit for bit; the witness
+    keeps the smallest eigenvalue itself as its left side."""
+    cov_rows = models_module.cov_rows
+    monkeypatch.setattr(models_module, "cov_rows", lambda w, a, b: cov_rows(w, a, b) - 1e-3 * np.eye(a.shape[1]))
+    report = run_battery({"battery": "crb", "trials": 5, "n_max": 4, "seed": 0})
+    assert (report.status, len(report.witnesses)) == ("violation", 5)
+    gaps = [witness.gap for witness in report.witnesses]
+    assert np.float64(report.max_residual).tobytes() == np.float64(max(gaps)).tobytes()
+    for witness in report.witnesses:
+        assert witness.lhs < -witness.gap < 0.0
+        assert np.float64(replay_witness(witness)).tobytes() == np.float64(witness.gap).tobytes()
+
+
 #: Any JSON value: integers small enough to run, plus some beyond the range
 #: a JSON integer may carry.
 JSON_VALUES = st.recursive(

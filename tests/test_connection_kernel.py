@@ -57,7 +57,7 @@ from fishergeo.geometry import TangentVector
 from fishergeo.markov import Surjection, canonical_embedding, random_surjection
 from fishergeo.models import (
     ParametricModel,
-    _checked_jacobians,
+    checked_jacobians,
     _raw_jacobian,
     affine_model,
     categorical_model,
@@ -75,7 +75,7 @@ def jacobian_at(model: ParametricModel, xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float).reshape(-1)
     if xi.shape[0] != model.dim:
         raise SizeMismatch(f"expected {model.dim} parameters, got {xi.shape[0]}")
-    return _checked_jacobians(_raw_jacobian(model, xi)[None])[0]
+    return checked_jacobians(_raw_jacobian(model, xi)[None])[0]
 
 
 def m_transport(x: TangentVector, q: Distribution) -> TangentVector:

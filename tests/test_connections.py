@@ -1,24 +1,28 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
+import fishergeo.connections as connections
+import fishergeo.models as models
 from fishergeo.connections import (
     E_CONNECTION,
     M_CONNECTION,
     ConnectionTag,
     VectorFieldOnModel,
-    _pushforward_model,
     coordinate_field,
     covariant_derivative,
     duality_check,
     e_transport,
     m_transport,
     weak_invariance_check,
+    weak_invariance_kernel,
 )
 from fishergeo.errors import InvalidParameter
 from fishergeo.geometry import TangentVector, flat
-from fishergeo.markov import Surjection, apply, canonical_embedding, pair_stacks
+from fishergeo.markov import Surjection, apply, canonical_embedding
 from fishergeo.models import ParametricModel, bernoulli_model, categorical_model
 from fishergeo.simplex import (
     SampleSpace,
@@ -233,7 +237,9 @@ class TestInputs:
     def test_weak_invariance_checks_step_and_grid_before_evaluating(self):
         """An empty grid or a bad step raises before any point is evaluated:
         an empty grid would otherwise report residuals of 0.0, a pass that
-        checked nothing."""
+        checked nothing. A good grid point evaluates the point map once at
+        each point of its stencil, xi and xi +- step: the embedded family
+        reads those evaluations."""
         pair = canonical_embedding(
             Surjection.from_one_based([1, 1, 2]),
             new_distribution(SampleSpace(3), np.array([0.2, 0.3, 0.5])),
@@ -253,7 +259,7 @@ class TestInputs:
                 weak_invariance_check(pair, ConnectionTag(0.0), f, f, grid, step=step)
         assert evaluated == []
         weak_invariance_check(pair, ConnectionTag(0.0), f, f, [[0.3]])
-        assert len(evaluated) == 6
+        assert len(evaluated) == 3
 
 
 class TestWeakInvariance:
@@ -296,10 +302,48 @@ class TestWeakInvariance:
         )
         assert report.residual_max <= 1e-6
 
-    def test_pushforward_model_points(self):
-        pair, model, *_ = self.pair_and_fields()
-        ((_, _, phi, _),) = pair_stacks([pair.surjection.map0], [pair.fiber_distributions])
-        big = _pushforward_model(phi[0], model)
-        xi = np.array([0.3])
-        direct = apply(pair.embedding_channel, model.point(xi))
-        assert np.array_equal(big.point(xi).weights, direct.weights)
+    def test_pushforward_model_points(self, monkeypatch):
+        """The kernel's image points, at xi and at xi +- step, are the pair's
+        embedding applied to the model's points there."""
+        pair, model, x, y = self.pair_and_fields()
+        image_points, seen = connections._image_points, []
+
+        def spy(phi, w, xi):
+            images = image_points(phi, w, xi)
+            seen.extend(zip(xi.tolist(), images))
+            return images
+
+        monkeypatch.setattr(connections, "_image_points", spy)
+        weak_invariance_check(pair, ConnectionTag(0.0), x, y, [[0.3]])
+        assert [xi for xi, _ in seen] == [[0.3], [0.3 + 1e-4], [0.3 - 1e-4]]
+        for xi, image in seen:
+            direct = apply(pair.embedding_channel, model.point(xi))
+            assert np.array_equal(image, direct.weights)
+
+    def test_the_kernel_builds_no_image_model(self, monkeypatch):
+        """The embedded family is the embedding applied to the small model's
+        points and Jacobians: a kernel call builds no ParametricModel and
+        calls no jacobian_at. The counters themselves do count."""
+        pair, model, x, y = self.pair_and_fields()
+        counts = {"models": 0, "jacobian_at": 0}
+        post_init, jacobian_at = ParametricModel.__post_init__, models.jacobian_at
+
+        def counted_post_init(self):
+            counts["models"] += 1
+            post_init(self)
+
+        def counted_jacobian_at(*args):
+            counts["jacobian_at"] += 1
+            return jacobian_at(*args)
+
+        monkeypatch.setattr(ParametricModel, "__post_init__", counted_post_init)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fishergeo") and getattr(module, "jacobian_at", None) is jacobian_at:
+                monkeypatch.setattr(module, "jacobian_at", counted_jacobian_at)
+        columns = [pair.surjection.map0], [pair.fiber_distributions], [ConnectionTag(0.5)], [x], [y]
+        reports = weak_invariance_kernel(*(c * 2 for c in columns), [[[0.3], [0.6]]] * 2, [1e-4] * 2, [None] * 2)
+        assert reports[0].residual_max <= 1e-6 and reports == reports[::-1]
+        assert counts == {"models": 0, "jacobian_at": 0}
+        categorical_model(2)
+        models.jacobian_at(model, [0.3])
+        assert counts == {"models": 1, "jacobian_at": 1}

@@ -1,0 +1,125 @@
+"""Error branches and small behaviours that no other in-process test reaches.
+
+Each test drives one branch of ``src/fishergeo`` and asserts the error type
+and message it raises, or the value it returns.
+"""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from fishergeo.batteries import run_battery
+from fishergeo.connections import (
+    VectorFieldOnModel,
+    coordinate_field,
+    e_transport,
+    m_transport,
+)
+from fishergeo.errors import BadSize, InvalidParameter, RankDeficient, SizeMismatch
+from fishergeo.geometry import CotangentVector, TangentVector
+from fishergeo.markov import random_channel_kernels
+from fishergeo.models import (
+    FisherMatrix,
+    ParametricModel,
+    bernoulli_model,
+    categorical_model,
+    exponential_family_model,
+    unbiased_estimators_kernel,
+)
+from fishergeo.simplex import Distribution, RandomVariable, SampleSpace
+from fishergeo.verify import probe_consistency
+
+
+def dist(*weights: float) -> Distribution:
+    return Distribution(SampleSpace(len(weights)), np.array(weights))
+
+
+@pytest.mark.parametrize("index", [-1, 2])
+def test_coordinate_field_index_out_of_range(index):
+    with pytest.raises(InvalidParameter, match=f"^coordinate index {index} out of range$"):
+        coordinate_field(categorical_model(3), index)
+
+
+def test_coefficients_of_the_wrong_shape():
+    field = VectorFieldOnModel(categorical_model(3), lambda xi: np.zeros(3))
+    with pytest.raises(SizeMismatch) as raised:
+        field.coefficients_at([0.2, 0.3])
+    assert str(raised.value) == "coefficient function returned shape (3,), expected (2,)"
+
+
+@pytest.mark.parametrize("transport", [m_transport, e_transport])
+def test_transport_to_another_space(transport):
+    x = TangentVector(dist(0.5, 0.5), np.array([0.25, -0.25]))
+    with pytest.raises(SizeMismatch, match="^target point lives on a different sample space$"):
+        transport(x, dist(0.2, 0.3, 0.5))
+
+
+def test_point_map_onto_the_wrong_space():
+    model = ParametricModel(SampleSpace(3), 1, lambda xi: dist(0.5, 0.5))
+    with pytest.raises(SizeMismatch, match="^point map produced a distribution on the wrong space$"):
+        model.point([0.3])
+
+
+def test_asymmetric_fisher_matrix():
+    with pytest.raises(RankDeficient, match="^information matrix is not symmetric$"):
+        FisherMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+
+
+def test_estimator_noise_of_the_wrong_shape():
+    noise = (np.zeros((1, 3)), np.ones(1))
+    with pytest.raises(SizeMismatch) as raised:
+        unbiased_estimators_kernel([bernoulli_model()], [[0.3]], [noise])
+    assert str(raised.value) == "noise of shapes (1, 3), (1,) != (1, 2), (1,)"
+
+
+def test_exponential_family_base_on_another_space():
+    with pytest.raises(SizeMismatch, match="^base distribution on the wrong space$"):
+        exponential_family_model(np.array([[1.0, 0.0, -1.0]]), base=dist(0.5, 0.5))
+
+
+def test_random_channel_output_too_large_for_its_floor():
+    # 1000 outputs at floor 1e-3 leave no mass above the floor
+    columns = np.full((2, 1000), 1e-3)
+    with pytest.raises(BadSize, match="^output space too large for floor 0.001$"):
+        random_channel_kernels(columns)
+
+
+def test_cotangent_rep_on_another_space():
+    with pytest.raises(SizeMismatch, match="^rep on space of size 3, base on size 2$"):
+        CotangentVector(dist(0.5, 0.5), RandomVariable(SampleSpace(3), np.zeros(3)))
+
+
+def test_battery_config_without_a_battery_key():
+    with pytest.raises(InvalidParameter, match="^config needs a 'battery' key$"):
+        run_battery({"trials": 5, "n_max": 4})
+
+
+def test_consistency_witness_at_the_big_uniform_point_only():
+    """A plugin family that is the covariance on up to 3 points and skewed
+    above: the uniform probe passes at n = 3 and fails at m n = 6, so the
+    consistency probe returns the big point's witness and does not pass."""
+
+    class SkewedAbove3:
+        name = "skewed-above-3"
+
+        def __call__(self, p, a, b) -> float:
+            w, x, y = p.weights, a.values, b.values
+            if w.size <= 3:
+                return float(np.dot(w, x * y) - np.dot(w, x) * np.dot(w, y))
+            return float(np.sum(np.arange(1.0, w.size + 1) * w * x * y))
+
+    result = probe_consistency(SkewedAbove3(), 2, 3)
+    assert (result.witness.kind, result.witness.m, result.witness.n) == ("uniform_shape", 6, 6)
+    assert (result.c1, result.c2) == (0.0, 0.0)
+    assert result.max_residual == result.witness.gap
+    assert not result.passed
+
+
+def test_distributions_and_random_variables_hash_by_value():
+    p, q = dist(0.25, 0.75), dist(0.25, 0.75)
+    assert p == q and hash(p) == hash(q) and len({p, q, dist(0.75, 0.25)}) == 2
+    a, b = RandomVariable(SampleSpace(2), [1.0, 2.0]), RandomVariable(SampleSpace(2), [1.0, 2.0])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != RandomVariable(SampleSpace(2), [2.0, 1.0])
+    assert a != RandomVariable(SampleSpace(3), [1.0, 2.0, 3.0])
+    assert a != p and a != [1.0, 2.0]

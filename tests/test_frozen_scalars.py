@@ -18,6 +18,7 @@ channels that are not square.
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from fishergeo import connections, families, geometry, markov, simplex
 from fishergeo.errors import BasePointMismatch, FisherGeoError, SizeMismatch
 from fishergeo.geometry import CotangentVector, TangentVector, from_e_rep, require_same_base
 from fishergeo.markov import Channel, Surjection, canonical_embedding, random_surjection
-from fishergeo.models import exponential_family_model, jacobian_at
+from fishergeo.models import exponential_family_model, jacobian_at, jacobians_at
 from fishergeo.simplex import Distribution, RandomVariable, SampleSpace
 
 # ---------------------------------------------------------------------------
@@ -219,6 +220,15 @@ def same(new, old) -> bool:
     return outcome(new) == outcome(old)
 
 
+def ok(run) -> bool:
+    """Whether ``run()`` returns rather than raising a FisherGeoError."""
+    try:
+        run()
+    except FisherGeoError:
+        return False
+    return True
+
+
 @settings(max_examples=300, deadline=None)
 @given(cases, st.integers(0, 5))
 def test_moments_and_geometry_match_their_copies(case, k):
@@ -277,17 +287,34 @@ def test_markov_maps_match_their_copies(case, n_out, column_major):
 @given(cases, st.integers(0, 37), st.integers(1, 3))
 def test_pushed_jacobians_match_their_copy(case, extra, dim):
     """Each entry of an embedding's kernel product has one nonzero term, so
-    the rows pushed one by one match the former matrix product bitwise."""
+    the Jacobian rows that the weak-invariance kernel pushes, stacked over
+    points, match the former matrix product bitwise. The push reads no
+    weights, so the points' weights are uniform here."""
     rng = np.random.default_rng(case["seed"])
     m = case["n"]
     n = min(m + extra, 39)
     q = Distribution(SampleSpace(n), boundary_weights(rng, n, case["pushed"]))
     pair = canonical_embedding(random_surjection(n, m, seed=case["seed"]), q)
     model = exponential_family_model(values(rng, (min(dim, m - 1), m)))
-    xi = rng.normal(size=model.dim)
+    # the kernel pushes Jacobians that passed their checks: keep the points where they pass
+    xi = np.array([at for at in rng.normal(size=(3, model.dim)) if ok(lambda: jacobian_at(model, at))])
     ((_, _, phi, _),) = markov.pair_stacks([pair.surjection.map0], [pair.fiber_distributions])
-    embedded = connections._pushforward_model(phi[0], model)
-    assert same(lambda: embedded.jacobian(xi), lambda: pushed_jacobian(pair, model, xi))
+    pushed, checked = [], connections.checked_jacobians
+
+    def spy(raw):
+        pushed.append(raw)
+        return checked(raw)
+
+    if len(xi):
+        k = len(xi)
+        with mock.patch.object(connections, "checked_jacobians", spy), np.errstate(all="ignore"):
+            ok(lambda: connections._image_values(
+                np.repeat(phi, k, axis=0), np.full((k, m), 1.0 / m), np.ones((k, 1, model.dim)),
+                np.array(jacobians_at([model] * k, xi)), xi,
+            ))
+        assert len(pushed[0]) == k
+        for raw, at in zip(pushed[0], xi):
+            assert same(lambda: raw, lambda: pushed_jacobian(pair, model, at))
 
 
 P3 = Distribution(SampleSpace(3), np.full(3, 1 / 3))

@@ -507,7 +507,7 @@ class TestWitnessReplay:
             report = crb_check(case["model"], case["xi"], case["estimators"])
             witness = Witness.from_case("crb", case)
             assert len(witness.estimators) == case["model"].dim
-            assert same_bits(replay_witness(witness), -report.min_eigenvalue)
+            assert same_bits(replay_witness(witness), report.scaled_residual)
 
     @pytest.mark.parametrize("alpha", [-1.0, 0.5])
     def test_weak_invariance_replays_bitwise(self, any_gap, alpha):
