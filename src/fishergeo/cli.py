@@ -184,9 +184,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fisher metric/co-metric calculus and verification batteries "
         "on finite probability simplices",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
     parser.add_argument(
-        "--tol", type=float, default=DEFAULT_TOL, help="pass threshold for residual checks"
+        "--seed", type=int, default=0,
+        help="seed of characterize, and of verify unless the config has its own; "
+        "the other commands draw nothing",
+    )
+    parser.add_argument(
+        "--tol", type=float, default=DEFAULT_TOL,
+        help="pass threshold of duality; fisher and crb echo it, the other commands ignore it",
     )
     parser.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -46,7 +46,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameter, NonPositiveWeight, NotNormalized, SizeMismatch, by_shape, in_trial_order
+from .errors import (
+    InvalidParameter, NonPositiveWeight, NotNormalized, SizeMismatch, by_shape, in_trial_order,
+    require_integer,
+)
 from .geometry import (
     TangentVector,
     fisher_metric_rows,
@@ -129,6 +132,7 @@ class VectorFieldOnModel:
 
 
 def coordinate_field(model: ParametricModel, index: int) -> VectorFieldOnModel:
+    require_integer(index, "coordinate index")
     if not 0 <= index < model.dim:
         raise InvalidParameter(f"coordinate index {index} out of range")
     unit = np.zeros(model.dim)

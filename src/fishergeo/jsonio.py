@@ -18,7 +18,7 @@ import numbers
 
 import numpy as np
 
-from .errors import BadSize, FisherGeoError, InvalidParameter, SizeMismatch
+from .errors import BadSize, FisherGeoError, InvalidParameter, SizeMismatch, is_integer
 from .geometry import CotangentVector, TangentVector
 from .markov import Channel
 from .models import (
@@ -57,7 +57,7 @@ MAX_INT = 2**53 - 1
 
 def read_int(value, key: str, minimum: int = -MAX_INT) -> int:
     """An integer in [minimum, MAX_INT]; numpy integers count, bools do not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not is_integer(value):
         raise InvalidParameter(f"{key} must be an integer, not {value!r}")
     if not minimum <= value <= MAX_INT:
         raise InvalidParameter(f"{key} must be an integer in [{minimum}, {MAX_INT}], got {value!r}")

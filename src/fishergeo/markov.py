@@ -19,7 +19,6 @@ reachable, which is the canonical pair used by the invariance batteries.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -35,6 +34,9 @@ from .errors import (
     NotSurjective,
     SizeMismatch,
     by_shape,
+    is_integer,
+    require_integer,
+    require_seed,
 )
 from .geometry import CotangentVector, TangentVector, delta
 from .simplex import Distribution, RandomVariable, SampleSpace, interior_rows, require_weights
@@ -126,8 +128,8 @@ class Surjection:
 
 def _integers(values) -> tuple[int, ...]:
     """The values as ints; one that is not an integer, a bool included, raises."""
-    for v in values:  # ``type(v) is int`` first: the ABC check costs about 1 µs
-        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
+    for v in values:
+        if not is_integer(v):
             raise InvalidParameter(f"surjection values must be integers, not {v!r}")
     return tuple(int(v) for v in values)
 
@@ -304,6 +306,9 @@ def canonical_embedding_rows(maps: np.ndarray, q: np.ndarray, m: int) -> np.ndar
 def random_channel(n_in: int, n_out: int, seed: int) -> Channel:
     """Reproducible surjective channel: ``random_channel_kernels`` of n_in
     flat Dirichlet draws from ``default_rng(seed)``."""
+    require_integer(n_in, "n_in", BadSize)
+    require_integer(n_out, "n_out", BadSize)
+    require_seed(seed)
     if n_in < 2 or n_out < 2:
         raise BadSize("channel spaces need size >= 2")
     columns = np.random.default_rng(seed).dirichlet(np.ones(n_out), size=n_in)

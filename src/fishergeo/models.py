@@ -34,6 +34,7 @@ families; exactly the families needed for equality cases of the bound.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -397,8 +398,9 @@ def crb_check(
     ``local`` checks the differential condition restrict(delta(A^i)) = e_i
     at xi only. ``global`` additionally checks <A^i>_{p_xi'} = xi'^i on a
     grid of ``_GLOBAL_GRID_POINTS`` per axis over ``box`` (required in that mode:
-    unbiasedness over all of M is only desk-checkable on a declared box).
-    ``mode`` and ``box`` are checked before anything is evaluated.
+    unbiasedness over all of M is only desk-checkable on a declared box,
+    one finite ``(lo, hi)`` with lo <= hi per parameter). ``mode`` and
+    ``box`` are checked before anything is evaluated.
 
     Raises NotLocallyUnbiased when the precondition fails; the PSD verdict
     tolerance is ``1e-8 * (1 + spectral norm of G^{-1})``. The local
@@ -406,8 +408,10 @@ def crb_check(
     """
     if mode not in ("local", "global"):
         raise InvalidParameter(f"mode must be 'local' or 'global', got {mode!r}")
-    if mode == "global" and box is None:
-        raise InvalidParameter("global mode needs an explicit parameter box")
+    if mode == "global":
+        if box is None:
+            raise InvalidParameter("global mode needs an explicit parameter box")
+        _require_box(box, model.dim)
     report = crb_kernel([model], [xi], [estimators])[0]
     if mode == "local":
         return report
@@ -424,6 +428,20 @@ def crb_check(
                     f"at grid point {point.tolist()}"
                 )
     return replace(report, mode=mode)
+
+
+def _require_box(box, dim: int) -> None:
+    """One finite ``(lo, hi)`` with lo <= hi per parameter, or InvalidParameter naming the axis."""
+    if len(box) != dim:
+        raise InvalidParameter(f"box needs one (lo, hi) per parameter: {dim}, got {len(box)}")
+    for i, axis in enumerate(box):
+        try:
+            lo, hi = (float(bound) for bound in axis)
+        except (TypeError, ValueError):
+            lo = hi = math.nan
+        # Written so that NaN, given or from a failed read, fails it.
+        if not -math.inf < lo <= hi < math.inf:
+            raise InvalidParameter(f"box axis {i + 1} is not a finite (lo, hi) with lo <= hi: {axis!r}")
 
 
 def crb_kernel(model, xi, estimators) -> list[CrbReport]:

@@ -9,12 +9,14 @@ calls it on its stacks, then runs the constructors' ``require_*`` checks.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadFloor, BadSize, InvalidParameter, NonPositiveWeight, NotNormalized, SizeMismatch
+from .errors import (
+    BadFloor, BadSize, InvalidParameter, NonPositiveWeight, NotNormalized, SizeMismatch, is_integer,
+    require_seed,
+)
 
 #: Weights at or below this floor are rejected as non-positive.
 POSITIVITY_FLOOR = 1e-12
@@ -78,8 +80,8 @@ class SampleSpace:
     size: int
 
     def __post_init__(self) -> None:
-        if type(self.size) is not int:  # first: the ABC check costs about 1 µs
-            if isinstance(self.size, bool) or not isinstance(self.size, numbers.Integral):
+        if type(self.size) is not int:
+            if not is_integer(self.size):
                 raise BadSize(f"sample space size must be an integer, got {self.size!r}")
             object.__setattr__(self, "size", int(self.size))
         if self.size < 2:
@@ -206,6 +208,7 @@ def interior_rows(draws: np.ndarray, floor: float = 1e-6) -> np.ndarray:
 
 def sample_interior(space: SampleSpace, seed: int, floor: float = 1e-6) -> Distribution:
     """A reproducible interior point of the simplex: the Distribution of ``sample_interior_weights``."""
+    require_seed(seed)
     return Distribution(space, sample_interior_weights(space.size, seed, floor))
 
 

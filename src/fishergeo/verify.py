@@ -45,7 +45,10 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .connections import ConnectionTag, VectorFieldOnModel, coordinate_field, weak_invariance_kernel
-from .errors import PASS_TOL, VIOLATION_TOL, InvalidParameter, NotRational, SizeMismatch, in_trial_order
+from .errors import (
+    PASS_TOL, VIOLATION_TOL, InvalidParameter, NotRational, SizeMismatch, in_trial_order, require_integer,
+    require_seed,
+)
 from .families import CandidateFamily, parse_family
 from .geometry import (
     CotangentVector,
@@ -656,6 +659,7 @@ class UniformProbeResult(_ProbeVerdict):
 
 def probe_uniform(family: CandidateFamily, n: int) -> UniformProbeResult:
     """Step (a): indicator matrix at the uniform point must be a*I + b*ones."""
+    require_integer(n, "n")
     return _probe_uniform(family, n)[0]
 
 
@@ -706,6 +710,8 @@ def probe_consistency(family: CandidateFamily, m: int, n: int) -> ConsistencyPro
     block surjection onto the uniform mn-point, and the derived constants
     c1 = n * a_n, c2 = n^2 * b_n across the two dimensions.
     """
+    require_integer(m, "m")
+    require_integer(n, "n")
     return _probe_consistency(family, m, n, partial(_probe_uniform, family))
 
 
@@ -810,6 +816,7 @@ def probe_rational(
     and the target decomposition c1 <A|B>_p + c2 <A><B> with
     ``constants = (c1, c2)``. This is ``_rational_probes`` on a batch of one.
     """
+    require_integer(denominator_bound, "denominator_bound")
     return next(_rational_probes(family, p.weights[None], denominator_bound, constants))
 
 
@@ -988,6 +995,9 @@ def characterize(
     """
     if isinstance(family, str):
         family = parse_family(family)
+    for name, value in (("n_max", n_max), ("denominator_bound", denominator_bound), ("trials", trials)):
+        require_integer(value, name)
+    require_seed(seed)
     # a rational point on n outcomes with positive weights k/D needs D >= n
     if n_max < 2 or denominator_bound < n_max or trials < 1:
         raise InvalidParameter(

@@ -1,10 +1,13 @@
-"""An exact oracle for the strong-invariance identities, in rational arithmetic.
+"""An exact oracle for the strong-invariance identities, the family matrix and
+the pairing identity, in rational arithmetic.
 
 Every float is a dyadic rational, so ``Fraction(x)`` is exact, and so are
-sums, products and quotients of fractions. This module evaluates the
-identities of ``verify.check_strong_invariance`` with the standard library
-only. It imports nothing from ``fishergeo`` and takes plain floats and ints,
-so a mistake in the package's arithmetic cannot hide in a shared helper.
+sums, products and quotients of fractions, and integer powers. This module
+evaluates the identities of ``verify.check_strong_invariance``, the matrix
+of ``CandidateFamily.matrix_rows`` and the two sides of
+``verify.check_prop6_identity`` with the standard library only. It imports
+nothing from ``fishergeo`` and takes plain floats and ints, so a mistake in
+the package's arithmetic cannot hide in a shared helper.
 
 Each quantity is a ``Bounded``: its exact value, and the same expression
 evaluated on absolute values, with every difference taken as a sum (Higham
@@ -22,6 +25,19 @@ evaluation of the same point may show:
   terms may cancel, the largest (B_lhs + B_rhs) / max(1, B_lhs, B_rhs) over
   their entries;
 - for ``covariance_identity``, an absolute difference, B_lhs + B_rhs.
+
+``matrix_rows`` evaluates a grammar family, given by its terms
+(coeff, "PK" | "MM", k), at a stack of points: each entry is
+sum_k c_k sum_y p(y)^k A_i(y) B_j(y) + c_MM <A_i>_p <B_j>_p, with its
+bound. ``rationalize`` finds the smallest common denominator of a point
+within a tolerance, as ``verify.rationalize`` must. ``prop6`` evaluates both sides of the pairing identity
+h_p(alpha, Phi* beta) = h_q(Psi* alpha, beta) on a trial's inputs, each
+with its bound. A float trial's representatives are centered only to
+rounding, so ``canonical_trial`` gives its exact canonical counterpart:
+each fiber row divided by its exact sum, alpha and beta centered exactly.
+There, for c1 L2 + c2 MM, the two sides are equal: Phi* beta is
+E(beta | F) centered at p and Psi* alpha is alpha o F centered at q, so both
+L2 sides are sum_y q(y) alpha(F(y)) beta(y) and both MM sides are 0.
 """
 from __future__ import annotations
 
@@ -168,3 +184,82 @@ def strong_invariance(q, map0, a, b) -> dict[str, tuple[Fraction, Fraction]]:
     rhs = cov(big, [a_values[x] for x in map0], b_values)
     result["covariance_identity"] = (abs(lhs.value - rhs.value), lhs.bound + rhs.bound)
     return result
+
+
+def centered(w: list[Bounded], values: list[Bounded]) -> list[Bounded]:
+    """The values minus their expectation at w, exactly."""
+    mean = expect(w, values)
+    return [v - mean for v in values]
+
+
+def family_matrix(terms, w: list[Bounded], rows_a, rows_b) -> list[list[Bounded]]:
+    """[h(p, A_i, B_j)] of a grammar family at one point, for variables given
+    as rows of ``Bounded`` values; each term's c * T added in term order."""
+    matrix = [[NOTHING] * len(rows_b) for _ in rows_a]
+    for coeff, kind, k in terms:
+        c = Bounded(Fraction(coeff))
+        if kind == "PK":
+            powers = [Bounded(wk.value**k) for wk in w]
+            term = [[total(pk * ai * bj for pk, ai, bj in zip(powers, a, b)) for b in rows_b] for a in rows_a]
+        else:
+            means_b = [expect(w, b) for b in rows_b]
+            term = [[expect(w, a) * mean_b for mean_b in means_b] for a in rows_a]
+        matrix = [[entry + c * t for entry, t in zip(row, term_row)] for row, term_row in zip(matrix, term)]
+    return matrix
+
+
+def matrix_rows(terms, w, rows_a, rows_b) -> list[list[list[Bounded]]]:
+    """``family_matrix`` at each point of a stack: weights (T, n) and rows
+    (T, r, n) and (T, c, n) as nested lists of floats."""
+    return [
+        family_matrix(terms, exact(w_t), [exact(a) for a in a_t], [exact(b) for b in b_t])
+        for w_t, a_t, b_t in zip(w, rows_a, rows_b)
+    ]
+
+
+def prop6(map0, fibers, p, a, b, terms) -> tuple[Bounded, Bounded]:
+    """The sides h_p(alpha, Phi* beta) and h_q(Psi* alpha, beta) of a pairing
+    trial, as the kernel states them: ``map0`` the 0-based surjection F of n
+    points onto m, ``fibers`` the m x n fiber matrix, ``p`` the small point,
+    ``a`` and ``b`` the representatives of alpha at p and beta at q = Phi p,
+    ``terms`` the family's. Phi* beta is E(beta | F) centered at p and
+    Psi* alpha is alpha o F centered at q."""
+    n, m = len(map0), len(p)
+    # the embedding kernel Phi(y, F(y)), its only nonzero entry per y
+    phi = [Bounded(Fraction(fibers[map0[y]][y])) for y in range(n)]
+    small = exact(p)
+    big = [phi[y] * small[map0[y]] for y in range(n)]
+    alpha, beta = exact(a), exact(b)
+    phi_pull = centered(small, [total(phi[y] * beta[y] for y in range(n) if map0[y] == x) for x in range(m)])
+    psi_pull = centered(big, [alpha[map0[y]] for y in range(n)])
+    lhs = family_matrix(terms, small, [alpha], [phi_pull])[0][0]
+    rhs = family_matrix(terms, big, [psi_pull], [beta])[0][0]
+    return lhs, rhs
+
+
+def canonical_trial(map0, fibers, p, a, b) -> tuple:
+    """The exact canonical trial of a float one, as ``prop6`` takes it: each
+    fiber row divided by its exact sum, and the representatives centered
+    exactly, alpha at p and beta at q = Phi p."""
+    rows = [[Fraction(v) / sum(map(Fraction, row)) for v in row] for row in fibers]
+    small = [Bounded(Fraction(v)) for v in p]
+    big = [Bounded(rows[map0[y]][y]) * small[map0[y]] for y in range(len(map0))]
+    alpha, beta = (
+        [v.value for v in centered(w, exact(values))] for w, values in ((small, a), (big, b))
+    )
+    return map0, rows, p, alpha, beta
+
+
+def rationalize(weights, denominator_bound: int, tol) -> tuple[int, list[int]] | None:
+    """The smallest denominator m <= the bound, from len(weights) up, whose
+    nearest counts k_i = round(w_i m) (ties to even, as ``np.rint``) are all
+    >= 1, sum to m and lie within ``tol``: |w_i - k_i / m| <= tol; with its
+    counts, or None."""
+    w = [Fraction(v) for v in weights]
+    for m in range(len(w), denominator_bound + 1):
+        counts = [round(x * m) for x in w]
+        near = max(abs(x - Fraction(k, m)) for x, k in zip(w, counts)) <= tol
+        if min(counts) >= 1 and sum(counts) == m and near:
+            return m, counts
+    return None
+

@@ -9,9 +9,10 @@ was, for the tests to hold the array path to:
 - ``_canonical_pair`` and the three draws, ``draw_invariance``,
   ``draw_strong_invariance`` and ``draw_prop6``, with the draw helpers they
   called (the same generator calls in the same order, so the same rows);
-- ``_pair_stacks``, ``_invariance_rows``, ``_strong_invariance_rows`` and
-  ``_prop6_rows``, the kernels over object cases, and ``pair_witness`` for
-  the two invariance kinds.
+- ``_pair_stacks``, ``_invariance_rows`` and ``_strong_invariance_rows``,
+  the kernels over object cases, and ``pair_witness`` for the two
+  invariance kinds; a ``prop6`` trial is checked by the frozen single case
+  of ``frozen_probe``, the one reference of the pairing identity.
 
 ``objects`` builds a trial's objects from its arrays in the order the array
 kernels check them: the pair, then its points, then its variables (for
@@ -39,7 +40,6 @@ from fishergeo.errors import (
     by_shape,
     in_trial_order,
 )
-from fishergeo.families import CandidateFamily
 from fishergeo.geometry import CotangentVector, delta, delta_rows, fisher_metric_rows, require_rows_sum_zero
 from fishergeo.markov import (
     KERNEL_COLUMN_TOL,
@@ -70,6 +70,7 @@ from fishergeo.verify import (
     Witness,
     classify,
 )
+from frozen_probe import frozen_check_prop6_identity
 
 # ---------------------------------------------------------------------------
 # The constructors' checks and the canonical pair
@@ -232,10 +233,6 @@ def _floats(values) -> tuple[float, ...]:
     return tuple(np.asarray(values, dtype=float).reshape(-1).tolist())
 
 
-def _rows(matrix) -> tuple[tuple[float, ...], ...]:
-    return tuple(map(tuple, np.asarray(matrix, dtype=float).tolist()))
-
-
 def _relative(lhs: np.ndarray, rhs: np.ndarray, terms: np.ndarray | float = 1.0) -> np.ndarray:
     return abs(lhs - rhs) / np.maximum(np.maximum(np.maximum(1.0, terms), abs(lhs)), abs(rhs))
 
@@ -370,71 +367,8 @@ def _strong_invariance_rows(pair, q, a, b) -> np.ndarray:
 
 
 def prop6_kernel(pair, p, alpha, beta, family) -> list[Prop6Report]:
-    return in_trial_order(_prop6_rows, pair, p, alpha, beta, family)
-
-
-def _prop6_rows(pair, p, alpha, beta, family) -> list[Prop6Report]:
-    pulled: list = [None] * len(pair)
-    sides: dict[int, tuple[float, float]] = {}
-    for trials in by_shape(
-        (one.surjection.codomain.size, one.surjection.domain.size, id(family_t))
-        for one, family_t in zip(pair, family)
-    ):
-        m, n = pair[trials[0]].surjection.codomain.size, pair[trials[0]].surjection.domain.size
-        phi = np.array([pair[t].embedding_channel.kernel for t in trials])
-        maps = np.array([pair[t].surjection.map0 for t in trials])
-        psi = require_kernel(coembedding_kernel_rows(maps, m))
-        for t in trials:
-            if p[t].space.size != m:
-                raise SizeMismatch("p must live on the small space of the pair")
-            if alpha[t].base is not p[t] and alpha[t].base != p[t]:
-                raise InvalidParameter("alpha must be based at p")
-        w = np.array([p[t].weights for t in trials])
-        q_img = require_weights(apply_rows(phi, w))
-        bases = [beta[t].base for t in trials]
-        if any(base.space.size != n for base in bases) or not np.array_equal(
-            np.array([base.weights for base in bases]), q_img
-        ):
-            raise InvalidParameter("beta must be based at the embedded image of p")
-        a_reps = np.array([alpha[t].rep.values for t in trials])
-        b_reps = np.array([beta[t].rep.values for t in trials])
-        phi_pull = delta_rows(w, require_finite(conditional_expectation_rows(phi, b_reps)))
-        psi_pull = delta_rows(q_img, require_finite(conditional_expectation_rows(psi, a_reps)))
-        for t, *rows in zip(trials, phi, phi_pull, psi_pull):
-            pulled[t] = rows
-        one = family[trials[0]]
-        if type(one) is CandidateFamily:
-            lhs = one.matrix_rows(w, a_reps[:, None], phi_pull[:, None])[:, 0, 0]
-            rhs = one.matrix_rows(q_img, psi_pull[:, None], b_reps[:, None])[:, 0, 0]
-            sides.update(zip(trials, zip(lhs.tolist(), rhs.tolist())))
-    reports = []
-    for t, (kernel, phi_row, psi_row) in enumerate(pulled):
-        if t in sides:
-            lhs, rhs = sides[t]
-        else:
-            q_t = beta[t].base
-            lhs = family[t](p[t], alpha[t].rep, RandomVariable(p[t].space, phi_row))
-            rhs = family[t](q_t, RandomVariable(q_t.space, psi_row), beta[t].rep)
-        residual = abs(lhs - rhs)
-        status = classify(residual)
-        witness = None
-        if status == "violation":
-            witness = Witness(
-                kind="prop6_identity",
-                m=p[t].space.size,
-                n=kernel.shape[0],
-                lhs=lhs,
-                rhs=rhs,
-                gap=residual,
-                surjection=pair[t].surjection.map0,
-                kernel=_rows(kernel),
-                point=_floats(p[t].weights),
-                a=_floats(alpha[t].rep.values),
-                b=_floats(beta[t].rep.values),
-                family=family[t].name,
-            )
-        reports.append(Prop6Report(lhs, rhs, residual, status, witness))
-    return reports
+    """The frozen single-case pairing check of ``frozen_probe``, trial by trial."""
+    return [frozen_check_prop6_identity(*case) for case in zip(pair, p, alpha, beta, family)]
 
 
 def pair_witness(case: dict, detail: str = "") -> Witness:

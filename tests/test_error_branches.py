@@ -15,9 +15,10 @@ from fishergeo.connections import (
     e_transport,
     m_transport,
 )
-from fishergeo.errors import BadSize, InvalidParameter, RankDeficient, SizeMismatch
+from fishergeo.errors import BadSize, FisherGeoError, InvalidParameter, RankDeficient, SizeMismatch
+from fishergeo.families import parse_family
 from fishergeo.geometry import CotangentVector, TangentVector
-from fishergeo.markov import random_channel_kernels
+from fishergeo.markov import random_channel, random_channel_kernels
 from fishergeo.models import (
     FisherMatrix,
     ParametricModel,
@@ -26,8 +27,8 @@ from fishergeo.models import (
     exponential_family_model,
     unbiased_estimators_kernel,
 )
-from fishergeo.simplex import Distribution, RandomVariable, SampleSpace
-from fishergeo.verify import probe_consistency
+from fishergeo.simplex import Distribution, RandomVariable, SampleSpace, sample_interior
+from fishergeo.verify import characterize, probe_consistency, probe_rational, probe_uniform
 
 
 def dist(*weights: float) -> Distribution:
@@ -38,6 +39,42 @@ def dist(*weights: float) -> Distribution:
 def test_coordinate_field_index_out_of_range(index):
     with pytest.raises(InvalidParameter, match=f"^coordinate index {index} out of range$"):
         coordinate_field(categorical_model(3), index)
+
+
+COV = parse_family("COV")
+SEEDS = (-1, 1.5, False)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    *((lambda index=index: coordinate_field(categorical_model(3), index), InvalidParameter,
+       f"coordinate index must be an integer, not {index!r}") for index in (1.5, True)),
+    (lambda: random_channel(3, 2.5, 0), BadSize, "n_out must be an integer, not 2.5"),
+    (lambda: random_channel(True, 2, 0), BadSize, "n_in must be an integer, not True"),
+    (lambda: probe_uniform(COV, 2.5), InvalidParameter, "n must be an integer, not 2.5"),
+    (lambda: probe_consistency(COV, 2.0, 3), InvalidParameter, "m must be an integer, not 2.0"),
+    (lambda: probe_rational(COV, dist(0.25, 0.75), 8.5, (1.0, -1.0)), InvalidParameter,
+     "denominator_bound must be an integer, not 8.5"),
+    (lambda: characterize(COV, n_max=2.5), InvalidParameter, "n_max must be an integer, not 2.5"),
+    (lambda: characterize(COV, denominator_bound=8.5), InvalidParameter,
+     "denominator_bound must be an integer, not 8.5"),
+    (lambda: characterize(COV, trials=2.5), InvalidParameter, "trials must be an integer, not 2.5"),
+    *((call, InvalidParameter, f"seed must be a non-negative integer, not {seed!r}") for seed in SEEDS
+      for call in (lambda seed=seed: sample_interior(SampleSpace(3), seed),
+                   lambda seed=seed: random_channel(3, 2, seed),
+                   lambda seed=seed: characterize(COV, seed=seed))),
+], ids=[
+    "coordinate_field-float", "coordinate_field-bool", "random_channel-size", "random_channel-bool",
+    "probe_uniform", "probe_consistency", "probe_rational", "characterize-n_max",
+    "characterize-denominator_bound", "characterize-trials",
+    *(f"{name}-seed{seed!r}" for seed in SEEDS
+      for name in ("sample_interior", "random_channel", "characterize")),
+])
+def test_a_bad_size_index_or_seed_raises_a_package_error(call, error, message):
+    """A size, index or seed that is not an integer (a bool included), or a
+    negative seed, raises a ``FisherGeoError`` before anything is drawn."""
+    with pytest.raises(error) as raised:
+        call()
+    assert isinstance(raised.value, FisherGeoError) and str(raised.value) == message
 
 
 def test_coefficients_of_the_wrong_shape():

@@ -8,9 +8,10 @@ compares the rows forms with themselves. The functions below are verbatim
 copies of the scalar bodies as they were written before the rows forms
 took over: ``np.dot`` expectations, ``kernel @ w``, ``kernel.T @ a``,
 ``values[map0]``, ``np.sum(x * y / w)``, ``m / w``, the double loop of
-``cov_matrix``, the per-row means of ``CandidateFamily.matrix`` and the
-Jacobian product of an embedded model. They build the library's objects, so
-they run the same checks. The kernel tests use them as references, and the
+``cov_matrix`` and the Jacobian product of an embedded model; the family
+matrix has its one frozen copy in ``frozen_probe``. They build the
+library's objects, so they run the same checks. The kernel tests use them
+as references, and the
 hypothesis tests here hold every public scalar to its copy through
 ``float.hex``, on 2 to 39 outcomes, weights pushed down to 1e-9 and
 channels that are not square.
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fishergeo import connections, families, geometry, markov, simplex
+from fishergeo import connections, geometry, markov, simplex
 from fishergeo.errors import BasePointMismatch, FisherGeoError, SizeMismatch
 from fishergeo.geometry import CotangentVector, TangentVector, from_e_rep, require_same_base
 from fishergeo.markov import Channel, Surjection, canonical_embedding, random_surjection
@@ -138,22 +139,6 @@ def e_transport(x: TangentVector, q: Distribution) -> TangentVector:
     return from_e_rep(q, RandomVariable(q.space, shifted))
 
 
-def family_matrix(family, p: Distribution, rows_a, rows_b) -> np.ndarray:
-    w = p.weights
-    rows_a, rows_b = (np.ascontiguousarray(rows, dtype=float) for rows in (rows_a, rows_b))
-    product = rows_a[:, None, :] * rows_b[None, :, :]
-    matrix = np.zeros(product.shape[:2])
-    for coeff, kind, k in family.terms:
-        if kind == "PK":
-            matrix += coeff * np.sum(w**k * product, axis=-1)
-        else:
-            means_a, means_b = (
-                np.array([np.dot(w, row) for row in rows]) for rows in (rows_a, rows_b)
-            )
-            matrix += np.multiply.outer(coeff * means_a, means_b)
-    return matrix
-
-
 def pushed_jacobian(pair, model, xi) -> np.ndarray:
     """The Jacobian at xi of the image of ``model`` through the pair's embedding."""
     return jacobian_at(model, xi) @ pair.embedding_channel.kernel.T
@@ -253,11 +238,6 @@ def test_moments_and_geometry_match_their_copies(case, k):
     assert same(lambda: geometry.norm_tangent(x), lambda: norm_tangent(x))
     assert same(lambda: geometry.fisher_cometric(alpha, beta), lambda: fisher_cometric(alpha, beta))
     assert same(lambda: connections.e_transport(x, q).m_rep, lambda: e_transport(x, q).m_rep)
-    for expression in ("MM", "COV", "1*L2 + 0.5*MM"):
-        family = families.parse_family(expression)
-        rows_a, rows_b = values(rng, (k + 1, n)), values(rng, (3, n))
-        assert same(lambda: family.matrix(p, rows_a, rows_b),
-                    lambda: family_matrix(family, p, rows_a, rows_b))
 
 
 @settings(max_examples=300, deadline=None)

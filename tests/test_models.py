@@ -321,6 +321,21 @@ class TestCrb:
         with pytest.raises(InvalidParameter, match="global mode needs an explicit parameter box"):
             crb_check(categorical_model(3), [0.3, 0.3], self.BIASED, mode="global")
 
+    @pytest.mark.parametrize("box, message", [
+        ([], "box needs one (lo, hi) per parameter: 2, got 0"),
+        ([(0.1, 0.4)], "box needs one (lo, hi) per parameter: 2, got 1"),
+        ([(0.1, 0.4), (0.4, 0.1)], "box axis 2 is not a finite (lo, hi) with lo <= hi: (0.4, 0.1)"),
+        ([(0.1, np.inf), (0.1, 0.4)], "box axis 1 is not a finite (lo, hi) with lo <= hi: (0.1, inf)"),
+        ([(0.1, 0.4), (np.nan, 0.4)], "box axis 2 is not a finite (lo, hi) with lo <= hi: (nan, 0.4)"),
+        ([(0.1, 0.4), (0.1,)], "box axis 2 is not a finite (lo, hi) with lo <= hi: (0.1,)"),
+    ], ids=["empty", "one-axis", "reversed", "infinite", "nan", "short-axis"])
+    def test_bad_box_is_rejected_before_evaluation(self, box, message):
+        """A global-mode box needs one finite (lo, hi) with lo <= hi per
+        parameter; a reversed axis used to pass as "psd"."""
+        with pytest.raises(InvalidParameter) as raised:
+            crb_check(categorical_model(3), [0.3, 0.3], self.BIASED, mode="global", box=box)
+        assert str(raised.value) == message
+
 
 class TestLifts:
     def test_lift_is_lifts_of_one_row(self):

@@ -6,11 +6,14 @@ other module may import it. API decisions rely on this rule; this test keeps
 it from eroding silently. Likewise, trials are grouped by shape through
 ``errors.by_shape`` only, so no other module builds its own groups, and a
 grammar family is told from a plugin in ``verify._pair_matrices`` only, so
-no other code evaluates a family its own way.
+no other code evaluates a family its own way. The exact oracle of the tests,
+``tests/exact.py``, imports the standard library only, so no arithmetic it
+certifies can hide in a helper it shares.
 """
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -148,3 +151,36 @@ def test_detects_family_type_tests():
         "    return isinstance(f, CandidateFamily) or type(f) is int or type(f, g) is CandidateFamily\n"
     )
     assert family_type_tests(source) == ["<module>", "inner", "outer"]
+
+
+def top_level_imports(source: str) -> list[str]:
+    """The top-level package of every import in ``source``, a relative one as ``.``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append("." if node.level else node.module.split(".")[0])
+    return found
+
+
+def test_the_exact_oracle_imports_the_standard_library_only():
+    """No numpy and no fishergeo: a reference generation retires on the
+    oracle's word (ROADMAP item 17), so the oracle shares nothing with them."""
+    found = top_level_imports((Path(__file__).parent / "exact.py").read_text(encoding="utf-8"))
+    assert "fractions" in found
+    assert [name for name in found if name not in sys.stdlib_module_names] == []
+
+
+def test_detects_imports_outside_the_standard_library():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "from fishergeo.verify import x\n"
+        "from . import y\n"
+        "import os.path\n"
+    )
+    found = top_level_imports(source)
+    assert found == ["__future__", "numpy", "fishergeo", ".", "os"]
+    assert [name for name in found if name not in sys.stdlib_module_names] == ["numpy", "fishergeo", "."]
+

@@ -1,74 +1,58 @@
-"""The probe's stacked family evaluation and the prop6 kernel against frozen copies.
+"""The probe's stacked family evaluation and the prop6 kernel against the frozen copies.
 
 ``CandidateFamily.matrix_rows`` evaluates a family at a stack of points,
 ``verify.prop6_kernel`` checks a batch of pairing trials, and
 ``characterize`` evaluates the points of each sampled step as one stack per
-size. The functions below are verbatim copies of ``CandidateFamily.matrix``,
-``check_prop6_identity`` and the ``characterize`` pipeline as they were
-written before the stacks took over, with a grammar family evaluated
-through the frozen ``matrix``, witness fields through the frozen
-``_floats`` and ``_rows``, ``rationalize`` as its own block scan, and the
-lifts through the frozen ``partition_surjection`` and ``block_surjection``
-of ``test_probe_kernel``. The tests hold the new code to them through ``float.hex`` or the JSON text, or
-to the same error type and message, and hold a plugin family to the same
-calls in the same order.
+size. ``frozen_probe`` keeps the code they replaced: the frozen ``matrix``,
+``check_prop6_identity`` and the ``characterize`` pipeline. The tests hold
+the new code to it through ``float.hex`` or the JSON text, or to the same
+error type and message, and hold a plugin family to the same calls in the
+same order.
 """
 from __future__ import annotations
 
 import json
 import tracemalloc
 from collections import Counter
-from functools import cache, partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+import frozen_probe
 from fishergeo import batteries, families
 from fishergeo import verify as verify_module
-from fishergeo.errors import FisherGeoError, InvalidParameter, NotCentered, NotRational, SizeMismatch, by_shape
-from fishergeo.families import CandidateFamily, parse_family
+from fishergeo.errors import FisherGeoError, InvalidParameter, NotCentered, SizeMismatch, by_shape
+from fishergeo.families import parse_family
 from fishergeo.geometry import delta
-from fishergeo.markov import (
-    apply,
-    canonical_embedding,
-    conditional_expectation,
-    random_surjection,
-)
-from fishergeo.simplex import (
-    Distribution,
-    RandomVariable,
-    SampleSpace,
-    expect_rows,
-    new_distribution,
-    uniform,
-)
+from fishergeo.markov import apply, canonical_embedding, random_surjection
+from fishergeo.simplex import Distribution, RandomVariable, SampleSpace, uniform
 from fishergeo.verify import (
     PASS_TOL,
-    RATIONAL_TOL,
     VIOLATION_TOL,
-    CharacterizeResult,
-    ConsistencyProbeResult,
     Prop6Report,
-    RationalProbeResult,
-    UniformProbeResult,
-    Witness,
-    _best_rational_approximation,
-    _first_worst,
-    _fit_constants,
     _flatten_dirichlet,
-    _format_constant,
-    _witness_result,
     characterize,
     check_bilinearity,
     check_prop6_identity,
-    classify,
     prop6_kernel,
+    replay_witness,
 )
 from frozen_pairs import arrays, objects
+from frozen_probe import (
+    _BILINEARITY_TRIALS,
+    PLUGINS,
+    Logged,
+    Plugin,
+    _cov,
+    frozen_characterize,
+    frozen_check_bilinearity,
+    frozen_check_prop6_identity,
+    frozen_matrix,
+)
 from test_frozen_scalars import boundary_weights, hexes, values
-from test_probe_kernel import PLUGINS, Logged, Plugin, _cov, block_surjection, partition_surjection
+from test_probe_kernel import GRAMMAR
 
 # PK(+-400) overflows and underflows on purpose; both sides warn alike.
 pytestmark = pytest.mark.filterwarnings(
@@ -76,319 +60,6 @@ pytestmark = pytest.mark.filterwarnings(
     "ignore:invalid value encountered:RuntimeWarning",
     "ignore:divide by zero encountered:RuntimeWarning",
 )
-
-_RATIONALIZE_BLOCK = 64
-_BILINEARITY_TRIALS = 4
-
-
-# ---------------------------------------------------------------------------
-# Frozen copies
-# ---------------------------------------------------------------------------
-
-
-def frozen_matrix(family, p: Distribution, rows_a, rows_b) -> np.ndarray:
-    w = p.weights
-    rows_a, rows_b = (np.ascontiguousarray(rows, dtype=float) for rows in (rows_a, rows_b))
-    for rows in (rows_a, rows_b):
-        if rows.ndim != 2 or rows.shape[1] != w.size:
-            raise SizeMismatch(f"expected rows of length {w.size}, got shape {rows.shape}")
-    product = rows_a[:, None, :] * rows_b[None, :, :]
-    matrix = np.zeros(product.shape[:2])
-    for coeff, kind, k in family.terms:
-        if kind == "PK":
-            matrix += coeff * np.sum(w**k * product, axis=-1)
-        else:
-            means_a, means_b = (expect_rows(w[None], r[None])[0] for r in (rows_a, rows_b))
-            matrix += np.multiply.outer(coeff * means_a, means_b)
-    return matrix
-
-
-def frozen_call(family, p: Distribution, a: RandomVariable, b: RandomVariable) -> float:
-    """``family(p, a, b)``: a grammar family's 1x1 frozen matrix, any other family called."""
-    if type(family) is not CandidateFamily:
-        return family(p, a, b)
-    return float(frozen_matrix(family, p, a.values[None], b.values[None])[0, 0])
-
-
-def frozen_floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in np.asarray(values).reshape(-1))
-
-
-def frozen_rows(matrix) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(float(v) for v in row) for row in np.asarray(matrix))
-
-
-def frozen_check_prop6_identity(pair, p, alpha, beta, family) -> Prop6Report:
-    phi = pair.embedding_channel
-    psi = pair.coembedding_channel
-    if p.space != phi.in_space:
-        raise SizeMismatch("p must live on the small space of the pair")
-    if alpha.base != p:
-        raise InvalidParameter("alpha must be based at p")
-    q_img = apply(phi, p)
-    if beta.base != q_img:
-        raise InvalidParameter("beta must be based at the embedded image of p")
-    phi_pull = delta(p, conditional_expectation(phi, beta.rep))
-    psi_pull = delta(q_img, conditional_expectation(psi, alpha.rep))
-    lhs = frozen_call(family, p, alpha.rep, phi_pull.rep)
-    rhs = frozen_call(family, q_img, psi_pull.rep, beta.rep)
-    residual = abs(lhs - rhs)
-    status = classify(residual)
-    witness = None
-    if status == "violation":
-        witness = Witness(
-            kind="prop6_identity",
-            m=p.space.size,
-            n=q_img.space.size,
-            lhs=lhs,
-            rhs=rhs,
-            gap=residual,
-            surjection=pair.surjection.map0,
-            kernel=frozen_rows(phi.kernel),
-            point=frozen_floats(p.weights),
-            a=frozen_floats(alpha.rep.values),
-            b=frozen_floats(beta.rep.values),
-            family=family.name,
-        )
-    return Prop6Report(lhs, rhs, residual, status, witness)
-
-
-def frozen_pair_matrix(family, p: Distribution, rows, cols) -> np.ndarray:
-    if type(family) is CandidateFamily:
-        return frozen_matrix(family, p, rows, cols)
-    left = [RandomVariable(p.space, row) for row in rows]
-    right = [RandomVariable(p.space, col) for col in cols]
-    return np.array([[family(p, a, b) for b in right] for a in left], dtype=float)
-
-
-def frozen_indicator_witness(kind, family, sizes, pair, sides, gap, detail, **inputs) -> Witness:
-    (m, n), (i, j), (lhs, rhs) = sizes, pair, sides
-    units = np.eye(m)
-    return Witness(
-        kind=kind, m=m, n=n, lhs=float(lhs[i, j]), rhs=float(rhs[i, j]), gap=gap,
-        a=frozen_floats(units[i]), b=frozen_floats(units[j]), family=family.name, detail=detail,
-        **inputs,
-    )
-
-
-def frozen_probe_uniform(family, n: int) -> tuple[UniformProbeResult, np.ndarray]:
-    if n < 2:
-        raise InvalidParameter("probe needs n >= 2")
-    u = uniform(SampleSpace(n))
-    units = np.eye(n)
-    matrix = frozen_pair_matrix(family, u, units, units)
-    off_mask = ~np.eye(n, dtype=bool)
-    b = float(np.mean(matrix[off_mask]))
-    a = float(np.mean(np.diag(matrix))) - b
-    model = a * np.eye(n) + b
-    residuals = np.abs(matrix - model)
-    worst = float(np.max(residuals))
-    witness = None
-    if worst > VIOLATION_TOL:
-        i, j = np.unravel_index(int(np.argmax(residuals)), residuals.shape)
-        witness = frozen_indicator_witness(
-            "uniform_shape", family, (n, n), (i, j), (matrix, model), worst,
-            f"indicator pair ({i + 1}, {j + 1}) breaks permutation symmetry",
-            point=frozen_floats(u.weights),
-        )
-    return UniformProbeResult(n, a, b, worst, witness), matrix
-
-
-def frozen_lifted_pair_matrix(family, surjection) -> np.ndarray:
-    lifts = np.eye(surjection.codomain.size)[:, surjection.map0]
-    return frozen_pair_matrix(family, uniform(surjection.domain), lifts, lifts)
-
-
-def frozen_probe_consistency(family, m: int, n: int, uniform_at) -> ConsistencyProbeResult:
-    if m < 2 or n < 2:
-        raise InvalidParameter("probe needs m, n >= 2")
-    small, lhs = uniform_at(n)
-    if small.witness is not None:
-        return ConsistencyProbeResult(m, n, 0.0, 0.0, small.max_residual, small.witness)
-    big, _ = uniform_at(m * n)
-    if big.witness is not None:
-        return ConsistencyProbeResult(m, n, 0.0, 0.0, big.max_residual, big.witness)
-    surjection = block_surjection(m, n)
-    rhs = frozen_lifted_pair_matrix(family, surjection)
-    worst, i, j = _first_worst(np.abs(lhs - rhs))
-    witness = None
-    if worst > VIOLATION_TOL:
-        witness = frozen_indicator_witness(
-            "cross_dimension", family, (n, m * n), (i, j), (lhs, rhs), worst,
-            f"lift of indicator pair ({i + 1}, {j + 1}) changes the uniform evaluation",
-            surjection=surjection.map0,
-        )
-    c1_small, c2_small = n * small.a, n * n * small.b
-    c1_big, c2_big = m * n * big.a, (m * n) ** 2 * big.b
-    worst = max(worst, abs(c1_small - c1_big), abs(c2_small - c2_big))
-    return ConsistencyProbeResult(m, n, c1_small, c2_small, worst, witness)
-
-
-def frozen_rationalize(p: Distribution, denominator_bound: int) -> tuple[int, np.ndarray]:
-    w = p.weights
-    n = w.shape[0]
-    for start in range(n, denominator_bound + 1, _RATIONALIZE_BLOCK):
-        ms = np.arange(start, min(start + _RATIONALIZE_BLOCK, denominator_bound + 1))[:, None]
-        counts = np.rint(w * ms).astype(int)
-        hits = (
-            np.all(counts >= 1, axis=1)
-            & (counts.sum(axis=1) == ms[:, 0])
-            & (np.max(np.abs(w - counts / ms), axis=1) <= RATIONAL_TOL)
-        )
-        if hits.any():
-            first = int(np.argmax(hits))
-            return int(ms[first, 0]), counts[first]
-    raise NotRational(
-        f"no rational representation with denominator <= {denominator_bound}"
-    )
-
-
-def frozen_probe_rational(family, p, denominator_bound, constants) -> RationalProbeResult:
-    n = p.space.size
-    denominator, counts = frozen_rationalize(p, denominator_bound)
-    c1, c2 = constants
-    surjection = partition_surjection(counts)
-    w = p.weights
-    units = np.eye(n)
-    value = frozen_pair_matrix(family, p, units, units)
-    lifted = frozen_lifted_pair_matrix(family, surjection)
-    target = c1 * np.diag(w) + c2 * np.outer(w, w)
-    to_lift, to_target = np.abs(value - lifted), np.abs(value - target)
-    worst, i, j = _first_worst(np.where(to_target > to_lift, to_target, to_lift))
-    witness = None
-    if worst > VIOLATION_TOL:
-        rhs = lifted if to_lift[i, j] >= to_target[i, j] else target
-        witness = frozen_indicator_witness(
-            "rational_point", family, (n, surjection.domain.size), (i, j), (value, rhs),
-            worst, f"D={denominator_bound}",
-            surjection=surjection.map0, point=frozen_floats(w), constants=(float(c1), float(c2)),
-        )
-    return RationalProbeResult(
-        n, denominator, tuple(int(c) for c in counts), float(c1), float(c2), worst, witness
-    )
-
-
-def frozen_continuity_errors(family, spot: Distribution, bounds: list[int]) -> list[float]:
-    def fit(p: Distribution) -> np.ndarray:
-        units = np.eye(p.space.size)
-        return np.array(_fit_constants(p.weights, frozen_pair_matrix(family, p, units, units)))
-
-    spot_fit = fit(spot)
-    return [
-        float(np.max(np.abs(
-            fit(new_distribution(spot.space, _best_rational_approximation(spot.weights, bound))) - spot_fit
-        )))
-        for bound in bounds
-    ]
-
-
-def frozen_check_bilinearity(family, n: int, seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    space = SampleSpace(n)
-    worst = 0.0
-    for _ in range(_BILINEARITY_TRIALS):
-        p = new_distribution(space, _flatten_dirichlet(rng, n))
-        a1, a2, b = (rng.normal(size=n) for _ in range(3))
-        s, t = rng.normal(size=2)
-        rows = np.array([s * a1 + t * a2, a1, a2])
-        left = frozen_pair_matrix(family, p, rows, [b])[:, 0]
-        right = frozen_pair_matrix(family, p, [b], rows)[0]
-        for at_combo, at_a1, at_a2 in (left, right):
-            worst = max(worst, abs(at_combo - s * at_a1 - t * at_a2))
-    return worst
-
-
-def frozen_characterize(family, n_max=6, denominator_bound=64, trials=8, seed=0) -> CharacterizeResult:
-    if isinstance(family, str):
-        family = parse_family(family)
-    if n_max < 2 or denominator_bound < n_max or trials < 1:
-        raise InvalidParameter(
-            "characterize needs n_max >= 2, denominator_bound >= n_max and trials >= 1"
-        )
-    rng = np.random.default_rng(seed)
-
-    for n in range(2, n_max + 1):
-        case = {"family": family, "n": n, "seed": int(rng.integers(2**32))}
-        defect = frozen_check_bilinearity(**case)
-        if defect > VIOLATION_TOL:
-            return _witness_result(family.name, Witness(
-                kind="bilinearity", m=n, n=n, lhs=defect, rhs=0.0, gap=defect,
-                family=family.name, detail=f"seed={case['seed']}",
-            ))
-
-    uniform_at = cache(partial(frozen_probe_uniform, family))
-    constants_by_n: dict[int, tuple[float, float]] = {}
-    for n in range(2, n_max + 1):
-        result, _ = uniform_at(n)
-        if result.witness is not None:
-            return _witness_result(family.name, result.witness)
-        constants_by_n[n] = (n * result.a, n * n * result.b)
-
-    for m, n in [(2, n) for n in range(2, n_max + 1)] + [
-        (n, 2) for n in range(3, n_max + 1)
-    ]:
-        result = frozen_probe_consistency(family, m, n, uniform_at)
-        if result.witness is not None:
-            return _witness_result(family.name, result.witness)
-    c1, c2 = constants_by_n[2]
-
-    for n in range(2, n_max + 1):
-        space = SampleSpace(n)
-        for _ in range(trials):
-            denominator = int(rng.integers(n, denominator_bound + 1))
-            counts = rng.multinomial(denominator - n, np.full(n, 1.0 / n)) + 1
-            point = new_distribution(space, counts / denominator)
-            result = frozen_probe_rational(
-                family, point, denominator_bound, constants=(c1, c2)
-            )
-            if result.witness is not None:
-                return _witness_result(family.name, result.witness)
-
-    ii1_worst = 0.0
-    for n in range(2, n_max + 1):
-        space = SampleSpace(n)
-        for _ in range(max(2, trials // 2)):
-            p = new_distribution(space, _flatten_dirichlet(rng, n))
-            a = rng.normal(size=(1, n))
-            ii1 = float(frozen_pair_matrix(family, p, a, np.ones((1, n)))[0, 0])
-            ii1_worst = max(ii1_worst, abs(ii1))
-    ii1_holds = ii1_worst <= PASS_TOL
-
-    n_spot = min(3, n_max)
-    irrational = np.sqrt(np.arange(2, 2 + n_spot, dtype=float))
-    irrational /= irrational.sum()
-    spot = new_distribution(SampleSpace(n_spot), irrational)
-    bounds = [b for b in (8, 16, 32, 64) if b <= denominator_bound]
-    continuity_errors = frozen_continuity_errors(family, spot, bounds)
-    if continuity_errors and continuity_errors[-1] > VIOLATION_TOL:
-        error = frozen_continuity_errors(family, spot, [bounds[-1]])[0]
-        return _witness_result(family.name, Witness(
-            kind="continuity", m=n_spot, n=n_spot, lhs=error, rhs=0.0, gap=error,
-            point=frozen_floats(spot.weights), family=family.name, detail=f"D={bounds[-1]}",
-        ))
-
-    if ii1_holds and abs(c1 + c2) <= PASS_TOL:
-        verdict = f"c*Cov with c={_format_constant(c1)}"
-    else:
-        verdict = (
-            f"c1*L2 + c2*MM with (c1, c2) = "
-            f"({_format_constant(c1)}, {_format_constant(c2)})"
-        )
-    return CharacterizeResult(
-        family=family.name,
-        c1=c1,
-        c2=c2,
-        ii1_holds=ii1_holds,
-        verdict=verdict,
-        witness=None,
-        constants_by_n=constants_by_n,
-        continuity_errors=tuple(continuity_errors),
-        note=(
-            "consistent with the invariant decomposition on all sampled "
-            "dimensions and rational points; continuity spot-checked only"
-        ),
-    )
-
 
 # ---------------------------------------------------------------------------
 # Outcomes
@@ -437,12 +108,12 @@ FAMILIES = st.lists(st.tuples(COEFFS, ATOMS), min_size=1, max_size=3).map(
 
 @st.composite
 def stacks(draw):
-    """Weights (T, n) with up to three weights per point pushed near 1e-9, and
-    two stacks of rows: scaled Gaussian rows, the unit rows or the lifts
-    ``np.eye(m)[:, map0]`` of a surjection onto m points, each stack C- or
-    F-ordered as a whole."""
+    """Weights (T, n) on 2 to 39 outcomes with up to three weights per point
+    pushed near 1e-9, and two stacks of rows: scaled Gaussian rows, the unit
+    rows or the lifts ``np.eye(m)[:, map0]`` of a surjection onto m points,
+    each stack C- or F-ordered as a whole."""
     count = draw(st.integers(1, 4), label="T")
-    n = draw(st.integers(2, 12), label="n")
+    n = draw(st.integers(2, 39), label="n")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     pushed = draw(st.integers(0, 3), label="pushed")
     w = np.array([boundary_weights(rng, n, pushed) for _ in range(count)])
@@ -746,7 +417,7 @@ def test_bilinearity_points_are_checked_as_distributions(monkeypatch, n, seed, f
     raises, whichever of the four trials it is. The draw with the unscaled
     floor plants the bad points, in the stacked check and in the frozen one."""
     monkeypatch.setattr(verify_module, "_flatten_dirichlet", unscaled_floor_dirichlet)
-    monkeypatch.setitem(globals(), "_flatten_dirichlet", unscaled_floor_dirichlet)
+    monkeypatch.setattr(frozen_probe, "_flatten_dirichlet", unscaled_floor_dirichlet)
     family = parse_family("COV")
     rng = np.random.default_rng(seed)
     bad = []
@@ -791,6 +462,7 @@ def test_bilinearity_points_are_unchanged_up_to_500_outcomes(n, seed):
 CHARACTERIZE_FAMILIES = st.one_of(
     st.sampled_from(["COV", "L2", "MM", "2*COV", "1*L2 + 0.5*MM", "PK(2)", "PK(-1)", "PK(3)"]),
     FAMILIES,
+    GRAMMAR,
     st.sampled_from(["PK(400)", "PK(-400)", "PK(-40)", "1*L2 + -0.75*MM + 2*PK(-400)"]).map(parse_family),
     st.sampled_from(PLUGINS + [Plugin("cov", _cov)]),
 )
@@ -800,7 +472,7 @@ def characterize_outcome(run, family, n_max, bound, trials, seed):
     return outcome(lambda: json.dumps(run(family, n_max, bound, trials, seed).to_json()))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     family=CHARACTERIZE_FAMILIES,
     n_max=st.integers(2, 6),
@@ -813,11 +485,21 @@ def characterize_outcome(run, family, n_max, bound, trials, seed):
 @example(family="PK(2)", n_max=4, bound=16, trials=2, seed=0)
 @example(family=PLUGINS[2], n_max=4, bound=16, trials=2, seed=1)
 @example(family=PLUGINS[3], n_max=6, bound=64, trials=8, seed=0)
+@example(family="PK(400)", n_max=6, bound=64, trials=8, seed=0)
+@example(family="PK(-400)", n_max=6, bound=64, trials=8, seed=0)
+@example(family="PK(-40)", n_max=6, bound=64, trials=8, seed=0)
+@example(family=PLUGINS[0], n_max=4, bound=16, trials=2, seed=1)
+@example(family=PLUGINS[2], n_max=4, bound=16, trials=2, seed=5)  # a witness at the second point of its stack
 def test_characterize_matches_the_frozen_copy(family, n_max, bound, trials, seed):
     """Decomposing and witnessing families, grammar and plugin: the same
-    JSON text, or the same error."""
+    JSON text, or the same error. A grammar family's witness replays to its
+    gap, bitwise."""
     args = (family, n_max, bound, trials, seed)
-    assert characterize_outcome(characterize, *args) == characterize_outcome(frozen_characterize, *args)
+    found = characterize_outcome(characterize, *args)
+    assert found == characterize_outcome(frozen_characterize, *args)
+    if isinstance(found, str) and json.loads(found)["witness"] and not isinstance(family, Plugin):
+        witness = characterize(*args).witness
+        assert float(replay_witness(witness)).hex() == float(witness.gap).hex()
 
 
 @pytest.mark.parametrize("plugin", [Plugin("cov", _cov), PLUGINS[2], PLUGINS[3]], ids=lambda p: p.name)
