@@ -8,8 +8,11 @@ written through the frozen ``_floats`` and ``_rows``, the lifts go through
 ``partition_surjection`` and ``block_surjection``, and the largest gap is
 found by the per-pair loops' strict scan. The continuity step fits its
 constants by the per-pair least-squares system at the points of the
-denominator loop that the one-pass scan replaced. The plugin families at
-the end are the ones the probe suites run.
+denominator loop that the one-pass scan replaced. The verdict helpers
+(``classify``, ``_format_constant``, ``_witness_result``) and the draw of the
+random points (``_flatten_dirichlet``) are copies too, so no mutant of the
+live ones moves the reference with the code. The plugin families at the end
+are the ones the probe suites run.
 """
 from __future__ import annotations
 
@@ -33,19 +36,52 @@ from fishergeo.verify import (
     RationalProbeResult,
     UniformProbeResult,
     Witness,
-    _flatten_dirichlet,
-    _format_constant,
-    _witness_result,
-    classify,
 )
 
 _RATIONALIZE_BLOCK = 64
 _BILINEARITY_TRIALS = 4
+_DIRICHLET_FLOOR = 1e-3
 
 
 # ---------------------------------------------------------------------------
 # Frozen copies
 # ---------------------------------------------------------------------------
+
+
+def classify(residual: float, pass_tol: float = PASS_TOL) -> str:
+    if residual <= pass_tol:
+        return "pass"
+    if residual <= VIOLATION_TOL:
+        return "inconclusive"
+    return "violation"
+
+
+def _format_constant(value: float) -> str:
+    if value == int(value):
+        return str(int(value))
+    return repr(value)
+
+
+def _witness_result(family_name: str, witness: Witness) -> CharacterizeResult:
+    return CharacterizeResult(
+        family=family_name,
+        c1=float("nan"),
+        c2=float("nan"),
+        ii1_holds=False,
+        verdict="witness",
+        witness=witness,
+        constants_by_n={},
+        continuity_errors=(),
+        note="a counterexample was found before the decomposition completed",
+    )
+
+
+def _flatten_dirichlet(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A flat Dirichlet draw with every weight at least ``_DIRICHLET_FLOOR``,
+    or ``0.5 / n`` past 500 outcomes, so the floors never take all the mass;
+    ``simplex.interior_rows`` written out."""
+    floor = min(_DIRICHLET_FLOOR, 0.5 / n)
+    return floor + (1.0 - n * floor) * rng.dirichlet(np.ones(n))
 
 
 def frozen_matrix(family, p: Distribution, rows_a, rows_b) -> np.ndarray:
