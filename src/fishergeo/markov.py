@@ -338,6 +338,9 @@ def random_surjection(n: int, m: int, seed: int) -> Surjection:
 def random_surjection_map(n: int, m: int, seed: int) -> np.ndarray:
     """The 0-based map (n,) of a reproducible surjection onto m points: every point
     once and n - m values uniform on them, shuffled by ``default_rng(seed)``."""
+    require_integer(n, "n", BadSize)
+    require_integer(m, "m", BadSize)
+    require_seed(seed)
     if not 2 <= m <= n:
         raise BadSize(f"need 2 <= m <= n, got m={m}, n={n}")
     rng = np.random.default_rng(seed)

@@ -23,11 +23,11 @@ The probe decomposes an invariant family into ``c1 * L2 + c2 * MM``:
   (d) continuity surrogate: fitted constants at rational approximations of
       an irrational spot-check point converge as the denominator bound grows.
 
-The sampled steps (the bilinearity and kill-constants spot checks, the
-rational points of (c) and the fits of (d)) draw the points of one size
-first, in the order of one point at a time, and evaluate a grammar family
-at all of them in one ``CandidateFamily.matrix_rows`` call; a plugin family
-is still called point by point, pair by pair, in that order.
+The probe runs in two phases, each drawn whole, with the generator calls
+of one step at a time, before it is evaluated: a grammar family's pair
+matrices come from one ``CandidateFamily.matrix_rows`` call per outcome
+count and phase, while a plugin family is called point by point, pair by
+pair, in the order of the steps.
 
 Verdicts distinguish the covariance multiple (when the family kills
 constants) from a general (c1, c2) decomposition; reports state consistency
@@ -39,51 +39,30 @@ replaying it reproduces the gap bitwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cache, partial
+from functools import cache, lru_cache
+from itertools import accumulate, chain
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .connections import ConnectionTag, VectorFieldOnModel, coordinate_field, weak_invariance_kernel
 from .errors import (
-    PASS_TOL, VIOLATION_TOL, InvalidParameter, NotRational, SizeMismatch, in_trial_order, require_integer,
-    require_seed,
+    PASS_TOL, VIOLATION_TOL, InvalidParameter, NotRational, SizeMismatch, by_shape, in_trial_order,
+    require_integer, require_seed,
 )
 from .families import CandidateFamily, parse_family
 from .geometry import (
-    CotangentVector,
-    TangentVector,
-    delta_rows,
-    fisher_metric_rows,
-    norm_tangent,
-    require_centered,
+    CotangentVector, TangentVector, delta_rows, fisher_metric_rows, norm_tangent, require_centered,
     require_rows_sum_zero,
 )
 from .markov import (
-    Channel,
-    EmbeddingPair,
-    apply,
-    apply_rows,
-    canonical_embedding_rows,
-    compose_variable_rows,
-    conditional_expectation,
-    conditional_expectation_rows,
-    pair_stacks,
-    pushforward,
-    require_maps,
+    Channel, EmbeddingPair, apply, apply_rows, canonical_embedding_rows, compose_variable_rows,
+    conditional_expectation, conditional_expectation_rows, pair_stacks, pushforward, require_maps,
 )
 from .models import categorical_model, crb_check
 from .simplex import (
-    Distribution,
-    RandomVariable,
-    SampleSpace,
-    cov_rows,
-    expect_rows,
-    interior_rows,
-    new_distribution,
-    require_finite,
-    require_weights,
-    variance,
+    Distribution, RandomVariable, SampleSpace, cov_rows, expect_rows, interior_rows, new_distribution,
+    require_finite, require_weights, variance,
 )
 
 #: Matrix identities of the strong-invariance check pass at this tolerance.
@@ -532,8 +511,8 @@ def _prop6_rows(surjection, fibers, p, a, b, family) -> list[Prop6Report]:
         phi_pull = delta_rows(w, require_finite(conditional_expectation_rows(phi, b_reps)))
         psi_pull = delta_rows(q_img, require_finite(conditional_expectation_rows(psi, a_reps)))
         one = family[trials[0]]
-        lhs = _pair_matrices(one, w, a_reps[:, None], phi_pull[:, None])
-        rhs = _pair_matrices(one, q_img, psi_pull[:, None], b_reps[:, None])
+        lhs = chain.from_iterable(_pair_matrices(one, w, a_reps[:, None], phi_pull[:, None]))
+        rhs = chain.from_iterable(_pair_matrices(one, q_img, psi_pull[:, None], b_reps[:, None]))
         for t, *rows in zip(trials, maps, phi, w, q_img, a_reps, b_reps):
             per_trial[t] = (*rows, lhs, rhs)
     reports = []
@@ -594,50 +573,107 @@ def _map_and_point(surjection, q, m: int | None = None) -> tuple[np.ndarray, np.
 
 
 # ---------------------------------------------------------------------------
-# Characterization probe
+# Characterization probe: a step requests its pair matrices when it is drawn
+# and reads them when it is decided
 # ---------------------------------------------------------------------------
 
+#: Pair products of one point's matrix up to which a request is zero-padded
+#: into the stack of its outcome count: less than one more ``matrix_rows`` call costs.
+_PAD_FLOATS = 2**12
 
-def _pair_matrices(family: CandidateFamily, w: np.ndarray, rows, cols) -> Iterator[np.ndarray]:
-    """[family(p_t, A_ti, B_tj)] at each point of the stack ``w`` (T, n), for
-    rows (T, r, n) and (T, c, n), yielded in point order; the caller checks
-    ``w``, as ``matrix_rows``'s does. The only family evaluator: a grammar
-    family evaluates all points in one ``matrix_rows`` call at the first
-    ``next``; a plugin, or a subclass that may override ``__call__``, is
-    called pair by pair at one point per ``next``, in the order of a loop that
-    evaluates each point when it reaches it, and its values are read as floats.
-    """
+
+class _Phase:
+    """The pair matrices a grammar family is asked for in one probe phase. A
+    request waits until it is first read; then the waiting requests of its
+    outcome count N are evaluated with it by one ``matrix_rows`` call, rows and
+    columns zero-padded to the largest, but one of more than ``_PAD_FLOATS``
+    pair products per point goes alone, so padding never multiplies the work at
+    large n. Each entry keeps its own contiguous length-N sums: no bit moves."""
+
+    def __init__(self, family: CandidateFamily):
+        self.family, self.requests, self.keys, self.groups = family, [], [], {}
+
+    def request(self, w: np.ndarray, rows, cols) -> Iterator[np.ndarray]:
+        n, r, c = w.shape[1], rows.shape[1], cols.shape[1]
+        self.keys.append(n if n * r * c <= _PAD_FLOATS else (len(self.keys),))
+        self.requests.append([w, rows, cols])
+        return self._read(len(self.keys) - 1)
+
+    def _read(self, index: int) -> Iterator[np.ndarray]:
+        if len(self.requests[index]) == 3:
+            if len(self.groups) < len(self.keys):
+                self.groups = {i: group for group in by_shape(self.keys) for i in group}
+            self._evaluate([self.requests[i] for i in self.groups[index] if len(self.requests[i]) == 3])
+        yield self.requests[index].pop()
+
+    def _evaluate(self, group: list[list]) -> None:
+        shapes = [(rows.shape[1], cols.shape[1]) for _, rows, cols in group]
+        ends = list(accumulate(len(w) for w, _, _ in group))
+        stacks = group[0]
+        if len(group) > 1:
+            n, (r, c) = group[0][0].shape[1], map(max, zip(*shapes))
+            stacks = np.empty((ends[-1], n)), np.zeros((ends[-1], r, n)), np.zeros((ends[-1], c, n))
+            for (w, rows, cols), (r, c), start, end in zip(group, shapes, [0, *ends], ends):
+                stacks[0][start:end], stacks[1][start:end, :r], stacks[2][start:end, :c] = w, rows, cols
+        values = self.family.matrix_rows(*stacks)
+        for request, (r, c), start, end in zip(group, shapes, [0, *ends], ends):
+            request[:] = [values[start:end, :r, :c]]
+
+
+@lru_cache(maxsize=256)
+def _uniform_weights(n: int) -> np.ndarray:
+    """The checked weights (1, n) of the uniform point on n outcomes, read-only."""
+    w = require_weights(np.full((1, n), 1.0 / n))
+    w.flags.writeable = False
+    return w
+
+
+def _pair_matrices(family: CandidateFamily, w: np.ndarray, rows, cols, phase: _Phase | None = None):
+    """[family(p_t, A_ti, B_tj)] at each point of the stack ``w`` (T, n), for rows (T, r, n)
+    and (T, c, n), yielded as stacks (t, r, c) in point order; the caller checks ``w``. The
+    only family evaluator: a grammar family's points are one request of ``phase`` (by default
+    a phase of their own); a plugin, or a subclass that may override ``__call__``, is called
+    pair by pair at one point per ``next``, and its values are read as floats."""
     if type(family) is CandidateFamily:
-        yield from family.matrix_rows(w, rows, cols)
-        return
-    for w_t, rows_t, cols_t in zip(w, rows, cols):
-        p = new_distribution(SampleSpace(w_t.size), w_t)
-        left = [RandomVariable(p.space, row) for row in rows_t]
-        right = [RandomVariable(p.space, col) for col in cols_t]
-        yield np.array([[family(p, a, b) for b in right] for a in left], dtype=float)
+        return (phase or _Phase(family)).request(w, rows, cols)
+    return (_plugin_matrix(family, *point) for point in zip(w, rows, cols))
 
 
-def _indicator_witness(
-    kind: str, family: CandidateFamily, sizes: tuple[int, int], pair: tuple[int, int],
-    sides: tuple[np.ndarray, np.ndarray], gap: float, detail: str, **inputs,
-) -> Witness:
+def _plugin_matrix(family, w: np.ndarray, rows, cols) -> np.ndarray:
+    p = new_distribution(SampleSpace(w.size), w)
+    left, right = ([RandomVariable(p.space, row) for row in side] for side in (rows, cols))
+    return np.array([[[family(p, a, b) for b in right] for a in left]], dtype=float)
+
+
+def _lifted_pair_matrix(family: CandidateFamily, n: int, counts, phase: _Phase):
+    """The uniform indicator pair matrix on n points lifted through the map collapsing blocks of ``counts``
+    (one count, or one per point), requested of ``phase`` with boolean rows: an eighth of their floats."""
+    lifts = np.repeat(np.eye(n, dtype=bool), counts, axis=1)[None]
+    return _pair_matrices(family, _uniform_weights(lifts.shape[2]), lifts, lifts, phase)
+
+
+def _indicator_witness(kind: str, family: CandidateFamily, sizes: tuple[int, int], pair: tuple[int, int],
+                       sides: tuple[np.ndarray, np.ndarray], gap: float, detail: str, **inputs) -> Witness:
     """A probe witness on the indicator pair (i, j) of an m-point space, its
     sides read at (i, j); ``inputs`` are the point, surjection or constants."""
     (m, n), (i, j), (lhs, rhs) = sizes, pair, sides
     units = np.eye(m)
-    return Witness(
-        kind=kind, m=m, n=n, lhs=float(lhs[i, j]), rhs=float(rhs[i, j]), gap=gap,
-        a=_floats(units[i]), b=_floats(units[j]), family=family.name, detail=detail,
-        **inputs,
-    )
+    return Witness(kind=kind, m=m, n=n, lhs=float(lhs[i, j]), rhs=float(rhs[i, j]), gap=gap,
+                   a=_floats(units[i]), b=_floats(units[j]), family=family.name, detail=detail, **inputs)
 
 
-def _first_worst(gaps: np.ndarray) -> tuple[float, int, int]:
-    """The largest gap and its first position in row-major order, as a
-    strict ``gap > worst`` scan from 0.0 finds them: NaN gaps are skipped."""
-    scan = np.where(np.isnan(gaps), 0.0, gaps)
-    i, j = np.unravel_index(int(np.argmax(scan)), scan.shape)
-    return float(scan[i, j]), int(i), int(j)
+def _first_worst(gaps: np.ndarray) -> tuple[list[float], list[int], list[int]]:
+    """The largest gap of each matrix of the stack (T, r, c) and its first
+    position in row-major order, as a strict ``gap > worst`` scan from 0.0
+    finds them: NaN gaps are skipped."""
+    scan = np.where(np.isnan(gaps), 0.0, gaps).reshape(len(gaps), -1)
+    i, j = np.divmod(scan.argmax(axis=1), gaps.shape[2])
+    return scan.max(axis=1).tolist(), i.tolist(), j.tolist()
+
+
+def _fold(gaps: np.ndarray) -> float:
+    """Python's ``max(worst, gap)`` folded over the gaps from 0.0: the largest, NaN skipped."""
+    return float(np.fmax.reduce(gaps, axis=None, initial=0.0))
 
 
 class _ProbeVerdict:
@@ -660,37 +696,37 @@ class UniformProbeResult(_ProbeVerdict):
 def probe_uniform(family: CandidateFamily, n: int) -> UniformProbeResult:
     """Step (a): indicator matrix at the uniform point must be a*I + b*ones."""
     require_integer(n, "n")
-    return _probe_uniform(family, n)[0]
+    return _uniform_table(family, [n], _Phase(family))(n)[0]
 
 
-def _probe_uniform(family: CandidateFamily, n: int) -> tuple[UniformProbeResult, np.ndarray]:
-    """``probe_uniform`` and the indicator matrix it evaluated."""
-    if n < 2:
+def _uniform_table(family: CandidateFamily, sizes, phase: _Phase) -> Callable[[int], tuple]:
+    """``probe_uniform`` at each of ``sizes``, with the indicator matrix it
+    evaluated: the matrices are requested of ``phase`` now, and each size is
+    probed once, when it is first read."""
+    if min(sizes) < 2:
         raise InvalidParameter("probe needs n >= 2")
-    matrix, _ = _lifted_pair_matrix(family, np.ones(n, int))
-    off_mask = ~np.eye(n, dtype=bool)
-    b = float(np.mean(matrix[off_mask]))
-    a = float(np.mean(np.diag(matrix))) - b
-    model = a * np.eye(n) + b
-    residuals = np.abs(matrix - model)
-    worst = float(np.max(residuals))
-    witness = None
-    if worst > VIOLATION_TOL:
-        i, j = np.unravel_index(int(np.argmax(residuals)), residuals.shape)
-        witness = _indicator_witness(
-            "uniform_shape", family, (n, n), (i, j), (matrix, model), worst,
-            f"indicator pair ({i + 1}, {j + 1}) breaks permutation symmetry",
-            point=_floats(np.full(n, 1.0 / n)),
-        )
-    return UniformProbeResult(n, a, b, worst, witness), matrix
+    requests = {n: _lifted_pair_matrix(family, n, 1, phase) for n in sizes}
 
+    @cache
+    def probe(n: int) -> tuple[UniformProbeResult, np.ndarray]:
+        matrix = next(requests[n])[0]
+        off_mask = ~np.eye(n, dtype=bool)
+        b = float(np.mean(matrix[off_mask]))
+        a = float(np.mean(np.diag(matrix))) - b
+        model = a * np.eye(n) + b
+        residuals = np.abs(matrix - model)
+        worst = float(np.max(residuals))
+        witness = None
+        if worst > VIOLATION_TOL:
+            i, j = np.unravel_index(int(np.argmax(residuals)), residuals.shape)
+            witness = _indicator_witness(
+                "uniform_shape", family, (n, n), (i, j), (matrix, model), worst,
+                f"indicator pair ({i + 1}, {j + 1}) breaks permutation symmetry",
+                point=_floats(np.full(n, 1.0 / n)),
+            )
+        return UniformProbeResult(n, a, b, worst, witness), matrix
 
-def _lifted_pair_matrix(family: CandidateFamily, counts) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The uniform indicator pair matrix lifted through the map collapsing blocks of ``counts``; the map."""
-    map0 = np.repeat(np.arange(len(counts)), counts)
-    lifts = np.eye(len(counts))[None, :, map0]
-    uniform = in_trial_order(require_weights, np.full((1, map0.size), 1.0 / map0.size))
-    return next(_pair_matrices(family, uniform, lifts, lifts)), tuple(map0.tolist())
+    return probe
 
 
 @dataclass(frozen=True)
@@ -712,29 +748,30 @@ def probe_consistency(family: CandidateFamily, m: int, n: int) -> ConsistencyPro
     """
     require_integer(m, "m")
     require_integer(n, "n")
-    return _probe_consistency(family, m, n, partial(_probe_uniform, family))
-
-
-def _probe_consistency(
-    family: CandidateFamily, m: int, n: int, uniform_at: Callable[[int], tuple]
-) -> ConsistencyProbeResult:
-    """``probe_consistency`` with ``_probe_uniform(family, k)`` read from ``uniform_at(k)``."""
     if m < 2 or n < 2:
         raise InvalidParameter("probe needs m, n >= 2")
+    phase = _Phase(family)
+    lift = _lifted_pair_matrix(family, n, m, phase)
+    return _probe_consistency(family, m, n, _uniform_table(family, [n, m * n], phase), lift)
+
+
+def _probe_consistency(family: CandidateFamily, m: int, n: int, uniform_at: Callable, lift: Iterator):
+    """``probe_consistency`` with the uniform probes read from a ``_uniform_table``
+    and the lift from a ``_lifted_pair_matrix``."""
     small, lhs = uniform_at(n)
     if small.witness is not None:
         return ConsistencyProbeResult(m, n, 0.0, 0.0, small.max_residual, small.witness)
     big, _ = uniform_at(m * n)
     if big.witness is not None:
         return ConsistencyProbeResult(m, n, 0.0, 0.0, big.max_residual, big.witness)
-    rhs, surjection = _lifted_pair_matrix(family, np.full(n, m))
-    worst, i, j = _first_worst(np.abs(lhs - rhs))
+    rhs = next(lift)[0]
+    (worst,), (i,), (j,) = _first_worst(np.abs(lhs - rhs)[None])
     witness = None
     if worst > VIOLATION_TOL:
         witness = _indicator_witness(
             "cross_dimension", family, (n, m * n), (i, j), (lhs, rhs), worst,
             f"lift of indicator pair ({i + 1}, {j + 1}) changes the uniform evaluation",
-            surjection=surjection,
+            surjection=tuple(np.repeat(np.arange(n), m).tolist()),
         )
     c1_small, c2_small = n * small.a, n * n * small.b
     c1_big, c2_big = m * n * big.a, (m * n) ** 2 * big.b
@@ -745,13 +782,12 @@ def _probe_consistency(
 def rationalize(p: Distribution, denominator_bound: int) -> tuple[int, np.ndarray]:
     """Smallest common denominator representation p(i) = k_i / m, m <= bound:
     ``_rationalize_rows`` on a batch of one."""
-    return next(_rationalize_rows(p.weights[None], denominator_bound))
+    return _rationalize_rows(p.weights[None], denominator_bound)[0]
 
 
-def _rationalize_rows(points: np.ndarray, denominator_bound: int) -> Iterator[tuple[int, np.ndarray]]:
-    """``rationalize`` at each point of the stack ``points`` (T, n), yielded
-    in point order; a point with no representation raises ``NotRational``
-    when it is reached.
+def _rationalize_rows(points: np.ndarray, denominator_bound: int) -> list[tuple[int, np.ndarray]]:
+    """``rationalize`` at each point of the stack ``points`` (T, n), in point
+    order, or ``NotRational`` if a point has no representation.
 
     Scans the denominators n, n + 1, ... in blocks of ``_RATIONALIZE_BLOCK``,
     each block over every point not matched by an earlier block, and stops
@@ -776,12 +812,9 @@ def _rationalize_rows(points: np.ndarray, denominator_bound: int) -> Iterator[tu
         first = np.argmax(hits[matched], axis=1)
         denominators[unmatched[matched]] = ms[first, 0]
         counts[unmatched[matched]] = block[matched, first]
-    for denominator, row in zip(denominators.tolist(), counts):
-        if not denominator:
-            raise NotRational(
-                f"no rational representation with denominator <= {denominator_bound}"
-            )
-        yield denominator, row
+    if not denominators.all():
+        raise NotRational(f"no rational representation with denominator <= {denominator_bound}")
+    return list(zip(denominators.tolist(), counts))
 
 
 def _fit_constants(w: np.ndarray, matrix: np.ndarray) -> tuple[float, float]:
@@ -803,12 +836,8 @@ class RationalProbeResult(_ProbeVerdict):
     witness: Witness | None
 
 
-def probe_rational(
-    family: CandidateFamily,
-    p: Distribution,
-    denominator_bound: int,
-    constants: tuple[float, float],
-) -> RationalProbeResult:
+def probe_rational(family: CandidateFamily, p: Distribution, denominator_bound: int,
+                   constants: tuple[float, float]) -> RationalProbeResult:
     """Step (c): the decomposition extends to rational points.
 
     Builds the partition surjection from the uniform space over the common
@@ -817,58 +846,59 @@ def probe_rational(
     ``constants = (c1, c2)``. This is ``_rational_probes`` on a batch of one.
     """
     require_integer(denominator_bound, "denominator_bound")
-    return next(_rational_probes(family, p.weights[None], denominator_bound, constants))
+    return next(_rational_probes(family, p.weights[None], denominator_bound, constants, _Phase(family)))
 
 
-def _rational_probes(
-    family: CandidateFamily, points: np.ndarray, denominator_bound: int,
-    constants: tuple[float, float],
-) -> Iterator[RationalProbeResult]:
-    """``probe_rational`` at each point of the checked stack ``points`` (T, n),
-    yielded in point order: the denominators come from one
-    ``_rationalize_rows`` scan, the value matrices from one
-    ``_pair_matrices`` stack and the targets from one product, while each
-    point's lifted matrix is its own, over its own denominator. A caller that
-    stops at the first witness evaluates a plugin family at no later point.
+def _rational_probes(family: CandidateFamily, points: np.ndarray, denominator_bound: int,
+                     constants: tuple[float, float], phase: _Phase) -> Iterator[RationalProbeResult]:
+    """``probe_rational`` at each point of the checked stack ``points`` (T, n), yielded
+    in point order. The denominators come from one ``_rationalize_rows`` scan, and the
+    value matrices and each point's lifted matrix, over its own denominator, are
+    requested of ``phase`` now. The gaps of each stack ``_pair_matrices`` yields are
+    found at once, so a plugin family is evaluated at no point past the first witness.
     """
-    count, n = points.shape
-    c1, c2 = constants
-    units = np.broadcast_to(np.eye(n), (count, n, n))
-    values = _pair_matrices(family, points, units, units)
-    diagonals = points[:, :, None] * np.eye(n)
-    targets = c1 * diagonals + c2 * (points[:, :, None] * points[:, None, :])
+    n = points.shape[1]
     found = _rationalize_rows(points, denominator_bound)
-    for w, (denominator, counts), target in zip(points, found, targets):
-        value = next(values)
-        lifted, surjection = _lifted_pair_matrix(family, counts)
-        to_lift, to_target = np.abs(value - lifted), np.abs(value - target)
-        # Python's max(to_lift, to_target): the first unless the second is larger
-        # (np.maximum would differ on NaN)
-        worst, i, j = _first_worst(np.where(to_target > to_lift, to_target, to_lift))
-        witness = None
-        if worst > VIOLATION_TOL:
-            rhs = lifted if to_lift[i, j] >= to_target[i, j] else target
-            witness = _indicator_witness(
-                "rational_point", family, (n, denominator), (i, j), (value, rhs),
-                worst, f"D={denominator_bound}",
-                surjection=surjection, point=_floats(w), constants=(float(c1), float(c2)),
-            )
-        yield RationalProbeResult(
-            n, denominator, tuple(int(c) for c in counts), float(c1), float(c2), worst, witness
-        )
+    units = np.broadcast_to(np.eye(n), (len(points), n, n))
+    values = _pair_matrices(family, points, units, units, phase)
+    lifts = [_lifted_pair_matrix(family, n, counts, phase) for _, counts in found]
+    c1, c2 = map(float, constants)
+    targets = c1 * (points[:, :, None] * np.eye(n)) + c2 * (points[:, :, None] * points[:, None, :])
+
+    def results(start: int = 0) -> Iterator[RationalProbeResult]:
+        for value in values:
+            part = range(start, start + len(value))
+            lifted = np.concatenate([next(lifts[t]) for t in part])
+            to_lift, to_target = np.abs(value - lifted), np.abs(value - targets[part])
+            # Python's max(to_lift, to_target): the first unless the second is larger
+            # (np.maximum would differ on NaN)
+            gaps = np.where(to_target > to_lift, to_target, to_lift)
+            for k, (t, worst, i, j) in enumerate(zip(part, *_first_worst(gaps))):
+                (denominator, counts), witness = found[t], None
+                if worst > VIOLATION_TOL:
+                    rhs = lifted[k] if to_lift[k, i, j] >= to_target[k, i, j] else targets[t]
+                    witness = _indicator_witness(
+                        "rational_point", family, (n, denominator), (i, j), (value[k], rhs), worst,
+                        f"D={denominator_bound}", point=_floats(points[t]), constants=(c1, c2),
+                        surjection=tuple(np.repeat(np.arange(n), counts).tolist()),
+                    )
+                yield RationalProbeResult(n, denominator, tuple(counts.tolist()), c1, c2, worst, witness)
+            start = part.stop
+
+    return results()
 
 
-def _best_rational_approximation(weights: np.ndarray, denominator_bound: int) -> np.ndarray:
-    """The weights of the closest point with a common denominator <= the
-    bound (largest-remainder); the caller checks them.
+def _best_rational_approximations(weights: np.ndarray, bounds: list[int]) -> np.ndarray:
+    """The weights (len(bounds), n) of the closest point with a common
+    denominator <= each bound (largest-remainder); the caller checks them.
 
     Each denominator m starts from floor(w m), at least 1 per weight, gives
     a deficit to the largest remainders and takes an excess greedily from the
-    largest floor - w m, down to 1 each; the first m with the smallest error
-    wins. One pass over (bound - n + 1, n) arrays: callers pass bounds <= 64.
-    """
+    largest floor - w m, down to 1 each; for each bound, the first m of its
+    prefix with the smallest error wins. One pass over (max bound - n + 1, n)
+    arrays, a row per m: callers pass bounds <= 64."""
     n = weights.shape[0]
-    ms = np.arange(n, denominator_bound + 1)[:, None]
+    ms = np.arange(n, max(bounds, default=0) + 1)[:, None]
     scaled = weights * ms
     floors = np.maximum(np.floor(scaled).astype(int), 1)
     deficit = ms - floors.sum(axis=1, keepdims=True)
@@ -879,29 +909,32 @@ def _best_rational_approximation(weights: np.ndarray, denominator_bound: int) ->
     counts = np.empty_like(floors)
     np.put_along_axis(counts, order, excess + 1 + steps, axis=1)
     approx = counts / ms
-    return approx[np.argmin(np.max(np.abs(weights - approx), axis=1))]
+    errors = np.max(np.abs(weights - approx), axis=1)
+    return approx[[int(np.argmin(errors[: max(bound - n + 1, 0)])) for bound in bounds]].reshape(-1, n)
 
 
-def _continuity_errors(family: CandidateFamily, spot: np.ndarray, bounds: list[int]) -> list[float]:
-    """Step (d): distance from the constants fitted at the spot's weights to
-    those fitted at its best rational approximation, per denominator bound.
-    The spot is checked first, then its approximations; the indicator
-    matrices of all the points come from one ``_pair_matrices`` stack; each
-    point is fitted on its own."""
+def _continuity_errors(family: CandidateFamily, spot: np.ndarray, bounds: list[int], phase=None) -> Iterator:
+    """Step (d): distance from the constants fitted at the spot's weights to those fitted at its
+    best rational approximation, per denominator bound, yielded in bound order. The spot is checked
+    first, then its approximations; the indicator matrices of all the points are one request of
+    ``phase``, made now, and each point is fitted on its own when read."""
     in_trial_order(require_weights, spot[None])
-    points = np.array([spot, *(_best_rational_approximation(spot, bound) for bound in bounds)])
-    in_trial_order(require_weights, points[1:])
-    n = spot.size
-    units = np.broadcast_to(np.eye(n), (len(points), n, n))
-    matrices = _pair_matrices(family, points, units, units)
-    spot_fit, *fits = (np.array(_fit_constants(w, matrix)) for w, matrix in zip(points, matrices))
-    return [float(np.max(np.abs(fit - spot_fit))) for fit in fits]
+    approximations = in_trial_order(require_weights, _best_rational_approximations(spot, bounds))
+    points = np.concatenate([spot[None], approximations])
+    units = np.broadcast_to(np.eye(spot.size), (len(points), spot.size, spot.size))
+    matrices = chain.from_iterable(_pair_matrices(family, points, units, units, phase))
+    fits = map(_fit_constants, points, matrices)
+
+    def errors() -> Iterator[float]:
+        spot_fit = np.array(next(fits))
+        for fit in fits:
+            yield float(np.max(np.abs(np.array(fit) - spot_fit)))
+
+    return errors()
 
 
 def _format_constant(value: float) -> str:
-    if value == int(value):
-        return str(int(value))
-    return repr(value)
+    return str(int(value)) if value == int(value) else repr(value)
 
 
 @dataclass(frozen=True)
@@ -922,40 +955,31 @@ class CharacterizeResult:
 
     def to_json(self) -> dict:
         return {
-            "family": self.family,
-            "c1": self.c1,
-            "c2": self.c2,
-            "ii1_holds": self.ii1_holds,
-            "verdict": self.verdict,
+            **{f.name: getattr(self, f.name) for f in fields(self)},
             "witness": None if self.witness is None else self.witness.to_json(),
-            "constants_by_n": {
-                str(n): list(c) for n, c in sorted(self.constants_by_n.items())
-            },
+            "constants_by_n": {str(n): list(c) for n, c in sorted(self.constants_by_n.items())},
             "continuity_errors": list(self.continuity_errors),
-            "note": self.note,
         }
 
 
 def _witness_result(family_name: str, witness: Witness) -> CharacterizeResult:
-    return CharacterizeResult(
-        family=family_name,
-        c1=float("nan"),
-        c2=float("nan"),
-        ii1_holds=False,
-        verdict="witness",
-        witness=witness,
-        constants_by_n={},
-        continuity_errors=(),
-        note="a counterexample was found before the decomposition completed",
-    )
+    return CharacterizeResult(family_name, float("nan"), float("nan"), False, "witness", witness, {}, (),
+                              "a counterexample was found before the decomposition completed")
 
 
 def check_bilinearity(family: CandidateFamily, n: int, seed: int) -> float:
-    """Largest bilinearity defect over ``_BILINEARITY_TRIALS`` random triples;
-    grammar families satisfy it by construction, plugin evaluators may not.
-    Each trial reads its six values as one 3x1 and one 1x3 pair matrix, and
-    the trials are drawn first, their points checked once, then evaluated as
-    one ``_pair_matrices`` stack per side."""
+    """Largest bilinearity defect over ``_BILINEARITY_TRIALS`` random triples; grammar families
+    satisfy it by construction, plugin evaluators may not. Each trial reads its six values as one
+    3x1 and one 1x3 pair matrix; the trials are drawn first, their points checked once, then
+    evaluated as one ``_pair_matrices`` stack per side."""
+    require_integer(n, "n")
+    require_seed(seed)
+    return _bilinearity(family, n, seed, _Phase(family))()
+
+
+def _bilinearity(family: CandidateFamily, n: int, seed: int, phase: _Phase) -> Callable[[], float]:
+    """``check_bilinearity``'s draws, both sides requested of ``phase`` now,
+    and its defect, read and folded when called."""
     rng = np.random.default_rng(seed)
     draws = []
     for _ in range(_BILINEARITY_TRIALS):
@@ -965,12 +989,14 @@ def check_bilinearity(family: CandidateFamily, n: int, seed: int) -> float:
         draws.append((w, np.array([s * a1 + t * a2, a1, a2]), b[None], s, t))
     w, rows, b, s, t = (np.array(column) for column in zip(*draws))
     in_trial_order(require_weights, w)
-    worst = 0.0
-    sides = zip(_pair_matrices(family, w, rows, b), _pair_matrices(family, w, b, rows))
-    for (left, right), s_t, t_t in zip(sides, s, t):
-        for at_combo, at_a1, at_a2 in (left[:, 0], right[0]):
-            worst = max(worst, abs(at_combo - s_t * at_a1 - t_t * at_a2))
-    return worst
+    sides = zip(_pair_matrices(family, w, rows, b, phase), _pair_matrices(family, w, b, rows, phase))
+
+    def defect() -> float:
+        left, right = (np.concatenate(side) for side in zip(*sides))
+        at = np.stack([left[:, :, 0], right[:, 0]], axis=1)  # (T, side, (s a1 + t a2, a1, a2))
+        return _fold(abs(at[..., 0] - s[:, None] * at[..., 1] - t[:, None] * at[..., 2]))
+
+    return defect
 
 
 def _flatten_dirichlet(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -979,19 +1005,17 @@ def _flatten_dirichlet(rng: np.random.Generator, n: int) -> np.ndarray:
     return interior_rows(rng.dirichlet(np.ones(n)), min(_DIRICHLET_FLOOR, 0.5 / n))
 
 
-def characterize(
-    family: CandidateFamily | str,
-    n_max: int = 6,
-    denominator_bound: int = 64,
-    trials: int = 8,
-    seed: int = 0,
-) -> CharacterizeResult:
+def characterize(family: CandidateFamily | str, n_max: int = 6, denominator_bound: int = 64, trials: int = 8,
+                 seed: int = 0) -> CharacterizeResult:
     """Run probe steps (a)-(d) and decide the decomposition of a family.
 
     Returns the constants (c1, c2) with the kill-constants flag and a
     verdict, or the first witness found. The verdict claims consistency
     with the decomposition on the sampled evidence only: continuity in p
-    can be spot-checked, not proved, at desk scale.
+    can be spot-checked, not proved, at desk scale. Phase 1 requests the
+    bilinearity checks, the uniform probes and the consistency lifts, phase 2
+    the rational points and their lifts, the ii1 and the continuity points;
+    each phase decides its steps in order once all are drawn.
     """
     if isinstance(family, str):
         family = parse_family(family)
@@ -1000,63 +1024,53 @@ def characterize(
     require_seed(seed)
     # a rational point on n outcomes with positive weights k/D needs D >= n
     if n_max < 2 or denominator_bound < n_max or trials < 1:
-        raise InvalidParameter(
-            "characterize needs n_max >= 2, denominator_bound >= n_max and trials >= 1"
-        )
-    rng = np.random.default_rng(seed)
+        raise InvalidParameter("characterize needs n_max >= 2, denominator_bound >= n_max and trials >= 1")
+    rng, sizes, phase = np.random.default_rng(seed), range(2, n_max + 1), _Phase(family)
 
-    for n in range(2, n_max + 1):
-        case = {"family": family, "n": n, "seed": int(rng.integers(2**32))}
-        if check_bilinearity(**case) > VIOLATION_TOL:
-            return _witness_result(family.name, _bilinearity_witness(case))
-
-    # steps (a) and (b) evaluate each uniform indicator matrix once per run
-    uniform_at = cache(partial(_probe_uniform, family))
-    constants_by_n: dict[int, tuple[float, float]] = {}
-    for n in range(2, n_max + 1):
-        result, _ = uniform_at(n)
-        if result.witness is not None:
-            return _witness_result(family.name, result.witness)
-        constants_by_n[n] = (n * result.a, n * n * result.b)
-
-    # Cross-dimension consistency: link every n to 2n, and 2 to 2n, so all
-    # the constants are chained to the n = 2 values through block lifts.
-    for m, n in [(2, n) for n in range(2, n_max + 1)] + [
-        (n, 2) for n in range(3, n_max + 1)
-    ]:
-        result = _probe_consistency(family, m, n, uniform_at)
-        if result.witness is not None:
-            return _witness_result(family.name, result.witness)
+    # Cross-dimension consistency links every n to 2n, and 2 to 2n, so all the
+    # constants are chained to the n = 2 values through block lifts.
+    seeds = [int(rng.integers(2**32)) for _ in sizes]
+    defects = [_bilinearity(family, n, seed_n, phase) for n, seed_n in zip(sizes, seeds)]
+    uniform_at = _uniform_table(family, sorted({*sizes, *(2 * n for n in sizes)}), phase)
+    pairs = [(2, n) for n in sizes] + [(n, 2) for n in range(3, n_max + 1)]
+    lifts = [_lifted_pair_matrix(family, n, m, phase) for m, n in pairs]
+    witness = next(filter(None, chain(
+        (_bilinearity_witness({"family": family, "n": n, "seed": seed_n})
+         for n, seed_n, defect in zip(sizes, seeds, defects) if defect() > VIOLATION_TOL),
+        (uniform_at(n)[0].witness for n in sizes),
+        (_probe_consistency(family, m, n, uniform_at, lift).witness for (m, n), lift in zip(pairs, lifts)),
+    )), None)
+    if witness is not None:
+        return _witness_result(family.name, witness)
+    constants_by_n = {n: (n * uniform_at(n)[0].a, n * n * uniform_at(n)[0].b) for n in sizes}
     c1, c2 = constants_by_n[2]
+    del defects, uniform_at, lifts  # phase 1's matrices go before phase 2 is drawn
 
-    # Steps (c) and ii1 draw the points of one size first, then evaluate
-    # them as one stack; the first witness in trial order is returned.
-    for n in range(2, n_max + 1):
+    # Steps (c) and ii1 draw the points of one size as one stack; step (d)
+    # fits constants at rational approximations of an irrational spot-check
+    # point, which converge to the fit at the point itself.
+    phase, rational, ii1 = _Phase(family), [], []
+    for n in sizes:
         points = []
         for _ in range(trials):
             denominator = int(rng.integers(n, denominator_bound + 1))
             points.append((rng.multinomial(denominator - n, np.full(n, 1.0 / n)) + 1) / denominator)
         points = in_trial_order(require_weights, np.array(points))
-        for result in _rational_probes(family, points, denominator_bound, (c1, c2)):
-            if result.witness is not None:
-                return _witness_result(family.name, result.witness)
-
-    ii1_worst = 0.0
-    for n in range(2, n_max + 1):
+        rational.append(_rational_probes(family, points, denominator_bound, (c1, c2), phase))
+    for n in sizes:
         count = max(2, trials // 2)
         draws = [(_flatten_dirichlet(rng, n), rng.normal(size=(1, n))) for _ in range(count)]
         w, a = (np.array(column) for column in zip(*draws))
-        for ii1 in _pair_matrices(family, in_trial_order(require_weights, w), a, np.ones((count, 1, n))):
-            ii1_worst = max(ii1_worst, abs(float(ii1[0, 0])))
-    ii1_holds = ii1_worst <= PASS_TOL
-
-    # Step (d) surrogate: fitted constants at rational approximations of an
-    # irrational spot-check point converge to the fit at the point itself.
-    n_spot = min(3, n_max)
-    irrational = np.sqrt(np.arange(2, 2 + n_spot, dtype=float))
-    spot = irrational / irrational.sum()
-    bounds = [b for b in (8, 16, 32, 64) if b <= denominator_bound]
-    continuity_errors = _continuity_errors(family, spot, bounds)
+        w = in_trial_order(require_weights, w)
+        ii1.append(_pair_matrices(family, w, a, np.ones((count, 1, n)), phase))
+    irrational = np.sqrt(np.arange(2, 2 + min(3, n_max), dtype=float))
+    spot, bounds = irrational / irrational.sum(), [b for b in (8, 16, 32, 64) if b <= denominator_bound]
+    continuity = _continuity_errors(family, spot, bounds, phase)
+    witness = next(filter(None, (result.witness for result in chain.from_iterable(rational))), None)
+    if witness is not None:
+        return _witness_result(family.name, witness)
+    ii1_holds = _fold(abs(np.concatenate(list(chain.from_iterable(ii1))))) <= PASS_TOL
+    continuity_errors = tuple(continuity)
     if continuity_errors and continuity_errors[-1] > VIOLATION_TOL:
         case = {"family": family, "spot": spot, "bound": bounds[-1]}
         return _witness_result(family.name, _continuity_witness(case))
@@ -1064,23 +1078,11 @@ def characterize(
     if ii1_holds and abs(c1 + c2) <= PASS_TOL:
         verdict = f"c*Cov with c={_format_constant(c1)}"
     else:
-        verdict = (
-            f"c1*L2 + c2*MM with (c1, c2) = "
-            f"({_format_constant(c1)}, {_format_constant(c2)})"
-        )
+        verdict = f"c1*L2 + c2*MM with (c1, c2) = ({_format_constant(c1)}, {_format_constant(c2)})"
     return CharacterizeResult(
-        family=family.name,
-        c1=c1,
-        c2=c2,
-        ii1_holds=ii1_holds,
-        verdict=verdict,
-        witness=None,
-        constants_by_n=constants_by_n,
-        continuity_errors=tuple(continuity_errors),
-        note=(
-            "consistent with the invariant decomposition on all sampled "
-            "dimensions and rational points; continuity spot-checked only"
-        ),
+        family.name, c1, c2, ii1_holds, verdict, None, constants_by_n, continuity_errors,
+        "consistent with the invariant decomposition on all sampled dimensions and rational points; "
+        "continuity spot-checked only",
     )
 
 
@@ -1185,20 +1187,15 @@ def _weak_invariance_case(witness: Witness) -> dict:
 
 def _bilinearity_witness(case: dict) -> Witness:
     defect = check_bilinearity(**case)
-    return Witness(
-        kind="bilinearity", m=case["n"], n=case["n"], lhs=defect, rhs=0.0, gap=defect,
-        family=case["family"].name, detail=f"seed={case['seed']}",
-    )
+    return Witness(kind="bilinearity", m=case["n"], n=case["n"], lhs=defect, rhs=0.0, gap=defect,
+                   family=case["family"].name, detail=f"seed={case['seed']}")
 
 
 def _continuity_witness(case: dict) -> Witness:
-    error = _continuity_errors(case["family"], case["spot"], [case["bound"]])[0]
+    error = next(_continuity_errors(case["family"], case["spot"], [case["bound"]]))
     n = case["spot"].size
-    return Witness(
-        kind="continuity", m=n, n=n, lhs=error, rhs=0.0, gap=error,
-        point=_floats(case["spot"]), family=case["family"].name,
-        detail=f"D={case['bound']}",
-    )
+    return Witness(kind="continuity", m=n, n=n, lhs=error, rhs=0.0, gap=error, point=_floats(case["spot"]),
+                   family=case["family"].name, detail=f"D={case['bound']}")
 
 
 def _family_case(witness: Witness, **case) -> dict:

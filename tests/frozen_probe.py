@@ -495,6 +495,13 @@ PLUGINS = [
         "holey",
         lambda w, a, b: math.nan if w.size > 3 and a[-1] * b[-1] else float(np.sum(w**2 * a * b)),
     ),
+    # the covariance, but NaN on the pairs of random rows (the bilinearity and
+    # ii1 points) whose first values rise: the folds of the bilinearity defect
+    # and of ii1 must skip NaN, as Python's max from 0.0 did
+    Plugin(
+        "nan_folds",
+        lambda w, a, b: math.nan if a[0] < b[0] and not np.isin(a, (0.0, 1.0)).all() else _cov(w, a, b),
+    ),
 ]
 
 

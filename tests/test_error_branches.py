@@ -18,7 +18,7 @@ from fishergeo.connections import (
 from fishergeo.errors import BadSize, FisherGeoError, InvalidParameter, RankDeficient, SizeMismatch
 from fishergeo.families import parse_family
 from fishergeo.geometry import CotangentVector, TangentVector
-from fishergeo.markov import random_channel, random_channel_kernels
+from fishergeo.markov import random_channel, random_channel_kernels, random_surjection, random_surjection_map
 from fishergeo.models import (
     FisherMatrix,
     ParametricModel,
@@ -28,7 +28,7 @@ from fishergeo.models import (
     unbiased_estimators_kernel,
 )
 from fishergeo.simplex import Distribution, RandomVariable, SampleSpace, sample_interior
-from fishergeo.verify import characterize, probe_consistency, probe_rational, probe_uniform
+from fishergeo.verify import characterize, check_bilinearity, probe_consistency, probe_rational, probe_uniform
 
 
 def dist(*weights: float) -> Distribution:
@@ -62,12 +62,24 @@ SEEDS = (-1, 1.5, False)
       for call in (lambda seed=seed: sample_interior(SampleSpace(3), seed),
                    lambda seed=seed: random_channel(3, 2, seed),
                    lambda seed=seed: characterize(COV, seed=seed))),
+    (lambda: check_bilinearity(COV, 2.5, 0), InvalidParameter, "n must be an integer, not 2.5"),
+    (lambda: check_bilinearity(COV, True, 0), InvalidParameter, "n must be an integer, not True"),
+    (lambda: random_surjection_map(4.0, 2, 0), BadSize, "n must be an integer, not 4.0"),
+    (lambda: random_surjection_map(4, True, 0), BadSize, "m must be an integer, not True"),
+    *((call, InvalidParameter, f"seed must be a non-negative integer, not {seed!r}") for seed in SEEDS
+      for call in (lambda seed=seed: check_bilinearity(COV, 3, seed),
+                   lambda seed=seed: random_surjection_map(4, 2, seed),
+                   lambda seed=seed: random_surjection(4, 2, seed))),
 ], ids=[
     "coordinate_field-float", "coordinate_field-bool", "random_channel-size", "random_channel-bool",
     "probe_uniform", "probe_consistency", "probe_rational", "characterize-n_max",
     "characterize-denominator_bound", "characterize-trials",
     *(f"{name}-seed{seed!r}" for seed in SEEDS
       for name in ("sample_interior", "random_channel", "characterize")),
+    "check_bilinearity-size", "check_bilinearity-bool", "random_surjection_map-size",
+    "random_surjection_map-bool",
+    *(f"{name}-seed{seed!r}" for seed in SEEDS
+      for name in ("check_bilinearity", "random_surjection_map", "random_surjection")),
 ])
 def test_a_bad_size_index_or_seed_raises_a_package_error(call, error, message):
     """A size, index or seed that is not an integer (a bool included), or a

@@ -28,7 +28,7 @@ from fishergeo.families import CandidateFamily, parse_family
 from fishergeo.simplex import Distribution, RandomVariable, SampleSpace, new_distribution, uniform
 from fishergeo.verify import (
     Witness,
-    _best_rational_approximation,
+    _best_rational_approximations,
     _continuity_errors,
     _fit_constants,
     _pair_matrices,
@@ -67,7 +67,7 @@ pytestmark = pytest.mark.filterwarnings(
 
 def pair_matrix(family, p: Distribution, rows, cols) -> np.ndarray:
     """``_pair_matrices`` on a batch of one: the family's matrix at p."""
-    return next(_pair_matrices(family, p.weights[None], np.asarray(rows)[None], np.asarray(cols)[None]))
+    return next(_pair_matrices(family, p.weights[None], np.asarray(rows)[None], np.asarray(cols)[None]))[0]
 
 
 def uniform_table(family):
@@ -125,7 +125,8 @@ def rational_point(n: int, denominator: int, seed: int) -> Distribution:
 @example(family=parse_family("PK(-400)"), n=6)
 @example(family=parse_family("PK(400)"), n=6)
 def test_probe_uniform_bitwise(family, n):
-    assert outcome(verify._probe_uniform, family, n) == outcome(frozen_probe_uniform, family, n)
+    probe = verify._uniform_table(family, [n], verify._Phase(family))
+    assert outcome(probe, n) == outcome(frozen_probe_uniform, family, n)
     assert outcome(probe_uniform, family, n) == outcome(lambda: frozen_probe_uniform(family, n)[0])
 
 
@@ -161,12 +162,27 @@ def test_probe_rational_bitwise(family, n, data, seed, constants):
 
 
 @settings(max_examples=60, deadline=None)
+@given(family=FAMILIES, n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), constants=CONSTANTS)
+@example(family=Plugin("cov", _cov), n=3, seed=1, constants=(5.0, 0.0))
+@example(family=parse_family("COV"), n=4, seed=2, constants=(5.0, 0.0))
+def test_rational_probes_match_the_frozen_step_at_every_point(family, n, seed, constants):
+    """A stack of three rational points, read to its end: each point's result and
+    witness, whichever side it reads (the lift or, with constants far off, the
+    target), is the frozen step's at that point, for a grammar family's one stack
+    and for a plugin's stacks of one point."""
+    points = [rational_point(n, denominator, seed + k) for k, denominator in enumerate((n, 2 * n + 1, 24))]
+    stack = np.array([point.weights for point in points])
+    found = outcome(lambda: list(verify._rational_probes(family, stack, 30, constants, verify._Phase(family))))
+    assert found == outcome(lambda: [frozen_probe_rational(family, point, 30, constants) for point in points])
+
+
+@settings(max_examples=60, deadline=None)
 @given(family=FAMILIES, n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
 def test_continuity_errors_bitwise(family, n, seed):
     weights = 1e-3 + (1.0 - n * 1e-3) * np.random.default_rng(seed).dirichlet(np.ones(n))
     spot = new_distribution(SampleSpace(n), weights)
     bounds = [8, 16, 32]
-    assert outcome(_continuity_errors, family, spot.weights, bounds) == outcome(
+    assert outcome(lambda: list(_continuity_errors(family, spot.weights, bounds))) == outcome(
         frozen_continuity_errors, family, spot, bounds
     )
 
@@ -389,8 +405,9 @@ def test_rationalize_bitwise(n, data, seed, kind):
 )
 def test_best_rational_approximation_bitwise(n, seed, kind, denominator):
     """The one-pass denominator scan picks the loop's counts at every bound
-    its callers pass: interior points, weights pushed to 1e-6, and exact
-    rationals k/D, whose remainders tie."""
+    its callers pass, each from its prefix of the scan at the largest bound:
+    interior points, weights pushed to 1e-6, and exact rationals k/D, whose
+    remainders tie."""
     rng = np.random.default_rng(seed)
     if kind == "dirichlet":
         weights = 1e-3 + (1.0 - n * 1e-3) * rng.dirichlet(np.ones(n))
@@ -398,10 +415,10 @@ def test_best_rational_approximation_bitwise(n, seed, kind, denominator):
         weights = 1e-6 + (1.0 - n * 1e-6) * rng.dirichlet(np.full(n, 0.05))
     else:
         weights = rational_point(n, denominator, seed).weights
-    for bound in (8, 16, 32, 64):
-        assert bits(_best_rational_approximation(weights, bound)) == bits(
-            frozen_best_rational_approximation(weights, bound)
-        )
+    bounds = [8, 16, 32, 64]
+    assert bits(_best_rational_approximations(weights, bounds)) == bits(
+        [frozen_best_rational_approximation(weights, bound) for bound in bounds]
+    )
 
 
 def test_rationalize_scans_past_the_first_block():
@@ -416,16 +433,55 @@ def test_rationalize_scans_past_the_first_block():
 
 @pytest.mark.parametrize("n_max, calls", [(6, 8), (5, 7), (4, 5)])
 def test_characterize_evaluates_each_uniform_matrix_once(monkeypatch, n_max, calls):
-    """Each size 2..n_max and 2n is probed once; an order that probed both
-    sizes of every consistency pair again made 23 probes at n_max 6."""
+    """Each size 2..n_max and 2n is requested once, as the uniform lift of
+    one count per point; an order that probed both sizes of every
+    consistency pair again made 23 probes at n_max 6."""
     sizes = []
-    probe = verify._probe_uniform
+    lifted = verify._lifted_pair_matrix
 
-    def counted(family, n):
-        sizes.append(n)
-        return probe(family, n)
+    def counted(family, n, counts, phase):
+        if np.ndim(counts) == 0 and counts == 1:
+            sizes.append(n)
+        return lifted(family, n, counts, phase)
 
-    monkeypatch.setattr(verify, "_probe_uniform", counted)
+    monkeypatch.setattr(verify, "_lifted_pair_matrix", counted)
     assert characterize(parse_family("COV"), n_max=n_max).passed
     expected = sorted({*range(2, n_max + 1), *(2 * n for n in range(2, n_max + 1))})
     assert sorted(sizes) == expected and len(expected) == calls
+
+
+#: family -> (matrix_rows calls of one characterize call at the probe
+#: workload's sizes, n_max 5, bound 32, trials 4, seed 0; why exactly that many).
+MATRIX_ROWS_CALLS = {
+    "COV": (
+        19,
+        "phase 1 makes one call per outcome count: 2..5 (the bilinearity points and the uniform "
+        "probes) and 6, 8, 10 (the uniform probes at 2n and the lifts); phase 2 one call for each "
+        "of 2..5 (the rational, ii1 and continuity points) and one for each of the 8 other "
+        "denominators of the rational points' lifts, 7, 11, 15, 19, 21, 26, 28 and 30",
+    ),
+    "PK(2)": (
+        4,
+        "the bilinearity checks read the calls at 2..5, which hold the uniform probes at 2..5 and "
+        "the lift from 4 to 2 points; its witness ends the run before 6, 8 or 10 are read",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(MATRIX_ROWS_CALLS))
+def test_characterize_makes_one_matrix_rows_call_per_outcome_count(monkeypatch, family):
+    """A grammar family's phase is evaluated by one ``matrix_rows`` call per
+    outcome count it reads; one call per step made 47 for COV and 13 for
+    PK(2), so a fall back to stacks per step raises the count."""
+    sizes = []
+    matrix_rows = CandidateFamily.matrix_rows
+
+    def counted(self, w, rows_a, rows_b):
+        sizes.append(w.shape[1])
+        return matrix_rows(self, w, rows_a, rows_b)
+
+    monkeypatch.setattr(CandidateFamily, "matrix_rows", counted)
+    result = characterize(family, n_max=5, denominator_bound=32, trials=4, seed=0)
+    assert result.passed == (family == "COV")
+    calls, _ = MATRIX_ROWS_CALLS[family]
+    assert len(sizes) == calls

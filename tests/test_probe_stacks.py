@@ -490,6 +490,16 @@ def characterize_outcome(run, family, n_max, bound, trials, seed):
 @example(family="PK(-40)", n_max=6, bound=64, trials=8, seed=0)
 @example(family=PLUGINS[0], n_max=4, bound=16, trials=2, seed=1)
 @example(family=PLUGINS[2], n_max=4, bound=16, trials=2, seed=5)  # a witness at the second point of its stack
+@example(family=PLUGINS[4], n_max=5, bound=32, trials=4, seed=3)
+@example(family=PLUGINS[4], n_max=3, bound=8, trials=1, seed=0)
+@example(family="COV", n_max=5, bound=32, trials=4, seed=242)
+@example(family="L2", n_max=5, bound=32, trials=4, seed=495)
+@example(family="MM", n_max=5, bound=32, trials=4, seed=717)
+@example(family="2*COV", n_max=5, bound=32, trials=4, seed=189)
+@example(family="1*L2 + 0.5*MM", n_max=5, bound=32, trials=4, seed=318)
+@example(family="PK(2)", n_max=5, bound=32, trials=4, seed=490)
+@example(family="PK(-1)", n_max=5, bound=32, trials=4, seed=841)
+@example(family="PK(3)", n_max=5, bound=32, trials=4, seed=416)
 def test_characterize_matches_the_frozen_copy(family, n_max, bound, trials, seed):
     """Decomposing and witnessing families, grammar and plugin: the same
     JSON text, or the same error. A grammar family's witness replays to its

@@ -320,7 +320,7 @@ class TestProbeRational:
         fam = parse_family("2*L2 + 5*MM")
         p = dist(0.25, 0.75)
         result = probe_rational(fam, p, 8, uniform_constants(fam, 2))
-        matrix = next(verify_module._pair_matrices(fam, p.weights[None], np.eye(2)[None], np.eye(2)[None]))
+        matrix = next(verify_module._pair_matrices(fam, p.weights[None], np.eye(2)[None], np.eye(2)[None]))[0]
         assert verify_module._fit_constants(p.weights, matrix) == pytest.approx((2.0, 5.0), rel=1e-9)
         assert result.max_residual <= 1e-9
 
