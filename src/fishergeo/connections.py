@@ -26,8 +26,8 @@ conjugated connection pushed through a Markov embedding/co-embedding pair,
 both as ambient vectors and in metric-contracted form.
 
 Every check is one stencil kernel on a batch of one: the stencils xi and
-xi +- step Z are stacked by model shape, every point and raw Jacobian comes
-from its model, and the checks of ``jacobian_at``, ``Distribution``,
+xi +- step Z are stacked by ``rows_key``, a built-in model evaluates a
+stack in one call, and the checks of ``jacobian_at``, ``Distribution``,
 ``RandomVariable`` and ``TangentVector``, the transports, the central
 differences, the pushforwards and the metric contractions run on the
 stacks, in the order a single stencil meets them. ``weak_invariance_kernel``
@@ -58,7 +58,7 @@ from .geometry import (
     score_rows,
 )
 from .markov import EmbeddingPair, apply_rows, pair_stacks
-from .models import ParametricModel, checked_jacobians, jacobians_at
+from .models import ParametricModel, checked_jacobians, jacobian_rows, point_rows, rows_key
 from .simplex import Distribution, centered_rows, expect_rows, require_finite, require_weights
 
 #: Default finite-difference step for covariant derivatives.
@@ -153,7 +153,7 @@ def _require_inputs(model: ParametricModel, step: float, fields) -> None:
 # ---------------------------------------------------------------------------
 # The stencil kernel
 #
-# Stencils of one model shape are stacked into C-ordered arrays with a
+# Stencils of one ``rows_key`` are stacked into C-ordered arrays with a
 # leading axis, one row per stencil. Every product is the one a single
 # stencil makes: one vector-matrix product per field value, one
 # matrix-vector product per pushed vector and last-axis sums for the metric,
@@ -164,12 +164,12 @@ def _require_inputs(model: ParametricModel, step: float, fields) -> None:
 
 def _values_at(model, xi: np.ndarray, fields) -> tuple[np.ndarray, ...]:
     """The values of each row's fields at p_xi, for points xi (T, dim) of one
-    model shape: the weights (T, n), the m-representations (T, r, n) with the
+    ``rows_key``: the weights (T, n), the m-representations (T, r, n) with the
     check of each ``TangentVector``, and the coefficients (T, r, dim) and
     checked Jacobians (T, dim, n) they read. Each point is evaluated once."""
-    w = np.array([one.point(at).weights for one, at in zip(model, xi)])
+    w, raw = point_rows(model, xi)
     coefficients = np.array([[f.coefficients_at(at) for f in row] for row, at in zip(fields, xi)])
-    jac = np.array(jacobians_at(model, xi))
+    jac = jacobian_rows(model, xi, raw)
     return w, require_rows_sum_zero((coefficients[..., None, :] @ jac[:, None])[..., 0, :]), coefficients, jac
 
 
@@ -226,17 +226,16 @@ def _transported_difference(
 
 
 def _nabla_rows(alpha: np.ndarray, model, xi: np.ndarray, x, y, h: np.ndarray):
-    """nabla^alpha_X Y at points xi (T, dim) of one model shape: the points,
-    their weights (T, n), the checked m-reps (T, n), and the stencil as
-    ``_image_values`` reads it: weights, coefficients, Jacobians, points."""
+    """nabla^alpha_X Y at points xi (T, dim) of one ``rows_key``: their ``point_rows``, the
+    checked m-reps (T, n), and the stencil as ``_image_values`` reads it: weights,
+    coefficients, Jacobians, points."""
     direction = np.array([f.coefficients_at(at) for f, at in zip(x, xi)])
-    points = [one.point(at) for one, at in zip(model, xi)]
-    w = np.array([p.weights for p in points])
+    w, raw = point_rows(model, xi)
     twice = [one for one in model for _ in (0, 1)]
     fields = [[f] for f in y for _ in (0, 1)]
     at_pm = _stencil(xi, h[:, None] * direction)
     w_pm, m_pm, *read = in_trial_order(_values_at, twice, at_pm, fields)
-    return points, w, _transported_difference(alpha, w, w_pm, m_pm[:, 0], h), (w_pm, *read, at_pm)
+    return w, raw, _transported_difference(alpha, w, w_pm, m_pm[:, 0], h), (w_pm, *read, at_pm)
 
 
 def _metric(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -261,8 +260,8 @@ def covariant_derivative(
     _require_inputs(model, step, [x, y])
     xi = np.asarray(xi, dtype=float).reshape(1, -1)
     h = np.array([step], dtype=float)
-    points, _, nabla, _ = _nabla_rows(np.array([tag.alpha]), [model], xi, [x], [y], h)
-    return TangentVector(points[0], nabla[0])
+    w, _, nabla, _ = _nabla_rows(np.array([tag.alpha]), [model], xi, [x], [y], h)
+    return TangentVector(Distribution(model.space, w[0]), nabla[0])
 
 
 def duality_check(
@@ -396,13 +395,13 @@ def _grid_point_rows(
     shapes of the small and the image model."""
     vec: list = [None] * len(xi)
     metric: list = [None] * len(xi)
-    for units in by_shape((one.dim, one.space.size, len(k), at.shape[0]) for one, k, at in zip(small, phi, xi)):
+    for units in by_shape((*rows_key(one), len(k), at.shape[0]) for one, k, at in zip(small, phi, xi)):
         def pick(column):
             return [column[u] for u in units]
 
         at, h, x_u, y_u = np.array(pick(xi)), np.array(pick(step), dtype=float), pick(x), pick(y)
         psi_u, phi_u = np.array(pick(psi)), np.array(pick(phi))
-        _, w, nabla, stencil = _nabla_rows(np.array(pick(alpha)), pick(small), at, x_u, y_u, h)
+        w, raw, nabla, stencil = _nabla_rows(np.array(pick(alpha)), pick(small), at, x_u, y_u, h)
         # the image connection from the small model's evaluation: its points, then its stencil
         w_big = in_trial_order(_image_points, phi_u, w, at)
         w_pm, m_pm = in_trial_order(_image_values, np.repeat(phi_u, 2, axis=0), *stencil)
@@ -411,7 +410,7 @@ def _grid_point_rows(
         require_weights(apply_rows(psi_u, w_big))
         pushed = require_rows_sum_zero(apply_rows(psi_u, nabla_big))
         residual = abs(nabla - pushed).max(axis=-1)
-        jac = np.array(jacobians_at(pick(small), at))
+        jac = jacobian_rows(pick(small), at, raw)
         phi_z = apply_rows(phi_u[:, None], jac)
         for i in range(jac.shape[1]):
             # row i as a TangentVector, then the vector of its pushforward at the image point

@@ -6,10 +6,6 @@ central finite differences). Coordinate tangent vectors have m-representation
 information matrix is the score Gram matrix; its inverse is the co-metric
 Gram matrix in the ``d xi`` basis.
 
-Every check evaluates a model once per point: ``p_xi``, the validated
-Jacobian and, where it needs it, the information matrix are computed once
-and every restriction, lift and covariance at that point reads them.
-
 ``lifts`` realizes the minimum-norm ambient extension of model covectors:
 among all ambient cotangent vectors restricting to the given coefficients it
 is the unique one of smallest co-norm, and that co-norm squared equals
@@ -17,16 +13,15 @@ is the unique one of smallest co-norm, and that co-norm squared equals
 unbiased estimator tuple against ``G^{-1}`` and reports the smallest
 eigenvalue of the difference.
 
-Model points are evaluated over a leading trial axis: each trial's point
-and raw Jacobian come from its model, and the checks of ``jacobian_at``,
-``FisherMatrix``, ``TangentVector``, ``CotangentVector`` and
-``RandomVariable``, the information matrices and their inverses run on the
-trials of one model shape at once. ``jacobians_at`` is ``jacobian_at`` on
-such a batch, ``crb_kernel`` is ``crb_check`` in local mode and
-``unbiased_estimators_kernel`` the estimators of ``unbiased_estimators``;
-the single-point functions are the kernels on a batch of one, the ``crb``
-battery calls each kernel once per run, and the connection checks read
-their Jacobians from ``jacobians_at``.
+Model points are evaluated over a leading trial axis, each point once. A
+built-in model has one rows form, its weights (T, n) and raw Jacobians (T,
+dim, n) at parameters (T, dim); its point map and Jacobian are that form on
+a batch of one. The trials of one ``rows_key`` are one stack, so categorical
+models of one size share one call; a plugin model is called per point. The
+checks of the points, the Jacobians and the objects built from them run on
+the stacks in ``point_rows`` and ``jacobian_rows`` (which the connection
+checks read too), ``crb_kernel`` and ``unbiased_estimators_kernel``; the
+single-point functions are the kernels on a batch of one.
 
 The built-in zoo covers Bernoulli, the full categorical family, exponential
 families with user-supplied sufficient statistics, and affine (mixture)
@@ -35,7 +30,8 @@ families; exactly the families needed for equality cases of the bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,7 +57,7 @@ from .geometry import (
     pair,
     require_rows_sum_zero,
 )
-from .simplex import Distribution, RandomVariable, SampleSpace, cov_rows, expect
+from .simplex import Distribution, RandomVariable, SampleSpace, cov_rows, expect, require_weights
 
 #: Relative step for central-difference Jacobians.
 FD_STEP_SCALE = 1e-6
@@ -86,12 +82,14 @@ class ParametricModel:
     point_map: Callable[[np.ndarray], Distribution]
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = "custom"
+    #: The rows form of a ``_BatchOfOne`` point map and its Jacobian; None: called per point.
+    _rows: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.dim <= self.space.size - 1:
-            raise InvalidParameter(
-                f"dim must lie in [1, {self.space.size - 1}], got {self.dim}"
-            )
+            raise InvalidParameter(f"dim must lie in [1, {self.space.size - 1}], got {self.dim}")
+        if isinstance(self.point_map, _BatchOfOne) and self.jacobian == self.point_map.jacobian:
+            object.__setattr__(self, "_rows", self.point_map.rows)
 
     def point(self, xi) -> Distribution:
         """Evaluate the point map, mapping domain errors to InvalidParameter."""
@@ -107,6 +105,52 @@ class ParametricModel:
         return p
 
 
+@dataclass(frozen=True)
+class _BatchOfOne:
+    """A built-in model's point map, and by ``jacobian`` its Jacobian: its rows form on a batch of one."""
+
+    rows: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    space: SampleSpace
+
+    def __call__(self, xi) -> Distribution:
+        return Distribution(self.space, self.rows(np.asarray(xi, dtype=float).reshape(1, -1))[0][0])
+
+    def jacobian(self, xi) -> np.ndarray:
+        return self.rows(np.asarray(xi, dtype=float).reshape(1, -1))[1][0]
+
+
+def rows_key(model: ParametricModel) -> tuple:
+    """(dim, n, rows form): the trials whose models share it are evaluated as one stack."""
+    return model.dim, model.space.size, model._rows
+
+
+def point_rows(model, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """``ParametricModel.point`` at each row of xi (T, dim) of one ``rows_key``: the weights (T, n) and
+    the rows form's raw Jacobians (T, dim, n), or None for a plugin model, called per point. A
+    failure names the first row's xi: run it in trial order."""
+    one = model[0]
+    if xi.shape[1] != one.dim:
+        raise SizeMismatch(f"expected {one.dim} parameters, got {xi.shape[1]}")
+    if one._rows is None:
+        return np.array([m.point(at).weights for m, at in zip(model, xi)]), None
+    w, jac = one._rows(xi)
+    try:
+        return require_weights(w), jac
+    except (NonPositiveWeight, NotNormalized) as exc:
+        raise InvalidParameter(f"xi={xi[0].tolist()} outside the model: {exc}") from exc
+
+
+def jacobian_rows(model, xi: np.ndarray, raw: np.ndarray | None = None) -> np.ndarray:
+    """``jacobian_at`` at each row of xi (T, dim) of one ``rows_key``, stacked (T, dim, n): ``raw``,
+    the Jacobians ``point_rows`` gave, or the rows form's, or each plugin model's, checked."""
+    one = model[0]
+    if raw is None:
+        if xi.shape[1] != one.dim:
+            raise SizeMismatch(f"expected {one.dim} parameters, got {xi.shape[1]}")
+        raw = one._rows(xi)[1] if one._rows else np.array([_raw_jacobian(m, at) for m, at in zip(model, xi)])
+    return checked_jacobians(raw)
+
+
 def jacobian_at(model: ParametricModel, xi) -> np.ndarray:
     """Rows ``d p_xi / d xi_i`` (dim x n), validated and exactly sum-zero.
 
@@ -119,37 +163,34 @@ def jacobian_at(model: ParametricModel, xi) -> np.ndarray:
 
 
 def jacobians_at(model, xi) -> list[np.ndarray]:
-    """``jacobian_at`` over a leading trial axis.
-
-    Each argument is a sequence with one entry per trial, in any mix of
-    models. The raw Jacobians come from the trials' models and are checked
-    once per model shape (dim, n), stacked. Every Jacobian is
-    bitwise the one the trial gives alone, and a failed check raises what
-    the first failing trial raises alone.
-    """
-    return in_trial_order(_jacobian_rows, model, xi)
+    """``jacobian_at`` over a leading trial axis, in any mix of models: each argument holds one
+    entry per trial, evaluated and checked once per ``rows_key``. Every Jacobian is bitwise the
+    trial's alone, and a failed check raises what the first failing trial raises alone."""
+    return in_trial_order(_jacobians_at_rows, model, xi)
 
 
-def _jacobian_rows(model, xi) -> list[np.ndarray]:
+def _stacks(model, xi) -> list[tuple[list[int], list, np.ndarray]]:
+    """The trials of each ``rows_key`` and parameter length, their models and parameters (T, length)."""
     xi = [np.asarray(x, dtype=float).reshape(-1) for x in xi]
-    for one, x in zip(model, xi):
-        if x.shape[0] != one.dim:
-            raise SizeMismatch(f"expected {one.dim} parameters, got {x.shape[0]}")
-    jac: list = [None] * len(xi)
-    for trials in by_shape((one.dim, one.space.size) for one in model):
-        for t, checked in zip(trials, _jacobians(model, xi, trials)):
+    return [(trials, [model[t] for t in trials], np.array([xi[t] for t in trials]))
+            for trials in by_shape((*rows_key(one), x.size) for one, x in zip(model, xi))]
+
+
+def _jacobians_at_rows(model, xi) -> list[np.ndarray]:
+    jac: list = [None] * len(model)
+    for trials, group, at in _stacks(model, xi):
+        for t, checked in zip(trials, jacobian_rows(group, at)):
             jac[t] = checked
     return jac
 
 
 def _raw_jacobian(model: ParametricModel, xi: np.ndarray) -> np.ndarray:
-    """The model's Jacobian at ``xi``, or central differences; only its shape is checked."""
+    """The model's Jacobian at ``xi`` (a built-in's rows form on a batch of one), or central
+    differences; only its shape is checked."""
     if model.jacobian is not None:
         jac = np.array(model.jacobian(xi), dtype=float)
         if jac.shape != (model.dim, model.space.size):
-            raise SizeMismatch(
-                f"jacobian shape {jac.shape} != {(model.dim, model.space.size)}"
-            )
+            raise SizeMismatch(f"jacobian shape {jac.shape} != {(model.dim, model.space.size)}")
         return jac
     jac = np.empty((model.dim, model.space.size))
     for i in range(model.dim):
@@ -264,21 +305,6 @@ def restrict(model: ParametricModel, xi, alpha_ambient: CotangentVector) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def _points(model, xi) -> tuple[list[np.ndarray], list[Distribution], list]:
-    """Each trial's parameter as a vector and its point ``p_xi``; and the
-    trials of each model shape, with their points' weights stacked (T, n)."""
-    xi = [np.asarray(x, dtype=float).reshape(-1) for x in xi]
-    points = [one.point(x) for one, x in zip(model, xi)]
-    shapes = by_shape((one.dim, one.space.size) for one in model)
-    stacks = [(trials, np.array([points[t].weights for t in trials])) for trials in shapes]
-    return xi, points, stacks
-
-
-def _jacobians(model, xi, trials: list[int]) -> np.ndarray:
-    """``jacobian_at`` of the given trials, stacked (T, dim, n)."""
-    return checked_jacobians(np.array([_raw_jacobian(model[t], xi[t]) for t in trials]))
-
-
 def _lifted(w: np.ndarray, jac: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The representatives of flat(X), X = sum_i (G^{-1} c)_i d_i, at stacked
     points (T, n) with Jacobians (T, dim, n), for coefficient rows c stacked
@@ -307,7 +333,7 @@ def lifts(model: ParametricModel, xi, rows) -> list[CotangentVector]:
             raise SizeMismatch(f"expected {model.dim} coefficients, got {coeffs.shape[0]}")
     xi = np.asarray(xi, dtype=float).reshape(-1)
     p = model.point(xi)
-    jac = _jacobians([model], [xi], [0])
+    jac = jacobian_rows([model], xi[None])
     reps = _lifted(p.weights[None], jac, np.array(rows).reshape(1, len(rows), model.dim))
     return [CotangentVector(p, RandomVariable(p.space, rep)) for rep in reps[0]]
 
@@ -345,10 +371,10 @@ def unbiased_estimators_kernel(model, xi, noise) -> list[list[RandomVariable]]:
 
 
 def _estimator_rows(model, xi, noise) -> list[list[RandomVariable]]:
-    xi, _, stacks = _points(model, xi)
-    estimators: list = [None] * len(xi)
-    for trials, w in stacks:
-        jac = _jacobians(model, xi, trials)
+    estimators: list = [None] * len(model)
+    for trials, group, at in _stacks(model, xi):
+        w, raw = point_rows(group, at)
+        jac = jacobian_rows(group, at, raw)
         k, n = jac.shape[1:]
         reps = _lifted(w, jac, np.broadcast_to(np.eye(k), (len(trials), k, k)))
         for row, t in enumerate(trials):
@@ -454,11 +480,11 @@ def crb_kernel(model, xi, estimators) -> list[CrbReport]:
     return in_trial_order(_crb_rows, model, xi, estimators)
 
 
-def _estimator_values(p: Distribution, estimators) -> list[np.ndarray]:
-    if any(a.space != p.space for a in estimators):
+def _estimator_values(space: SampleSpace, w: np.ndarray, estimators) -> list[np.ndarray]:
+    if any(a.space != space for a in estimators):
         # the object path checks the estimators before the mismatched one first
         for a in estimators:
-            delta(p, a)
+            delta(Distribution(space, w), a)
     return [a.values for a in estimators]
 
 
@@ -466,12 +492,12 @@ def _crb_rows(model, xi, estimators) -> list[CrbReport]:
     for one, tuple_ in zip(model, estimators):
         if len(tuple_) != one.dim:
             raise SizeMismatch(f"need {one.dim} estimators, got {len(tuple_)}")
-    xi, points, stacks = _points(model, xi)
-    reports: list = [None] * len(xi)
-    for trials, w in stacks:
-        values = np.array([_estimator_values(points[t], estimators[t]) for t in trials])
+    reports: list = [None] * len(model)
+    for trials, group, at in _stacks(model, xi):
+        w, raw = point_rows(group, at)
+        values = np.array([_estimator_values(model[t].space, w_t, estimators[t]) for t, w_t in zip(trials, w)])
         centered = delta_rows(w, values)
-        jac = _jacobians(model, xi, trials)
+        jac = jacobian_rows(group, at, raw)
         require_rows_sum_zero(jac)  # each row a TangentVector
         k = jac.shape[1]
         # restrict(delta(A^i)) - e_i: the pairing of each representative with each row
@@ -482,7 +508,7 @@ def _crb_rows(model, xi, estimators) -> list[CrbReport]:
             first = int(np.argmax(biased))
             raise NotLocallyUnbiased(
                 f"restrict(delta(A^i)) deviates from e_i by {worst[first]:.3e} "
-                f"at xi={xi[trials[first]].tolist()}"
+                f"at xi={at[first].tolist()}"
             )
         # g(delta A, delta B) = Cov(A, B): V is the covariance matrix.
         v = cov_rows(w, values[:, :, None, :], values[:, None, :, :])
@@ -495,7 +521,7 @@ def _crb_rows(model, xi, estimators) -> list[CrbReport]:
         equality = abs(diff).max(axis=(1, 2)) <= tol
         for row, t in enumerate(trials):
             reports[t] = CrbReport(
-                xi=tuple(float(s) for s in xi[t]),
+                xi=tuple(float(s) for s in at[row]),
                 covariance=v[row],
                 inverse_information=g_inv[row],
                 min_eigenvalue=float(min_eig[row]),
@@ -514,19 +540,14 @@ def _crb_rows(model, xi, estimators) -> list[CrbReport]:
 
 def categorical_model(n: int) -> ParametricModel:
     """Full simplex in the coordinates xi^i = p(i), i = 1..n-1."""
-    space = SampleSpace(n)
+    point_map = _BatchOfOne(_categorical_rows, SampleSpace(n))
+    return ParametricModel(point_map.space, n - 1, point_map, point_map.jacobian, name="categorical")
 
-    def point_map(xi: np.ndarray) -> Distribution:
-        return Distribution(space, np.append(xi, 1.0 - float(np.sum(xi))))
 
-    def jac(xi: np.ndarray) -> np.ndarray:
-        j = np.zeros((n - 1, n))
-        for i in range(n - 1):
-            j[i, i] = 1.0
-            j[i, n - 1] = -1.0
-        return j
-
-    return ParametricModel(space, n - 1, point_map, jac, name="categorical")
+def _categorical_rows(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows form of every categorical model: p = (xi, 1 - sum xi) and d_i p = e_i - e_n."""
+    jac = np.concatenate([np.eye(xi.shape[1]), np.full((xi.shape[1], 1), -1.0)], axis=1)
+    return np.concatenate([xi, 1.0 - xi.sum(axis=-1, keepdims=True)], axis=1), np.repeat(jac[None], len(xi), axis=0)
 
 
 def bernoulli_model() -> ParametricModel:
@@ -556,23 +577,17 @@ def exponential_family_model(
         if base.space != space:
             raise SizeMismatch("base distribution on the wrong space")
         base_w = base.weights
-    log_base = np.log(base_w)
+    point_map = _BatchOfOne(partial(_expfam_rows, stats, np.log(base_w)), space)
+    return ParametricModel(space, dim, point_map, point_map.jacobian, name="expfam")
 
-    def weights_at(xi: np.ndarray) -> np.ndarray:
-        logits = log_base + xi @ stats
-        logits = logits - np.max(logits)
-        w = np.exp(logits)
-        return w / np.sum(w)
 
-    def point_map(xi: np.ndarray) -> Distribution:
-        return Distribution(space, weights_at(xi))
-
-    def jac(xi: np.ndarray) -> np.ndarray:
-        w = weights_at(xi)
-        centered = stats - (stats @ w)[:, None]
-        return centered * w
-
-    return ParametricModel(space, dim, point_map, jac, name="expfam")
+def _expfam_rows(stats: np.ndarray, log_base: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p proportional to base * exp(xi . T) and d_i p = p * (T_i - <T_i>_p), each
+    product one vector-matrix or matrix-vector product per row of xi (T, dim)."""
+    logits = log_base + (xi[:, None] @ stats)[:, 0]
+    w = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    w = w / w.sum(axis=-1, keepdims=True)
+    return w, (stats - stats @ w[..., None]) * w[:, None]
 
 
 def affine_model(anchor: np.ndarray, directions: np.ndarray) -> ParametricModel:
@@ -594,13 +609,10 @@ def affine_model(anchor: np.ndarray, directions: np.ndarray) -> ParametricModel:
         raise NotNormalized("anchor must sum to 1")
     if not np.all(np.abs(directions.sum(axis=1)) <= 1e-12):
         raise InvalidParameter("each direction must sum to 0")
-    space = SampleSpace(anchor.shape[0])
-    dim = directions.shape[0]
+    point_map = _BatchOfOne(partial(_affine_rows, anchor, directions), SampleSpace(anchor.shape[0]))
+    return ParametricModel(point_map.space, directions.shape[0], point_map, point_map.jacobian, name="affine")
 
-    def point_map(xi: np.ndarray) -> Distribution:
-        return Distribution(space, anchor + xi @ directions)
 
-    def jac(xi: np.ndarray) -> np.ndarray:
-        return directions.copy()
-
-    return ParametricModel(space, dim, point_map, jac, name="affine")
+def _affine_rows(anchor: np.ndarray, directions: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p = anchor + xi . V, one vector-matrix product per row of xi (T, dim), and d_i p = v_i."""
+    return anchor + (xi[:, None] @ directions)[:, 0], np.repeat(directions[None], len(xi), axis=0)

@@ -500,8 +500,9 @@ def prop6_kernel(surjection, fibers, p, a, b, family) -> list[Prop6Report]:
 
 
 def _prop6_rows(surjection, fibers, p, a, b, family) -> list[Prop6Report]:
-    # per trial its rows and the two sides of its group, each read by one next in trial order
+    # per trial its rows and the two sides of its group, read in trial order from one phase per family
     per_trial: list = [None] * len(p)
+    phases: dict = {}
     for trials, maps, phi, psi, w, a_reps, b_reps in pair_stacks(surjection, fibers, p, a, b, key=family):
         n, m = phi.shape[1:]
         w = require_weights(_sized(w, m))
@@ -511,8 +512,9 @@ def _prop6_rows(surjection, fibers, p, a, b, family) -> list[Prop6Report]:
         phi_pull = delta_rows(w, require_finite(conditional_expectation_rows(phi, b_reps)))
         psi_pull = delta_rows(q_img, require_finite(conditional_expectation_rows(psi, a_reps)))
         one = family[trials[0]]
-        lhs = chain.from_iterable(_pair_matrices(one, w, a_reps[:, None], phi_pull[:, None]))
-        rhs = chain.from_iterable(_pair_matrices(one, q_img, psi_pull[:, None], b_reps[:, None]))
+        phase = phases.setdefault(id(one), _Phase(one))
+        lhs = chain.from_iterable(_pair_matrices(one, w, a_reps[:, None], phi_pull[:, None], phase))
+        rhs = chain.from_iterable(_pair_matrices(one, q_img, psi_pull[:, None], b_reps[:, None], phase))
         for t, *rows in zip(trials, maps, phi, w, q_img, a_reps, b_reps):
             per_trial[t] = (*rows, lhs, rhs)
     reports = []
@@ -1035,8 +1037,8 @@ def characterize(family: CandidateFamily | str, n_max: int = 6, denominator_boun
     pairs = [(2, n) for n in sizes] + [(n, 2) for n in range(3, n_max + 1)]
     lifts = [_lifted_pair_matrix(family, n, m, phase) for m, n in pairs]
     witness = next(filter(None, chain(
-        (_bilinearity_witness({"family": family, "n": n, "seed": seed_n})
-         for n, seed_n, defect in zip(sizes, seeds, defects) if defect() > VIOLATION_TOL),
+        (_bilinearity_witness({"family": family, "n": n, "seed": seed_n}, defect=value)
+         for n, seed_n, value in zip(sizes, seeds, (defect() for defect in defects)) if value > VIOLATION_TOL),
         (uniform_at(n)[0].witness for n in sizes),
         (_probe_consistency(family, m, n, uniform_at, lift).witness for (m, n), lift in zip(pairs, lifts)),
     )), None)
@@ -1073,7 +1075,7 @@ def characterize(family: CandidateFamily | str, n_max: int = 6, denominator_boun
     continuity_errors = tuple(continuity)
     if continuity_errors and continuity_errors[-1] > VIOLATION_TOL:
         case = {"family": family, "spot": spot, "bound": bounds[-1]}
-        return _witness_result(family.name, _continuity_witness(case))
+        return _witness_result(family.name, _continuity_witness(case, error=continuity_errors[-1]))
 
     if ii1_holds and abs(c1 + c2) <= PASS_TOL:
         verdict = f"c*Cov with c={_format_constant(c1)}"
@@ -1185,14 +1187,14 @@ def _weak_invariance_case(witness: Witness) -> dict:
             "step": witness.step, "mismatched": False}
 
 
-def _bilinearity_witness(case: dict) -> Witness:
-    defect = check_bilinearity(**case)
+def _bilinearity_witness(case: dict, *, defect: float | None = None) -> Witness:
+    defect = check_bilinearity(**case) if defect is None else defect
     return Witness(kind="bilinearity", m=case["n"], n=case["n"], lhs=defect, rhs=0.0, gap=defect,
                    family=case["family"].name, detail=f"seed={case['seed']}")
 
 
-def _continuity_witness(case: dict) -> Witness:
-    error = next(_continuity_errors(case["family"], case["spot"], [case["bound"]]))
+def _continuity_witness(case: dict, *, error: float | None = None) -> Witness:
+    error = next(_continuity_errors(case["family"], case["spot"], [case["bound"]])) if error is None else error
     n = case["spot"].size
     return Witness(kind="continuity", m=n, n=n, lhs=error, rhs=0.0, gap=error, point=_floats(case["spot"]),
                    family=case["family"].name, detail=f"D={case['bound']}")

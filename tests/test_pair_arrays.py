@@ -444,11 +444,13 @@ def test_a_weak_invariance_run_builds_no_pair_or_channel(built, pin):
 
 
 @pytest.mark.parametrize("rounds", [1, 7])
-def test_a_crb_draw_builds_one_distribution_per_trial(built, rounds):
-    """The model point of each trial's estimators; its point xi is drawn as weights."""
+def test_a_crb_draw_builds_no_distribution(built, rounds):
+    """Each trial's point xi is drawn as weights, and the categorical rows
+    form evaluates the points of its estimators as weight rows; when each
+    point was a Distribution the draw built one per trial."""
     cases = batteries._draw_crb(np.random.default_rng(rounds), rounds, 5)
     assert len(cases) == rounds
-    assert built["Distribution"] == rounds
+    assert built["Distribution"] == 0
 
 
 def benchmark_decomposing_families() -> list[str]:

@@ -24,7 +24,7 @@ import frozen_probe
 from fishergeo import batteries, families
 from fishergeo import verify as verify_module
 from fishergeo.errors import FisherGeoError, InvalidParameter, NotCentered, SizeMismatch, by_shape
-from fishergeo.families import parse_family
+from fishergeo.families import CandidateFamily, parse_family
 from fishergeo.geometry import delta
 from fishergeo.markov import apply, canonical_embedding, random_surjection
 from fishergeo.simplex import Distribution, RandomVariable, SampleSpace, uniform
@@ -49,6 +49,7 @@ from frozen_probe import (
     frozen_characterize,
     frozen_check_bilinearity,
     frozen_check_prop6_identity,
+    frozen_continuity_errors,
     frozen_matrix,
 )
 from test_frozen_scalars import boundary_weights, hexes, values
@@ -316,6 +317,34 @@ def test_a_nan_gap_before_an_early_failure_raises_the_nan_gap():
     assert frozen_outcome(batch[::-1]) == (SizeMismatch, f"expected length {m}, got {m + 1}")
 
 
+@pytest.mark.parametrize("family", ["COV", "PK(2)"])
+def test_a_prop6_battery_makes_one_matrix_rows_call_per_outcome_count(monkeypatch, family):
+    """One phase per family across the shape groups: the 20 trials at n_max 6
+    read the outcome counts 2..6, one ``matrix_rows`` call each, where a phase
+    per shape group made 14. The drawn trials' reports and witnesses stay the
+    frozen check's, and every witness replays to its gap bitwise."""
+    sizes = []
+    matrix_rows = CandidateFamily.matrix_rows
+
+    def counted(self, w, rows_a, rows_b):
+        sizes.append(w.shape[1])
+        return matrix_rows(self, w, rows_a, rows_b)
+
+    monkeypatch.setattr(CandidateFamily, "matrix_rows", counted)
+    config = {"battery": "prop6", "family": family, "trials": 20, "n_max": 6, "seed": 3}
+    assert batteries.run_battery(config).passed == (family == "COV")
+    assert sorted(sizes) == [2, 3, 4, 5, 6]
+    cases = batteries._draw_prop6(np.random.default_rng(3), rounds=20, n_max=6, family=parse_family(family))
+    sizes.clear()
+    assert kernel_outcome(cases) == frozen_outcome(cases)
+    assert sorted(sizes) == [2, 3, 4, 5, 6]
+    columns = {key: [case[key] for case in cases] for key in cases[0]}
+    witnesses = [report.witness for report in prop6_kernel(**columns) if report.witness is not None]
+    assert bool(witnesses) == (family == "PK(2)")
+    for witness in witnesses:
+        assert float(replay_witness(witness)).hex() == float(witness.gap).hex()
+
+
 def test_a_plugin_family_is_called_pair_by_pair_in_trial_order():
     """A plugin is called for lhs then rhs of each trial, in trial order,
     across shapes, with the same arguments as the trial-by-trial loop."""
@@ -510,6 +539,41 @@ def test_characterize_matches_the_frozen_copy(family, n_max, bound, trials, seed
     if isinstance(found, str) and json.loads(found)["witness"] and not isinstance(family, Plugin):
         witness = characterize(*args).witness
         assert float(replay_witness(witness)).hex() == float(witness.gap).hex()
+
+
+#: The covariance everywhere but at characterize's irrational spot-check point: a continuity witness.
+JUMPY = Plugin("jumpy", lambda w, a, b: _cov(w, a, b) * (
+    2.0 if w.size == 3 and np.allclose(w, np.sqrt([2.0, 3.0, 4.0]) / np.sqrt([2.0, 3.0, 4.0]).sum(), atol=1e-12)
+    else 1.0
+))
+
+
+def test_a_bilinearity_witness_is_built_from_the_defect_that_decided_it():
+    """A run that ends at bilinearity evaluates the step once: the quadratic
+    plugin's calls are the frozen copy's 24, where building the witness by
+    running the step again made 48."""
+    new, old = Logged(PLUGINS[1]), Logged(PLUGINS[1])
+    args = (2, 6, 5, 3376518736)
+    found = characterize_outcome(characterize, new, *args)
+    assert found == characterize_outcome(frozen_characterize, old, *args)
+    assert json.loads(found)["witness"]["kind"] == "bilinearity"
+    assert new.log == old.log and len(new.log) == 24
+
+
+def test_a_continuity_witness_is_built_from_the_error_that_decided_it():
+    """A run that ends at continuity fits the spot and its approximations
+    once: the plugin's calls are the frozen copy's up to the point where the
+    frozen copy evaluates the spot and its last approximation again for the
+    witness (18 calls). The witness JSON is the frozen copy's."""
+    new, old = Logged(JUMPY), Logged(JUMPY)
+    found = characterize_outcome(characterize, new, 4, 16, 3, 2)
+    assert found == characterize_outcome(frozen_characterize, old, 4, 16, 3, 2)
+    assert json.loads(found)["witness"]["kind"] == "continuity"
+    again = Logged(JUMPY)
+    spot = Distribution(SampleSpace(3), np.sqrt([2.0, 3.0, 4.0]) / np.sqrt([2.0, 3.0, 4.0]).sum())
+    frozen_continuity_errors(again, spot, [16])
+    assert len(again.log) == 18
+    assert new.log + again.log == old.log
 
 
 @pytest.mark.parametrize("plugin", [Plugin("cov", _cov), PLUGINS[2], PLUGINS[3]], ids=lambda p: p.name)

@@ -28,7 +28,7 @@ COUNTS = {
     "models": {
         "models.jacobian_calls": (
             0, 5,
-            "crb, the weak-invariance stencils and duality read stacked jacobians_at, and the image "
+            "crb, the weak-invariance stencils and duality read stacked jacobian_rows, and the image "
             "model's Jacobians are Phi times the small model's, so nothing calls jacobian_at",
         ),
         "markov.channels_built": (
@@ -36,9 +36,10 @@ COUNTS = {
             "the weak-invariance kernel reads Phi and Psi from markov.pair_stacks and builds no Channel",
         ),
         "simplex.distributions_built": (
-            151, 5,
-            "the small model points of the crb estimators and checks and of the weak-invariance and "
-            "duality stencils; the draws are arrays and the image points are weight rows",
+            0, 5,
+            "the categorical rows form evaluates the points of the crb estimators and checks and of the "
+            "weak-invariance and duality stencils as weight rows; the draws are arrays and the image "
+            "points are weight rows",
         ),
     },
     "channels": {
