@@ -20,8 +20,10 @@ a batch of one. The trials of one ``rows_key`` are one stack, so categorical
 models of one size share one call; a plugin model is called per point. The
 checks of the points, the Jacobians and the objects built from them run on
 the stacks in ``point_rows`` and ``jacobian_rows`` (which the connection
-checks read too), ``crb_kernel`` and ``unbiased_estimators_kernel``; the
-single-point functions are the kernels on a batch of one.
+checks read too), ``crb_kernel`` and ``unbiased_estimators_kernel``. Each
+single-point function reads its point, the weights and the raw Jacobian,
+with one ``point_rows`` call and is the kernels' arithmetic on a batch of
+one; ``crb_check``'s global mode checks its whole grid as one stack.
 
 The built-in zoo covers Bernoulli, the full categorical family, exponential
 families with user-supplied sufficient statistics, and affine (mixture)
@@ -48,16 +50,8 @@ from .errors import (
     by_shape,
     in_trial_order,
 )
-from .geometry import (
-    CotangentVector,
-    TangentVector,
-    delta,
-    delta_rows,
-    flat_rows,
-    pair,
-    require_rows_sum_zero,
-)
-from .simplex import Distribution, RandomVariable, SampleSpace, cov_rows, expect, require_weights
+from .geometry import CotangentVector, delta, delta_rows, flat_rows, require_rows_sum_zero
+from .simplex import Distribution, RandomVariable, SampleSpace, cov_rows, expect_rows, require_weights
 
 #: Relative step for central-difference Jacobians.
 FD_STEP_SCALE = 1e-6
@@ -157,16 +151,9 @@ def jacobian_at(model: ParametricModel, xi) -> np.ndarray:
     Falls back to central differences with step ``1e-6 * max(1, |xi_i|)``
     when the model carries no analytic Jacobian. Rows are mean-subtracted
     after validation so downstream tangent vectors satisfy their sum-zero
-    invariant exactly. ``jacobians_at`` on a batch of one.
+    invariant exactly. ``jacobian_rows`` on a batch of one.
     """
-    return jacobians_at([model], [xi])[0]
-
-
-def jacobians_at(model, xi) -> list[np.ndarray]:
-    """``jacobian_at`` over a leading trial axis, in any mix of models: each argument holds one
-    entry per trial, evaluated and checked once per ``rows_key``. Every Jacobian is bitwise the
-    trial's alone, and a failed check raises what the first failing trial raises alone."""
-    return in_trial_order(_jacobians_at_rows, model, xi)
+    return jacobian_rows([model], np.asarray(xi, dtype=float).reshape(1, -1))[0]
 
 
 def _stacks(model, xi) -> list[tuple[list[int], list, np.ndarray]]:
@@ -174,14 +161,6 @@ def _stacks(model, xi) -> list[tuple[list[int], list, np.ndarray]]:
     xi = [np.asarray(x, dtype=float).reshape(-1) for x in xi]
     return [(trials, [model[t] for t in trials], np.array([xi[t] for t in trials]))
             for trials in by_shape((*rows_key(one), x.size) for one, x in zip(model, xi))]
-
-
-def _jacobians_at_rows(model, xi) -> list[np.ndarray]:
-    jac: list = [None] * len(model)
-    for trials, group, at in _stacks(model, xi):
-        for t, checked in zip(trials, jacobian_rows(group, at)):
-            jac[t] = checked
-    return jac
 
 
 def _raw_jacobian(model: ParametricModel, xi: np.ndarray) -> np.ndarray:
@@ -280,18 +259,25 @@ def _score_grams(w: np.ndarray, jac: np.ndarray) -> np.ndarray:
 
 def fisher_info(model: ParametricModel, xi) -> FisherMatrix:
     """Fisher information matrix G_ij = <L_i | L_j>_{p_xi}."""
-    g = _score_grams(model.point(xi).weights[None], jacobian_at(model, xi)[None])
+    at = np.asarray(xi, dtype=float).reshape(1, -1)
+    w, raw = point_rows([model], at)
+    g = _score_grams(w, jacobian_rows([model], at, raw))
     return FisherMatrix(g[0], np.asarray(xi, dtype=float))
 
 
 def restrict(model: ParametricModel, xi, alpha_ambient: CotangentVector) -> np.ndarray:
     """Coefficients of the restricted covector in the ``d xi`` basis."""
-    p = model.point(xi)
-    if alpha_ambient.base != p:
+    at = np.asarray(xi, dtype=float).reshape(1, -1)
+    w, raw = point_rows([model], at)
+    if alpha_ambient.base != Distribution(model.space, w[0]):
         raise BasePointMismatch("ambient covector is not based at p_xi")
-    return np.array(
-        [pair(alpha_ambient, TangentVector(p, row)) for row in jacobian_at(model, xi)]
-    )
+    jac = require_rows_sum_zero(jacobian_rows([model], at, raw))  # each row a TangentVector
+    return _restricted(jac, alpha_ambient.rep.values[None, None])[0, 0]
+
+
+def _restricted(jac: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """Representatives (T, r, n) restricted through Jacobians (T, dim, n), (T, r, dim): one dot per pairing."""
+    return (jac[:, None, :, None, :] @ reps[:, :, None, :, None])[..., 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +317,10 @@ def lifts(model: ParametricModel, xi, rows) -> list[CotangentVector]:
     for coeffs in rows:
         if coeffs.shape[0] != model.dim:
             raise SizeMismatch(f"expected {model.dim} coefficients, got {coeffs.shape[0]}")
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    p = model.point(xi)
-    jac = jacobian_rows([model], xi[None])
-    reps = _lifted(p.weights[None], jac, np.array(rows).reshape(1, len(rows), model.dim))
+    at = np.asarray(xi, dtype=float).reshape(1, -1)
+    w, raw = point_rows([model], at)
+    reps = _lifted(w, jacobian_rows([model], at, raw), np.array(rows).reshape(1, len(rows), model.dim))
+    p = Distribution(model.space, w[0])
     return [CotangentVector(p, RandomVariable(p.space, rep)) for rep in reps[0]]
 
 
@@ -425,8 +411,9 @@ def crb_check(
     at xi only. ``global`` additionally checks <A^i>_{p_xi'} = xi'^i on a
     grid of ``_GLOBAL_GRID_POINTS`` per axis over ``box`` (required in that mode:
     unbiasedness over all of M is only desk-checkable on a declared box,
-    one finite ``(lo, hi)`` with lo <= hi per parameter). ``mode`` and
-    ``box`` are checked before anything is evaluated.
+    one finite ``(lo, hi)`` with lo <= hi per parameter, and rejected in
+    local mode). ``mode`` and ``box`` are checked before anything is
+    evaluated, and the grid is evaluated as one stack.
 
     Raises NotLocallyUnbiased when the precondition fails; the PSD verdict
     tolerance is ``1e-8 * (1 + spectral norm of G^{-1})``. The local
@@ -438,22 +425,26 @@ def crb_check(
         if box is None:
             raise InvalidParameter("global mode needs an explicit parameter box")
         _require_box(box, model.dim)
+    elif box is not None:
+        raise InvalidParameter(f"a box is read in global mode only, got one in mode {mode!r}")
     report = crb_kernel([model], [xi], [estimators])[0]
     if mode == "local":
         return report
-    axes = [np.linspace(lo, hi, _GLOBAL_GRID_POINTS) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*(np.linspace(lo, hi, _GLOBAL_GRID_POINTS) for lo, hi in box), indexing="ij")
     grid = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    for point in grid:
-        q = model.point(point)
-        for i, a in enumerate(estimators):
-            err = abs(expect(q, a) - point[i])
-            if err > UNBIASED_TOL:
-                raise NotLocallyUnbiased(
-                    f"<A^{i + 1}> deviates from xi^{i + 1} by {err:.3e} "
-                    f"at grid point {point.tolist()}"
-                )
+    values = np.array([a.values for a in estimators])
+    in_trial_order(partial(_require_unbiased, values), [model] * len(grid), grid)
     return replace(report, mode=mode)
+
+
+def _require_unbiased(values: np.ndarray, model, grid: np.ndarray) -> None:
+    """<A^i>_{p_xi} = xi^i at each grid point xi (G, dim), for the estimators' values (dim, n)."""
+    errors = abs(expect_rows(point_rows(model, grid)[0], values[None]) - grid)
+    biased = errors > UNBIASED_TOL
+    if np.count_nonzero(biased):
+        at, i = np.unravel_index(np.argmax(biased), biased.shape)
+        raise NotLocallyUnbiased(f"<A^{i + 1}> deviates from xi^{i + 1} by {errors[at, i]:.3e} "
+                                 f"at grid point {grid[at].tolist()}")
 
 
 def _require_box(box, dim: int) -> None:
@@ -497,11 +488,9 @@ def _crb_rows(model, xi, estimators) -> list[CrbReport]:
         w, raw = point_rows(group, at)
         values = np.array([_estimator_values(model[t].space, w_t, estimators[t]) for t, w_t in zip(trials, w)])
         centered = delta_rows(w, values)
-        jac = jacobian_rows(group, at, raw)
-        require_rows_sum_zero(jac)  # each row a TangentVector
+        jac = require_rows_sum_zero(jacobian_rows(group, at, raw))  # each row a TangentVector
         k = jac.shape[1]
-        # restrict(delta(A^i)) - e_i: the pairing of each representative with each row
-        errors = (jac[:, None, :, None, :] @ centered[:, :, None, :, None])[..., 0, 0] - np.eye(k)
+        errors = _restricted(jac, centered) - np.eye(k)  # restrict(delta(A^i)) - e_i
         worst = abs(errors).max(axis=(1, 2))
         biased = worst > UNBIASED_TOL
         if np.count_nonzero(biased):

@@ -61,8 +61,8 @@ from .markov import (
 )
 from .models import categorical_model, crb_check
 from .simplex import (
-    Distribution, RandomVariable, SampleSpace, cov_rows, expect_rows, interior_rows, new_distribution,
-    require_finite, require_weights, variance,
+    Distribution, RandomVariable, SampleSpace, centered_rows, cov_rows, expect_rows, interior_rows,
+    new_distribution, require_finite, require_weights, variance,
 )
 
 #: Matrix identities of the strong-invariance check pass at this tolerance.
@@ -239,8 +239,9 @@ def check_invariance(
     """Exact norm preservation through an embedding/co-embedding pair.
 
     With p the marginal of q, verifies the metric identity through the
-    embedding, the co-metric identity through the co-embedding, and the
-    variance/covariance identities under composition with the surjection.
+    embedding, the co-metric identity through the co-embedding, the
+    variance/covariance identities under composition with the surjection,
+    and g(#A, #B) = Cov(A, B), #A = p o (A - E_p A), at p and at q (sharp).
     ``x_m_rep``/``y_m_rep`` are sum-zero arrays on the small space; ``a``,
     ``b`` random variables there. Residuals are relative. This is
     ``invariance_kernel`` on a batch of one.
@@ -301,7 +302,7 @@ def check_strong_invariance(
 
 
 #: The residuals of each pair check, in report order.
-_INVARIANCE_KEYS = ("metric", "cometric", "variance", "covariance")
+_INVARIANCE_KEYS = ("metric", "cometric", "variance", "covariance", "sharp")
 _STRONG_INVARIANCE_KEYS = (
     "adjoint", "projector_idempotent", "projector_self_adjoint", "projector_fixes_image",
     "section", "isometry", "coisometry", "covariance_identity",
@@ -370,12 +371,18 @@ def _invariance_rows(surjection, fibers, q, x, y, a, b) -> np.ndarray:
         a_lift, b_lift = (
             require_finite(compose_variable_rows(v, maps)) for v in (a_values, b_values)
         )
+        small, big = cov_rows(p, a_values, b_values), cov_rows(w, a_lift, b_lift)
+        # g(#A, #B) = Cov(A, B), #A = p o (A - E_p A): at p, where A - E_p A is alpha, and at q for A o F
+        sharp = [_relative(fisher_metric_rows(at, (at * u)[:, None], (at * v)[:, None])[:, 0, 0], c)
+                 for at, u, v, c in ((p, alpha, beta, small),
+                                     (w, centered_rows(w, a_lift), centered_rows(w, b_lift), big))]
         residuals[trials] = np.stack([
             _relative(fisher_metric_rows(p, x[:, None], y[:, None])[:, 0, 0],
                       fisher_metric_rows(image, x_up[:, None], y_up[:, None])[:, 0, 0]),
             _relative(cov_rows(p, alpha, beta), cov_rows(w, alpha_up, beta_up)),
             _relative(cov_rows(p, a_values, a_values), cov_rows(w, a_lift, a_lift)),
-            _relative(cov_rows(p, a_values, b_values), cov_rows(w, a_lift, b_lift)),
+            _relative(small, big),
+            np.maximum(*sharp),
         ], axis=-1)
     return residuals
 

@@ -1,5 +1,6 @@
-"""An exact oracle for the strong-invariance identities, the family matrix and
-the pairing identity, in rational arithmetic.
+"""An exact oracle for the strong-invariance identities, the co-metric as the
+dual of the metric, the family matrix and the pairing identity, in rational
+arithmetic.
 
 Every float is a dyadic rational, so ``Fraction(x)`` is exact, and so are
 sums, products and quotients of fractions, and integer powers. This module
@@ -25,6 +26,12 @@ evaluation of the same point may show:
   terms may cancel, the largest (B_lhs + B_rhs) / max(1, B_lhs, B_rhs) over
   their entries;
 - for ``covariance_identity``, an absolute difference, B_lhs + B_rhs.
+
+``sharp_covariance`` evaluates both sides of g_p(#A, #B) = Cov_p(A, B),
+the co-metric as the metric it is dual to, with #A = p o (A - E_p A): the
+``invariance`` check's ``sharp`` identity at one point, which holds exactly
+at every point. The check reports it relative to the largest of 1 and both
+sides, with no terms, so its scale is B_lhs + B_rhs over that.
 
 ``matrix_rows`` evaluates a grammar family, given by its terms
 (coeff, "PK" | "MM", k), at a stack of points: each entry is
@@ -190,6 +197,18 @@ def centered(w: list[Bounded], values: list[Bounded]) -> list[Bounded]:
     """The values minus their expectation at w, exactly."""
     mean = expect(w, values)
     return [v - mean for v in values]
+
+
+def sharp_covariance(w, a, b) -> tuple[Fraction, Fraction]:
+    """g_p(#A, #B) against Cov_p(A, B) at the weights ``w`` of a point p, for
+    variables ``a`` and ``b`` there, with #A = p o (A - E_p A) the tangent
+    vector dual to dA: the exact residual, and the scale of its float
+    rounding, B_lhs + B_rhs relative to the largest of 1 and both sides, as
+    the check reports it (Cov(A, B) may cancel far below its bound)."""
+    w, a, b = exact(w), exact(a), exact(b)
+    sharp_a, sharp_b = ({k: wk * v for k, (wk, v) in enumerate(zip(w, centered(w, x)))} for x in (a, b))
+    lhs, rhs = metric(w, sharp_a, sharp_b), cov(w, a, b)
+    return abs(lhs.value - rhs.value), (lhs.bound + rhs.bound) / max(ONE, abs(lhs.value), abs(rhs.value))
 
 
 def family_matrix(terms, w: list[Bounded], rows_a, rows_b) -> list[list[Bounded]]:

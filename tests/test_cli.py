@@ -285,6 +285,21 @@ class TestCrb:
         assert f"box axis {axis} is not lo:hi" in error["message"]
 
 
+    def test_box_without_global_mode_exits_2(self, cli):
+        """A box in local mode is a typed input error; it used to be ignored,
+        with a local report and exit 0."""
+        code, out = cli.run_json(
+            "crb",
+            "--model", str(GOLDEN_DIR / "inputs" / "line_model.json"),
+            "--xi", "0.25",
+            "--estimators", str(GOLDEN_DIR / "inputs" / "estimators_strict.json"),
+            "--box", "0.1:0.9",
+        )
+        assert code == 2
+        assert out["error"] == {
+            "type": "InvalidParameter", "message": "a box is read in global mode only, got one in mode 'local'",
+        }
+
     @pytest.mark.parametrize("bound", ["-inf", "-INF", "-Infinity", "-nan", "-NaN"])
     def test_dashed_non_finite_box_as_separate_argument(self, cli, bound):
         """``--box -inf:0.4`` reaches the box reader, as ``--box=-inf:0.4`` does,

@@ -1,5 +1,6 @@
-"""The strong-invariance check, the family matrix and the pairing identity
-against the exact oracle of ``exact.py``.
+"""The strong-invariance check, the invariance check's ``sharp`` identity,
+the family matrix and the pairing identity against the exact oracle of
+``exact.py``.
 
 For each trial, the oracle evaluates the identity on the exact inputs of the
 trial in rational arithmetic. Two things must hold:
@@ -18,6 +19,10 @@ divisions and the sums), in units of n * u. Over the battery's draws and
 boundary-pushed points the largest measured ratio is 0.40 (``isometry``).
 A kernel whose scale is wrong, or whose metric is wrong, overshoots its
 budget by orders of magnitude (``test_the_budget_catches_a_wrong_metric``).
+
+The ``sharp`` residual of ``invariance_kernel``, g(#A, #B) = Cov(A, B) at p
+and at q, is exact at every point; its budget is ``SHARP_C`` * n * u times
+the oracle's relative scale, and E[AB] for the covariance overshoots it.
 
 The family matrix of ``CandidateFamily.matrix_rows`` and the two sides of the
 pairing identity of ``prop6_kernel`` have exact counterparts too, for every
@@ -41,12 +46,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact
-from fishergeo import geometry, verify
-from fishergeo.batteries import _draw_prop6, _draw_strong_invariance
+from fishergeo import geometry, simplex, verify
+from fishergeo.batteries import _draw_invariance, _draw_prop6, _draw_strong_invariance
 from fishergeo.families import CandidateFamily, parse_family
-from fishergeo.markov import canonical_embedding, random_surjection
+from fishergeo.markov import apply_rows, canonical_embedding, pair_stacks, random_surjection
 from fishergeo.simplex import Distribution, RandomVariable, SampleSpace
-from fishergeo.verify import strong_invariance_kernel
+from fishergeo.verify import invariance_kernel, strong_invariance_kernel
 from frozen_pairs import arrays
 from test_frozen_scalars import boundary_weights, values
 from test_negative_controls import metric_over_p_power
@@ -157,6 +162,56 @@ def test_boundary_residuals_do_not_grow_with_one_over_min_p():
                 }))
             worst = max(r.max_residual for r in strong_invariance_kernel(**columns(cases)))
             assert worst <= 1e-13, (n, pin, worst)
+
+
+# ---------------------------------------------------------------------------
+# The co-metric as the dual of the metric: the invariance check's ``sharp``
+# ---------------------------------------------------------------------------
+
+#: The budget constant of g(#A, #B) = Cov(A, B), in units of n * u * scale:
+#: each side centers, multiplies and sums over n outcomes twice.
+SHARP_C = 4
+
+
+def sharp_budget(case: dict) -> float:
+    """The budget of an invariance case's ``sharp`` residual, the larger of
+    its two points', after requiring the exact residual to be 0 at both: p,
+    the marginal as the kernel computes it, with a and b, and q with a o F
+    and b o F."""
+    ((_, maps, _, psi, q),) = pair_stacks([case["surjection"]], [case["fibers"]], [case["q"]])
+    a, b = (np.asarray(case[key], dtype=float) for key in "ab")
+    budgets = []
+    for w, sides in ((apply_rows(psi, q)[0], (a, b)), (q[0], (a[maps[0]], b[maps[0]]))):
+        residual, scale = exact.sharp_covariance(w.tolist(), *(v.tolist() for v in sides))
+        assert residual == 0
+        budgets.append(SHARP_C * len(w) * U * float(scale))
+    return max(budgets)
+
+
+def sharp_overshoot(cases: list[dict]) -> float:
+    """The largest ``sharp`` residual of ``invariance_kernel`` over its budget."""
+    return max(report.residuals["sharp"] / sharp_budget(case)
+               for case, report in zip(cases, invariance_kernel(**columns(cases))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_max=st.integers(3, 8), scaled=st.booleans())
+def test_the_sharp_identity_is_exact_and_within_budget(seed, n_max, scaled):
+    """The battery's draws, with a and b scaled by 1e-3..1e3 when ``scaled``:
+    the largest ratio measured was 0.062 (README headroom table)."""
+    rng = np.random.default_rng(seed)
+    cases = _draw_invariance(rng, 20, n_max)
+    if scaled:
+        for case in cases:
+            case["a"], case["b"] = (case[key] * 10.0 ** rng.uniform(-3, 3) for key in "ab")
+    assert sharp_overshoot(cases) <= 1.0
+
+
+def test_the_sharp_budget_catches_the_uncentered_covariance(monkeypatch):
+    """With E[AB] for Cov(A, B) in the kernel, the budget is overshot by more
+    than a factor 1e6 on a battery draw."""
+    monkeypatch.setattr(verify, "cov_rows", lambda w, a, b: simplex.expect_rows(w, a * b))
+    assert sharp_overshoot(_draw_invariance(np.random.default_rng(0), 20, 8)) > 1e6
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from fishergeo import connections, geometry, markov, simplex
 from fishergeo.errors import BasePointMismatch, FisherGeoError, SizeMismatch
 from fishergeo.geometry import CotangentVector, TangentVector, from_e_rep, require_same_base
 from fishergeo.markov import Channel, Surjection, canonical_embedding, random_surjection
-from fishergeo.models import exponential_family_model, jacobian_at, jacobians_at
+from fishergeo.models import exponential_family_model, jacobian_at, jacobian_rows
 from fishergeo.simplex import Distribution, RandomVariable, SampleSpace
 
 # ---------------------------------------------------------------------------
@@ -290,7 +290,7 @@ def test_pushed_jacobians_match_their_copy(case, extra, dim):
         with mock.patch.object(connections, "checked_jacobians", spy), np.errstate(all="ignore"):
             ok(lambda: connections._image_values(
                 np.repeat(phi, k, axis=0), np.full((k, m), 1.0 / m), np.ones((k, 1, model.dim)),
-                np.array(jacobians_at([model] * k, xi)), xi,
+                jacobian_rows([model] * k, xi), xi,
             ))
         assert len(pushed[0]) == k
         for raw, at in zip(pushed[0], xi):

@@ -13,7 +13,8 @@ what its first failing trial raises alone. The cases include parameters
 outside the model: NaN, +-inf, a weight at or below the positivity floor,
 and the wrong length.
 
-The call counts pin one rows-form call per shape and kernel: a fall back to
+The call counts pin one rows-form call per shape and kernel, one per
+single-point function and two per global-mode ``crb_check``: a fall back to
 one call per trial or per point raises them.
 """
 from __future__ import annotations
@@ -35,15 +36,19 @@ from fishergeo.connections import (
     duality_check,
 )
 from fishergeo.errors import FisherGeoError, InvalidParameter, NonPositiveWeight, SizeMismatch
+from fishergeo.geometry import delta
 from fishergeo.models import (
     ParametricModel,
     affine_model,
     bernoulli_model,
     categorical_model,
+    crb_check,
     crb_kernel,
     estimator_noise,
     exponential_family_model,
-    jacobians_at,
+    fisher_info,
+    lifts,
+    restrict,
     rows_key,
     unbiased_estimators_kernel,
 )
@@ -212,6 +217,10 @@ def outcome(fn, *args):
         return type(exc)
 
 
+def jacobian_bits(model, xi) -> list[str]:
+    return hexes(models.jacobian_at(model, xi))
+
+
 def estimator_bits(estimators) -> list[list[str]]:
     return [[v.hex() for e in tuple_ for v in e.values.tolist()] for tuple_ in estimators]
 
@@ -281,16 +290,15 @@ def test_points_and_jacobians_match_the_frozen_closures(trials):
 @settings(max_examples=300, deadline=None)
 @given(trials=stacks(), seed=st.integers(0, 2**32 - 1))
 def test_stacked_kernels_match_the_frozen_closures(trials, seed):
-    """``jacobians_at``, ``unbiased_estimators_kernel`` and ``crb_kernel`` on
-    a stack: the frozen stack's bits, or the error its first failing trial
-    raises alone."""
+    """``unbiased_estimators_kernel`` and ``crb_kernel`` on a stack: the
+    frozen stack's bits, or the error its first failing trial raises alone;
+    and ``jacobian_at`` at each trial: the frozen closure's bits or error."""
     live, frozen, xis = ([trial[k] for trial in trials] for k in (1, 2, 3))
+    for model, twin, xi in zip(live, frozen, xis):
+        assert outcome(jacobian_bits, model, xi) == outcome(jacobian_bits, twin, xi)
     rng = np.random.default_rng(seed)
     noise = [estimator_noise(model, rng) for model in live]
-    runs = [
-        (jacobians_at, lambda jac: [hexes(j) for j in jac], (xis,)),
-        (unbiased_estimators_kernel, estimator_bits, (xis, noise)),
-    ]
+    runs = [(unbiased_estimators_kernel, estimator_bits, (xis, noise))]
     found = outcome(unbiased_estimators_kernel, frozen, xis, noise)
     if isinstance(found, list):
         estimators = found
@@ -378,3 +386,28 @@ def test_the_stencil_checks_call_the_rows_form_once_per_stack(rows_calls):
     rows_calls.clear()
     covariant_derivative(ConnectionTag(0.5), model, [0.2, 0.3, 0.1], x, y)
     assert rows_calls == [(1, 3), (2, 3)]
+
+
+def test_each_single_point_function_calls_the_rows_form_once(rows_calls):
+    """``fisher_info``, ``restrict`` and ``lifts`` read the point and the
+    Jacobian from one call; each made two, a point and a Jacobian call."""
+    model, xi = categorical_model(4), [0.2, 0.3, 0.1]
+    alpha = delta(model.point(xi), RandomVariable(model.space, [1.0, 2.0, 4.0, 8.0]))
+    for run in (lambda: fisher_info(model, xi), lambda: restrict(model, xi, alpha),
+                lambda: lifts(model, xi, [[1.0, 0.0, 0.0], [0.0, 2.0, 1.0]])):
+        rows_calls.clear()
+        run()
+        assert rows_calls == [(1, 3)]
+
+
+def test_global_mode_checks_its_grid_with_one_rows_form_call(rows_calls, monkeypatch):
+    """Global mode on a 3-axis box: one call for the local check and one for
+    the 125 grid points, and no ``ParametricModel.point`` call; the grid
+    made one of each per point (126 rows-form calls)."""
+    points, point = [], ParametricModel.point
+    monkeypatch.setattr(ParametricModel, "point", lambda self, xi: points.append(xi) or point(self, xi))
+    model = categorical_model(4)
+    indicators = [RandomVariable(model.space, row) for row in np.eye(4)[:3]]
+    report = crb_check(model, [0.2, 0.3, 0.1], indicators, mode="global", box=[(0.1, 0.3)] * 3)
+    assert report.mode == "global" and report.equality
+    assert rows_calls == [(1, 3), (125, 3)] and points == []

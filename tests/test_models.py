@@ -321,6 +321,14 @@ class TestCrb:
         with pytest.raises(InvalidParameter, match="global mode needs an explicit parameter box"):
             crb_check(categorical_model(3), [0.3, 0.3], self.BIASED, mode="global")
 
+    @pytest.mark.parametrize("box", [[(0.5, 0.1)], "garbage", [(0.1, 0.4), (0.1, 0.4)]])
+    def test_box_outside_global_mode_is_rejected_before_evaluation(self, box):
+        """A box is read in global mode only; local mode used to ignore it,
+        well-formed or not, and return a local report."""
+        with pytest.raises(InvalidParameter) as raised:
+            crb_check(categorical_model(3), [0.3, 0.3], self.BIASED, box=box)
+        assert str(raised.value) == "a box is read in global mode only, got one in mode 'local'"
+
     @pytest.mark.parametrize("box, message", [
         ([], "box needs one (lo, hi) per parameter: 2, got 0"),
         ([(0.1, 0.4)], "box needs one (lo, hi) per parameter: 2, got 1"),

@@ -12,12 +12,19 @@ that tie the metric to the point: Euclidean (p^0) and p^2 weights are not
 preserved by Markov embeddings. The monotonicity batteries are not listed:
 their dense random channels stay far from the equality case, so they are all
 but blind to these mutants.
+
+The co-metric has a control of its own: E[AB] in place of Cov(A, B), patched
+into every ``fishergeo`` module binding of ``cov_rows``. It is as invariant
+as the covariance, so only the ``invariance`` battery's ``sharp`` identity,
+g(#A, #B) = Cov(A, B) with the metric on the left, can tell them apart.
 """
 from __future__ import annotations
 
+import sys
+
 import pytest
 
-from fishergeo import geometry, verify
+from fishergeo import geometry, simplex, verify
 from fishergeo.batteries import run_battery
 from fishergeo.simplex import Distribution
 
@@ -36,7 +43,7 @@ def metric_over_p_power(power: int):
 CAUGHT = [
     (0, "invariance", 100),
     (0, "strong_invariance", 100),
-    (2, "invariance", 99),
+    (2, "invariance", 100),
     (2, "strong_invariance", 100),
 ]
 
@@ -62,3 +69,19 @@ def test_the_mutant_of_power_one_is_the_metric(monkeypatch, battery):
     monkeypatch.setattr(verify, "fisher_metric_rows", mutant)
     assert run_battery(config).to_json() == expected
     assert expected["status"] == "pass"
+
+
+def test_the_uncentered_covariance_is_caught(monkeypatch):
+    """E[AB] for Cov(A, B) passed every battery until the ``sharp`` identity:
+    at 50 trials, ``n_max`` 8 and seed 0 it is caught in every trial."""
+    covariance = simplex.cov_rows
+    patched = [
+        name for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "fishergeo" and vars(module).get("cov_rows") is covariance
+    ]
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "cov_rows", lambda w, a, b: simplex.expect_rows(w, a * b))
+    assert {"fishergeo.simplex", "fishergeo.verify"} <= set(patched)
+    report = run_battery({"battery": "invariance", "trials": 50, "n_max": 8, "seed": 0})
+    assert report.status == "violation"
+    assert len(report.witnesses) == 50

@@ -12,8 +12,9 @@ one trial or on a batch of mixed shapes, so every residual the references
 compute and every Gram entry must be the same float, compared through
 ``float.hex``; every residual of a batch must be the one its trial gives
 alone; and a trial that fails a check must raise what the reference raises.
-The seven operator identities of the strong-invariance check are held to
-the exact oracle of ``tests/exact.py`` instead (``test_exact_oracle``). The
+The seven operator identities of the strong-invariance check, and the
+invariance check's fifth residual, ``sharp``, which the reference lacks, are
+held to the exact oracle of ``tests/exact.py`` instead (``test_exact_oracle``). The
 kernels take a case's arrays (``frozen_pairs.arrays``), the references and
 the single-case checks its objects (``frozen_pairs.objects``).
 """
@@ -84,6 +85,13 @@ def reference_residuals(pair, q, a, b) -> dict[str, float]:
 
 def relative(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+
+
+def sharp_budget(case: dict) -> float:
+    """``test_exact_oracle.sharp_budget``, which imports this module, so it is imported late."""
+    from test_exact_oracle import sharp_budget
+
+    return sharp_budget(case)
 
 
 def reference_invariance(pair, q, x_m_rep, y_m_rep, a, b) -> dict[str, float]:
@@ -278,10 +286,11 @@ def test_invariance_kernel_batches_bitwise(cases):
     assert len(reports) == len(cases)
     for case, report in zip(cases, reports):
         expected = reference_invariance(**invariance_case(case))
-        assert list(report.residuals) == list(expected)
-        assert hexes(list(report.residuals.values())) == hexes(list(expected.values()))
+        assert list(report.residuals) == [*expected, "sharp"]
+        assert hexes([report.residuals[key] for key in expected]) == hexes(list(expected.values()))
+        assert report.residuals["sharp"] <= sharp_budget(arrays("invariance", invariance_case(case)))
         single = check_invariance(**invariance_case(case))
-        assert hexes(list(single.residuals.values())) == hexes(list(expected.values()))
+        assert hexes(list(single.residuals.values())) == hexes(list(report.residuals.values()))
 
 
 @settings(max_examples=100, deadline=None)
@@ -318,7 +327,8 @@ def test_battery_draws_bitwise(n_max, trials, seed):
     plain = _draw_invariance(rng, trials, n_max)
     for case, report in zip(plain, invariance_kernel(**columns(plain))):
         expected = reference_invariance(**objects("invariance", case))
-        assert hexes(list(report.residuals.values())) == hexes(list(expected.values()))
+        assert hexes([report.residuals[key] for key in expected]) == hexes(list(expected.values()))
+        assert report.residuals["sharp"] <= sharp_budget(case)
 
 
 # ---------------------------------------------------------------------------
