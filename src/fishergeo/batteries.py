@@ -10,8 +10,8 @@ seeded generator, evaluates them through the check, or in one call of the
 spec's kernel, and tracks the worst residual in trial order. Violations
 are first minimized by greedy shrinking (reduce the sample space, then the
 vector support) and then recorded as witnesses, each tagged with
-(seed, trial). The channel and pair batteries draw all their trials at once,
-so a draw is not prefix-stable: a trial is regenerated from the run's
+(seed, trial). Every battery but ``characterize`` draws all its trials at
+once, so a draw is not prefix-stable: a trial is regenerated from the run's
 ``(seed, trials, n_max)`` and its index, not from its seed and index alone.
 A pair or weak-invariance case is arrays, checked by its kernel, not objects.
 """
@@ -29,16 +29,11 @@ from .errors import FisherGeoError, InvalidParameter, by_shape
 from .families import CandidateFamily, parse_family
 from .geometry import TangentVector
 from .jsonio import read_bool, read_float, read_float_list, read_int, read_object
-from .markov import (
-    Channel, apply_rows, canonical_embedding_rows, random_channel_kernels, random_surjection_map,
-)
+from .markov import Channel, apply_rows, canonical_embedding_rows, random_channel_kernels
 # The crb spec names its kernel; its draw calls the estimator kernel through
 # this namespace too.
-from .models import categorical_model, crb_kernel, estimator_noise, unbiased_estimators_kernel
-from .simplex import (
-    Distribution, RandomVariable, SampleSpace, centered_rows, interior_rows, new_distribution,
-    sample_interior_weights,
-)
+from .models import categorical_model, crb_kernel, unbiased_estimators_kernel
+from .simplex import Distribution, RandomVariable, SampleSpace, centered_rows, interior_rows, new_distribution
 # The battery specs name their checks; _drive calls them through this namespace.
 from .verify import (
     PASS_TOL, STRONG_INVARIANCE_TOL, VIOLATION_TOL, Witness, characterize,
@@ -219,7 +214,7 @@ class _Battery:
 
     A default of None marks a required key. ``draw(rng, rounds=..., **params)``
     returns the cases of all rounds in trial order, each keyed by parameter
-    name; ``_per_trial`` makes it from a draw of one case. A spec names one
+    name, drawn from the run's one generator. A spec names one
     evaluator, never two: either the single-case ``check``, called once per
     case, or the ``kernel``, which takes each input as a sequence with one
     entry per trial, evaluates all cases in one call and returns the reports
@@ -295,22 +290,20 @@ def _drive(spec: _Battery, params: dict) -> BatteryReport:
 # ---------------------------------------------------------------------------
 
 
-def _per_trial(draw: Callable[..., dict]) -> Callable[..., list[dict]]:
-    """The draw of every round from ``draw(rng, trial=..., **params)``, one case per trial."""
-    return lambda rng, rounds, **params: [draw(rng, trial=t, **params) for t in range(rounds)]
-
-
-# The channel and pair batteries draw all their trials at once from the
+# Every battery but ``characterize`` draws all its trials at once from the
 # battery's generator: every trial's sizes; then, for each shape in
 # ``by_shape`` order, one flat Dirichlet block per kind of point (and one for
 # the channel columns); then the free values of all surjections in one
 # ``integers`` block and their orders in one row-wise ``permuted``; then one
-# ``normal`` block for every variable and tangent vector. A channel trial's
-# objects are then built from its rows; a pair trial stays rows, with its
-# canonical fibers and centered representatives computed per shape. Each has
-# the law of one drawn alone through ``random_channel``, ``sample_interior``
-# (floor 1e-6) or ``random_surjection``, but the stream is not prefix-stable:
-# a trial is regenerated from the run's (seed, trials, n_max) and its index.
+# ``normal`` block for every variable, tangent vector and estimator noise row,
+# and for ``crb`` one ``uniform(0, 2)`` block of the noise scales. A channel
+# trial's objects are then built from its rows; a pair trial stays rows, with
+# its canonical fibers and centered representatives computed per shape. Each
+# has the law of one drawn alone through ``random_channel``,
+# ``sample_interior`` (floor 1e-6, 0.02 for a weak-invariance grid),
+# ``random_surjection`` or ``estimator_noise``, but the stream is not
+# prefix-stable: a trial is regenerated from the run's (seed, trials, n_max)
+# and its index.
 
 
 def _by_shape_rows(rng: np.random.Generator, shapes: list[tuple[int, ...]], *blocks) -> list[list]:
@@ -324,9 +317,9 @@ def _by_shape_rows(rng: np.random.Generator, shapes: list[tuple[int, ...]], *blo
     return rows
 
 
-def _points_on(axis: int) -> Callable[..., np.ndarray]:
-    """The block of interior points on the space of size ``shape[axis]``."""
-    return lambda rng, shape, count: interior_rows(rng.dirichlet(np.ones(shape[axis]), size=count))
+def _points_on(axis: int, floor: float = 1e-6, each: tuple[int, ...] = ()) -> Callable[..., np.ndarray]:
+    """The block of interior points, ``each`` per trial, on the space of size ``shape[axis]``."""
+    return lambda rng, shape, count: interior_rows(rng.dirichlet(np.ones(shape[axis]), (count, *each)), floor)
 
 
 def _channel_kernels(rng: np.random.Generator, shape: tuple[int, int], count: int) -> np.ndarray:
@@ -431,20 +424,16 @@ def _draw_prop6(rng: np.random.Generator, rounds: int, n_max: int, family: Candi
 
 
 def _draw_crb(rng: np.random.Generator, rounds: int, n_max: int, **_) -> list[dict]:
-    """Locally unbiased estimators on random categorical model points.
-
-    Each trial draws its size, its point and its estimator noise, in the
-    order of one ``unbiased_estimators`` call; the estimators of all trials
-    then come from one ``unbiased_estimators_kernel`` call.
-    """
-    models, xis, noise = [], [], []
-    for _ in range(rounds):
-        n = int(rng.integers(2, n_max + 1))
-        model = categorical_model(n)
-        models.append(model)
-        xis.append(sample_interior_weights(n, seed=int(rng.integers(2**32)))[: n - 1])
-        noise.append(estimator_noise(model, rng))
-    estimators = unbiased_estimators_kernel(models, xis, noise)
+    """Locally unbiased estimators on random categorical model points: the
+    sizes n, the points, the noise rows (n - 1, n) and the scales (n - 1,) of
+    every trial; the estimators then come from one ``unbiased_estimators_kernel`` call."""
+    n = rng.integers(2, n_max + 1, size=rounds).tolist()
+    (points,) = _by_shape_rows(rng, [(size,) for size in n], _points_on(0))
+    noise = [z.reshape(size - 1, size) for z, size in zip(_normal_rows(rng, [s * (s - 1) for s in n]), n)]
+    scales = _split(rng.uniform(0, 2, size=sum(n) - rounds), [size - 1 for size in n])
+    models = [categorical_model(size) for size in n]
+    xis = [w[:-1] for w in points]
+    estimators = unbiased_estimators_kernel(models, xis, list(zip(noise, scales)))
     return [{"model": m, "xi": x, "estimators": e} for m, x, e in zip(models, xis, estimators)]
 
 
@@ -453,21 +442,20 @@ def _size_pairs(n_max: int) -> list[tuple[int, int]]:
 
 
 def _draw_weak_invariance(rng: np.random.Generator, n_max: int, alphas: tuple[float, ...],
-                          grid_count: int, step: float, mismatched: bool, trial: int, **_) -> dict:
+                          grid_count: int, step: float, mismatched: bool, **_) -> list[dict]:
     """Trial t runs the t-th (alpha, size pair) of their product, alpha-major,
-    on the 0-based map of F, q and the grid, as arrays, each from its own seed."""
+    on the 0-based map of F, q and the grid (grid_count, m - 1), as arrays."""
     sizes = _size_pairs(n_max)
-    alpha = alphas[trial // len(sizes)]
-    m, n = sizes[trial % len(sizes)]
-    surjection = random_surjection_map(n, m, seed=int(rng.integers(2**32)))
-    q = sample_interior_weights(n, seed=int(rng.integers(2**32)))
+    shapes = [(n, m) for _ in alphas for m, n in sizes]
     # keep grid points well inside the simplex, at a floor of 0.02: the
     # finite-difference step (default 1e-4) must not push any weight negative
-    grid = [sample_interior_weights(m, int(rng.integers(2**32)), 0.02)[: m - 1] for _ in range(grid_count)]
-    return {
-        "surjection": surjection, "q": q, "alpha": alpha,
-        "grid": grid, "step": step, "mismatched": mismatched,
-    }
+    big, grids = _by_shape_rows(rng, shapes, _points_on(0), _points_on(1, 0.02, (grid_count,)))
+    maps = _surjection_maps(rng, *(np.array(side) for side in zip(*shapes)))
+    return [
+        {"surjection": f, "q": q, "alpha": alphas[t // len(sizes)], "grid": grid[:, :-1], "step": step,
+         "mismatched": mismatched}
+        for t, (f, q, grid) in enumerate(zip(maps, big, grids))
+    ]
 
 
 def _weak_invariance_extras(params: dict, worst: float, cases: list, reports: list) -> dict:
@@ -525,7 +513,7 @@ _BATTERIES: dict[str, _Battery] = {spec.name: spec for spec in (
             "n_max": 5, "seed": 0, "step": 1e-4, "alphas": (-1.0, 0.0, 1.0),
             "grid_count": 3, "mismatched": False,
         },
-        _per_trial(_draw_weak_invariance), float, kernel="weak_invariance_residual_kernel",
+        _draw_weak_invariance, float, kernel="weak_invariance_residual_kernel",
         rounds=lambda params: len(_size_pairs(params["n_max"])) * len(params["alphas"]),
         # finite differences dominate here: pass at the violation tolerance
         min_n=3, pass_tol=VIOLATION_TOL,
@@ -535,7 +523,7 @@ _BATTERIES: dict[str, _Battery] = {spec.name: spec for spec in (
         # one round: the probe draws its own cases and builds its own witness
         "characterize",
         {"family": None, "n_max": 6, "denominator_bound": 64, "trials": 8, "seed": 0},
-        _per_trial(lambda rng, trial, **params: params),
+        lambda rng, rounds, **params: [params],
         lambda result: 0.0 if result.passed else result.witness.gap, check="characterize",
         rounds=lambda params: 1,
         extras=lambda params, worst, cases, reports: {"characterize": reports[0].to_json()},

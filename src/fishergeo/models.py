@@ -328,6 +328,8 @@ def estimator_noise(model: ParametricModel, rng) -> tuple[np.ndarray, np.ndarray
     """The draws of one ``unbiased_estimators`` call, in its order: for each
     estimator ``normal(size=n)``, then ``uniform(0, 2)``. Returns the noise
     rows (dim, n) and the scales (dim,)."""
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidParameter(f"rng must be a numpy.random.Generator, not {type(rng).__name__}")
     n = model.space.size
     noise, scale = np.empty((model.dim, n)), np.empty(model.dim)
     for i in range(model.dim):
@@ -348,9 +350,10 @@ def unbiased_estimators_kernel(model, xi, noise) -> list[list[RandomVariable]]:
 
     Each argument is a sequence with one entry per trial, in any mix of
     models; a trial's ``noise`` is what ``estimator_noise`` draws for it.
-    The lifts of all trials of one model shape are computed together; each
-    noise row is projected onto the kernel of restriction by its own
-    ``lstsq``. Every estimator is bitwise the one the trial gives alone, and
+    The lifts of all trials of one model shape are computed together, and
+    their noise z is projected onto the kernel of restriction as z - (zQ)Q^T,
+    Q from one stacked reduced QR of the transposed Jacobians (Golub & Van
+    Loan, 5.3). Every estimator is bitwise the one the trial gives alone, and
     a failed check raises what the first failing trial raises alone.
     """
     return in_trial_order(_estimator_rows, model, xi, noise)
@@ -363,15 +366,16 @@ def _estimator_rows(model, xi, noise) -> list[list[RandomVariable]]:
         jac = jacobian_rows(group, at, raw)
         k, n = jac.shape[1:]
         reps = _lifted(w, jac, np.broadcast_to(np.eye(k), (len(trials), k, k)))
-        for row, t in enumerate(trials):
+        parts = []
+        for t in trials:
             z, scale = (np.array(part, dtype=float) for part in noise[t])
             if z.shape != (k, n) or scale.shape != (k,):
                 raise SizeMismatch(f"noise of shapes {z.shape}, {scale.shape} != {(k, n)}, {(k,)}")
-            jac_t = jac[row].T
-            for i in range(k):
-                z[i] -= jac_t @ np.linalg.lstsq(jac_t, z[i], rcond=None)[0]
-            space = model[t].space
-            estimators[t] = [RandomVariable(space, v) for v in reps[row] + scale[:, None] * z]
+            parts.append((z, scale))
+        z, scale = (np.array(column) for column in zip(*parts))
+        q = np.linalg.qr(jac.transpose(0, 2, 1))[0]
+        for t, values in zip(trials, reps + scale[..., None] * (z - (z @ q) @ q.transpose(0, 2, 1))):
+            estimators[t] = [RandomVariable(model[t].space, v) for v in values]
     return estimators
 
 

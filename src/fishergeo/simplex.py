@@ -208,12 +208,12 @@ def interior_rows(draws: np.ndarray, floor: float = 1e-6) -> np.ndarray:
 
 def sample_interior(space: SampleSpace, seed: int, floor: float = 1e-6) -> Distribution:
     """A reproducible interior point of the simplex: the Distribution of ``sample_interior_weights``."""
-    require_seed(seed)
     return Distribution(space, sample_interior_weights(space.size, seed, floor))
 
 
 def sample_interior_weights(n: int, seed: int, floor: float = 1e-6) -> np.ndarray:
     """The weights of a reproducible interior point of the simplex on n points:
     one flat Dirichlet draw from ``default_rng(seed)``, flattened by ``interior_rows``."""
+    require_seed(seed)
     draw = np.random.default_rng(seed).dirichlet(np.ones(SampleSpace(n).size))
     return interior_rows(draw, floor)

@@ -1,6 +1,6 @@
 """An exact oracle for the strong-invariance identities, the co-metric as the
-dual of the metric, the family matrix and the pairing identity, in rational
-arithmetic.
+dual of the metric, the family matrix, the pairing identity and the CRB
+noise projection, in rational arithmetic.
 
 Every float is a dyadic rational, so ``Fraction(x)`` is exact, and so are
 sums, products and quotients of fractions, and integer powers. This module
@@ -45,6 +45,12 @@ each fiber row divided by its exact sum, alpha and beta centered exactly.
 There, for c1 L2 + c2 MM, the two sides are equal: Phi* beta is
 E(beta | F) centered at p and Psi* alpha is alpha o F centered at q, so both
 L2 sides are sum_y q(y) alpha(F(y)) beta(y) and both MM sides are 0.
+
+``projected_noise`` projects the noise rows of the CRB estimators onto the
+kernel of restriction, P z = z - J^T (J J^T)^{-1} J z, for a float
+Jacobian J taken as exact input: the noise an estimator adds to its lift.
+It works in integers, the inputs scaled by a power of 2, and ``restriction``
+gives J P z in the same integers, 0 exactly.
 """
 from __future__ import annotations
 
@@ -282,3 +288,54 @@ def rationalize(weights, denominator_bound: int, tol) -> tuple[int, list[int]] |
             return m, counts
     return None
 
+
+def _integers(values) -> tuple[list[int], int]:
+    """Integers k and a shift s with values = k / 2**s exactly: a float's
+    denominator is a power of 2."""
+    parts = [Fraction(v) for v in values]
+    s = max(p.denominator.bit_length() - 1 for p in parts)
+    return [p.numerator << (s - p.denominator.bit_length() + 1) for p in parts], s
+
+
+def _integer_rows(rows) -> tuple[list[list[int]], int]:
+    flat, s = _integers([v for row in rows for v in row])
+    n = len(rows[0])
+    return [flat[i : i + n] for i in range(0, len(flat), n)], s
+
+
+def projected_noise(jac, rows) -> tuple[list[list[int]], int]:
+    """P z = z - J^T (J J^T)^{-1} J z for each noise row z (n,), through a
+    full-rank Jacobian J (k, n): the projection onto the kernel of
+    restriction, where J P z = 0 exactly. Returns integer rows N and one
+    denominator D with P z = N[i] / D.
+
+    With J = K / 2**s and z = Z / 2**t, P z = (Z det A - K^T X) / (2**t det A)
+    for the integer matrix A = K K^T and X = det(A) A^{-1} K Z^T, which one
+    fraction-free Gauss-Jordan elimination of [A | K Z^T] gives (Bareiss
+    1968): every division in it is exact. A is positive definite, so no
+    pivot is 0."""
+    k_rows, _ = _integer_rows(jac)
+    z_rows, t = _integer_rows(rows)
+    k = len(k_rows)
+    system = [[sum(a * b for a, b in zip(ki, other)) for other in (*k_rows, *z_rows)] for ki in k_rows]
+    previous = 1
+    for col in range(k):
+        pivot = system[col]
+        assert pivot[col] != 0
+        for r in range(k):
+            if r != col:
+                row, factor = system[r], system[r][col]
+                system[r] = [(pivot[col] * a - factor * b) // previous for a, b in zip(row, pivot)]
+        previous = pivot[col]
+    det = previous
+    numerators = [
+        [det * zt - sum(system[i][k + r] * k_rows[i][t_] for i in range(k)) for t_, zt in enumerate(z_row)]
+        for r, z_row in enumerate(z_rows)
+    ]
+    return numerators, det << t
+
+
+def restriction(jac, rows: list[list[int]]) -> list[list[int]]:
+    """K v for integer rows v, with J = K / 2**s: 0 exactly where J v = 0."""
+    k_rows, _ = _integer_rows(jac)
+    return [[sum(a * b for a, b in zip(ki, v)) for ki in k_rows] for v in rows]

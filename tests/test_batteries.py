@@ -222,20 +222,50 @@ def test_any_json_value_gives_a_report_or_a_typed_error(data, value):
     json.dumps(report.to_json())
 
 
+@pytest.mark.parametrize("name", sorted(set(SMALL_CONFIGS) - {"characterize"}))
+def test_a_run_seeds_one_generator(monkeypatch, name):
+    """Every battery but ``characterize``, whose bilinearity steps seed their
+    own, draws all its cases from the run's one generator: no drawn object
+    seeds a generator of its own."""
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        seeds.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    report = run_battery({"battery": name, "seed": 3, **SMALL_CONFIGS[name]})
+    assert report.trials >= 1
+    assert seeds == [(3,)]
+
+
+def test_a_crb_run_makes_no_lstsq_call(monkeypatch):
+    """The CRB noise is projected through one stacked QR per model size, not
+    by a least-squares solve per estimator row."""
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refused)
+    report = run_battery({"battery": "crb", "seed": 3, "trials": 12, "n_max": 6})
+    assert report.trials == 12 and report.status == "pass"
+
+
 @pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
 def test_checks_are_called_through_the_module_namespace(monkeypatch, name):
     """A tracer rebinds the module's names: a check or kernel the spec
     captured at import time would run outside the trace. A battery with a
     kernel calls it once per run; the others call their check once per
-    trial. The crb draw calls its estimator kernel once per run, and its
-    noise draw once per trial. The weak_invariance and prop6 kernels check
-    all their trials in one call and never call the single-case check,
-    ``connections.weak_invariance_check`` or ``verify.check_prop6_identity``."""
+    trial. The crb draw calls its estimator kernel once per run and draws
+    its noise in blocks, without ``estimator_noise``. The weak_invariance
+    and prop6 kernels check all their trials in one call and never call the
+    single-case check, ``connections.weak_invariance_check`` or
+    ``verify.check_prop6_identity``."""
     spec = batteries._BATTERIES[name]
     called = [(batteries, spec.kernel or spec.check)]
     config = SMALL_CONFIGS[name]
     if name == "crb":
-        called += [(batteries, "unbiased_estimators_kernel"), (batteries, "estimator_noise")]
+        called += [(batteries, "unbiased_estimators_kernel"), (models_module, "estimator_noise")]
     single = {"weak_invariance": "weak_invariance_check", "prop6": "check_prop6_identity"}
     if name in single:
         called += [(connections_module if name == "weak_invariance" else verify_module, single[name])]
@@ -254,7 +284,7 @@ def test_checks_are_called_through_the_module_namespace(monkeypatch, name):
     batched = spec.kernel is not None or name == "characterize"
     expected = {called[0][1]: 1 if batched else report.trials}
     if name == "crb":
-        expected.update(unbiased_estimators_kernel=1, estimator_noise=report.trials)
+        expected.update(unbiased_estimators_kernel=1, estimator_noise=0)
     if name in single:
         assert report.trials == {"weak_invariance": 3, "prop6": 2}[name]
         expected[single[name]] = 0

@@ -360,13 +360,9 @@ def test_weak_invariance_residual_kernel_matches_its_copy_on_battery_draws(
 ):
     """The battery's draws, checked in one kernel call, against the frozen
     residual of each trial, with and without the mismatched control."""
-    rng = np.random.default_rng(seed)
-    rounds = len(_size_pairs(n_max)) * len(alphas)
-    cases = [
-        _draw_weak_invariance(rng, n_max=n_max, alphas=alphas, grid_count=grid_count,
-                              step=DEFAULT_STEP, mismatched=mismatched, trial=t)
-        for t in range(rounds)
-    ]
+    cases = _draw_weak_invariance(np.random.default_rng(seed), n_max=n_max, alphas=alphas,
+                                  grid_count=grid_count, step=DEFAULT_STEP, mismatched=mismatched)
+    assert len(cases) == len(_size_pairs(n_max)) * len(alphas)
     residuals = verify.weak_invariance_residual_kernel(**residual_columns(cases))
     assert hexes(residuals) == hexes([weak_invariance_residual(**residual_objects(case)) for case in cases])
     assert hexes(verify.weak_invariance_residual_kernel(**residual_columns(cases[-1:]))) == hexes(residuals[-1:])
@@ -421,12 +417,8 @@ def spoil_raw(case: dict, defect: str, rng: np.random.Generator) -> dict:
 
 
 def battery_cases(seed: int, n_max: int, alphas: list[float], mismatched: bool = False) -> list[dict]:
-    rng = np.random.default_rng(seed)
-    return [
-        _draw_weak_invariance(rng, n_max=n_max, alphas=alphas, grid_count=1,
-                              step=DEFAULT_STEP, mismatched=mismatched, trial=t)
-        for t in range(len(_size_pairs(n_max)) * len(alphas))
-    ]
+    return _draw_weak_invariance(np.random.default_rng(seed), n_max=n_max, alphas=alphas, grid_count=1,
+                                 step=DEFAULT_STEP, mismatched=mismatched)
 
 
 @settings(max_examples=40, deadline=None)
@@ -460,6 +452,9 @@ def test_each_raw_defect_is_rejected_in_trial_order(defect, error):
     bad = spoil_raw(good[1], defect, np.random.default_rng(1))
     if defect == "map_out_of_range":
         bad["surjection"][0] = -1
+    elif defect == "map_not_onto":
+        # onto its largest value, so that the map keeps its codomain of m >= 2 points
+        bad["surjection"][:] = np.max(good[1]["surjection"])
     elif defect == "q_weight":
         bad["q"][0] = -0.5
     assert outcome(lambda: verify.weak_invariance_residual_kernel(**residual_columns([bad])))[0] is error

@@ -1,17 +1,23 @@
-"""The batched draws of the channel and pair batteries against the per-trial
-draws they replaced, in law.
+"""The batched draws of the batteries against the per-trial draws they
+replaced, in law.
 
-The channel and pair batteries draw all their trials at once from the
-battery's generator, so their stream differs from the old one, which seeded
+Every battery but ``characterize`` draws all its trials at once from the
+battery's generator, so its stream differs from the old one, which seeded
 one generator per drawn object. What must not differ is the law of each
 trial. The old draws are kept here, frozen, and compared with the new ones:
 
 - exactly, where the law is a rule: the size ranges, the floors of the
-  points (1e-6) and of the channel columns (``RANDOM_CHANNEL_FLOOR``), the
-  column-major kernels, and the supports of the sizes drawn;
+  points (1e-6), of the weak-invariance grids (0.02) and of the channel
+  columns (``RANDOM_CHANNEL_FLOOR``), the column-major kernels, the shapes
+  of the CRB noise, the weak-invariance order of alphas and size pairs, and
+  the supports of the sizes drawn;
 - by a two-sample Kolmogorov-Smirnov statistic, numpy only, on the rest: the
-  sizes, the smallest weight, the surjections' fibers and orders, and one
-  residual per battery, at fixed seeds.
+  sizes, the smallest weight, the surjections' fibers and orders, the CRB
+  noise and scales, and one residual per battery, at fixed seeds.
+
+Both CRB draws make their estimators through the same kernel, so that the
+residuals, which are rounding in the equality case V = G^{-1}, compare the
+draws and not two projections.
 """
 from __future__ import annotations
 
@@ -22,11 +28,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fishergeo import batteries
 from fishergeo.batteries import (
     _draw_channel_cases,
+    _draw_crb,
     _draw_invariance,
     _draw_prop6,
     _draw_strong_invariance,
+    _draw_weak_invariance,
+    _size_pairs,
 )
 from fishergeo.families import parse_family
 from fishergeo.geometry import TangentVector, delta
@@ -36,19 +46,24 @@ from fishergeo.markov import (
     canonical_embedding,
     random_channel,
     random_surjection,
+    random_surjection_map,
 )
-from fishergeo.simplex import RandomVariable, SampleSpace, sample_interior
+from fishergeo.models import categorical_model, crb_kernel, unbiased_estimators_kernel
+from fishergeo.simplex import RandomVariable, SampleSpace, sample_interior, sample_interior_weights
 from fishergeo.verify import (
     check_monotonicity_cometric,
     check_monotonicity_metric,
     invariance_kernel,
     prop6_kernel,
     strong_invariance_kernel,
+    weak_invariance_residual_kernel,
 )
 from frozen_pairs import arrays
 
 #: The floor of ``sample_interior``, which the drawn points keep.
 POINT_FLOOR = 1e-6
+#: The floor of a weak-invariance grid point.
+GRID_FLOOR = 0.02
 #: Trials per side of each comparison in law.
 TRIALS = 2000
 #: Significance of each KS comparison at its fixed seed.
@@ -193,11 +208,13 @@ def batched_cases(name: str, seed: int, trials: int) -> list[dict]:
 
 class BoundaryDirichlet:
     """A generator whose flat Dirichlet draws sit on the boundary of their
-    support: the smallest entry of each row is set to 0 and the others are
-    scaled to keep the sum. Every other draw is the wrapped generator's."""
+    support: the smallest entry of each row (the first, with ``first``) is
+    set to 0 and the others are scaled to keep the sum. Every other draw is
+    the wrapped generator's."""
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, rng: np.random.Generator, first: bool = False):
         self._rng = rng
+        self._first = first
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
@@ -205,7 +222,7 @@ class BoundaryDirichlet:
     def dirichlet(self, alpha, size=None):
         rows = self._rng.dirichlet(alpha, size=size)
         flat = rows.reshape(-1, rows.shape[-1])
-        smallest = flat.argmin(axis=1)
+        smallest = np.zeros(len(flat), dtype=int) if self._first else flat.argmin(axis=1)
         flat[np.arange(len(flat)), smallest] = 0.0
         flat /= flat.sum(axis=1, keepdims=True)
         return rows
@@ -305,5 +322,173 @@ def test_draws_agree_in_law(name, seed):
     old = statistics(name, frozen_cases(name, seed, TRIALS))
     new = statistics(name, batched_cases(name, seed, TRIALS))
     bound = ks_bound(TRIALS, TRIALS)
+    distances = {key: ks_statistic(old[key], new[key]) for key in old}
+    assert {key: d for key, d in distances.items() if d > bound} == {}
+
+
+# ---------------------------------------------------------------------------
+# crb and weak_invariance: the per-object draws, frozen, and the block draws
+# ---------------------------------------------------------------------------
+
+
+def frozen_crb_case(rng: np.random.Generator, n_max: int) -> dict:
+    """One crb trial of the draw that seeded a generator per point: its size,
+    its point from ``sample_interior`` and, per estimator, a ``normal`` noise
+    row and a ``uniform(0, 2)`` scale."""
+    n = int(rng.integers(2, n_max + 1))
+    model = categorical_model(n)
+    xi = sample_interior(model.space, seed=int(rng.integers(2**32))).weights[: n - 1]
+    rows, scales = [], []
+    for _ in range(n - 1):
+        rows.append(rng.normal(size=n))
+        scales.append(rng.uniform(0, 2))
+    return {"model": model, "xi": xi, "noise": np.array(rows), "scale": np.array(scales)}
+
+
+def frozen_crb(rng: np.random.Generator, rounds: int, n_max: int) -> list[dict]:
+    cases = [frozen_crb_case(rng, n_max) for _ in range(rounds)]
+    estimators = unbiased_estimators_kernel(
+        [case["model"] for case in cases], [case["xi"] for case in cases],
+        [(case["noise"], case["scale"]) for case in cases],
+    )
+    return [{**case, "estimators": e} for case, e in zip(cases, estimators)]
+
+
+def batched_crb(rng, rounds: int, n_max: int) -> list[dict]:
+    """The battery's crb draw, each case with the noise rows and scales that
+    the draw hands to the estimator kernel."""
+    noise = []
+
+    def kernel(models, xis, trial_noise):
+        noise.extend(trial_noise)
+        return unbiased_estimators_kernel(models, xis, trial_noise)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(batteries, "unbiased_estimators_kernel", kernel)
+        cases = _draw_crb(rng, rounds, n_max)
+    return [{**case, "noise": z, "scale": scale} for case, (z, scale) in zip(cases, noise)]
+
+
+def frozen_weak_invariance(rng: np.random.Generator, n_max: int, alphas, grid_count: int, step: float,
+                           mismatched: bool) -> list[dict]:
+    """The weak-invariance draw that seeded a generator per object: trial t
+    runs the t-th (alpha, size pair), alpha-major, on a map from
+    ``random_surjection_map``, q from ``sample_interior_weights`` and each
+    grid point at the floor 0.02."""
+    sizes, cases = _size_pairs(n_max), []
+    for t in range(len(sizes) * len(alphas)):
+        m, n = sizes[t % len(sizes)]
+        surjection = random_surjection_map(n, m, seed=int(rng.integers(2**32)))
+        q = sample_interior_weights(n, seed=int(rng.integers(2**32)))
+        grid = [sample_interior_weights(m, int(rng.integers(2**32)), GRID_FLOOR)[: m - 1] for _ in range(grid_count)]
+        cases.append({"surjection": surjection, "q": q, "alpha": alphas[t // len(sizes)], "grid": grid,
+                      "step": step, "mismatched": mismatched})
+    return cases
+
+
+def weak_keys(case: dict) -> tuple:
+    """What a weak-invariance trial runs on besides its draws: alpha, (m, n), step and polarity."""
+    return (case["alpha"], int(np.max(case["surjection"])) + 1, len(case["q"]), case["step"], case["mismatched"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rounds=st.integers(1, 12), n_max=st.integers(2, 6))
+def test_crb_draws_are_the_object_draws_in_rule(seed, rounds, n_max):
+    """The block draw's sizes lie in [2, n_max], its noise rows and scales
+    have the old shapes (n - 1, n) and (n - 1,), its scales lie in [0, 2),
+    its estimators are the kernel's on that noise, and a Dirichlet draw on
+    the boundary of its support is flattened onto the floor exactly."""
+    cases = batched_crb(BoundaryDirichlet(np.random.default_rng(seed), first=True), rounds, n_max)
+    assert len(cases) == rounds
+    for case in cases:
+        n = case["model"].space.size
+        assert 2 <= n <= n_max and case["model"].dim == n - 1
+        assert case["noise"].shape == (n - 1, n) and case["scale"].shape == (n - 1,)
+        assert 0.0 <= case["scale"].min() and case["scale"].max() < 2.0
+        assert case["xi"][0] == POINT_FLOOR and case["xi"].min() == POINT_FLOOR
+    estimators = unbiased_estimators_kernel(
+        [case["model"] for case in cases], [case["xi"] for case in cases],
+        [(case["noise"], case["scale"]) for case in cases],
+    )
+    for case, expected in zip(cases, estimators):
+        assert [a.values.tobytes() for a in case["estimators"]] == [a.values.tobytes() for a in expected]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), n_max=st.integers(3, 7),
+    alphas=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3), grid_count=st.integers(1, 3),
+    mismatched=st.booleans(),
+)
+def test_weak_invariance_draws_are_the_object_draws_in_rule(seed, n_max, alphas, grid_count, mismatched):
+    """The block draw runs the old draw's alphas and size pairs in the old
+    order, on integer surjections onto m, with q on n points and grid_count
+    grid points on m - 1 coordinates, each flattened onto its floor exactly
+    from the boundary of the Dirichlet support."""
+    params = {"n_max": n_max, "alphas": alphas, "grid_count": grid_count, "step": 1e-4, "mismatched": mismatched}
+    new = _draw_weak_invariance(BoundaryDirichlet(np.random.default_rng(seed), first=True), **params)
+    old = frozen_weak_invariance(np.random.default_rng(seed), **params)
+    assert [weak_keys(case) for case in new] == [weak_keys(case) for case in old]
+    for case in new:
+        _, m, n, _, _ = weak_keys(case)
+        assert case.keys() == old[0].keys()
+        assert np.asarray(case["surjection"]).dtype.kind == "i"
+        assert sorted(set(np.asarray(case["surjection"]).tolist())) == list(range(m))
+        assert case["q"][0] == POINT_FLOOR and case["q"].min() == POINT_FLOOR
+        grid = np.asarray(case["grid"])
+        assert grid.shape == (grid_count, m - 1)
+        assert (grid[:, 0] == GRID_FLOOR).all() and grid.min() == GRID_FLOOR
+
+
+def test_crb_sizes_drawn_are_the_old_ones():
+    old = {case["model"].space.size for case in frozen_crb(np.random.default_rng(11), 200, 4)}
+    new = {case["model"].space.size for case in batched_crb(np.random.default_rng(11), 200, 4)}
+    assert old == new == {2, 3, 4}
+
+
+#: The weak-invariance config of the comparison in law: the 6 size pairs of
+#: n_max 5, each under 334 alphas, 2004 trials; the draw does not read alpha.
+WEAK = {
+    "n_max": 5, "alphas": tuple(np.linspace(-1.0, 1.0, 334)), "grid_count": 1, "step": 1e-4,
+    "mismatched": False,
+}
+
+
+def crb_statistics(cases: list[dict]) -> dict[str, list[float]]:
+    reports = crb_kernel(*([case[key] for case in cases] for key in ("model", "xi", "estimators")))
+    return {
+        "size": [case["model"].space.size for case in cases],
+        "smallest_weight": [case["xi"].min() for case in cases],
+        "first_noise": [case["noise"][0, 0] for case in cases],
+        "last_noise": [case["noise"][-1, -1] for case in cases],
+        "first_scale": [case["scale"][0] for case in cases],
+        "last_scale": [case["scale"][-1] for case in cases],
+        "residual": [report.scaled_residual for report in reports],
+    }
+
+
+def weak_statistics(cases: list[dict]) -> dict[str, list[float]]:
+    maps = [np.asarray(case["surjection"]).tolist() for case in cases]
+    residuals = weak_invariance_residual_kernel(**columns(cases))
+    return {
+        "smallest_weight": [case["q"].min() for case in cases],
+        "smallest_grid_entry": [np.min(case["grid"]) for case in cases],
+        "first_fiber": [row.count(0) for row in maps],
+        "first_position_of_0": [row.index(0) for row in maps],
+        "residual": residuals,
+    }
+
+
+@pytest.mark.parametrize("name, seed", [("crb", 201), ("weak_invariance", 202)])
+def test_the_block_draws_agree_with_the_object_draws_in_law(name, seed):
+    """At a fixed seed, every statistic of the block draw is within the KS
+    bound of the per-object draw's."""
+    if name == "crb":
+        old = crb_statistics(frozen_crb(np.random.default_rng(seed), TRIALS, 4))
+        new = crb_statistics(batched_crb(np.random.default_rng(seed), TRIALS, 4))
+    else:
+        old = weak_statistics(frozen_weak_invariance(np.random.default_rng(seed), **WEAK))
+        new = weak_statistics(_draw_weak_invariance(np.random.default_rng(seed), **WEAK))
+    bound = ks_bound(len(old["residual"]), len(new["residual"]))
     distances = {key: ks_statistic(old[key], new[key]) for key in old}
     assert {key: d for key, d in distances.items() if d > bound} == {}

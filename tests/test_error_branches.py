@@ -24,10 +24,12 @@ from fishergeo.models import (
     ParametricModel,
     bernoulli_model,
     categorical_model,
+    estimator_noise,
     exponential_family_model,
+    unbiased_estimators,
     unbiased_estimators_kernel,
 )
-from fishergeo.simplex import Distribution, RandomVariable, SampleSpace, sample_interior
+from fishergeo.simplex import Distribution, RandomVariable, SampleSpace, sample_interior, sample_interior_weights
 from fishergeo.verify import characterize, check_bilinearity, probe_consistency, probe_rational, probe_uniform
 
 
@@ -60,6 +62,7 @@ SEEDS = (-1, 1.5, False)
     (lambda: characterize(COV, trials=2.5), InvalidParameter, "trials must be an integer, not 2.5"),
     *((call, InvalidParameter, f"seed must be a non-negative integer, not {seed!r}") for seed in SEEDS
       for call in (lambda seed=seed: sample_interior(SampleSpace(3), seed),
+                   lambda seed=seed: sample_interior_weights(3, seed),
                    lambda seed=seed: random_channel(3, 2, seed),
                    lambda seed=seed: characterize(COV, seed=seed))),
     (lambda: check_bilinearity(COV, 2.5, 0), InvalidParameter, "n must be an integer, not 2.5"),
@@ -75,7 +78,7 @@ SEEDS = (-1, 1.5, False)
     "probe_uniform", "probe_consistency", "probe_rational", "characterize-n_max",
     "characterize-denominator_bound", "characterize-trials",
     *(f"{name}-seed{seed!r}" for seed in SEEDS
-      for name in ("sample_interior", "random_channel", "characterize")),
+      for name in ("sample_interior", "sample_interior_weights", "random_channel", "characterize")),
     "check_bilinearity-size", "check_bilinearity-bool", "random_surjection_map-size",
     "random_surjection_map-bool",
     *(f"{name}-seed{seed!r}" for seed in SEEDS
@@ -87,6 +90,21 @@ def test_a_bad_size_index_or_seed_raises_a_package_error(call, error, message):
     with pytest.raises(error) as raised:
         call()
     assert isinstance(raised.value, FisherGeoError) and str(raised.value) == message
+
+
+@pytest.mark.parametrize("call, kind", [
+    (lambda: estimator_noise(categorical_model(3), 3), "int"),
+    (lambda: estimator_noise(categorical_model(3), None), "NoneType"),
+    (lambda: estimator_noise(categorical_model(3), np.random.RandomState(0)), "RandomState"),
+    (lambda: unbiased_estimators(categorical_model(3), [0.2, 0.3], 5), "int"),
+], ids=["estimator_noise-int", "estimator_noise-None", "estimator_noise-RandomState", "unbiased_estimators-int"])
+def test_a_random_source_that_is_not_a_generator_raises_a_package_error(call, kind):
+    """The estimator noise is drawn from a ``numpy.random.Generator`` only:
+    anything else, a seed or the legacy ``RandomState`` included, raises
+    InvalidParameter before anything is drawn."""
+    with pytest.raises(InvalidParameter) as raised:
+        call()
+    assert str(raised.value) == f"rng must be a numpy.random.Generator, not {kind}"
 
 
 def test_coefficients_of_the_wrong_shape():

@@ -20,6 +20,12 @@ its trials through one call of the second. Each trial of a batch must give
 its reference values, and a batch with a failing trial must raise what the
 first failing trial raises alone.
 
+The estimator kernel projects its noise through one stacked QR, where the
+reference makes one ``lstsq`` per noise row, so only the lifts stay bitwise.
+The noise of both is held to the exact projection of ``exact.projected_noise``
+within a rounding budget (``noise_overshoots``), and the reference CRB draw
+takes its blocks in the battery's order from the same generator.
+
 The connection references call the frozen ``e_transport``,
 ``fisher_metric`` and ``pushforward`` of ``test_frozen_scalars``: the
 library's scalars are the stencil kernel's and the pair kernels' rows forms
@@ -35,6 +41,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact
 from fishergeo import batteries
 from fishergeo.batteries import _draw_crb
 from fishergeo.connections import (
@@ -165,32 +172,61 @@ def reference_crb(model: ParametricModel, xi, estimators) -> dict:
     }
 
 
-def reference_draw_crb(rng: np.random.Generator, n_max: int) -> dict:
-    n = int(rng.integers(2, n_max + 1))
-    model = categorical_model(n)
-    xi = sample_interior(model.space, seed=int(rng.integers(2**32))).weights[: n - 1]
-    p = model.point(xi)
+def reference_estimator_parts(model: ParametricModel, xi, noise) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One trial's estimators on its noise draw (rows, scales) by the per-row
+    code, with its own Jacobian for the noise projection and ``lifts``
+    evaluating the point and the Jacobian again: the lifts of d xi^i and
+    each noise row minus its least-squares fit by the Jacobian's rows, one
+    ``lstsq`` per row, after the checks of the estimators lifts + scales *
+    noise. Returns the lifts, the projected noise and the Jacobian."""
+    rows, scale = (np.asarray(part, dtype=float) for part in noise)
     jac = jacobian_at(model, xi)
-    estimators = []
-    for unit in np.eye(n - 1):
-        rep = reference_lift(model, xi, unit).rep.values
-        noise = rng.normal(size=n)
-        noise -= jac.T @ np.linalg.lstsq(jac.T, noise, rcond=None)[0]
-        estimators.append(RandomVariable(model.space, rep + float(rng.uniform(0, 2)) * noise))
-    return {"model": model, "xi": xi, "p": p, "estimators": estimators}
+    lifted = np.array([alpha.rep.values for alpha in lifts(model, xi, np.eye(model.dim))])
+    projected = np.array(rows)
+    for z in projected:
+        z -= jac.T @ np.linalg.lstsq(jac.T, z, rcond=None)[0]
+    for values in lifted + scale[:, None] * projected:
+        RandomVariable(model.space, values)
+    return lifted, projected, jac
+
+
+def reference_noise(model: ParametricModel, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of one ``unbiased_estimators`` call: per estimator a
+    ``normal`` row, then a ``uniform(0, 2)`` scale."""
+    rows, scales = [], []
+    for _ in range(model.dim):
+        rows.append(rng.normal(size=model.space.size))
+        scales.append(float(rng.uniform(0, 2)))
+    return np.array(rows), np.array(scales)
+
+
+def reference_draw_crb(rng: np.random.Generator, rounds: int, n_max: int) -> list[dict]:
+    """The crb battery's draw in its block order: every size n, the flat
+    Dirichlet points of each size in order of first appearance, flattened
+    onto the 1e-6 floor as ``sample_interior`` flattens its point, one
+    ``normal`` block of the noise rows (n - 1, n) and one ``uniform(0, 2)``
+    block of the scales (n - 1,)."""
+    sizes = [int(n) for n in rng.integers(2, n_max + 1, size=rounds)]
+    points: list = [None] * rounds
+    for n in dict.fromkeys(sizes):
+        trials = [t for t, size in enumerate(sizes) if size == n]
+        for t, w in zip(trials, rng.dirichlet(np.ones(n), size=len(trials))):
+            points[t] = 1e-6 + (1.0 - n * 1e-6) * w
+    noise = rng.normal(size=sum(n * (n - 1) for n in sizes))
+    scales = rng.uniform(0, 2, size=sum(sizes) - rounds)
+    cases, start, first = [], 0, 0
+    for n, w in zip(sizes, points):
+        rows = noise[start : start + (n - 1) * n].reshape(n - 1, n)
+        cases.append({"model": categorical_model(n), "xi": w[: n - 1], "noise": (rows, scales[first : first + n - 1])})
+        start, first = start + (n - 1) * n, first + n - 1
+    return cases
 
 
 def reference_unbiased_estimators(model: ParametricModel, xi, rng: np.random.Generator):
-    """The estimators of the CRB draw, with its own Jacobian for the noise
-    projection and ``lifts`` evaluating the point and the Jacobian again."""
-    jac = jacobian_at(model, xi)
-    estimators = []
-    for alpha in lifts(model, xi, np.eye(model.dim)):
-        rep = alpha.rep.values
-        noise = rng.normal(size=model.space.size)
-        noise -= jac.T @ np.linalg.lstsq(jac.T, noise, rcond=None)[0]
-        estimators.append(RandomVariable(model.space, rep + float(rng.uniform(0, 2)) * noise))
-    return estimators
+    """The estimators of the per-trial CRB draw: ``reference_estimator_parts`` on ``reference_noise``."""
+    noise = reference_noise(model, rng)
+    lifted, projected, _ = reference_estimator_parts(model, xi, noise)
+    return [RandomVariable(model.space, v) for v in lifted + noise[1][:, None] * projected]
 
 
 def reference_draw_crb_lifts(
@@ -330,6 +366,77 @@ def outcome(fn, *args, **kwargs):
         return type(exc)
 
 
+#: The unit roundoff of IEEE double precision.
+U = 2.0**-53
+#: The budget constant of the projected noise, in units of n * u * kappa(J) * |z|.
+NOISE_C = 8
+#: A power of two so large that a lift plus NOISE_SCALE times its noise rounds
+#: to NOISE_SCALE times the noise: such an estimator, divided back, reads the
+#: noise the kernel projected, to within |lift| / NOISE_SCALE (below 1e-40 here).
+NOISE_SCALE = 2.0**200
+
+
+def noise_overshoots(jac: np.ndarray, rows: np.ndarray, *found: np.ndarray) -> list[float]:
+    """For each stack of projected noise rows in ``found``, the largest error
+    against the exact projection of ``rows`` through the float Jacobian
+    ``jac`` (dim, n) over the budget NOISE_C * n * u * kappa(J) * |z|, after
+    requiring J P z = 0 exactly. The condition number enters as it does for
+    any least-squares projection: J's row space is computed to about
+    n * u * kappa(J) (Golub & Van Loan, 5.3)."""
+    numerators, denominator = exact.projected_noise(jac.tolist(), np.asarray(rows).tolist())
+    assert all(v == 0 for row in exact.restriction(jac.tolist(), numerators) for v in row)
+    scale = NOISE_C * jac.shape[1] * U * float(np.linalg.cond(jac))
+
+    def error(value: float, numerator: int) -> float:
+        top, bottom = value.as_integer_ratio()
+        return abs(top * denominator - numerator * bottom) / (bottom * denominator)
+
+    return [
+        max(
+            max(error(v, e) for v, e in zip(z_found.tolist(), z_exact)) / (scale * float(np.linalg.norm(z)))
+            for z, z_found, z_exact in zip(rows, stack, numerators)
+        )
+        for stack in found
+    ]
+
+
+def kernel_parts(models_, points, rows) -> tuple[list, list]:
+    """``unbiased_estimators_kernel`` on the noise ``rows`` of each trial: its
+    lifts (every scale 0) and its projected noise rows (every scale
+    NOISE_SCALE, divided back)."""
+    def values(scale: float) -> list[np.ndarray]:
+        noise = [(z, np.full(len(z), scale)) for z in rows]
+        return [np.array([a.values for a in e]) for e in unbiased_estimators_kernel(models_, points, noise)]
+
+    return values(0.0), [v / NOISE_SCALE for v in values(NOISE_SCALE)]
+
+
+def assert_estimators_hold(models_, points, noise) -> list[np.ndarray]:
+    """The kernel's estimators for a batch of trials' noise (rows, scales)
+    against the per-row code of ``reference_estimator_parts``:
+
+    - each trial's lifts are bitwise the reference's, and so ``reference_lift``'s
+      (``test_lifts_bitwise``; a scale of 0 keeps the bits of every nonzero lift);
+    - its projected noise, and the reference's, are within the budget of
+      ``noise_overshoots``;
+    - each estimator is lift + scale * noise to rounding, and bitwise the
+      one the trial gives alone.
+
+    Returns the estimators' values, one (dim, n) array per trial."""
+    values = [np.array([a.values for a in e]) for e in unbiased_estimators_kernel(models_, points, noise)]
+    lifted, projected = kernel_parts(models_, points, [rows for rows, _ in noise])
+    for t, (model, xi, (rows, scale)) in enumerate(zip(models_, points, noise)):
+        reference_lifts, reference, jac = reference_estimator_parts(model, xi, (rows, scale))
+        assert hexes(lifted[t]) == hexes(reference_lifts)
+        assert max(noise_overshoots(jac, rows, projected[t], reference)) <= 1.0
+        added = np.asarray(scale)[:, None] * projected[t]
+        assert np.all(abs(values[t] - (lifted[t] + added)) <= 4 * U * (abs(lifted[t]) + abs(added)))
+        if len(models_) > 1:
+            alone = unbiased_estimators_kernel([model], [xi], [(rows, scale)])[0]
+            assert hexes([a.values for a in alone]) == hexes(values[t])
+    return values
+
+
 def interior_point(n: int, seed: int, exponent: float, count: int) -> np.ndarray:
     """Dirichlet weights with ``count`` of them pushed down to about 10**-exponent."""
     rng = np.random.default_rng(seed)
@@ -411,34 +518,38 @@ def assert_crb_equal(model, xi, estimators):
 @given(seed=st.integers(0, 2**32 - 1), n_max=st.integers(2, 8))
 def test_crb_draw_and_check_bitwise(seed, n_max):
     """The draw of one trial, through ``unbiased_estimators_kernel``, against
-    both older draws. Every generator must end in the same state, so later
-    trials draw the same cases."""
-    rng = np.random.default_rng(seed)
+    the reference draw in the same block order. Both generators must end in
+    the same state, so later trials draw the same cases; the point is the
+    same bitwise and the estimators hold to the per-row code."""
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     [case] = _draw_crb(rng, 1, n_max)
     assert sorted(case) == ["estimators", "model", "xi"]
-    for reference in (reference_draw_crb, reference_draw_crb_lifts):
-        reference_rng = np.random.default_rng(seed)
-        expected = reference(reference_rng, n_max)
-        assert hexes(case["xi"]) == hexes(expected["xi"])
-        assert hexes([a.values for a in case["estimators"]]) == hexes(
-            [a.values for a in expected["estimators"]]
-        )
-        assert rng.bit_generator.state == reference_rng.bit_generator.state
+    [expected] = reference_draw_crb(reference_rng, 1, n_max)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert case["model"].space == expected["model"].space
+    assert hexes(case["xi"]) == hexes(expected["xi"])
+    [values] = assert_estimators_hold([case["model"]], [case["xi"]], [expected["noise"]])
+    assert hexes([a.values for a in case["estimators"]]) == hexes(values)
     assert_crb_equal(case["model"], case["xi"], case["estimators"])
 
 
 @settings(max_examples=200, deadline=None)
 @given(drawn=models, seed=st.integers(0, 2**32 - 1))
 def test_unbiased_estimators_on_any_model_bitwise(drawn, seed):
+    """``unbiased_estimators`` draws what the per-estimator reference draws,
+    from the same generator calls, raises its error type, or gives the
+    kernel's estimators on that noise, which hold to the per-row code."""
     model, xi = drawn
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    expected = outcome(reference_unbiased_estimators, model, xi, reference_rng)
+    noise = reference_noise(model, reference_rng)
+    expected = outcome(reference_estimator_parts, model, xi, noise)
     value = outcome(unbiased_estimators, model, xi, rng)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
     if isinstance(expected, type):
         assert value is expected
         return
-    assert hexes([a.values for a in value]) == hexes([a.values for a in expected])
-    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    [values] = assert_estimators_hold([model], [xi], [noise])
+    assert hexes([a.values for a in value]) == hexes(values)
 
 
 @settings(max_examples=200, deadline=None)
@@ -743,16 +854,15 @@ def test_crb_kernel_bitwise(batch):
 @settings(max_examples=150, deadline=None)
 @given(batch=st.lists(st.tuples(batch_points, st.integers(0, 2**32 - 1)), min_size=1, max_size=5))
 def test_unbiased_estimators_kernel_bitwise(batch):
-    """Each trial's estimators from its ``estimator_noise`` draw are the
-    reference's from the same generator, bitwise."""
+    """Each trial's estimators from its ``estimator_noise`` draw hold to the
+    per-row code on the same noise (``assert_estimators_hold``), or the batch
+    raises what its first failing trial raises alone, of the reference's type."""
     models_, points, noise, expected = [], [], [], []
     for (model, xi), seed in batch:
         models_.append(model)
         points.append(xi)
         noise.append(estimator_noise(model, np.random.default_rng(seed)))
-        expected.append(
-            outcome(reference_unbiased_estimators, model, xi, np.random.default_rng(seed))
-        )
+        expected.append(outcome(reference_estimator_parts, model, xi, noise[-1]))
     failed = [t for t, e in enumerate(expected) if isinstance(e, type)]
     if failed:
         raised = error_of(lambda: unbiased_estimators_kernel(models_, points, noise))
@@ -762,29 +872,82 @@ def test_unbiased_estimators_kernel_bitwise(batch):
             lambda: unbiased_estimators_kernel([models_[first]], [points[first]], [noise[first]])
         )
         return
-    for values, reference in zip(unbiased_estimators_kernel(models_, points, noise), expected):
-        assert hexes([a.values for a in values]) == hexes([a.values for a in reference])
+    assert_estimators_hold(models_, points, noise)
 
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_max=st.integers(2, 8), rounds=st.integers(1, 12))
 def test_crb_battery_draw_and_kernel_bitwise(seed, n_max, rounds):
-    """The battery's batched draw against one reference draw per trial from
-    one generator, which must end in the same state; then the kernel on the
-    drawn batch against the per-trial reference check."""
+    """The battery's batched draw against the reference draw in the same
+    block order from one generator, which must end in the same state: the
+    same points bitwise, estimators that hold to the per-row code; then the
+    kernel on the drawn batch against the per-trial reference check."""
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     cases = _draw_crb(rng, rounds, n_max)
-    assert len(cases) == rounds
-    for case in cases:
-        expected = reference_draw_crb(reference_rng, n_max)
-        assert hexes(case["xi"]) == hexes(expected["xi"])
-        assert hexes([a.values for a in case["estimators"]]) == hexes(
-            [a.values for a in expected["estimators"]]
-        )
+    expected = reference_draw_crb(reference_rng, rounds, n_max)
     assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert len(cases) == rounds
+    assert [hexes(case["xi"]) for case in cases] == [hexes(e["xi"]) for e in expected]
+    values = assert_estimators_hold(
+        [case["model"] for case in cases], [case["xi"] for case in cases], [e["noise"] for e in expected]
+    )
+    assert [hexes([a.values for a in case["estimators"]]) for case in cases] == [hexes(v) for v in values]
     reports = crb_kernel(*[[case[key] for case in cases] for key in ("model", "xi", "estimators")])
     for case, report in zip(cases, reports):
         assert_report_is(report, reference_crb(case["model"], case["xi"], case["estimators"]))
+
+
+def plugin(model: ParametricModel) -> ParametricModel:
+    """``model`` behind its own point map and Jacobian, called per point as a plugin model is."""
+    return ParametricModel(model.space, model.dim, model.point, model.jacobian, name="plugin")
+
+
+def noise_trials(batch) -> list[tuple]:
+    """The (model, point, noise rows) of each drawn trial whose lifts exist,
+    its model as a plugin when flagged."""
+    trials = []
+    for (model, xi), as_plugin, seed in batch:
+        model = plugin(model) if as_plugin else model
+        rows = np.random.default_rng(seed).normal(size=(model.dim, model.space.size))
+        if not isinstance(outcome(kernel_parts, [model], [xi], [rows]), type):
+            trials.append((model, xi, rows))
+    return trials
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch=st.lists(st.tuples(batch_points, st.booleans(), st.integers(0, 2**32 - 1)), min_size=1, max_size=4))
+def test_projected_noise_is_exact_and_within_budget(batch):
+    """The kernel's projected noise on a batch against ``exact.projected_noise``:
+    truth, J P z = 0 exactly, and the budget of ``noise_overshoots``, on the
+    categorical models, exponential and mixture submodels (dim < n - 1, where
+    P z is not the mean of z), central differences and plugins."""
+    trials = noise_trials(batch)
+    if not trials:
+        return
+    models_, points, rows = (list(column) for column in zip(*trials))
+    _, projected = kernel_parts(models_, points, rows)
+    for model, xi, z, found in zip(models_, points, rows, projected):
+        assert noise_overshoots(jacobian_at(model, xi), z, found)[0] <= 1.0
+
+
+def test_the_noise_budget_catches_a_skewed_projection(monkeypatch):
+    """Q off orthonormal by a relative 1e-12, far below any check of the
+    estimators, overshoots the budget on the battery's own draw."""
+    cases = reference_draw_crb(np.random.default_rng(0), 20, 4)
+    models_, points = [case["model"] for case in cases], [case["xi"] for case in cases]
+    rows = [case["noise"][0] for case in cases]
+
+    def worst() -> float:
+        _, projected = kernel_parts(models_, points, rows)
+        return max(
+            noise_overshoots(jacobian_at(model, xi), z, found)[0]
+            for model, xi, z, found in zip(models_, points, rows, projected)
+        )
+
+    assert worst() <= 1.0
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a: (qr(a)[0] * (1.0 + 1e-12), None))
+    assert worst() > 100.0
 
 
 def rank_deficient_trial() -> tuple:

@@ -21,8 +21,8 @@ below hold the array path to it:
 
 The weak-invariance battery and the probe read pairs and lifts as arrays
 too: the ``weak_invariance`` draw yields each trial's map and points as
-arrays, bitwise those of its former object draw, and builds no object; a
-run, matched or mismatched, builds no ``Surjection``, ``EmbeddingPair`` or
+arrays (in law those of its former object draw, ``test_draw_law``) and
+builds no object; a run, matched or mismatched, builds no ``Surjection``, ``EmbeddingPair`` or
 ``Channel``; a ``crb`` draw builds one ``Distribution`` per trial, where it
 built two; and ``characterize`` builds no ``Surjection``, and no
 ``Distribution`` when the family decomposes.
@@ -46,7 +46,6 @@ from fishergeo.errors import BadFloor, BadSize, FisherGeoError
 from fishergeo.families import parse_family
 from fishergeo.geometry import CotangentVector, TangentVector
 from fishergeo.markov import Channel, EmbeddingPair, Surjection, random_surjection, random_surjection_map
-from fishergeo.models import categorical_model, estimator_noise, unbiased_estimators_kernel
 from fishergeo.simplex import (
     Distribution, RandomVariable, SampleSpace, interior_rows, sample_interior, sample_interior_weights,
 )
@@ -274,7 +273,8 @@ def test_each_defect_is_rejected(kind, defect):
 
 
 # ---------------------------------------------------------------------------
-# The weak-invariance and crb draws against their object draws
+# The single-case array draws against their object draws (the battery draws
+# against the object draws in law: test_draw_law)
 # ---------------------------------------------------------------------------
 
 
@@ -292,74 +292,9 @@ def frozen_sample_interior(space: SampleSpace, seed: int, floor: float = 1e-6) -
     return Distribution(space, interior_rows(draw, floor))
 
 
-def frozen_draw_weak_invariance(rng, n_max, alphas, grid_count, step, mismatched, trial) -> dict:
-    """The object draw of one weak-invariance trial."""
-    sizes = batteries._size_pairs(n_max)
-    alpha = alphas[trial // len(sizes)]
-    m, n = sizes[trial % len(sizes)]
-    surjection = frozen_random_surjection(n, m, seed=int(rng.integers(2**32)))
-    q = frozen_sample_interior(SampleSpace(n), seed=int(rng.integers(2**32)))
-    grid = [
-        frozen_sample_interior(SampleSpace(m), seed=int(rng.integers(2**32)), floor=0.02).weights[: m - 1]
-        for _ in range(grid_count)
-    ]
-    return {
-        "surjection": surjection, "q": q, "alpha": alpha,
-        "grid": grid, "step": step, "mismatched": mismatched,
-    }
-
-
-def frozen_draw_crb(rng, rounds: int, n_max: int) -> list[dict]:
-    """The crb draw with one Distribution per trial's point xi."""
-    models, xis, noise = [], [], []
-    for _ in range(rounds):
-        n = int(rng.integers(2, n_max + 1))
-        model = categorical_model(n)
-        models.append(model)
-        xis.append(frozen_sample_interior(model.space, seed=int(rng.integers(2**32))).weights[: n - 1])
-        noise.append(estimator_noise(model, rng))
-    estimators = unbiased_estimators_kernel(models, xis, noise)
-    return [{"model": m, "xi": x, "estimators": e} for m, x, e in zip(models, xis, estimators)]
-
-
 def same_bytes(value, other) -> bool:
     value, other = np.asarray(value, dtype=float), np.asarray(other, dtype=float)
     return value.shape == other.shape and value.tobytes() == other.tobytes()
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1), n_max=st.integers(3, 7),
-    alphas=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3), grid_count=st.integers(1, 3),
-)
-def test_weak_invariance_draws_are_the_object_draws(seed, n_max, alphas, grid_count):
-    """The same map, and the same q and grid bitwise, from the same generator calls."""
-    new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    params = {"n_max": n_max, "alphas": alphas, "grid_count": grid_count, "step": 1e-4, "mismatched": False}
-    for trial in range(len(batteries._size_pairs(n_max)) * len(alphas)):
-        new = batteries._draw_weak_invariance(new_rng, trial=trial, **params)
-        old = frozen_draw_weak_invariance(old_rng, trial=trial, **params)
-        assert new.keys() == old.keys()
-        assert np.asarray(new["surjection"]).tolist() == list(old["surjection"].map0)
-        assert np.asarray(new["surjection"]).dtype.kind == "i"
-        assert same_bytes(new["q"], old["q"].weights)
-        assert len(new["grid"]) == grid_count
-        assert all(same_bytes(a, b) for a, b in zip(new["grid"], old["grid"]))
-        assert [new[key] for key in ("alpha", "step", "mismatched")] == [
-            old[key] for key in ("alpha", "step", "mismatched")
-        ]
-    assert new_rng.integers(2**32) == old_rng.integers(2**32)
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), rounds=st.integers(1, 12), n_max=st.integers(2, 6))
-def test_crb_draws_are_the_object_draws(seed, rounds, n_max):
-    new = batteries._draw_crb(np.random.default_rng(seed), rounds, n_max)
-    old = frozen_draw_crb(np.random.default_rng(seed), rounds, n_max)
-    for a, b in zip(new, old, strict=True):
-        assert a["model"].space == b["model"].space
-        assert same_bytes(a["xi"], b["xi"])
-        assert all(same_bytes(x.values, y.values) for x, y in zip(a["estimators"], b["estimators"], strict=True))
 
 
 @settings(max_examples=60, deadline=None)
