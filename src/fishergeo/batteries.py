@@ -8,12 +8,12 @@ read and judged. ``run_battery`` reads a config against the spec before any
 trial runs; ``_drive``, the one trial loop, draws every case from a single
 seeded generator, evaluates them through the check, or in one call of the
 spec's kernel, and tracks the worst residual in trial order. Violations
-are first minimized by greedy shrinking (reduce the sample space, then the
-vector support) and then recorded as witnesses, each tagged with
-(seed, trial). Every battery but ``characterize`` draws all its trials at
-once, so a draw is not prefix-stable: a trial is regenerated from the run's
+are recorded as witnesses of the drawn case, each tagged with (seed, trial).
+Every battery but ``characterize`` draws all its trials at once, so a draw
+is not prefix-stable: a trial is regenerated from the run's
 ``(seed, trials, n_max)`` and its index, not from its seed and index alone.
-A pair or weak-invariance case is arrays, checked by its kernel, not objects.
+A channel, pair or weak-invariance case is arrays, checked by its kernel,
+not objects.
 """
 from __future__ import annotations
 
@@ -21,24 +21,23 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
-from .errors import FisherGeoError, InvalidParameter, by_shape
+from .errors import InvalidParameter, by_shape
 from .families import CandidateFamily, parse_family
-from .geometry import TangentVector
-from .jsonio import read_bool, read_float, read_float_list, read_int, read_object
-from .markov import Channel, apply_rows, canonical_embedding_rows, random_channel_kernels
+from .jsonio import MAX_INT, read_bool, read_float, read_float_list, read_int, read_object
+from .markov import apply_rows, canonical_embedding_rows, random_channel_kernels
 # The crb spec names its kernel; its draw calls the estimator kernel through
 # this namespace too.
 from .models import categorical_model, crb_kernel, unbiased_estimators_kernel
-from .simplex import Distribution, RandomVariable, SampleSpace, centered_rows, interior_rows, new_distribution
+from .simplex import centered_rows, interior_rows
 # The battery specs name their checks; _drive calls them through this namespace.
 from .verify import (
-    PASS_TOL, STRONG_INVARIANCE_TOL, VIOLATION_TOL, Witness, characterize,
-    check_monotonicity_cometric, check_monotonicity_metric, classify, invariance_kernel,
-    prop6_kernel, strong_invariance_kernel, weak_invariance_residual_kernel,
+    PASS_TOL, STRONG_INVARIANCE_TOL, VIOLATION_TOL, Witness, characterize, classify, invariance_kernel,
+    monotonicity_cometric_kernel, monotonicity_metric_kernel, prop6_kernel, strong_invariance_kernel,
+    weak_invariance_residual_kernel,
 )
 
 #: CRB battery verdicts tolerate eigenvalues of V - G^{-1} down to this.
@@ -83,103 +82,6 @@ class BatteryReport:
 
 
 # ---------------------------------------------------------------------------
-# Greedy shrinking
-# ---------------------------------------------------------------------------
-
-
-def shrink_case(
-    case: dict,
-    still_fails: Callable[[dict], bool],
-    reducers: Iterable[Callable[[dict], Iterator[dict]]],
-) -> dict:
-    """Greedy minimization: apply reducers in order while the case fails.
-
-    Each reducer yields candidate reductions; the first candidate that still
-    fails replaces the case and the reducer list restarts. Stops at a fixed
-    point. ``still_fails`` must be deterministic; a candidate it rejects
-    with a ``FisherGeoError`` is skipped, any other exception propagates.
-    """
-
-    def fails(candidate: dict) -> bool:
-        try:
-            return still_fails(candidate)
-        except FisherGeoError:
-            return False
-
-    current = case
-    while True:
-        for reducer in reducers:
-            smaller = next((c for c in reducer(current) if fails(c)), None)
-            if smaller is not None:
-                current = smaller
-                break
-        else:
-            return current
-
-
-def _merge_inputs(case: dict) -> Iterator[dict]:
-    """Merge two adjacent input points of a channel case (shrinks n)."""
-    channel, w = case["channel"], case["p"].weights
-    kernel = channel.kernel
-    if w.shape[0] <= 2:
-        return
-    space = SampleSpace(w.shape[0] - 1)
-    for i in range(w.shape[0] - 1):
-        j = i + 1
-        new_w = np.delete(w, j)
-        new_w[i] = w[i] + w[j]
-        new_kernel = np.delete(kernel, j, axis=1)
-        new_kernel[:, i] = (kernel[:, i] * w[i] + kernel[:, j] * w[j]) / new_w[i]
-        p = new_distribution(space, new_w)
-        merged = dict(case, channel=Channel(space, channel.out_space, new_kernel), p=p)
-        if "x" in case:
-            x = case["x"].m_rep
-            new_x = np.delete(x, j)
-            new_x[i] = x[i] + x[j]
-            merged["x"] = TangentVector(p, new_x)
-        yield merged
-
-
-def _merge_outputs(case: dict) -> Iterator[dict]:
-    """Merge two adjacent output points of a channel case."""
-    channel = case["channel"]
-    kernel = channel.kernel
-    if kernel.shape[0] <= 2:
-        return
-    space = SampleSpace(kernel.shape[0] - 1)
-    for i in range(kernel.shape[0] - 1):
-        j = i + 1
-        new_kernel = np.delete(kernel, j, axis=0)
-        new_kernel[i] = kernel[i] + kernel[j]
-        merged = dict(case, channel=Channel(channel.in_space, space, new_kernel))
-        if "a" in case:
-            a = case["a"].values
-            new_a = np.delete(a, j)
-            new_a[i] = 0.5 * (a[i] + a[j])
-            merged["a"] = RandomVariable(space, new_a)
-        yield merged
-
-
-def _zero_entry(key: str) -> Callable[[dict], Iterator[dict]]:
-    """Zero one entry of the case's vector (re-centering tangent vectors)."""
-
-    def reducer(case: dict) -> Iterator[dict]:
-        vector = case[key]
-        tangent = isinstance(vector, TangentVector)
-        values = vector.m_rep if tangent else vector.values
-        for i in np.flatnonzero(values):
-            reduced = values.copy()
-            reduced[i] = 0.0
-            if tangent:
-                reduced = TangentVector(vector.base, reduced - reduced.mean())
-            else:
-                reduced = RandomVariable(vector.space, reduced)
-            yield dict(case, **{key: reduced})
-
-    return reducer
-
-
-# ---------------------------------------------------------------------------
 # Battery specs and the trial driver
 # ---------------------------------------------------------------------------
 
@@ -198,8 +100,8 @@ def _read_family(value, key: str) -> CandidateFamily:
     return value
 
 
-#: The reader of each config key but ``n_max``, an integer of at least the
-#: battery's ``min_n``. A reader returns the value in its type or raises
+#: The reader of each config key but ``n_max``, an integer in the battery's
+#: ``[min_n, max_n]``. A reader returns the value in its type or raises
 #: InvalidParameter naming the key.
 _READERS: dict[str, Callable[[Any, str], Any]] = {
     "trials": _at_least(1), "seed": _at_least(0), "grid_count": _at_least(1),
@@ -220,12 +122,12 @@ class _Battery:
     entry per trial, evaluates all cases in one call and returns the reports
     in trial order. Checks and kernels, and the kernels a draw calls, are
     looked up in this module at run time, so a rebound name is the one
-    called. ``residual`` reads the signed residual from a report. Above
-    ``VIOLATION_TOL``, whatever the spec's ``pass_tol``, the case is recorded
-    as a witness of the kind ``name``, unless the report carries its own; a
-    spec with ``shrinkers`` (a check spec) first shrinks the case through its
-    check. ``extras(params, worst, cases, reports)`` adds keys to the report
-    from every case and report, in trial order.
+    called. ``n_max`` is read in ``[min_n, max_n]``, the sizes the draw can
+    build. ``residual`` reads the signed residual from a report. Above
+    ``VIOLATION_TOL``, whatever the spec's ``pass_tol``, the drawn case is
+    recorded as a witness of the kind ``name``, unless the report carries
+    its own. ``extras(params, worst, cases, reports)`` adds keys to the
+    report from every case and report, in trial order.
 
     When the bool key named ``control`` is true, the run is a control of the
     opposite polarity, which shows that the check detects a mismatch: it
@@ -241,8 +143,8 @@ class _Battery:
     kernel: str | None = None
     rounds: Callable[[dict], int] = itemgetter("trials")
     min_n: int = 2
+    max_n: int = MAX_INT
     pass_tol: float = PASS_TOL
-    shrinkers: tuple = ()
     extras: Callable[[dict, float, list, list], dict] = lambda *_: {}
     control: str | None = None
 
@@ -265,14 +167,9 @@ def _drive(spec: _Battery, params: dict) -> BatteryReport:
         value = float(spec.residual(report))
         worst = pick(worst, value)
         if not control and value > VIOLATION_TOL:
-            witness = getattr(report, "witness", None)
-            if witness is None:
-                # only check specs have shrinkers, so a case is shrunk through its check
-                case = shrink_case(
-                    case, lambda c: spec.residual(evaluate(**c)) > VIOLATION_TOL, spec.shrinkers
-                )
-                witness = Witness.from_case(spec.name, case, f"seed={seed} trial={trial}")
-            witnesses.append(witness)
+            witnesses.append(
+                getattr(report, "witness", None) or Witness.from_case(spec.name, case, f"seed={seed} trial={trial}")
+            )
     if control:
         status = "pass" if worst > CONTROL_TOL else "violation"
     else:
@@ -296,12 +193,12 @@ def _drive(spec: _Battery, params: dict) -> BatteryReport:
 # the channel columns); then the free values of all surjections in one
 # ``integers`` block and their orders in one row-wise ``permuted``; then one
 # ``normal`` block for every variable, tangent vector and estimator noise row,
-# and for ``crb`` one ``uniform(0, 2)`` block of the noise scales. A channel
-# trial's objects are then built from its rows; a pair trial stays rows, with
-# its canonical fibers and centered representatives computed per shape. Each
-# has the law of one drawn alone through ``random_channel``,
-# ``sample_interior`` (floor 1e-6, 0.02 for a weak-invariance grid),
-# ``random_surjection`` or ``estimator_noise``, but the stream is not
+# and for ``crb`` one ``uniform(0, 2)`` block of the noise scales. Every trial
+# stays rows; a pair trial's canonical fibers and centered representatives
+# are computed per shape. Each has the law of one drawn alone through
+# ``random_channel``, ``sample_interior`` (floor 1e-6, 0.02 for a
+# weak-invariance grid), ``random_surjection`` or ``estimator_noise``, but
+# the stream is not
 # prefix-stable: a trial is regenerated from the run's (seed, trials, n_max)
 # and its index.
 
@@ -353,18 +250,16 @@ def _surjection_maps(rng: np.random.Generator, n: np.ndarray, m: np.ndarray) -> 
 
 def _draw_channel_cases(rng: np.random.Generator, rounds: int, n_max: int, key: str,
                         **_) -> list[dict]:
-    """Random channels, input points, and a tangent vector ``x`` at each or a
-    variable ``a`` on each output space."""
+    """The column-major kernels of random channels, input points, and the
+    m-representation ``x`` of a tangent vector at each or a variable ``a``
+    on each output space, as arrays."""
     shapes = [tuple(shape) for shape in rng.integers(2, n_max + 1, size=(rounds, 2)).tolist()]
     points, kernels = _by_shape_rows(rng, shapes, _points_on(0), _channel_kernels)
     values = _normal_rows(rng, [n_in if key == "x" else n_out for n_in, n_out in shapes])
-    cases = []
-    for (n_in, n_out), w, kernel, v in zip(shapes, points, kernels, values):
-        channel = Channel(SampleSpace(n_in), SampleSpace(n_out), kernel)
-        p = Distribution(channel.in_space, w)
-        vector = TangentVector(p, v - v.mean()) if key == "x" else RandomVariable(channel.out_space, v)
-        cases.append({"channel": channel, "p": p, key: vector})
-    return cases
+    return [
+        {"kernel": kernel, "p": w, key: v - v.mean() if key == "x" else v}
+        for kernel, w, v in zip(kernels, points, values)
+    ]
 
 
 def _pair_trials(rng: np.random.Generator, rounds: int, n_max: int, *blocks):
@@ -472,17 +367,16 @@ def _weak_invariance_extras(params: dict, worst: float, cases: list, reports: li
 
 
 _BATTERIES: dict[str, _Battery] = {spec.name: spec for spec in (
+    # n_max stays below 1000: a channel column keeps a floor of 1e-3 on each of its n_max outputs
     _Battery(
         "monotonicity_metric", {"trials": 1000, "n_max": 6, "seed": 0},
-        partial(_draw_channel_cases, key="x"),
-        attrgetter("slack"), check="check_monotonicity_metric",
-        shrinkers=(_merge_inputs, _merge_outputs, _zero_entry("x")),
+        partial(_draw_channel_cases, key="x"), attrgetter("slack"),
+        kernel="monotonicity_metric_kernel", max_n=999,
     ),
     _Battery(
         "monotonicity_cometric", {"trials": 1000, "n_max": 6, "seed": 0},
-        partial(_draw_channel_cases, key="a"),
-        attrgetter("slack"), check="check_monotonicity_cometric",
-        shrinkers=(_merge_inputs, _merge_outputs, _zero_entry("a")),
+        partial(_draw_channel_cases, key="a"), attrgetter("slack"),
+        kernel="monotonicity_cometric_kernel", max_n=999,
     ),
     _Battery(
         "invariance", {"trials": 500, "n_max": 8, "seed": 0}, _draw_invariance,
@@ -515,8 +409,9 @@ _BATTERIES: dict[str, _Battery] = {spec.name: spec for spec in (
         },
         _draw_weak_invariance, float, kernel="weak_invariance_residual_kernel",
         rounds=lambda params: len(_size_pairs(params["n_max"])) * len(params["alphas"]),
-        # finite differences dominate here: pass at the violation tolerance
-        min_n=3, pass_tol=VIOLATION_TOL,
+        # finite differences dominate here: pass at the violation tolerance;
+        # n_max stays at most 50: a grid point keeps a floor of 0.02 on n_max - 1 coordinates
+        min_n=3, max_n=50, pass_tol=VIOLATION_TOL,
         extras=_weak_invariance_extras, control="mismatched",
     ),
     _Battery(
@@ -554,7 +449,7 @@ def run_battery(config: dict) -> BatteryReport:
     for key, default in spec.defaults.items():
         if key not in config and default is None:
             raise InvalidParameter(f"battery {name!r} needs the key {key!r}")
-        read = _at_least(spec.min_n) if key == "n_max" else _READERS[key]
+        read = partial(read_int, minimum=spec.min_n, maximum=spec.max_n) if key == "n_max" else _READERS[key]
         params[key] = read(config.get(key, default), key)
     return _drive(spec, params)
 

@@ -55,12 +55,12 @@ def read_object(value, keys: tuple[str, ...], what: str) -> dict:
 MAX_INT = 2**53 - 1
 
 
-def read_int(value, key: str, minimum: int = -MAX_INT) -> int:
-    """An integer in [minimum, MAX_INT]; numpy integers count, bools do not."""
+def read_int(value, key: str, minimum: int = -MAX_INT, maximum: int = MAX_INT) -> int:
+    """An integer in [minimum, maximum]; numpy integers count, bools do not."""
     if not is_integer(value):
         raise InvalidParameter(f"{key} must be an integer, not {value!r}")
-    if not minimum <= value <= MAX_INT:
-        raise InvalidParameter(f"{key} must be an integer in [{minimum}, {MAX_INT}], got {value!r}")
+    if not minimum <= value <= maximum:
+        raise InvalidParameter(f"{key} must be an integer in [{minimum}, {maximum}], got {value!r}")
     return int(value)
 
 

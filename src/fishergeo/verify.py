@@ -4,13 +4,15 @@ Single-case checks cover monotonicity of the metric/co-metric/variance under
 channels, the invariance identities of embedding/co-embedding pairs, the
 strong-invariance (adjoint/projector) identities, and the two-sided pairing
 identity for candidate bilinear families. Randomized batteries drive them
-over seeded trials and aggregate deterministic reports. The two invariance
-checks, the pairing identity and weak invariance are array kernels over a
-leading trial axis, ``invariance_kernel``, ``strong_invariance_kernel``,
-``prop6_kernel`` and ``weak_invariance_residual_kernel``, on the arrays of
-one case (0-based map, fiber matrix or point, points and variable rows); their
-batteries call them once on all their trials, whose witnesses are built from,
-and replay to, these arrays. They read pairs through ``markov.pair_stacks``.
+over seeded trials and aggregate deterministic reports. Every battery check
+is an array kernel over a leading trial axis: ``monotonicity_metric_kernel``,
+``monotonicity_cometric_kernel``, ``invariance_kernel``,
+``strong_invariance_kernel``, ``prop6_kernel`` and
+``weak_invariance_residual_kernel``, on the arrays of one case (a channel
+kernel, or a 0-based map and fiber matrix or point, then points and vector
+or variable rows); their batteries call them once on all their trials, whose
+witnesses are built from, and replay to, these arrays. The pair kernels read
+pairs through ``markov.pair_stacks``.
 
 The probe decomposes an invariant family into ``c1 * L2 + c2 * MM``:
 
@@ -39,7 +41,7 @@ replaying it reproduces the gap bitwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import accumulate, chain
 from typing import Callable, Iterator, NamedTuple
 
@@ -47,22 +49,21 @@ import numpy as np
 
 from .connections import ConnectionTag, VectorFieldOnModel, coordinate_field, weak_invariance_kernel
 from .errors import (
-    PASS_TOL, VIOLATION_TOL, InvalidParameter, NotRational, SizeMismatch, by_shape, in_trial_order,
-    require_integer, require_seed,
+    PASS_TOL, VIOLATION_TOL, BasePointMismatch, InvalidParameter, NotRational, SizeMismatch, by_shape,
+    in_trial_order, require_integer, require_seed,
 )
 from .families import CandidateFamily, parse_family
 from .geometry import (
-    CotangentVector, TangentVector, delta_rows, fisher_metric_rows, norm_tangent, require_centered,
-    require_rows_sum_zero,
+    CotangentVector, TangentVector, delta_rows, fisher_metric_rows, require_centered, require_rows_sum_zero,
 )
 from .markov import (
     Channel, EmbeddingPair, apply, apply_rows, canonical_embedding_rows, compose_variable_rows,
-    conditional_expectation, conditional_expectation_rows, pair_stacks, pushforward, require_maps,
+    conditional_expectation_rows, pair_stacks, require_kernel, require_maps,
 )
 from .models import categorical_model, crb_check
 from .simplex import (
     Distribution, RandomVariable, SampleSpace, centered_rows, cov_rows, expect_rows, interior_rows,
-    new_distribution, require_finite, require_weights, variance,
+    new_distribution, require_finite, require_weights,
 )
 
 #: Matrix identities of the strong-invariance check pass at this tolerance.
@@ -193,21 +194,89 @@ class MonotonicityReport:
 def check_monotonicity_metric(
     channel: Channel, p: Distribution, x: TangentVector
 ) -> MonotonicityReport:
-    """Norm non-increase of tangent vectors under a Markov map."""
-    lhs = norm_tangent(pushforward(channel, p, x))
-    rhs = norm_tangent(x)
-    slack = lhs - rhs
-    return MonotonicityReport(lhs, rhs, slack, classify(slack))
+    """Norm non-increase of tangent vectors under a Markov map. Once x is
+    found based at p, on the channel's input space, this is
+    ``monotonicity_metric_kernel`` on a batch of one."""
+    if x.base != p:
+        raise BasePointMismatch("tangent vector is not based at p")
+    if p.space != channel.in_space:
+        raise SizeMismatch("distribution is not on the channel input space")
+    return _one(monotonicity_metric_kernel, kernel=channel.kernel, p=p.weights, x=x.m_rep)
 
 
 def check_monotonicity_cometric(
     channel: Channel, p: Distribution, a: RandomVariable
 ) -> MonotonicityReport:
-    """Variance form of co-metric monotonicity: V_p(E_W(A|.)) <= V_{Wp}(A)."""
-    lhs = variance(p, conditional_expectation(channel, a))
-    rhs = variance(apply(channel, p), a)
-    slack = lhs - rhs
-    return MonotonicityReport(lhs, rhs, slack, classify(slack))
+    """Variance form of co-metric monotonicity: V_p(E_W(A|.)) <= V_{Wp}(A).
+    Once a is found on the channel's output space and p on its input space,
+    this is ``monotonicity_cometric_kernel`` on a batch of one."""
+    if a.space != channel.out_space:
+        raise SizeMismatch("variable is not on the channel output space")
+    if p.space != channel.in_space:
+        raise SizeMismatch(f"sample spaces differ: {p.space.size} vs {channel.in_space.size}")
+    return _one(monotonicity_cometric_kernel, kernel=channel.kernel, p=p.weights, a=a.values)
+
+
+# ---------------------------------------------------------------------------
+# Channel kernels: the monotonicity checks over a leading trial axis. A trial
+# is the kernel (n_out, n_in) of its channel, the weights of its point and its
+# m-representation or variable row; the trials of one shape and kernel layout
+# are stacked and checked once per stack, in the order the single case meets
+# the checks.
+# ---------------------------------------------------------------------------
+
+
+def monotonicity_metric_kernel(kernel, p, x) -> list[MonotonicityReport]:
+    """``check_monotonicity_metric`` over a leading trial axis: each argument
+    is a sequence with one entry per trial, in any mix of sizes and kernel
+    layouts. Every report is bitwise the one the trial gives alone, and a
+    failed check raises what the first failing trial raises alone."""
+    return _monotonicity_reports(kernel, p, x, metric=True)
+
+
+def monotonicity_cometric_kernel(kernel, p, a) -> list[MonotonicityReport]:
+    """``check_monotonicity_cometric`` over a leading trial axis, as
+    ``monotonicity_metric_kernel`` is the metric's."""
+    return _monotonicity_reports(kernel, p, a, metric=False)
+
+
+def _monotonicity_reports(kernel, p, values, metric: bool) -> list[MonotonicityReport]:
+    sides = in_trial_order(partial(_monotonicity_rows, metric=metric), kernel, p, values)
+    return [MonotonicityReport(lhs, rhs, lhs - rhs, classify(lhs - rhs)) for lhs, rhs in sides.tolist()]
+
+
+def _monotonicity_rows(kernel, p, values, metric: bool) -> np.ndarray:
+    """The two sides of each trial: the norms of Wx and x (``metric``), or
+    the variances of E_W(A|.) and A. Each stack of kernels keeps the layout
+    its ``Channel`` would store: products with a C-ordered and an F-ordered
+    copy of one matrix can differ in the last bit."""
+    sides = np.empty((len(p), 2))
+    kernel = [np.array(k, dtype=float) for k in kernel]
+    shapes = [(k.shape, np.isfortran(k), np.shape(w), np.shape(v)) for k, w, v in zip(kernel, p, values)]
+    for trials in by_shape(shapes):
+        first = kernel[trials[0]]
+        if first.ndim != 2:
+            raise SizeMismatch(f"a kernel is a matrix (n_out, n_in), not of shape {first.shape}")
+        n_out, n_in = first.shape
+        SampleSpace(n_in), SampleSpace(n_out)
+        if np.isfortran(first):
+            k = require_kernel(np.array([kernel[t].T for t in trials]).swapaxes(1, 2))
+        else:
+            k = require_kernel(np.array([kernel[t] for t in trials]))
+        w, v = (np.array([rows[t] for t in trials], dtype=float).reshape(len(trials), -1) for rows in (p, values))
+        w = require_weights(_sized(w, n_in))
+        if metric:
+            v = require_rows_sum_zero(_sized(v, n_in, "m_rep length {0} != space size {1}"))
+            image = require_weights(apply_rows(k, w))
+            pushed = require_rows_sum_zero(apply_rows(k, v))
+            squares = [fisher_metric_rows(at, u[:, None], u[:, None])[:, 0, 0] for at, u in ((image, pushed), (w, v))]
+            sides[trials] = np.sqrt(np.maximum(np.stack(squares, axis=-1), 0.0))
+        else:
+            v = require_finite(_sized(v, n_out))
+            expectation = require_finite(conditional_expectation_rows(k, v))
+            image = require_weights(apply_rows(k, w))
+            sides[trials] = np.stack([cov_rows(w, expectation, expectation), cov_rows(image, v, v)], axis=-1)
+    return sides
 
 
 @dataclass(frozen=True)
@@ -324,7 +393,7 @@ def _sized(rows: np.ndarray, size: int, mismatch: str = "expected length {1}, go
     return rows
 
 
-def _one(kernel: Callable, **case):
+def _one(kernel: Callable, /, **case):
     """``kernel`` on a batch of one: the report of one case, its inputs by name."""
     return kernel(**{key: [value] for key, value in case.items()})[0]
 
@@ -1102,30 +1171,24 @@ def characterize(family: CandidateFamily | str, n_max: int = 6, denominator_boun
 
 
 def _monotonicity_witness(case: dict, detail: str = "") -> Witness:
-    """The channel, the point, and x (metric) or a (co-metric)."""
+    """The kernel, the point, and x (metric) or a (co-metric)."""
     metric = "x" in case
-    report = (check_monotonicity_metric if metric else check_monotonicity_cometric)(**case)
-    channel = case["channel"]
+    report = _one(monotonicity_metric_kernel if metric else monotonicity_cometric_kernel, **case)
+    n_out, n_in = np.shape(case["kernel"])
     return Witness(
-        kind="monotonicity_metric" if metric else "monotonicity_cometric",
-        m=channel.in_space.size, n=channel.out_space.size,
+        kind="monotonicity_metric" if metric else "monotonicity_cometric", m=n_in, n=n_out,
         lhs=report.lhs, rhs=report.rhs, gap=report.slack,
-        kernel=_rows(channel.kernel), point=_floats(case["p"].weights),
-        a=_floats(case["x"].m_rep if metric else case["a"].values), detail=detail,
+        kernel=_rows(case["kernel"]), point=_floats(case["p"]),
+        a=_floats(case["x" if metric else "a"]), detail=detail,
     )
 
 
 def _monotonicity_case(witness: Witness) -> dict:
-    # Battery channels are drawn column by column and shrinking keeps that
-    # column-major layout; products with the kernel differ in the last bit
-    # between layouts, so the kernel is rebuilt in the same layout.
+    # Battery kernels are drawn column by column; products with the kernel
+    # differ in the last bit between layouts, so it is rebuilt column-major.
+    key = "x" if witness.kind == "monotonicity_metric" else "a"
     kernel = np.array(witness.kernel, dtype=float, order="F")
-    channel = Channel(SampleSpace(kernel.shape[1]), SampleSpace(kernel.shape[0]), kernel)
-    p = new_distribution(channel.in_space, np.array(witness.point))
-    values = np.array(witness.a)
-    if witness.kind == "monotonicity_metric":
-        return {"channel": channel, "p": p, "x": TangentVector(p, values)}
-    return {"channel": channel, "p": p, "a": RandomVariable(channel.out_space, values)}
+    return {"kernel": kernel, "p": np.array(witness.point), key: np.array(witness.a)}
 
 
 def _pair_witness(case: dict, detail: str = "") -> Witness:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -111,17 +112,52 @@ class TestConfig:
 
 @pytest.mark.parametrize("name", ["monotonicity_metric", "monotonicity_cometric"])
 def test_violations_are_shrunk_tagged_and_replayable(monkeypatch, name):
-    # Monotonicity holds, so no real trial violates it: drop the witness
-    # threshold, the driver's and the Witness's, to make every trial a
-    # violation and follow the witness path.
+    """Monotonicity holds, so no real trial violates it: drop the witness
+    threshold, the driver's and the Witness's, to make every trial a
+    violation and follow the witness path. A witness is no longer shrunk:
+    it stores its trial as drawn, at the drawn sizes, and replays bitwise."""
     monkeypatch.setattr(verify_module, "VIOLATION_TOL", -np.inf)
     monkeypatch.setattr(batteries, "VIOLATION_TOL", -np.inf)
     report = run_battery({"battery": name, "trials": 4, "n_max": 5, "seed": 7})
     assert report.status == "violation"
     assert [w.detail for w in report.witnesses] == [f"seed=7 trial={t}" for t in range(4)]
-    for witness in report.witnesses:
-        assert (witness.kind, witness.m, witness.n) == (name, 2, 2)
+    cases = batteries._BATTERIES[name].draw(np.random.default_rng(7), rounds=4, n_max=5)
+    for witness, case in zip(report.witnesses, cases):
+        assert (witness.kind, witness.n, witness.m) == (name, *case["kernel"].shape)
+        assert witness.kernel == tuple(map(tuple, case["kernel"].tolist()))
         assert np.float64(replay_witness(witness)).tobytes() == np.float64(witness.gap).tobytes()
+
+
+#: The batteries whose draws bound n_max, each with a small config at its bound.
+MAX_N = {
+    "monotonicity_metric": (999, {"trials": 2}),
+    "monotonicity_cometric": (999, {"trials": 2}),
+    "weak_invariance": (50, {"grid_count": 1, "alphas": [0.0]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAX_N))
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_an_n_max_past_the_bound_is_rejected_before_any_draw(monkeypatch, name, seed):
+    """Past its bound the draw would fail at some seeds only (a channel
+    column or a grid point that cannot keep its floor): the config reader
+    rejects it whatever the seed, naming n_max and the range."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setitem(batteries._BATTERIES, name, dataclasses.replace(batteries._BATTERIES[name], draw=no_draw))
+    max_n, config = MAX_N[name]
+    min_n = batteries._BATTERIES[name].min_n
+    message = f"n_max must be an integer in [{min_n}, {max_n}], got {max_n + 1}"
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+        run_battery({"battery": name, "n_max": max_n + 1, "seed": seed, **config})
+
+
+@pytest.mark.parametrize("name", sorted(MAX_N))
+def test_an_n_max_at_the_bound_runs(name):
+    max_n, config = MAX_N[name]
+    report = run_battery({"battery": name, "n_max": max_n, "seed": 1, **config})
+    assert report.status == "pass" and report.n_max == max_n
 
 
 @pytest.mark.parametrize("shift, status, witnesses", [(5e-7, "inconclusive", 0), (1e-3, "violation", 5)])
@@ -295,9 +331,7 @@ def test_checks_are_called_through_the_module_namespace(monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(batteries._BATTERIES))
 def test_each_spec_names_one_evaluator(name):
-    """A spec names its single-case check or its kernel, never both, and only
-    a check spec shrinks its cases: the shrinker reruns the check."""
+    """A spec names its single-case check or its kernel, never both."""
     spec = batteries._BATTERIES[name]
     assert (spec.check is None) != (spec.kernel is None)
     assert callable(getattr(batteries, spec.check or spec.kernel))
-    assert not spec.shrinkers or spec.check is not None

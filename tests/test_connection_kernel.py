@@ -407,7 +407,8 @@ def spoil_raw(case: dict, defect: str, rng: np.random.Generator) -> dict:
     if defect == "map_out_of_range":
         map0[y] = rng.choice([-1, -3, m, m + 3])
     elif defect == "map_not_onto":
-        map0[:] = map0[y]
+        # onto its largest value: max + 1 = m >= 2 points, of which it misses all but one
+        map0[:] = m - 1
     elif defect == "q_length":
         q = q[:-1] if rng.random() < 0.5 else np.append(q, 0.5)
     else:

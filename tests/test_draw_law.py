@@ -51,9 +51,9 @@ from fishergeo.markov import (
 from fishergeo.models import categorical_model, crb_kernel, unbiased_estimators_kernel
 from fishergeo.simplex import RandomVariable, SampleSpace, sample_interior, sample_interior_weights
 from fishergeo.verify import (
-    check_monotonicity_cometric,
-    check_monotonicity_metric,
     invariance_kernel,
+    monotonicity_cometric_kernel,
+    monotonicity_metric_kernel,
     prop6_kernel,
     strong_invariance_kernel,
     weak_invariance_residual_kernel,
@@ -91,6 +91,12 @@ def frozen_channel_case(rng: np.random.Generator, n_max: int, key: str) -> dict:
     if key == "x":
         return {"channel": channel, "p": p, "x": TangentVector(p, frozen_random_sum_zero(rng, n_in))}
     return {"channel": channel, "p": p, "a": frozen_random_variable(rng, channel.out_space)}
+
+
+def channel_arrays(case: dict) -> dict:
+    """A channel case of objects taken apart into the arrays the new draws yield."""
+    vector = {"x": case["x"].m_rep} if "x" in case else {"a": case["a"].values}
+    return {"kernel": case["channel"].kernel, "p": case["p"].weights, **vector}
 
 
 def frozen_random_pair(rng: np.random.Generator, n_max: int):
@@ -140,12 +146,9 @@ def residuals(kernel, field: str, cases: list[dict]) -> list[float]:
     return [getattr(report, field) for report in kernel(**columns(cases))]
 
 
-def slacks(check, cases: list[dict]) -> list[float]:
-    return [check(**case).slack for case in cases]
-
-
 def channel_sizes(case: dict) -> tuple[int, int]:
-    return case["channel"].in_space.size, case["channel"].out_space.size
+    n_out, n_in = case["kernel"].shape
+    return n_in, n_out
 
 
 def pair_sizes(case: dict) -> tuple[int, int]:
@@ -153,7 +156,7 @@ def pair_sizes(case: dict) -> tuple[int, int]:
 
 
 def channel_points(case: dict) -> list[np.ndarray]:
-    return [case["p"].weights]
+    return [case["p"]]
 
 
 def pair_points(case: dict) -> list[np.ndarray]:
@@ -167,11 +170,11 @@ PK2 = parse_family("PK(2)")
 BATTERIES = {
     "monotonicity_metric": (
         6, partial(frozen_channel_case, key="x"), partial(_draw_channel_cases, key="x"),
-        channel_sizes, channel_points, partial(slacks, check_monotonicity_metric),
+        channel_sizes, channel_points, partial(residuals, monotonicity_metric_kernel, "slack"),
     ),
     "monotonicity_cometric": (
         6, partial(frozen_channel_case, key="a"), partial(_draw_channel_cases, key="a"),
-        channel_sizes, channel_points, partial(slacks, check_monotonicity_cometric),
+        channel_sizes, channel_points, partial(residuals, monotonicity_cometric_kernel, "slack"),
     ),
     "invariance": (
         8, frozen_invariance, _draw_invariance, pair_sizes, pair_points,
@@ -189,11 +192,11 @@ BATTERIES = {
 
 
 def frozen_cases(name: str, seed: int, trials: int) -> list[dict]:
-    """The old draws; a pair case taken apart into the arrays the new draws yield."""
+    """The old draws, each case taken apart into the arrays the new draws yield."""
     n_max, old, *_ = BATTERIES[name]
     rng = np.random.default_rng(seed)
     cases = [old(rng, n_max) for _ in range(trials)]
-    return cases if name.startswith("monotonicity") else [arrays(name, case) for case in cases]
+    return [channel_arrays(case) if name.startswith("monotonicity") else arrays(name, case) for case in cases]
 
 
 def batched_cases(name: str, seed: int, trials: int) -> list[dict]:
@@ -233,11 +236,11 @@ def check_sizes_and_floors(name: str, cases: list[dict], n_max: int) -> None:
         if name.startswith("monotonicity"):
             n_in, n_out = channel_sizes(case)
             assert 2 <= n_in <= n_max and 2 <= n_out <= n_max
-            kernel = case["channel"].kernel
+            kernel = case["kernel"]
             assert kernel.flags.f_contiguous
             # each column is flattened from the boundary: its smallest entry is the floor
             assert kernel.min(axis=0).tolist() == [RANDOM_CHANNEL_FLOOR] * n_in
-            assert case["p"].weights.min() == POINT_FLOOR
+            assert case["p"].min() == POINT_FLOOR
         else:
             n, m = pair_sizes(case)
             assert 3 <= n <= n_max and 2 <= m < n
@@ -307,7 +310,7 @@ def statistics(name: str, cases: list[dict]) -> dict[str, list[float]]:
         "residual": read(cases),
     }
     if name.startswith("monotonicity"):
-        stats["smallest_kernel_entry"] = [case["channel"].kernel.min() for case in cases]
+        stats["smallest_kernel_entry"] = [case["kernel"].min() for case in cases]
     else:
         maps = [np.asarray(case["surjection"]).tolist() for case in cases]
         stats["first_fiber"] = [row.count(0) for row in maps]

@@ -23,7 +23,6 @@ from fishergeo.batteries import (
     battery_strong_invariance,
     battery_weak_invariance,
     run_battery,
-    shrink_case,
 )
 from fishergeo.errors import BadSize, FisherGeoError, InvalidParameter, NotRational
 from fishergeo.families import parse_family
@@ -57,6 +56,8 @@ from fishergeo.verify import (
     check_prop6_identity,
     check_strong_invariance,
     invariance_kernel,
+    monotonicity_cometric_kernel,
+    monotonicity_metric_kernel,
     probe_consistency,
     probe_rational,
     probe_uniform,
@@ -390,14 +391,9 @@ def same_bits(a: float, b: float) -> bool:
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
-def check_invariance_arrays(**case):
-    """``invariance_kernel`` on the arrays of one drawn trial."""
-    return invariance_kernel(**{key: [value] for key, value in case.items()})[0]
-
-
-def check_strong_invariance_arrays(**case):
-    """``strong_invariance_kernel`` on the arrays of one drawn trial."""
-    return strong_invariance_kernel(**{key: [value] for key, value in case.items()})[0]
+def on_arrays(kernel):
+    """``kernel`` on the arrays of one drawn trial."""
+    return lambda **case: kernel(**{key: [value] for key, value in case.items()})[0]
 
 
 def _cov(w, a, b) -> float:
@@ -461,14 +457,16 @@ class TestWitnessReplay:
     @pytest.mark.parametrize(
         "kind, draw, check, residual",
         [
-            ("monotonicity_metric", partial(_draw_channel_cases, key="x"),
-             check_monotonicity_metric, "slack"),
-            ("monotonicity_cometric", partial(_draw_channel_cases, key="a"),
-             check_monotonicity_cometric, "slack"),
-            # the pair kinds' checks run on the drawn arrays; the ids name the checks they stand for
-            pytest.param("invariance", _draw_invariance, check_invariance_arrays, "max_residual",
+            # the checks run on the drawn arrays; the ids name the checks they stand for
+            pytest.param("monotonicity_metric", partial(_draw_channel_cases, key="x"),
+                         on_arrays(monotonicity_metric_kernel), "slack",
+                         id="monotonicity_metric-draw0-check_monotonicity_metric-slack"),
+            pytest.param("monotonicity_cometric", partial(_draw_channel_cases, key="a"),
+                         on_arrays(monotonicity_cometric_kernel), "slack",
+                         id="monotonicity_cometric-draw1-check_monotonicity_cometric-slack"),
+            pytest.param("invariance", _draw_invariance, on_arrays(invariance_kernel), "max_residual",
                          id="invariance-_draw_invariance-check_invariance-max_residual"),
-            pytest.param("strong_invariance", _draw_strong_invariance, check_strong_invariance_arrays,
+            pytest.param("strong_invariance", _draw_strong_invariance, on_arrays(strong_invariance_kernel),
                          "max_residual",
                          id="strong_invariance-_draw_strong_invariance-check_strong_invariance-max_residual"),
         ],
@@ -480,19 +478,13 @@ class TestWitnessReplay:
             assert same_bits(witness.gap, getattr(report, residual))
             assert same_bits(replay_witness(witness), witness.gap)
 
-    @pytest.mark.parametrize("key", ["x", "a"])
-    def test_shrunk_channel_cases_replay_bitwise(self, any_gap, key):
-        from fishergeo.batteries import _merge_inputs, _merge_outputs, _zero_entry
-
-        kind = "monotonicity_metric" if key == "x" else "monotonicity_cometric"
-        replayed = 0
-        for case in _draw_channel_cases(np.random.default_rng(33), rounds=4, n_max=6, key=key):
-            for reducer in (_merge_inputs, _merge_outputs, _zero_entry(key)):
-                for smaller in reducer(case):
-                    witness = Witness.from_case(kind, smaller)
-                    assert same_bits(replay_witness(witness), witness.gap)
-                    replayed += 1
-        assert replayed > 20
+    def test_a_passing_monotonicity_case_is_no_witness(self):
+        """The metric never grows under a channel, so a public battery
+        reaches no violating case; a case that holds must not become a witness."""
+        case = {"kernel": np.eye(2), "p": np.array([0.5, 0.5]), "x": np.array([1.0, -1.0])}
+        assert on_arrays(monotonicity_metric_kernel)(**case).slack <= 0.0
+        with pytest.raises(InvalidParameter):
+            Witness.from_case("monotonicity_metric", case, "seed=0 trial=0")
 
     def test_invariance_witness_stores_tangent_inputs(self, any_gap):
         [case] = _draw_invariance(np.random.default_rng(4), rounds=1, n_max=5)
@@ -653,63 +645,3 @@ class TestBatteries:
         with pytest.raises(InvalidParameter, match="denominator_bound >= n_max"):
             run_battery({"battery": "characterize", "family": "COV", "n_max": n_max,
                          "denominator_bound": bound})
-
-
-class TestShrinking:
-    def test_shrinker_minimizes_synthetic_case(self):
-        # synthetic failure: "fails" whenever the first input coordinate
-        # carries mass; the shrinker should cut the case down to n = 2
-        def still_fails(case: dict) -> bool:
-            return case["p"].space.size >= 2 and case["p"].weights[0] > 0.05
-
-        from fishergeo.batteries import _merge_inputs, _merge_outputs, _zero_entry
-
-        p = dist(0.4, 0.3, 0.2, 0.1)
-        case = {
-            "channel": Channel(SampleSpace(4), SampleSpace(3), np.full((3, 4), 1.0 / 3.0)),
-            "p": p,
-            "x": TangentVector(p, np.array([0.5, -0.25, -0.25, 0.0])),
-        }
-        reduced = shrink_case(
-            case, still_fails, [_merge_inputs, _merge_outputs, _zero_entry("x")]
-        )
-        assert reduced["p"].space.size == 2
-        assert reduced["channel"].kernel.shape == (2, 2)
-        assert reduced["x"].base is reduced["p"]
-        assert still_fails(reduced)
-
-    def test_monotonicity_battery_witnesses_carry_seed_and_shrink(self):
-        # the metric never grows under a channel, so a violating case is
-        # not reachable through the public battery; a non-violating case
-        # must not become a witness
-        p = dist(0.5, 0.5)
-        case = {
-            "channel": Channel(p.space, p.space, np.eye(2)),
-            "p": p,
-            "x": TangentVector(p, np.array([1.0, -1.0])),
-        }
-        assert check_monotonicity_metric(**case).slack <= 0.0
-        with pytest.raises(InvalidParameter):
-            Witness.from_case("monotonicity_metric", case, "seed=0 trial=0")
-
-    def test_program_errors_propagate(self):
-        def still_fails(case: dict) -> bool:
-            return case["n"] / 0.0 > 1.0
-
-        def smaller(case: dict):
-            yield {"n": case["n"] - 1}
-
-        with pytest.raises(ZeroDivisionError):
-            shrink_case({"n": 3}, still_fails, [smaller])
-
-    def test_rejected_candidates_are_skipped(self):
-        def still_fails(case: dict) -> bool:
-            if case["n"] % 2:
-                raise InvalidParameter("odd sizes are not valid cases")
-            return True
-
-        def smaller(case: dict):
-            for n in range(case["n"] - 1, 0, -1):
-                yield {"n": n}
-
-        assert shrink_case({"n": 6}, still_fails, [smaller]) == {"n": 2}

@@ -44,12 +44,13 @@ COUNTS = {
     },
     "channels": {
         "markov.channels_built": (
-            80, 6,
-            "one per monotonicity trial; the pair batteries check stacked kernels",
+            0, 6,
+            "a monotonicity trial is a kernel, checked in its stack by the kernel; the pair batteries check "
+            "stacked kernels",
         ),
         "simplex.distributions_built": (
-            160, 6,
-            "two per monotonicity trial, its drawn point and the point its check builds; pair trials are arrays",
+            0, 6,
+            "monotonicity trials and their image points, like pair trials, are weight rows",
         ),
     },
     "probe": {
