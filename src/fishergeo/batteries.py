@@ -8,7 +8,8 @@ read and judged. ``run_battery`` reads a config against the spec before any
 trial runs; ``_drive``, the one trial loop, draws every case from a single
 seeded generator, evaluates them through the check, or in one call of the
 spec's kernel, and tracks the worst residual in trial order. Violations
-are recorded as witnesses of the drawn case, each tagged with (seed, trial).
+become witnesses of the drawn case, built from the report that judged them
+and tagged (seed, trial); ``prop6_kernel`` and the probe give theirs untagged.
 Every battery but ``characterize`` draws all its trials at once, so a draw
 is not prefix-stable: a trial is regenerated from the run's
 ``(seed, trials, n_max)`` and its index, not from its seed and index alone.
@@ -167,9 +168,8 @@ def _drive(spec: _Battery, params: dict) -> BatteryReport:
         value = float(spec.residual(report))
         worst = pick(worst, value)
         if not control and value > VIOLATION_TOL:
-            witnesses.append(
-                getattr(report, "witness", None) or Witness.from_case(spec.name, case, f"seed={seed} trial={trial}")
-            )
+            detail = f"seed={seed} trial={trial}"
+            witnesses.append(getattr(report, "witness", None) or Witness.from_case(spec.name, case, report, detail))
     if control:
         status = "pass" if worst > CONTROL_TOL else "violation"
     else:

@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import cache, lru_cache, partial
 from itertools import accumulate, chain
-from typing import Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -60,7 +60,7 @@ from .markov import (
     Channel, EmbeddingPair, apply, apply_rows, canonical_embedding_rows, compose_variable_rows,
     conditional_expectation_rows, pair_stacks, require_kernel, require_maps,
 )
-from .models import categorical_model, crb_check
+from .models import CrbReport, categorical_model, crb_kernel, point_rows
 from .simplex import (
     Distribution, RandomVariable, SampleSpace, centered_rows, cov_rows, expect_rows, interior_rows,
     new_distribution, require_finite, require_weights,
@@ -144,9 +144,9 @@ class Witness:
             )
 
     @classmethod
-    def from_case(cls, kind: str, case: dict, detail: str = "") -> Witness:
-        """Run the kind's check on ``case`` (its inputs by name) and store them."""
-        return _KINDS[kind].witness(case, detail)
+    def from_case(cls, kind: str, case: dict, report, detail: str = "") -> Witness | None:
+        """The witness of ``case`` (its inputs by name) from the ``report`` that judged it, or None."""
+        return _KINDS[kind].witness(case, report, detail)
 
     def to_json(self) -> dict:
         payload = {
@@ -160,18 +160,20 @@ class Witness:
 
 
 def replay_witness(witness: Witness) -> float:
-    """Recompute the witness gap from its stored inputs.
-
-    The kind's entry rebuilds the case and runs the same check or probe on
-    it in the same order, so the result is bitwise equal to the stored gap.
-    Family-based witnesses are rebuilt by parsing the stored grammar
-    expression; witnesses from plugin evaluators cannot be reconstructed
-    from their name and raise.
+    """Recompute the witness gap from its stored inputs, by one rule for every kind: read the case,
+    evaluate it once by the kernel or probe step that judged it, and build the witness from that
+    report, so the result is bitwise the stored gap. A malformed witness, or a case that no longer
+    gives a witness of its kind, raises InvalidParameter. A family is rebuilt by parsing its stored
+    grammar expression, so a witness of a plugin evaluator cannot be replayed and raises.
     """
     kind = _KINDS.get(witness.kind)
     if kind is None:
         raise InvalidParameter(f"no replay rule for witness kind {witness.kind!r}")
-    return kind.witness(kind.case(witness)).gap
+    case = kind.case(witness)
+    found = kind.witness(case, kind.evaluate(case), witness.detail)
+    if found is None or found.kind != witness.kind:
+        raise InvalidParameter(f"a {witness.kind} witness's case gives no such witness: gap {witness.gap!r} is gone")
+    return found.gap
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +251,10 @@ def _monotonicity_rows(kernel, p, values, metric: bool) -> np.ndarray:
     """The two sides of each trial: the norms of Wx and x (``metric``), or
     the variances of E_W(A|.) and A. Each stack of kernels keeps the layout
     its ``Channel`` would store: products with a C-ordered and an F-ordered
-    copy of one matrix can differ in the last bit."""
+    copy of one matrix can differ in the last bit. A C- or F-contiguous
+    float kernel is read in place, any other copied as its ``Channel`` copies it."""
     sides = np.empty((len(p), 2))
-    kernel = [np.array(k, dtype=float) for k in kernel]
+    kernel = [k if type(k) is np.ndarray and k.dtype == float and k.flags.forc else np.array(k, float) for k in kernel]
     shapes = [(k.shape, np.isfortran(k), np.shape(w), np.shape(v)) for k, w, v in zip(kernel, p, values)]
     for trials in by_shape(shapes):
         first = kernel[trials[0]]
@@ -1165,15 +1168,16 @@ def characterize(family: CandidateFamily | str, n_max: int = 6, denominator_boun
 
 
 # ---------------------------------------------------------------------------
-# Witness kinds: each builds its witness from a case by running the check or
-# probe that finds it, and rebuilds the case from a stored witness
+# Witness kinds: each evaluates a case once, by the kernel or probe step that
+# judges it, named so that it is looked up in this module when it runs; builds
+# its witness from the case and that report without evaluating anything; and
+# reads the case back from a stored witness
 # ---------------------------------------------------------------------------
 
 
-def _monotonicity_witness(case: dict, detail: str = "") -> Witness:
+def _channel_witness(case: dict, report: MonotonicityReport, detail: str = "") -> Witness:
     """The kernel, the point, and x (metric) or a (co-metric)."""
     metric = "x" in case
-    report = _one(monotonicity_metric_kernel if metric else monotonicity_cometric_kernel, **case)
     n_out, n_in = np.shape(case["kernel"])
     return Witness(
         kind="monotonicity_metric" if metric else "monotonicity_cometric", m=n_in, n=n_out,
@@ -1183,7 +1187,7 @@ def _monotonicity_witness(case: dict, detail: str = "") -> Witness:
     )
 
 
-def _monotonicity_case(witness: Witness) -> dict:
+def _channel_case(witness: Witness) -> dict:
     # Battery kernels are drawn column by column; products with the kernel
     # differ in the last bit between layouts, so it is rebuilt column-major.
     key = "x" if witness.kind == "monotonicity_metric" else "a"
@@ -1191,10 +1195,9 @@ def _monotonicity_case(witness: Witness) -> dict:
     return {"kernel": kernel, "p": np.array(witness.point), key: np.array(witness.a)}
 
 
-def _pair_witness(case: dict, detail: str = "") -> Witness:
+def _pair_witness(case: dict, report: InvarianceReport, detail: str = "") -> Witness:
     """The map of F, the big point q, a, b, and for invariance x and y."""
     invariance = "x" in case
-    report = _one(invariance_kernel if invariance else strong_invariance_kernel, **case)
     return Witness(
         kind="invariance" if invariance else "strong_invariance",
         m=len(case["fibers"]), n=len(case["q"]),
@@ -1220,32 +1223,30 @@ def _prop6_case(witness: Witness) -> dict:
     }
 
 
-def _crb_witness(case: dict, detail: str = "") -> Witness:
+def _crb_witness(case: dict, report: CrbReport, detail: str = "") -> Witness:
     """The model point and the estimators' values."""
-    report = crb_check(case["model"], case["xi"], case["estimators"])
     n = case["model"].space.size
+    weights = point_rows([case["model"]], np.asarray(case["xi"], dtype=float).reshape(1, -1))[0][0]
     return Witness(
-        kind="crb", m=n, n=n,
-        lhs=report.min_eigenvalue, rhs=0.0, gap=report.scaled_residual,
-        point=_floats(case["model"].point(case["xi"]).weights), detail=detail,
-        estimators=_rows([e.values for e in case["estimators"]]),
+        kind="crb", m=n, n=n, lhs=report.min_eigenvalue, rhs=0.0, gap=report.scaled_residual,
+        point=_floats(weights), detail=detail, estimators=_rows([e.values for e in case["estimators"]]),
     )
 
 
 def _crb_case(witness: Witness) -> dict:
+    if witness.point is None or witness.estimators is None:
+        raise InvalidParameter("a crb witness stores its point and its estimators")
     model = categorical_model(witness.m)
     xi = np.array(witness.point[: witness.m - 1])  # the categorical coordinates
     estimators = [RandomVariable(model.space, np.array(e)) for e in witness.estimators]
     return {"model": model, "xi": xi, "estimators": estimators}
 
 
-def _weak_invariance_witness(case: dict, detail: str = "") -> Witness:
+def _weak_invariance_witness(case: dict, residual: float, detail: str = "") -> Witness:
     """The map of F, the big point q, the grid, the step and alpha."""
-    residual = _one(weak_invariance_residual_kernel, **case)
     map0 = tuple(np.asarray(case["surjection"]).tolist())
     return Witness(
-        kind="weak_invariance", m=max(map0) + 1, n=len(case["q"]),
-        lhs=residual, rhs=0.0, gap=residual,
+        kind="weak_invariance", m=max(map0) + 1, n=len(case["q"]), lhs=residual, rhs=0.0, gap=residual,
         surjection=map0, point=_floats(case["q"]), detail=detail,
         grid=_rows(case["grid"]), step=float(case["step"]), alpha=float(case["alpha"]),
     )
@@ -1257,60 +1258,73 @@ def _weak_invariance_case(witness: Witness) -> dict:
             "step": witness.step, "mismatched": False}
 
 
-def _bilinearity_witness(case: dict, *, defect: float | None = None) -> Witness:
-    defect = check_bilinearity(**case) if defect is None else defect
+def _bilinearity_witness(case: dict, defect: float, detail: str = "") -> Witness:
     return Witness(kind="bilinearity", m=case["n"], n=case["n"], lhs=defect, rhs=0.0, gap=defect,
                    family=case["family"].name, detail=f"seed={case['seed']}")
 
 
-def _continuity_witness(case: dict, *, error: float | None = None) -> Witness:
-    error = next(_continuity_errors(case["family"], case["spot"], [case["bound"]])) if error is None else error
+def _continuity_witness(case: dict, error: float, detail: str = "") -> Witness:
     n = case["spot"].size
     return Witness(kind="continuity", m=n, n=n, lhs=error, rhs=0.0, gap=error, point=_floats(case["spot"]),
                    family=case["family"].name, detail=f"D={case['bound']}")
+
+
+def _detail_int(witness: Witness, prefix: str) -> int:
+    """The integer the witness's detail holds after ``prefix``, or InvalidParameter naming the kind and the detail."""
+    try:
+        return int(witness.detail.removeprefix(prefix))
+    except (AttributeError, ValueError):
+        raise InvalidParameter(
+            f"a {witness.kind} witness's detail is {prefix!r} and an integer, not {witness.detail!r}"
+        ) from None
 
 
 def _family_case(witness: Witness, **case) -> dict:
     return {"family": parse_family(witness.family), **case}
 
 
+def _cross_dimension_case(witness: Witness) -> dict:
+    # the witness stores the two dimensions (n, m*n); the probe takes the block factor and the base dimension
+    if not witness.m or witness.n % witness.m:
+        raise InvalidParameter(f"a cross_dimension witness's n = {witness.n!r} is no multiple of its m = {witness.m!r}")
+    return _family_case(witness, m=witness.n // witness.m, n=witness.m)
+
+
 def _rational_point_case(witness: Witness) -> dict:
     p = new_distribution(SampleSpace(witness.m), np.array(witness.point))
-    bound = int(witness.detail.removeprefix("D="))
+    bound = _detail_int(witness, "D=")
     return _family_case(witness, p=p, denominator_bound=bound, constants=witness.constants)
 
 
 def _continuity_case(witness: Witness) -> dict:
     spot = _sized(np.array(witness.point, dtype=float).reshape(1, -1), SampleSpace(witness.n).size)[0]
-    return _family_case(witness, spot=spot, bound=int(witness.detail.removeprefix("D=")))
+    return _family_case(witness, spot=spot, bound=_detail_int(witness, "D="))
+
+
+def _reported(case: dict, report, detail: str = "") -> Witness | None:
+    return report.witness  # a probe step's or prop6_kernel's own witness, or None
 
 
 class _Kind(NamedTuple):
-    witness: Callable[..., Witness]  # case -> the witness its check or probe finds
+    evaluate: Callable[[dict], Any]  # case -> the report of the kernel or probe step that judges it
+    witness: Callable[..., Witness | None]  # (case, report, detail) -> its witness; evaluates nothing
     case: Callable[[Witness], dict]  # witness -> the case it stores
 
 
 _KINDS: dict[str, _Kind] = {
-    "monotonicity_metric": _Kind(_monotonicity_witness, _monotonicity_case),
-    "monotonicity_cometric": _Kind(_monotonicity_witness, _monotonicity_case),
-    "invariance": _Kind(_pair_witness, _pair_case),
-    "strong_invariance": _Kind(_pair_witness, _pair_case),
-    "prop6_identity": _Kind(lambda case: _one(prop6_kernel, **case).witness, _prop6_case),
-    "crb": _Kind(_crb_witness, _crb_case),
-    "weak_invariance": _Kind(_weak_invariance_witness, _weak_invariance_case),
-    "uniform_shape": _Kind(
-        lambda case: probe_uniform(**case).witness, lambda w: _family_case(w, n=w.n)
-    ),
-    # the witness stores the two dimensions (n, m*n); the probe takes the
-    # block factor and the base dimension
-    "cross_dimension": _Kind(
-        lambda case: probe_consistency(**case).witness,
-        lambda w: _family_case(w, m=w.n // w.m, n=w.m),
-    ),
-    "rational_point": _Kind(lambda case: probe_rational(**case).witness, _rational_point_case),
-    "bilinearity": _Kind(
-        _bilinearity_witness,
-        lambda w: _family_case(w, n=w.n, seed=int(w.detail.removeprefix("seed="))),
-    ),
-    "continuity": _Kind(_continuity_witness, _continuity_case),
+    "monotonicity_metric": _Kind(lambda c: _one(monotonicity_metric_kernel, **c), _channel_witness, _channel_case),
+    "monotonicity_cometric": _Kind(lambda c: _one(monotonicity_cometric_kernel, **c), _channel_witness, _channel_case),
+    "invariance": _Kind(lambda c: _one(invariance_kernel, **c), _pair_witness, _pair_case),
+    "strong_invariance": _Kind(lambda c: _one(strong_invariance_kernel, **c), _pair_witness, _pair_case),
+    "prop6_identity": _Kind(lambda c: _one(prop6_kernel, **c), _reported, _prop6_case),
+    "crb": _Kind(lambda c: _one(crb_kernel, **c), _crb_witness, _crb_case),
+    "weak_invariance": _Kind(lambda c: _one(weak_invariance_residual_kernel, **c), _weak_invariance_witness,
+                             _weak_invariance_case),
+    "uniform_shape": _Kind(lambda c: probe_uniform(**c), _reported, lambda w: _family_case(w, n=w.n)),
+    "cross_dimension": _Kind(lambda c: probe_consistency(**c), _reported, _cross_dimension_case),
+    "rational_point": _Kind(lambda c: probe_rational(**c), _reported, _rational_point_case),
+    "bilinearity": _Kind(lambda c: check_bilinearity(**c), _bilinearity_witness,
+                         lambda w: _family_case(w, n=w.n, seed=_detail_int(w, "seed="))),
+    "continuity": _Kind(lambda c: next(_continuity_errors(c["family"], c["spot"], [c["bound"]])),
+                        _continuity_witness, _continuity_case),
 }

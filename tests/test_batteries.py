@@ -128,6 +128,44 @@ def test_violations_are_shrunk_tagged_and_replayable(monkeypatch, name):
         assert np.float64(replay_witness(witness)).tobytes() == np.float64(witness.gap).tobytes()
 
 
+#: Battery -> (its kernel, a config whose every trial is a witness when the threshold is dropped).
+ONE_CALL = {
+    "monotonicity_metric": ("monotonicity_metric_kernel", {"trials": 10, "n_max": 5}),
+    "monotonicity_cometric": ("monotonicity_cometric_kernel", {"trials": 10, "n_max": 5}),
+    "crb": ("crb_kernel", {"trials": 10, "n_max": 5}),
+    "invariance": ("invariance_kernel", {"trials": 10, "n_max": 6}),
+    "strong_invariance": ("strong_invariance_kernel", {"trials": 10, "n_max": 6}),
+    "weak_invariance": ("weak_invariance_residual_kernel", {"n_max": 4, "grid_count": 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_CALL))
+def test_a_run_makes_one_kernel_call_however_many_witnesses_it_records(monkeypatch, name):
+    """With every trial a witness, the run calls its kernel once, under
+    every name it goes by: each witness is built from the report that
+    judged it, not by evaluating its case again. Each replays bitwise."""
+    kernel, config = ONE_CALL[name]
+    monkeypatch.setattr(verify_module, "VIOLATION_TOL", -np.inf)
+    monkeypatch.setattr(batteries, "VIOLATION_TOL", -np.inf)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kernel)
+        return original(*args, **kwargs)
+
+    original = getattr(batteries, kernel)
+    for module in (batteries, verify_module, models_module):
+        if hasattr(module, kernel):
+            monkeypatch.setattr(module, kernel, counted)
+    report = run_battery({"battery": name, "seed": 3, **config})
+    assert len(calls) == 1
+    assert len(report.witnesses) == report.trials >= 6
+    calls.clear()
+    for witness in report.witnesses:
+        assert np.float64(replay_witness(witness)).tobytes() == np.float64(witness.gap).tobytes()
+    assert len(calls) == len(report.witnesses)
+
+
 #: The batteries whose draws bound n_max, each with a small config at its bound.
 MAX_N = {
     "monotonicity_metric": (999, {"trials": 2}),

@@ -8,10 +8,10 @@ were. The suites hold the array path to it:
 
 - the draw gives the same rows, bitwise, with its kernels column-major;
 - on stacks of 1-8 trials that mix sizes 2-8 with C- and F-ordered kernels
-  and carry defects in any input, each kernel gives every report of the
-  frozen check by ``float.hex``, or raises the error type and message of
-  the first trial that fails alone; so do the public checks, one trial at
-  a time;
+  and non-contiguous views into C- and F-ordered arrays, and carry defects
+  in any input, each kernel gives every report of the frozen check by
+  ``float.hex``, or raises the error type and message of the first trial
+  that fails alone; so do the public checks, one trial at a time;
 - a run of either battery builds none of the objects.
 """
 from __future__ import annotations
@@ -149,9 +149,11 @@ DEFECTS = ((),) * 24 + tuple((defect,) for defect in (
 )) + (("image_weight", "kernel_slight", "vector_huge"),) * 3
 
 
-def trial(key: str, shape: tuple[int, int], fortran: bool, seed: int, scale: float, defects: tuple) -> dict:
+def trial(key: str, shape: tuple[int, int], layout: str, seed: int, scale: float, defects: tuple) -> dict:
     """One array case drawn as the battery draws it, with ``defects`` in it
-    and its kernel, defects included, in the layout ``fortran`` names."""
+    and its kernel, defects included, in ``layout``: "C" or "F" ordered, or
+    a "C view" or "F view", a non-contiguous view of every other entry of a
+    C- or F-ordered array twice its size per axis."""
     rng = np.random.default_rng(seed)
     n_in, n_out = shape
     kernel = np.array(frozen_channel_kernels(rng, shape, 1)[0], order="F")
@@ -161,7 +163,13 @@ def trial(key: str, shape: tuple[int, int], fortran: bool, seed: int, scale: flo
     i, j = int(rng.integers(n_out)), int(rng.integers(n_in))
     for defect in defects:
         kernel, p, v = spoil(kernel, p, v, key, defect, i, j, rng)
-    return {"kernel": np.asfortranarray(kernel) if fortran else np.ascontiguousarray(kernel), "p": p, key: v}
+    if layout.endswith("view"):
+        big = np.zeros((2 * kernel.shape[0], 2 * kernel.shape[1]), order=layout[0])
+        big[::2, ::2] = kernel
+        kernel = big[::2, ::2]
+    else:
+        kernel = np.array(kernel, order=layout)
+    return {"kernel": kernel, "p": p, key: v}
 
 
 def spoil(kernel: np.ndarray, p: np.ndarray, v: np.ndarray, key: str, defect: str, i: int, j: int, rng) -> tuple:
@@ -205,11 +213,11 @@ def spoil(kernel: np.ndarray, p: np.ndarray, v: np.ndarray, key: str, defect: st
 @st.composite
 def stacks(draw, key: str) -> list[dict]:
     """1-8 trials on up to three shapes of sizes 2-8, with C- and F-ordered
-    kernels, about one in three with a defect."""
+    kernels and views, about one in three with a defect."""
     shapes = draw(st.lists(st.tuples(st.integers(2, 8), st.integers(2, 8)), min_size=1, max_size=3))
     return draw(st.lists(st.builds(
-        trial, st.just(key), st.sampled_from(shapes), st.booleans(), st.integers(0, 2**32 - 1),
-        st.sampled_from([1.0, 1e3, 1e5]), st.sampled_from(DEFECTS),
+        trial, st.just(key), st.sampled_from(shapes), st.sampled_from(["C", "F", "C view", "F view"]),
+        st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e3, 1e5]), st.sampled_from(DEFECTS),
     ), min_size=1, max_size=8))
 
 

@@ -168,7 +168,7 @@ def test_witnesses_are_the_frozen_witnesses_and_replay_to_their_arrays(kind, see
         patch.setattr(verify, "VIOLATION_TOL", -np.inf)
         for trial, case in enumerate(draw(kind, seed, rounds, n_max)):
             detail = f"seed={seed} trial={trial}"
-            witness = verify.Witness.from_case(kind, case, detail)
+            witness = verify.Witness.from_case(kind, case, verify._KINDS[kind].evaluate(case), detail)
             frozen = frozen_pairs.pair_witness(frozen_pairs.objects(kind, case), detail)
             if kind == "invariance":  # the gap is the worst of the frozen path's residuals and ``sharp``
                 gap = max(frozen.gap, verify._one(verify.invariance_kernel, **case).residuals["sharp"])

@@ -15,6 +15,7 @@ from fishergeo.batteries import (
     _draw_crb,
     _draw_invariance,
     _draw_strong_invariance,
+    _draw_weak_invariance,
     battery_crb,
     battery_invariance,
     battery_monotonicity_cometric,
@@ -474,7 +475,7 @@ class TestWitnessReplay:
     def test_drawn_case_replays_bitwise(self, any_gap, kind, draw, check, residual):
         for case in draw(np.random.default_rng(31), rounds=6, n_max=6):
             report = check(**case)
-            witness = Witness.from_case(kind, case)
+            witness = Witness.from_case(kind, case, report)
             assert same_bits(witness.gap, getattr(report, residual))
             assert same_bits(replay_witness(witness), witness.gap)
 
@@ -482,13 +483,14 @@ class TestWitnessReplay:
         """The metric never grows under a channel, so a public battery
         reaches no violating case; a case that holds must not become a witness."""
         case = {"kernel": np.eye(2), "p": np.array([0.5, 0.5]), "x": np.array([1.0, -1.0])}
-        assert on_arrays(monotonicity_metric_kernel)(**case).slack <= 0.0
+        report = on_arrays(monotonicity_metric_kernel)(**case)
+        assert report.slack <= 0.0
         with pytest.raises(InvalidParameter):
-            Witness.from_case("monotonicity_metric", case, "seed=0 trial=0")
+            Witness.from_case("monotonicity_metric", case, report, "seed=0 trial=0")
 
     def test_invariance_witness_stores_tangent_inputs(self, any_gap):
         [case] = _draw_invariance(np.random.default_rng(4), rounds=1, n_max=5)
-        witness = Witness.from_case("invariance", case)
+        witness = Witness.from_case("invariance", case, on_arrays(invariance_kernel)(**case))
         payload = witness.to_json()
         assert payload["x"] == list(case["x"]) and payload["y"] == list(case["y"])
 
@@ -497,7 +499,7 @@ class TestWitnessReplay:
         for _ in range(6):
             [case] = _draw_crb(rng, 1, 5)
             report = crb_check(case["model"], case["xi"], case["estimators"])
-            witness = Witness.from_case("crb", case)
+            witness = Witness.from_case("crb", case, report)
             assert len(witness.estimators) == case["model"].dim
             assert same_bits(replay_witness(witness), report.scaled_residual)
 
@@ -514,7 +516,7 @@ class TestWitnessReplay:
             "mismatched": False,
         }
         [residual] = weak_invariance_residual_kernel(*([value] for value in case.values()))
-        witness = Witness.from_case("weak_invariance", case)
+        witness = Witness.from_case("weak_invariance", case, residual)
         assert all(type(v) is int for v in witness.surjection)
         payload = witness.to_json()
         assert (payload["alpha"], payload["step"], len(payload["grid"])) == (alpha, 1e-4, 2)
@@ -536,7 +538,7 @@ class TestWitnessReplay:
         else:
             draw = _draw_invariance if kind == "invariance" else _draw_strong_invariance
             [case] = draw(np.random.default_rng(3), rounds=1, n_max=5)
-        witness = Witness.from_case(kind, case)
+        witness = Witness.from_case(kind, case, verify_module._KINDS[kind].evaluate(case))
         assert same_bits(replay_witness(witness), witness.gap)
         value = -1 if offset is None else witness.m + offset
         spoiled = dataclasses.replace(witness, surjection=(value, *witness.surjection[1:]))
@@ -585,6 +587,103 @@ class TestWitnessReplay:
         )
         with pytest.raises(InvalidParameter):
             replay_witness(witness)
+
+
+def _a_witness_of_each_kind() -> dict:
+    """Kind -> a witness of it: the batteries' from drawn cases, built from
+    their reports (any gap allowed), the probe steps' from the plugins."""
+    witnesses = {}
+    draws = {
+        "monotonicity_metric": partial(_draw_channel_cases, key="x"),
+        "monotonicity_cometric": partial(_draw_channel_cases, key="a"),
+        "invariance": _draw_invariance, "strong_invariance": _draw_strong_invariance, "crb": _draw_crb,
+        "weak_invariance": partial(_draw_weak_invariance, alphas=(0.5,), grid_count=1, step=1e-4, mismatched=False),
+    }
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify_module, "VIOLATION_TOL", -np.inf)
+        for kind, draw in draws.items():
+            case = draw(np.random.default_rng(5), rounds=1, n_max=5)[0]
+            witnesses[kind] = Witness.from_case(kind, case, verify_module._KINDS[kind].evaluate(case))
+    witnesses["prop6_identity"] = battery_prop6(trials=4, n_max=4, seed=6, family="PK(2)").witnesses[0]
+    witnesses["cross_dimension"] = probe_consistency(parse_family("PK(2)"), 2, 3).witness
+    for kind, plugin in PLUGINS.items():
+        witnesses[kind] = characterize(plugin, n_max=3, denominator_bound=16, trials=2, seed=1).witness
+    return witnesses
+
+
+#: Kind -> the kernel or probe step of ``verify`` that its replay evaluates.
+EVALUATIONS = {
+    "monotonicity_metric": "monotonicity_metric_kernel", "monotonicity_cometric": "monotonicity_cometric_kernel",
+    "invariance": "invariance_kernel", "strong_invariance": "strong_invariance_kernel",
+    "prop6_identity": "prop6_kernel", "crb": "crb_kernel", "weak_invariance": "weak_invariance_residual_kernel",
+    "uniform_shape": "probe_uniform", "cross_dimension": "probe_consistency", "rational_point": "probe_rational",
+    "bilinearity": "check_bilinearity", "continuity": "_continuity_errors",
+}
+
+
+class TestReplayRule:
+    @pytest.fixture(scope="class")
+    def witnesses(self):
+        return _a_witness_of_each_kind()
+
+    @pytest.mark.parametrize("kind", sorted(EVALUATIONS))
+    def test_a_replay_calls_its_evaluation_by_name_once(self, monkeypatch, plugin_names, witnesses, kind):
+        """Replay looks its kernel or probe step up in ``verify`` when it
+        runs, as the battery driver looks up its kernel: rebound to a
+        counting wrapper, it is called once, and the gap comes back bitwise."""
+        assert sorted(EVALUATIONS) == sorted(verify_module._KINDS) == sorted(witnesses)
+        name, calls = EVALUATIONS[kind], []
+        original = getattr(verify_module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify_module, name, counted)
+        witness = witnesses[kind]
+        assert witness.kind == kind
+        if not witness.gap > verify_module.VIOLATION_TOL:  # a drawn case that holds: keep its rounding-level gap
+            monkeypatch.setattr(verify_module, "VIOLATION_TOL", -np.inf)
+        assert same_bits(replay_witness(witness), witness.gap)
+        assert calls == [name]
+
+    def test_a_crb_replay_builds_no_distribution_and_calls_no_single_case_check(self, monkeypatch, any_gap, witnesses):
+        import fishergeo.models as models_module
+        import fishergeo.simplex as simplex_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(models_module, "crb_check", forbidden)
+        monkeypatch.setattr(simplex_module.Distribution, "__post_init__", forbidden)
+        witness = witnesses["crb"]
+        assert same_bits(replay_witness(witness), witness.gap)
+
+    @pytest.mark.parametrize("kind, spoil, field", [
+        ("cross_dimension", {"m": 0}, "m"),
+        ("bilinearity", {"detail": "seed=x"}, "detail"),
+        ("continuity", {"detail": ""}, "detail"),
+        ("rational_point", {"detail": "D=1e3"}, "detail"),
+        ("crb", {"point": None}, "point"),
+        # cases that no longer violate: the gap is gone
+        ("prop6_identity", {"family": "COV"}, "gap"),
+        ("uniform_shape", {"family": "COV"}, "gap"),
+        ("cross_dimension", {"family": "COV"}, "gap"),
+        ("rational_point", {"family": "COV"}, "gap"),
+        # a family that fails the uniform step first: its case gives a uniform_shape witness
+        ("cross_dimension", {"family": "skewed"}, "gap"),
+    ])
+    def test_a_malformed_or_stale_witness_raises_invalid_parameter(self, plugin_names, witnesses, kind, spoil,
+                                                                    field):
+        """The first nine once escaped as a ZeroDivisionError, ValueError,
+        TypeError or AttributeError, and the last replayed to the gap of
+        another kind; now each names its kind and its field."""
+        with pytest.MonkeyPatch.context() as patch:  # the crb witness holds a gap at rounding level
+            patch.setattr(verify_module, "VIOLATION_TOL", -np.inf)
+            spoiled = dataclasses.replace(witnesses[kind], **spoil)
+        with pytest.raises(InvalidParameter) as raised:
+            replay_witness(spoiled)
+        assert kind in str(raised.value) and field in str(raised.value)
 
 
 class TestBatteries:
