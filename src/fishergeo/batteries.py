@@ -168,8 +168,7 @@ def _drive(spec: _Battery, params: dict) -> BatteryReport:
         value = float(spec.residual(report))
         worst = pick(worst, value)
         if not control and value > VIOLATION_TOL:
-            detail = f"seed={seed} trial={trial}"
-            witnesses.append(getattr(report, "witness", None) or Witness.from_case(spec.name, case, report, detail))
+            witnesses.append(Witness.from_case(spec.name, case, report, f"seed={seed} trial={trial}"))
     if control:
         status = "pass" if worst > CONTROL_TOL else "violation"
     else:

@@ -35,22 +35,28 @@ Verdicts distinguish the covariance multiple (when the family kills
 constants) from a general (c1, c2) decomposition; reports state consistency
 with the decomposition on sampled points, never more. Residuals at or below
 1e-9 pass, residuals above 1e-6 produce a Witness, and the band between is
-reported as "inconclusive". A Witness stores enough of its inputs that
-replaying it reproduces the gap bitwise.
+reported as "inconclusive". A Witness stores the case that its kernel or
+probe step judged, that evaluation's keyword arguments, so replaying it
+reproduces the gap bitwise. ``_KINDS`` holds each kind's evaluator and the
+types of its case keys, by which one writer and one reader,
+``Witness.to_json`` and ``Witness.from_json``, turn every case into JSON
+and back.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cache, lru_cache, partial
 from itertools import accumulate, chain
-from typing import Any, Callable, Iterator, NamedTuple
+from operator import attrgetter
+from types import MappingProxyType
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .connections import ConnectionTag, VectorFieldOnModel, coordinate_field, weak_invariance_kernel
 from .errors import (
-    PASS_TOL, VIOLATION_TOL, BasePointMismatch, InvalidParameter, NotRational, SizeMismatch, by_shape,
-    in_trial_order, require_integer, require_seed,
+    PASS_TOL, VIOLATION_TOL, BasePointMismatch, FisherGeoError, InvalidParameter, NotRational, SizeMismatch,
+    by_shape, in_trial_order, require_integer, require_seed,
 )
 from .families import CandidateFamily, parse_family
 from .geometry import (
@@ -60,7 +66,8 @@ from .markov import (
     Channel, EmbeddingPair, apply, apply_rows, canonical_embedding_rows, compose_variable_rows,
     conditional_expectation_rows, pair_stacks, require_kernel, require_maps,
 )
-from .models import CrbReport, categorical_model, crb_kernel, point_rows
+from .jsonio import read_bool, read_floats, read_int, read_object
+from .models import categorical_model, crb_kernel
 from .simplex import (
     Distribution, RandomVariable, SampleSpace, centered_rows, cov_rows, expect_rows, interior_rows,
     new_distribution, require_finite, require_weights,
@@ -87,33 +94,21 @@ def classify(residual: float, pass_tol: float = PASS_TOL) -> str:
     return "violation"
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(np.asarray(values, dtype=float).reshape(-1).tolist())
-
-
-def _rows(matrix) -> tuple[tuple[float, ...], ...]:
-    return tuple(map(tuple, np.asarray(matrix, dtype=float).tolist()))
-
-
-def _lists(value):
-    return [_lists(v) for v in value] if isinstance(value, tuple) else value
-
-
 # ---------------------------------------------------------------------------
 # Witnesses
 # ---------------------------------------------------------------------------
 
 
-#: Witness inputs that only some kinds carry; they enter the JSON form only when set.
-_KIND_INPUTS = ("x", "y", "estimators", "grid", "step", "alpha")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Witness:
-    """A replayable counterexample: inputs, both sides, and the gap.
+    """A replayable counterexample: the case that a kernel or probe step
+    judged, both sides of the identity or inequality it failed, and the gap.
 
-    The fields after ``detail`` hold inputs of single kinds: x/y m-reps
-    (invariance), estimators (crb), grid, step and alpha (weak_invariance).
+    ``case`` holds that evaluation's keyword arguments as drawn, as read-only
+    copies: arrays in their drawn layout, a family, a categorical model and
+    estimators as objects. ``m`` and ``n`` size the two spaces compared.
+    ``_KINDS`` names each kind's evaluation and the types of its case keys,
+    by which ``to_json`` writes the case and ``from_json`` reads it back.
     """
 
     kind: str
@@ -122,58 +117,82 @@ class Witness:
     lhs: float
     rhs: float
     gap: float
-    surjection: tuple[int, ...] | None = None  # 0-based map
-    kernel: tuple[tuple[float, ...], ...] | None = None
-    point: tuple[float, ...] | None = None
-    a: tuple[float, ...] | None = None
-    b: tuple[float, ...] | None = None
-    family: str | None = None
-    constants: tuple[float, float] | None = None
     detail: str = ""
-    x: tuple[float, ...] | None = None
-    y: tuple[float, ...] | None = None
-    estimators: tuple[tuple[float, ...], ...] | None = None
-    grid: tuple[tuple[float, ...], ...] | None = None
-    step: float | None = None
-    alpha: float | None = None
+    case: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.gap > VIOLATION_TOL:
             raise InvalidParameter(
                 f"witness gap {self.gap!r} does not exceed {VIOLATION_TOL}"
             )
+        object.__setattr__(self, "case", MappingProxyType({key: _frozen(v) for key, v in self.case.items()}))
 
     @classmethod
-    def from_case(cls, kind: str, case: dict, report, detail: str = "") -> Witness | None:
-        """The witness of ``case`` (its inputs by name) from the ``report`` that judged it, or None."""
-        return _KINDS[kind].witness(case, report, detail)
+    def from_case(cls, kind: str, case: Mapping, report, detail: str = "") -> Witness | None:
+        """The witness of ``case`` (its inputs by name) from the ``report`` that judged it, or None:
+        the report's own (a probe step's or ``prop6_kernel``'s), else one of the sizes and sides
+        ``_SIDES`` reads from the case and the report, if its gap exceeds ``VIOLATION_TOL``."""
+        if hasattr(report, "witness"):
+            return report.witness
+        sides = _SIDES[kind](case, report)
+        return cls(kind, *sides, detail, case) if sides[-1] > VIOLATION_TOL else None
 
     def to_json(self) -> dict:
-        payload = {
-            f.name: _lists(getattr(self, f.name))
-            for f in fields(self)
-            if f.name not in _KIND_INPUTS or getattr(self, f.name) is not None
-        }
-        if self.surjection is not None:
-            payload["surjection"] = [v + 1 for v in self.surjection]
-        return payload
+        keys = _KINDS[self.kind].keys
+        return {**{key: getattr(self, key) for key in _FIELDS},
+                "case": {key: value.write(self.case[key]) for key, value in keys.items()}}
+
+    @classmethod
+    def from_json(cls, payload) -> Witness:
+        """The witness a ``to_json`` payload holds: every field and case key read by its type, or
+        InvalidParameter naming the kind and the key. A key missing or unknown is an error too."""
+        kind = payload.get("kind") if isinstance(payload, dict) else None
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise InvalidParameter(f"a witness is a JSON object of one of the kinds {sorted(_KINDS)}, not {kind!r}")
+        found = _read_object(payload, {**_FIELDS, "case": None}, f"{kind} witness")
+        found["case"] = _read_object(found["case"], _KINDS[kind].keys, f"{kind} witness.case")
+        return cls(**found)
+
+
+def _frozen(value):
+    """A case value as a witness keeps it: an array as a read-only array that
+    owns its data, in its layout (a copy unless it already is one)."""
+    if isinstance(value, np.ndarray) and (value.flags.writeable or value.base is not None):
+        value = np.array(value, order="K")
+        value.flags.writeable = False
+    return value
 
 
 def replay_witness(witness: Witness) -> float:
-    """Recompute the witness gap from its stored inputs, by one rule for every kind: read the case,
-    evaluate it once by the kernel or probe step that judged it, and build the witness from that
-    report, so the result is bitwise the stored gap. A malformed witness, or a case that no longer
-    gives a witness of its kind, raises InvalidParameter. A family is rebuilt by parsing its stored
-    grammar expression, so a witness of a plugin evaluator cannot be replayed and raises.
+    """Recompute the witness gap from its case, by one rule for every kind:
+    evaluate the case once by the kernel or probe step that judged it, and
+    build the witness from that report. The result is bitwise the stored
+    gap. A case that fails a check raises that check's error, its message
+    prefixed with the kind; a case that gives no witness, or another one
+    (kind, sizes, sides or gap), raises InvalidParameter. A family is
+    rebuilt by parsing its stored grammar expression, so a witness of a
+    plugin evaluator cannot be replayed and raises.
     """
     kind = _KINDS.get(witness.kind)
     if kind is None:
         raise InvalidParameter(f"no replay rule for witness kind {witness.kind!r}")
-    case = kind.case(witness)
-    found = kind.witness(case, kind.evaluate(case), witness.detail)
-    if found is None or found.kind != witness.kind:
-        raise InvalidParameter(f"a {witness.kind} witness's case gives no such witness: gap {witness.gap!r} is gone")
+    if witness.case.keys() != kind.keys.keys():
+        raise InvalidParameter(f"{witness.kind} witness replay: the case keys are {list(kind.keys)}")
+    try:
+        found = Witness.from_case(witness.kind, witness.case, kind.evaluate(witness.case))
+    except FisherGeoError as error:
+        raise type(error)(f"{witness.kind} witness replay: {error}") from error
+    if _reproduced(found) != _reproduced(witness):
+        raise InvalidParameter(f"{witness.kind} witness replay: the case gives {_reproduced(found)}, not the "
+                               f"stored (kind, m, n, lhs, rhs, gap) = {_reproduced(witness)}")
     return found.gap
+
+
+def _reproduced(witness: Witness | None) -> str:
+    """What a replay reproduces: the kind, the sizes, both sides and the gap, each float by its exact repr."""
+    if witness is None:
+        return "no witness"
+    return repr((witness.kind, witness.m, witness.n, *map(float, (witness.lhs, witness.rhs, witness.gap))))
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +598,7 @@ def prop6_kernel(surjection, fibers, p, a, b, family) -> list[Prop6Report]:
 
 
 def _prop6_rows(surjection, fibers, p, a, b, family) -> list[Prop6Report]:
-    # per trial its rows and the two sides of its group, read in trial order from one phase per family
+    # per trial its sizes and the two sides of its group, read in trial order from one phase per family
     per_trial: list = [None] * len(p)
     phases: dict = {}
     for trials, maps, phi, psi, w, a_reps, b_reps in pair_stacks(surjection, fibers, p, a, b, key=family):
@@ -594,18 +613,15 @@ def _prop6_rows(surjection, fibers, p, a, b, family) -> list[Prop6Report]:
         phase = phases.setdefault(id(one), _Phase(one))
         lhs = chain.from_iterable(_pair_matrices(one, w, a_reps[:, None], phi_pull[:, None], phase))
         rhs = chain.from_iterable(_pair_matrices(one, q_img, psi_pull[:, None], b_reps[:, None], phase))
-        for t, *rows in zip(trials, maps, phi, w, q_img, a_reps, b_reps):
-            per_trial[t] = (*rows, lhs, rhs)
+        for t in trials:
+            per_trial[t] = (m, n, lhs, rhs)
     reports = []
-    for t, (map0, kernel, w, q_img, a_rep, b_rep, lhs, rhs) in enumerate(per_trial):
+    for t, (m, n, lhs, rhs) in enumerate(per_trial):
         lhs, rhs = float(next(lhs)[0, 0]), float(next(rhs)[0, 0])
         residual = abs(lhs - rhs)
         status = classify(residual)
-        witness = Witness(
-            kind="prop6_identity", m=len(w), n=len(q_img), lhs=lhs, rhs=rhs, gap=residual,
-            surjection=tuple(map0.tolist()), kernel=_rows(kernel), point=_floats(w),
-            a=_floats(a_rep), b=_floats(b_rep), family=family[t].name,
-        ) if status == "violation" else None
+        case = dict(zip(_KINDS["prop6_identity"].keys, (surjection[t], fibers[t], p[t], a[t], b[t], family[t])))
+        witness = Witness("prop6_identity", m, n, lhs, rhs, residual, case=case) if status == "violation" else None
         reports.append(Prop6Report(lhs, rhs, residual, status, witness))
     return reports
 
@@ -642,13 +658,13 @@ def _weak_invariance_residual_rows(surjection, q, alpha, grid, step, mismatched)
     return [max(report.residual_max, report.metric_residual_max) for report in reports]
 
 
-def _map_and_point(surjection, q, m: int | None = None) -> tuple[np.ndarray, np.ndarray, int]:
-    """A 0-based map onto m points (by default its max + 1) and the weights of q on its domain, as
-    rows (1, n), and m, after the ``Surjection`` checks of the map and the ``Distribution`` ones of q."""
+def _map_and_point(surjection, q) -> tuple[np.ndarray, np.ndarray, int]:
+    """A 0-based map onto m points, its max + 1, and the weights of q on its domain, as rows (1, n),
+    and m, after the ``Surjection`` checks of the map and the ``Distribution`` ones of q."""
     maps = np.array(surjection).reshape(1, -1)
     n = SampleSpace(maps.shape[1]).size
-    if m is None:  # a map of another dtype is checked onto n points, which require_maps rejects
-        m = int(maps.max()) + 1 if maps.dtype.kind in "iu" else n
+    # a map of another dtype is checked onto n points, which require_maps rejects
+    m = int(maps.max()) + 1 if maps.dtype.kind in "iu" else n
     require_maps(maps, SampleSpace(m).size)
     return maps, require_weights(_sized(np.array(q, dtype=float).reshape(1, -1), n)), m
 
@@ -733,14 +749,12 @@ def _lifted_pair_matrix(family: CandidateFamily, n: int, counts, phase: _Phase):
     return _pair_matrices(family, _uniform_weights(lifts.shape[2]), lifts, lifts, phase)
 
 
-def _indicator_witness(kind: str, family: CandidateFamily, sizes: tuple[int, int], pair: tuple[int, int],
-                       sides: tuple[np.ndarray, np.ndarray], gap: float, detail: str, **inputs) -> Witness:
+def _indicator_witness(kind: str, sizes: tuple[int, int], pair: tuple[int, int],
+                       sides: tuple[np.ndarray, np.ndarray], gap: float, detail: str, **case) -> Witness:
     """A probe witness on the indicator pair (i, j) of an m-point space, its
-    sides read at (i, j); ``inputs`` are the point, surjection or constants."""
+    sides read at (i, j); ``case`` holds the arguments of the probe step."""
     (m, n), (i, j), (lhs, rhs) = sizes, pair, sides
-    units = np.eye(m)
-    return Witness(kind=kind, m=m, n=n, lhs=float(lhs[i, j]), rhs=float(rhs[i, j]), gap=gap,
-                   a=_floats(units[i]), b=_floats(units[j]), family=family.name, detail=detail, **inputs)
+    return Witness(kind, m, n, float(lhs[i, j]), float(rhs[i, j]), gap, detail, case)
 
 
 def _first_worst(gaps: np.ndarray) -> tuple[list[float], list[int], list[int]]:
@@ -801,9 +815,8 @@ def _uniform_table(family: CandidateFamily, sizes, phase: _Phase) -> Callable[[i
         if worst > VIOLATION_TOL:
             i, j = np.unravel_index(int(np.argmax(residuals)), residuals.shape)
             witness = _indicator_witness(
-                "uniform_shape", family, (n, n), (i, j), (matrix, model), worst,
-                f"indicator pair ({i + 1}, {j + 1}) breaks permutation symmetry",
-                point=_floats(np.full(n, 1.0 / n)),
+                "uniform_shape", (n, n), (i, j), (matrix, model), worst,
+                f"indicator pair ({i + 1}, {j + 1}) breaks permutation symmetry", family=family, n=n,
             )
         return UniformProbeResult(n, a, b, worst, witness), matrix
 
@@ -850,9 +863,8 @@ def _probe_consistency(family: CandidateFamily, m: int, n: int, uniform_at: Call
     witness = None
     if worst > VIOLATION_TOL:
         witness = _indicator_witness(
-            "cross_dimension", family, (n, m * n), (i, j), (lhs, rhs), worst,
-            f"lift of indicator pair ({i + 1}, {j + 1}) changes the uniform evaluation",
-            surjection=tuple(np.repeat(np.arange(n), m).tolist()),
+            "cross_dimension", (n, m * n), (i, j), (lhs, rhs), worst,
+            f"lift of indicator pair ({i + 1}, {j + 1}) changes the uniform evaluation", family=family, m=m, n=n,
         )
     c1_small, c2_small = n * small.a, n * n * small.b
     c1_big, c2_big = m * n * big.a, (m * n) ** 2 * big.b
@@ -959,9 +971,9 @@ def _rational_probes(family: CandidateFamily, points: np.ndarray, denominator_bo
                 if worst > VIOLATION_TOL:
                     rhs = lifted[k] if to_lift[k, i, j] >= to_target[k, i, j] else targets[t]
                     witness = _indicator_witness(
-                        "rational_point", family, (n, denominator), (i, j), (value[k], rhs), worst,
-                        f"D={denominator_bound}", point=_floats(points[t]), constants=(c1, c2),
-                        surjection=tuple(np.repeat(np.arange(n), counts).tolist()),
+                        "rational_point", (n, denominator), (i, j), (value[k], rhs), worst, f"D={denominator_bound}",
+                        family=family, p=new_distribution(SampleSpace(n), points[t]),
+                        denominator_bound=denominator_bound, constants=(c1, c2),
                     )
                 yield RationalProbeResult(n, denominator, tuple(counts.tolist()), c1, c2, worst, witness)
             start = part.stop
@@ -997,9 +1009,13 @@ def _best_rational_approximations(weights: np.ndarray, bounds: list[int]) -> np.
 def _continuity_errors(family: CandidateFamily, spot: np.ndarray, bounds: list[int], phase=None) -> Iterator:
     """Step (d): distance from the constants fitted at the spot's weights to those fitted at its
     best rational approximation, per denominator bound, yielded in bound order. The spot is checked
-    first, then its approximations; the indicator matrices of all the points are one request of
+    first, as a ``Distribution`` on as many outcomes as it has weights, then the bounds, none below
+    that size, then its approximations; the indicator matrices of all the points are one request of
     ``phase``, made now, and each point is fitted on its own when read."""
+    SampleSpace(spot.size)
     in_trial_order(require_weights, spot[None])
+    if min(bounds, default=spot.size) < spot.size:
+        raise NotRational(f"no point on {spot.size} outcomes has a common denominator <= {min(bounds)}")
     approximations = in_trial_order(require_weights, _best_rational_approximations(spot, bounds))
     points = np.concatenate([spot[None], approximations])
     units = np.broadcast_to(np.eye(spot.size), (len(points), spot.size, spot.size))
@@ -1055,7 +1071,7 @@ def check_bilinearity(family: CandidateFamily, n: int, seed: int) -> float:
     evaluated as one ``_pair_matrices`` stack per side."""
     require_integer(n, "n")
     require_seed(seed)
-    return _bilinearity(family, n, seed, _Phase(family))()
+    return _bilinearity(family, SampleSpace(n).size, seed, _Phase(family))()
 
 
 def _bilinearity(family: CandidateFamily, n: int, seed: int, phase: _Phase) -> Callable[[], float]:
@@ -1116,7 +1132,7 @@ def characterize(family: CandidateFamily | str, n_max: int = 6, denominator_boun
     pairs = [(2, n) for n in sizes] + [(n, 2) for n in range(3, n_max + 1)]
     lifts = [_lifted_pair_matrix(family, n, m, phase) for m, n in pairs]
     witness = next(filter(None, chain(
-        (_bilinearity_witness({"family": family, "n": n, "seed": seed_n}, defect=value)
+        (Witness.from_case("bilinearity", {"family": family, "n": n, "seed": seed_n}, value, f"seed={seed_n}")
          for n, seed_n, value in zip(sizes, seeds, (defect() for defect in defects)) if value > VIOLATION_TOL),
         (uniform_at(n)[0].witness for n in sizes),
         (_probe_consistency(family, m, n, uniform_at, lift).witness for (m, n), lift in zip(pairs, lifts)),
@@ -1154,7 +1170,8 @@ def characterize(family: CandidateFamily | str, n_max: int = 6, denominator_boun
     continuity_errors = tuple(continuity)
     if continuity_errors and continuity_errors[-1] > VIOLATION_TOL:
         case = {"family": family, "spot": spot, "bound": bounds[-1]}
-        return _witness_result(family.name, _continuity_witness(case, error=continuity_errors[-1]))
+        return _witness_result(family.name, Witness.from_case("continuity", case, continuity_errors[-1],
+                                                              f"D={bounds[-1]}"))
 
     if ii1_holds and abs(c1 + c2) <= PASS_TOL:
         verdict = f"c*Cov with c={_format_constant(c1)}"
@@ -1168,163 +1185,129 @@ def characterize(family: CandidateFamily | str, n_max: int = 6, denominator_boun
 
 
 # ---------------------------------------------------------------------------
-# Witness kinds: each evaluates a case once, by the kernel or probe step that
-# judges it, named so that it is looked up in this module when it runs; builds
-# its witness from the case and that report without evaluating anything; and
-# reads the case back from a stored witness
+# Witness kinds: each is the evaluation that judges a case, by the kernel or
+# probe step named so that it is looked up in this module when it runs, and
+# the keys of the case, in that evaluation's order, with their types. A type
+# writes a case value as JSON and reads it back: arrays as lists of numbers,
+# read in their drawn layout; a map 1-based; a family as its grammar
+# expression; a categorical model as its size
 # ---------------------------------------------------------------------------
 
 
-def _channel_witness(case: dict, report: MonotonicityReport, detail: str = "") -> Witness:
-    """The kernel, the point, and x (metric) or a (co-metric)."""
-    metric = "x" in case
-    n_out, n_in = np.shape(case["kernel"])
-    return Witness(
-        kind="monotonicity_metric" if metric else "monotonicity_cometric", m=n_in, n=n_out,
-        lhs=report.lhs, rhs=report.rhs, gap=report.slack,
-        kernel=_rows(case["kernel"]), point=_floats(case["p"]),
-        a=_floats(case["x" if metric else "a"]), detail=detail,
-    )
+class _Type(NamedTuple):
+    write: Callable[[Any], Any]  # case value -> JSON value
+    read: Callable[[Any], Any]  # JSON value -> case value, or a FisherGeoError
 
 
-def _channel_case(witness: Witness) -> dict:
-    # Battery kernels are drawn column by column; products with the kernel
-    # differ in the last bit between layouts, so it is rebuilt column-major.
-    key = "x" if witness.kind == "monotonicity_metric" else "a"
-    kernel = np.array(witness.kernel, dtype=float, order="F")
-    return {"kernel": kernel, "p": np.array(witness.point), key: np.array(witness.a)}
+def _read_object(value, types: dict[str, _Type | None], what: str) -> dict:
+    """The JSON object ``value`` with exactly the keys of ``types``, each read
+    by its type (None: as it is); an error names ``what`` and the key."""
+    read_object(value, tuple(types), what)
+    missing = [key for key in types if key not in value]
+    if missing:
+        raise InvalidParameter(f"{what} needs the keys {missing}")
+    found = {}
+    for key, kind in types.items():
+        try:
+            found[key] = value[key] if kind is None else kind.read(value[key])
+        except FisherGeoError as error:
+            raise type(error)(f"{what}.{key}: {error}") from error
+    return found
 
 
-def _pair_witness(case: dict, report: InvarianceReport, detail: str = "") -> Witness:
-    """The map of F, the big point q, a, b, and for invariance x and y."""
-    invariance = "x" in case
-    return Witness(
-        kind="invariance" if invariance else "strong_invariance",
-        m=len(case["fibers"]), n=len(case["q"]),
-        lhs=report.max_residual, rhs=0.0, gap=report.max_residual,
-        surjection=tuple(np.asarray(case["surjection"]).tolist()), point=_floats(case["q"]),
-        a=_floats(case["a"]), b=_floats(case["b"]), detail=detail,
-        **({"x": _floats(case["x"]), "y": _floats(case["y"])} if invariance else {}),
-    )
+def _floats_of(*shape: int | None, order: str = "C") -> _Type:
+    """Floats of ``shape`` (None: any length): a read-only array in ``order``, or a float for shape ()."""
+
+    def read(value):
+        array = read_floats(value, "value")
+        if array.ndim != len(shape) or any(size not in (None, got) for size, got in zip(shape, array.shape)):
+            raise InvalidParameter(f"value must be numbers of shape {shape}, not {value!r}")
+        if not shape:
+            return float(array)
+        array = np.array(array, order=order)
+        array.flags.writeable = False
+        return array
+
+    return _Type(lambda value: np.asarray(value, dtype=float).tolist(), read)
 
 
-def _pair_case(witness: Witness) -> dict:
-    maps, q, m = _map_and_point(witness.surjection, witness.point, witness.m)
-    rows = "ab" if witness.kind == "strong_invariance" else "abxy"
-    return {"surjection": maps[0], "fibers": canonical_embedding_rows(maps, q, m)[0], "q": q[0],
-            **{key: np.array(getattr(witness, key)) for key in rows}}
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise InvalidParameter(f"value must be a string, not {value!r}")
+    return value
 
 
-def _prop6_case(witness: Witness) -> dict:
-    return {
-        "surjection": witness.surjection, "fibers": np.array(witness.kernel).T,
-        "p": np.array(witness.point), "a": np.array(witness.a), "b": np.array(witness.b),
-        "family": parse_family(witness.family),
-    }
+def _map(value) -> np.ndarray:
+    """A 1-based map, a list of integers, as a read-only 0-based array."""
+    if not isinstance(value, (list, tuple)):
+        raise InvalidParameter(f"value must be a list of integers, not {value!r}")
+    map0 = np.array([read_int(v, "value") for v in value], dtype=int) - 1
+    map0.flags.writeable = False
+    return map0
 
 
-def _crb_witness(case: dict, report: CrbReport, detail: str = "") -> Witness:
-    """The model point and the estimators' values."""
-    n = case["model"].space.size
-    weights = point_rows([case["model"]], np.asarray(case["xi"], dtype=float).reshape(1, -1))[0][0]
-    return Witness(
-        kind="crb", m=n, n=n, lhs=report.min_eigenvalue, rhs=0.0, gap=report.scaled_residual,
-        point=_floats(weights), detail=detail, estimators=_rows([e.values for e in case["estimators"]]),
-    )
+def _point(value) -> Distribution:
+    weights = _VECTOR.read(value)
+    return new_distribution(SampleSpace(weights.size), weights)
 
 
-def _crb_case(witness: Witness) -> dict:
-    if witness.point is None or witness.estimators is None:
-        raise InvalidParameter("a crb witness stores its point and its estimators")
-    model = categorical_model(witness.m)
-    xi = np.array(witness.point[: witness.m - 1])  # the categorical coordinates
-    estimators = [RandomVariable(model.space, np.array(e)) for e in witness.estimators]
-    return {"model": model, "xi": xi, "estimators": estimators}
-
-
-def _weak_invariance_witness(case: dict, residual: float, detail: str = "") -> Witness:
-    """The map of F, the big point q, the grid, the step and alpha."""
-    map0 = tuple(np.asarray(case["surjection"]).tolist())
-    return Witness(
-        kind="weak_invariance", m=max(map0) + 1, n=len(case["q"]), lhs=residual, rhs=0.0, gap=residual,
-        surjection=map0, point=_floats(case["q"]), detail=detail,
-        grid=_rows(case["grid"]), step=float(case["step"]), alpha=float(case["alpha"]),
-    )
-
-
-def _weak_invariance_case(witness: Witness) -> dict:
-    maps, q, _ = _map_and_point(witness.surjection, witness.point, witness.m)
-    return {"surjection": maps[0], "q": q[0], "alpha": witness.alpha, "grid": witness.grid,
-            "step": witness.step, "mismatched": False}
-
-
-def _bilinearity_witness(case: dict, defect: float, detail: str = "") -> Witness:
-    return Witness(kind="bilinearity", m=case["n"], n=case["n"], lhs=defect, rhs=0.0, gap=defect,
-                   family=case["family"].name, detail=f"seed={case['seed']}")
-
-
-def _continuity_witness(case: dict, error: float, detail: str = "") -> Witness:
-    n = case["spot"].size
-    return Witness(kind="continuity", m=n, n=n, lhs=error, rhs=0.0, gap=error, point=_floats(case["spot"]),
-                   family=case["family"].name, detail=f"D={case['bound']}")
-
-
-def _detail_int(witness: Witness, prefix: str) -> int:
-    """The integer the witness's detail holds after ``prefix``, or InvalidParameter naming the kind and the detail."""
-    try:
-        return int(witness.detail.removeprefix(prefix))
-    except (AttributeError, ValueError):
-        raise InvalidParameter(
-            f"a {witness.kind} witness's detail is {prefix!r} and an integer, not {witness.detail!r}"
-        ) from None
-
-
-def _family_case(witness: Witness, **case) -> dict:
-    return {"family": parse_family(witness.family), **case}
-
-
-def _cross_dimension_case(witness: Witness) -> dict:
-    # the witness stores the two dimensions (n, m*n); the probe takes the block factor and the base dimension
-    if not witness.m or witness.n % witness.m:
-        raise InvalidParameter(f"a cross_dimension witness's n = {witness.n!r} is no multiple of its m = {witness.m!r}")
-    return _family_case(witness, m=witness.n // witness.m, n=witness.m)
-
-
-def _rational_point_case(witness: Witness) -> dict:
-    p = new_distribution(SampleSpace(witness.m), np.array(witness.point))
-    bound = _detail_int(witness, "D=")
-    return _family_case(witness, p=p, denominator_bound=bound, constants=witness.constants)
-
-
-def _continuity_case(witness: Witness) -> dict:
-    spot = _sized(np.array(witness.point, dtype=float).reshape(1, -1), SampleSpace(witness.n).size)[0]
-    return _family_case(witness, spot=spot, bound=_detail_int(witness, "D="))
-
-
-def _reported(case: dict, report, detail: str = "") -> Witness | None:
-    return report.witness  # a probe step's or prop6_kernel's own witness, or None
+_FLOAT, _VECTOR, _MATRIX = _floats_of(), _floats_of(None), _floats_of(None, None)
+_INT, _TEXT = _Type(int, partial(read_int, key="value")), _Type(str, _text)
+_FAMILY = _Type(attrgetter("name"), lambda value: parse_family(_text(value)))
+_MAP = _Type(lambda map0: (np.asarray(map0) + 1).tolist(), _map)
+#: The fields of a witness but its case.
+_FIELDS = {"kind": _TEXT, "m": _INT, "n": _INT, "lhs": _FLOAT, "rhs": _FLOAT, "gap": _FLOAT, "detail": _TEXT}
 
 
 class _Kind(NamedTuple):
-    evaluate: Callable[[dict], Any]  # case -> the report of the kernel or probe step that judges it
-    witness: Callable[..., Witness | None]  # (case, report, detail) -> its witness; evaluates nothing
-    case: Callable[[Witness], dict]  # witness -> the case it stores
+    evaluate: Callable[[Mapping], Any]  # case -> the report of the kernel or probe step that judges it
+    keys: dict[str, _Type]  # the case's keys and their types
 
 
 _KINDS: dict[str, _Kind] = {
-    "monotonicity_metric": _Kind(lambda c: _one(monotonicity_metric_kernel, **c), _channel_witness, _channel_case),
-    "monotonicity_cometric": _Kind(lambda c: _one(monotonicity_cometric_kernel, **c), _channel_witness, _channel_case),
-    "invariance": _Kind(lambda c: _one(invariance_kernel, **c), _pair_witness, _pair_case),
-    "strong_invariance": _Kind(lambda c: _one(strong_invariance_kernel, **c), _pair_witness, _pair_case),
-    "prop6_identity": _Kind(lambda c: _one(prop6_kernel, **c), _reported, _prop6_case),
-    "crb": _Kind(lambda c: _one(crb_kernel, **c), _crb_witness, _crb_case),
-    "weak_invariance": _Kind(lambda c: _one(weak_invariance_residual_kernel, **c), _weak_invariance_witness,
-                             _weak_invariance_case),
-    "uniform_shape": _Kind(lambda c: probe_uniform(**c), _reported, lambda w: _family_case(w, n=w.n)),
-    "cross_dimension": _Kind(lambda c: probe_consistency(**c), _reported, _cross_dimension_case),
-    "rational_point": _Kind(lambda c: probe_rational(**c), _reported, _rational_point_case),
-    "bilinearity": _Kind(lambda c: check_bilinearity(**c), _bilinearity_witness,
-                         lambda w: _family_case(w, n=w.n, seed=_detail_int(w, "seed="))),
+    # Battery kernels are drawn column by column; products with a kernel
+    # differ in the last bit between layouts, so it is read column-major.
+    "monotonicity_metric": _Kind(lambda c: _one(monotonicity_metric_kernel, **c),
+                                 {"kernel": _floats_of(None, None, order="F"), "p": _VECTOR, "x": _VECTOR}),
+    "monotonicity_cometric": _Kind(lambda c: _one(monotonicity_cometric_kernel, **c),
+                                   {"kernel": _floats_of(None, None, order="F"), "p": _VECTOR, "a": _VECTOR}),
+    "invariance": _Kind(lambda c: _one(invariance_kernel, **c),
+                        {"surjection": _MAP, "fibers": _MATRIX, **dict.fromkeys("qxyab", _VECTOR)}),
+    "strong_invariance": _Kind(lambda c: _one(strong_invariance_kernel, **c),
+                               {"surjection": _MAP, "fibers": _MATRIX, **dict.fromkeys("qab", _VECTOR)}),
+    "prop6_identity": _Kind(lambda c: _one(prop6_kernel, **c), {
+        "surjection": _MAP, "fibers": _MATRIX, **dict.fromkeys("pab", _VECTOR), "family": _FAMILY,
+    }),
+    "crb": _Kind(lambda c: _one(crb_kernel, **c), {
+        "model": _Type(lambda model: model.space.size, lambda value: categorical_model(_INT.read(value))),
+        "xi": _VECTOR,
+        "estimators": _Type(lambda estimators: [a.values.tolist() for a in estimators], lambda value: [
+            RandomVariable(SampleSpace(row.size), row) for row in _MATRIX.read(value)]),
+    }),
+    "weak_invariance": _Kind(lambda c: _one(weak_invariance_residual_kernel, **c), {
+        "surjection": _MAP, "q": _VECTOR, "alpha": _FLOAT, "grid": _MATRIX, "step": _FLOAT,
+        "mismatched": _Type(bool, partial(read_bool, key="value")),
+    }),
+    "uniform_shape": _Kind(lambda c: probe_uniform(**c), {"family": _FAMILY, "n": _INT}),
+    "cross_dimension": _Kind(lambda c: probe_consistency(**c), {"family": _FAMILY, "m": _INT, "n": _INT}),
+    "rational_point": _Kind(lambda c: probe_rational(**c), {
+        "family": _FAMILY, "p": _Type(lambda p: p.weights.tolist(), _point), "denominator_bound": _INT,
+        "constants": _floats_of(2),
+    }),
+    "bilinearity": _Kind(lambda c: check_bilinearity(**c), {"family": _FAMILY, "n": _INT, "seed": _INT}),
     "continuity": _Kind(lambda c: next(_continuity_errors(c["family"], c["spot"], [c["bound"]])),
-                        _continuity_witness, _continuity_case),
+                        {"family": _FAMILY, "spot": _VECTOR, "bound": _INT}),
+}
+
+#: Kind -> (m, n, lhs, rhs, gap) from a case and the report that judged it, for each kernel or check
+#: whose report holds no witness: m and n size the spaces compared, the gap is the residual judged.
+_SIDES: dict[str, Callable[[Mapping, Any], tuple]] = {
+    "monotonicity_metric": lambda c, r: (*np.shape(c["kernel"])[::-1], r.lhs, r.rhs, r.slack),
+    "monotonicity_cometric": lambda c, r: (*np.shape(c["kernel"])[::-1], r.lhs, r.rhs, r.slack),
+    "invariance": lambda c, r: (*np.shape(c["fibers"]), r.max_residual, 0.0, r.max_residual),
+    "strong_invariance": lambda c, r: (*np.shape(c["fibers"]), r.max_residual, 0.0, r.max_residual),
+    "crb": lambda c, r: (*[c["model"].space.size] * 2, r.min_eigenvalue, 0.0, r.scaled_residual),
+    "weak_invariance": lambda c, r: (int(np.max(c["surjection"])) + 1, len(c["q"]), r, 0.0, r),
+    "bilinearity": lambda c, r: (c["n"], c["n"], r, 0.0, r),
+    "continuity": lambda c, r: (len(c["spot"]), len(c["spot"]), r, 0.0, r),
 }

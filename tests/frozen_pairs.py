@@ -229,10 +229,6 @@ _STRONG_INVARIANCE_KEYS = (
 _CANONICAL_TOL = 1e-12
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(np.asarray(values, dtype=float).reshape(-1).tolist())
-
-
 def _relative(lhs: np.ndarray, rhs: np.ndarray, terms: np.ndarray | float = 1.0) -> np.ndarray:
     return abs(lhs - rhs) / np.maximum(np.maximum(np.maximum(1.0, terms), abs(lhs)), abs(rhs))
 
@@ -376,15 +372,10 @@ def pair_witness(case: dict, detail: str = "") -> Witness:
     invariance = "x_m_rep" in case
     kernel = invariance_kernel if invariance else strong_invariance_kernel
     report = kernel(**{key: [value] for key, value in case.items()})[0]
-    f, q = case["pair"].surjection, case["q"]
+    kind = "invariance" if invariance else "strong_invariance"
     return Witness(
-        kind="invariance" if invariance else "strong_invariance",
-        m=f.codomain.size, n=q.space.size,
-        lhs=report.max_residual, rhs=0.0, gap=report.max_residual,
-        surjection=f.map0, point=_floats(q.weights),
-        a=_floats(case["a"].values), b=_floats(case["b"].values), detail=detail,
-        x=_floats(case["x_m_rep"]) if invariance else None,
-        y=_floats(case["y_m_rep"]) if invariance else None,
+        kind=kind, m=case["pair"].surjection.codomain.size, n=case["q"].space.size,
+        lhs=report.max_residual, rhs=0.0, gap=report.max_residual, detail=detail, case=arrays(kind, case),
     )
 
 

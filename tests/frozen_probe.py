@@ -3,8 +3,8 @@
 Verbatim copies of ``CandidateFamily.matrix``, ``check_prop6_identity`` and
 the ``characterize`` pipeline as they were written before the stacks took
 over, each step on its own: a grammar family is evaluated through the
-frozen ``matrix`` (its MM means one ``np.dot`` per row), witness fields are
-written through the frozen ``_floats`` and ``_rows``, the lifts go through
+frozen ``matrix`` (its MM means one ``np.dot`` per row), a witness stores
+the arguments of the step that judged it as its case, the lifts go through
 ``partition_surjection`` and ``block_surjection``, and the largest gap is
 found by the per-pair loops' strict scan. The continuity step fits its
 constants by the per-pair least-squares system at the points of the
@@ -108,14 +108,6 @@ def frozen_call(family, p: Distribution, a: RandomVariable, b: RandomVariable) -
     return float(frozen_matrix(family, p, a.values[None], b.values[None])[0, 0])
 
 
-def frozen_floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in np.asarray(values).reshape(-1))
-
-
-def frozen_rows(matrix) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(float(v) for v in row) for row in np.asarray(matrix))
-
-
 def frozen_check_prop6_identity(pair, p, alpha, beta, family) -> Prop6Report:
     phi = pair.embedding_channel
     psi = pair.coembedding_channel
@@ -141,12 +133,10 @@ def frozen_check_prop6_identity(pair, p, alpha, beta, family) -> Prop6Report:
             lhs=lhs,
             rhs=rhs,
             gap=residual,
-            surjection=pair.surjection.map0,
-            kernel=frozen_rows(phi.kernel),
-            point=frozen_floats(p.weights),
-            a=frozen_floats(alpha.rep.values),
-            b=frozen_floats(beta.rep.values),
-            family=family.name,
+            case={
+                "surjection": pair.surjection.map0, "fibers": pair.fiber_distributions, "p": p.weights,
+                "a": alpha.rep.values, "b": beta.rep.values, "family": family,
+            },
         )
     return Prop6Report(lhs, rhs, residual, status, witness)
 
@@ -169,13 +159,10 @@ def frozen_pair_matrix(family, p: Distribution, rows, cols) -> np.ndarray:
     return np.array([[family(p, a, b) for b in right] for a in left], dtype=float)
 
 
-def frozen_indicator_witness(kind, family, sizes, pair, sides, gap, detail, **inputs) -> Witness:
+def frozen_indicator_witness(kind, sizes, pair, sides, gap, detail, **case) -> Witness:
     (m, n), (i, j), (lhs, rhs) = sizes, pair, sides
-    units = np.eye(m)
     return Witness(
-        kind=kind, m=m, n=n, lhs=float(lhs[i, j]), rhs=float(rhs[i, j]), gap=gap,
-        a=frozen_floats(units[i]), b=frozen_floats(units[j]), family=family.name, detail=detail,
-        **inputs,
+        kind=kind, m=m, n=n, lhs=float(lhs[i, j]), rhs=float(rhs[i, j]), gap=gap, detail=detail, case=case,
     )
 
 
@@ -195,9 +182,8 @@ def frozen_probe_uniform(family, n: int) -> tuple[UniformProbeResult, np.ndarray
     if worst > VIOLATION_TOL:
         i, j = np.unravel_index(int(np.argmax(residuals)), residuals.shape)
         witness = frozen_indicator_witness(
-            "uniform_shape", family, (n, n), (i, j), (matrix, model), worst,
-            f"indicator pair ({i + 1}, {j + 1}) breaks permutation symmetry",
-            point=frozen_floats(u.weights),
+            "uniform_shape", (n, n), (i, j), (matrix, model), worst,
+            f"indicator pair ({i + 1}, {j + 1}) breaks permutation symmetry", family=family, n=n,
         )
     return UniformProbeResult(n, a, b, worst, witness), matrix
 
@@ -222,9 +208,8 @@ def frozen_probe_consistency(family, m: int, n: int, uniform_at) -> ConsistencyP
     witness = None
     if worst > VIOLATION_TOL:
         witness = frozen_indicator_witness(
-            "cross_dimension", family, (n, m * n), (i, j), (lhs, rhs), worst,
-            f"lift of indicator pair ({i + 1}, {j + 1}) changes the uniform evaluation",
-            surjection=surjection.map0,
+            "cross_dimension", (n, m * n), (i, j), (lhs, rhs), worst,
+            f"lift of indicator pair ({i + 1}, {j + 1}) changes the uniform evaluation", family=family, m=m, n=n,
         )
     c1_small, c2_small = n * small.a, n * n * small.b
     c1_big, c2_big = m * n * big.a, (m * n) ** 2 * big.b
@@ -267,9 +252,9 @@ def frozen_probe_rational(family, p, denominator_bound, constants) -> RationalPr
     if worst > VIOLATION_TOL:
         rhs = lifted if to_lift[i, j] >= to_target[i, j] else target
         witness = frozen_indicator_witness(
-            "rational_point", family, (n, surjection.domain.size), (i, j), (value, rhs),
-            worst, f"D={denominator_bound}",
-            surjection=surjection.map0, point=frozen_floats(w), constants=(float(c1), float(c2)),
+            "rational_point", (n, surjection.domain.size), (i, j), (value, rhs),
+            worst, f"D={denominator_bound}", family=family, p=p, denominator_bound=denominator_bound,
+            constants=(float(c1), float(c2)),
         )
     return RationalProbeResult(
         n, denominator, tuple(int(c) for c in counts), float(c1), float(c2), worst, witness
@@ -367,8 +352,8 @@ def frozen_characterize(family, n_max=6, denominator_bound=64, trials=8, seed=0)
         defect = frozen_check_bilinearity(**case)
         if defect > VIOLATION_TOL:
             return _witness_result(family.name, Witness(
-                kind="bilinearity", m=n, n=n, lhs=defect, rhs=0.0, gap=defect,
-                family=family.name, detail=f"seed={case['seed']}",
+                kind="bilinearity", m=n, n=n, lhs=defect, rhs=0.0, gap=defect, detail=f"seed={case['seed']}",
+                case=case,
             ))
 
     uniform_at = cache(partial(frozen_probe_uniform, family))
@@ -418,8 +403,8 @@ def frozen_characterize(family, n_max=6, denominator_bound=64, trials=8, seed=0)
     if continuity_errors and continuity_errors[-1] > VIOLATION_TOL:
         error = frozen_continuity_errors(family, spot, [bounds[-1]])[0]
         return _witness_result(family.name, Witness(
-            kind="continuity", m=n_spot, n=n_spot, lhs=error, rhs=0.0, gap=error,
-            point=frozen_floats(spot.weights), family=family.name, detail=f"D={bounds[-1]}",
+            kind="continuity", m=n_spot, n=n_spot, lhs=error, rhs=0.0, gap=error, detail=f"D={bounds[-1]}",
+            case={"family": family, "spot": spot.weights, "bound": bounds[-1]},
         ))
 
     if ii1_holds and abs(c1 + c2) <= PASS_TOL:

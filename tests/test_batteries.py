@@ -16,7 +16,8 @@ import fishergeo.models as models_module
 import fishergeo.verify as verify_module
 from fishergeo.batteries import run_battery
 from fishergeo.errors import FisherGeoError, InvalidParameter
-from fishergeo.verify import replay_witness
+from fishergeo.verify import Witness, replay_witness
+from witness_bits import same_arrays, witness_bits
 
 
 def _reject_constant(token: str):
@@ -124,7 +125,7 @@ def test_violations_are_shrunk_tagged_and_replayable(monkeypatch, name):
     cases = batteries._BATTERIES[name].draw(np.random.default_rng(7), rounds=4, n_max=5)
     for witness, case in zip(report.witnesses, cases):
         assert (witness.kind, witness.n, witness.m) == (name, *case["kernel"].shape)
-        assert witness.kernel == tuple(map(tuple, case["kernel"].tolist()))
+        assert same_arrays(witness.case, case) and np.isfortran(witness.case["kernel"])
         assert np.float64(replay_witness(witness)).tobytes() == np.float64(witness.gap).tobytes()
 
 
@@ -164,6 +165,40 @@ def test_a_run_makes_one_kernel_call_however_many_witnesses_it_records(monkeypat
     for witness in report.witnesses:
         assert np.float64(replay_witness(witness)).tobytes() == np.float64(witness.gap).tobytes()
     assert len(calls) == len(report.witnesses)
+
+
+#: Battery -> a small config: with the witness threshold dropped, each of its trials is a witness.
+ROUND_TRIP = {
+    "monotonicity_metric": {"trials": 4, "n_max": 6},
+    "monotonicity_cometric": {"trials": 4, "n_max": 6},
+    "invariance": {"trials": 4, "n_max": 6},
+    "strong_invariance": {"trials": 4, "n_max": 6},
+    "prop6": {"trials": 4, "n_max": 6, "family": "PK(2)"},
+    "crb": {"trials": 4, "n_max": 5},
+    "weak_invariance": {"n_max": 4, "grid_count": 1, "alphas": [0.5]},
+    "characterize": {"family": "PK(2)", "n_max": 3, "denominator_bound": 8, "trials": 1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP))
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_every_witness_replays_bitwise_in_memory_and_from_its_json(name, seed):
+    """Every witness of a run, as it is and as read back from its JSON text,
+    is the same witness and replays to its gap bitwise; a channel kernel
+    stays column-major, as drawn, through both."""
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (verify_module, batteries):
+            patch.setattr(module, "VIOLATION_TOL", -np.inf)
+        report = run_battery({"battery": name, "seed": seed, **ROUND_TRIP[name]})
+        assert report.witnesses
+        for witness in report.witnesses:
+            read = Witness.from_json(json.loads(json.dumps(witness.to_json())))
+            assert witness_bits(read) == witness_bits(witness)
+            for replayed in (witness, read):
+                assert float(replay_witness(replayed)).hex() == float(witness.gap).hex()
+                if name.startswith("monotonicity"):
+                    assert np.isfortran(replayed.case["kernel"])
 
 
 #: The batteries whose draws bound n_max, each with a small config at its bound.

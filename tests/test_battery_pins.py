@@ -13,6 +13,7 @@ import json
 import pytest
 
 from fishergeo.batteries import run_battery
+from fishergeo.verify import Witness, replay_witness
 
 from conftest import GOLDEN_DIR
 
@@ -45,6 +46,19 @@ def render(name: str) -> str:
 def test_battery_report_pinned(name):
     expected = (PIN_DIR / f"{name}.json").read_text(encoding="utf-8")
     assert render(name) == expected
+
+
+@pytest.mark.parametrize("name", ["prop6_pk2", "characterize_pk2"])
+def test_every_pinned_witness_replays_from_its_bytes(name):
+    """Each witness of a pin, read from the committed file by
+    ``Witness.from_json``, replays to its stored gap bitwise."""
+    report = json.loads((PIN_DIR / f"{name}.json").read_bytes())
+    payloads = report["witnesses"]
+    if "characterize" in report:
+        payloads.append(report["characterize"]["witness"])
+    assert payloads
+    for payload in payloads:
+        assert float(replay_witness(Witness.from_json(payload))).hex() == float(payload["gap"]).hex()
 
 
 if __name__ == "__main__":

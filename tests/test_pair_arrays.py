@@ -9,7 +9,8 @@ below hold the array path to it:
 
 - the draws give the same rows, bitwise;
 - every residual and report is the same float (``float.hex``), and every
-  witness the same JSON text, which replays bitwise to the same arrays; the
+  witness the same kind, sizes, sides, gap and detail bitwise and the same
+  case arrays (``same_arrays``), and it replays bitwise; the
   ``invariance`` check's fifth residual, ``sharp``, which the frozen path
   lacks, is held to its exact budget (``test_exact_oracle``) instead, and
   the report's and witness's worst residual to the worst of all five;
@@ -50,6 +51,7 @@ from fishergeo.simplex import (
     Distribution, RandomVariable, SampleSpace, interior_rows, sample_interior, sample_interior_weights,
 )
 from test_battery_pins import PINS
+from witness_bits import same_arrays, witness_bits
 from test_exact_oracle import sharp_budget
 from test_negative_controls import metric_over_p_power
 
@@ -83,29 +85,10 @@ def draw(kind: str, seed: int, rounds: int, n_max: int, family: str = "COV", new
     return [frozen_pairs.arrays(kind, case) for case in cases]
 
 
-def same_arrays(case: dict, other: dict) -> bool:
-    """Equal keys, equal maps, bitwise equal float rows and families of one name."""
-    if case.keys() != other.keys():
-        return False
-    for key in case:
-        mine, theirs = case[key], other[key]
-        if key == "family":
-            if mine.name != theirs.name:
-                return False
-        elif key == "surjection":
-            if np.asarray(mine).tolist() != np.asarray(theirs).tolist():
-                return False
-        else:
-            mine, theirs = np.asarray(mine, dtype=float), np.asarray(theirs, dtype=float)
-            if mine.shape != theirs.shape or mine.tobytes() != theirs.tobytes():
-                return False
-    return True
-
-
 def bits(report) -> tuple:
-    """Every float of a report as ``float.hex``, its status and its witness's JSON text."""
+    """Every float of a report as ``float.hex``, its status and its witness's ``witness_bits``."""
     if isinstance(report, verify.Prop6Report):
-        witness = None if report.witness is None else json.dumps(report.witness.to_json())
+        witness = witness_bits(report.witness)
         floats = (report.lhs, report.rhs, report.residual)
         return tuple(float(v).hex() for v in floats) + (report.status, witness)
     # the frozen path's keys: invariance's fifth, ``sharp``, is held to its exact budget by ``outcome``
@@ -162,8 +145,9 @@ def test_reports_are_the_frozen_reports(kind, seed, rounds, n_max, family):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rounds=st.integers(1, 8), n_max=st.integers(3, 8))
 def test_witnesses_are_the_frozen_witnesses_and_replay_to_their_arrays(kind, seed, rounds, n_max):
-    """With every gap a witness, each trial's witness is the frozen one, as
-    JSON text, replays bitwise, and rebuilds the drawn arrays."""
+    """With every gap a witness, each trial's witness is the frozen one:
+    its fields bitwise and its case arrays equal; it replays bitwise from
+    memory and from its JSON text, and reads back the drawn arrays."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verify, "VIOLATION_TOL", -np.inf)
         for trial, case in enumerate(draw(kind, seed, rounds, n_max)):
@@ -173,9 +157,12 @@ def test_witnesses_are_the_frozen_witnesses_and_replay_to_their_arrays(kind, see
             if kind == "invariance":  # the gap is the worst of the frozen path's residuals and ``sharp``
                 gap = max(frozen.gap, verify._one(verify.invariance_kernel, **case).residuals["sharp"])
                 frozen = replace(frozen, lhs=gap, gap=gap)
-            assert json.dumps(witness.to_json()) == json.dumps(frozen.to_json())
-            assert float(verify.replay_witness(witness)).hex() == float(witness.gap).hex()
-            assert same_arrays(verify._KINDS[kind].case(witness), case)
+            assert witness_bits(witness) == witness_bits(frozen)
+            assert same_arrays(witness.case, case)
+            read = verify.Witness.from_json(json.loads(json.dumps(witness.to_json())))
+            assert same_arrays(read.case, case)
+            for replayed in (witness, read):
+                assert float(verify.replay_witness(replayed)).hex() == float(witness.gap).hex()
 
 
 @settings(max_examples=20, deadline=None)
@@ -184,8 +171,10 @@ def test_prop6_witnesses_replay_to_their_arrays(seed, rounds, n_max):
     cases = draw("prop6", seed, rounds, n_max, "PK(2)")
     for case, report in zip(cases, verify.prop6_kernel(**frozen_pairs.columns(cases))):
         if report.witness is not None:
-            assert float(verify.replay_witness(report.witness)).hex() == float(report.witness.gap).hex()
-            assert same_arrays(verify._KINDS["prop6_identity"].case(report.witness), case)
+            read = verify.Witness.from_json(json.loads(json.dumps(report.witness.to_json())))
+            for witness in (report.witness, read):
+                assert float(verify.replay_witness(witness)).hex() == float(report.witness.gap).hex()
+                assert same_arrays(witness.case, case)
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +411,11 @@ def test_a_passing_characterize_builds_no_distribution(built, family):
 
 @pytest.mark.parametrize("family", ["COV", "PK(2)"])
 def test_characterize_builds_no_surjection(built, family):
-    """The probe lifts through 0-based maps; a PK(2) witness stores its map."""
+    """The probe lifts through 0-based maps; a PK(2) witness stores the
+    sizes of its lift, the case of its consistency step."""
     result = verify.characterize(family, n_max=5, denominator_bound=32, trials=4)
     assert result.passed == (family == "COV")
     assert built["Surjection"] == 0
     if family == "PK(2)":
-        assert all(type(v) is int for v in result.witness.surjection)
+        case = result.witness.case
+        assert (case["family"].name, case["m"], case["n"]) == ("PK(2)", 2, 2)

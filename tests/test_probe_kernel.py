@@ -5,7 +5,7 @@ point, the continuity step and the bilinearity check), ``rationalize``, the
 best rational approximation, the constant fit and the family matrix are held
 to their one frozen copy in ``frozen_probe``: every matrix entry, constant,
 residual, witness and gap must be the same float, compared through
-``float.hex`` (witnesses also through their JSON text), or the same error
+``float.hex`` (a witness's case through ``same_arrays``), or the same error
 type must be raised. Grammar families, plugins and a subclass that keeps its
 own ``__call__`` are drawn alike, and a plugin's calls are held to the
 frozen copy's calls.
@@ -13,7 +13,6 @@ frozen copy's calls.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from functools import cache, partial
 
@@ -57,6 +56,7 @@ from frozen_probe import (
     frozen_rationalize,
     partition_surjection,
 )
+from witness_bits import witness_bits
 
 
 # PK(+-400) overflows and underflows on purpose; both sides warn alike.
@@ -76,9 +76,9 @@ def uniform_table(family):
 
 
 def bits(value):
-    """Exact content: floats as float.hex, witnesses also as JSON text."""
+    """Exact content: floats as float.hex, witnesses by ``witness_bits``."""
     if isinstance(value, Witness):
-        return json.dumps(value.to_json()), bits(value.gap)
+        return witness_bits(value)
     if isinstance(value, np.ndarray):
         return bits(value.tolist())
     if isinstance(value, (float, np.floating)):

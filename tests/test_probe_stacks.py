@@ -5,9 +5,9 @@
 ``characterize`` evaluates the points of each sampled step as one stack per
 size. ``frozen_probe`` keeps the code they replaced: the frozen ``matrix``,
 ``check_prop6_identity`` and the ``characterize`` pipeline. The tests hold
-the new code to it through ``float.hex`` or the JSON text, or to the same
-error type and message, and hold a plugin family to the same calls in the
-same order.
+the new code to it through ``float.hex`` or the JSON text, a witness
+through ``witness_bits``, or to the same error type and message, and hold a
+plugin family to the same calls in the same order.
 """
 from __future__ import annotations
 
@@ -54,6 +54,7 @@ from frozen_probe import (
 )
 from test_frozen_scalars import boundary_weights, hexes, values
 from test_probe_kernel import GRAMMAR
+from witness_bits import witness_bits
 
 # PK(+-400) overflows and underflows on purpose; both sides warn alike.
 pytestmark = pytest.mark.filterwarnings(
@@ -76,7 +77,7 @@ def outcome(run):
 
 
 def report_bits(report: Prop6Report):
-    witness = None if report.witness is None else json.dumps(report.witness.to_json())
+    witness = witness_bits(report.witness)
     return (
         float(report.lhs).hex(), float(report.rhs).hex(), float(report.residual).hex(),
         report.status, witness,
@@ -498,7 +499,12 @@ CHARACTERIZE_FAMILIES = st.one_of(
 
 
 def characterize_outcome(run, family, n_max, bound, trials, seed):
-    return outcome(lambda: json.dumps(run(family, n_max, bound, trials, seed).to_json()))
+    """The result's JSON text but its witness, and the witness's ``witness_bits``."""
+    def exact():
+        result = run(family, n_max, bound, trials, seed)
+        return json.dumps({**result.to_json(), "witness": None}), witness_bits(result.witness)
+
+    return outcome(exact)
 
 
 @settings(max_examples=150, deadline=None)
@@ -536,7 +542,7 @@ def test_characterize_matches_the_frozen_copy(family, n_max, bound, trials, seed
     args = (family, n_max, bound, trials, seed)
     found = characterize_outcome(characterize, *args)
     assert found == characterize_outcome(frozen_characterize, *args)
-    if isinstance(found, str) and json.loads(found)["witness"] and not isinstance(family, Plugin):
+    if isinstance(found[0], str) and found[1] and not isinstance(family, Plugin):
         witness = characterize(*args).witness
         assert float(replay_witness(witness)).hex() == float(witness.gap).hex()
 
@@ -556,7 +562,7 @@ def test_a_bilinearity_witness_is_built_from_the_defect_that_decided_it():
     args = (2, 6, 5, 3376518736)
     found = characterize_outcome(characterize, new, *args)
     assert found == characterize_outcome(frozen_characterize, old, *args)
-    assert json.loads(found)["witness"]["kind"] == "bilinearity"
+    assert found[1][0] == "bilinearity"
     assert new.log == old.log and len(new.log) == 24
 
 
@@ -568,7 +574,7 @@ def test_a_continuity_witness_is_built_from_the_error_that_decided_it():
     new, old = Logged(JUMPY), Logged(JUMPY)
     found = characterize_outcome(characterize, new, 4, 16, 3, 2)
     assert found == characterize_outcome(frozen_characterize, old, 4, 16, 3, 2)
-    assert json.loads(found)["witness"]["kind"] == "continuity"
+    assert found[1][0] == "continuity"
     again = Logged(JUMPY)
     spot = Distribution(SampleSpace(3), np.sqrt([2.0, 3.0, 4.0]) / np.sqrt([2.0, 3.0, 4.0]).sum())
     frozen_continuity_errors(again, spot, [16])

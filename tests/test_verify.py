@@ -67,6 +67,7 @@ from fishergeo.verify import (
     strong_invariance_kernel,
     weak_invariance_residual_kernel,
 )
+from witness_bits import witness_bits
 
 
 def dist(*weights: float):
@@ -373,6 +374,13 @@ class TestCharacterize:
     def test_bilinearity_guard(self):
         assert check_bilinearity(COV_FAMILY, 4, seed=7) <= 1e-12
 
+    @pytest.mark.parametrize("n", [0, -1, 1])
+    def test_bilinearity_needs_a_sample_space(self, n):
+        """n is checked as a SampleSpace size: 0 once raised ZeroDivisionError,
+        -1 numpy's ValueError, and 1 returned a defect of 0.0."""
+        with pytest.raises(BadSize, match=f"^sample space needs size >= 2, got {n}$"):
+            check_bilinearity(COV_FAMILY, n, seed=7)
+
     def test_plugin_returning_numpy_floats_gives_a_json_result(self):
         """ii1_holds is a Python bool even when the plugin returns np.float64."""
 
@@ -485,13 +493,12 @@ class TestWitnessReplay:
         case = {"kernel": np.eye(2), "p": np.array([0.5, 0.5]), "x": np.array([1.0, -1.0])}
         report = on_arrays(monotonicity_metric_kernel)(**case)
         assert report.slack <= 0.0
-        with pytest.raises(InvalidParameter):
-            Witness.from_case("monotonicity_metric", case, report, "seed=0 trial=0")
+        assert Witness.from_case("monotonicity_metric", case, report, "seed=0 trial=0") is None
 
     def test_invariance_witness_stores_tangent_inputs(self, any_gap):
         [case] = _draw_invariance(np.random.default_rng(4), rounds=1, n_max=5)
         witness = Witness.from_case("invariance", case, on_arrays(invariance_kernel)(**case))
-        payload = witness.to_json()
+        payload = witness.to_json()["case"]
         assert payload["x"] == list(case["x"]) and payload["y"] == list(case["y"])
 
     def test_crb_replays_bitwise(self, any_gap):
@@ -500,13 +507,13 @@ class TestWitnessReplay:
             [case] = _draw_crb(rng, 1, 5)
             report = crb_check(case["model"], case["xi"], case["estimators"])
             witness = Witness.from_case("crb", case, report)
-            assert len(witness.estimators) == case["model"].dim
+            assert len(witness.case["estimators"]) == case["model"].dim
             assert same_bits(replay_witness(witness), report.scaled_residual)
 
     @pytest.mark.parametrize("alpha", [-1.0, 0.5])
     def test_weak_invariance_replays_bitwise(self, any_gap, alpha):
         """The case is arrays, as the battery draws it; the witness stores the
-        map as ints, so its JSON names the surjection 1-based, as before."""
+        map as ints, and its JSON names the surjection 1-based."""
         case = {
             "surjection": random_surjection_map(4, 2, seed=5),
             "q": sample_interior_weights(4, seed=6),
@@ -517,19 +524,22 @@ class TestWitnessReplay:
         }
         [residual] = weak_invariance_residual_kernel(*([value] for value in case.values()))
         witness = Witness.from_case("weak_invariance", case, residual)
-        assert all(type(v) is int for v in witness.surjection)
+        assert witness.case["surjection"].dtype.kind == "i"
         payload = witness.to_json()
+        assert (payload["m"], payload["n"]) == (2, 4)
+        payload = payload["case"]
         assert (payload["alpha"], payload["step"], len(payload["grid"])) == (alpha, 1e-4, 2)
         assert payload["surjection"] == [v + 1 for v in random_surjection(4, 2, seed=5).map0]
-        assert (payload["m"], payload["n"]) == (2, 4)
-        assert payload["point"] == sample_interior(SampleSpace(4), seed=6).weights.tolist()
+        assert payload["q"] == sample_interior(SampleSpace(4), seed=6).weights.tolist()
         assert same_bits(replay_witness(witness), residual)
 
     @pytest.mark.parametrize("kind", ["invariance", "strong_invariance", "weak_invariance"])
     @pytest.mark.parametrize("offset", [None, 0, 5])
     def test_a_stored_map_out_of_range_raises_bad_size(self, any_gap, kind, offset):
-        """Replay checks the stored map against the stored m before it
-        indexes anything with it: a first value of -1, m or m + 5."""
+        """Replay checks the stored map against the fibers' m before it
+        indexes anything with it: a first value of -1, m or m + 5. A
+        weak-invariance map is onto its max + 1 points, so m or m + 5 names
+        another codomain, which its grid or its domain refuses."""
         if kind == "weak_invariance":
             case = {
                 "surjection": random_surjection_map(4, 2, seed=5), "q": sample_interior_weights(4, seed=6),
@@ -541,8 +551,12 @@ class TestWitnessReplay:
         witness = Witness.from_case(kind, case, verify_module._KINDS[kind].evaluate(case))
         assert same_bits(replay_witness(witness), witness.gap)
         value = -1 if offset is None else witness.m + offset
-        spoiled = dataclasses.replace(witness, surjection=(value, *witness.surjection[1:]))
-        with pytest.raises(BadSize, match="out of codomain range"):
+        surjection = (value, *witness.case["surjection"][1:])
+        spoiled = dataclasses.replace(witness, case={**witness.case, "surjection": surjection})
+        expected = (BadSize, "out of codomain range")
+        if kind == "weak_invariance" and offset is not None:
+            expected = FisherGeoError, "^weak_invariance witness replay: (expected 2 param|codomain cannot be larger)"
+        with pytest.raises(expected[0], match=expected[1]):
             replay_witness(spoiled)
 
     @pytest.mark.parametrize("kind", sorted(PLUGINS))
@@ -555,14 +569,20 @@ class TestWitnessReplay:
         (3, (0.5, 0.5)), (3, (math.nan, 0.5, 0.5)), (3, (-0.1, 0.6, 0.5)), (3, (0.2, 0.2, 0.2)), (1, (1.0,)),
     ])
     def test_a_bad_stored_continuity_point_raises_what_its_distribution_raises(self, plugin_names, n, point):
-        """The spot replays as a weight row: a point of the wrong length, a
+        """The spot replays as a weight row on as many outcomes as it has: a
         non-finite, negative or unnormalized weight, or a size below 2 raises
-        the error type and message of the ``Distribution`` it once rebuilt."""
+        the error type and message of the ``Distribution`` it stands for,
+        after the kind. A point of another length is a spot on that many
+        outcomes, where the plugin is the covariance: its case gives no
+        witness, which replay refuses."""
         result = characterize(PLUGINS["continuity"], n_max=3, denominator_bound=16, trials=2, seed=1)
-        spoiled = dataclasses.replace(result.witness, n=n, point=point)
-        with pytest.raises(FisherGeoError) as expected:
-            new_distribution(SampleSpace(n), np.array(point))
-        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+        spoiled = dataclasses.replace(result.witness, n=n, case={**result.witness.case, "spot": np.array(point)})
+        try:
+            new_distribution(SampleSpace(len(point)), np.array(point))
+            expected = InvalidParameter, "continuity witness replay: the case gives no witness"
+        except FisherGeoError as error:
+            expected = type(error), f"continuity witness replay: {error}"
+        with pytest.raises(expected[0], match=f"^{re.escape(expected[1])}"):
             replay_witness(spoiled)
 
     def test_cross_dimension_replay_bitwise(self):
@@ -661,10 +681,10 @@ class TestReplayRule:
 
     @pytest.mark.parametrize("kind, spoil, field", [
         ("cross_dimension", {"m": 0}, "m"),
-        ("bilinearity", {"detail": "seed=x"}, "detail"),
-        ("continuity", {"detail": ""}, "detail"),
-        ("rational_point", {"detail": "D=1e3"}, "detail"),
-        ("crb", {"point": None}, "point"),
+        ("bilinearity", {"seed": "x"}, "seed"),
+        ("continuity", {"bound": None}, "bound"),
+        ("rational_point", {"denominator_bound": 1e3}, "denominator_bound"),
+        ("crb", {"xi": None}, "xi"),
         # cases that no longer violate: the gap is gone
         ("prop6_identity", {"family": "COV"}, "gap"),
         ("uniform_shape", {"family": "COV"}, "gap"),
@@ -675,15 +695,48 @@ class TestReplayRule:
     ])
     def test_a_malformed_or_stale_witness_raises_invalid_parameter(self, plugin_names, witnesses, kind, spoil,
                                                                     field):
-        """The first nine once escaped as a ZeroDivisionError, ValueError,
-        TypeError or AttributeError, and the last replayed to the gap of
-        another kind; now each names its kind and its field."""
-        with pytest.MonkeyPatch.context() as patch:  # the crb witness holds a gap at rounding level
-            patch.setattr(verify_module, "VIOLATION_TOL", -np.inf)
-            spoiled = dataclasses.replace(witnesses[kind], **spoil)
+        """The first five once escaped as a ZeroDivisionError, ValueError or
+        TypeError (then as fields of the witness, now as keys of its case),
+        the next four as an AttributeError, and the last replayed to the gap
+        of another kind; now each names its kind and its key."""
+        payload = witnesses[kind].to_json()
+        payload["case"].update(spoil)
         with pytest.raises(InvalidParameter) as raised:
-            replay_witness(spoiled)
+            replay_witness(Witness.from_json(payload))
         assert kind in str(raised.value) and field in str(raised.value)
+
+    @pytest.mark.parametrize("kind, where, key", [
+        (kind, where, key) for kind in sorted(EVALUATIONS)
+        for where, keys in (("witness", ("m", "n")), ("case", verify_module._KINDS[kind].keys)) for key in keys
+    ])
+    def test_a_spoiled_value_raises_a_fisher_geo_error(self, plugin_names, witnesses, kind, where, key):
+        """Each case key of a witness's JSON, and its m and n, set to None,
+        0, "x" and (): the reader or the kernel's own checks reject it, or
+        the case gives another witness, and replay raises a FisherGeoError,
+        never a built-in error. When the inputs were fields of the witness,
+        40 of these escaped, among them every float field holding "x"."""
+        witness = witnesses[kind]
+        for value in (None, 0, "x", ()):
+            payload = witness.to_json()
+            (payload if where == "witness" else payload["case"])[key] = value
+            with pytest.raises(FisherGeoError), pytest.MonkeyPatch.context() as patch:
+                if not witness.gap > verify_module.VIOLATION_TOL:  # a drawn case that holds
+                    patch.setattr(verify_module, "VIOLATION_TOL", -np.inf)
+                replay_witness(Witness.from_json(payload))
+
+    @pytest.mark.parametrize("kind", sorted(EVALUATIONS))
+    def test_a_witness_replays_bitwise_from_its_json(self, monkeypatch, plugin_names, witnesses, kind):
+        """The JSON text reads back the same witness: its fields bitwise, its
+        case arrays equal and read-only, a channel kernel column-major."""
+        witness = witnesses[kind]
+        if not witness.gap > verify_module.VIOLATION_TOL:
+            monkeypatch.setattr(verify_module, "VIOLATION_TOL", -np.inf)
+        read = Witness.from_json(json.loads(json.dumps(witness.to_json())))
+        assert witness_bits(read) == witness_bits(witness)
+        assert all(not v.flags.writeable for v in read.case.values() if isinstance(v, np.ndarray))
+        if kind.startswith("monotonicity"):
+            assert np.isfortran(read.case["kernel"])
+        assert same_bits(replay_witness(read), witness.gap)
 
 
 class TestBatteries:
